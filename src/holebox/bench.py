@@ -22,16 +22,16 @@ from typing import Optional
 
 from .expr import Term
 from .fps import (
-    CertifyFailed, Session, SessionError, certify, dfps_prove_script,
-    extract_answer, forward_finished, prove_script, session_init,
+    Session, SessionError, certify, dfps_prove_script, extract_answer,
+    prove_script, solve_script,
 )
 from .kernel import (
     KernelError, init_prove, is_terminal, run_script, recheck,
     script_of_trace,
 )
 from .rpe import rpe_check
-from .search import SearchConfig, SearchResult, best_first_search, \
-    builtin_policy, search_states
+from .search import SearchConfig, best_first_search, builtin_policy, \
+    public_stats, search_states
 from .syntax import (
     ParseError, Problem, ProofScript, SchemaError, parse_problem,
     parse_script, parse_term,
@@ -101,31 +101,36 @@ def _parse_entry(line: str) -> BenchmarkEntry:
 # Per-entry evaluation
 
 
-def _solve_with_script(entry: BenchmarkEntry) -> tuple[Optional[Session], dict]:
+def _solve(entry: BenchmarkEntry, solver: str, cfg: SearchConfig
+           ) -> tuple[Optional[tuple[Term, dict, str]], dict]:
+    """Solve with the builtin search or the entry's reference script.
+
+    Returns `(answer, certificate, script_text)`, or None when unsolved,
+    together with the stats for the report.
+    """
+    if solver != "script":
+        result = best_first_search(entry.problem, builtin_policy, cfg)
+        stats = public_stats(result.stats)
+        if result.status != "solved":
+            return None, stats
+        answer = parse_term(result.answer, entry.problem.telescope(),
+                            entry.problem.queriable[1])
+        return (answer, result.certificate, result.script.render()), stats
     if entry.script is None:
         return None, {"error": "no reference script"}
-    sess = session_init(entry.problem)
-    state = sess.state
-    for ln in entry.script.lines:
-        try:
-            from .kernel import apply_tactic
-            state = apply_tactic(state, ln.goal, ln.tactic, ln.argtext)
-        except (KernelError, Exception) as e:
-            return None, {"error": f"line {ln.lineno}: {e}"}
-    sess = Session(entry.problem, state)
-    done = is_terminal(state) or (
-        entry.problem.framework == "dfps" and forward_finished(sess))
-    if not done:
-        return None, {"error": "script left open goals"}
-    return sess, {}
-
-
-def _solve_with_search(entry: BenchmarkEntry, cfg: SearchConfig
-                       ) -> tuple[Optional[Session], dict, Optional[SearchResult]]:
-    result = best_first_search(entry.problem, builtin_policy, cfg)
-    if result.status != "solved":
-        return None, result.stats, result
-    return None, result.stats, result
+    report = solve_script(entry.problem, entry.script)
+    if report.failed_line is not None:
+        return None, {"error": f"line {report.failed_line}: {report.reason}"}
+    if not report.accepted:
+        return None, {"error": report.reason}
+    sess = Session(entry.problem, report.final)
+    try:
+        answer = extract_answer(sess)
+        cert = certify(sess)
+    except SessionError as e:
+        return None, {"error": str(e)}
+    return (answer, cert.to_json(),
+            script_of_trace(sess.state).render()), {}
 
 
 def _prove_ground_truth(entry: BenchmarkEntry, solver: str,
@@ -165,58 +170,20 @@ def evaluate_entry(entry: BenchmarkEntry, solver: str = "script",
         record.update(outcome="skipped", proven=None, rpe=None, script=None,
                       stats={"note": "parse-only entry"})
         return record
-    stats: dict = {}
-    sess: Optional[Session] = None
-    if solver == "script":
-        sess, info = _solve_with_script(entry)
-        stats.update(info)
-    else:
-        _, stats, result = _solve_with_search(entry, cfg)
-        if result is not None and result.status == "solved":
-            record["script"] = result.script.render()
-            answer = parse_term(result.answer, entry.problem.telescope(),
-                                entry.problem.queriable[1])
-            verdict = rpe_check(entry.problem, answer, entry.formal_answer)
-            record["rpe"] = verdict.to_json()
-            record["outcome"] = "solved" if verdict.equivalent \
-                else "neSubmitted"
-            record["certificate"] = result.certificate
-            record["proven"] = _prove_ground_truth(entry, solver, cfg)
-            record["stats"] = _clean_stats(stats)
-            return record
-        record.update(outcome="unsolved", rpe=None, script=None,
-                      certificate=None)
-        record["proven"] = _prove_ground_truth(entry, solver, cfg)
-        record["stats"] = _clean_stats(stats)
-        return record
-    if sess is None:
+    solved, stats = _solve(entry, solver, cfg)
+    if solved is None:
         record.update(outcome="unsolved", rpe=None, script=None,
                       certificate=None)
     else:
-        try:
-            answer = extract_answer(sess)
-            cert = certify(sess)
-        except (SessionError, CertifyFailed) as e:
-            record.update(outcome="unsolved", rpe=None, script=None,
-                          certificate=None)
-            stats["error"] = str(e)
-            answer = None
-        else:
-            verdict = rpe_check(entry.problem, answer, entry.formal_answer)
-            record["rpe"] = verdict.to_json()
-            record["outcome"] = "solved" if verdict.equivalent \
-                else "neSubmitted"
-            record["script"] = script_of_trace(sess.state).render()
-            record["certificate"] = cert.to_json()
+        answer, certificate, script_text = solved
+        verdict = rpe_check(entry.problem, answer, entry.formal_answer)
+        record["rpe"] = verdict.to_json()
+        record["outcome"] = "solved" if verdict.equivalent else "neSubmitted"
+        record["script"] = script_text
+        record["certificate"] = certificate
     record["proven"] = _prove_ground_truth(entry, solver, cfg)
-    record["stats"] = _clean_stats(stats)
+    record["stats"] = stats
     return record
-
-
-def _clean_stats(stats: dict) -> dict:
-    out = dict(stats)
-    out.pop("popped_values", None)
-    return out
 
 
 # ---------------------------------------------------------------------------

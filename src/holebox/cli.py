@@ -14,8 +14,8 @@ from typing import Optional, TextIO
 
 from .bench import load_benchmark, report_json, run_benchmark, \
     BenchmarkLoadError
-from .fps import Session, certify, extract_answer, forward_finished, \
-    session_init
+from .fps import Session, certify, extract_answer, session_init, \
+    solve_script
 from .kernel import (
     KernelError, apply_tactic, init_prove, is_terminal, recheck,
     render_state, run_script,
@@ -23,10 +23,10 @@ from .kernel import (
 from .rpe import rpe_check
 from .search import (
     ExternalPolicy, SearchConfig, best_first_search, builtin_policy,
-    search_states,
+    public_stats, search_states,
 )
 from .syntax import ParseError, SchemaError, parse_problem, parse_script, \
-    parse_term
+    parse_term, print_term
 from .tactics.rewrite import load_lemma_library, set_default_library
 
 
@@ -52,23 +52,16 @@ def cmd_solve(args) -> int:
     if args.script:
         with open(args.script, "r", encoding="utf-8") as fh:
             script = parse_script(fh.read())
-        sess = session_init(problem)
-        state = sess.state
-        for ln in script.lines:
-            try:
-                state = apply_tactic(state, ln.goal, ln.tactic, ln.argtext)
-            except KernelError as e:
-                print(f"rejected at line {ln.lineno}: {e}")
-                return 1
-        sess = Session(problem, state)
-        done = is_terminal(state) or (
-            problem.framework == "dfps" and forward_finished(sess))
-        if not done:
-            print("rejected: script left open goals")
+        report = solve_script(problem, script)
+        if report.failed_line is not None:
+            print(f"rejected at line {report.failed_line}: {report.reason}")
             return 1
+        if not report.accepted:
+            print(f"rejected: {report.reason}")
+            return 1
+        sess = Session(problem, report.final)
         answer = extract_answer(sess)
         cert = certify(sess)
-        from .syntax import print_term
         print(json.dumps({"answer": print_term(answer),
                           "certificate": cert.to_json()},
                          sort_keys=True, indent=2))
@@ -80,17 +73,16 @@ def cmd_solve(args) -> int:
         if isinstance(policy, ExternalPolicy):
             policy.close()
     if result.status != "solved":
-        print(json.dumps({"status": "exhausted", "stats": {
-            k: v for k, v in result.stats.items() if k != "popped_values"}},
-            sort_keys=True, indent=2))
+        print(json.dumps({"status": "exhausted",
+                          "stats": public_stats(result.stats)},
+                         sort_keys=True, indent=2))
         return 1
     print(json.dumps({
         "status": "solved",
         "answer": result.answer,
         "certificate": result.certificate,
         "script": result.script.render(),
-        "stats": {k: v for k, v in result.stats.items()
-                  if k != "popped_values"},
+        "stats": public_stats(result.stats),
     }, sort_keys=True, indent=2))
     return 0
 
@@ -113,9 +105,8 @@ def cmd_prove(args) -> int:
     node, stats = search_states(state, builtin_policy, _search_cfg(args),
                                 is_terminal)
     if node is None:
-        print(json.dumps({"status": "not proven", "stats": {
-            k: v for k, v in stats.items() if k != "popped_values"}},
-            sort_keys=True))
+        print(json.dumps({"status": "not proven",
+                          "stats": public_stats(stats)}, sort_keys=True))
         return 1
     recheck(node.state)
     print("proven")
@@ -178,7 +169,6 @@ def repl_session(problem, in_stream: TextIO, out_stream: TextIO) -> int:
         if line == "extract":
             try:
                 answer = extract_answer(Session(problem, history[-1]))
-                from .syntax import print_term
                 out_stream.write(print_term(answer) + "\n")
             except KernelError as e:
                 out_stream.write(f"error: {e}\n")

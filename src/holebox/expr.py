@@ -401,12 +401,6 @@ def abstract_var(t: Term, name: str, depth: int = 0) -> Term:
     return _rebuild(t, tuple(abstract_var(k, name, depth) for k in kids))
 
 
-def open_binder(b: Binder, repl: Term) -> Term:
-    if repl.sort != b.vsort:
-        raise SortError(f"binder over {b.vsort} opened with {repl.sort}")
-    return instantiate_bvar(b.body, repl)
-
-
 def bind(kind: str, name: str, vsort: Sort, body_open: Term) -> Binder:
     """Build a binder from a body written with a free Var(name)."""
     return mk_binder(kind, name, vsort, abstract_var(body_open, name))

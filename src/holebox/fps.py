@@ -32,10 +32,14 @@ from .expr import (
     metavars_of, mk_atom, mk_conn, substitute,
 )
 from .kernel import (
-    Goal, Hole, KernelError, SolutionState, apply_tactic, init_prove,
-    is_terminal, run_script, recheck, script_of_trace,
+    CertificateError, Goal, Hole, KernelError, ReplayReport, SolutionState,
+    apply_tactic, init_prove, is_terminal, run_script, recheck,
+    script_of_trace,
 )
-from .syntax import Problem, ProofScript, ScriptLine, print_term
+from .syntax import (
+    DfpsShapeError, Problem, ProofScript, ScriptLine, _check_dfps_shape,
+    print_term,
+)
 
 ANSWER_HOLE = "w"
 FORWARD_HYP = "h_p_1"
@@ -84,6 +88,10 @@ class Session:
             return "done"
         return "backward" if forward_finished(self) else "forward"
 
+    def answer_ready(self) -> bool:
+        """An answer can be extracted: terminal, or dfps forward finished."""
+        return self.phase() in ("done", "backward")
+
 
 def fps_init(p: Problem) -> Session:
     if p.framework != "fps":
@@ -101,7 +109,6 @@ def fps_init(p: Problem) -> Session:
 
 
 def dfps_init(p: Problem) -> Session:
-    from .syntax import DfpsShapeError, _check_dfps_shape
     if p.framework != "dfps":
         raise DfpsShapeError("dfps_init needs a problem in the dfps framework")
     _check_dfps_shape(p)
@@ -124,6 +131,24 @@ def session_init(p: Problem) -> Session:
     return fps_init(p) if p.framework == "fps" else dfps_init(p)
 
 
+def solve_script(p: Problem, script: ProofScript) -> ReplayReport:
+    """Run a solving script; accepted once an answer can be extracted."""
+    return run_script(session_init(p).state, script,
+                      done=lambda s: Session(p, s).answer_ready())
+
+
+def replay_check(p: Problem, script: ProofScript) -> ReplayReport:
+    """Replay a script from the session's initial state to the terminal
+    state and recheck every closure certificate."""
+    report = run_script(session_init(p).state, script)
+    if report.accepted:
+        try:
+            recheck(report.final)
+        except CertificateError as e:
+            return ReplayReport(False, report.final, None, str(e))
+    return report
+
+
 def forward_finished(sess: Session) -> bool:
     """Answer hole assigned and the forward case closed (dfps only)."""
     if sess.framework != "dfps":
@@ -134,11 +159,10 @@ def forward_finished(sess: Session) -> bool:
 
 
 def extract_answer(sess: Session) -> Term:
-    if sess.framework == "dfps":
-        if not forward_finished(sess):
-            raise NotFinished("forward phase is not finished")
-    elif not is_terminal(sess.state):
-        raise NotFinished("session is not terminal")
+    if not sess.answer_ready():
+        raise NotFinished("forward phase is not finished"
+                          if sess.framework == "dfps"
+                          else "session is not terminal")
     raw = sess.state.assigned_value(sess.answer_hole)
     if raw is None:
         raise NotFinished("answer hole is unassigned")
@@ -201,14 +225,15 @@ def certify(sess: Session) -> SessionCertificate:
 
 def run_trace(state: SolutionState, recorded: SolutionState) -> SolutionState:
     """Deterministically re-run a recorded trace from a fresh state."""
-    for step in recorded.trace:
-        try:
-            state = apply_tactic(state, step.goal, step.tactic, step.argtext)
-        except (KernelError, Exception) as e:
-            raise CertifyFailed(f"trace replay failed at {step.render()}: {e}")
-    if state.state_hash() != recorded.state_hash():
+    want = recorded.state_hash()
+    report = run_script(state, script_of_trace(recorded),
+                        done=lambda s: s.state_hash() == want)
+    if report.failed_line is not None:
+        raise CertifyFailed(f"trace replay failed at step "
+                            f"{report.failed_line}: {report.reason}")
+    if not report.accepted:
         raise CertifyFailed("replayed state differs from the recorded state")
-    return state
+    return report.final
 
 
 def _recheck_statement(p: Problem, answer: Term, script: ProofScript) -> None:

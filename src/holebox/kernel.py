@@ -15,10 +15,14 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from .expr import (
-    ExprError, LocalDecl, Meta, OccursCheckError, PROP, Sort, SortError,
-    Telescope, Term, free_vars, instantiate_metas, metavars_of,
+    ExprError, Lit, LocalDecl, OccursCheckError, PROP, Sort, SortError,
+    Telescope, Term, free_vars, instantiate_metas, metavars_of, substitute,
+    subterms,
 )
-from .syntax import Problem, ProofScript, ScriptLine, print_term
+from .syntax import (
+    Problem, ProofScript, ScriptLine, _parse_sort_text, parse_term,
+    print_term,
+)
 
 
 class KernelError(Exception):
@@ -76,10 +80,6 @@ class TraceStep:
     closed: tuple[str, ...] = ()
     assigned: tuple[str, ...] = ()
     cert: Optional[Certificate] = None
-
-    def render(self) -> str:
-        body = f"{self.tactic} {self.argtext}".rstrip()
-        return f"@goal {self.goal} {body}"
 
 
 @dataclass(frozen=True)
@@ -234,6 +234,16 @@ def register_tactic(name: str):
     return deco
 
 
+def int_arg(argtext: str, default: int) -> int:
+    """A tactic's optional integer argument, such as a budget or depth."""
+    if not argtext.strip():
+        return default
+    try:
+        return int(argtext)
+    except ValueError:
+        raise TacticFailed(f"expected an integer argument, got {argtext!r}")
+
+
 def apply_tactic(s: SolutionState, case: Optional[str], tactic: str,
                  argtext: str = "") -> SolutionState:
     """Apply one named tactic; returns a fresh state or raises TacticFailed."""
@@ -255,31 +265,11 @@ def apply_tactic(s: SolutionState, case: Optional[str], tactic: str,
 
 
 # ---------------------------------------------------------------------------
-# Initialization: solving-mode (hole plus goal) and proving-mode states
-
-
-def init_generic(p: Problem) -> tuple[SolutionState, str]:
-    """Initial state: the answer hole plus one goal over (V, Phi).
-
-    Returns the state and the answer hole id.  Satisfiability of the
-    problem is presupposed, not checked.
-    """
-    tele = p.telescope()
-    qname, qsort = p.queriable
-    mid = "w"
-    hole = Hole(mid, tele, qsort)
-    meta = Meta(qsort, mid)
-    concl = p.conclusion()
-    from .expr import substitute
-    concl = substitute(concl, qname, meta)
-    goal = Goal("h", tele, concl)
-    hole_goal = Goal(mid, tele, qsort)
-    return SolutionState(goals=(goal, hole_goal), holes=(hole,)), mid
+# Initialization: proving-mode states
 
 
 def init_prove(p: Problem, answer: Term) -> SolutionState:
     """Theorem-mode initial state for P(answer): no holes."""
-    from .expr import substitute
     tele = p.telescope()
     qname, qsort = p.queriable
     if answer.sort != qsort:
@@ -300,29 +290,23 @@ class ReplayReport:
     reason: Optional[str] = None
 
 
-def run_script(state: SolutionState, script: ProofScript) -> ReplayReport:
+def run_script(state: SolutionState, script: ProofScript,
+               done: Callable[[SolutionState], bool] = is_terminal
+               ) -> ReplayReport:
+    """Apply the script's lines in order; the only script runner.
+
+    Stops at the first line that fails.  A script that runs through is
+    accepted when `done` holds of the final state.
+    """
     for ln in script.lines:
         try:
             state = apply_tactic(state, ln.goal, ln.tactic, ln.argtext)
         except (KernelError, ExprError) as e:
             return ReplayReport(False, state, ln.lineno,
                                 f"{ln.tactic}: {e}")
-    if not is_terminal(state):
+    if not done(state):
         return ReplayReport(False, state, None, "script left open goals")
     return ReplayReport(True, state)
-
-
-def replay_check(p: Problem, script: ProofScript) -> ReplayReport:
-    """Replay a script from the generic initial state and recheck closures."""
-    from . import fps as _fps
-    state = _fps.session_init(p).state
-    report = run_script(state, script)
-    if report.accepted:
-        try:
-            recheck(report.final)
-        except CertificateError as e:
-            return ReplayReport(False, report.final, None, str(e))
-    return report
 
 
 def recheck(final: SolutionState) -> None:
@@ -338,7 +322,6 @@ def recheck(final: SolutionState) -> None:
 
 
 def goal_blob(g: Goal, metas: Optional[dict[str, Sort]] = None) -> dict:
-    from .expr import Lit, subterms
     ctx = []
     lit_sorts: set[str] = set()
 
@@ -372,7 +355,6 @@ def goal_blob(g: Goal, metas: Optional[dict[str, Sort]] = None) -> dict:
 
 
 def goal_from_blob(blob: dict) -> Goal:
-    from .syntax import parse_term, _parse_sort_text
     menv = {m: _parse_sort_text(s) for m, s in blob.get("metas", {}).items()}
     default = None
     if blob.get("numeral_sort"):

@@ -17,7 +17,8 @@ from typing import Optional
 from .expr import (
     PROP, SortError, Term, free_vars, mk_atom, mk_conn,
 )
-from .kernel import Goal, SolutionState, TacticFailed, apply_tactic
+from .kernel import Goal, SolutionState, TacticFailed, apply_tactic, \
+    render_goal
 from .syntax import Problem
 
 
@@ -38,7 +39,6 @@ class RpeVerdict:
     prop_answers: bool = False       # iff comparison instead of equality
 
     def to_json(self) -> dict:
-        from .kernel import render_goal
         return {
             "equivalent": self.equivalent,
             "by": self.succeeded_by or "none",

@@ -20,10 +20,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .fps import Session, certify, extract_answer, forward_finished, \
-    session_init
+from .expr import Binder, Conn
+from .fps import Session, certify, extract_answer, session_init
 from .kernel import (
-    Goal, SolutionState, is_terminal, render_goal, script_of_trace,
+    Goal, SolutionState, apply_tactic, is_terminal, render_goal,
+    script_of_trace,
 )
 from .syntax import Problem, ProofScript, print_term
 
@@ -57,7 +58,6 @@ class SearchConfig:
     width: int = 8          # S: suggestions per expansion
     budget: int = 200       # K: nodes popped
     max_depth: int = 40
-    per_goal_allocation: bool = True
 
     def __post_init__(self):
         if self.width < 1 or self.budget < 0:
@@ -106,7 +106,6 @@ def builtin_policy(state: SolutionState, goal: Goal, k: int
     if goal.is_hole_goal():
         return []
     logp = math.log(1.0 / len(BUILTIN_MENU))
-    from .expr import Binder, Conn
     concl = goal.concl
     out: list[PolicySuggestion] = []
     taken = 0
@@ -177,7 +176,6 @@ def expand(node: SearchNode, policy: Policy, width: int
     for o, c in zip(offered, counts):
         chosen.extend(o[:c])
     children: list[SearchNode] = []
-    from .kernel import apply_tactic
     for sug in chosen:
         try:
             nxt = apply_tactic(state, sug.goal, sug.tactic, sug.argtext)
@@ -188,14 +186,6 @@ def expand(node: SearchNode, policy: Policy, width: int
             node.path_log_score + sug.logprob / sug.tactic_length,
             node.depth + 1))
     return children
-
-
-def _success(state: SolutionState, problem: Problem) -> bool:
-    if is_terminal(state):
-        return True
-    if problem.framework == "dfps":
-        return forward_finished(Session(problem, state))
-    return False
 
 
 def search_states(root_state: SolutionState, policy: Policy,
@@ -232,11 +222,16 @@ def search_states(root_state: SolutionState, policy: Policy,
     return None, stats(len(heap))
 
 
+def public_stats(stats: dict) -> dict:
+    """Search stats for reports and output: without `popped_values`."""
+    return {k: v for k, v in stats.items() if k != "popped_values"}
+
+
 def best_first_search(problem: Problem, policy: Policy,
                       cfg: SearchConfig = SearchConfig()) -> SearchResult:
     sess = session_init(problem)
     node, stats = search_states(sess.state, policy, cfg,
-                                lambda s: _success(s, problem))
+                                lambda s: Session(problem, s).answer_ready())
     if node is None:
         return SearchResult("exhausted", stats=stats)
     return _finish(problem, node, stats)

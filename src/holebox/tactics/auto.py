@@ -22,7 +22,7 @@ from ..expr import (
 from ..norm import definitional_eq, fold_literals, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, goal_blob, goal_from_blob, register_tactic,
+    TacticResult, goal_blob, goal_from_blob, int_arg, register_tactic,
 )
 from .decide import decide_prop
 from .linarith import prove_linear
@@ -229,7 +229,7 @@ def _closers(goal: Goal) -> bool:
 def auto(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if goal.is_hole_goal():
         raise TacticFailed("auto does not apply to a hole goal")
-    budget_n = int(argtext) if argtext.strip() else AUTO_BUDGET
+    budget_n = int_arg(argtext, AUTO_BUDGET)
     concl = instantiate_metas(goal.concl, state.asg_map())
     budget = _Counter(budget_n)
     start = Goal(goal.case, goal.ctx, concl)

@@ -25,7 +25,7 @@ from ..expr import (
 from ..norm import normalize
 from ..kernel import (
     Certificate, Goal, SolutionState, TacticFailed, TacticResult, goal_blob,
-    register_tactic,
+    int_arg, register_tactic,
 )
 
 DEFAULT_BUDGET = 10 ** 6
@@ -441,7 +441,7 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
                 ) -> TacticResult:
     if goal.is_hole_goal():
         raise TacticFailed("eval_decide does not apply to a hole goal")
-    budget_n = int(argtext) if argtext.strip() else DEFAULT_BUDGET
+    budget_n = int_arg(argtext, DEFAULT_BUDGET)
     concl = normalize(goal.concl)
     split = _assign_split(concl, state)
     if split is not None:

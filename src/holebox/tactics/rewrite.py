@@ -24,7 +24,7 @@ from ..expr import (
 from ..norm import definitional_eq, fold_literals
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, goal_blob, goal_from_blob, register_tactic,
+    TacticResult, goal_blob, goal_from_blob, int_arg, register_tactic,
 )
 from ..syntax import ParseError, parse_term, print_term
 from .decide import decide_prop, _assign_split
@@ -448,7 +448,7 @@ def rw_search_term(concl: Term, goal: Goal, state: Optional[SolutionState],
 def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if goal.is_hole_goal():
         raise TacticFailed("rw_search does not apply to a hole goal")
-    max_depth = int(argtext) if argtext.strip() else RW_SEARCH_DEPTH
+    max_depth = int_arg(argtext, RW_SEARCH_DEPTH)
     concl = instantiate_metas(goal.concl, state.asg_map())
     if not (isinstance(concl, Atom) and concl.rel == "eq") \
             and not (isinstance(concl, Conn) and concl.op == "iff"):

@@ -22,8 +22,10 @@ from holebox.expr import (
     INT, PROP, mk_app, mk_atom, mk_conn, mk_lit, mk_var, substitute,
     syntactic_eq,
 )
-from holebox.fps import Session, certify, extract_answer, session_init
-from holebox.kernel import apply_tactic, render_state, replay_check
+from holebox.fps import (
+    Session, certify, extract_answer, replay_check, session_init,
+)
+from holebox.kernel import apply_tactic, render_state
 from holebox.rpe import rpe_check
 from holebox.search import SearchConfig, best_first_search, builtin_policy
 from holebox.syntax import (

@@ -4,8 +4,11 @@ import io
 import json
 from importlib import resources
 
+import pytest
+
+from holebox.bench import BenchmarkEntry, evaluate_entry
 from holebox.cli import cli_main, repl_session
-from holebox.syntax import parse_problem
+from holebox.syntax import parse_problem, parse_script, parse_term
 
 
 def data_path(name):
@@ -40,6 +43,53 @@ def test_solve_with_script(tmp_path, capsys):
     assert code == 0
     assert out["answer"] == "7"
     assert out["certificate"]["forward"] and out["certificate"]["backward"]
+
+
+def _script_entry(name, answer, lines):
+    problem = parse_problem(open(problem_path(name), "rb").read())
+    truth = parse_term(answer, problem.telescope(), problem.queriable[1])
+    return BenchmarkEntry(name, "", answer, problem, truth,
+                          parse_script(lines))
+
+
+@pytest.mark.parametrize("line", ["auto abc", "rw_search 1e9",
+                                  "eval_decide x"])
+def test_non_integer_tactic_argument_rejected(tmp_path, capsys, line):
+    script = tmp_path / "s.txt"
+    script.write_text(f"format_version: 1\n{line}\n")
+    code = cli_main(["solve", problem_path("nickels.json"),
+                     "--script", str(script)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(out) == 1 and out[0].startswith("rejected at line 2")
+    rec = evaluate_entry(_script_entry("nickels.json", "7", [line]),
+                         solver="script")
+    assert rec["outcome"] == "unsolved"
+    assert "error" in rec["stats"]
+
+
+DFPS_FORWARD_ONLY = [
+    "@goal h.mp have hans : t = 7",
+    "@goal h.mp.hans linear_arith",
+    "@goal h.mp exact hans",
+]
+
+
+def test_dfps_forward_only_script_accepted(tmp_path, capsys):
+    script = tmp_path / "s.txt"
+    script.write_text("format_version: 1\n" + "\n".join(DFPS_FORWARD_ONLY))
+    code = cli_main(["solve", problem_path("nickels_deductive.json"),
+                     "--script", str(script)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["answer"] == "t = 7"
+    assert out["certificate"]["backward"] is False
+    assert out["certificate"]["earlyExit"] is True
+    rec = evaluate_entry(
+        _script_entry("nickels_deductive.json", "t = 7", DFPS_FORWARD_ONLY),
+        solver="script")
+    assert rec["outcome"] == "solved"
+    assert rec["certificate"]["earlyExit"] is True
 
 
 def test_solve_with_builtin_search(capsys):

@@ -9,9 +9,9 @@ from holebox.expr import (
 )
 from holebox.kernel import (
     OutOfContextError, TacticFailed, apply_tactic, assign_metavar,
-    init_prove, is_terminal, render_state, replay_check,
+    init_prove, is_terminal, render_state,
 )
-from holebox.fps import session_init
+from holebox.fps import replay_check, session_init
 from holebox.syntax import parse_problem, parse_script, parse_term, print_term
 
 NICKELS = {

@@ -1,0 +1,55 @@
+"""Module layering and the names the traced benchmark wraps."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import holebox
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = Path(holebox.__file__).resolve().parent
+
+LOWER = ("expr", "syntax", "norm", "kernel")
+UPPER = {"fps", "search", "bench", "cli"}
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_targets_resolve():
+    tracer = _load_tracer()
+    pairs = list(tracer.TARGETS) + [(m, f) for m, f, _ in tracer.CALLER_VIEWS]
+    missing = [f"{m}.{f}" for m, f in pairs
+               if not callable(getattr(
+                   importlib.import_module("holebox." + m), f, None))]
+    assert not missing
+
+
+def _imported_modules(path):
+    """Sibling holebox modules named by any `from ... import` in the file."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if not node.level:
+            if module.split(".")[0] != "holebox":
+                continue
+            module = module[len("holebox"):].lstrip(".")
+        if module:
+            out.add(module.split(".")[0])
+        else:
+            out.update(a.name for a in node.names)
+    return out
+
+
+def test_lower_layers_import_no_upper_layer():
+    bad = {m: sorted(_imported_modules(PACKAGE / f"{m}.py") & UPPER)
+           for m in LOWER}
+    assert not any(bad.values()), bad

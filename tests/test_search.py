@@ -133,7 +133,7 @@ def test_solved_search_certifies():
     assert r.status == "solved"
     assert r.answer == "8"
     assert r.certificate["forward"] and r.certificate["backward"]
-    from holebox.kernel import replay_check
+    from holebox.fps import replay_check
     assert replay_check(UNITS, r.script).accepted
 
 
