@@ -457,6 +457,14 @@ def metavars_of(t: Term) -> set[str]:
     return out
 
 
+def eq_sides(t: Term) -> Optional[tuple[Term, Term]]:
+    """The two sides of an equation `a = b` or an iff `p <-> q`, else None."""
+    if (isinstance(t, Atom) and t.rel == "eq") \
+            or (isinstance(t, Conn) and t.op == "iff"):
+        return t.args[0], t.args[1]
+    return None
+
+
 def syntactic_eq(t1: Term, t2: Term) -> bool:
     """Structural identity of parsed trees, sensitive to bound names."""
     return t1 == t2

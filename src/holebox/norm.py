@@ -3,9 +3,11 @@
 `normalize` performs beta-reduction, eta-contraction, unfolding of the
 bundled definitions (intervals, ranges, finite-set literals, set-builder
 membership), and exact evaluation of closed Nat/Int/Rat literal
-arithmetic.  Symbolic Real arithmetic is never evaluated: `2 + 1 : Real`
-stays an addition node, which is what keeps the definitional level
-strictly weaker than the proof-automation levels on reals.
+arithmetic.  `arith` is the one definition of that arithmetic, and
+`eval_decide` evaluates through it too.  Symbolic Real arithmetic is
+never evaluated: `2 + 1 : Real` stays an addition node, which is what
+keeps the definitional level strictly weaker than the proof-automation
+levels on reals.
 
 `fold_literals` is the lighter pass used after rewriting: beta plus
 closed literal arithmetic, no definition unfolding.
@@ -16,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .expr import (
-    App, Atom, BVar, Binder, Lit, Term,
-    EXACT_NUMERIC, INT, NAT, RAT, SortError,
+    App, Atom, BVar, Binder, Lit, Sort, Term,
+    ARITH_OPS, EXACT_NUMERIC, INT, NAT, RAT, SortError,
     alpha_eq, children, instantiate_bvar, mk_atom, mk_binder,
-    mk_conn, mk_lit, _rebuild,
+    mk_conn, mk_lit, shift, _rebuild,
 )
 
 # Exponent folding guards: keep closed powers exact but bounded so that
@@ -28,51 +30,54 @@ MAX_EXP = 4096
 MAX_BITS = 200_000
 
 
-def nat_trunc(v: Fraction) -> Fraction:
-    return v if v >= 0 else Fraction(0)
+def arith(op: str, vals: list[Fraction], sort: Sort) -> Fraction:
+    """The one semantics of `ARITH_OPS` over Nat/Int/Rat values.
+
+    Nat subtraction truncates at zero; Int/Nat `/` and `%` are floor
+    division and floor modulus; every `/` is total with `a / 0 = 0` and
+    `%` with `a % 0 = a`.  `pow` takes a natural exponent; callers apply
+    their own size guards first.
+    """
+    if op == "add":
+        return vals[0] + vals[1]
+    if op == "sub":
+        r = vals[0] - vals[1]
+        return max(r, Fraction(0)) if sort == NAT else r
+    if op == "mul":
+        return vals[0] * vals[1]
+    if op == "neg":
+        return -vals[0]
+    if op == "abs":
+        return abs(vals[0])
+    if op == "div":
+        if not vals[1]:
+            return Fraction(0)
+        if sort == RAT:
+            return vals[0] / vals[1]
+        return Fraction(vals[0].numerator // vals[1].numerator)
+    if op == "mod":
+        if not vals[1]:
+            return vals[0]
+        return Fraction(vals[0].numerator % vals[1].numerator)
+    if op == "pow":
+        return vals[0] ** int(vals[1])
+    raise ValueError(f"not an arithmetic operator: {op!r}")
 
 
 def fold_arith(op: str, args: tuple[Term, ...], sort) -> Term | None:
     """Evaluate one closed arithmetic node over Nat/Int/Rat, else None."""
-    if sort not in EXACT_NUMERIC:
+    if sort not in EXACT_NUMERIC or op not in ARITH_OPS:
         return None
     if not all(isinstance(a, Lit) for a in args):
         return None
     vals = [a.val for a in args]  # type: ignore[union-attr]
-    if op == "add":
-        r = vals[0] + vals[1]
-    elif op == "sub":
-        r = vals[0] - vals[1]
-        if sort == NAT:
-            r = nat_trunc(r)
-    elif op == "mul":
-        r = vals[0] * vals[1]
-    elif op == "neg":
-        r = -vals[0]
-    elif op == "abs":
-        r = abs(vals[0])
-    elif op == "div":
-        if sort == RAT:
-            r = vals[0] / vals[1] if vals[1] != 0 else Fraction(0)
-        else:
-            # Euclidean/floor division, total with a/0 = 0.
-            r = Fraction(vals[0].numerator // vals[1].numerator) \
-                if vals[1] != 0 else Fraction(0)
-    elif op == "mod":
-        # Floor modulus, total with a % 0 = a; nonnegative for positive m.
-        r = Fraction(vals[0].numerator % vals[1].numerator) \
-            if vals[1] != 0 else vals[0]
-    elif op == "pow":
+    if op == "pow":
         base, exp = vals
         if exp.denominator != 1 or exp < 0 or exp > MAX_EXP:
             return None
-        e = int(exp)
-        if base.numerator.bit_length() * max(e, 1) > MAX_BITS:
+        if base.numerator.bit_length() * max(int(exp), 1) > MAX_BITS:
             return None
-        r = base ** e
-    else:
-        return None
-    return mk_lit(r, sort)
+    return mk_lit(arith(op, vals, sort), sort)
 
 
 def _eta(t: Binder) -> Term | None:
@@ -134,7 +139,6 @@ def _unfold_def(t: Term) -> Term | None:
 
 def _sh(t: Term) -> Term:
     # endpoint terms move under one new binder
-    from .expr import shift
     return shift(t, 1)
 
 

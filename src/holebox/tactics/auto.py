@@ -15,19 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..expr import (
-    Atom, Binder, Conn, LocalDecl, PROP, Telescope, Term, Var, free_vars,
-    instantiate_bvar, instantiate_metas, metavars_of, mk_conn, mk_var,
-    substitute,
+    Atom, Binder, Conn, LocalDecl, PROP, Telescope, Term, Var, eq_sides,
+    free_vars, instantiate_bvar, instantiate_metas, metavars_of, mk_atom,
+    mk_conn, mk_var,
 )
-from ..norm import definitional_eq, fold_literals, normalize
+from ..norm import definitional_eq, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
     TacticResult, goal_blob, goal_from_blob, int_arg, register_tactic,
 )
+from ..syntax import print_term
 from .decide import decide_prop
 from .linarith import prove_linear
-from .rewrite import rw_search_term
+from .rewrite import apply_rule, default_library, rw_search_term
 from .ring import ring_closes
+from .structural import replace_hyp, split_hyp, subst_goal
 
 AUTO_BUDGET = 500
 AUTO_RW_DEPTH = 3
@@ -52,7 +54,6 @@ _SIMP_ROUNDS = 25
 
 def _simp(t):
     """Normalization with the lemma library, forward direction, fixpoint."""
-    from .rewrite import apply_rule, default_library
     t = normalize(t)
     for _ in range(_SIMP_ROUNDS):
         changed = False
@@ -103,7 +104,6 @@ def _prove(goal: Goal, budget: _Counter, seen: frozenset[str]) -> bool:
     if isinstance(concl, Atom) and concl.rel == "eq" \
             and concl.args[0].sort.kind == "Set":
         # extensionality: S = T becomes x in S <-> x in T for a fresh x
-        from ..expr import mk_atom
         elem = concl.args[0].sort.args[0]
         name = ctx.fresh("x")
         x = mk_var(name, elem)
@@ -113,6 +113,7 @@ def _prove(goal: Goal, budget: _Counter, seen: frozenset[str]) -> bool:
                            opened), budget, seen)
 
     # hypothesis decomposition, in telescope order
+    here = Goal(goal.case, ctx, concl)
     for d in ctx.decls:
         if d.prop is None:
             continue
@@ -120,24 +121,10 @@ def _prove(goal: Goal, budget: _Counter, seen: frozenset[str]) -> bool:
         if isinstance(p, Conn) and p.op == "false":
             return True
         if isinstance(p, Conn) and p.op == "and":
-            decls = [x if x.name != d.name
-                     else LocalDecl(d.name, PROP, prop=p.args[0])
-                     for x in ctx.decls]
-            ctx2 = Telescope(tuple(decls))
-            extra = ctx2.fresh(d.name + ".r")
-            ctx2 = ctx2.extended(LocalDecl(extra, PROP, prop=p.args[1]))
-            return _prove(Goal(goal.case, ctx2, concl), budget, seen)
+            return _prove(split_hyp(here, d.name, p), budget, seen)
         if isinstance(p, Conn) and p.op == "or":
-            left = [x if x.name != d.name
-                    else LocalDecl(d.name, PROP, prop=p.args[0])
-                    for x in ctx.decls]
-            right = [x if x.name != d.name
-                     else LocalDecl(d.name, PROP, prop=p.args[1])
-                     for x in ctx.decls]
-            return _prove(Goal(goal.case, Telescope(tuple(left)), concl),
-                          budget, seen) \
-                and _prove(Goal(goal.case, Telescope(tuple(right)), concl),
-                           budget, seen)
+            return _prove(replace_hyp(here, d.name, p.args[0]), budget, seen) \
+                and _prove(replace_hyp(here, d.name, p.args[1]), budget, seen)
 
     # substitute variable equations (h : x = t with x not in t)
     for d in ctx.decls:
@@ -149,7 +136,8 @@ def _prove(goal: Goal, budget: _Counter, seen: frozenset[str]) -> bool:
                 if isinstance(me, Var) and me.name not in free_vars(other) \
                         and ctx.lookup(me.name) is not None \
                         and ctx.lookup(me.name).prop is None:
-                    g = _subst_goal(goal, d.name, me.name, other)
+                    g = subst_goal(goal, me.name, other, goal.case,
+                                   drop=d.name)
                     return _prove(g, budget, seen)
 
     # assumption-matching exact
@@ -160,7 +148,7 @@ def _prove(goal: Goal, budget: _Counter, seen: frozenset[str]) -> bool:
                 return True
 
     # closers
-    if _closers(Goal(goal.case, ctx, concl)):
+    if _closers(here):
         return True
 
     # disjunctive goal: branch
@@ -171,7 +159,6 @@ def _prove(goal: Goal, budget: _Counter, seen: frozenset[str]) -> bool:
 
 
 def _goal_key(ctx: Telescope, concl: Term) -> str:
-    from ..syntax import print_term
     hyps = ";".join(
         f"{d.name}:{print_term(d.prop)}" if d.prop is not None
         else f"{d.name}:{d.sort}"
@@ -179,30 +166,11 @@ def _goal_key(ctx: Telescope, concl: Term) -> str:
     return hyps + "|-" + print_term(concl)
 
 
-def _subst_goal(goal: Goal, hyp: str, var: str, value: Term) -> Goal:
-    decls = []
-    for d in goal.ctx.decls:
-        if d.name == var or d.name == hyp:
-            continue
-        if d.prop is not None:
-            decls.append(LocalDecl(d.name, PROP,
-                                   prop=fold_literals(
-                                       substitute(d.prop, var, value))))
-        else:
-            decls.append(d)
-    concl = fold_literals(substitute(goal.concl, var, value))
-    return Goal(goal.case, Telescope(tuple(decls)), concl)
-
-
 def _closers(goal: Goal) -> bool:
     concl = goal.concl
     if metavars_of(concl):
         return False
-    sides = None
-    if isinstance(concl, Atom) and concl.rel == "eq":
-        sides = concl.args
-    elif isinstance(concl, Conn) and concl.op == "iff":
-        sides = concl.args
+    sides = eq_sides(concl)
     if sides is not None and definitional_eq(sides[0], sides[1]):
         return True
     try:

@@ -14,19 +14,22 @@ computational problems are solved without guessing.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from ..expr import (
-    App, Atom, BVar, Binder, Conn, INT, Lit, Meta, NAT, RAT, REAL,
-    Sort, Term, Var, instantiate_bvar, mk_conn, mk_lit, subterms,
+    App, Atom, BVar, Binder, Conn, INT, Lit, Meta, NAT, REAL,
+    Sort, Term, Var, eq_sides, instantiate_bvar, metavars_of, mk_conn,
+    mk_lit, mk_var,
 )
-from ..norm import normalize
+from ..norm import arith, normalize
 from ..kernel import (
-    Certificate, Goal, SolutionState, TacticFailed, TacticResult, goal_blob,
-    int_arg, register_tactic,
+    Certificate, CertificateError, Goal, SolutionState, TacticFailed,
+    TacticResult, goal_blob, goal_from_blob, int_arg, register_tactic,
 )
+from ..syntax import print_term
 
 DEFAULT_BUDGET = 10 ** 6
 MAX_POW_EXP = 10 ** 6
@@ -139,33 +142,13 @@ def _eval_app(t: App, budget: Budget) -> Value:
 
 
 def _arith(op: str, vals: list[Fraction], sort: Sort) -> Fraction:
-    if op == "add":
-        return vals[0] + vals[1]
-    if op == "sub":
-        r = vals[0] - vals[1]
-        return max(r, Fraction(0)) if sort == NAT else r
-    if op == "mul":
-        return vals[0] * vals[1]
-    if op == "neg":
-        return -vals[0]
-    if op == "abs":
-        return abs(vals[0])
-    if op == "div":
-        if sort == RAT:
-            return vals[0] / vals[1] if vals[1] else Fraction(0)
-        return Fraction(vals[0].numerator // vals[1].numerator) \
-            if vals[1] else Fraction(0)
-    if op == "mod":
-        return Fraction(vals[0].numerator % vals[1].numerator) \
-            if vals[1] else vals[0]
     if op == "pow":
-        base, exp = vals
+        exp = vals[1]
         if exp.denominator != 1 or exp < 0:
             raise EvalNotClosed("non-natural exponent")
         if exp > MAX_POW_EXP:
             raise EvalBudgetExceeded("exponent beyond evaluation guard")
-        return base ** int(exp)
-    raise AssertionError(op)
+    return arith(op, vals, sort)
 
 
 def _divisors(n: int, budget: Budget) -> FinSet:
@@ -346,7 +329,6 @@ def _probe_bounds(parts: list[Term], budget: Budget
 
 def _enum_range(body: Term, vsort: Sort, budget: Budget,
                 for_all: bool) -> Optional[range]:
-    from ..expr import mk_var
     probe = mk_var(_PROBE, vsort)
     opened = instantiate_bvar(body, probe)
     if for_all and isinstance(opened, Conn) and opened.op == "imp":
@@ -358,10 +340,7 @@ def _enum_range(body: Term, vsort: Sort, budget: Budget,
         lo = Fraction(0) if lo is None else max(lo, Fraction(0))
     if lo is None or hi is None:
         return None
-    import math
-    lo_i = math.ceil(lo)
-    hi_i = math.floor(hi)
-    return range(lo_i, hi_i + 1)
+    return range(math.ceil(lo), math.floor(hi) + 1)
 
 
 def _eval_quant(t: Binder, budget: Budget) -> bool:
@@ -417,23 +396,15 @@ def _value_term(v: Value, sort: Sort) -> Term:
 def _assign_split(concl: Term, state: SolutionState
                   ) -> Optional[tuple[str, Term]]:
     """Detect `?w = t` / `t = ?w` / `?w <-> p` with ?w an unassigned hole."""
-    pending = {h.mid for h in state.unassigned_holes()}
-    pair: Optional[tuple[Term, Term]] = None
-    if isinstance(concl, Atom) and concl.rel == "eq":
-        pair = (concl.args[0], concl.args[1])
-    elif isinstance(concl, Conn) and concl.op == "iff":
-        pair = (concl.args[0], concl.args[1])
+    pair = eq_sides(concl)
     if pair is None:
         return None
+    pending = {h.mid for h in state.unassigned_holes()}
     for me, other in (pair, pair[::-1]):
         if isinstance(me, Meta) and me.mid in pending \
-                and not metavars_term(other):
+                and not metavars_of(other):
             return me.mid, other
     return None
-
-
-def metavars_term(t: Term) -> bool:
-    return any(isinstance(s, Meta) for s in subterms(t))
 
 
 @register_tactic("eval_decide")
@@ -452,15 +423,15 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
         answer = _value_term(val, hole.target)
         cert = Certificate("eval_decide", {
             "goal": goal_blob(goal, state.meta_sorts()),
-            "assigned": {mid: _print(answer)},
+            "assigned": {mid: print_term(answer)},
             "budget_used": budget_n - budget.remaining,
         })
         return TacticResult(assignments=((mid, answer),), cert=cert)
-    if metavars_term(concl):
+    if metavars_of(concl):
         raise EvalNotClosed("conclusion still contains metavariables")
     verdict, used = decide_prop(concl, budget_n)
     if not verdict:
-        raise EvaluatesFalse(f"evaluates to False: {_print(concl)}")
+        raise EvaluatesFalse(f"evaluates to False: {print_term(concl)}")
     cert = Certificate("eval_decide", {
         "goal": goal_blob(goal, state.meta_sorts()),
         "trace_hash": _trace_hash(concl, verdict),
@@ -469,38 +440,25 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
     return TacticResult(cert=cert)
 
 
-def _print(t: Term) -> str:
-    from ..syntax import print_term
-    return print_term(t)
-
-
 def _trace_hash(concl: Term, verdict: bool) -> str:
-    blob = f"{_print(concl)} => {verdict}"
+    blob = f"{print_term(concl)} => {verdict}"
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def revalidate_eval_decide(cert: Certificate) -> None:
-    from ..kernel import CertificateError, goal_from_blob
     goal = goal_from_blob(cert.detail["goal"])
     concl = normalize(goal.concl)
     if "assigned" in cert.detail:
-        split_rhs = None
-        if isinstance(concl, Atom) and concl.rel == "eq":
-            sides = concl.args
-        elif isinstance(concl, Conn) and concl.op == "iff":
-            sides = concl.args
-        else:
+        sides = eq_sides(concl)
+        if sides is None:
             raise CertificateError("eval_decide assignment on a non-equation")
-        for me, other in (sides, sides[::-1]):
-            if isinstance(me, Meta):
-                split_rhs = (me, other)
-                break
-        if split_rhs is None:
-            raise CertificateError("eval_decide assignment without a hole side")
-        me, other = split_rhs
+        me, other = sides if isinstance(sides[0], Meta) else sides[::-1]
+        if not isinstance(me, Meta):
+            raise CertificateError(
+                "eval_decide assignment without a hole side")
         val = eval_term(other, Budget(DEFAULT_BUDGET))
         expect = cert.detail["assigned"].get(me.mid)
-        if expect is None or _print(_value_term(val, me.sort)) != expect:
+        if expect is None or print_term(_value_term(val, me.sort)) != expect:
             raise CertificateError("eval_decide assignment mismatch")
         return
     verdict, _ = decide_prop(concl)

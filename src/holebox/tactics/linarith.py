@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from ..expr import (
-    App, Atom, Conn, INT, Lit, Meta, NAT, RAT, REAL, Sort, Term, Var,
-    instantiate_metas, mk_lit,
+    App, Atom, Conn, INT, Lit, NAT, RAT, REAL, Sort, Term, Var,
+    instantiate_metas, metavars_of, mk_lit, subterms,
 )
 from ..norm import fold_literals, normalize
 from ..kernel import (
@@ -31,6 +31,7 @@ from ..kernel import (
     TacticResult, goal_blob, goal_from_blob, register_tactic,
 )
 from ..syntax import print_term
+from .decide import _assign_split
 
 MAX_NE_SPLITS = 64
 MAX_OMEGA_NODES = 20000
@@ -345,7 +346,7 @@ def verify_farkas(cons: list[Constraint], multipliers: dict[str, Fraction]
     strict = False
     for key, mult in multipliers.items():
         idx = int(key)
-        if mult < 0:
+        if mult < 0 or not 0 <= idx < 2 * len(cons):
             return False
         base = cons[idx // 2]
         lin = base.lin()
@@ -388,8 +389,6 @@ def _int_rows(cons: list[Constraint]) -> tuple[list[Lin], list[Lin]]:
 def _mods(a: int, m: int) -> int:
     """Symmetric residue in (-m/2, m/2]."""
     r = a % m
-    if r > m // 2 or (m % 2 == 0 and r == m // 2 and False):
-        pass
     if r * 2 > m:
         r -= m
     return r
@@ -522,7 +521,6 @@ def omega_sat(eqs: list[Lin], ineqs: list[Lin],
     for lo in lows:
         b = int(-lo[v])
         top = (amax * b - amax - b) // amax
-        beta = _lin_scale(lo, Fraction(-1))   # b*v >= beta form: beta - b v <= 0
         for i in range(top + 1):
             eq = dict(lo)
             eq[CONST] = eq.get(CONST, Fraction(0)) + i
@@ -543,6 +541,34 @@ def _subst_lin(lin: Lin, var: str, repl: Lin) -> Lin:
 # System assembly and the tactic
 
 
+def _hyp_system(goal: Goal, asg: dict[str, Term], sort: Sort,
+                target: Callable[[Atomizer], object]
+                ) -> tuple[Atomizer, list[Constraint], object]:
+    """The hypotheses of `goal` as constraints over a fresh atom space.
+
+    `target` translates what is to be proved (or pinned) in between, so
+    that its atoms get the Nat non-negativity rows and the modulus rows
+    too; those rows come last.
+    """
+    az = Atomizer(sort)
+    cons: list[Constraint] = []
+    for d in goal.ctx.decls:
+        if d.prop is None:
+            continue
+        prop = normalize(instantiate_metas(d.prop, asg))
+        if metavars_of(prop):
+            continue
+        flat = _flatten_pos(prop, az)
+        if flat is not None:
+            cons.extend(flat)
+    out = target(az)
+    # Nat atoms are nonnegative integers
+    cons.extend(_mk_con({key: Fraction(-1)}, "le")
+                for key in sorted(az.nat_keys))
+    cons.extend(az.mod_constraints)
+    return az, cons, out
+
+
 def _collect_system(goal: Goal, state: Optional[SolutionState]
                     ) -> tuple[Atomizer, list[Constraint],
                                list[list[Constraint]]]:
@@ -551,33 +577,12 @@ def _collect_system(goal: Goal, state: Optional[SolutionState]
         raise NotLinear("hole goals are not linear goals")
     asg = state.asg_map() if state is not None else {}
     concl = normalize(instantiate_metas(concl, asg))
-    sort = _goal_sort(concl)
-    az = Atomizer(sort)
-    hyp_cons: list[Constraint] = []
-    for d in goal.ctx.decls:
-        if d.prop is None:
-            continue
-        prop = normalize(instantiate_metas(d.prop, asg))
-        if any(isinstance(s, Meta) for s in _walk(prop)):
-            continue
-        flat = _flatten_pos(prop, az)
-        if flat is not None:
-            hyp_cons.extend(flat)
-    branches = _negation_dnf(concl, az)
-    # Nat atoms are nonnegative integers
-    for key in sorted(az.nat_keys):
-        hyp_cons.append(_mk_con({key: Fraction(-1)}, "le"))
-    hyp_cons.extend(az.mod_constraints)
-    return az, hyp_cons, branches
-
-
-def _walk(t: Term):
-    from ..expr import subterms
-    return subterms(t)
+    return _hyp_system(goal, asg, _goal_sort(concl),
+                       lambda az: _negation_dnf(concl, az))
 
 
 def _goal_sort(concl: Term) -> Sort:
-    for s in _walk(concl):
+    for s in subterms(concl):
         if isinstance(s, Atom) and s.rel in ("eq", "ne", "lt", "le") \
                 and s.args[0].sort in (NAT, INT, RAT, REAL):
             sort = s.args[0].sort
@@ -614,14 +619,7 @@ def refute_branch(sort: Sort, cons: list[Constraint]) -> dict:
     int_path = sort in (INT, NAT)
     for sub in _split_nes(cons):
         if int_path:
-            sub2 = []
-            for c in sub:
-                if c.rel == "lt":
-                    sub2.append(_mk_con(_lin_add(c.lin(), {CONST: Fraction(1)}),
-                                        "le"))
-                else:
-                    sub2.append(c)
-            eqs, ineqs = _int_rows(sub2)
+            eqs, ineqs = _int_rows(sub)
             if omega_sat(eqs, ineqs):
                 raise TacticFailed("linear_arith: system is feasible")
         else:
@@ -642,12 +640,14 @@ def refute_branch(sort: Sort, cons: list[Constraint]) -> dict:
 
 def prove_linear(goal: Goal, state: Optional[SolutionState]) -> dict:
     """Prove a goal by refuting hypotheses + negated conclusion."""
-    az, hyps, branches = _collect_system(goal, state)
+    return _refute_system(*_collect_system(goal, state))
+
+
+def _refute_system(az: Atomizer, hyps: list[Constraint],
+                   branches: list[list[Constraint]]) -> dict:
     if not branches:
         raise NotLinear("conclusion is trivially true; use rfl or eval_decide")
-    evidence = []
-    for branch in branches:
-        evidence.append(refute_branch(az.sort, hyps + branch))
+    evidence = [refute_branch(az.sort, hyps + branch) for branch in branches]
     return {"sort": str(az.sort), "branches": evidence}
 
 
@@ -657,13 +657,15 @@ def linear_arith(state: SolutionState, goal: Goal, argtext: str
     if goal.is_hole_goal():
         raise TacticFailed("linear_arith does not apply to a hole goal")
     concl = instantiate_metas(goal.concl, state.asg_map())
-    synth = _synth_split(concl, state)
+    # `t = ?w` or `?w = t` with an unassigned hole: pin the value of t
+    synth = _assign_split(concl, state) \
+        if isinstance(concl, Atom) and concl.rel == "eq" else None
     if synth is not None:
-        mid, expr, flip = synth
+        mid, expr = synth
         value = _synthesize(goal, state, expr)
-        hole = state.hole(mid)
-        answer = mk_lit(value, hole.target)
-        check = Goal(goal.case, goal.ctx, _rebuild_eq(expr, answer, flip))
+        answer = mk_lit(value, state.hole(mid).target)
+        check = Goal(goal.case, goal.ctx,
+                     instantiate_metas(concl, {mid: answer}))
         detail = prove_linear(check, state)
         cert = Certificate("linear_arith", {
             "goal": goal_blob(check, state.meta_sorts()),
@@ -679,47 +681,11 @@ def linear_arith(state: SolutionState, goal: Goal, argtext: str
     return TacticResult(cert=cert)
 
 
-def _rebuild_eq(lhs: Term, rhs: Term, flip: bool) -> Term:
-    from ..expr import mk_atom
-    return mk_atom("eq", (rhs, lhs) if flip else (lhs, rhs))
-
-
-def _synth_split(concl: Term, state: SolutionState
-                 ) -> Optional[tuple[str, Term, bool]]:
-    """Detect `t = ?w` or `?w = t` with an unassigned hole and linear t."""
-    if not (isinstance(concl, Atom) and concl.rel == "eq"):
-        return None
-    pending = {h.mid for h in state.unassigned_holes()}
-    a, b = concl.args
-    if isinstance(b, Meta) and b.mid in pending and not _has_meta(a):
-        return b.mid, a, False
-    if isinstance(a, Meta) and a.mid in pending and not _has_meta(b):
-        return a.mid, b, True
-    return None
-
-
-def _has_meta(t: Term) -> bool:
-    return any(isinstance(s, Meta) for s in _walk(t))
-
-
 def _synthesize(goal: Goal, state: SolutionState, expr: Term) -> Fraction:
     """Find the unique value the hypotheses force for `expr`."""
-    az = Atomizer(_expr_sort(expr))
-    hyp_cons: list[Constraint] = []
-    asg = state.asg_map()
-    for d in goal.ctx.decls:
-        if d.prop is None:
-            continue
-        prop = normalize(instantiate_metas(d.prop, asg))
-        if _has_meta(prop):
-            continue
-        flat = _flatten_pos(prop, az)
-        if flat is not None:
-            hyp_cons.extend(flat)
-    target = linearize(normalize(expr), az)
-    for key in sorted(az.nat_keys):
-        hyp_cons.append(_mk_con({key: Fraction(-1)}, "le"))
-    hyp_cons.extend(az.mod_constraints)
+    az, hyp_cons, target = _hyp_system(
+        goal, state.asg_map(), _expr_sort(expr),
+        lambda az: linearize(normalize(expr), az))
     # 1) Gaussian elimination over the equality subset
     value = _gauss_value(hyp_cons, target)
     if value is None:
@@ -831,22 +797,24 @@ def _target_bounds(cons: list[Constraint], target: Lin
 
 
 def revalidate_linear_arith(cert: Certificate) -> None:
+    """Re-refute the goal's system, then check the stored evidence branch
+    by branch: same branch count, same method, and each stored Farkas
+    combination valid for its own branch."""
     goal = goal_from_blob(cert.detail["goal"])
     try:
-        detail = prove_linear(goal, None)
+        az, hyps, branches = _collect_system(goal, None)
+        fresh = _refute_system(az, hyps, branches)["branches"]
     except TacticFailed as e:
         raise CertificateError(f"linear_arith no longer validates: {e}")
-    for stored, fresh in zip(cert.detail["branches"], detail["branches"]):
-        if stored.get("method") != fresh.get("method"):
+    stored = cert.detail["branches"]
+    if len(stored) != len(fresh):
+        raise CertificateError(
+            f"linear_arith certificate has {len(stored)} branches, "
+            f"the goal has {len(fresh)}")
+    for want, got, branch in zip(stored, fresh, branches):
+        if want.get("method") != got.get("method"):
             raise CertificateError("linear_arith method mismatch")
-        if stored.get("method") == "farkas":
-            az, hyps, branches = _collect_system(goal, None)
-            mults = {k: Fraction(*v)
-                     for k, v in stored["multipliers"].items()}
-            ok = False
-            for branch in branches:
-                if verify_farkas(hyps + branch, mults):
-                    ok = True
-                    break
-            if not ok:
+        if want.get("method") == "farkas":
+            mults = {k: Fraction(*v) for k, v in want["multipliers"].items()}
+            if not verify_farkas(hyps + branch, mults):
                 raise CertificateError("stored Farkas combination is invalid")

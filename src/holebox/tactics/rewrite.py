@@ -13,21 +13,29 @@ deterministic and replayable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from importlib import resources
+from itertools import product
 from typing import Iterator, Optional
 
 from ..expr import (
-    App, Atom, BVar, Binder, Conn, Lit, Meta, NUMERIC, PROP, Sort, Term, Var,
-    alpha_eq, children, has_loose_bvars, instantiate_bvar, instantiate_metas,
-    metavars_of, mk_meta, _rebuild,
+    App, Atom, BVar, Binder, Conn, ExprError, Lit, Meta, NUMERIC, PROP, Sort,
+    Term, Var, alpha_eq, children, eq_sides, has_loose_bvars,
+    instantiate_bvar, instantiate_metas, metavars_of, mk_meta, set_of,
+    _rebuild,
 )
-from ..norm import definitional_eq, fold_literals
+from ..norm import definitional_eq, fold_literals, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
     TacticResult, goal_blob, goal_from_blob, int_arg, register_tactic,
 )
 from ..syntax import ParseError, parse_term, print_term
-from .decide import decide_prop, _assign_split
+from .decide import (
+    Budget, DEFAULT_BUDGET, decide_prop, eval_term, _assign_split,
+    _value_term,
+)
+from .structural import _instantiate_hyp, _parse_citation
 
 RW_SEARCH_DEPTH = 6
 RW_SEARCH_NODES = 2000
@@ -130,13 +138,10 @@ def rule_from_prop(name: str, prop: Term) -> Optional[RewriteLemma]:
     while isinstance(prop, Conn) and prop.op == "imp":
         sides.append(prop.args[0])
         prop = prop.args[1]
-    if isinstance(prop, Atom) and prop.rel == "eq":
-        lhs, rhs = prop.args
-    elif isinstance(prop, Conn) and prop.op == "iff":
-        lhs, rhs = prop.args
-    else:
+    pair = eq_sides(prop)
+    if pair is None:
         return None
-    return RewriteLemma(name, lhs, rhs, True, tuple(sides))
+    return RewriteLemma(name, pair[0], pair[1], True, tuple(sides))
 
 
 def _discharge_sides(rule: RewriteLemma, sub: dict[str, Term]) -> bool:
@@ -201,8 +206,6 @@ def parse_lemma_line(line: str) -> list[RewriteLemma]:
     assignment at one element sort (with each pattern variable either at
     the sort or at sets over it) that elaborates yields one instance.
     """
-    from itertools import product
-    from ..expr import set_of
     name, _, rest = line.partition(":")
     name = name.strip()
     rest = rest.strip()
@@ -229,7 +232,7 @@ def parse_lemma_line(line: str) -> list[RewriteLemma]:
                 rhs = parse_term(rhs_text, expected=lhs.sort, metas=menv)
                 sides = tuple(parse_term(s, expected=PROP, metas=menv)
                               for s in side_texts)
-            except Exception:
+            except (ParseError, ExprError):
                 continue
             key = ";".join(f"{m}:{menv[m]}" for m in meta_names)
             if key in seen:
@@ -242,7 +245,6 @@ def parse_lemma_line(line: str) -> list[RewriteLemma]:
 
 
 def _meta_tokens(text: str) -> list[str]:
-    import re
     return re.findall(r"\?([A-Za-z_][A-Za-z0-9_']*)", text)
 
 
@@ -271,7 +273,6 @@ _DEFAULT_LIBRARY: Optional[LemmaLibrary] = None
 def default_library() -> LemmaLibrary:
     global _DEFAULT_LIBRARY
     if _DEFAULT_LIBRARY is None:
-        from importlib import resources
         text = (resources.files("holebox.data") / "lemmas.txt").read_text()
         _DEFAULT_LIBRARY = load_lemma_library(text)
     return _DEFAULT_LIBRARY
@@ -315,8 +316,9 @@ def rewrite(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if "@" in text:
         text, _, occ_text = text.rpartition("@")
         text = text.strip()
-        occurrence = int(occ_text)
-    from .structural import _parse_citation, _instantiate_hyp
+        if not occ_text.strip():
+            raise TacticFailed("`@` needs an occurrence number")
+        occurrence = int_arg(occ_text, 0)
     name, raw_args = _parse_citation(text)
     rules: list[RewriteLemma] = []
     decl = goal.ctx.lookup(name)
@@ -369,11 +371,7 @@ def _search_rules(goal: Goal, state: Optional[SolutionState],
 def _try_close(concl: Term, state: Optional[SolutionState]
                ) -> Optional[tuple[str, tuple[tuple[str, Term], ...]]]:
     """rfl / eval_decide closure of an equality-shaped node."""
-    sides = None
-    if isinstance(concl, Atom) and concl.rel == "eq":
-        sides = concl.args
-    elif isinstance(concl, Conn) and concl.op == "iff":
-        sides = concl.args
+    sides = eq_sides(concl)
     if sides is None:
         return None
     if not metavars_of(concl):
@@ -390,8 +388,6 @@ def _try_close(concl: Term, state: Optional[SolutionState]
         split = _assign_split(concl, state)
         if split is not None:
             mid, rhs = split
-            from .decide import Budget, DEFAULT_BUDGET, eval_term, _value_term
-            from ..norm import normalize
             try:
                 val = eval_term(normalize(rhs), Budget(DEFAULT_BUDGET))
                 hole = state.hole(mid)
@@ -450,8 +446,7 @@ def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         raise TacticFailed("rw_search does not apply to a hole goal")
     max_depth = int_arg(argtext, RW_SEARCH_DEPTH)
     concl = instantiate_metas(goal.concl, state.asg_map())
-    if not (isinstance(concl, Atom) and concl.rel == "eq") \
-            and not (isinstance(concl, Conn) and concl.op == "iff"):
+    if eq_sides(concl) is None:
         raise TacticFailed("rw_search needs an equality or iff goal")
     hit = rw_search_term(concl, goal, state, max_depth)
     if hit is None:
@@ -486,9 +481,11 @@ def revalidate_rw_search(cert: Certificate) -> None:
     closer = cert.detail["closer"]
     if cert.detail.get("assigned"):
         return  # assignment closers are replayed by the surrounding session
-    sides = term.args if isinstance(term, (Atom, Conn)) else None
+    sides = eq_sides(term)
+    if sides is None:
+        raise CertificateError("rw_search closer on a non-equation")
     if closer == "rfl":
-        if sides is None or not definitional_eq(sides[0], sides[1]):
+        if not definitional_eq(sides[0], sides[1]):
             raise CertificateError("rw_search rfl closer fails")
     elif closer == "eval_decide":
         ok, _ = decide_prop(term)

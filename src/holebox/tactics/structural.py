@@ -7,17 +7,24 @@ and the forward phase of deductive sessions only chain through those.
 
 from __future__ import annotations
 
+import math
+from typing import Optional
+
 from ..expr import (
-    Atom, Binder, Conn, INT, LocalDecl, Meta, NAT, PROP, Sort,
-    Telescope, Term, free_vars, instantiate_bvar, mk_lit, mk_var,
+    Binder, Conn, INT, LocalDecl, Meta, NAT, PROP, Sort, Telescope, Term,
+    eq_sides, free_vars, instantiate_bvar, instantiate_metas, mk_conn,
+    mk_lit, mk_var, substitute,
 )
 from ..norm import definitional_eq, fold_literals, normalize
 from ..kernel import (
-    Certificate, Goal, Hole, SolutionState, TacticFailed, TacticResult,
-    goal_blob, register_tactic,
+    Certificate, CertificateError, Goal, Hole, SolutionState, TacticFailed,
+    TacticResult, goal_blob, goal_from_blob, register_tactic,
 )
-from ..syntax import ParseError, parse_term, print_term, tokenize, _P
-from .decide import Budget, DEFAULT_BUDGET, _probe_bounds, _conjuncts
+from ..syntax import (
+    ParseError, RAppl, RName, parse_term, print_term, tokenize, _Env, _P,
+    _elab,
+)
+from .decide import Budget, DEFAULT_BUDGET, _PROBE, _probe_bounds, _conjuncts
 
 MAX_CASE_SPLIT = 64
 
@@ -73,7 +80,6 @@ def iff_split(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if not (isinstance(concl, Conn) and concl.op == "iff"):
         raise TacticFailed("iff_split needs an iff goal")
     a, b = concl.args
-    from ..expr import mk_conn
     return TacticResult(new_goals=(
         Goal(f"{goal.case}.mp", goal.ctx, mk_conn("imp", (a, b))),
         Goal(f"{goal.case}.mpr", goal.ctx, mk_conn("imp", (b, a))),
@@ -98,7 +104,6 @@ def _parse_citation(argtext: str) -> tuple[str, list]:
     raw = p.app_expr()
     if p.peek().kind != "eof":
         raise TacticFailed(f"trailing input in citation {argtext!r}")
-    from ..syntax import RAppl, RName
     if isinstance(raw, RName):
         return raw.name, []
     if isinstance(raw, RAppl) and isinstance(raw.head, RName):
@@ -109,7 +114,6 @@ def _parse_citation(argtext: str) -> tuple[str, list]:
 def _instantiate_hyp(prop: Term, raw_args: list, ctx: Telescope,
                      metas: dict) -> tuple[Term, list[str]]:
     """Open leading foralls of a hypothesis at explicit argument terms."""
-    from ..syntax import _Env, _elab
     arg_prints: list[str] = []
     for raw in raw_args:
         if not (isinstance(prop, Binder) and prop.kind == "forall"):
@@ -168,7 +172,6 @@ def exact(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 
 
 def _inst_state(t: Term, state: SolutionState) -> Term:
-    from ..expr import instantiate_metas
     return instantiate_metas(t, state.asg_map())
 
 
@@ -176,7 +179,7 @@ def _inst_state(t: Term, state: SolutionState) -> Term:
 def rfl(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     concl = _need_prop_goal(goal, "rfl")
     concl = _inst_state(concl, state)
-    sides = _eq_sides(concl)
+    sides = eq_sides(concl)
     if sides is None:
         raise TacticFailed("rfl needs an equality or iff goal")
     lhs, rhs = sides
@@ -187,14 +190,6 @@ def rfl(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         "nf": print_term(normalize(lhs)),
     })
     return TacticResult(cert=cert)
-
-
-def _eq_sides(concl: Term):
-    if isinstance(concl, Atom) and concl.rel == "eq":
-        return concl.args
-    if isinstance(concl, Conn) and concl.op == "iff":
-        return concl.args
-    return None
 
 
 @register_tactic("have")
@@ -228,17 +223,12 @@ def cases(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         raise TacticFailed(f"no hypothesis named {name!r}")
     prop = normalize(_inst_state(decl.prop, state))
     if isinstance(prop, Conn) and prop.op == "or":
-        gl = _replace_hyp(goal, name, prop.args[0], f"{goal.case}.l")
-        gr = _replace_hyp(goal, name, prop.args[1], f"{goal.case}.r")
+        gl = replace_hyp(goal, name, prop.args[0], f"{goal.case}.l")
+        gr = replace_hyp(goal, name, prop.args[1], f"{goal.case}.r")
         return TacticResult(new_goals=(gl, gr), safe=True)
     if isinstance(prop, Conn) and prop.op == "and":
-        ctx = Telescope(tuple(
-            d if d.name != name else LocalDecl(name, PROP, prop=prop.args[0])
-            for d in goal.ctx.decls))
-        extra = ctx.fresh(f"{name}.r")
-        ctx = ctx.extended(LocalDecl(extra, PROP, prop=prop.args[1]))
-        return TacticResult(
-            new_goals=(Goal(goal.case, ctx, goal.concl),), safe=True)
+        return TacticResult(new_goals=(split_hyp(goal, name, prop),),
+                            safe=True)
     if isinstance(prop, Conn) and prop.op == "false":
         cert = Certificate("cases", {
             "goal": goal_blob(goal, state.meta_sorts()),
@@ -248,11 +238,38 @@ def cases(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     raise TacticFailed(f"cases: {name} is not a disjunction or conjunction")
 
 
-def _replace_hyp(goal: Goal, name: str, prop: Term, case: str) -> Goal:
+def replace_hyp(goal: Goal, name: str, prop: Term,
+                case: Optional[str] = None) -> Goal:
+    """`goal` with hypothesis `name` restated as `prop`, in place."""
     ctx = Telescope(tuple(
         d if d.name != name else LocalDecl(name, PROP, prop=prop)
         for d in goal.ctx.decls))
-    return Goal(case, ctx, goal.concl)
+    return Goal(goal.case if case is None else case, ctx, goal.concl)
+
+
+def split_hyp(goal: Goal, name: str, conj: Conn) -> Goal:
+    """`goal` with `name : a /\\ b` split into `name : a` and a fresh
+    `name.r : b` at the end of the telescope."""
+    g = replace_hyp(goal, name, conj.args[0])
+    extra = LocalDecl(g.ctx.fresh(f"{name}.r"), PROP, prop=conj.args[1])
+    return Goal(g.case, g.ctx.extended(extra), g.concl)
+
+
+def subst_goal(goal: Goal, var: str, value: Term, case: str,
+               drop: Optional[str] = None) -> Goal:
+    """`goal` with `var := value`: the declaration of `var` (and of the
+    hypothesis `drop`, when given) is removed, and every hypothesis and
+    the conclusion get the value substituted and their literals folded."""
+    decls = []
+    for d in goal.ctx.decls:
+        if d.name == var or d.name == drop:
+            continue
+        if d.prop is not None:
+            d = LocalDecl(d.name, PROP,
+                          prop=fold_literals(substitute(d.prop, var, value)))
+        decls.append(d)
+    concl = fold_literals(substitute(goal.concl, var, value))
+    return Goal(case, Telescope(tuple(decls)), concl)
 
 
 @register_tactic("int_cases")
@@ -280,48 +297,26 @@ def int_cases(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         lo = max(lo, 0) if lo is not None else 0
     if lo is None or hi is None:
         raise TacticFailed(f"no literal bounds on {name!r} in the hypotheses")
-    import math
     lo_i, hi_i = math.ceil(lo), math.floor(hi)
     if hi_i - lo_i + 1 > MAX_CASE_SPLIT:
         raise TacticFailed(f"case split of width {hi_i - lo_i + 1} refused")
     goals = []
     for i, k in enumerate(range(lo_i, hi_i + 1), start=1):
-        goals.append(_substitute_case(goal, name, k, decl.sort,
-                                      f"{goal.case}.case_{i}"))
+        goals.append(subst_goal(goal, name, mk_lit(k, decl.sort),
+                                f"{goal.case}.case_{i}"))
     return TacticResult(new_goals=tuple(goals), safe=True)
 
 
 def _rename_to_probe(p: Term, name: str, sort: Sort) -> Term:
-    from ..expr import substitute
-    from .decide import _PROBE
     if name in free_vars(p):
         return substitute(p, name, mk_var(_PROBE, sort))
     return p
-
-
-def _substitute_case(goal: Goal, name: str, k: int, sort: Sort,
-                     case: str) -> Goal:
-    from ..expr import substitute
-    val = mk_lit(k, sort)
-    decls = []
-    for d in goal.ctx.decls:
-        if d.name == name:
-            continue
-        if d.prop is not None:
-            decls.append(LocalDecl(
-                d.name, PROP,
-                prop=fold_literals(substitute(d.prop, name, val))))
-        else:
-            decls.append(d)
-    concl = fold_literals(substitute(goal.concl, name, val))
-    return Goal(case, Telescope(tuple(decls)), concl)
 
 
 # -- revalidation -------------------------------------------------------------
 
 
 def revalidate_exact(cert: Certificate) -> None:
-    from ..kernel import CertificateError, goal_from_blob
     detail = cert.detail
     goal = goal_from_blob(detail["goal"])
     if "term" in detail:
@@ -352,9 +347,8 @@ def revalidate_exact(cert: Certificate) -> None:
 
 
 def revalidate_rfl(cert: Certificate) -> None:
-    from ..kernel import CertificateError, goal_from_blob
     goal = goal_from_blob(cert.detail["goal"])
-    sides = _eq_sides(goal.concl)
+    sides = eq_sides(goal.concl)
     if sides is None or not definitional_eq(*sides):
         raise CertificateError("rfl certificate no longer validates")
     if print_term(normalize(sides[0])) != cert.detail["nf"]:
@@ -362,7 +356,6 @@ def revalidate_rfl(cert: Certificate) -> None:
 
 
 def revalidate_cases(cert: Certificate) -> None:
-    from ..kernel import CertificateError, goal_from_blob
     goal = goal_from_blob(cert.detail["goal"])
     decl = goal.ctx.lookup(cert.detail["false_hyp"])
     if decl is None or decl.prop is None:

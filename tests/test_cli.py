@@ -53,7 +53,7 @@ def _script_entry(name, answer, lines):
 
 
 @pytest.mark.parametrize("line", ["auto abc", "rw_search 1e9",
-                                  "eval_decide x"])
+                                  "eval_decide x", "rewrite h2 @ x"])
 def test_non_integer_tactic_argument_rejected(tmp_path, capsys, line):
     script = tmp_path / "s.txt"
     script.write_text(f"format_version: 1\n{line}\n")

@@ -53,3 +53,29 @@ def test_lower_layers_import_no_upper_layer():
     bad = {m: sorted(_imported_modules(PACKAGE / f"{m}.py") & UPPER)
            for m in LOWER}
     assert not any(bad.values()), bad
+
+
+# The one import that must stay inside a function: the tactic package
+# imports the kernel, so the kernel reaches the revalidator registry late.
+ALLOWED_LOCAL_IMPORTS = {("kernel.py", "recheck", ".tactics")}
+
+
+def _local_imports(path):
+    """(function, module) for every import inside a function body."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Import):
+                out += [(fn.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                out.append((fn.name, "." * node.level + (node.module or "")))
+    return out
+
+
+def test_imports_sit_at_module_top():
+    found = {(str(path.relative_to(PACKAGE)), fn, module)
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for fn, module in _local_imports(path)}
+    assert found == ALLOWED_LOCAL_IMPORTS

@@ -3,11 +3,17 @@
 import itertools
 from fractions import Fraction
 
-from holebox.expr import INT, LocalDecl, PROP, RAT, Telescope
-from holebox.kernel import Goal, SolutionState, TacticFailed, apply_tactic
+import pytest
+
+from holebox.expr import INT, LocalDecl, PROP, RAT, REAL, Telescope
+from holebox.kernel import (
+    Certificate, CertificateError, Goal, SolutionState, TacticFailed,
+    apply_tactic,
+)
 from holebox.syntax import parse_term
 from holebox.tactics.linarith import (
-    CONST, fm_refute, omega_sat, verify_farkas, _mk_con,
+    CONST, fm_refute, omega_sat, revalidate_linear_arith, verify_farkas,
+    _mk_con,
 )
 
 
@@ -105,6 +111,8 @@ def test_farkas_certificate_checks():
     bad = dict(tampered)
     bad[next(iter(bad))] = Fraction(-1)
     assert not verify_farkas(cons, bad)
+    # a multiplier for a row the system does not have
+    assert not verify_farkas(cons, {"4": Fraction(1)})
 
 
 def test_synthesis_by_gauss_and_scan():
@@ -122,3 +130,17 @@ def test_synthesis_by_gauss_and_scan():
     assert is_terminal(out)
     from holebox.syntax import print_term
     assert print_term(dict(out.assignment)["w"]) == "7"
+
+
+def test_certificate_with_a_dropped_branch_rejected():
+    # two negated conjuncts give two branches, each with its own Farkas
+    # combination; a certificate that lists only one must not validate
+    st = state_for("0 < y + 1 /\\ 0 < y + 2", ["0 < y"], [("y", REAL)])
+    cert = apply_tactic(st, "h", "linear_arith", "").trace[-1].cert
+    assert [b["method"] for b in cert.detail["branches"]] \
+        == ["farkas", "farkas"]
+    revalidate_linear_arith(cert)
+    cut = Certificate("linear_arith",
+                      {**cert.detail, "branches": cert.detail["branches"][:1]})
+    with pytest.raises(CertificateError):
+        revalidate_linear_arith(cut)

@@ -2,12 +2,15 @@
 
 import pytest
 
-from holebox.expr import LocalDecl, PROP, REAL, Telescope, fn
-from holebox.kernel import Goal, SolutionState, apply_tactic
+from holebox.expr import INT, LocalDecl, PROP, REAL, Telescope, fn
+from holebox.kernel import (
+    Certificate, CertificateError, Goal, SolutionState, apply_tactic,
+    goal_blob,
+)
 from holebox.syntax import ParseError, parse_term, print_term
 from holebox.tactics.rewrite import (
     NoMatch, SearchExhausted, default_library, load_lemma_library,
-    parse_lemma_line,
+    parse_lemma_line, revalidate_rw_search,
 )
 
 
@@ -65,6 +68,28 @@ def test_rewrite_quantified_hypothesis_with_guard():
     assert print_term(out.goals[0].concl) == "f 7 + 2 = f 7 + 2"
 
 
+# The bundled library in load order: (name, lhs, rhs, sort instances).
+BUNDLED_LEMMAS = [
+    ("sqrt_eq_rpow", "sqrt ?x", "?x ^ (1 / 2)", 1),
+    ("add_zero", "?x + 0", "?x", 4),
+    ("zero_add", "0 + ?x", "?x", 4),
+    ("mul_one", "?x * 1", "?x", 4),
+    ("one_mul", "1 * ?x", "?x", 4),
+    ("abs_le", "abs ?x <= ?c", "0 - ?c <= ?x /\\ ?x <= ?c", 4),
+    ("abs_lt", "abs ?x < ?c", "0 - ?c < ?x /\\ ?x < ?c", 4),
+    ("mem_union", "?x in (?A \\/ ?B)", "?x in ?A \\/ ?x in ?B", 4),
+    ("mem_inter", "?x in (?A /\\ ?B)", "?x in ?A /\\ ?x in ?B", 4),
+    ("mem_Iio", "?x in Iio ?a", "?x < ?a", 4),
+    ("mem_Ioi", "?x in Ioi ?a", "?a < ?x", 4),
+    ("mem_Icc", "?x in Icc ?a ?b", "?a <= ?x /\\ ?x <= ?b", 4),
+    ("dvd_iff_mod", "?m dvd ?x", "?x % ?m = 0", 2),
+    ("even_iff_mod", "even ?x", "?x % 2 = 0", 2),
+    ("odd_iff_mod", "odd ?x", "?x % 2 = 1", 2),
+    ("and_or_left", "?a /\\ (?b \\/ ?c)", "?a /\\ ?b \\/ ?a /\\ ?c", 4),
+    ("or_and_right", "(?a \\/ ?b) /\\ ?c", "?a /\\ ?c \\/ ?b /\\ ?c", 4),
+]
+
+
 def test_lemma_library_loads_and_versions():
     lib = default_library()
     names = {l.name for l in lib}
@@ -72,6 +97,11 @@ def test_lemma_library_loads_and_versions():
             "dvd_iff_mod"} <= names
     # radical factoring is deliberately absent
     assert not any("sqrt_mul" in n or "sqrt_sq" in n for n in names)
+    # every sort instance that elaborates is kept, in order
+    assert [(l.name, print_term(l.lhs), print_term(l.rhs)) for l in lib] \
+        == [(name, lhs, rhs) for name, lhs, rhs, n in BUNDLED_LEMMAS
+            for _ in range(n)]
+    assert len(lib.lemmas) == 59
     with pytest.raises(ParseError):
         load_lemma_library("add_zero : ?x + 0 <-> ?x\n")   # no version line
 
@@ -113,3 +143,16 @@ def test_rw_search_deterministic_trace():
         return out.trace[-1].cert.detail["path"]
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("concl", ["x = 1 /\\ x = 1", "x < x"])
+def test_rw_search_certificate_closes_only_equations(concl):
+    # an rfl closer compares the two sides of an equation or iff; the
+    # arguments of any other connective or relation are not sides
+    tele = Telescope((LocalDecl("x", INT),))
+    goal = Goal("h", tele, parse_term(concl, tele, PROP))
+    cert = Certificate("rw_search", {
+        "goal": goal_blob(goal), "path": [], "closer": "rfl",
+        "assigned": {}})
+    with pytest.raises(CertificateError):
+        revalidate_rw_search(cert)
