@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when the task itself comes back negative
 (unsolved within budget, answers not equivalent, rejected script), 2 on
-usage or I/O errors.
+usage or I/O errors and on malformed input (a parse, schema or
+expression error).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Optional, TextIO
 
 from .bench import load_benchmark, report_json, run_benchmark, \
     BenchmarkLoadError
+from .expr import ExprError
 from .fps import Session, certify, extract_answer, session_init, \
     solve_script
 from .kernel import (
@@ -271,7 +273,8 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
             return 2
     try:
         return args.fn(args)
-    except (OSError, SchemaError, ParseError, BenchmarkLoadError) as e:
+    except (OSError, SchemaError, ParseError, ExprError,
+            BenchmarkLoadError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

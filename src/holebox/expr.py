@@ -154,6 +154,18 @@ def mk_meta(mid: str, sort: Sort) -> Meta:
     return Meta(sort, mid)
 
 
+# Every term gets printed somewhere, and Python prints an int of more
+# than 4300 digits only on request: the engine builds no literal of more
+# than 13000 bits.  The parser bounds numerals and `norm.fold_arith`
+# leaves a larger result unfolded.
+MAX_LIT_BITS = 13_000
+
+
+def lit_bits(v: Fraction) -> int:
+    """The size of a literal value: its numerator's or denominator's bits."""
+    return max(v.numerator.bit_length(), v.denominator.bit_length())
+
+
 def mk_lit(val, sort: Sort = INT) -> Lit:
     v = Fraction(val)
     if sort == NAT and (v < 0 or v.denominator != 1):

@@ -19,15 +19,14 @@ from fractions import Fraction
 
 from .expr import (
     App, Atom, BVar, Binder, Lit, Sort, Term,
-    ARITH_OPS, EXACT_NUMERIC, INT, NAT, RAT, SortError,
-    alpha_eq, children, instantiate_bvar, mk_atom, mk_binder,
+    ARITH_OPS, EXACT_NUMERIC, INT, MAX_LIT_BITS, NAT, RAT, SortError,
+    alpha_eq, children, instantiate_bvar, lit_bits, mk_atom, mk_binder,
     mk_conn, mk_lit, shift, _rebuild,
 )
 
-# Exponent folding guards: keep closed powers exact but bounded so that
+# Exponent folding guard: keep closed powers exact but bounded so that
 # normalization stays cheap on adversarial input.
 MAX_EXP = 4096
-MAX_BITS = 200_000
 
 
 def arith(op: str, vals: list[Fraction], sort: Sort) -> Fraction:
@@ -65,7 +64,11 @@ def arith(op: str, vals: list[Fraction], sort: Sort) -> Fraction:
 
 
 def fold_arith(op: str, args: tuple[Term, ...], sort) -> Term | None:
-    """Evaluate one closed arithmetic node over Nat/Int/Rat, else None."""
+    """Evaluate one closed arithmetic node over Nat/Int/Rat, else None.
+
+    A result of more than `MAX_LIT_BITS` bits is None too: the node
+    stays unfolded, and printable.
+    """
     if sort not in EXACT_NUMERIC or op not in ARITH_OPS:
         return None
     if not all(isinstance(a, Lit) for a in args):
@@ -75,9 +78,12 @@ def fold_arith(op: str, args: tuple[Term, ...], sort) -> Term | None:
         base, exp = vals
         if exp.denominator != 1 or exp < 0 or exp > MAX_EXP:
             return None
-        if base.numerator.bit_length() * max(int(exp), 1) > MAX_BITS:
+        if lit_bits(base) * max(int(exp), 1) > MAX_LIT_BITS:
             return None
-    return mk_lit(arith(op, vals, sort), sort)
+    val = arith(op, vals, sort)
+    if lit_bits(val) > MAX_LIT_BITS:
+        return None
+    return mk_lit(val, sort)
 
 
 def _eta(t: Binder) -> Term | None:

@@ -12,14 +12,25 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .expr import (
-    ATOMIC_SORTS, App, Atom, BVar, Binder, Conn, INT, Lit, LocalDecl, Meta,
-    NAT, NUMERIC, PROP, RAT, REAL, Sort, SortError, Telescope, Term, Var,
+    ATOMIC_SORTS, App, Atom, BVar, Binder, Conn, INT, Lit, LocalDecl,
+    MAX_LIT_BITS, Meta, NAT, NUMERIC, PROP, RAT, REAL, Sort, SortError,
+    Telescope, Term, Var,
     fn, free_vars, mk_app, mk_atom, mk_binder, mk_conn, mk_lit, mk_meta,
     mk_var, set_of,
 )
+
+
+# Input limits, so that oversized input is a ParseError, not a crash.
+# Each nesting level (bracket, binder, prefix or right-associative
+# operator) costs the parser up to 14 of Python's 1000 stack frames, and
+# a numeral of MAX_NUMERAL_DIGITS digits fits in MAX_LIT_BITS bits.
+MAX_NESTING = 50
+MAX_NUMERAL_DIGITS = MAX_LIT_BITS * 3 // 10
+
+_T = TypeVar("_T")
 
 
 class ParseError(Exception):
@@ -92,6 +103,9 @@ def tokenize(src: str) -> list[Tok]:
                 j += 1
                 while j < n and src[j].isdigit():
                     j += 1
+            if j - i > MAX_NUMERAL_DIGITS:
+                raise ParseError(f"numeral longer than {MAX_NUMERAL_DIGITS}"
+                                 " digits", line, col)
             toks.append(Tok("num", src[i:j], line, col))
             col += j - i
             i = j
@@ -215,6 +229,7 @@ class _P:
     def __init__(self, toks: list[Tok]):
         self.toks = toks
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Tok:
         return self.toks[self.i]
@@ -243,26 +258,35 @@ class _P:
         t = self.peek()
         return t.kind == "kw" and t.text in texts
 
+    def nested(self, parse: Callable[[], _T]) -> _T:
+        """Parse one nesting level, at most MAX_NESTING deep."""
+        if self.depth >= MAX_NESTING:
+            raise self.err(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
+
     # sorts ---------------------------------------------------------------
 
     def sort(self) -> Sort:
         s = self.sort_atom()
         if self.at_sym("->"):
             self.next()
-            return fn(s, self.sort())
+            return fn(s, self.nested(self.sort))
         return s
 
     def sort_atom(self) -> Sort:
         t = self.peek()
         if t.kind == "sym" and t.text == "(":
             self.next()
-            s = self.sort()
+            s = self.nested(self.sort)
             self.expect("sym", ")")
             return s
         if t.kind == "ident":
             self.next()
             if t.text == "Set":
-                return set_of(self.sort_atom())
+                return set_of(self.nested(self.sort_atom))
             if t.text in ATOMIC_SORTS:
                 return ATOMIC_SORTS[t.text]
             raise ParseError(f"unknown sort {t.text!r}", t.line, t.col)
@@ -290,7 +314,7 @@ class _P:
             if not groups:
                 raise self.err("expected (name : Sort) after binder")
             self.expect("sym", ",")
-            return RBinderRaw(kind, groups, self.term())
+            return RBinderRaw(kind, groups, self.nested(self.term))
         if self.at_kw("fun"):
             self.next()
             self.expect("sym", "(")
@@ -299,50 +323,50 @@ class _P:
             s = self.sort()
             self.expect("sym", ")")
             self.expect("sym", "=>")
-            return RBinderRaw("lam", [(name, s)], self.term())
+            return RBinderRaw("lam", [(name, s)], self.nested(self.term))
         if self.at_kw("sum"):
             self.next()
             name = self.expect("ident").text
             self.expect("kw", "in")
             coll = self.cmp_operand()
             self.expect("sym", ",")
-            return RSum(name, coll, self.term())
+            return RSum(name, coll, self.nested(self.term))
         return self.iff_expr()
 
     def iff_expr(self) -> Raw:
         lhs = self.imp_expr()
         if self.at_sym("<->"):
             self.next()
-            return RBin("iff", lhs, self.iff_expr())
+            return RBin("iff", lhs, self.nested(self.iff_expr))
         return lhs
 
     def imp_expr(self) -> Raw:
         lhs = self.or_expr()
         if self.at_sym("->"):
             self.next()
-            return RBin("imp", lhs, self.imp_expr())
+            return RBin("imp", lhs, self.nested(self.imp_expr))
         return lhs
 
     def or_expr(self) -> Raw:
         lhs = self.and_expr()
         if self.at_sym("\\/"):
             self.next()
-            return RBin("or", lhs, self.or_expr())
+            return RBin("or", lhs, self.nested(self.or_expr))
         return lhs
 
     def and_expr(self) -> Raw:
         lhs = self.not_expr()
         if self.at_sym("/\\"):
             self.next()
-            return RBin("and", lhs, self.and_expr())
+            return RBin("and", lhs, self.nested(self.and_expr))
         return lhs
 
     def not_expr(self) -> Raw:
         if self.at_kw("not"):
             self.next()
-            return RNot(self.not_expr())
+            return RNot(self.nested(self.not_expr))
         if self.at_kw("forall", "exists"):
-            return self.term()
+            return self.nested(self.term)
         return self.cmp_expr()
 
     _CMP = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le",
@@ -383,17 +407,17 @@ class _P:
     def unary(self) -> Raw:
         if self.at_sym("-"):
             self.next()
-            return RNeg(self.unary())
+            return RNeg(self.nested(self.unary))
         if self.at_kw("sum", "fun"):
             # value-sorted binders extend maximally to the right
-            return self.term()
+            return self.nested(self.term)
         return self.pow_expr()
 
     def pow_expr(self) -> Raw:
         base = self.app_expr()
         if self.at_sym("^"):
             self.next()
-            return RBin("pow", base, self.unary())
+            return RBin("pow", base, self.nested(self.unary))
         return base
 
     def app_expr(self) -> Raw:
@@ -430,7 +454,7 @@ class _P:
             return RName(t.text)
         if self.at_sym("("):
             self.next()
-            inner = self.term()
+            inner = self.nested(self.term)
             if self.at_sym(":"):
                 self.next()
                 s = self.sort()
@@ -448,14 +472,14 @@ class _P:
                     self.next()
                     s = self.sort()
                     self.expect("sym", "|")
-                    body = self.term()
+                    body = self.nested(self.term)
                     self.expect("sym", "}")
                     return RSetB(name, s, body)
             self.i = save
-            elems = [self.term()]
+            elems = [self.nested(self.term)]
             while self.at_sym(","):
                 self.next()
-                elems.append(self.term())
+                elems.append(self.nested(self.term))
             self.expect("sym", "}")
             return RSetLit(elems)
         raise self.err("expected a term")

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ..expr import (
-    App, Atom, BVar, Binder, Conn, INT, Lit, Meta, NAT, REAL,
-    Sort, Term, Var, eq_sides, instantiate_bvar, metavars_of, mk_conn,
-    mk_lit, mk_var,
+    App, Atom, BVar, Binder, Conn, INT, Lit, MAX_LIT_BITS, Meta, NAT, REAL,
+    Sort, Term, Var, eq_sides, instantiate_bvar, lit_bits, metavars_of,
+    mk_conn, mk_lit, mk_var,
 )
 from ..norm import arith, normalize
 from ..kernel import (
@@ -389,6 +389,9 @@ def _value_term(v: Value, sort: Sort) -> Term:
     if isinstance(v, bool):
         return mk_conn("true" if v else "false", ())
     if isinstance(v, Fraction):
+        if lit_bits(v) > MAX_LIT_BITS:
+            raise EvalBudgetExceeded(
+                f"value of more than {MAX_LIT_BITS} bits")
         return mk_lit(v, sort)
     raise EvalNotClosed("cannot reify a set value into an answer term")
 
@@ -456,12 +459,19 @@ def revalidate_eval_decide(cert: Certificate) -> None:
         if not isinstance(me, Meta):
             raise CertificateError(
                 "eval_decide assignment without a hole side")
-        val = eval_term(other, Budget(DEFAULT_BUDGET))
+        try:
+            value = _value_term(eval_term(other, Budget(DEFAULT_BUDGET)),
+                                me.sort)
+        except TacticFailed as e:
+            raise CertificateError(f"eval_decide no longer evaluates: {e}")
         expect = cert.detail["assigned"].get(me.mid)
-        if expect is None or print_term(_value_term(val, me.sort)) != expect:
+        if expect is None or print_term(value) != expect:
             raise CertificateError("eval_decide assignment mismatch")
         return
-    verdict, _ = decide_prop(concl)
+    try:
+        verdict, _ = decide_prop(concl)
+    except TacticFailed as e:
+        raise CertificateError(f"eval_decide no longer evaluates: {e}")
     if not verdict:
         raise CertificateError("eval_decide certificate no longer validates")
     if cert.detail.get("trace_hash") != _trace_hash(concl, verdict):

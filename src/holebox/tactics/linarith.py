@@ -5,10 +5,17 @@ conclusion form an infeasible system.  Rational systems go through
 Fourier-Motzkin elimination with exact arithmetic, and the derived
 contradiction is recorded as a Farkas combination that revalidation
 re-checks by direct arithmetic.  Integer (and Nat-as-nonnegative-Int)
-systems go through omega-style elimination: equality elimination with
-the symmetric-mod trick, then shadow projection with splinters, so the
-procedure is complete on its fragment.  Literal-modulus constraints
-(t % m = r, m | t, even/odd) are compiled to quotient variables.
+systems go through the omega test (Pugh, 1991) on plain `int` rows
+`(c, a_1, ..., a_n)` over one fixed column order: unit equalities are
+substituted away, any other equality is reduced through a fresh sigma
+column by the symmetric-mod step, and inequalities are gcd-tightened,
+kept one per coefficient vector (the one with the largest constant),
+checked for a contradictory opposite pair, and projected through the
+real and dark shadows with splinters, so the procedure is complete on
+its fragment.  `Fraction` appears only in linearization, in
+Fourier-Motzkin and in the Farkas multipliers.  Literal-modulus
+constraints (t % m = r, m | t, even/odd) are compiled to quotient
+variables.
 
 Nonlinear subterms are abstracted as opaque atoms, which only weakens
 the system, so every proof produced here is sound.
@@ -23,7 +30,7 @@ from typing import Callable, Optional
 
 from ..expr import (
     App, Atom, Conn, INT, Lit, NAT, RAT, REAL, Sort, Term, Var,
-    instantiate_metas, metavars_of, mk_lit, subterms,
+    instantiate_metas, metavars_of, subterms,
 )
 from ..norm import fold_literals, normalize
 from ..kernel import (
@@ -31,7 +38,7 @@ from ..kernel import (
     TacticResult, goal_blob, goal_from_blob, register_tactic,
 )
 from ..syntax import print_term
-from .decide import _assign_split
+from .decide import _assign_split, _value_term
 
 MAX_NE_SPLITS = 64
 MAX_OMEGA_NODES = 20000
@@ -45,6 +52,7 @@ class NotLinear(TacticFailed):
 # A linear expression is a mapping from atom keys to coefficients; the
 # empty key holds the constant.
 Lin = dict[str, Fraction]
+IntLin = dict[str, int]       # a Lin scaled to integer coefficients
 
 CONST = ""
 
@@ -364,25 +372,25 @@ def verify_farkas(cons: list[Constraint], multipliers: dict[str, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# Integer path: omega-style elimination
+# Integer path: the omega test over int rows
 
 
-def _int_rows(cons: list[Constraint]) -> tuple[list[Lin], list[Lin]]:
-    """Scale to integer coefficients; returns (equalities, inequalities<=0)."""
-    eqs: list[Lin] = []
-    ineqs: list[Lin] = []
+def _int_rows(cons: list[Constraint]
+              ) -> tuple[list[IntLin], list[IntLin]]:
+    """Scale to integer coefficients; returns (equalities, inequalities<=0).
+
+    A strict row is tightened to `<= 0` by adding 1 to its constant.
+    """
+    eqs: list[IntLin] = []
+    ineqs: list[IntLin] = []
     for c in cons:
-        lin = c.lin()
-        den = math.lcm(*(v.denominator for v in lin.values())) if lin else 1
-        lin = {k: v * den for k, v in lin.items()}
-        if c.rel == "eq":
-            eqs.append(lin)
-        elif c.rel == "le":
-            ineqs.append(lin)
-        elif c.rel == "lt":
-            ineqs.append(_lin_add(lin, {CONST: Fraction(1)}))
-        else:
+        if c.rel == "ne":
             raise NotLinear("ne must be split before omega")
+        den = math.lcm(*(v.denominator for _, v in c.expr))
+        lin = {k: v.numerator * (den // v.denominator) for k, v in c.expr}
+        if c.rel == "lt":
+            lin[CONST] = lin.get(CONST, 0) + 1
+        (eqs if c.rel == "eq" else ineqs).append(lin)
     return eqs, ineqs
 
 
@@ -404,137 +412,157 @@ class _OmegaBudget:
             raise NotLinear("omega node budget exceeded")
 
 
-def omega_sat(eqs: list[Lin], ineqs: list[Lin],
-              budget: Optional[_OmegaBudget] = None,
-              fresh: Optional[list[int]] = None) -> bool:
-    """Integer satisfiability of {eq = 0} and {ineq <= 0}."""
+# An omega row is (c, a_1, ..., a_n): the constraint a.x + c (= | <=) 0
+# over one fixed column order.
+Row = tuple[int, ...]
+
+
+def omega_sat(eqs: list[Lin] | list[IntLin],
+              ineqs: list[Lin] | list[IntLin],
+              budget: Optional[_OmegaBudget] = None) -> bool:
+    """Integer satisfiability of {eq = 0} and {ineq <= 0}.
+
+    Every coefficient and constant must be an integer, else `NotLinear`.
+    The rows are mapped once to `int` tuples `(c, a_1, ..., a_n)` over
+    the sorted atom names, and the search (`_omega`) works on those
+    alone: the symmetric-mod step appends a fresh sigma column to every
+    row, and each node keeps one inequality per coefficient vector, the
+    one with the largest constant.  Each node costs one tick of
+    `budget`; running out raises `NotLinear`.
+    """
     if budget is None:
         budget = _OmegaBudget(MAX_OMEGA_NODES)
-    if fresh is None:
-        fresh = [0]
+    cols = sorted({k for row in eqs + ineqs for k in row if k != CONST})
+
+    def to_row(lin: Lin | IntLin) -> Row:
+        vals = [lin.get(CONST, 0)] + [lin.get(k, 0) for k in cols]
+        if any(v.denominator != 1 for v in vals):
+            raise NotLinear("omega needs integer coefficients")
+        return tuple(v.numerator for v in vals)
+
+    return _omega([to_row(e) for e in eqs], [to_row(i) for i in ineqs],
+                  budget)
+
+
+def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget) -> bool:
     budget.tick()
-    eqs = [dict(e) for e in eqs]
-    ineqs = [dict(i) for i in ineqs]
 
     # -- equality elimination
     while eqs:
         eq = eqs.pop()
-        vars_ = {k: int(v) for k, v in eq.items() if k != CONST and v != 0}
-        c0 = eq.get(CONST, Fraction(0))
-        if not vars_:
-            if c0 != 0:
+        g = math.gcd(*eq[1:])
+        if g == 0:
+            if eq[0] != 0:
                 return False
             continue
-        g = math.gcd(*(abs(a) for a in vars_.values()))
-        if int(c0) % g != 0:
+        if eq[0] % g != 0:
             return False
-        vars_ = {k: a // g for k, a in vars_.items()}
-        c0 = Fraction(int(c0) // g)
-        k, ak = min(vars_.items(), key=lambda kv: (abs(kv[1]), kv[0]))
-        if abs(ak) == 1:
-            # k = -sign * (rest + c)
-            repl = {kk: Fraction(-a * ak) for kk, a in vars_.items() if kk != k}
-            repl[CONST] = -c0 * ak
-            eqs = [_subst_lin(e, k, repl) for e in eqs]
-            ineqs = [_subst_lin(i, k, repl) for i in ineqs]
+        if g > 1:
+            eq = tuple(a // g for a in eq)
+        k = min((j for j in range(1, len(eq)) if eq[j]),
+                key=lambda j: abs(eq[j]))
+        if abs(eq[k]) == 1:
+            eqs = [_unit_subst(r, eq, k) for r in eqs]
+            ineqs = [_unit_subst(r, eq, k) for r in ineqs]
             continue
-        m = abs(ak) + 1
-        sigma = f"$s{fresh[0]}"
-        fresh[0] += 1
-        new_eq: Lin = {sigma: Fraction(-m)}
-        for kk, a in vars_.items():
-            new_eq[kk] = Fraction(_mods(a, m))
-        new_eq[CONST] = Fraction(_mods(int(c0), m))
-        # coefficient of k in new_eq is -sign(ak), a unit
-        eqs.append({k: Fraction(v) for k, v in vars_.items()} | {CONST: c0})
-        eqs.append(new_eq)
+        # symmetric mod: a fresh column sigma with sum(mods(a, m) x)
+        # + mods(c, m) - m sigma = 0, in which x_k has a unit coefficient
+        m = abs(eq[k]) + 1
+        eqs = [r + (0,) for r in eqs]
+        ineqs = [r + (0,) for r in ineqs]
+        eqs.append(eq + (0,))
+        eqs.append(tuple(_mods(a, m) for a in eq) + (-m,))
 
-    # -- normalize inequalities
-    norm: list[Lin] = []
-    for i in ineqs:
-        vars_ = {k: v for k, v in i.items() if k != CONST and v != 0}
-        c0 = i.get(CONST, Fraction(0))
-        if not vars_:
-            if c0 > 0:
+    # -- normalize inequalities: gcd tightening, then the tightest
+    # constant per coefficient vector
+    tightest: dict[Row, int] = {}
+    for r in ineqs:
+        coeffs = r[1:]
+        g = math.gcd(*coeffs)
+        if g == 0:
+            if r[0] > 0:
                 return False
             continue
-        g = math.gcd(*(abs(int(v)) for v in vars_.values()))
+        c = r[0]
         if g > 1:
-            # sum(a x) + c <= 0 tightens to sum(a/g x) + ceil(c/g) <= 0
-            vars_ = {k: Fraction(int(v) // g) for k, v in vars_.items()}
-            c0 = Fraction(math.ceil(c0 / g))
-        norm.append(vars_ | {CONST: c0})
-    ineqs = norm
-    if not ineqs:
+            # a.x + c <= 0 tightens to (a/g).x + ceil(c/g) <= 0
+            coeffs = tuple(a // g for a in coeffs)
+            c = -(-c // g)
+        if tightest.get(coeffs, c) <= c:
+            tightest[coeffs] = c
+    # a.x + c1 <= 0 and -a.x + c2 <= 0 need c1 + c2 <= 0
+    for coeffs, c in tightest.items():
+        opp = tightest.get(tuple(-a for a in coeffs))
+        if opp is not None and c + opp > 0:
+            return False
+    if not tightest:
         return True
+    ineqs = [(c,) + coeffs for coeffs, c in tightest.items()]
 
-    vars_all = sorted({k for i in ineqs for k in i if k != CONST})
-    if not vars_all:
-        return True
-
-    # -- choose a variable to eliminate
-    best, best_cost = None, None
-    for v in vars_all:
-        lo = sum(1 for i in ineqs if i.get(v, 0) < 0)
-        hi = sum(1 for i in ineqs if i.get(v, 0) > 0)
-        if lo == 0 or hi == 0:
-            best, best_cost = v, -1
+    # -- choose a column to eliminate: one bounded on one side only,
+    # else an exact one (every pair has a unit side), else the fewest
+    # lower * upper pairs
+    best, best_cost = 0, None
+    for v in range(1, len(ineqs[0])):
+        lo = [r[v] for r in ineqs if r[v] < 0]
+        hi = [r[v] for r in ineqs if r[v] > 0]
+        if not lo and not hi:
+            continue
+        if not lo or not hi:
+            best = v
             break
-        exact = all(
-            abs(i.get(v, 0)) == 1 or abs(j.get(v, 0)) == 1
-            for i in ineqs if i.get(v, 0) < 0
-            for j in ineqs if j.get(v, 0) > 0)
-        cost = lo * hi - (1000 if exact else 0)
+        cost = len(lo) * len(hi) - (1000 if _exact(lo, hi) else 0)
         if best_cost is None or cost < best_cost:
             best, best_cost = v, cost
     v = best
-    lows = [i for i in ineqs if i.get(v, 0) < 0]
-    highs = [i for i in ineqs if i.get(v, 0) > 0]
-    rest = [i for i in ineqs if i.get(v, 0) == 0]
+    lows = [r for r in ineqs if r[v] < 0]
+    highs = [r for r in ineqs if r[v] > 0]
+    rest = [r for r in ineqs if r[v] == 0]
     if not lows or not highs:
-        return omega_sat([], rest, budget, fresh)
+        return _omega([], rest, budget)
 
-    def shadow(dark: bool) -> list[Lin]:
+    def shadow(dark: bool) -> list[Row]:
         out = list(rest)
         for lo in lows:
+            b = -lo[v]
             for hi in highs:
-                b = -lo[v]
                 a = hi[v]
-                lin = _lin_add(_lin_scale(lo, a), _lin_scale(hi, b))
-                lin.pop(v, None)
+                row = [a * x + b * y for x, y in zip(lo, hi)]
                 if dark:
-                    lin[CONST] = lin.get(CONST, Fraction(0)) \
-                        + (a - 1) * (b - 1)
-                out.append(lin)
+                    row[0] += (a - 1) * (b - 1)
+                out.append(tuple(row))
         return out
 
-    exact = all(abs(lo[v]) == 1 or abs(hi[v]) == 1
-                for lo in lows for hi in highs)
-    if exact:
-        return omega_sat([], shadow(False), budget, fresh)
-    if not omega_sat([], shadow(False), budget, fresh):
+    if _exact([lo[v] for lo in lows], [hi[v] for hi in highs]):
+        return _omega([], shadow(False), budget)
+    if not _omega([], shadow(False), budget):
         return False
-    if omega_sat([], shadow(True), budget, fresh):
+    if _omega([], shadow(True), budget):
         return True
-    # splinters
-    amax = max(int(hi[v]) for hi in highs)
+    # splinters: some lower bound lo holds with slack i, lo + i = 0,
+    # for 0 <= i <= top
+    amax = max(hi[v] for hi in highs)
     for lo in lows:
-        b = int(-lo[v])
+        b = -lo[v]
         top = (amax * b - amax - b) // amax
         for i in range(top + 1):
-            eq = dict(lo)
-            eq[CONST] = eq.get(CONST, Fraction(0)) + i
-            if omega_sat([eq], ineqs, budget, fresh):
+            if _omega([(lo[0] + i,) + lo[1:]], ineqs, budget):
                 return True
     return False
 
 
-def _subst_lin(lin: Lin, var: str, repl: Lin) -> Lin:
-    if var not in lin:
-        return lin
-    c = lin[var]
-    out = {k: v for k, v in lin.items() if k != var}
-    return _lin_add(out, repl, c)
+def _unit_subst(r: Row, eq: Row, k: int) -> Row:
+    """Eliminate column k from r by the equality eq, where eq[k] = +-1:
+    x_k = -eq[k] * (the rest of eq), so r becomes r - (r[k] * eq[k]) * eq."""
+    s = r[k] * eq[k]
+    if not s:
+        return r
+    return tuple(x - s * y for x, y in zip(r, eq))
+
+
+def _exact(lo: list[int], hi: list[int]) -> bool:
+    """Every lower/upper pair has a unit coefficient on one side."""
+    return all(a == -1 for a in lo) or all(a == 1 for a in hi)
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +631,9 @@ def _split_nes(cons: list[Constraint]) -> list[list[Constraint]]:
             for s in systems:
                 s.append(c)
             continue
-        new_systems = []
-        for s in systems:
-            lt = _mk_con(_lin_add(c.lin(), {}), "lt")
-            gt = _mk_con(_lin_scale(c.lin(), Fraction(-1)), "lt")
-            new_systems.append(s + [lt])
-            new_systems.append(s + [gt])
-        systems = new_systems
+        lt = _mk_con(c.lin(), "lt")
+        gt = _mk_con(_lin_scale(c.lin(), Fraction(-1)), "lt")
+        systems = [s + [side] for s in systems for side in (lt, gt)]
     return systems
 
 
@@ -663,7 +687,7 @@ def linear_arith(state: SolutionState, goal: Goal, argtext: str
     if synth is not None:
         mid, expr = synth
         value = _synthesize(goal, state, expr)
-        answer = mk_lit(value, state.hole(mid).target)
+        answer = _value_term(value, state.hole(mid).target)
         check = Goal(goal.case, goal.ctx,
                      instantiate_metas(concl, {mid: answer}))
         detail = prove_linear(check, state)

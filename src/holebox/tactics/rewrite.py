@@ -488,7 +488,10 @@ def revalidate_rw_search(cert: Certificate) -> None:
         if not definitional_eq(sides[0], sides[1]):
             raise CertificateError("rw_search rfl closer fails")
     elif closer == "eval_decide":
-        ok, _ = decide_prop(term)
+        try:
+            ok, _ = decide_prop(term)
+        except TacticFailed as e:
+            raise CertificateError(f"rw_search eval closer fails: {e}")
         if not ok:
             raise CertificateError("rw_search eval closer fails")
     else:

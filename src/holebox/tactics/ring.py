@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from ..expr import (
-    App, Atom, Lit, NAT, RAT, REAL, Sort, Term, instantiate_metas, mk_app,
-    mk_atom, mk_lit,
+    App, Atom, Lit, MAX_LIT_BITS, NAT, RAT, REAL, Sort, Term,
+    instantiate_metas, lit_bits, mk_app, mk_atom, mk_lit,
 )
 from ..norm import fold_literals
 from ..kernel import (
@@ -131,6 +131,12 @@ def _mono_key(m: Mono) -> tuple:
     return (-degree, m)
 
 
+def _coeff_lit(c: Fraction, sort: Sort) -> Term:
+    if lit_bits(c) > MAX_LIT_BITS:
+        raise NotRingExpr(f"coefficient of more than {MAX_LIT_BITS} bits")
+    return mk_lit(c, sort)
+
+
 def render(p: Poly, atoms: AtomTable, sort: Sort) -> Term:
     if not p:
         return mk_lit(0, sort)
@@ -146,13 +152,13 @@ def render(p: Poly, atoms: AtomTable, sort: Sort) -> Term:
                 exp_sort = REAL if sort == REAL else NAT
                 factors.append(mk_app("pow", (base, mk_lit(e, exp_sort))))
         if not factors:
-            parts.append(mk_lit(c, sort))
+            parts.append(_coeff_lit(c, sort))
             continue
         term = factors[0]
         for f in factors[1:]:
             term = mk_app("mul", (term, f))
         if c != 1:
-            term = mk_app("mul", (mk_lit(c, sort), term))
+            term = mk_app("mul", (_coeff_lit(c, sort), term))
         parts.append(term)
     out = parts[0]
     for pt in parts[1:]:
@@ -212,5 +218,9 @@ def revalidate_ring_nf(cert: Certificate) -> None:
     pr = poly_of(concl.args[1], atoms, concl.args[1].sort)
     if pl != pr:
         raise CertificateError("ring_nf certificate no longer validates")
-    if print_term(render(pl, atoms, concl.args[0].sort)) != cert.detail["nf"]:
+    try:
+        nf = print_term(render(pl, atoms, concl.args[0].sort))
+    except NotRingExpr as e:
+        raise CertificateError(f"ring_nf normal form: {e}")
+    if nf != cert.detail["nf"]:
         raise CertificateError("ring_nf normal form mismatch")

@@ -190,3 +190,45 @@ def test_lemmas_flag_overrides_library(tmp_path, capsys):
     finally:
         import holebox.tactics.rewrite as rw
         rw._DEFAULT_LIBRARY = None   # restore the bundled library
+
+
+@pytest.mark.parametrize("term, message", [
+    ("(" * 3000 + "1" + ")" * 3000, "nesting deeper than"),
+    ("not " * 3000 + "True", "nesting deeper than"),
+    ("7" * 5000, "numeral longer than"),
+    ("y", "unknown identifier"),
+], ids=["nested-parens", "nested-not", "long-numeral", "unknown-name"])
+def test_rpe_check_malformed_answer_exits_two(capsys, term, message):
+    code = cli_main(["rpe-check", problem_path("rationals.json"),
+                     "--a", term, "--b", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("term", ["2^4096^4096", "10^3000 * 10^3000"])
+def test_rpe_check_oversized_arithmetic_gets_a_verdict(capsys, term):
+    # the closed arithmetic is too large to fold into one printable
+    # literal, so it stays unfolded and is compared as it is
+    code = cli_main(["rpe-check", problem_path("rationals.json"),
+                     "--a", term, "--b", "1"])
+    out = capsys.readouterr()
+    assert code == 1 and out.err == ""
+    assert json.loads(out.out)["equivalent"] is False
+
+
+@pytest.mark.parametrize("tactic", ["eval_decide", "linear_arith"])
+def test_oversized_hole_value_rejected(tmp_path, capsys, tactic):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({
+        "format_version": "1", "framework": "fps", "vars": [],
+        "queriable": ["a", "Int"], "hypotheses": [],
+        "conclusions": ["a = 10^3000 * 10^3000"]}))
+    script = tmp_path / "s.txt"
+    script.write_text(f"format_version: 1\n{tactic}\n")
+    code = cli_main(["solve", str(problem), "--script", str(script)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(out) == 1 and out[0].startswith("rejected at line 2")
+    assert "value of more than" in out[0]

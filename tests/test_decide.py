@@ -93,3 +93,62 @@ def test_oracle_agreement_closed_props(fuzzer, rng):
         prop = closed_prop(3)
         got, _ = decide_prop(prop)
         assert got == brute_eval(prop)
+
+
+def _open_goal_certs():
+    """Certificates that claim eval_decide closed the open goal x = 1."""
+    from holebox.expr import LocalDecl
+    from holebox.kernel import Certificate, Goal, goal_blob
+    tele = Telescope((LocalDecl("x", INT),))
+    goal = Goal("h", tele, parse_term("x = 1", tele, PROP))
+    blob = goal_blob(goal)
+    assigned = Goal("h", tele, parse_term("?w = x", tele, PROP,
+                                          metas={"w": INT}))
+    return [
+        Certificate("eval_decide", {"goal": blob, "trace_hash": "0" * 64,
+                                    "budget_used": 0}),
+        Certificate("eval_decide", {
+            "goal": goal_blob(assigned, {"w": INT}),
+            "assigned": {"w": "1"}, "budget_used": 0}),
+        Certificate("rw_search", {"goal": blob, "path": [],
+                                  "closer": "eval_decide", "assigned": {}}),
+    ]
+
+
+def test_open_goal_certificates_rejected_by_each_revalidator():
+    from holebox.kernel import CertificateError
+    from holebox.tactics import revalidate_eval_decide, revalidate_rw_search
+    certs = _open_goal_certs()
+    for cert, check in zip(certs, (revalidate_eval_decide,
+                                   revalidate_eval_decide,
+                                   revalidate_rw_search)):
+        with pytest.raises(CertificateError):
+            check(cert)
+
+
+def test_replay_check_rejects_open_goal_eval_certificate(monkeypatch):
+    # a broken eval_decide that closes any goal with a certificate for
+    # the open goal x = 1: replay accepts the script, recheck rejects it
+    import json
+    from holebox.fps import replay_check
+    from holebox.kernel import TACTICS, TacticResult
+    from holebox.syntax import parse_problem, parse_script
+    certs = _open_goal_certs()
+    monkeypatch.setitem(TACTICS, "eval_decide",
+                        lambda state, goal, argtext:
+                        TacticResult(cert=certs[0]))
+    problem = parse_problem(json.dumps({
+        "format_version": "1", "framework": "fps", "vars": [],
+        "queriable": ["a", "Int"], "hypotheses": [],
+        "conclusions": ["a = 1"]}))
+    report = replay_check(problem,
+                          parse_script(["@goal w exact 1", "eval_decide"]))
+    assert not report.accepted
+    assert "eval_decide" in report.reason
+
+
+def test_oversized_products_still_decide():
+    # normalization leaves the 19932-bit product unfolded; evaluation
+    # still decides it
+    assert decide("10^3000 * 10^3000 > 0")
+    assert decide("10^3000 * 10^3000 - 10^6000 = 0")

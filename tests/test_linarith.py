@@ -12,8 +12,8 @@ from holebox.kernel import (
 )
 from holebox.syntax import parse_term
 from holebox.tactics.linarith import (
-    CONST, fm_refute, omega_sat, revalidate_linear_arith, verify_farkas,
-    _mk_con,
+    CONST, NotLinear, fm_refute, omega_sat, revalidate_linear_arith,
+    verify_farkas, _mk_con, _OmegaBudget,
 )
 
 
@@ -96,6 +96,80 @@ def test_omega_brute_force(rng):
                     + int(i.get(CONST, 0)) <= 0 for i in ineqs)
             for vals in itertools.product(range(-20, 21), repeat=2))
         assert got == want
+
+
+def _box_sat(eqs, ineqs, names, bound):
+    """Exhaustive integer satisfiability over [-bound, bound]^n."""
+    def val(row, point):
+        return row.get(CONST, 0) + sum(row.get(n, 0) * v
+                                       for n, v in zip(names, point))
+    return any(
+        all(val(e, p) == 0 for e in eqs) and all(val(i, p) <= 0 for i in ineqs)
+        for p in itertools.product(range(-bound, bound + 1),
+                                   repeat=len(names)))
+
+
+def test_omega_brute_force_three_vars(rng):
+    """Three variables, non-unit coefficients: the equalities take the
+    symmetric-mod (sigma column) path, and the inequalities reach the
+    dark shadow and the splinters."""
+    names = ["x0", "x1", "x2"]
+    bound = 3
+    sat = 0
+    for _ in range(200):
+        eqs, ineqs = [], []
+        for _ in range(rng.randint(0, 2)):
+            lin = {n: Fraction(rng.choice([-4, -3, -2, 0, 2, 3, 5]))
+                   for n in names}
+            lin[CONST] = Fraction(rng.randint(-6, 6))
+            eqs.append(lin)
+        for _ in range(rng.randint(1, 4)):
+            lin = {n: Fraction(rng.randint(-5, 5)) for n in names}
+            lin[CONST] = Fraction(rng.randint(-8, 8))
+            ineqs.append(lin)
+        for n in names:
+            ineqs.append({n: Fraction(-1), CONST: Fraction(-bound)})
+            ineqs.append({n: Fraction(1), CONST: Fraction(-bound)})
+        got = omega_sat(eqs, ineqs)
+        assert got == _box_sat(eqs, ineqs, names, bound)
+        sat += got
+    assert 40 < sat < 160     # both verdicts well represented
+
+
+def test_omega_duplicate_rows_keep_the_tightest():
+    x = {"x": Fraction(1)}
+    # x <= 5, x <= 2 (twice), x >= 2: only x = 2 is left
+    rows = [x | {CONST: Fraction(-5)}, x | {CONST: Fraction(-2)},
+            x | {CONST: Fraction(-2)}, {"x": Fraction(-1), CONST: Fraction(2)}]
+    assert omega_sat([], rows)
+    # the same after scaling: 2x <= 4 tightens to x <= 2, 3x >= 7 to x >= 3
+    assert not omega_sat([], [{"x": Fraction(2), CONST: Fraction(-4)},
+                              x | {CONST: Fraction(-9)},
+                              {"x": Fraction(-3), CONST: Fraction(7)}])
+
+
+def test_omega_contradictory_opposite_pair():
+    # x + 2y <= 3 and x + 2y >= 4
+    lo = {"x": Fraction(1), "y": Fraction(2), CONST: Fraction(-3)}
+    hi = {"x": Fraction(-1), "y": Fraction(-2), CONST: Fraction(4)}
+    assert not omega_sat([], [lo, hi])
+    # touching bounds meet: x + 2y = 3
+    assert omega_sat([], [lo, {**hi, CONST: Fraction(3)}])
+
+
+def test_omega_budget_exhaustion_is_not_linear():
+    rows = [{"x": Fraction(1), CONST: Fraction(-5)},
+            {"x": Fraction(-1)}]
+    assert omega_sat([], rows)
+    with pytest.raises(NotLinear):
+        omega_sat([], rows, budget=_OmegaBudget(1))
+
+
+def test_omega_rejects_non_integral_coefficients():
+    with pytest.raises(NotLinear):
+        omega_sat([], [{"x": Fraction(1, 2), CONST: Fraction(-1)}])
+    with pytest.raises(NotLinear):
+        omega_sat([{"x": Fraction(1), CONST: Fraction(1, 3)}], [])
 
 
 def test_farkas_certificate_checks():

@@ -3,7 +3,7 @@
 import pytest
 
 from holebox.expr import (
-    BVar, INT, LocalDecl, NAT, RAT, REAL, SortError, Telescope, fn,
+    App, BVar, INT, Lit, LocalDecl, NAT, RAT, REAL, SortError, Telescope, fn,
     free_vars, metavars_of, mk_app, mk_binder, mk_var, syntactic_eq,
 )
 from holebox.norm import definitional_eq, fold_literals, normalize
@@ -113,3 +113,13 @@ def test_syntactic_implies_definitional(fuzzer):
 def test_fold_literals_keeps_definitions():
     folded = fold_literals(parse_term("Iio ((3 : Int)) \\/ Ioi ((2 + 3 : Int))"))
     assert print_term(folded) == "Iio 3 \\/ Ioi 5"
+
+
+def test_fold_declines_oversized_results():
+    # 10^3000 (9966 bits) folds; the product (19932 bits) stays a node
+    # and prints
+    prod = normalize(t("10^3000 * 10^3000", expected=INT))
+    assert isinstance(prod, App) and prod.op == "mul"
+    assert all(isinstance(a, Lit) for a in prod.args)
+    assert print_term(prod) == f"{10 ** 3000} * {10 ** 3000}"
+    assert isinstance(normalize(t("2^4096^4096", expected=INT)), App)

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+
 from holebox.expr import (
-    App, Lit, LocalDecl, NAT, PROP, RAT, REAL, Telescope, Var,
+    App, INT, Lit, LocalDecl, NAT, PROP, RAT, REAL, Telescope, Var,
 )
 from holebox.kernel import Goal, SolutionState, TacticFailed, apply_tactic
 from holebox.syntax import parse_term, print_term
@@ -109,3 +111,17 @@ def test_nat_truncated_subtraction_not_a_ring():
     k = LocalDecl("k", NAT)
     # (k - 5) + 5 = k is false at k = 0, and ring_nf must not prove it
     assert not closes("(k - 5) + 5 = k", (k,))
+
+
+def test_oversized_coefficient_fails_cleanly():
+    from holebox.kernel import Certificate, CertificateError, goal_blob
+    from holebox.tactics import revalidate_ring_nf
+    tele = Telescope((LocalDecl("x", INT),))
+    goal = Goal("h", tele, parse_term("(10^3000 + x)^2 = x^2", tele, PROP))
+    with pytest.raises(TacticFailed, match="coefficient of more than"):
+        apply_tactic(SolutionState(goals=(goal,)), "h", "ring_nf", "")
+    square = Goal("h", tele, parse_term(
+        "(10^3000 + x)^2 = (10^3000 + x) * (10^3000 + x)", tele, PROP))
+    with pytest.raises(CertificateError, match="coefficient of more than"):
+        revalidate_ring_nf(Certificate("ring_nf", {"goal": goal_blob(square),
+                                                   "nf": "0"}))
