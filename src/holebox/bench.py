@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .expr import Term
+from .expr import ExprError, Term
 from .fps import (
     Session, SessionError, certify, dfps_prove_script, extract_answer,
     prove_script, solve_script,
@@ -138,7 +138,7 @@ def _prove_ground_truth(entry: BenchmarkEntry, solver: str,
     """The statement with the ground-truth answer, attempted independently."""
     try:
         state = init_prove(entry.problem, entry.formal_answer)
-    except Exception:
+    except (KernelError, ExprError):
         return False
     if solver == "script" and entry.script is not None:
         if entry.problem.framework == "dfps":

@@ -186,7 +186,7 @@ def repl_session(problem, in_stream: TextIO, out_stream: TextIO) -> int:
         try:
             state = apply_tactic(history[-1], goal, toks[0],
                                  toks[1] if len(toks) > 1 else "")
-        except (KernelError, Exception) as e:
+        except (KernelError, ExprError) as e:
             out_stream.write(f"error: {e}\n")
             continue
         history.append(state)

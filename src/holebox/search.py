@@ -20,11 +20,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .expr import Binder, Conn
+from .expr import Binder, Conn, ExprError
 from .fps import Session, certify, extract_answer, session_init
 from .kernel import (
-    Goal, SolutionState, apply_tactic, is_terminal, render_goal,
-    script_of_trace,
+    Goal, KernelError, SolutionState, apply_tactic, is_terminal,
+    render_goal, script_of_trace,
 )
 from .syntax import Problem, ProofScript, print_term
 
@@ -179,7 +179,7 @@ def expand(node: SearchNode, policy: Policy, width: int
     for sug in chosen:
         try:
             nxt = apply_tactic(state, sug.goal, sug.tactic, sug.argtext)
-        except Exception:
+        except (KernelError, ExprError):
             continue
         children.append(SearchNode(
             nxt, node, sug,

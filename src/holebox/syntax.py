@@ -27,7 +27,14 @@ from .expr import (
 # Each nesting level (bracket, binder, prefix or right-associative
 # operator) costs the parser up to 14 of Python's 1000 stack frames, and
 # a numeral of MAX_NUMERAL_DIGITS digits fits in MAX_LIT_BITS bits.
+# Left-associative chains (`a + b + ...`, application, binder groups)
+# are parsed by loops, so the elaborated tree's depth is bounded on its
+# own: the engine's recursive term functions take up to 4 frames a
+# level (alpha-equivalence and term equality; elaboration takes 3), so
+# even a term twice as deep, an answer substituted into a statement,
+# stays well under the limit.
 MAX_NESTING = 50
+MAX_DEPTH = 100
 MAX_NUMERAL_DIGITS = MAX_LIT_BITS * 3 // 10
 
 _T = TypeVar("_T")
@@ -267,6 +274,15 @@ class _P:
         self.depth -= 1
         return out
 
+    def bounded(self, raw: Raw) -> Raw:
+        """`raw`, if the term it elaborates to is at most MAX_DEPTH deep.
+
+        Each level of that term consumes a token of its own, so only
+        inputs of more than MAX_DEPTH tokens are measured."""
+        if len(self.toks) > MAX_DEPTH and _levels(raw) > MAX_DEPTH:
+            raise ParseError(f"term deeper than {MAX_DEPTH} levels")
+        return raw
+
     # sorts ---------------------------------------------------------------
 
     def sort(self) -> Sort:
@@ -483,6 +499,37 @@ class _P:
             self.expect("sym", "}")
             return RSetLit(elems)
         raise self.err("expected a term")
+
+
+def _levels(raw: Raw) -> int:
+    """The depth of the term `raw` elaborates to, counted without
+    recursion: an application chain adds a level per argument, a binder
+    a level per bound name, and `sum` two (the sum and its lambda)."""
+    deepest = 0
+    stack = [(raw, 1)]
+    while stack:
+        r, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(r, RBin):
+            step, kids = 1, [r.lhs, r.rhs]
+        elif isinstance(r, (RNot, RNeg)):
+            step, kids = 1, [r.arg]
+        elif isinstance(r, RAppl):
+            step, kids = len(r.args), [r.head, *r.args]
+        elif isinstance(r, RBinderRaw):
+            step, kids = len(r.groups), [r.body]
+        elif isinstance(r, RSum):
+            step, kids = 2, [r.coll, r.body]
+        elif isinstance(r, RSetB):
+            step, kids = 1, [r.body]
+        elif isinstance(r, RSetLit):
+            step, kids = 1, r.elems
+        elif isinstance(r, RAscribe):
+            step, kids = 0, [r.inner]
+        else:
+            step, kids = 0, []
+        stack.extend((k, d + step) for k in kids)
+    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -866,6 +913,7 @@ def parse_term(text: str, ctx: Telescope = Telescope(),
     raw = p.term()
     if p.peek().kind != "eof":
         raise p.err("trailing input")
+    p.bounded(raw)
     env = _Env(ctx, [], dict(metas or {}), default_numeral)
     return _elab(raw, expected, env)
 

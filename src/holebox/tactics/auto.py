@@ -27,7 +27,9 @@ from ..kernel import (
 from ..syntax import print_term
 from .decide import decide_prop
 from .linarith import prove_linear
-from .rewrite import apply_rule, default_library, rw_search_term
+from .rewrite import (
+    SubtermIndex, default_library, first_rewrite, rw_search_term,
+)
 from .ring import ring_closes
 from .structural import replace_hyp, split_hyp, subst_goal
 
@@ -56,14 +58,13 @@ def _simp(t):
     """Normalization with the lemma library, forward direction, fixpoint."""
     t = normalize(t)
     for _ in range(_SIMP_ROUNDS):
-        changed = False
+        index = SubtermIndex(t)
         for lemma in default_library():
-            new = apply_rule(t, lemma, back=False)
+            new = first_rewrite(index, lemma, back=False)
             if new is not None and new != t:
                 t = normalize(new)
-                changed = True
                 break
-        if not changed:
+        else:
             return t
     return t
 

@@ -9,6 +9,15 @@ guard conditions are discharged by exact evaluation on the matched
 instance.  The matched occurrence is located leftmost-innermost, and all
 occurrences of the instantiated left side are replaced, so traces are
 deterministic and replayable.
+
+Matching goes through a one-level head index (`SubtermIndex`): one
+post-order walk of a term buckets its subterms by head, the node type
+with its operator, relation or binder kind and its sort.  `match` fails
+at the root on any other head, so each pattern is tried only against
+its own bucket, in walk order; a bare pattern variable is tried against
+every subterm.  `auto`'s simplifier builds one index per round and
+`rw_search` one per frontier term, and both rewrite each match straight
+from its substitution (`rewrite_at`).
 """
 
 from __future__ import annotations
@@ -94,13 +103,53 @@ def subst_pattern(pat: Term, sub: dict[str, Term]) -> Term:
     return instantiate_metas(pat, sub)
 
 
+def _head(t: Term) -> tuple:
+    """What `match` compares at the root before it recurses."""
+    cls = type(t)
+    if cls is App or cls is Conn:
+        return (cls, t.op, t.sort)
+    if cls is Atom:
+        return (cls, t.rel, t.sort)
+    if cls is Binder:
+        return (cls, t.kind, t.sort)
+    return (cls, None, t.sort)
+
+
+class SubtermIndex:
+    """The subterm occurrences of one term, bucketed by head.
+
+    `walk` lists the occurrences leftmost-innermost (post-order), and
+    each bucket keeps that order, so `occurrences` yields the same
+    substitutions in the same order as a full walk calling `match` at
+    every node.  The index lives as long as the term it was built for.
+    """
+
+    def __init__(self, t: Term):
+        self.term = t
+        self.walk: list[Term] = []
+        self._post_order(t)
+        self.buckets: dict[tuple, list[Term]] = {}
+        for s in self.walk:
+            self.buckets.setdefault(_head(s), []).append(s)
+
+    def _post_order(self, t: Term) -> None:
+        for k in children(t):
+            self._post_order(k)
+        self.walk.append(t)
+
+    def occurrences(self, pat: Term) -> Iterator[dict[str, Term]]:
+        cands = self.walk if isinstance(pat, Meta) \
+            else self.buckets.get(_head(pat), ())
+        for s in cands:
+            sub: dict[str, Term] = {}
+            if match(pat, s, sub):
+                yield sub
+
+
 def occurrences(t: Term, pat: Term) -> Iterator[dict[str, Term]]:
-    """Match substitutions at subterm occurrences, leftmost-innermost."""
-    for k in children(t):
-        yield from occurrences(k, pat)
-    sub: dict[str, Term] = {}
-    if match(pat, t, sub):
-        yield sub
+    """Match substitutions at subterm occurrences, leftmost-innermost,
+    tried only where the subterm's head is the pattern's."""
+    return SubtermIndex(t).occurrences(pat)
 
 
 def replace_all(t: Term, old: Term, new: Term) -> Term:
@@ -161,24 +210,41 @@ def _discharge_sides(rule: RewriteLemma, sub: dict[str, Term]) -> bool:
     return True
 
 
+def rewrite_at(t: Term, rule: RewriteLemma, back: bool,
+               sub: dict[str, Term]) -> Optional[Term]:
+    """Rewrite `t` at one match `sub` of the rule's source side: discharge
+    the guards, instantiate both sides and replace every occurrence of
+    the instantiated source.  None when a guard or instantiation fails."""
+    if not _discharge_sides(rule, sub):
+        return None
+    lhs, rhs = (rule.rhs, rule.lhs) if back else (rule.lhs, rule.rhs)
+    try:
+        old = subst_pattern(lhs, sub)
+        new = subst_pattern(rhs, sub)
+    except NoMatch:
+        return None
+    return fold_literals(replace_all(t, old, new))
+
+
+def first_rewrite(index: SubtermIndex, rule: RewriteLemma, back: bool,
+                  occurrence: Optional[int] = None) -> Optional[Term]:
+    """Rewrite the indexed term at the first match that applies, or at
+    the `occurrence`-th match (counted from 1) only."""
+    pat = rule.rhs if back else rule.lhs
+    for k, sub in enumerate(index.occurrences(pat), 1):
+        if occurrence is None:
+            new = rewrite_at(index.term, rule, back, sub)
+            if new is not None:
+                return new
+        elif k == occurrence:
+            return rewrite_at(index.term, rule, back, sub)
+    return None
+
+
 def apply_rule(t: Term, rule: RewriteLemma, back: bool,
                occurrence: Optional[int] = None) -> Optional[Term]:
     """Rewrite with one rule; returns the new term or None."""
-    lhs, rhs = (rule.rhs, rule.lhs) if back else (rule.lhs, rule.rhs)
-    idx = 0
-    for sub in occurrences(t, lhs):
-        idx += 1
-        if occurrence is not None and idx != occurrence:
-            continue
-        if not _discharge_sides(rule, sub):
-            continue
-        try:
-            old = subst_pattern(lhs, sub)
-            new = subst_pattern(rhs, sub)
-        except NoMatch:
-            continue
-        return fold_literals(replace_all(t, old, new))
-    return None
+    return first_rewrite(SubtermIndex(t), rule, back, occurrence)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +484,11 @@ def rw_search_term(concl: Term, goal: Goal, state: Optional[SolutionState],
             break
         nxt: list[tuple[Term, tuple]] = []
         for term, path in frontier:
-            for ri, (rule, back) in enumerate(rules):
-                occ = 0
-                lhs = rule.rhs if back else rule.lhs
-                for sub in occurrences(term, lhs):
-                    occ += 1
-                    new = apply_rule(term, rule, back, occ)
+            index = SubtermIndex(term)
+            for rule, back in rules:
+                pat = rule.rhs if back else rule.lhs
+                for occ, sub in enumerate(index.occurrences(pat), 1):
+                    new = rewrite_at(term, rule, back, sub)
                     if new is None or new == term:
                         continue
                     key = print_term(new)

@@ -100,8 +100,11 @@ def and_split(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 
 def _parse_citation(argtext: str) -> tuple[str, list]:
     """Parse `h` or `h arg1 arg2 ...` into a name and raw argument trees."""
-    p = _P(tokenize(argtext))
-    raw = p.app_expr()
+    try:
+        p = _P(tokenize(argtext))
+        raw = p.bounded(p.app_expr())
+    except ParseError as e:
+        raise TacticFailed(f"cannot cite {argtext!r}: {e}")
     if p.peek().kind != "eof":
         raise TacticFailed(f"trailing input in citation {argtext!r}")
     if isinstance(raw, RName):

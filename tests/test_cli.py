@@ -8,7 +8,9 @@ import pytest
 
 from holebox.bench import BenchmarkEntry, evaluate_entry
 from holebox.cli import cli_main, repl_session
-from holebox.syntax import parse_problem, parse_script, parse_term
+from holebox.syntax import (
+    MAX_DEPTH, parse_problem, parse_script, parse_term,
+)
 
 
 def data_path(name):
@@ -205,6 +207,56 @@ def test_rpe_check_malformed_answer_exits_two(capsys, term, message):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("term", [
+    "+".join(["1"] * 400),
+    "*".join(["1"] * (MAX_DEPTH + 1)),
+    "forall (" + " ".join(f"v{i}" for i in range(400)) + " : Int), True",
+], ids=["sum-of-400", "product-over-the-bound", "400-bound-names"])
+def test_rpe_check_too_deep_answer_exits_two(capsys, term):
+    # left-associative chains are parsed by loops, not recursion, so
+    # their depth is bounded apart from the nesting limit
+    code = cli_main(["rpe-check", problem_path("rationals.json"),
+                     "--a", term, "--b", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"deeper than {MAX_DEPTH} levels" in err
+
+
+def test_rpe_check_chain_at_the_depth_bound_gets_a_verdict(tmp_path, capsys):
+    code = cli_main(["rpe-check", problem_path("rationals.json"),
+                     "--a", "+".join(["1"] * MAX_DEPTH), "--b", "1"])
+    out = capsys.readouterr()
+    assert code == 1 and out.err == ""
+    assert json.loads(out.out)["equivalent"] is False
+    # an open chain does not fold, so the whole stack runs on it
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({
+        "format_version": "1", "framework": "fps", "vars": [["n", "Int"]],
+        "queriable": ["a", "Int"], "hypotheses": [],
+        "conclusions": ["a = n"]}))
+    for b, code_want in (("n", 1), ("n * " + str(MAX_DEPTH), 0)):
+        code = cli_main(["rpe-check", str(problem),
+                         "--a", "+".join(["n"] * MAX_DEPTH), "--b", b])
+        out = capsys.readouterr()
+        assert code == code_want and out.err == ""
+
+
+@pytest.mark.parametrize("line", [
+    "rewrite ((", "rewrite h2 $", "exact h2 (",
+    "rewrite h2 (" + "+".join(["1"] * 400) + ")",
+], ids=["open-brackets", "bad-character", "open-argument", "deep-argument"])
+def test_malformed_citation_rejected(tmp_path, capsys, line):
+    script = tmp_path / "s.txt"
+    script.write_text(f"format_version: 1\n{line}\n")
+    code = cli_main(["solve", problem_path("nickels.json"),
+                     "--script", str(script)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(out) == 1 and out[0].startswith("rejected at line 2")
+    assert "cannot cite" in out[0]
 
 
 @pytest.mark.parametrize("term", ["2^4096^4096", "10^3000 * 10^3000"])

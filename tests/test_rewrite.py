@@ -1,16 +1,25 @@
 """Rewriting: the tactic, the lemma library, and bounded rewrite search."""
 
-import pytest
+import random
 
-from holebox.expr import INT, LocalDecl, PROP, REAL, Telescope, fn
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import STD_TELE, TermFuzzer
+from holebox.expr import (
+    INT, NUMERIC, LocalDecl, Meta, PROP, REAL, Telescope, children,
+    instantiate_metas, mk_app, mk_atom, mk_conn, mk_lit, mk_meta, mk_var,
+    fn, set_of, subterms,
+)
 from holebox.kernel import (
     Certificate, CertificateError, Goal, SolutionState, apply_tactic,
     goal_blob,
 )
 from holebox.syntax import ParseError, parse_term, print_term
 from holebox.tactics.rewrite import (
-    NoMatch, SearchExhausted, default_library, load_lemma_library,
-    parse_lemma_line, revalidate_rw_search,
+    NoMatch, RewriteLemma, SearchExhausted, apply_rule, default_library,
+    load_lemma_library, match, occurrences, parse_lemma_line,
+    revalidate_rw_search, rewrite_at, rule_from_prop,
 )
 
 
@@ -156,3 +165,145 @@ def test_rw_search_certificate_closes_only_equations(concl):
         "assigned": {}})
     with pytest.raises(CertificateError):
         revalidate_rw_search(cert)
+
+
+# ---------------------------------------------------------------------------
+# The head index against a reference walk
+
+
+def reference_occurrences(t, pat):
+    """`match` tried at every subterm, leftmost-innermost."""
+    for k in children(t):
+        yield from reference_occurrences(k, pat)
+    sub = {}
+    if match(pat, t, sub):
+        yield sub
+
+
+def _instance(pat, fuzzer):
+    """`pat` with its pattern variables replaced by random terms, or None
+    when one of them has a sort the fuzzer does not build."""
+    sub = {}
+    for m in subterms(pat):
+        if not isinstance(m, Meta) or m.mid in sub:
+            continue
+        if m.sort in NUMERIC:
+            sub[m.mid] = fuzzer.numeric(m.sort, 2)
+        elif m.sort == set_of(INT):
+            sub[m.mid] = mk_var("S", m.sort)
+        else:
+            return None
+    return instantiate_metas(pat, sub)
+
+
+def _embed(inst, fuzzer):
+    """A term with `inst` at two positions among random subterms."""
+    if inst.sort == PROP:
+        return mk_conn("and", (mk_conn("or", (fuzzer.prop(2), inst)), inst))
+    if inst.sort in NUMERIC:
+        return mk_atom("le", (inst, mk_app("add", (
+            inst, fuzzer.numeric(inst.sort, 2)))))
+    return mk_atom("eq", (inst, inst))
+
+
+# rules from local hypotheses: a Var left side, a Lit left side, and a
+# guarded one
+HYP_RULES = [
+    RewriteLemma("hv", mk_var("x", INT), mk_lit(3, INT), True),
+    RewriteLemma("hl", mk_lit(0, INT), mk_var("y", INT), True),
+    rule_from_prop("hg", parse_term(
+        "forall (m : Int), 0 < m -> m * 1 = m", STD_TELE, PROP)),
+]
+
+
+def _all_rules():
+    return [(r, back) for r in (*default_library(), *HYP_RULES)
+            for back in (False, True)]
+
+
+def _terms(seed, embedded=None):
+    """A random term, one with a hole, and random instances of rule sides
+    (`embedded` of them, or every one) placed in random terms."""
+    rng = random.Random(seed)
+    fuzzer = TermFuzzer(rng)
+    sides = [r.rhs if back else r.lhs for r, back in _all_rules()]
+    if embedded is not None:
+        sides = rng.sample(sides, embedded)
+    out = [fuzzer.term(3),
+           mk_atom("eq", (mk_meta("w", INT), fuzzer.numeric(INT, 2)))]
+    for side in sides:
+        inst = _instance(side, fuzzer)
+        if inst is not None:
+            out.append(_embed(inst, fuzzer))
+    return out
+
+
+def _check_occurrences(terms):
+    matched = []
+    for t in terms:
+        for rule, back in _all_rules():
+            pat = rule.rhs if back else rule.lhs
+            subs = list(occurrences(t, pat))
+            assert subs == list(reference_occurrences(t, pat))
+            matched.append(len(subs))
+    return matched
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32))
+def test_indexed_occurrences_equal_reference_walk(seed):
+    _check_occurrences(_terms(seed, embedded=6))
+
+
+def test_indexed_occurrences_on_every_rule_side():
+    # every rule side, instantiated, is found where it was placed: the
+    # comparison above is not between two empty lists
+    matched = _check_occurrences(_terms(20250810))
+    assert sum(matched) > 1000 and max(matched) >= 4
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32))
+def test_apply_rule_rewrites_at_the_kth_match(seed):
+    for t in _terms(seed, embedded=4):
+        for rule, back in _all_rules():
+            subs = list(reference_occurrences(t, rule.rhs if back
+                                              else rule.lhs))
+            at = [rewrite_at(t, rule, back, sub) for sub in subs]
+            for k, new in enumerate(at, 1):
+                assert apply_rule(t, rule, back, k) == new
+            assert apply_rule(t, rule, back, len(subs) + 1) is None
+            first = next((new for new in at if new is not None), None)
+            assert apply_rule(t, rule, back) == first
+
+
+# ---------------------------------------------------------------------------
+# Certificate stability: a path names each step's occurrence by its
+# leftmost-innermost number, so the numbering is part of the format
+
+
+X, Y = LocalDecl("x", REAL), LocalDecl("y", REAL)
+PINNED_PATHS = [
+    ("(1 + sqrt (1 + 8*n)) / 2 = (1 + (1 + 8*n)^(1/2)) / 2", [], (
+        LocalDecl("n", REAL),),
+     [["sqrt_eq_rpow", False, 1]]),
+    ("sqrt x + sqrt y + sqrt n = sqrt x + y ^ (1/2) + n ^ (1/2)", [], (
+        X, Y, LocalDecl("n", REAL)),
+     [["sqrt_eq_rpow", False, 2], ["sqrt_eq_rpow", False, 2]]),
+    ("sqrt x + f y + sqrt n = sqrt x + y + n ^ (1/2)", [("h1", "f y = y")],
+     (F, X, Y, LocalDecl("n", REAL)),
+     [["sqrt_eq_rpow", False, 2], ["h1", False, 1]]),
+    ("f y + sqrt x = y + x ^ (1/2)", [("h1", "y = f y")], (F, X, Y),
+     [["sqrt_eq_rpow", False, 1], ["h1", True, 1]]),
+]
+
+
+@pytest.mark.parametrize("concl,hyps,decls,path", PINNED_PATHS,
+                         ids=["golden-sqrt", "third-of-three", "lemma-hyp",
+                              "backward-hyp"])
+def test_rw_search_certificate_paths_pinned(concl, hyps, decls, path):
+    st_ = setup_state(concl, hyps, decls)
+    cert = apply_tactic(st_, "h", "rw_search", "").trace[-1].cert
+    assert cert.detail["path"] == path
+    assert cert.detail["closer"] == "rfl"
+    revalidate_rw_search(cert)

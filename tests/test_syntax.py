@@ -5,12 +5,15 @@ import json
 import pytest
 
 from holebox.expr import (
-    INT, LocalDecl, PROP, RAT, REAL, Telescope, set_of, syntactic_eq,
+    INT, LocalDecl, PROP, RAT, REAL, Telescope, alpha_eq, children, fn,
+    mk_app, mk_conn, set_of, substitute, syntactic_eq,
 )
+from holebox.norm import normalize
 from holebox.syntax import (
-    DfpsShapeError, ParseError, SchemaError, parse_problem,
+    MAX_DEPTH, DfpsShapeError, ParseError, SchemaError, parse_problem,
     parse_script, parse_term, print_term,
 )
+from holebox.tactics.rewrite import SubtermIndex
 
 
 def test_parse_equation(tele):
@@ -184,3 +187,46 @@ def test_all_bundled_problem_files_parse():
             parse_problem(entry.read_bytes())
             count += 1
     assert count >= 5
+
+
+def _depth(t):
+    return 1 + max((_depth(k) for k in children(t)), default=0)
+
+
+# terms of exactly `n` levels, each shape parsed by a loop
+DEEP_SHAPES = {
+    "add-chain": lambda n: " + ".join(["x"] * n),
+    "sub-chain": lambda n: " - ".join(["x"] * n),
+    "mul-chain": lambda n: " * ".join(["x"] * n),
+    "chain-in-chain": lambda n: " + ".join(
+        ["(" + " * ".join(["x"] * (n - n // 2)) + ")"] + ["x"] * (n // 2)),
+    "binder-names": lambda n: "forall (" + " ".join(
+        f"v{i}" for i in range(n - 2)) + " : Int), x = x",
+    "application": lambda n: "g " + " ".join(["x"] * (n - 1)),
+}
+
+
+def _curried(arity):
+    s = INT
+    for _ in range(arity):
+        s = fn(INT, s)
+    return s
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_term_depth_is_bounded(tele, shape):
+    tele = tele.extended(LocalDecl("g", _curried(MAX_DEPTH - 1)))
+    text = DEEP_SHAPES[shape]
+    t = parse_term(text(MAX_DEPTH), tele)
+    assert _depth(t) == MAX_DEPTH
+    # the recursive term functions stay clear of the interpreter's
+    # recursion limit at the bound, even on a term twice as deep
+    twice = mk_conn("and", (t, t)) if t.sort == PROP \
+        else mk_app("add", (t, t))
+    twice = substitute(twice, "x", t) if t.sort == INT else twice
+    print_term(twice)
+    normalize(twice)
+    SubtermIndex(twice)
+    assert alpha_eq(twice, twice)
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_term(text(MAX_DEPTH + 1), tele)
