@@ -114,7 +114,7 @@ def _solve(entry: BenchmarkEntry, solver: str, cfg: SearchConfig
         if result.status != "solved":
             return None, stats
         answer = parse_term(result.answer, entry.problem.telescope(),
-                            entry.problem.queriable[1])
+                            entry.problem.queriable[1], bounded=False)
         return (answer, result.certificate, result.script.render()), stats
     if entry.script is None:
         return None, {"error": "no reference script"}

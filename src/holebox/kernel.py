@@ -355,6 +355,8 @@ def goal_blob(g: Goal, metas: Optional[dict[str, Sort]] = None) -> dict:
 
 
 def goal_from_blob(blob: dict) -> Goal:
+    """The goal `goal_blob` serialized.  Its terms are the engine's own
+    output, so they are read without the input depth bound."""
     menv = {m: _parse_sort_text(s) for m, s in blob.get("metas", {}).items()}
     default = None
     if blob.get("numeral_sort"):
@@ -365,7 +367,8 @@ def goal_from_blob(blob: dict) -> Goal:
         if prop_text is not None:
             d = LocalDecl(name, PROP,
                           prop=parse_term(prop_text, tele, PROP, metas=menv,
-                                          default_numeral=default))
+                                          default_numeral=default,
+                                          bounded=False))
         else:
             d = LocalDecl(name, _parse_sort_text(sort_text))
         decls.append(d)
@@ -373,7 +376,7 @@ def goal_from_blob(blob: dict) -> Goal:
     if "sort_target" in blob:
         return Goal(blob["case"], tele, _parse_sort_text(blob["sort_target"]))
     concl = parse_term(blob["concl"], tele, PROP, metas=menv,
-                       default_numeral=default)
+                       default_numeral=default, bounded=False)
     return Goal(blob["case"], tele, concl)
 
 

@@ -32,7 +32,10 @@ from .expr import (
 # own: the engine's recursive term functions take up to 4 frames a
 # level (alpha-equivalence and term equality; elaboration takes 3), so
 # even a term twice as deep, an answer substituted into a statement,
-# stays well under the limit.
+# stays well under the limit.  The bound is for input from outside the
+# program; re-reads of text the engine printed itself (certificate
+# goals, search answers) pass `bounded=False`, since a derived term
+# may be deeper than any input it came from.
 MAX_NESTING = 50
 MAX_DEPTH = 100
 MAX_NUMERAL_DIGITS = MAX_LIT_BITS * 3 // 10
@@ -905,15 +908,20 @@ def _elab_builtin(name: str, args: list[Raw], expected: Optional[Sort],
 def parse_term(text: str, ctx: Telescope = Telescope(),
                expected: Optional[Sort] = None,
                metas: Optional[dict[str, Sort]] = None,
-               default_numeral: Optional[Sort] = None) -> Term:
-    """Parse and elaborate one term in the given telescope."""
+               default_numeral: Optional[Sort] = None,
+               bounded: bool = True) -> Term:
+    """Parse and elaborate one term in the given telescope.
+
+    The term may be at most MAX_DEPTH levels deep unless `bounded` is
+    False, for text the engine printed itself."""
     p = _P(tokenize(text))
     if p.peek().kind == "eof":
         raise ParseError("empty input")
     raw = p.term()
     if p.peek().kind != "eof":
         raise p.err("trailing input")
-    p.bounded(raw)
+    if bounded:
+        p.bounded(raw)
     env = _Env(ctx, [], dict(metas or {}), default_numeral)
     return _elab(raw, expected, env)
 

@@ -138,18 +138,14 @@ class SubtermIndex:
         self.walk.append(t)
 
     def occurrences(self, pat: Term) -> Iterator[dict[str, Term]]:
+        """Match substitutions at subterm occurrences, leftmost-innermost,
+        tried only where the subterm's head is the pattern's."""
         cands = self.walk if isinstance(pat, Meta) \
             else self.buckets.get(_head(pat), ())
         for s in cands:
             sub: dict[str, Term] = {}
             if match(pat, s, sub):
                 yield sub
-
-
-def occurrences(t: Term, pat: Term) -> Iterator[dict[str, Term]]:
-    """Match substitutions at subterm occurrences, leftmost-innermost,
-    tried only where the subterm's head is the pattern's."""
-    return SubtermIndex(t).occurrences(pat)
 
 
 def replace_all(t: Term, old: Term, new: Term) -> Term:
@@ -226,25 +222,29 @@ def rewrite_at(t: Term, rule: RewriteLemma, back: bool,
     return fold_literals(replace_all(t, old, new))
 
 
-def first_rewrite(index: SubtermIndex, rule: RewriteLemma, back: bool,
-                  occurrence: Optional[int] = None) -> Optional[Term]:
-    """Rewrite the indexed term at the first match that applies, or at
-    the `occurrence`-th match (counted from 1) only."""
+def first_rewrite(index: SubtermIndex, rule: RewriteLemma,
+                  back: bool) -> Optional[Term]:
+    """Rewrite the indexed term at the first match that applies."""
     pat = rule.rhs if back else rule.lhs
-    for k, sub in enumerate(index.occurrences(pat), 1):
-        if occurrence is None:
-            new = rewrite_at(index.term, rule, back, sub)
-            if new is not None:
-                return new
-        elif k == occurrence:
-            return rewrite_at(index.term, rule, back, sub)
+    for sub in index.occurrences(pat):
+        new = rewrite_at(index.term, rule, back, sub)
+        if new is not None:
+            return new
     return None
 
 
 def apply_rule(t: Term, rule: RewriteLemma, back: bool,
                occurrence: Optional[int] = None) -> Optional[Term]:
-    """Rewrite with one rule; returns the new term or None."""
-    return first_rewrite(SubtermIndex(t), rule, back, occurrence)
+    """Rewrite with one rule at its first match that applies, or at its
+    `occurrence`-th match (counted from 1) only; the new term or None."""
+    index = SubtermIndex(t)
+    if occurrence is None:
+        return first_rewrite(index, rule, back)
+    pat = rule.rhs if back else rule.lhs
+    for k, sub in enumerate(index.occurrences(pat), 1):
+        if k == occurrence:
+            return rewrite_at(t, rule, back, sub)
+    return None
 
 
 # ---------------------------------------------------------------------------

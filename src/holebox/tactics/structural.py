@@ -323,7 +323,8 @@ def revalidate_exact(cert: Certificate) -> None:
     detail = cert.detail
     goal = goal_from_blob(detail["goal"])
     if "term" in detail:
-        value = parse_term(detail["term"], goal.ctx, goal.concl)
+        value = parse_term(detail["term"], goal.ctx, goal.concl,
+                           bounded=False)
         if print_term(value) != detail["term"]:
             raise CertificateError("exact: stored term does not round-trip")
         return
@@ -334,7 +335,7 @@ def revalidate_exact(cert: Certificate) -> None:
     for arg_text in detail.get("args", []):
         if not (isinstance(prop, Binder) and prop.kind == "forall"):
             raise CertificateError("exact: over-instantiated hypothesis")
-        arg = parse_term(arg_text, goal.ctx, prop.vsort)
+        arg = parse_term(arg_text, goal.ctx, prop.vsort, bounded=False)
         prop = instantiate_bvar(prop.body, arg)
     prop = fold_literals(prop)
     if "assigns" in detail:

@@ -8,6 +8,7 @@ import pytest
 
 from holebox.bench import BenchmarkEntry, evaluate_entry
 from holebox.cli import cli_main, repl_session
+from holebox.fps import replay_check
 from holebox.syntax import (
     MAX_DEPTH, parse_problem, parse_script, parse_term,
 )
@@ -242,6 +243,26 @@ def test_rpe_check_chain_at_the_depth_bound_gets_a_verdict(tmp_path, capsys):
                          "--a", "+".join(["n"] * MAX_DEPTH), "--b", b])
         out = capsys.readouterr()
         assert code == code_want and out.err == ""
+
+
+def test_answer_at_the_depth_bound_proves_and_replays(tmp_path, capsys):
+    # the statement with the answer substituted is deeper than the
+    # bound; recheck re-reads that goal from its certificates
+    doc = {"format_version": "1", "framework": "fps",
+           "vars": [["n", "Int"]], "queriable": ["a", "Int"],
+           "hypotheses": [], "conclusions": [f"a = n * {MAX_DEPTH}"]}
+    problem_file = tmp_path / "p.json"
+    problem_file.write_text(json.dumps(doc))
+    chain = " + ".join(["n"] * MAX_DEPTH)
+    code = cli_main(["prove", str(problem_file), "--answer", chain])
+    assert code == 0 and capsys.readouterr().out.strip() == "proven"
+    problem = parse_problem(json.dumps(doc))
+    script = parse_script([f"@goal w exact {chain}", "ring_nf"])
+    assert replay_check(problem, script).accepted
+    truth = parse_term(chain, problem.telescope(), problem.queriable[1])
+    rec = evaluate_entry(BenchmarkEntry("deep", "", chain, problem, truth,
+                                        script), solver="script")
+    assert rec["outcome"] == "solved" and rec["proven"] is True
 
 
 @pytest.mark.parametrize("line", [

@@ -17,8 +17,8 @@ from holebox.kernel import (
 )
 from holebox.syntax import ParseError, parse_term, print_term
 from holebox.tactics.rewrite import (
-    NoMatch, RewriteLemma, SearchExhausted, apply_rule, default_library,
-    load_lemma_library, match, occurrences, parse_lemma_line,
+    NoMatch, RewriteLemma, SearchExhausted, SubtermIndex, apply_rule,
+    default_library, load_lemma_library, match, parse_lemma_line,
     revalidate_rw_search, rewrite_at, rule_from_prop,
 )
 
@@ -243,7 +243,7 @@ def _check_occurrences(terms):
     for t in terms:
         for rule, back in _all_rules():
             pat = rule.rhs if back else rule.lhs
-            subs = list(occurrences(t, pat))
+            subs = list(SubtermIndex(t).occurrences(pat))
             assert subs == list(reference_occurrences(t, pat))
             matched.append(len(subs))
     return matched
@@ -273,6 +273,7 @@ def test_apply_rule_rewrites_at_the_kth_match(seed):
             for k, new in enumerate(at, 1):
                 assert apply_rule(t, rule, back, k) == new
             assert apply_rule(t, rule, back, len(subs) + 1) is None
+            assert apply_rule(t, rule, back, 0) is None
             first = next((new for new in at if new is not None), None)
             assert apply_rule(t, rule, back) == first
 

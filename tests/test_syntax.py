@@ -230,3 +230,15 @@ def test_term_depth_is_bounded(tele, shape):
     assert alpha_eq(twice, twice)
     with pytest.raises(ParseError, match="deeper than"):
         parse_term(text(MAX_DEPTH + 1), tele)
+
+
+# a binder group prints as nested binders, which the nesting bound limits
+@pytest.mark.parametrize("shape", sorted(set(DEEP_SHAPES) - {"binder-names"}))
+def test_printed_terms_reread_past_the_depth_bound(tele, shape):
+    tele = tele.extended(LocalDecl("g", _curried(MAX_DEPTH - 1)))
+    t = parse_term(DEEP_SHAPES[shape](MAX_DEPTH), tele)
+    twice = substitute(mk_app("add", (t, t)), "x", t)
+    printed = print_term(twice)
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_term(printed, tele)
+    assert alpha_eq(parse_term(printed, tele, bounded=False), twice)
