@@ -62,8 +62,12 @@ def cmd_solve(args) -> int:
             print(f"rejected: {report.reason}")
             return 1
         sess = Session(problem, report.final)
-        answer = extract_answer(sess)
-        cert = certify(sess)
+        try:
+            answer = extract_answer(sess)
+            cert = certify(sess)
+        except KernelError as e:
+            print(f"rejected: {e}")
+            return 1
         print(json.dumps({"answer": print_term(answer),
                           "certificate": cert.to_json()},
                          sort_keys=True, indent=2))
@@ -71,6 +75,9 @@ def cmd_solve(args) -> int:
     policy = _policy(args)
     try:
         result = best_first_search(problem, policy, _search_cfg(args))
+    except KernelError as e:
+        print(f"rejected: {e}")
+        return 1
     finally:
         if isinstance(policy, ExternalPolicy):
             policy.close()
@@ -81,7 +88,7 @@ def cmd_solve(args) -> int:
         return 1
     print(json.dumps({
         "status": "solved",
-        "answer": result.answer,
+        "answer": print_term(result.answer),
         "certificate": result.certificate,
         "script": result.script.render(),
         "stats": public_stats(result.stats),
@@ -101,16 +108,22 @@ def cmd_prove(args) -> int:
         if not report.accepted:
             print(f"not proven: line {report.failed_line}: {report.reason}")
             return 1
-        recheck(report.final)
-        print("proven")
-        return 0
+        return _report_proven(report.final)
     node, stats = search_states(state, builtin_policy, _search_cfg(args),
                                 is_terminal)
     if node is None:
         print(json.dumps({"status": "not proven",
                           "stats": public_stats(stats)}, sort_keys=True))
         return 1
-    recheck(node.state)
+    return _report_proven(node.state)
+
+
+def _report_proven(final) -> int:
+    try:
+        recheck(final)
+    except KernelError as e:
+        print(f"not proven: {e}")
+        return 1
     print("proven")
     return 0
 

@@ -592,12 +592,6 @@ class Telescope:
     def extended(self, decl: LocalDecl) -> "Telescope":
         return Telescope(self.decls + (decl,))
 
-    def var_decls(self) -> tuple[LocalDecl, ...]:
-        return tuple(d for d in self.decls if d.prop is None)
-
-    def hyp_decls(self) -> tuple[LocalDecl, ...]:
-        return tuple(d for d in self.decls if d.prop is not None)
-
     def fresh(self, base: str) -> str:
         if self.lookup(base) is None:
             return base

@@ -3,26 +3,24 @@
 States are immutable snapshots.  A tactic application never mutates its
 input; it either returns a fresh state or raises TacticFailed, in which
 case the caller keeps the old state.  Every goal-closing step records a
-certificate saying why the goal closed, and `recheck` re-validates all
-of them, which substitutes for a typechecking kernel.
+certificate: the goal it closed, as the term the engine built, and the
+evidence why.  `recheck` re-validates all of them, which substitutes for
+a typechecking kernel.  Certificates never leave the process, so no
+revalidator reads text: the printer and the parser stay off the path a
+proof is checked on.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from .expr import (
-    ExprError, Lit, LocalDecl, OccursCheckError, PROP, Sort, SortError,
-    Telescope, Term, free_vars, instantiate_metas, metavars_of, substitute,
-    subterms,
+    ExprError, LocalDecl, OccursCheckError, Sort, SortError, Telescope, Term,
+    free_vars, instantiate_metas, substitute,
 )
-from .syntax import (
-    Problem, ProofScript, ScriptLine, _parse_sort_text, parse_term,
-    print_term,
-)
+from .syntax import Problem, ProofScript, ScriptLine, print_term
 
 
 class KernelError(Exception):
@@ -63,13 +61,10 @@ class Hole:
 
 @dataclass(frozen=True)
 class Certificate:
+    """Why `goal` closed: the tactic's evidence, checked by its revalidator."""
     tactic: str
+    goal: Goal
     detail: dict
-
-    def digest(self) -> str:
-        blob = json.dumps({"tactic": self.tactic, "detail": self.detail},
-                          sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -315,69 +310,6 @@ def recheck(final: SolutionState) -> None:
     for step in final.trace:
         if step.cert is not None:
             revalidate(step, final)
-
-
-# ---------------------------------------------------------------------------
-# Goal serialization for self-contained certificates
-
-
-def goal_blob(g: Goal, metas: Optional[dict[str, Sort]] = None) -> dict:
-    ctx = []
-    lit_sorts: set[str] = set()
-
-    def scan(t: Term) -> None:
-        for s in subterms(t):
-            if isinstance(s, Lit):
-                lit_sorts.add(str(s.sort))
-
-    for d in g.ctx.decls:
-        if d.prop is not None:
-            ctx.append([d.name, "Prop", print_term(d.prop)])
-            scan(d.prop)
-        else:
-            ctx.append([d.name, str(d.sort), None])
-    out: dict = {"case": g.case, "ctx": ctx}
-    if isinstance(g.concl, Sort):
-        out["sort_target"] = str(g.concl)
-    else:
-        out["concl"] = print_term(g.concl)
-        scan(g.concl)
-        used = metavars_of(g.concl)
-        for d in g.ctx.decls:
-            if d.prop is not None:
-                used |= metavars_of(d.prop)
-        if used and metas:
-            out["metas"] = {m: str(metas[m]) for m in sorted(used)}
-    if len(lit_sorts) == 1:
-        # lets closed-numeral conclusions reparse at the original sort
-        out["numeral_sort"] = lit_sorts.pop()
-    return out
-
-
-def goal_from_blob(blob: dict) -> Goal:
-    """The goal `goal_blob` serialized.  Its terms are the engine's own
-    output, so they are read without the input depth bound."""
-    menv = {m: _parse_sort_text(s) for m, s in blob.get("metas", {}).items()}
-    default = None
-    if blob.get("numeral_sort"):
-        default = _parse_sort_text(blob["numeral_sort"])
-    decls: list[LocalDecl] = []
-    tele = Telescope()
-    for name, sort_text, prop_text in blob["ctx"]:
-        if prop_text is not None:
-            d = LocalDecl(name, PROP,
-                          prop=parse_term(prop_text, tele, PROP, metas=menv,
-                                          default_numeral=default,
-                                          bounded=False))
-        else:
-            d = LocalDecl(name, _parse_sort_text(sort_text))
-        decls.append(d)
-        tele = Telescope(tuple(decls))
-    if "sort_target" in blob:
-        return Goal(blob["case"], tele, _parse_sort_text(blob["sort_target"]))
-    concl = parse_term(blob["concl"], tele, PROP, metas=menv,
-                       default_numeral=default, bounded=False)
-    return Goal(blob["case"], tele, concl)
 
 
 # ---------------------------------------------------------------------------

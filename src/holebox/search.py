@@ -20,13 +20,13 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .expr import Binder, Conn, ExprError
+from .expr import Binder, Conn, ExprError, Term
 from .fps import Session, certify, extract_answer, session_init
 from .kernel import (
     Goal, KernelError, SolutionState, apply_tactic, is_terminal,
     render_goal, script_of_trace,
 )
-from .syntax import Problem, ProofScript, print_term
+from .syntax import Problem, ProofScript
 
 
 class PolicyError(Exception):
@@ -81,7 +81,7 @@ def node_value(node: SearchNode) -> float:
 class SearchResult:
     status: str                      # solved | exhausted
     script: Optional[ProofScript] = None
-    answer: Optional[str] = None
+    answer: Optional[Term] = None
     certificate: Optional[dict] = None
     stats: dict = field(default_factory=dict)
 
@@ -246,7 +246,7 @@ def _finish(problem: Problem, node: SearchNode, stats: dict) -> SearchResult:
     return SearchResult(
         "solved",
         script=script_of_trace(node.state),
-        answer=print_term(answer),
+        answer=answer,
         certificate=cert.to_json(),
         stats=stats,
     )

@@ -32,10 +32,10 @@ from .expr import (
 # own: the engine's recursive term functions take up to 4 frames a
 # level (alpha-equivalence and term equality; elaboration takes 3), so
 # even a term twice as deep, an answer substituted into a statement,
-# stays well under the limit.  The bound is for input from outside the
-# program; re-reads of text the engine printed itself (certificate
-# goals, search answers) pass `bounded=False`, since a derived term
-# may be deeper than any input it came from.
+# stays well under the limit.  Only outside input is parsed (command
+# lines, problem, corpus and script files, the lemma library); the
+# engine never re-reads what it printed, so a derived term deeper than
+# MAX_DEPTH never meets the bound.
 MAX_NESTING = 50
 MAX_DEPTH = 100
 MAX_NUMERAL_DIGITS = MAX_LIT_BITS * 3 // 10
@@ -559,7 +559,6 @@ class _Env:
     ctx: Telescope
     bound: list[tuple[str, Sort]] = field(default_factory=list)
     metas: dict[str, Sort] = field(default_factory=dict)
-    default_numeral: Optional[Sort] = None
     probing: bool = False
 
     def lookup(self, name: str):
@@ -577,8 +576,6 @@ class _Env:
 
 def _elab(raw: Raw, expected: Optional[Sort], env: _Env) -> Term:
     if isinstance(raw, RNum):
-        if expected is None:
-            expected = env.default_numeral
         if expected is None:
             if env.probing:
                 raise _Ambiguous()
@@ -607,8 +604,6 @@ def _elab(raw: Raw, expected: Optional[Sort], env: _Env) -> Term:
     if isinstance(raw, RNeg):
         v = _numeral_value(raw)
         if v is not None:
-            if expected is None:
-                expected = env.default_numeral
             if expected is None:
                 if env.probing:
                     raise _Ambiguous()
@@ -681,9 +676,7 @@ def _chk(t: Term, expected: Optional[Sort]) -> Term:
 
 def _anchor_sort(raws: list[Raw], env: _Env) -> Sort:
     """Sort of the first element that resolves on its own anchors."""
-    saved = (env.default_numeral, env.probing)
-    env.default_numeral = None
-    env.probing = True
+    saved, env.probing = env.probing, True
     try:
         for r in raws:
             try:
@@ -691,11 +684,9 @@ def _anchor_sort(raws: list[Raw], env: _Env) -> Sort:
             except _Ambiguous:
                 continue
     finally:
-        env.default_numeral, env.probing = saved
+        env.probing = saved
     if env.probing:
         raise _Ambiguous()
-    if env.default_numeral is not None:
-        return env.default_numeral
     return RAT if any(_numeral_fallback(r) == RAT for r in raws) else INT
 
 
@@ -737,8 +728,7 @@ def _elab_bin(raw: RBin, expected: Optional[Sort], env: _Env) -> Term:
     if op == "mem":
         if expected is not None and expected != PROP:
             raise SortError(f"membership where {expected} expected")
-        saved = (env.default_numeral, env.probing)
-        env.default_numeral, env.probing = None, True
+        saved, env.probing = env.probing, True
         coll = None
         try:
             try:
@@ -746,7 +736,7 @@ def _elab_bin(raw: RBin, expected: Optional[Sort], env: _Env) -> Term:
             except _Ambiguous:
                 pass
         finally:
-            env.default_numeral, env.probing = saved
+            env.probing = saved
         if coll is not None:
             if coll.sort.kind != "Set":
                 raise SortError(f"membership in {coll.sort}")
@@ -767,8 +757,7 @@ def _elab_bin(raw: RBin, expected: Optional[Sort], env: _Env) -> Term:
     if op in ("add", "sub", "mul", "div", "mod"):
         if op == "div":
             v = _numeral_value(raw)
-            eff = expected if expected is not None else env.default_numeral
-            if v is not None and eff == RAT:
+            if v is not None and expected == RAT:
                 return mk_lit(v, RAT)
         lhs, rhs = _elab_pair(raw.lhs, raw.rhs, expected, env)
         return _chk(mk_app(op, (lhs, rhs)), expected)
@@ -779,14 +768,12 @@ def _elab_pair(lraw: Raw, rraw: Raw, expected: Optional[Sort],
                env: _Env) -> tuple[Term, Term]:
     """Elaborate two operands of one sort, resolving numeral ambiguity.
 
-    A typed variable on either side anchors the pair; the default
-    numeral sort only applies when both sides are unanchored.
+    A typed variable on either side anchors the pair; the numerals'
+    own fallback sort only applies when both sides are unanchored.
     """
     if expected is not None:
         return _elab(lraw, expected, env), _elab(rraw, expected, env)
-    saved = (env.default_numeral, env.probing)
-    env.default_numeral = None
-    env.probing = True
+    saved, env.probing = env.probing, True
     lhs = rhs = None
     try:
         try:
@@ -797,17 +784,15 @@ def _elab_pair(lraw: Raw, rraw: Raw, expected: Optional[Sort],
             except _Ambiguous:
                 pass
     finally:
-        env.default_numeral, env.probing = saved
+        env.probing = saved
     if lhs is not None:
         return lhs, _elab(rraw, lhs.sort, env)
     if rhs is not None:
         return _elab(lraw, rhs.sort, env), rhs
     if env.probing:
         raise _Ambiguous()
-    want = env.default_numeral
-    if want is None:
-        want = RAT if (_numeral_fallback(lraw) == RAT
-                       or _numeral_fallback(rraw) == RAT) else INT
+    want = RAT if (_numeral_fallback(lraw) == RAT
+                   or _numeral_fallback(rraw) == RAT) else INT
     return _elab(lraw, want, env), _elab(rraw, want, env)
 
 
@@ -907,23 +892,17 @@ def _elab_builtin(name: str, args: list[Raw], expected: Optional[Sort],
 
 def parse_term(text: str, ctx: Telescope = Telescope(),
                expected: Optional[Sort] = None,
-               metas: Optional[dict[str, Sort]] = None,
-               default_numeral: Optional[Sort] = None,
-               bounded: bool = True) -> Term:
-    """Parse and elaborate one term in the given telescope.
-
-    The term may be at most MAX_DEPTH levels deep unless `bounded` is
-    False, for text the engine printed itself."""
+               metas: Optional[dict[str, Sort]] = None) -> Term:
+    """Parse and elaborate one term of outside input in the given
+    telescope; the term may be at most MAX_DEPTH levels deep."""
     p = _P(tokenize(text))
     if p.peek().kind == "eof":
         raise ParseError("empty input")
     raw = p.term()
     if p.peek().kind != "eof":
         raise p.err("trailing input")
-    if bounded:
-        p.bounded(raw)
-    env = _Env(ctx, [], dict(metas or {}), default_numeral)
-    return _elab(raw, expected, env)
+    env = _Env(ctx, [], dict(metas or {}))
+    return _elab(p.bounded(raw), expected, env)
 
 
 def _numeral_fallback(raw: Raw) -> Sort:

@@ -22,7 +22,7 @@ from ..expr import (
 from ..norm import definitional_eq, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, goal_blob, goal_from_blob, int_arg, register_tactic,
+    TacticResult, int_arg, register_tactic,
 )
 from ..syntax import print_term
 from .decide import decide_prop
@@ -207,8 +207,7 @@ def auto(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         if budget.n < 0:
             raise BudgetExhausted("auto budget exhausted")
         raise TacticFailed("auto could not close the goal")
-    cert = Certificate("auto", {
-        "goal": goal_blob(goal, state.meta_sorts()),
+    cert = Certificate("auto", goal, {
         "budget": budget_n,
         "nodes_used": budget_n - budget.n,
     })
@@ -216,10 +215,9 @@ def auto(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 
 
 def revalidate_auto(cert: Certificate) -> None:
-    goal = goal_from_blob(cert.detail["goal"])
     budget = _Counter(cert.detail["budget"])
     try:
-        proved = _prove(goal, budget, frozenset())
+        proved = _prove(cert.goal, budget, frozenset())
     except TacticFailed:
         proved = False
     if not proved:

@@ -27,7 +27,7 @@ from ..expr import (
 from ..norm import arith, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, goal_blob, goal_from_blob, int_arg, register_tactic,
+    TacticResult, int_arg, register_tactic,
 )
 from ..syntax import print_term
 
@@ -424,8 +424,7 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
         val = eval_term(rhs, budget)
         hole = state.hole(mid)
         answer = _value_term(val, hole.target)
-        cert = Certificate("eval_decide", {
-            "goal": goal_blob(goal, state.meta_sorts()),
+        cert = Certificate("eval_decide", goal, {
             "assigned": {mid: print_term(answer)},
             "budget_used": budget_n - budget.remaining,
         })
@@ -435,8 +434,7 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
     verdict, used = decide_prop(concl, budget_n)
     if not verdict:
         raise EvaluatesFalse(f"evaluates to False: {print_term(concl)}")
-    cert = Certificate("eval_decide", {
-        "goal": goal_blob(goal, state.meta_sorts()),
+    cert = Certificate("eval_decide", goal, {
         "trace_hash": _trace_hash(concl, verdict),
         "budget_used": used,
     })
@@ -449,8 +447,7 @@ def _trace_hash(concl: Term, verdict: bool) -> str:
 
 
 def revalidate_eval_decide(cert: Certificate) -> None:
-    goal = goal_from_blob(cert.detail["goal"])
-    concl = normalize(goal.concl)
+    concl = normalize(cert.goal.concl)
     if "assigned" in cert.detail:
         sides = eq_sides(concl)
         if sides is None:

@@ -35,7 +35,7 @@ from ..expr import (
 from ..norm import fold_literals, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, goal_blob, goal_from_blob, register_tactic,
+    TacticResult, register_tactic,
 )
 from ..syntax import print_term
 from .decide import _assign_split, _value_term
@@ -650,12 +650,10 @@ def refute_branch(sort: Sort, cons: list[Constraint]) -> dict:
             farkas = fm_refute(sub)
             if farkas is None:
                 raise TacticFailed("linear_arith: system is feasible")
-    # build the stored evidence from the unsplit system
     if int_path:
         return {"method": "omega"}
     if not any(c.rel == "ne" for c in cons):
-        farkas = fm_refute(cons)
-        assert farkas is not None
+        # no split: the one system refuted is `cons` itself, in order
         return {"method": "farkas",
                 "multipliers": {str(k): [v.numerator, v.denominator]
                                 for k, v in farkas.items()}}
@@ -691,17 +689,13 @@ def linear_arith(state: SolutionState, goal: Goal, argtext: str
         check = Goal(goal.case, goal.ctx,
                      instantiate_metas(concl, {mid: answer}))
         detail = prove_linear(check, state)
-        cert = Certificate("linear_arith", {
-            "goal": goal_blob(check, state.meta_sorts()),
+        cert = Certificate("linear_arith", check, {
             "assigned": {mid: print_term(answer)},
             **detail,
         })
         return TacticResult(assignments=((mid, answer),), cert=cert)
     detail = prove_linear(goal, state)
-    cert = Certificate("linear_arith", {
-        "goal": goal_blob(goal, state.meta_sorts()),
-        **detail,
-    })
+    cert = Certificate("linear_arith", goal, detail)
     return TacticResult(cert=cert)
 
 
@@ -824,9 +818,8 @@ def revalidate_linear_arith(cert: Certificate) -> None:
     """Re-refute the goal's system, then check the stored evidence branch
     by branch: same branch count, same method, and each stored Farkas
     combination valid for its own branch."""
-    goal = goal_from_blob(cert.detail["goal"])
     try:
-        az, hyps, branches = _collect_system(goal, None)
+        az, hyps, branches = _collect_system(cert.goal, None)
         fresh = _refute_system(az, hyps, branches)["branches"]
     except TacticFailed as e:
         raise CertificateError(f"linear_arith no longer validates: {e}")

@@ -37,7 +37,7 @@ from ..expr import (
 from ..norm import definitional_eq, fold_literals, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, goal_blob, goal_from_blob, int_arg, register_tactic,
+    TacticResult, int_arg, register_tactic,
 )
 from ..syntax import ParseError, parse_term, print_term
 from .decide import (
@@ -517,8 +517,7 @@ def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if hit is None:
         raise SearchExhausted(f"no rewrite proof within depth {max_depth}")
     path, closer, assigns = hit
-    cert = Certificate("rw_search", {
-        "goal": goal_blob(goal, state.meta_sorts()),
+    cert = Certificate("rw_search", goal, {
         "path": [[name, back, occ] for name, back, occ in path],
         "closer": closer,
         "assigned": {mid: print_term(v) for mid, v in assigns},
@@ -527,7 +526,7 @@ def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 
 
 def revalidate_rw_search(cert: Certificate) -> None:
-    goal = goal_from_blob(cert.detail["goal"])
+    goal = cert.goal
     term = goal.concl
     if not isinstance(term, Term):
         raise CertificateError("rw_search on a hole goal")

@@ -21,7 +21,7 @@ from ..expr import (
 from ..norm import fold_literals
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, goal_blob, goal_from_blob, register_tactic,
+    TacticResult, register_tactic,
 )
 from ..syntax import print_term
 
@@ -184,8 +184,7 @@ def ring_nf(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     pl = poly_of(lhs, atoms, lhs.sort)
     pr = poly_of(rhs, atoms, rhs.sort)
     if pl == pr:
-        cert = Certificate("ring_nf", {
-            "goal": goal_blob(goal, state.meta_sorts()),
+        cert = Certificate("ring_nf", goal, {
             "nf": print_term(render(pl, atoms, lhs.sort)),
         })
         return TacticResult(cert=cert)
@@ -209,8 +208,7 @@ def ring_closes(concl: Term) -> bool:
 
 
 def revalidate_ring_nf(cert: Certificate) -> None:
-    goal = goal_from_blob(cert.detail["goal"])
-    concl = goal.concl
+    concl = cert.goal.concl
     if not (isinstance(concl, Atom) and concl.rel == "eq"):
         raise CertificateError("ring_nf on a non-equality")
     atoms = AtomTable()

@@ -11,14 +11,14 @@ import math
 from typing import Optional
 
 from ..expr import (
-    Binder, Conn, INT, LocalDecl, Meta, NAT, PROP, Sort, Telescope, Term,
-    eq_sides, free_vars, instantiate_bvar, instantiate_metas, mk_conn,
-    mk_lit, mk_var, substitute,
+    Binder, Conn, ExprError, INT, LocalDecl, Meta, NAT, PROP, Sort,
+    Telescope, Term, eq_sides, free_vars, instantiate_bvar,
+    instantiate_metas, metavars_of, mk_conn, mk_lit, mk_var, substitute,
 )
 from ..norm import definitional_eq, fold_literals, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, Hole, SolutionState, TacticFailed,
-    TacticResult, goal_blob, goal_from_blob, register_tactic,
+    TacticResult, register_tactic,
 )
 from ..syntax import (
     ParseError, RAppl, RName, parse_term, print_term, tokenize, _Env, _P,
@@ -115,17 +115,17 @@ def _parse_citation(argtext: str) -> tuple[str, list]:
 
 
 def _instantiate_hyp(prop: Term, raw_args: list, ctx: Telescope,
-                     metas: dict) -> tuple[Term, list[str]]:
+                     metas: dict) -> tuple[Term, tuple[Term, ...]]:
     """Open leading foralls of a hypothesis at explicit argument terms."""
-    arg_prints: list[str] = []
+    args: list[Term] = []
     for raw in raw_args:
         if not (isinstance(prop, Binder) and prop.kind == "forall"):
             raise TacticFailed("more arguments than leading quantifiers")
         env = _Env(ctx, [], dict(metas))
         arg = _elab(raw, prop.vsort, env)
-        arg_prints.append(print_term(arg))
+        args.append(arg)
         prop = instantiate_bvar(prop.body, arg)
-    return fold_literals(prop), arg_prints
+    return fold_literals(prop), tuple(args)
 
 
 @register_tactic("exact")
@@ -137,28 +137,23 @@ def exact(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         # term-mode: fill the hole with a well-sorted term
         try:
             value = parse_term(argtext, goal.ctx, goal.concl, metas=None)
-        except (ParseError, Exception) as e:
+        except (ParseError, ExprError) as e:
             raise TacticFailed(f"exact: {e}")
-        cert = Certificate("exact", {
-            "goal": goal_blob(goal),
-            "term": print_term(value),
-        })
+        cert = Certificate("exact", goal, {"term": value})
         return TacticResult(assignments=((goal.case, value),), cert=cert)
     name, raw_args = _parse_citation(argtext)
     decl = goal.ctx.lookup(name)
     if decl is None or decl.prop is None:
         raise TacticFailed(f"no hypothesis named {name!r}")
-    instance, arg_prints = _instantiate_hyp(decl.prop, raw_args, goal.ctx,
-                                            metas)
+    instance, args = _instantiate_hyp(decl.prop, raw_args, goal.ctx, metas)
     concl = goal.concl
     if isinstance(concl, Meta):
         # Simultaneous hole fill: the only place a bare answer hole may be
         # unified against a hypothesis (deductive forward finish).
         if state.assigned_value(concl.mid) is not None:
             raise TacticFailed(f"?{concl.mid} is already assigned")
-        cert = Certificate("exact", {
-            "goal": goal_blob(goal, metas),
-            "hyp": name, "args": arg_prints,
+        cert = Certificate("exact", goal, {
+            "hyp": name, "args": args,
             "assigns": {concl.mid: print_term(instance)},
         })
         return TacticResult(assignments=((concl.mid, instance),), cert=cert)
@@ -166,9 +161,8 @@ def exact(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
                            _inst_state(concl, state)):
         raise TacticFailed(
             f"exact: {print_term(instance)} does not match the conclusion")
-    cert = Certificate("exact", {
-        "goal": goal_blob(goal, metas),
-        "hyp": name, "args": arg_prints,
+    cert = Certificate("exact", goal, {
+        "hyp": name, "args": args,
         "instance": print_term(instance),
     })
     return TacticResult(cert=cert)
@@ -188,10 +182,7 @@ def rfl(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     lhs, rhs = sides
     if not definitional_eq(lhs, rhs):
         raise TacticFailed("rfl: sides are not definitionally equal")
-    cert = Certificate("rfl", {
-        "goal": goal_blob(goal, state.meta_sorts()),
-        "nf": print_term(normalize(lhs)),
-    })
+    cert = Certificate("rfl", goal, {"nf": print_term(normalize(lhs))})
     return TacticResult(cert=cert)
 
 
@@ -209,7 +200,7 @@ def have(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     try:
         prop = parse_term(prop_text, goal.ctx, PROP,
                           metas=state.meta_sorts())
-    except (ParseError, Exception) as e:
+    except (ParseError, ExprError) as e:
         raise TacticFailed(f"have: {e}")
     proof_goal = Goal(f"{goal.case}.{name}", goal.ctx, prop)
     cont = Goal(goal.case, goal.ctx.extended(
@@ -233,10 +224,7 @@ def cases(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         return TacticResult(new_goals=(split_hyp(goal, name, prop),),
                             safe=True)
     if isinstance(prop, Conn) and prop.op == "false":
-        cert = Certificate("cases", {
-            "goal": goal_blob(goal, state.meta_sorts()),
-            "false_hyp": name,
-        })
+        cert = Certificate("cases", goal, {"false_hyp": name})
         return TacticResult(cert=cert, safe=True)
     raise TacticFailed(f"cases: {name} is not a disjunction or conjunction")
 
@@ -319,23 +307,27 @@ def _rename_to_probe(p: Term, name: str, sort: Sort) -> Term:
 # -- revalidation -------------------------------------------------------------
 
 
+def _in_context(t: Term, goal: Goal, sort: Sort) -> bool:
+    return t.sort == sort and free_vars(t) <= set(goal.ctx.names())
+
+
 def revalidate_exact(cert: Certificate) -> None:
-    detail = cert.detail
-    goal = goal_from_blob(detail["goal"])
+    goal, detail = cert.goal, cert.detail
     if "term" in detail:
-        value = parse_term(detail["term"], goal.ctx, goal.concl,
-                           bounded=False)
-        if print_term(value) != detail["term"]:
-            raise CertificateError("exact: stored term does not round-trip")
+        value = detail["term"]
+        if not goal.is_hole_goal() or metavars_of(value) \
+                or not _in_context(value, goal, goal.concl):
+            raise CertificateError("exact: stored term does not fill the hole")
         return
     decl = goal.ctx.lookup(detail["hyp"])
     if decl is None or decl.prop is None:
         raise CertificateError("exact: cited hypothesis is gone")
     prop = decl.prop
-    for arg_text in detail.get("args", []):
+    for arg in detail["args"]:
         if not (isinstance(prop, Binder) and prop.kind == "forall"):
             raise CertificateError("exact: over-instantiated hypothesis")
-        arg = parse_term(arg_text, goal.ctx, prop.vsort, bounded=False)
+        if not _in_context(arg, goal, prop.vsort):
+            raise CertificateError("exact: argument does not fit its binder")
         prop = instantiate_bvar(prop.body, arg)
     prop = fold_literals(prop)
     if "assigns" in detail:
@@ -351,8 +343,7 @@ def revalidate_exact(cert: Certificate) -> None:
 
 
 def revalidate_rfl(cert: Certificate) -> None:
-    goal = goal_from_blob(cert.detail["goal"])
-    sides = eq_sides(goal.concl)
+    sides = eq_sides(cert.goal.concl)
     if sides is None or not definitional_eq(*sides):
         raise CertificateError("rfl certificate no longer validates")
     if print_term(normalize(sides[0])) != cert.detail["nf"]:
@@ -360,8 +351,7 @@ def revalidate_rfl(cert: Certificate) -> None:
 
 
 def revalidate_cases(cert: Certificate) -> None:
-    goal = goal_from_blob(cert.detail["goal"])
-    decl = goal.ctx.lookup(cert.detail["false_hyp"])
+    decl = cert.goal.ctx.lookup(cert.detail["false_hyp"])
     if decl is None or decl.prop is None:
         raise CertificateError("cases: false hypothesis is gone")
     prop = normalize(decl.prop)

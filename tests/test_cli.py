@@ -247,7 +247,7 @@ def test_rpe_check_chain_at_the_depth_bound_gets_a_verdict(tmp_path, capsys):
 
 def test_answer_at_the_depth_bound_proves_and_replays(tmp_path, capsys):
     # the statement with the answer substituted is deeper than the
-    # bound; recheck re-reads that goal from its certificates
+    # bound; recheck checks that goal as the certificates carry it
     doc = {"format_version": "1", "framework": "fps",
            "vars": [["n", "Int"]], "queriable": ["a", "Int"],
            "hypotheses": [], "conclusions": [f"a = n * {MAX_DEPTH}"]}
@@ -305,3 +305,64 @@ def test_oversized_hole_value_rejected(tmp_path, capsys, tactic):
     assert code == 1
     assert len(out) == 1 and out[0].startswith("rejected at line 2")
     assert "value of more than" in out[0]
+
+
+def test_prove_with_a_nat_subtraction_lemma(tmp_path, capsys):
+    # the statement's literals are Int and the lemma's are Nat; each
+    # certificate is checked on the goal term itself, so no literal
+    # changes sort on the way
+    script = tmp_path / "s.txt"
+    script.write_text("format_version: 1\n"
+                      "have h9 : (1 : Nat) - 2 = 0\n"
+                      "@goal h.h9 eval_decide\n"
+                      "linear_arith\n")
+    code = cli_main(["prove", problem_path("nickels.json"), "--answer", "7",
+                     "--script", str(script)])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert out.out.strip() == "proven"
+
+
+@pytest.fixture
+def certificates_rejected(monkeypatch):
+    """Every revalidator rejects every certificate."""
+    from holebox import tactics
+    from holebox.kernel import CertificateError
+
+    def reject(cert):
+        raise CertificateError(f"{cert.tactic} certificate rejected")
+
+    for kind in list(tactics._REVALIDATORS):
+        monkeypatch.setitem(tactics._REVALIDATORS, kind, reject)
+
+
+@pytest.mark.parametrize("command, prefix", [
+    (["solve"], "rejected: "),
+    (["solve", "--script"], "rejected: "),
+    (["prove", "--answer", "7"], "not proven: "),
+    (["prove", "--answer", "7", "--script"], "not proven: "),
+], ids=["solve-search", "solve-script", "prove-search", "prove-script"])
+def test_rejected_certificate_exits_one(tmp_path, capsys,
+                                        certificates_rejected, command,
+                                        prefix):
+    script = tmp_path / "s.txt"
+    script.write_text("format_version: 1\nlinear_arith\n")
+    argv = [command[0], problem_path("nickels.json")] + command[1:]
+    if argv[-1] == "--script":
+        argv.append(str(script))
+    code = cli_main(argv)
+    out = capsys.readouterr()
+    assert code == 1 and out.err == ""
+    lines = out.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert "certificate rejected" in lines[0]
+
+
+@pytest.mark.parametrize("solver", ["script", "search"])
+def test_rejected_certificate_is_the_entrys_error(certificates_rejected,
+                                                  solver):
+    rec = evaluate_entry(_script_entry("nickels.json", "7", ["linear_arith"]),
+                         solver=solver)
+    assert rec["outcome"] == "unsolved"
+    assert "certificate rejected" in rec["stats"]["error"]
+    assert rec["proven"] is False

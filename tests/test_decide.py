@@ -98,20 +98,19 @@ def test_oracle_agreement_closed_props(fuzzer, rng):
 def _open_goal_certs():
     """Certificates that claim eval_decide closed the open goal x = 1."""
     from holebox.expr import LocalDecl
-    from holebox.kernel import Certificate, Goal, goal_blob
+    from holebox.kernel import Certificate, Goal
     tele = Telescope((LocalDecl("x", INT),))
     goal = Goal("h", tele, parse_term("x = 1", tele, PROP))
-    blob = goal_blob(goal)
     assigned = Goal("h", tele, parse_term("?w = x", tele, PROP,
                                           metas={"w": INT}))
     return [
-        Certificate("eval_decide", {"goal": blob, "trace_hash": "0" * 64,
-                                    "budget_used": 0}),
-        Certificate("eval_decide", {
-            "goal": goal_blob(assigned, {"w": INT}),
+        Certificate("eval_decide", goal, {"trace_hash": "0" * 64,
+                                          "budget_used": 0}),
+        Certificate("eval_decide", assigned, {
             "assigned": {"w": "1"}, "budget_used": 0}),
-        Certificate("rw_search", {"goal": blob, "path": [],
-                                  "closer": "eval_decide", "assigned": {}}),
+        Certificate("rw_search", goal, {"path": [],
+                                        "closer": "eval_decide",
+                                        "assigned": {}}),
     ]
 
 

@@ -79,3 +79,26 @@ def test_imports_sit_at_module_top():
              for path in sorted(PACKAGE.rglob("*.py"))
              for fn, module in _local_imports(path)}
     assert found == ALLOWED_LOCAL_IMPORTS
+
+
+def _called_names(fn):
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            yield f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+
+
+def test_certificates_are_checked_without_the_parser():
+    # a certificate carries its goal as a term, so neither the kernel nor
+    # any revalidator reads text back
+    kernel = ast.parse((PACKAGE / "kernel.py").read_text(encoding="utf-8"))
+    imported = {a.name for node in ast.walk(kernel)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "parse_term" not in imported
+    callers = sorted(
+        fn.name for path in sorted(PACKAGE.rglob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+        and fn.name.startswith("revalidate")
+        and "parse_term" in _called_names(fn))
+    assert not callers, callers

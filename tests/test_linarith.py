@@ -214,7 +214,26 @@ def test_certificate_with_a_dropped_branch_rejected():
     assert [b["method"] for b in cert.detail["branches"]] \
         == ["farkas", "farkas"]
     revalidate_linear_arith(cert)
-    cut = Certificate("linear_arith",
+    cut = Certificate("linear_arith", cert.goal,
                       {**cert.detail, "branches": cert.detail["branches"][:1]})
     with pytest.raises(CertificateError):
         revalidate_linear_arith(cut)
+
+
+def test_unsplit_branch_runs_fourier_motzkin_once(monkeypatch):
+    # a branch without disequalities is refuted once; that refutation's
+    # multipliers are the branch's evidence
+    import holebox.tactics.linarith as linarith
+    calls = []
+
+    def counting(cons):
+        calls.append(cons)
+        return fm_refute(cons)
+
+    monkeypatch.setattr(linarith, "fm_refute", counting)
+    st = state_for("0 < y + 1 /\\ 0 < y + 2", ["0 < y"], [("y", REAL)])
+    cert = apply_tactic(st, "h", "linear_arith", "").trace[-1].cert
+    assert [b["method"] for b in cert.detail["branches"]] \
+        == ["farkas", "farkas"]
+    assert len(calls) == 2
+    revalidate_linear_arith(cert)

@@ -13,7 +13,6 @@ from holebox.expr import (
 )
 from holebox.kernel import (
     Certificate, CertificateError, Goal, SolutionState, apply_tactic,
-    goal_blob,
 )
 from holebox.syntax import ParseError, parse_term, print_term
 from holebox.tactics.rewrite import (
@@ -160,9 +159,8 @@ def test_rw_search_certificate_closes_only_equations(concl):
     # arguments of any other connective or relation are not sides
     tele = Telescope((LocalDecl("x", INT),))
     goal = Goal("h", tele, parse_term(concl, tele, PROP))
-    cert = Certificate("rw_search", {
-        "goal": goal_blob(goal), "path": [], "closer": "rfl",
-        "assigned": {}})
+    cert = Certificate("rw_search", goal, {
+        "path": [], "closer": "rfl", "assigned": {}})
     with pytest.raises(CertificateError):
         revalidate_rw_search(cert)
 

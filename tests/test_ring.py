@@ -114,7 +114,7 @@ def test_nat_truncated_subtraction_not_a_ring():
 
 
 def test_oversized_coefficient_fails_cleanly():
-    from holebox.kernel import Certificate, CertificateError, goal_blob
+    from holebox.kernel import Certificate, CertificateError
     from holebox.tactics import revalidate_ring_nf
     tele = Telescope((LocalDecl("x", INT),))
     goal = Goal("h", tele, parse_term("(10^3000 + x)^2 = x^2", tele, PROP))
@@ -123,5 +123,4 @@ def test_oversized_coefficient_fails_cleanly():
     square = Goal("h", tele, parse_term(
         "(10^3000 + x)^2 = (10^3000 + x) * (10^3000 + x)", tele, PROP))
     with pytest.raises(CertificateError, match="coefficient of more than"):
-        revalidate_ring_nf(Certificate("ring_nf", {"goal": goal_blob(square),
-                                                   "nf": "0"}))
+        revalidate_ring_nf(Certificate("ring_nf", square, {"nf": "0"}))

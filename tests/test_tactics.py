@@ -242,3 +242,57 @@ def test_safe_tactics_preserve_model_checking(rng):
         assert _state_truth(state) == _state_truth(out), shape
         checked += 1
     assert checked >= 80
+
+
+@pytest.mark.parametrize("tactic, argtext, hole", [
+    ("exact", "1", True), ("have", "k : 1 = 1", False),
+], ids=["exact", "have"])
+def test_non_engine_parse_exception_is_not_a_tactic_failure(
+        monkeypatch, tactic, argtext, hole):
+    # only parse and expression errors mean "the tactic does not apply";
+    # anything else is a bug and must surface as one
+    from holebox.kernel import Hole
+    from holebox.tactics import structural
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug while parsing")
+
+    monkeypatch.setattr(structural, "parse_term", broken)
+    if hole:
+        st = SolutionState(goals=(Goal("w", Telescope(), INT),),
+                           holes=(Hole("w", Telescope(), INT),))
+        case = "w"
+    else:
+        st, case = goal_state("1 = 1"), "h"
+    with pytest.raises(RuntimeError, match="bug while parsing"):
+        apply_tactic(st, case, tactic, argtext)
+
+
+def _exact_cert(state, case, argtext):
+    return apply_tactic(state, case, "exact", argtext).trace[-1].cert
+
+
+def test_exact_certificate_terms_must_fit_their_goal():
+    # the stored hole value and citation arguments are terms; each must
+    # have its binder's sort and use only the goal's variables
+    from dataclasses import replace
+    from holebox.expr import NAT, mk_lit, mk_meta, mk_var
+    from holebox.kernel import CertificateError, Hole
+    from holebox.tactics import revalidate_exact
+    x = LocalDecl("x", INT)
+    tele = Telescope((x,))
+    hole = SolutionState(goals=(Goal("w", tele, INT),),
+                         holes=(Hole("w", tele, INT),))
+    filled = _exact_cert(hole, "w", "x + 1")
+    h0 = LocalDecl("h0", PROP, prop=parse_term(
+        "forall (m : Int), m + 0 = m", tele, PROP))
+    cited = _exact_cert(goal_state("x + 0 = x", (x, h0)), "h", "h0 x")
+    revalidate_exact(filled)
+    revalidate_exact(cited)
+    for value in (mk_lit(1, REAL), mk_var("y", INT), mk_meta("w", INT)):
+        with pytest.raises(CertificateError):
+            revalidate_exact(replace(filled, detail={"term": value}))
+    for arg in (mk_lit(2, NAT), mk_var("y", INT)):
+        with pytest.raises(CertificateError):
+            revalidate_exact(replace(
+                cited, detail={**cited.detail, "args": (arg,)}))
