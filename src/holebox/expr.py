@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 
 class ExprError(Exception):
@@ -78,9 +78,6 @@ def fn(dom: Sort, cod: Sort) -> Sort:
 
 # ---------------------------------------------------------------------------
 # Terms
-
-TermLike = Union["Term"]
-
 
 @dataclass(frozen=True)
 class Term:
@@ -554,13 +551,10 @@ class LocalDecl:
     name: str
     sort: Sort
     prop: Optional[Term] = None    # set for hypotheses; sort is then Prop
-    value: Optional[Term] = None   # local definition
 
     def __post_init__(self):
         if self.prop is not None and self.sort != PROP:
             raise SortError(f"hypothesis {self.name} must have sort Prop")
-        if self.value is not None and self.value.sort != self.sort:
-            raise SortError(f"definition {self.name} has mismatched sort")
 
 
 @dataclass(frozen=True)
@@ -573,10 +567,9 @@ class Telescope:
         for d in self.decls:
             if d.name in seen:
                 raise ExprError(f"duplicate declaration {d.name!r}")
-            for t in (d.prop, d.value):
-                if t is not None and not free_vars(t) <= avail:
-                    raise ExprError(
-                        f"declaration {d.name!r} references later names")
+            if d.prop is not None and not free_vars(d.prop) <= avail:
+                raise ExprError(
+                    f"declaration {d.name!r} references later names")
             seen.add(d.name)
             avail.add(d.name)
 

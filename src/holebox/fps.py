@@ -224,10 +224,11 @@ def certify(sess: Session) -> SessionCertificate:
 
 
 def run_trace(state: SolutionState, recorded: SolutionState) -> SolutionState:
-    """Deterministically re-run a recorded trace from a fresh state."""
-    want = recorded.state_hash()
+    """Deterministically re-run a recorded trace from a fresh state; the
+    replay must reach the recorded goals and assignment, term for term."""
+    want = (recorded.goals, recorded.assignment)
     report = run_script(state, script_of_trace(recorded),
-                        done=lambda s: s.state_hash() == want)
+                        done=lambda s: (s.goals, s.assignment) == want)
     if report.failed_line is not None:
         raise CertifyFailed(f"trace replay failed at step "
                             f"{report.failed_line}: {report.reason}")

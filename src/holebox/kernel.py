@@ -5,14 +5,15 @@ input; it either returns a fresh state or raises TacticFailed, in which
 case the caller keeps the old state.  Every goal-closing step records a
 certificate: the goal it closed, as the term the engine built, and the
 evidence why.  `recheck` re-validates all of them, which substitutes for
-a typechecking kernel.  Certificates never leave the process, so no
-revalidator reads text: the printer and the parser stay off the path a
-proof is checked on.
+a typechecking kernel.  Certificates never leave the process, so their
+details hold the engine's own values (terms, sorts, numbers) and every
+check compares values with `==`: neither the printer nor the parser is
+on the path a proof is checked on.  `render_goal` and `render_state`
+print states for people and policies, never for a check.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
@@ -117,9 +118,6 @@ class SolutionState:
 
     def meta_sorts(self) -> dict[str, Sort]:
         return {h.mid: h.target for h in self.holes}
-
-    def state_hash(self) -> str:
-        return hashlib.sha256(render_state(self).encode()).hexdigest()
 
     # -- transitions ----------------------------------------------------
 

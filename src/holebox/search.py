@@ -28,6 +28,8 @@ from .kernel import (
 )
 from .syntax import Problem, ProofScript
 
+MAX_SEARCH_DEPTH = 40   # tactic applications along one search path
+
 
 class PolicyError(Exception):
     def __init__(self, kind: str, msg: str):
@@ -57,7 +59,6 @@ class PolicySuggestion:
 class SearchConfig:
     width: int = 8          # S: suggestions per expansion
     budget: int = 200       # K: nodes popped
-    max_depth: int = 40
 
     def __post_init__(self):
         if self.width < 1 or self.budget < 0:
@@ -210,7 +211,7 @@ def search_states(root_state: SolutionState, policy: Policy,
         popped_values.append(-value)
         if success(node.state):
             return node, stats(len(heap))
-        if node.depth >= cfg.max_depth:
+        if node.depth >= MAX_SEARCH_DEPTH:
             continue
         for child in expand(node, policy, cfg.width):
             counter += 1

@@ -13,7 +13,6 @@ computational problems are solved without guessing.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -425,7 +424,7 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
         hole = state.hole(mid)
         answer = _value_term(val, hole.target)
         cert = Certificate("eval_decide", goal, {
-            "assigned": {mid: print_term(answer)},
+            "assigned": {mid: answer},
             "budget_used": budget_n - budget.remaining,
         })
         return TacticResult(assignments=((mid, answer),), cert=cert)
@@ -435,15 +434,10 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
     if not verdict:
         raise EvaluatesFalse(f"evaluates to False: {print_term(concl)}")
     cert = Certificate("eval_decide", goal, {
-        "trace_hash": _trace_hash(concl, verdict),
+        "normalized": concl,
         "budget_used": used,
     })
     return TacticResult(cert=cert)
-
-
-def _trace_hash(concl: Term, verdict: bool) -> str:
-    blob = f"{print_term(concl)} => {verdict}"
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def revalidate_eval_decide(cert: Certificate) -> None:
@@ -462,7 +456,7 @@ def revalidate_eval_decide(cert: Certificate) -> None:
         except TacticFailed as e:
             raise CertificateError(f"eval_decide no longer evaluates: {e}")
         expect = cert.detail["assigned"].get(me.mid)
-        if expect is None or print_term(value) != expect:
+        if expect is None or value != expect:
             raise CertificateError("eval_decide assignment mismatch")
         return
     try:
@@ -471,5 +465,5 @@ def revalidate_eval_decide(cert: Certificate) -> None:
         raise CertificateError(f"eval_decide no longer evaluates: {e}")
     if not verdict:
         raise CertificateError("eval_decide certificate no longer validates")
-    if cert.detail.get("trace_hash") != _trace_hash(concl, verdict):
-        raise CertificateError("eval_decide trace hash mismatch")
+    if cert.detail.get("normalized") != concl:
+        raise CertificateError("eval_decide normalized conclusion mismatch")

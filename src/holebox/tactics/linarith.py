@@ -346,14 +346,13 @@ def fm_refute(cons: list[Constraint]) -> Optional[dict[int, Fraction]]:
         rows = new_rows
 
 
-def verify_farkas(cons: list[Constraint], multipliers: dict[str, Fraction]
+def verify_farkas(cons: list[Constraint], multipliers: dict[int, Fraction]
                   ) -> bool:
     """Check a Farkas combination: nonneg multipliers, zero coefficients,
     contradictory constant."""
     total: Lin = {}
     strict = False
-    for key, mult in multipliers.items():
-        idx = int(key)
+    for idx, mult in multipliers.items():
         if mult < 0 or not 0 <= idx < 2 * len(cons):
             return False
         base = cons[idx // 2]
@@ -654,9 +653,7 @@ def refute_branch(sort: Sort, cons: list[Constraint]) -> dict:
         return {"method": "omega"}
     if not any(c.rel == "ne" for c in cons):
         # no split: the one system refuted is `cons` itself, in order
-        return {"method": "farkas",
-                "multipliers": {str(k): [v.numerator, v.denominator]
-                                for k, v in farkas.items()}}
+        return {"method": "farkas", "multipliers": farkas}
     return {"method": "fm-split"}
 
 
@@ -670,7 +667,7 @@ def _refute_system(az: Atomizer, hyps: list[Constraint],
     if not branches:
         raise NotLinear("conclusion is trivially true; use rfl or eval_decide")
     evidence = [refute_branch(az.sort, hyps + branch) for branch in branches]
-    return {"sort": str(az.sort), "branches": evidence}
+    return {"sort": az.sort, "branches": evidence}
 
 
 @register_tactic("linear_arith")
@@ -690,7 +687,7 @@ def linear_arith(state: SolutionState, goal: Goal, argtext: str
                      instantiate_metas(concl, {mid: answer}))
         detail = prove_linear(check, state)
         cert = Certificate("linear_arith", check, {
-            "assigned": {mid: print_term(answer)},
+            "assigned": {mid: answer},
             **detail,
         })
         return TacticResult(assignments=((mid, answer),), cert=cert)
@@ -832,6 +829,5 @@ def revalidate_linear_arith(cert: Certificate) -> None:
         if want.get("method") != got.get("method"):
             raise CertificateError("linear_arith method mismatch")
         if want.get("method") == "farkas":
-            mults = {k: Fraction(*v) for k, v in want["multipliers"].items()}
-            if not verify_farkas(hyps + branch, mults):
+            if not verify_farkas(hyps + branch, want["multipliers"]):
                 raise CertificateError("stored Farkas combination is invalid")

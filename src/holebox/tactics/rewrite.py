@@ -149,7 +149,7 @@ class SubtermIndex:
 
 
 def replace_all(t: Term, old: Term, new: Term) -> Term:
-    if not has_loose_bvars(t) and alpha_eq(t, old):
+    if alpha_eq(t, old) and not has_loose_bvars(t):
         return new
     kids = children(t)
     if not kids:
@@ -520,7 +520,7 @@ def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     cert = Certificate("rw_search", goal, {
         "path": [[name, back, occ] for name, back, occ in path],
         "closer": closer,
-        "assigned": {mid: print_term(v) for mid, v in assigns},
+        "assigned": dict(assigns),
     })
     return TacticResult(assignments=assigns, cert=cert)
 

@@ -185,7 +185,7 @@ def ring_nf(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     pr = poly_of(rhs, atoms, rhs.sort)
     if pl == pr:
         cert = Certificate("ring_nf", goal, {
-            "nf": print_term(render(pl, atoms, lhs.sort)),
+            "nf": render(pl, atoms, lhs.sort),
         })
         return TacticResult(cert=cert)
     nl = render(pl, atoms, lhs.sort)
@@ -217,7 +217,7 @@ def revalidate_ring_nf(cert: Certificate) -> None:
     if pl != pr:
         raise CertificateError("ring_nf certificate no longer validates")
     try:
-        nf = print_term(render(pl, atoms, concl.args[0].sort))
+        nf = render(pl, atoms, concl.args[0].sort)
     except NotRingExpr as e:
         raise CertificateError(f"ring_nf normal form: {e}")
     if nf != cert.detail["nf"]:

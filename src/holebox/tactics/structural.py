@@ -154,7 +154,7 @@ def exact(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
             raise TacticFailed(f"?{concl.mid} is already assigned")
         cert = Certificate("exact", goal, {
             "hyp": name, "args": args,
-            "assigns": {concl.mid: print_term(instance)},
+            "assigns": {concl.mid: instance},
         })
         return TacticResult(assignments=((concl.mid, instance),), cert=cert)
     if not definitional_eq(_inst_state(instance, state),
@@ -163,7 +163,7 @@ def exact(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
             f"exact: {print_term(instance)} does not match the conclusion")
     cert = Certificate("exact", goal, {
         "hyp": name, "args": args,
-        "instance": print_term(instance),
+        "instance": instance,
     })
     return TacticResult(cert=cert)
 
@@ -182,7 +182,7 @@ def rfl(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     lhs, rhs = sides
     if not definitional_eq(lhs, rhs):
         raise TacticFailed("rfl: sides are not definitionally equal")
-    cert = Certificate("rfl", goal, {"nf": print_term(normalize(lhs))})
+    cert = Certificate("rfl", goal, {"nf": normalize(lhs)})
     return TacticResult(cert=cert)
 
 
@@ -332,10 +332,10 @@ def revalidate_exact(cert: Certificate) -> None:
     prop = fold_literals(prop)
     if "assigns" in detail:
         (mid, stored), = detail["assigns"].items()
-        if print_term(prop) != stored:
+        if prop != stored:
             raise CertificateError("exact: assignment mismatch")
         return
-    if print_term(prop) != detail["instance"]:
+    if prop != detail["instance"]:
         raise CertificateError("exact: instance mismatch")
     if not isinstance(goal.concl, Term) \
             or not definitional_eq(prop, goal.concl):
@@ -346,7 +346,7 @@ def revalidate_rfl(cert: Certificate) -> None:
     sides = eq_sides(cert.goal.concl)
     if sides is None or not definitional_eq(*sides):
         raise CertificateError("rfl certificate no longer validates")
-    if print_term(normalize(sides[0])) != cert.detail["nf"]:
+    if normalize(sides[0]) != cert.detail["nf"]:
         raise CertificateError("rfl normal form mismatch")
 
 

@@ -95,22 +95,44 @@ def test_oracle_agreement_closed_props(fuzzer, rng):
         assert got == brute_eval(prop)
 
 
+def _eval_cert(text, metas=None):
+    """The certificate eval_decide records for the goal `text`, checked."""
+    from holebox.kernel import Goal, Hole, SolutionState, apply_tactic
+    from holebox.tactics import revalidate_eval_decide
+    tele = Telescope()
+    holes = tuple(Hole(m, tele, s) for m, s in (metas or {}).items())
+    goal = Goal("h", tele, parse_term(text, tele, PROP, metas=metas))
+    state = SolutionState(goals=(goal,), holes=holes)
+    cert = apply_tactic(state, "h", "eval_decide", "").trace[-1].cert
+    revalidate_eval_decide(cert)
+    return cert
+
+
 def _open_goal_certs():
-    """Certificates that claim eval_decide closed the open goal x = 1."""
+    """Certificates that claim eval_decide closed the open goal x = 1,
+    then genuine eval_decide certificates with one detail replaced."""
+    from dataclasses import replace
     from holebox.expr import LocalDecl
     from holebox.kernel import Certificate, Goal
     tele = Telescope((LocalDecl("x", INT),))
     goal = Goal("h", tele, parse_term("x = 1", tele, PROP))
     assigned = Goal("h", tele, parse_term("?w = x", tele, PROP,
                                           metas={"w": INT}))
+    closed = _eval_cert("2 + 2 = 4")
+    filled = _eval_cert("?w = 2 + 2", {"w": INT})
     return [
-        Certificate("eval_decide", goal, {"trace_hash": "0" * 64,
+        Certificate("eval_decide", goal, {"normalized": goal.concl,
                                           "budget_used": 0}),
         Certificate("eval_decide", assigned, {
-            "assigned": {"w": "1"}, "budget_used": 0}),
+            "assigned": {"w": mk_lit(1, INT)}, "budget_used": 0}),
         Certificate("rw_search", goal, {"path": [],
                                         "closer": "eval_decide",
                                         "assigned": {}}),
+        replace(closed, detail={
+            **closed.detail,
+            "normalized": parse_term("3 = 3", Telescope(), PROP)}),
+        replace(filled, detail={**filled.detail,
+                                "assigned": {"w": mk_lit(5, INT)}}),
     ]
 
 
@@ -118,9 +140,11 @@ def test_open_goal_certificates_rejected_by_each_revalidator():
     from holebox.kernel import CertificateError
     from holebox.tactics import revalidate_eval_decide, revalidate_rw_search
     certs = _open_goal_certs()
-    for cert, check in zip(certs, (revalidate_eval_decide,
-                                   revalidate_eval_decide,
-                                   revalidate_rw_search)):
+    checks = (revalidate_eval_decide, revalidate_eval_decide,
+              revalidate_rw_search, revalidate_eval_decide,
+              revalidate_eval_decide)
+    assert len(certs) == len(checks)
+    for cert, check in zip(certs, checks):
         with pytest.raises(CertificateError):
             check(cert)
 

@@ -89,16 +89,26 @@ def _called_names(fn):
 
 
 def test_certificates_are_checked_without_the_parser():
-    # a certificate carries its goal as a term, so neither the kernel nor
-    # any revalidator reads text back
-    kernel = ast.parse((PACKAGE / "kernel.py").read_text(encoding="utf-8"))
-    imported = {a.name for node in ast.walk(kernel)
+    # a certificate carries its goal and details as the engine's values,
+    # so neither the kernel nor any revalidator reads or prints text, and
+    # nothing hashes text except the reported script hash
+    trees = {path.relative_to(PACKAGE).as_posix():
+             ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    imported = {a.name for node in ast.walk(trees["kernel.py"])
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     assert "parse_term" not in imported
     callers = sorted(
-        fn.name for path in sorted(PACKAGE.rglob("*.py"))
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        (fn.name, name) for tree in trees.values()
+        for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef)
         and fn.name.startswith("revalidate")
-        and "parse_term" in _called_names(fn))
+        for name in ("parse_term", "print_term")
+        if name in _called_names(fn))
     assert not callers, callers
+    hashing = sorted(
+        rel for rel, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(a.name == "hashlib" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "hashlib")
+    assert hashing == ["fps.py"]

@@ -179,14 +179,14 @@ def test_farkas_certificate_checks():
     ]
     farkas = fm_refute(cons)
     assert farkas is not None
-    assert verify_farkas(cons, {str(k): v for k, v in farkas.items()})
+    assert verify_farkas(cons, farkas)
     # a tampered combination must not verify
-    tampered = {str(k): v + 1 for k, v in farkas.items()}
+    tampered = {k: v + 1 for k, v in farkas.items()}
     bad = dict(tampered)
     bad[next(iter(bad))] = Fraction(-1)
     assert not verify_farkas(cons, bad)
     # a multiplier for a row the system does not have
-    assert not verify_farkas(cons, {"4": Fraction(1)})
+    assert not verify_farkas(cons, {4: Fraction(1)})
 
 
 def test_synthesis_by_gauss_and_scan():
@@ -208,16 +208,21 @@ def test_synthesis_by_gauss_and_scan():
 
 def test_certificate_with_a_dropped_branch_rejected():
     # two negated conjuncts give two branches, each with its own Farkas
-    # combination; a certificate that lists only one must not validate
+    # combination; a certificate that lists only one, or one multiplier
+    # changed, must not validate
     st = state_for("0 < y + 1 /\\ 0 < y + 2", ["0 < y"], [("y", REAL)])
     cert = apply_tactic(st, "h", "linear_arith", "").trace[-1].cert
-    assert [b["method"] for b in cert.detail["branches"]] \
-        == ["farkas", "farkas"]
+    first, second = cert.detail["branches"]
+    assert [first["method"], second["method"]] == ["farkas", "farkas"]
     revalidate_linear_arith(cert)
-    cut = Certificate("linear_arith", cert.goal,
-                      {**cert.detail, "branches": cert.detail["branches"][:1]})
-    with pytest.raises(CertificateError):
-        revalidate_linear_arith(cut)
+    idx, mult = next(iter(first["multipliers"].items()))
+    scaled = {**first, "multipliers": {**first["multipliers"],
+                                       idx: mult * 2}}
+    for branches in ([first], [scaled, second]):
+        cut = Certificate("linear_arith", cert.goal,
+                          {**cert.detail, "branches": branches})
+        with pytest.raises(CertificateError):
+            revalidate_linear_arith(cut)
 
 
 def test_unsplit_branch_runs_fourier_motzkin_once(monkeypatch):

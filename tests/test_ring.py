@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from holebox.expr import (
-    App, INT, Lit, LocalDecl, NAT, PROP, RAT, REAL, Telescope, Var,
+    App, INT, Lit, LocalDecl, NAT, PROP, RAT, REAL, Telescope, Var, mk_lit,
 )
 from holebox.kernel import Goal, SolutionState, TacticFailed, apply_tactic
 from holebox.syntax import parse_term, print_term
@@ -123,4 +123,5 @@ def test_oversized_coefficient_fails_cleanly():
     square = Goal("h", tele, parse_term(
         "(10^3000 + x)^2 = (10^3000 + x) * (10^3000 + x)", tele, PROP))
     with pytest.raises(CertificateError, match="coefficient of more than"):
-        revalidate_ring_nf(Certificate("ring_nf", square, {"nf": "0"}))
+        revalidate_ring_nf(Certificate("ring_nf", square,
+                                       {"nf": mk_lit(0, INT)}))

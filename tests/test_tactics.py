@@ -274,7 +274,8 @@ def _exact_cert(state, case, argtext):
 
 def test_exact_certificate_terms_must_fit_their_goal():
     # the stored hole value and citation arguments are terms; each must
-    # have its binder's sort and use only the goal's variables
+    # have its binder's sort and use only the goal's variables, and the
+    # stored instance or assignment must equal the re-instantiated citation
     from dataclasses import replace
     from holebox.expr import NAT, mk_lit, mk_meta, mk_var
     from holebox.kernel import CertificateError, Hole
@@ -296,3 +297,31 @@ def test_exact_certificate_terms_must_fit_their_goal():
         with pytest.raises(CertificateError):
             revalidate_exact(replace(
                 cited, detail={**cited.detail, "args": (arg,)}))
+    hp = LocalDecl("hp", PROP, prop=parse_term("x = 1", tele, PROP))
+    bare = SolutionState(
+        goals=(Goal("h", Telescope((x, hp)), mk_meta("w", PROP)),),
+        holes=(Hole("w", tele, PROP),))
+    fill = _exact_cert(bare, "h", "hp")
+    revalidate_exact(fill)
+    other = parse_term("x = 2", tele, PROP)
+    for cert, key, stored in ((cited, "instance", other),
+                              (fill, "assigns", {"w": other})):
+        with pytest.raises(CertificateError):
+            revalidate_exact(replace(
+                cert, detail={**cert.detail, key: stored}))
+
+
+def test_normal_form_certificates_reject_a_tampered_nf():
+    from dataclasses import replace
+    from holebox.kernel import CertificateError
+    from holebox.tactics import revalidate_rfl, revalidate_ring_nf
+    x = LocalDecl("x", INT)
+    other = parse_term("x + 2", Telescope((x,)), INT)
+    for tactic, check, text in (("rfl", revalidate_rfl, "x + 1 = x + 1"),
+                                ("ring_nf", revalidate_ring_nf,
+                                 "(x + 1) * 2 = 2 * x + 2")):
+        cert = apply_tactic(goal_state(text, (x,)), "h", tactic,
+                            "").trace[-1].cert
+        check(cert)
+        with pytest.raises(CertificateError):
+            check(replace(cert, detail={**cert.detail, "nf": other}))
