@@ -8,6 +8,17 @@ the display names kept on binders for printing.
 
 All values are immutable; construction goes through the `mk_*` smart
 constructors, which enforce well-sortedness.
+
+Every term node carries three facts, computed once when it is built from
+its children's cached values (as Lean 4's `Expr.Data` does): its hash,
+its loose-bvar bound and a has-meta flag.  So hashing a term, asking
+whether it has loose bound variables or metavariables, and skipping a
+closed or meta-free subterm in `shift`, `instantiate_bvar`, `_inst` and
+`metavars_of` cost one attribute read, never a walk.  `_rebuild` returns
+the node itself when every child is the same object, so a traversal that
+changes nothing allocates nothing.  Terms are not interned: equality is
+still `syntactic_eq` (structural, sensitive to binder display names, with
+an identity and hash check first), and `alpha_eq` stays a separate check.
 """
 
 from __future__ import annotations
@@ -37,10 +48,29 @@ class OccursCheckError(ExprError):
 # Sorts
 
 
-@dataclass(frozen=True)
 class Sort:
-    kind: str
-    args: tuple["Sort", ...] = ()
+    """A sort: an atomic kind, or `Set`/`Fn` over argument sorts.  Never
+    assigned to after `__init__`, so its cached hash stays true."""
+    __slots__ = ("kind", "args", "_hash")
+
+    def __init__(self, kind: str, args: tuple["Sort", ...] = ()):
+        self.kind = kind
+        self.args = args
+        self._hash = hash((kind, args))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Sort:
+            return NotImplemented
+        return (self._hash == other._hash and self.kind == other.kind
+                and self.args == other.args)
+
+    def __repr__(self) -> str:
+        return f"Sort(kind={self.kind!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         if self.kind == "Set":
@@ -78,56 +108,177 @@ def fn(dom: Sort, cod: Sort) -> Sort:
 
 # ---------------------------------------------------------------------------
 # Terms
+#
+# Each node computes three facts when it is built, from its children's
+# cached values: its hash, `bvar_bound` (the largest loose de Bruijn index
+# plus one, 0 when the node is closed) and `has_meta` (a metavariable
+# occurs in it).  Nodes are never assigned to after `__init__`, so the
+# facts stay true.
 
-@dataclass(frozen=True)
+
 class Term:
+    __slots__ = ("sort", "_hash", "bvar_bound", "has_meta")
+    _FIELDS: tuple[str, ...] = ("sort",)
     sort: Sort
+    bvar_bound: int
+    has_meta: bool
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and _same_tree(self, other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
+def _same_tree(a: Term, b: Term) -> bool:
+    """Structural equality, by an explicit stack of node pairs, so that
+    comparing two deep trees takes no interpreter frames per level."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        cls = type(x)
+        if cls is not type(y) or x._hash != y._hash \
+                or x.sort is not y.sort and x.sort != y.sort:
+            return False
+        if cls is App or cls is Conn:
+            if x.op != y.op or len(x.args) != len(y.args):
+                return False
+            todo.extend(zip(x.args, y.args))
+        elif cls is Atom:
+            if x.rel != y.rel or len(x.args) != len(y.args):
+                return False
+            todo.extend(zip(x.args, y.args))
+        elif cls is Binder:
+            if x.kind != y.kind or x.var != y.var or x.vsort != y.vsort:
+                return False
+            todo.append((x.body, y.body))
+        elif getattr(x, x._FIELDS[1]) != getattr(y, y._FIELDS[1]):
+            return False                # a leaf: its name, index or value
+    return True
+
+
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+    _FIELDS = ("sort", "name")
+
+    def __init__(self, sort: Sort, name: str):
+        self.sort = sort
+        self.name = name
+        self._hash = hash((Var, sort, name))
+        self.bvar_bound = 0
+        self.has_meta = False
 
 
-@dataclass(frozen=True)
 class BVar(Term):
-    idx: int
+    __slots__ = ("idx",)
+    _FIELDS = ("sort", "idx")
+
+    def __init__(self, sort: Sort, idx: int):
+        self.sort = sort
+        self.idx = idx
+        self._hash = hash((BVar, sort, idx))
+        self.bvar_bound = idx + 1
+        self.has_meta = False
 
 
-@dataclass(frozen=True)
 class Meta(Term):
-    mid: str
+    __slots__ = ("mid",)
+    _FIELDS = ("sort", "mid")
+
+    def __init__(self, sort: Sort, mid: str):
+        self.sort = sort
+        self.mid = mid
+        self._hash = hash((Meta, sort, mid))
+        self.bvar_bound = 0
+        self.has_meta = True
 
 
-@dataclass(frozen=True)
 class Lit(Term):
-    val: Fraction
+    __slots__ = ("val",)
+    _FIELDS = ("sort", "val")
+
+    def __init__(self, sort: Sort, val: Fraction):
+        self.sort = sort
+        self.val = val
+        self._hash = hash((Lit, sort, val))
+        self.bvar_bound = 0
+        self.has_meta = False
 
 
-@dataclass(frozen=True)
-class App(Term):
-    op: str
+class _Node(Term):
+    """A node with an argument tuple: App, Conn and Atom."""
+    __slots__ = ("args",)
     args: tuple[Term, ...]
 
+    def __init__(self, sort: Sort, head: str, args: tuple[Term, ...]):
+        self.sort = sort
+        self.args = args
+        self._hash = hash((type(self), sort, head, args))
+        bound = 0
+        meta = False
+        for a in args:
+            if a.bvar_bound > bound:
+                bound = a.bvar_bound
+            meta = meta or a.has_meta
+        self.bvar_bound = bound
+        self.has_meta = meta
 
-@dataclass(frozen=True)
+
+class App(_Node):
+    __slots__ = ("op",)
+    _FIELDS = ("sort", "op", "args")
+
+    def __init__(self, sort: Sort, op: str, args: tuple[Term, ...]):
+        self.op = op
+        _Node.__init__(self, sort, op, args)
+
+
+class Conn(_Node):
+    __slots__ = ("op",)
+    _FIELDS = ("sort", "op", "args")
+    op: str            # and | or | not | imp | iff | true | false
+
+    def __init__(self, sort: Sort, op: str, args: tuple[Term, ...]):
+        self.op = op
+        _Node.__init__(self, sort, op, args)
+
+
+class Atom(_Node):
+    __slots__ = ("rel",)
+    _FIELDS = ("sort", "rel", "args")
+    rel: str           # eq | ne | lt | le | mem | dvd | even | odd | prime
+
+    def __init__(self, sort: Sort, rel: str, args: tuple[Term, ...]):
+        self.rel = rel
+        _Node.__init__(self, sort, rel, args)
+
+
 class Binder(Term):
+    __slots__ = ("kind", "var", "vsort", "body")
+    _FIELDS = ("sort", "kind", "var", "vsort", "body")
     kind: str          # forall | exists | lam | setb
     var: str           # display name only
-    vsort: Sort
-    body: Term
 
-
-@dataclass(frozen=True)
-class Conn(Term):
-    op: str            # and | or | not | imp | iff | true | false
-    args: tuple[Term, ...]
-
-
-@dataclass(frozen=True)
-class Atom(Term):
-    rel: str           # eq | ne | lt | le | mem | dvd | even | odd | prime
-    args: tuple[Term, ...]
+    def __init__(self, sort: Sort, kind: str, var: str, vsort: Sort,
+                 body: Term):
+        self.sort = sort
+        self.kind = kind
+        self.var = var
+        self.vsort = vsort
+        self.body = body
+        self._hash = hash((Binder, sort, kind, var, vsort, body))
+        self.bvar_bound = max(body.bvar_bound - 1, 0)
+        self.has_meta = body.has_meta
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +510,11 @@ def children(t: Term) -> tuple[Term, ...]:
 
 
 def _rebuild(t: Term, args: tuple[Term, ...]) -> Term:
+    for new, old in zip(args, children(t)):
+        if new is not old:
+            break
+    else:
+        return t
     if isinstance(t, App):
         return mk_app(t.op, args)
     if isinstance(t, Conn):
@@ -372,8 +528,10 @@ def _rebuild(t: Term, args: tuple[Term, ...]) -> Term:
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Shift loose bound indices >= cutoff by `by`."""
+    if t.bvar_bound <= cutoff or not by:
+        return t
     if isinstance(t, BVar):
-        return BVar(t.sort, t.idx + by) if t.idx >= cutoff else t
+        return BVar(t.sort, t.idx + by)
     if isinstance(t, Binder):
         return _rebuild(t, (shift(t.body, by, cutoff + 1),))
     kids = children(t)
@@ -384,12 +542,12 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
 
 def instantiate_bvar(body: Term, repl: Term, depth: int = 0) -> Term:
     """Replace BVar(depth) in `body` by `repl` (shifted under binders)."""
+    if body.bvar_bound <= depth:
+        return body
     if isinstance(body, BVar):
         if body.idx == depth:
             return shift(repl, depth)
-        if body.idx > depth:
-            return BVar(body.sort, body.idx - 1)
-        return body
+        return BVar(body.sort, body.idx - 1)
     if isinstance(body, Binder):
         return _rebuild(body, (instantiate_bvar(body.body, repl, depth + 1),))
     kids = children(body)
@@ -416,11 +574,7 @@ def bind(kind: str, name: str, vsort: Sort, body_open: Term) -> Binder:
 
 
 def has_loose_bvars(t: Term, depth: int = 0) -> bool:
-    if isinstance(t, BVar):
-        return t.idx >= depth
-    if isinstance(t, Binder):
-        return has_loose_bvars(t.body, depth + 1)
-    return any(has_loose_bvars(k, depth) for k in children(t))
+    return t.bvar_bound > depth
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -460,9 +614,15 @@ def free_vars(t: Term) -> set[str]:
 
 def metavars_of(t: Term) -> set[str]:
     out: set[str] = set()
-    for s in subterms(t):
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if not s.has_meta:
+            continue
         if isinstance(s, Meta):
             out.add(s.mid)
+        else:
+            todo.extend(children(s))
     return out
 
 
@@ -481,6 +641,8 @@ def syntactic_eq(t1: Term, t2: Term) -> bool:
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Structural identity ignoring binder display names."""
+    if t1 is t2:
+        return True
     if type(t1) is not type(t2) or t1.sort != t2.sort:
         return False
     if isinstance(t1, Binder):
@@ -506,6 +668,8 @@ def instantiate_metas(t: Term, asg: dict[str, Term]) -> Term:
 
 
 def _inst(t: Term, asg: dict[str, Term]) -> Term:
+    if not t.has_meta:
+        return t
     if isinstance(t, Meta):
         if t.mid in asg:
             val = asg[t.mid]

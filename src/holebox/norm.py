@@ -11,11 +11,20 @@ levels on reals.
 
 `fold_literals` is the lighter pass used after rewriting: beta plus
 closed literal arithmetic, no definition unfolding.
+
+Both are memoized on the term, each in a least-recently-used table of
+`NORM_MEMO_ENTRIES` entries.  The same inputs come back many times
+within one proof search (the simplifier, the closers and the
+certificate checks normalize the same goals and hypotheses), and a
+term's hash is cached on the node, so a hit costs one lookup.  The bound
+is a constant: the tables hold the recently used terms alive, and a
+larger table raises peak memory without buying hits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .expr import (
     App, Atom, BVar, Binder, Lit, Sort, Term,
@@ -98,6 +107,8 @@ def _eta(t: Binder) -> Term | None:
 
 
 def _mentions_bvar(t: Term, depth: int) -> bool:
+    if t.bvar_bound <= depth:
+        return False
     if isinstance(t, BVar):
         return t.idx == depth
     if isinstance(t, Binder):
@@ -179,11 +190,16 @@ def _step(t: Term, unfold: bool) -> Term | None:
     return None
 
 
+NORM_MEMO_ENTRIES = 64
+
+
+@lru_cache(maxsize=NORM_MEMO_ENTRIES)
 def normalize(t: Term) -> Term:
     """Full normal form: beta, eta, bundled unfoldings, literal folding."""
     return _norm(t, unfold=True)
 
 
+@lru_cache(maxsize=NORM_MEMO_ENTRIES)
 def fold_literals(t: Term) -> Term:
     """Light normal form used after rewrites: beta plus literal folding."""
     return _norm(t, unfold=False)

@@ -30,12 +30,12 @@ from .expr import (
 # Left-associative chains (`a + b + ...`, application, binder groups)
 # are parsed by loops, so the elaborated tree's depth is bounded on its
 # own: the engine's recursive term functions take up to 4 frames a
-# level (alpha-equivalence and term equality; elaboration takes 3), so
-# even a term twice as deep, an answer substituted into a statement,
-# stays well under the limit.  Only outside input is parsed (command
-# lines, problem, corpus and script files, the lemma library); the
-# engine never re-reads what it printed, so a derived term deeper than
-# MAX_DEPTH never meets the bound.
+# level (alpha-equivalence; elaboration takes 3; term equality walks an
+# explicit stack), so even a term twice as deep, an answer substituted
+# into a statement, stays well under the limit.  Only outside input is
+# parsed (command lines, problem, corpus and script files, the lemma
+# library); the engine never re-reads what it printed, so a derived
+# term deeper than MAX_DEPTH never meets the bound.
 MAX_NESTING = 50
 MAX_DEPTH = 100
 MAX_NUMERAL_DIGITS = MAX_LIT_BITS * 3 // 10

@@ -24,7 +24,6 @@ from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
     TacticResult, int_arg, register_tactic,
 )
-from ..syntax import print_term
 from .decide import decide_prop
 from .linarith import prove_linear
 from .rewrite import (
@@ -69,11 +68,12 @@ def _simp(t):
     return t
 
 
-def _prove(goal: Goal, budget: _Counter, seen: frozenset[str]) -> bool:
+def _prove(goal: Goal, budget: _Counter,
+           seen: frozenset[tuple[Telescope, Term]]) -> bool:
     budget.tick()
     concl = _simp(goal.concl)
     ctx = goal.ctx
-    key = _goal_key(ctx, concl)
+    key = (ctx, concl)
     if key in seen:
         return False
     seen = seen | {key}
@@ -157,14 +157,6 @@ def _prove(goal: Goal, budget: _Counter, seen: frozenset[str]) -> bool:
         return _prove(Goal(goal.case, ctx, concl.args[0]), budget, seen) \
             or _prove(Goal(goal.case, ctx, concl.args[1]), budget, seen)
     return False
-
-
-def _goal_key(ctx: Telescope, concl: Term) -> str:
-    hyps = ";".join(
-        f"{d.name}:{print_term(d.prop)}" if d.prop is not None
-        else f"{d.name}:{d.sort}"
-        for d in ctx.decls)
-    return hyps + "|-" + print_term(concl)
 
 
 def _closers(goal: Goal) -> bool:

@@ -425,42 +425,53 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
         answer = _value_term(val, hole.target)
         cert = Certificate("eval_decide", goal, {
             "assigned": {mid: answer},
-            "budget_used": budget_n - budget.remaining,
+            "budget": budget_n,
         })
         return TacticResult(assignments=((mid, answer),), cert=cert)
     if metavars_of(concl):
         raise EvalNotClosed("conclusion still contains metavariables")
-    verdict, used = decide_prop(concl, budget_n)
+    verdict, _ = decide_prop(concl, budget_n)
     if not verdict:
         raise EvaluatesFalse(f"evaluates to False: {print_term(concl)}")
     cert = Certificate("eval_decide", goal, {
         "normalized": concl,
-        "budget_used": used,
+        "budget": budget_n,
     })
     return TacticResult(cert=cert)
 
 
+def _check_assignment(tactic: str, concl: Term, assigned: dict[str, Term],
+                      budget_n: int) -> None:
+    """The evidence of an assigning closer: `concl` is `?w = t` or
+    `t = ?w` with `?w` the one hole `assigned` names, and `t` evaluates,
+    within `budget_n`, to the value assigned."""
+    sides = eq_sides(concl)
+    if sides is None:
+        raise CertificateError(f"{tactic} assignment on a non-equation")
+    me, other = sides if isinstance(sides[0], Meta) else sides[::-1]
+    if not isinstance(me, Meta) or set(assigned) != {me.mid} \
+            or metavars_of(other):
+        raise CertificateError(f"{tactic} assignment without a hole side")
+    try:
+        value = _value_term(eval_term(normalize(other), Budget(budget_n)),
+                            me.sort)
+    except TacticFailed as e:
+        raise CertificateError(f"{tactic} no longer evaluates: {e}")
+    if value != assigned[me.mid]:
+        raise CertificateError(f"{tactic} assignment mismatch")
+
+
 def revalidate_eval_decide(cert: Certificate) -> None:
+    """Re-evaluate under the budget the tactic ran under (a certificate
+    that names none ran under the default)."""
+    budget_n = cert.detail.get("budget", DEFAULT_BUDGET)
     concl = normalize(cert.goal.concl)
     if "assigned" in cert.detail:
-        sides = eq_sides(concl)
-        if sides is None:
-            raise CertificateError("eval_decide assignment on a non-equation")
-        me, other = sides if isinstance(sides[0], Meta) else sides[::-1]
-        if not isinstance(me, Meta):
-            raise CertificateError(
-                "eval_decide assignment without a hole side")
-        try:
-            value = _value_term(eval_term(other, Budget(DEFAULT_BUDGET)),
-                                me.sort)
-        except TacticFailed as e:
-            raise CertificateError(f"eval_decide no longer evaluates: {e}")
-        expect = cert.detail["assigned"].get(me.mid)
-        if expect is None or value != expect:
-            raise CertificateError("eval_decide assignment mismatch")
+        _check_assignment("eval_decide", concl, cert.detail["assigned"],
+                          budget_n)
         return
     try:
-        verdict, _ = decide_prop(concl)
+        verdict, _ = decide_prop(concl, budget_n)
     except TacticFailed as e:
         raise CertificateError(f"eval_decide no longer evaluates: {e}")
     if not verdict:

@@ -667,7 +667,7 @@ def _refute_system(az: Atomizer, hyps: list[Constraint],
     if not branches:
         raise NotLinear("conclusion is trivially true; use rfl or eval_decide")
     evidence = [refute_branch(az.sort, hyps + branch) for branch in branches]
-    return {"sort": az.sort, "branches": evidence}
+    return {"branches": evidence}
 
 
 @register_tactic("linear_arith")
@@ -686,7 +686,8 @@ def linear_arith(state: SolutionState, goal: Goal, argtext: str
         check = Goal(goal.case, goal.ctx,
                      instantiate_metas(concl, {mid: answer}))
         detail = prove_linear(check, state)
-        cert = Certificate("linear_arith", check, {
+        # the goal as searched, hole open: recheck fills it from `assigned`
+        cert = Certificate("linear_arith", Goal(goal.case, goal.ctx, concl), {
             "assigned": {mid: answer},
             **detail,
         })
@@ -812,11 +813,18 @@ def _target_bounds(cons: list[Constraint], target: Lin
 
 
 def revalidate_linear_arith(cert: Certificate) -> None:
-    """Re-refute the goal's system, then check the stored evidence branch
-    by branch: same branch count, same method, and each stored Farkas
-    combination valid for its own branch."""
+    """Fill the holes the certificate assigns, re-refute the goal's system,
+    then check the stored evidence branch by branch: same branch count,
+    same method, and each stored Farkas combination valid for its own
+    branch."""
+    goal = cert.goal
+    if "assigned" in cert.detail:
+        goal = Goal(goal.case, goal.ctx,
+                    instantiate_metas(goal.concl, cert.detail["assigned"]))
+        if metavars_of(goal.concl):
+            raise CertificateError("linear_arith leaves its hole unassigned")
     try:
-        az, hyps, branches = _collect_system(cert.goal, None)
+        az, hyps, branches = _collect_system(goal, None)
         fresh = _refute_system(az, hyps, branches)["branches"]
     except TacticFailed as e:
         raise CertificateError(f"linear_arith no longer validates: {e}")

@@ -39,10 +39,10 @@ from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
     TacticResult, int_arg, register_tactic,
 )
-from ..syntax import ParseError, parse_term, print_term
+from ..syntax import ParseError, parse_term
 from .decide import (
     Budget, DEFAULT_BUDGET, decide_prop, eval_term, _assign_split,
-    _value_term,
+    _check_assignment, _value_term,
 )
 from .structural import _instantiate_hyp, _parse_citation
 
@@ -149,7 +149,9 @@ class SubtermIndex:
 
 
 def replace_all(t: Term, old: Term, new: Term) -> Term:
-    if alpha_eq(t, old) and not has_loose_bvars(t):
+    """`t` with every closed occurrence of `old` (up to binder names)
+    replaced; `t` itself when nothing was."""
+    if not has_loose_bvars(t) and alpha_eq(t, old):
         return new
     kids = children(t)
     if not kids:
@@ -471,7 +473,7 @@ def rw_search_term(concl: Term, goal: Goal, state: Optional[SolutionState],
     if library is None:
         library = default_library()
     rules = _search_rules(goal, state, library)
-    seen = {print_term(concl)}
+    seen = {concl}
     frontier: list[tuple[Term, tuple]] = [(concl, ())]
     nodes = 0
     for depth in range(max_depth + 1):
@@ -491,10 +493,9 @@ def rw_search_term(concl: Term, goal: Goal, state: Optional[SolutionState],
                     new = rewrite_at(term, rule, back, sub)
                     if new is None or new == term:
                         continue
-                    key = print_term(new)
-                    if key in seen:
+                    if new in seen:
                         continue
-                    seen.add(key)
+                    seen.add(new)
                     nodes += 1
                     if nodes > node_budget:
                         return None
@@ -517,7 +518,9 @@ def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if hit is None:
         raise SearchExhausted(f"no rewrite proof within depth {max_depth}")
     path, closer, assigns = hit
-    cert = Certificate("rw_search", goal, {
+    # the certificate's goal is the conclusion the search started from
+    searched = Goal(goal.case, goal.ctx, concl)
+    cert = Certificate("rw_search", searched, {
         "path": [[name, back, occ] for name, back, occ in path],
         "closer": closer,
         "assigned": dict(assigns),
@@ -543,8 +546,14 @@ def revalidate_rw_search(cert: Certificate) -> None:
             raise CertificateError(f"rw_search step {name!r} fails to replay")
         term = new
     closer = cert.detail["closer"]
-    if cert.detail.get("assigned"):
-        return  # assignment closers are replayed by the surrounding session
+    assigned = cert.detail["assigned"]
+    if assigned:
+        # the one closer of `_try_close` that assigns
+        if closer != "eval_decide":
+            raise CertificateError(
+                f"rw_search closer {closer!r} assigns nothing")
+        _check_assignment("rw_search", term, assigned, DEFAULT_BUDGET)
+        return
     sides = eq_sides(term)
     if sides is None:
         raise CertificateError("rw_search closer on a non-equation")

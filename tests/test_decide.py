@@ -175,3 +175,20 @@ def test_oversized_products_still_decide():
     # still decides it
     assert decide("10^3000 * 10^3000 > 0")
     assert decide("10^3000 * 10^3000 - 10^6000 = 0")
+
+
+def test_certificate_rechecks_under_the_budget_it_ran_under(monkeypatch):
+    # with the default budget lowered below the 3001 steps this goal
+    # takes, `eval_decide 100000` closes it and recheck still accepts
+    from holebox.kernel import Goal, SolutionState, apply_tactic, recheck
+    from holebox.tactics import decide as decide_mod
+    monkeypatch.setattr(decide_mod, "DEFAULT_BUDGET", 1000)
+    monkeypatch.setattr(decide_mod.decide_prop, "__defaults__", (1000,))
+    prop = parse_term("card {x : Int | 0 <= x /\\ x <= 3000} = 3001",
+                      Telescope(), PROP)
+    state = SolutionState(goals=(Goal("h", Telescope(), prop),))
+    with pytest.raises(EvalBudgetExceeded):
+        apply_tactic(state, "h", "eval_decide", "")
+    done = apply_tactic(state, "h", "eval_decide", "100000")
+    assert done.trace[-1].cert.detail["budget"] == 100000
+    recheck(done)

@@ -112,3 +112,129 @@ def test_certificates_are_checked_without_the_parser():
         and any(a.name == "hashlib" for a in node.names)
         or isinstance(node, ast.ImportFrom) and node.module == "hashlib")
     assert hashing == ["fps.py"]
+
+
+# -- no cache in the engine grows without bound -----------------------------
+
+# A memo may hold at most this many entries.  The engine runs long
+# searches in one process, and peak memory is a benchmark metric.
+MEMO_CEILING = 1024
+
+# Module-level tables that functions add to but never shrink, allowed
+# because they are filled once, at import: the tactic registry.
+IMPORT_TIME_REGISTRIES = {("kernel.py", "TACTICS")}
+
+_GROW = {"add", "append", "extend", "insert", "setdefault", "update"}
+_SHRINK = {"clear", "discard", "pop", "popitem", "remove"}
+_TABLE_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict"}
+
+
+def _name_of(node):
+    """The name a decorator or call refers to: `f`, `mod.f` or `f(...)`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def _int_constants(tree):
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            value = node.value
+            if isinstance(value, ast.Constant) and type(value.value) is int:
+                out.update((t.id, value.value) for t in targets
+                           if isinstance(t, ast.Name))
+    return out
+
+
+def _module_tables(tree):
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        value = getattr(node, "value", None)
+        if isinstance(value, (ast.Dict, ast.Set, ast.List, ast.DictComp,
+                              ast.SetComp, ast.ListComp)) \
+                or isinstance(value, ast.Call) \
+                and _name_of(value) in _TABLE_CALLS:
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def unbounded_caches(source, filename="<source>"):
+    """Caches in `source` that can grow past MEMO_CEILING entries:
+    `functools.cache`, an `lru_cache` whose bound is None, too large or
+    not a literal or module constant, and module-level tables that some
+    function adds to and none takes from."""
+    tree = ast.parse(source)
+    consts = _int_constants(tree)
+    found = []
+    bare = [d for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for d in fn.decorator_list if not isinstance(d, ast.Call)]
+    for node in bare + [n for n in ast.walk(tree)
+                        if isinstance(n, ast.Call)]:
+        if _name_of(node) == "cache":
+            found.append(f"{filename}:{node.lineno}: functools.cache")
+        if not isinstance(node, ast.Call) or _name_of(node) != "lru_cache":
+            continue
+        bound = node.args[0] if node.args else next(
+            (k.value for k in node.keywords if k.arg == "maxsize"), None)
+        if bound is None:
+            continue                    # the default bound, 128
+        if isinstance(bound, ast.Name):
+            size = consts.get(bound.id)
+        else:
+            size = getattr(bound, "value", None)
+        if type(size) is not int or size > MEMO_CEILING:
+            found.append(f"{filename}:{node.lineno}: lru_cache bound "
+                         f"{ast.unparse(bound)}")
+    tables = _module_tables(tree)
+    grown, shrunk = set(), set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) \
+                    and isinstance(node.value, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    grown.add(node.value.id)
+                elif isinstance(node.ctx, ast.Del):
+                    shrunk.add(node.value.id)
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name):
+                name = node.func.value.id
+                if node.func.attr in _GROW:
+                    grown.add(name)
+                elif node.func.attr in _SHRINK:
+                    shrunk.add(name)
+    found += [f"{filename}: module table {name} only grows"
+              for name in sorted((grown - shrunk) & tables)
+              if (filename, name) not in IMPORT_TIME_REGISTRIES]
+    return found
+
+
+def test_unbounded_cache_check_catches_growth():
+    assert unbounded_caches(
+        "from functools import lru_cache\n"
+        "@lru_cache(maxsize=50_000)\ndef f(t):\n    return t\n")
+    assert unbounded_caches("import functools\n"
+                            "@functools.cache\ndef f(t):\n    return t\n")
+    assert unbounded_caches("@lru_cache(None)\ndef f(t):\n    return t\n")
+    assert unbounded_caches("_MEMO = {}\n"
+                            "def f(t):\n    _MEMO[t] = t\n    return t\n")
+    assert not unbounded_caches(
+        "N = 64\n@lru_cache(maxsize=N)\ndef f(t):\n    return t\n")
+    assert not unbounded_caches(
+        "_MEMO = {}\ndef f(t):\n    if len(_MEMO) > 9:\n"
+        "        _MEMO.clear()\n    _MEMO[t] = t\n")
+
+
+def test_no_engine_module_has_an_unbounded_cache():
+    found = [hit for path in sorted(PACKAGE.rglob("*.py"))
+             for hit in unbounded_caches(path.read_text(encoding="utf-8"),
+                                         path.relative_to(PACKAGE).as_posix())]
+    assert not found, found

@@ -242,3 +242,26 @@ def test_unsplit_branch_runs_fourier_motzkin_once(monkeypatch):
         == ["farkas", "farkas"]
     assert len(calls) == 2
     revalidate_linear_arith(cert)
+
+
+def test_synthesis_certificate_checks_its_assignment():
+    # the certificate keeps the hole open and names its value; recheck
+    # fills the hole, so a changed value no longer validates
+    import json
+    from dataclasses import replace
+    from holebox.expr import mk_lit
+    from holebox.fps import session_init
+    from holebox.syntax import parse_problem
+    doc = {"format_version": "1", "framework": "fps",
+           "vars": [["d", "Int"], ["n", "Int"]], "queriable": ["a", "Int"],
+           "hypotheses": [["h2", "d + n = 11"], ["h3", "10*d + 5*n = 75"]],
+           "conclusions": ["n = a"]}
+    sess = session_init(parse_problem(json.dumps(doc)))
+    cert = apply_tactic(sess.state, "h", "linear_arith", "").trace[-1].cert
+    assert "sort" not in cert.detail
+    assert cert.detail["assigned"] == {"w": mk_lit(7, INT)}
+    revalidate_linear_arith(cert)
+    for assigned in ({"w": mk_lit(8, INT)}, {"v": mk_lit(7, INT)}):
+        with pytest.raises(CertificateError):
+            revalidate_linear_arith(replace(
+                cert, detail={**cert.detail, "assigned": assigned}))

@@ -4,9 +4,11 @@ import pytest
 
 from holebox.expr import (
     App, BVar, INT, Lit, LocalDecl, NAT, RAT, REAL, SortError, Telescope, fn,
-    free_vars, metavars_of, mk_app, mk_binder, mk_var, syntactic_eq,
+    free_vars, metavars_of, mk_app, mk_binder, mk_lit, mk_var, syntactic_eq,
 )
-from holebox.norm import definitional_eq, fold_literals, normalize
+from holebox.norm import (
+    NORM_MEMO_ENTRIES, _norm, definitional_eq, fold_literals, normalize,
+)
 from holebox.syntax import parse_term, print_term
 
 
@@ -123,3 +125,31 @@ def test_fold_declines_oversized_results():
     assert all(isinstance(a, Lit) for a in prod.args)
     assert print_term(prod) == f"{10 ** 3000} * {10 ** 3000}"
     assert isinstance(normalize(t("2^4096^4096", expected=INT)), App)
+
+
+# -- the bounded memo ----------------------------------------------------
+
+MEMO_INPUTS = [
+    "2 + 3 * 4", "(fun (y : Int) => y + 1) 4", "x + (2 - 2)",
+    "3 in Icc 1 5", "x in {y : Int | y = 1 \\/ y = 2}",
+    "forall (y : Int), (fun (z : Int) => z * 2) y = y + y",
+    "card (range 1 4) = 4", "(1 : Rat) / 3 + 1 / 6 = 1 / 2",
+]
+
+
+@pytest.mark.parametrize("text", MEMO_INPUTS)
+def test_memoized_normal_forms_equal_the_uncached_ones(text):
+    tele = Telescope((LocalDecl("x", INT),))
+    term = t(text, tele)
+    for _ in range(2):                  # a miss, then a hit
+        assert normalize(term) == _norm(term, unfold=True)
+        assert fold_literals(term) == _norm(term, unfold=False)
+    # an equal term built separately hits the same entry
+    assert normalize(t(text, tele)) is normalize(term)
+
+
+def test_memo_stays_within_its_bound():
+    for memo in (normalize, fold_literals):
+        for k in range(3 * NORM_MEMO_ENTRIES):
+            memo(mk_app("add", (mk_lit(k, INT), mk_lit(1, INT))))
+        assert memo.cache_info().currsize == NORM_MEMO_ENTRIES

@@ -306,3 +306,29 @@ def test_rw_search_certificate_paths_pinned(concl, hyps, decls, path):
     assert cert.detail["path"] == path
     assert cert.detail["closer"] == "rfl"
     revalidate_rw_search(cert)
+
+
+def test_rw_search_certificate_checks_its_assignment():
+    # an assigning rw_search certificate holds only when the replayed
+    # conclusion is `?hole = t` and t evaluates to the stored value
+    from dataclasses import replace
+    from holebox.kernel import Hole
+    tele = Telescope((LocalDecl("x", INT),))
+    open_goal = Goal("h", tele, parse_term("x = 1", tele, PROP))
+    forged = Certificate("rw_search", open_goal, {
+        "path": [], "closer": "eval_decide", "assigned": {"w": mk_lit(1)}})
+    with pytest.raises(CertificateError):
+        revalidate_rw_search(forged)
+    hole_goal = Goal("h", Telescope(), parse_term(
+        "?w = 2 + 3", Telescope(), PROP, metas={"w": INT}))
+    state = SolutionState(goals=(hole_goal,),
+                          holes=(Hole("w", Telescope(), INT),))
+    cert = apply_tactic(state, "h", "rw_search", "").trace[-1].cert
+    assert cert.detail["assigned"] == {"w": mk_lit(5)}
+    revalidate_rw_search(cert)
+    for detail in ({"assigned": {"w": mk_lit(6)}},
+                   {"assigned": {"v": mk_lit(5)}},
+                   {"closer": "rfl"}):
+        with pytest.raises(CertificateError):
+            revalidate_rw_search(replace(cert, detail={**cert.detail,
+                                                       **detail}))
