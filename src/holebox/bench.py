@@ -21,8 +21,7 @@ from typing import Optional
 
 from .expr import ExprError, Term
 from .fps import (
-    Session, SessionError, certify, dfps_prove_script, extract_answer,
-    prove_script, solve_script,
+    SessionError, dfps_prove_script, prove_script, solve_certified,
 )
 from .kernel import (
     CertificateError, KernelError, init_prove, is_terminal, run_script,
@@ -119,19 +118,11 @@ def _solve(entry: BenchmarkEntry, solver: str, cfg: SearchConfig
                 result.script.render()), stats
     if entry.script is None:
         return None, {"error": "no reference script"}
-    report = solve_script(entry.problem, entry.script)
-    if report.failed_line is not None:
-        return None, {"error": f"line {report.failed_line}: {report.reason}"}
-    if not report.accepted:
-        return None, {"error": report.reason}
-    sess = Session(entry.problem, report.final)
     try:
-        answer = extract_answer(sess)
-        cert = certify(sess)
+        answer, cert, final = solve_certified(entry.problem, entry.script)
     except (SessionError, CertificateError) as e:
         return None, {"error": str(e)}
-    return (answer, cert.to_json(),
-            script_of_trace(sess.state).render()), {}
+    return (answer, cert.to_json(), script_of_trace(final).render()), {}
 
 
 def _prove_ground_truth(entry: BenchmarkEntry, solver: str,

@@ -16,8 +16,8 @@ from typing import Optional, TextIO
 from .bench import load_benchmark, report_json, run_benchmark, \
     BenchmarkLoadError
 from .expr import ExprError
-from .fps import Session, certify, extract_answer, session_init, \
-    solve_script
+from .fps import Session, ScriptRejected, extract_answer, session_init, \
+    solve_certified
 from .kernel import (
     KernelError, apply_tactic, init_prove, is_terminal, recheck,
     render_state, run_script,
@@ -54,17 +54,12 @@ def cmd_solve(args) -> int:
     if args.script:
         with open(args.script, "r", encoding="utf-8") as fh:
             script = parse_script(fh.read())
-        report = solve_script(problem, script)
-        if report.failed_line is not None:
-            print(f"rejected at line {report.failed_line}: {report.reason}")
-            return 1
-        if not report.accepted:
-            print(f"rejected: {report.reason}")
-            return 1
-        sess = Session(problem, report.final)
         try:
-            answer = extract_answer(sess)
-            cert = certify(sess)
+            answer, cert, _ = solve_certified(problem, script)
+        except ScriptRejected as e:
+            at = "" if e.line is None else f" at line {e.line}"
+            print(f"rejected{at}: {e.reason}")
+            return 1
         except KernelError as e:
             print(f"rejected: {e}")
             return 1

@@ -66,11 +66,19 @@ class CertifyFailed(SessionError):
     pass
 
 
+class ScriptRejected(SessionError):
+    """A solving script failed at a line or left no answer to extract."""
+
+    def __init__(self, line: Optional[int], reason: str):
+        super().__init__(reason if line is None else f"line {line}: {reason}")
+        self.line = line
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class Session:
     problem: Problem
     state: SolutionState
-    answer_hole: str = ANSWER_HOLE
 
     @property
     def framework(self) -> str:
@@ -137,6 +145,19 @@ def solve_script(p: Problem, script: ProofScript) -> ReplayReport:
                       done=lambda s: Session(p, s).answer_ready())
 
 
+def solve_certified(p: Problem, script: ProofScript
+                    ) -> tuple[Term, SessionCertificate, SolutionState]:
+    """Run a solving script, then extract and certify its answer; the
+    answer, the certificate and the final state.  Raises ScriptRejected
+    when the script is not accepted, and any error of `extract_answer`
+    or `certify`."""
+    report = solve_script(p, script)
+    if not report.accepted:
+        raise ScriptRejected(report.failed_line, report.reason)
+    sess = Session(p, report.final)
+    return extract_answer(sess), certify(sess), sess.state
+
+
 def replay_check(p: Problem, script: ProofScript) -> ReplayReport:
     """Replay a script from the session's initial state to the terminal
     state and recheck every closure certificate."""
@@ -153,7 +174,7 @@ def forward_finished(sess: Session) -> bool:
     """Answer hole assigned and the forward case closed (dfps only)."""
     if sess.framework != "dfps":
         raise SessionError("forward_finished applies to dfps sessions")
-    if sess.state.assigned_value(sess.answer_hole) is None:
+    if sess.state.assigned_value(ANSWER_HOLE) is None:
         return False
     return all(g.case != "h.mp" for g in sess.state.goals)
 
@@ -163,7 +184,7 @@ def extract_answer(sess: Session) -> Term:
         raise NotFinished("forward phase is not finished"
                           if sess.framework == "dfps"
                           else "session is not terminal")
-    raw = sess.state.assigned_value(sess.answer_hole)
+    raw = sess.state.assigned_value(ANSWER_HOLE)
     if raw is None:
         raise NotFinished("answer hole is unassigned")
     answer = instantiate_metas(raw, sess.state.asg_map())
@@ -247,10 +268,9 @@ def _recheck_statement(p: Problem, answer: Term, script: ProofScript) -> None:
             f"{report.reason}")
 
 
-def prove_script(script: ProofScript, answer_hole: str = ANSWER_HOLE
-                 ) -> ProofScript:
+def prove_script(script: ProofScript) -> ProofScript:
     """Drop the answer-hole fills; what remains proves the statement."""
-    lines = tuple(ln for ln in script.lines if ln.goal != answer_hole)
+    lines = tuple(ln for ln in script.lines if ln.goal != ANSWER_HOLE)
     return ProofScript(lines)
 
 

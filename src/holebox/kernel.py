@@ -212,7 +212,6 @@ class TacticResult:
     new_holes: tuple[Hole, ...] = ()
     assignments: tuple[tuple[str, Term], ...] = ()
     cert: Optional[Certificate] = None
-    safe: bool = False
 
 
 TacticFn = Callable[[SolutionState, Goal, str], TacticResult]
@@ -307,7 +306,7 @@ def recheck(final: SolutionState) -> None:
     from .tactics import revalidate
     for step in final.trace:
         if step.cert is not None:
-            revalidate(step, final)
+            revalidate(step.cert)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,22 @@
 """Tactic repertoire: structural rules, rewriting, and decision procedures.
 
 Importing this package registers every tactic with the kernel registry.
-`revalidate` re-checks a recorded closure certificate; replay uses it to
-confirm that each goal the trace closed really was closed for the reason
-stated.
+`revalidate` re-checks a recorded closure certificate with the
+revalidator of its kind; replay uses it to confirm that each goal the
+trace closed really was closed for the reason stated.
+
+Each computational closer decides closure in one function, which its
+tactic and its revalidator both call: `structural.rfl_evidence`,
+`decide.eval_evidence` (deciding and hole-assigning) and
+`ring.ring_sides`.  `auto` tests rfl and ring closure through them,
+and `rw_search` closes through the rfl and eval_decide ones: its
+certificate carries the closer's own certificate, which that kind's
+revalidator checks.
 """
 
 from __future__ import annotations
 
-from ..kernel import CertificateError, SolutionState, TraceStep
+from ..kernel import Certificate, CertificateError
 
 from . import structural, decide, linarith, ring, rewrite, auto  # noqa: F401
 
@@ -33,10 +41,7 @@ _REVALIDATORS = {
 }
 
 
-def revalidate(step: TraceStep, final: SolutionState) -> None:
-    cert = step.cert
-    if cert is None:
-        return
+def revalidate(cert: Certificate) -> None:
     fn = _REVALIDATORS.get(cert.tactic)
     if fn is None:
         raise CertificateError(

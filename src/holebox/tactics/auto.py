@@ -30,7 +30,7 @@ from .rewrite import (
     SubtermIndex, default_library, first_rewrite, rw_search_term,
 )
 from .ring import ring_closes
-from .structural import replace_hyp, split_hyp, subst_goal
+from .structural import replace_hyp, rfl_evidence, split_hyp, subst_goal
 
 AUTO_BUDGET = 500
 AUTO_RW_DEPTH = 3
@@ -163,9 +163,11 @@ def _closers(goal: Goal) -> bool:
     concl = goal.concl
     if metavars_of(concl):
         return False
-    sides = eq_sides(concl)
-    if sides is not None and definitional_eq(sides[0], sides[1]):
+    try:
+        rfl_evidence(concl)
         return True
+    except TacticFailed:
+        pass
     try:
         ok, _ = decide_prop(concl)
         if ok:
@@ -179,7 +181,7 @@ def _closers(goal: Goal) -> bool:
         return True
     except TacticFailed:
         pass
-    if sides is not None:
+    if eq_sides(concl) is not None:
         hit = rw_search_term(concl, goal, None, AUTO_RW_DEPTH)
         if hit is not None and not hit[2]:
             return True

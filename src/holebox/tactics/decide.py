@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Collection, Optional, Union
 
 from ..expr import (
     App, Atom, BVar, Binder, Conn, INT, Lit, MAX_LIT_BITS, Meta, NAT, REAL,
@@ -43,7 +43,11 @@ class EvalBudgetExceeded(TacticFailed):
 
 
 class EvaluatesFalse(TacticFailed):
-    """The proposition is closed and evaluates to False."""
+    """The proposition is closed and evaluates to False.  It is printed
+    only if the message is read: `rw_search` meets many such terms."""
+
+    def __str__(self) -> str:
+        return f"evaluates to False: {print_term(self.args[0])}"
 
 
 @dataclass
@@ -395,18 +399,40 @@ def _value_term(v: Value, sort: Sort) -> Term:
     raise EvalNotClosed("cannot reify a set value into an answer term")
 
 
-def _assign_split(concl: Term, state: SolutionState
-                  ) -> Optional[tuple[str, Term]]:
-    """Detect `?w = t` / `t = ?w` / `?w <-> p` with ?w an unassigned hole."""
+def _assign_split(concl: Term, pending: Collection[str]
+                  ) -> Optional[tuple[Meta, Term]]:
+    """Detect `?w = t` / `t = ?w` / `?w <-> p` with ?w a pending hole."""
     pair = eq_sides(concl)
     if pair is None:
         return None
-    pending = {h.mid for h in state.unassigned_holes()}
     for me, other in (pair, pair[::-1]):
         if isinstance(me, Meta) and me.mid in pending \
                 and not metavars_of(other):
-            return me.mid, other
+            return me, other
     return None
+
+
+def eval_evidence(concl: Term, pending: Collection[str], budget_n: int
+                  ) -> dict:
+    """The eval_decide certificate detail for `concl`, evaluated within
+    `budget_n` enumeration steps; the one evaluation closure test.
+
+    When `concl` is `?w = t`, `t = ?w` or `?w <-> p` with `?w` one of the
+    `pending` holes and the other side meta-free, the detail assigns `?w`
+    the value of that side.  Otherwise `concl` must be closed and
+    evaluate to True, and the detail records its normal form.  Raises
+    TacticFailed on anything else."""
+    normalized = normalize(concl)
+    split = _assign_split(normalized, pending)
+    if split is not None:
+        me, other = split
+        value = _value_term(eval_term(other, Budget(budget_n)), me.sort)
+        return {"assigned": {me.mid: value}, "budget": budget_n}
+    if metavars_of(normalized):
+        raise EvalNotClosed("conclusion still contains metavariables")
+    if not _as_bool(eval_term(normalized, Budget(budget_n))):
+        raise EvaluatesFalse(normalized)
+    return {"normalized": normalized, "budget": budget_n}
 
 
 @register_tactic("eval_decide")
@@ -415,66 +441,22 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
     if goal.is_hole_goal():
         raise TacticFailed("eval_decide does not apply to a hole goal")
     budget_n = int_arg(argtext, DEFAULT_BUDGET)
-    concl = normalize(goal.concl)
-    split = _assign_split(concl, state)
-    if split is not None:
-        mid, rhs = split
-        budget = Budget(budget_n)
-        val = eval_term(rhs, budget)
-        hole = state.hole(mid)
-        answer = _value_term(val, hole.target)
-        cert = Certificate("eval_decide", goal, {
-            "assigned": {mid: answer},
-            "budget": budget_n,
-        })
-        return TacticResult(assignments=((mid, answer),), cert=cert)
-    if metavars_of(concl):
-        raise EvalNotClosed("conclusion still contains metavariables")
-    verdict, _ = decide_prop(concl, budget_n)
-    if not verdict:
-        raise EvaluatesFalse(f"evaluates to False: {print_term(concl)}")
-    cert = Certificate("eval_decide", goal, {
-        "normalized": concl,
-        "budget": budget_n,
-    })
-    return TacticResult(cert=cert)
-
-
-def _check_assignment(tactic: str, concl: Term, assigned: dict[str, Term],
-                      budget_n: int) -> None:
-    """The evidence of an assigning closer: `concl` is `?w = t` or
-    `t = ?w` with `?w` the one hole `assigned` names, and `t` evaluates,
-    within `budget_n`, to the value assigned."""
-    sides = eq_sides(concl)
-    if sides is None:
-        raise CertificateError(f"{tactic} assignment on a non-equation")
-    me, other = sides if isinstance(sides[0], Meta) else sides[::-1]
-    if not isinstance(me, Meta) or set(assigned) != {me.mid} \
-            or metavars_of(other):
-        raise CertificateError(f"{tactic} assignment without a hole side")
-    try:
-        value = _value_term(eval_term(normalize(other), Budget(budget_n)),
-                            me.sort)
-    except TacticFailed as e:
-        raise CertificateError(f"{tactic} no longer evaluates: {e}")
-    if value != assigned[me.mid]:
-        raise CertificateError(f"{tactic} assignment mismatch")
+    pending = {h.mid for h in state.unassigned_holes()}
+    detail = eval_evidence(goal.concl, pending, budget_n)
+    cert = Certificate("eval_decide", goal, detail)
+    return TacticResult(assignments=tuple(detail.get("assigned", {}).items()),
+                        cert=cert)
 
 
 def revalidate_eval_decide(cert: Certificate) -> None:
-    """Re-evaluate under the budget the tactic ran under (a certificate
-    that names none ran under the default)."""
+    """Re-derive the evidence under the budget the tactic ran under (a
+    certificate that names none ran under the default), with the holes
+    it assigns, if any, as the pending ones."""
     budget_n = cert.detail.get("budget", DEFAULT_BUDGET)
-    concl = normalize(cert.goal.concl)
-    if "assigned" in cert.detail:
-        _check_assignment("eval_decide", concl, cert.detail["assigned"],
-                          budget_n)
-        return
     try:
-        verdict, _ = decide_prop(concl, budget_n)
+        detail = eval_evidence(cert.goal.concl,
+                               cert.detail.get("assigned", {}), budget_n)
     except TacticFailed as e:
         raise CertificateError(f"eval_decide no longer evaluates: {e}")
-    if not verdict:
-        raise CertificateError("eval_decide certificate no longer validates")
-    if cert.detail.get("normalized") != concl:
-        raise CertificateError("eval_decide normalized conclusion mismatch")
+    if detail != {**cert.detail, "budget": budget_n}:
+        raise CertificateError("eval_decide certificate mismatch")

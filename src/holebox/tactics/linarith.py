@@ -677,10 +677,12 @@ def linear_arith(state: SolutionState, goal: Goal, argtext: str
         raise TacticFailed("linear_arith does not apply to a hole goal")
     concl = instantiate_metas(goal.concl, state.asg_map())
     # `t = ?w` or `?w = t` with an unassigned hole: pin the value of t
-    synth = _assign_split(concl, state) \
+    pending = {h.mid for h in state.unassigned_holes()}
+    synth = _assign_split(concl, pending) \
         if isinstance(concl, Atom) and concl.rel == "eq" else None
     if synth is not None:
-        mid, expr = synth
+        meta, expr = synth
+        mid = meta.mid
         value = _synthesize(goal, state, expr)
         answer = _value_term(value, state.hole(mid).target)
         check = Goal(goal.case, goal.ctx,

@@ -18,6 +18,19 @@ its own bucket, in walk order; a bare pattern variable is tried against
 every subterm.  `auto`'s simplifier builds one index per round and
 `rw_search` one per frontier term, and both rewrite each match straight
 from its substitution (`rewrite_at`).
+
+An `rw_search` certificate's goal is the conclusion the search started
+from, and its detail holds two items:
+
+    "path":   [[rule name, backward?, occurrence], ...], one per step
+    "closer": Certificate("rfl" | "eval_decide",
+                          Goal(case, ctx, term the path ends at), detail)
+
+The closer is the certificate its tactic would record for that goal,
+including the holes an `eval_decide` closer assigns.
+`revalidate_rw_search` replays the path, requires it to end at an
+equation or iff that is exactly the closer's goal, and hands the closer
+to `revalidate_rfl` or `revalidate_eval_decide`.
 """
 
 from __future__ import annotations
@@ -34,17 +47,18 @@ from ..expr import (
     instantiate_bvar, instantiate_metas, metavars_of, mk_meta, set_of,
     _rebuild,
 )
-from ..norm import definitional_eq, fold_literals, normalize
+from ..norm import fold_literals
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
     TacticResult, int_arg, register_tactic,
 )
 from ..syntax import ParseError, parse_term
 from .decide import (
-    Budget, DEFAULT_BUDGET, decide_prop, eval_term, _assign_split,
-    _check_assignment, _value_term,
+    DEFAULT_BUDGET, decide_prop, eval_evidence, revalidate_eval_decide,
 )
-from .structural import _instantiate_hyp, _parse_citation
+from .structural import (
+    _instantiate_hyp, _parse_citation, revalidate_rfl, rfl_evidence,
+)
 
 RW_SEARCH_DEPTH = 6
 RW_SEARCH_NODES = 2000
@@ -407,8 +421,7 @@ def rewrite(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     for rule in rules:
         new = apply_rule(concl, rule, back, occurrence)
         if new is not None and new != concl:
-            return TacticResult(
-                new_goals=(Goal(goal.case, goal.ctx, new),), safe=True)
+            return TacticResult(new_goals=(Goal(goal.case, goal.ctx, new),))
     raise NoMatch(f"{name} does not match the conclusion")
 
 
@@ -416,12 +429,12 @@ def rewrite(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 # rw_search
 
 
-def _search_rules(goal: Goal, state: Optional[SolutionState],
-                  library: LemmaLibrary) -> list[tuple[RewriteLemma, bool]]:
+def _search_rules(goal: Goal, state: Optional[SolutionState]
+                  ) -> list[tuple[RewriteLemma, bool]]:
     # a direction whose pattern is a bare variable matches every subterm
     # and only inflates the frontier, so it is skipped
     rules: list[tuple[RewriteLemma, bool]] = []
-    for lem in library:
+    for lem in default_library():
         if not isinstance(lem.lhs, Meta):
             rules.append((lem, False))
         if lem.bidirectional and not isinstance(lem.rhs, Meta):
@@ -436,52 +449,45 @@ def _search_rules(goal: Goal, state: Optional[SolutionState],
     return rules
 
 
-def _try_close(concl: Term, state: Optional[SolutionState]
-               ) -> Optional[tuple[str, tuple[tuple[str, Term], ...]]]:
-    """rfl / eval_decide closure of an equality-shaped node."""
-    sides = eq_sides(concl)
-    if sides is None:
+def _try_close(concl: Term, pending: frozenset[str]
+               ) -> Optional[tuple[str, dict]]:
+    """The closer of an equation or iff and its certificate detail: rfl,
+    then eval_decide; on a conclusion with a hole, only eval_decide's
+    assignment of one of the `pending` holes."""
+    if eq_sides(concl) is None:
         return None
     if not metavars_of(concl):
-        if definitional_eq(sides[0], sides[1]):
-            return ("rfl", ())
         try:
-            ok, _ = decide_prop(concl)
-            if ok:
-                return ("eval_decide", ())
+            return "rfl", rfl_evidence(concl)
         except TacticFailed:
             pass
+    try:
+        return "eval_decide", eval_evidence(concl, pending, DEFAULT_BUDGET)
+    except TacticFailed:
         return None
-    if state is not None:
-        split = _assign_split(concl, state)
-        if split is not None:
-            mid, rhs = split
-            try:
-                val = eval_term(normalize(rhs), Budget(DEFAULT_BUDGET))
-                hole = state.hole(mid)
-                return ("eval_decide", ((mid, _value_term(val, hole.target)),))
-            except TacticFailed:
-                return None
-    return None
 
 
 def rw_search_term(concl: Term, goal: Goal, state: Optional[SolutionState],
-                   max_depth: int = RW_SEARCH_DEPTH,
-                   library: Optional[LemmaLibrary] = None,
-                   node_budget: int = RW_SEARCH_NODES):
-    """BFS over rewrites; returns (path, closer, assignments) or None."""
-    if library is None:
-        library = default_library()
-    rules = _search_rules(goal, state, library)
+                   max_depth: int = RW_SEARCH_DEPTH):
+    """BFS over rewrites; returns (path, closer, assignments) or None.
+
+    `closer` is the certificate that closes the last term of the path,
+    as a goal in `goal`'s case and context, and `assignments` are the
+    hole fills it records."""
+    rules = _search_rules(goal, state)
+    pending = frozenset(h.mid for h in state.unassigned_holes()) \
+        if state is not None else frozenset()
     seen = {concl}
     frontier: list[tuple[Term, tuple]] = [(concl, ())]
     nodes = 0
     for depth in range(max_depth + 1):
         for term, path in frontier:
-            hit = _try_close(term, state)
+            hit = _try_close(term, pending)
             if hit is not None:
-                closer, assigns = hit
-                return path, closer, assigns
+                tactic, detail = hit
+                closer = Certificate(tactic, Goal(goal.case, goal.ctx, term),
+                                     detail)
+                return path, closer, tuple(detail.get("assigned", {}).items())
         if depth == max_depth:
             break
         nxt: list[tuple[Term, tuple]] = []
@@ -497,7 +503,7 @@ def rw_search_term(concl: Term, goal: Goal, state: Optional[SolutionState],
                         continue
                     seen.add(new)
                     nodes += 1
-                    if nodes > node_budget:
+                    if nodes > RW_SEARCH_NODES:
                         return None
                     nxt.append((new, path + ((rule.name, back, occ),)))
         frontier = nxt
@@ -523,12 +529,16 @@ def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     cert = Certificate("rw_search", searched, {
         "path": [[name, back, occ] for name, back, occ in path],
         "closer": closer,
-        "assigned": dict(assigns),
     })
     return TacticResult(assignments=assigns, cert=cert)
 
 
+_CLOSER_CHECKS = {"rfl": revalidate_rfl, "eval_decide": revalidate_eval_decide}
+
+
 def revalidate_rw_search(cert: Certificate) -> None:
+    """Replay the path from the searched conclusion, then check the
+    closer's own certificate, which must name the replayed equation."""
     goal = cert.goal
     term = goal.concl
     if not isinstance(term, Term):
@@ -545,27 +555,13 @@ def revalidate_rw_search(cert: Certificate) -> None:
         if new is None:
             raise CertificateError(f"rw_search step {name!r} fails to replay")
         term = new
-    closer = cert.detail["closer"]
-    assigned = cert.detail["assigned"]
-    if assigned:
-        # the one closer of `_try_close` that assigns
-        if closer != "eval_decide":
-            raise CertificateError(
-                f"rw_search closer {closer!r} assigns nothing")
-        _check_assignment("rw_search", term, assigned, DEFAULT_BUDGET)
-        return
-    sides = eq_sides(term)
-    if sides is None:
+    if eq_sides(term) is None:
         raise CertificateError("rw_search closer on a non-equation")
-    if closer == "rfl":
-        if not definitional_eq(sides[0], sides[1]):
-            raise CertificateError("rw_search rfl closer fails")
-    elif closer == "eval_decide":
-        try:
-            ok, _ = decide_prop(term)
-        except TacticFailed as e:
-            raise CertificateError(f"rw_search eval closer fails: {e}")
-        if not ok:
-            raise CertificateError("rw_search eval closer fails")
-    else:
-        raise CertificateError(f"unknown rw_search closer {closer!r}")
+    closer = cert.detail["closer"]
+    if closer.goal != Goal(goal.case, goal.ctx, term):
+        raise CertificateError("rw_search closer names another goal")
+    check = _CLOSER_CHECKS.get(closer.tactic)
+    if check is None:
+        raise CertificateError(f"rw_search closer {closer.tactic!r} is "
+                               "neither rfl nor eval_decide")
+    check(closer)

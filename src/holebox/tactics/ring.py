@@ -170,55 +170,53 @@ def normal_form(t: Term, atoms: AtomTable) -> Term:
     return render(poly_of(t, atoms, t.sort), atoms, t.sort)
 
 
+def ring_sides(concl: Term) -> tuple[Poly, Poly, AtomTable, Sort]:
+    """Both sides of the equation `concl` as polynomials over one atom
+    table, and their sort; the one place ring_nf's closure test, its
+    revalidator and `ring_closes` get them.  Raises NotRingExpr unless
+    `concl` is an equation over a numeric sort."""
+    if not (isinstance(concl, Atom) and concl.rel == "eq"):
+        raise NotRingExpr("ring_nf needs an equality goal")
+    lhs, rhs = concl.args
+    if lhs.sort.kind in ("Set", "Fn", "Prop", "Bool"):
+        raise NotRingExpr(f"ring_nf over {lhs.sort}")
+    atoms = AtomTable()
+    return (poly_of(lhs, atoms, lhs.sort), poly_of(rhs, atoms, rhs.sort),
+            atoms, lhs.sort)
+
+
 @register_tactic("ring_nf")
 def ring_nf(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if goal.is_hole_goal():
         raise NotRingExpr("ring_nf does not apply to a hole goal")
     concl = instantiate_metas(goal.concl, state.asg_map())
-    if not (isinstance(concl, Atom) and concl.rel == "eq"):
-        raise NotRingExpr("ring_nf needs an equality goal")
-    lhs, rhs = concl.args
-    if lhs.sort.kind in ("Set", "Fn") or lhs.sort.kind in ("Prop", "Bool"):
-        raise NotRingExpr(f"ring_nf over {lhs.sort}")
-    atoms = AtomTable()
-    pl = poly_of(lhs, atoms, lhs.sort)
-    pr = poly_of(rhs, atoms, rhs.sort)
+    pl, pr, atoms, sort = ring_sides(concl)
+    nl = render(pl, atoms, sort)
     if pl == pr:
-        cert = Certificate("ring_nf", goal, {
-            "nf": render(pl, atoms, lhs.sort),
-        })
-        return TacticResult(cert=cert)
-    nl = render(pl, atoms, lhs.sort)
-    nr = render(pr, atoms, rhs.sort)
-    if nl == lhs and nr == rhs:
+        return TacticResult(cert=Certificate("ring_nf", goal, {"nf": nl}))
+    nr = render(pr, atoms, sort)
+    if (nl, nr) == concl.args:
         raise NotRingExpr("ring_nf: already in normal form, sides differ")
     new_goal = Goal(goal.case, goal.ctx, mk_atom("eq", (nl, nr)))
-    return TacticResult(new_goals=(new_goal,), safe=True)
+    return TacticResult(new_goals=(new_goal,))
 
 
 def ring_closes(concl: Term) -> bool:
     """Closure check used by automation; no state needed."""
-    if not (isinstance(concl, Atom) and concl.rel == "eq"):
+    try:
+        pl, pr, _, _ = ring_sides(concl)
+    except NotRingExpr:
         return False
-    lhs, rhs = concl.args
-    if lhs.sort.kind in ("Set", "Fn", "Prop", "Bool"):
-        return False
-    atoms = AtomTable()
-    return poly_of(lhs, atoms, lhs.sort) == poly_of(rhs, atoms, rhs.sort)
+    return pl == pr
 
 
 def revalidate_ring_nf(cert: Certificate) -> None:
-    concl = cert.goal.concl
-    if not (isinstance(concl, Atom) and concl.rel == "eq"):
-        raise CertificateError("ring_nf on a non-equality")
-    atoms = AtomTable()
-    pl = poly_of(concl.args[0], atoms, concl.args[0].sort)
-    pr = poly_of(concl.args[1], atoms, concl.args[1].sort)
+    try:
+        pl, pr, atoms, sort = ring_sides(cert.goal.concl)
+        nf = render(pl, atoms, sort)
+    except NotRingExpr as e:
+        raise CertificateError(f"ring_nf: {e}")
     if pl != pr:
         raise CertificateError("ring_nf certificate no longer validates")
-    try:
-        nf = render(pl, atoms, concl.args[0].sort)
-    except NotRingExpr as e:
-        raise CertificateError(f"ring_nf normal form: {e}")
     if nf != cert.detail["nf"]:
         raise CertificateError("ring_nf normal form mismatch")

@@ -1,8 +1,8 @@
 """Structural tactics: binder introduction, goal splitting, case analysis,
 hypothesis citation, and closure up to definitional equality.
 
-Provability-preserving tactics are flagged `safe`; the automation layer
-and the forward phase of deductive sessions only chain through those.
+`rfl_evidence` is the one rfl closure test: the `rfl` tactic, its
+revalidator, `auto`'s closers and `rw_search`'s closer all call it.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def intro(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         else:
             raise TacticFailed(
                 "intro needs a universally quantified or implication goal")
-    return TacticResult(new_goals=(Goal(goal.case, ctx, concl),), safe=True)
+    return TacticResult(new_goals=(Goal(goal.case, ctx, concl),))
 
 
 @register_tactic("exists_intro")
@@ -70,7 +70,6 @@ def exists_intro(state: SolutionState, goal: Goal, argtext: str
         new_goals=(Goal(goal.case, goal.ctx, body),
                    Goal(mid, goal.ctx, concl.vsort)),
         new_holes=(hole,),
-        safe=True,
     )
 
 
@@ -83,7 +82,7 @@ def iff_split(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     return TacticResult(new_goals=(
         Goal(f"{goal.case}.mp", goal.ctx, mk_conn("imp", (a, b))),
         Goal(f"{goal.case}.mpr", goal.ctx, mk_conn("imp", (b, a))),
-    ), safe=True)
+    ))
 
 
 @register_tactic("and_split")
@@ -95,7 +94,7 @@ def and_split(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     return TacticResult(new_goals=(
         Goal(f"{goal.case}.l", goal.ctx, a),
         Goal(f"{goal.case}.r", goal.ctx, b),
-    ), safe=True)
+    ))
 
 
 def _parse_citation(argtext: str) -> tuple[str, list]:
@@ -172,18 +171,22 @@ def _inst_state(t: Term, state: SolutionState) -> Term:
     return instantiate_metas(t, state.asg_map())
 
 
-@register_tactic("rfl")
-def rfl(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
-    concl = _need_prop_goal(goal, "rfl")
-    concl = _inst_state(concl, state)
+def rfl_evidence(concl: Term) -> dict:
+    """The rfl certificate detail for `concl`, an equation or iff whose
+    sides are definitionally equal: their normal form.  Raises
+    TacticFailed on any other conclusion."""
     sides = eq_sides(concl)
     if sides is None:
         raise TacticFailed("rfl needs an equality or iff goal")
-    lhs, rhs = sides
-    if not definitional_eq(lhs, rhs):
+    if not definitional_eq(*sides):
         raise TacticFailed("rfl: sides are not definitionally equal")
-    cert = Certificate("rfl", goal, {"nf": normalize(lhs)})
-    return TacticResult(cert=cert)
+    return {"nf": normalize(sides[0])}
+
+
+@register_tactic("rfl")
+def rfl(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
+    concl = _inst_state(_need_prop_goal(goal, "rfl"), state)
+    return TacticResult(cert=Certificate("rfl", goal, rfl_evidence(concl)))
 
 
 @register_tactic("have")
@@ -219,13 +222,12 @@ def cases(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if isinstance(prop, Conn) and prop.op == "or":
         gl = replace_hyp(goal, name, prop.args[0], f"{goal.case}.l")
         gr = replace_hyp(goal, name, prop.args[1], f"{goal.case}.r")
-        return TacticResult(new_goals=(gl, gr), safe=True)
+        return TacticResult(new_goals=(gl, gr))
     if isinstance(prop, Conn) and prop.op == "and":
-        return TacticResult(new_goals=(split_hyp(goal, name, prop),),
-                            safe=True)
+        return TacticResult(new_goals=(split_hyp(goal, name, prop),))
     if isinstance(prop, Conn) and prop.op == "false":
         cert = Certificate("cases", goal, {"false_hyp": name})
-        return TacticResult(cert=cert, safe=True)
+        return TacticResult(cert=cert)
     raise TacticFailed(f"cases: {name} is not a disjunction or conjunction")
 
 
@@ -295,7 +297,7 @@ def int_cases(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     for i, k in enumerate(range(lo_i, hi_i + 1), start=1):
         goals.append(subst_goal(goal, name, mk_lit(k, decl.sort),
                                 f"{goal.case}.case_{i}"))
-    return TacticResult(new_goals=tuple(goals), safe=True)
+    return TacticResult(new_goals=tuple(goals))
 
 
 def _rename_to_probe(p: Term, name: str, sort: Sort) -> Term:
@@ -343,10 +345,11 @@ def revalidate_exact(cert: Certificate) -> None:
 
 
 def revalidate_rfl(cert: Certificate) -> None:
-    sides = eq_sides(cert.goal.concl)
-    if sides is None or not definitional_eq(*sides):
+    try:
+        detail = rfl_evidence(cert.goal.concl)
+    except TacticFailed:
         raise CertificateError("rfl certificate no longer validates")
-    if normalize(sides[0]) != cert.detail["nf"]:
+    if detail != cert.detail:
         raise CertificateError("rfl normal form mismatch")
 
 

@@ -5,7 +5,8 @@ import pytest
 from holebox.expr import INT, PROP, Telescope, mk_lit
 from holebox.syntax import parse_term
 from holebox.tactics.decide import (
-    EvalBudgetExceeded, EvalNotClosed, EvaluatesFalse, decide_prop,
+    DEFAULT_BUDGET, EvalBudgetExceeded, EvalNotClosed, EvaluatesFalse,
+    decide_prop,
 )
 
 
@@ -125,9 +126,9 @@ def _open_goal_certs():
                                           "budget_used": 0}),
         Certificate("eval_decide", assigned, {
             "assigned": {"w": mk_lit(1, INT)}, "budget_used": 0}),
-        Certificate("rw_search", goal, {"path": [],
-                                        "closer": "eval_decide",
-                                        "assigned": {}}),
+        Certificate("rw_search", goal, {"path": [], "closer": Certificate(
+            "eval_decide", goal, {"normalized": goal.concl,
+                                  "budget": DEFAULT_BUDGET})}),
         replace(closed, detail={
             **closed.detail,
             "normalized": parse_term("3 = 3", Telescope(), PROP)}),

@@ -114,6 +114,22 @@ def test_certificates_are_checked_without_the_parser():
     assert hashing == ["fps.py"]
 
 
+# The closure tests rw_search must reach only through the closers' own
+# functions (`rfl_evidence`, `eval_evidence`) and their revalidators.
+CLOSURE_INTERNALS = {"definitional_eq", "decide_prop", "eval_term",
+                     "_value_term", "_check_assignment"}
+
+
+def test_rw_search_closes_only_through_the_closers():
+    tree = ast.parse((PACKAGE / "tactics" / "rewrite.py").read_text(
+        encoding="utf-8"))
+    fns = {fn.name: fn for fn in ast.walk(tree)
+           if isinstance(fn, ast.FunctionDef)}
+    direct = {name: sorted(set(_called_names(fns[name])) & CLOSURE_INTERNALS)
+              for name in ("_try_close", "revalidate_rw_search")}
+    assert direct == {"_try_close": [], "revalidate_rw_search": []}
+
+
 # -- no cache in the engine grows without bound -----------------------------
 
 # A memo may hold at most this many entries.  The engine runs long

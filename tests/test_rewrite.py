@@ -15,6 +15,8 @@ from holebox.kernel import (
     Certificate, CertificateError, Goal, SolutionState, apply_tactic,
 )
 from holebox.syntax import ParseError, parse_term, print_term
+from holebox.tactics import revalidate
+from holebox.tactics.decide import DEFAULT_BUDGET
 from holebox.tactics.rewrite import (
     NoMatch, RewriteLemma, SearchExhausted, SubtermIndex, apply_rule,
     default_library, load_lemma_library, match, parse_lemma_line,
@@ -159,8 +161,8 @@ def test_rw_search_certificate_closes_only_equations(concl):
     # arguments of any other connective or relation are not sides
     tele = Telescope((LocalDecl("x", INT),))
     goal = Goal("h", tele, parse_term(concl, tele, PROP))
-    cert = Certificate("rw_search", goal, {
-        "path": [], "closer": "rfl", "assigned": {}})
+    closer = Certificate("rfl", goal, {"nf": goal.concl})
+    cert = Certificate("rw_search", goal, {"path": [], "closer": closer})
     with pytest.raises(CertificateError):
         revalidate_rw_search(cert)
 
@@ -304,7 +306,7 @@ def test_rw_search_certificate_paths_pinned(concl, hyps, decls, path):
     st_ = setup_state(concl, hyps, decls)
     cert = apply_tactic(st_, "h", "rw_search", "").trace[-1].cert
     assert cert.detail["path"] == path
-    assert cert.detail["closer"] == "rfl"
+    assert cert.detail["closer"].tactic == "rfl"
     revalidate_rw_search(cert)
 
 
@@ -316,7 +318,8 @@ def test_rw_search_certificate_checks_its_assignment():
     tele = Telescope((LocalDecl("x", INT),))
     open_goal = Goal("h", tele, parse_term("x = 1", tele, PROP))
     forged = Certificate("rw_search", open_goal, {
-        "path": [], "closer": "eval_decide", "assigned": {"w": mk_lit(1)}})
+        "path": [], "closer": Certificate("eval_decide", open_goal, {
+            "assigned": {"w": mk_lit(1)}, "budget": DEFAULT_BUDGET})})
     with pytest.raises(CertificateError):
         revalidate_rw_search(forged)
     hole_goal = Goal("h", Telescope(), parse_term(
@@ -324,11 +327,76 @@ def test_rw_search_certificate_checks_its_assignment():
     state = SolutionState(goals=(hole_goal,),
                           holes=(Hole("w", Telescope(), INT),))
     cert = apply_tactic(state, "h", "rw_search", "").trace[-1].cert
-    assert cert.detail["assigned"] == {"w": mk_lit(5)}
+    closer = cert.detail["closer"]
+    assert closer.detail["assigned"] == {"w": mk_lit(5)}
     revalidate_rw_search(cert)
-    for detail in ({"assigned": {"w": mk_lit(6)}},
-                   {"assigned": {"v": mk_lit(5)}},
-                   {"closer": "rfl"}):
+    for forged_closer in (
+            replace(closer, detail={**closer.detail,
+                                    "assigned": {"w": mk_lit(6)}}),
+            replace(closer, detail={**closer.detail,
+                                    "assigned": {"v": mk_lit(5)}}),
+            replace(closer, tactic="rfl")):
         with pytest.raises(CertificateError):
+            revalidate_rw_search(replace(cert, detail={
+                **cert.detail, "closer": forged_closer}))
+
+
+def _pinned_cert():
+    concl, hyps, decls, _ = PINNED_PATHS[0]
+    return apply_tactic(setup_state(concl, hyps, decls), "h", "rw_search",
+                        "").trace[-1].cert
+
+
+def test_rw_search_closer_must_close_the_replayed_goal():
+    # each closer below holds on its own, but for a goal other than the
+    # one the path replays to
+    from dataclasses import replace
+    cert = _pinned_cert()
+    closer = cert.detail["closer"]
+    ctx = closer.goal.ctx
+    n_eq_n = Goal("h", ctx, parse_term("n = n", ctx, PROP))
+    others = (Certificate("rfl", n_eq_n, {"nf": mk_var("n", REAL)}),
+              replace(closer, goal=replace(closer.goal, case="h.other")),
+              replace(closer, goal=replace(closer.goal, ctx=Telescope(
+                  ctx.decls + (LocalDecl("m", INT),)))))
+    for other in others:
+        revalidate(other)
+        with pytest.raises(CertificateError, match="another goal"):
             revalidate_rw_search(replace(cert, detail={**cert.detail,
-                                                       **detail}))
+                                                       "closer": other}))
+
+
+@pytest.mark.parametrize("tactic", ["ring_nf", "auto"])
+def test_rw_search_closer_is_rfl_or_eval_decide(tactic):
+    from dataclasses import replace
+    cert = _pinned_cert()
+    goal = cert.detail["closer"].goal
+    other = apply_tactic(SolutionState(goals=(goal,)), goal.case, tactic,
+                         "").trace[-1].cert
+    revalidate(other)
+    with pytest.raises(CertificateError, match="neither rfl nor eval_decide"):
+        revalidate_rw_search(replace(cert, detail={**cert.detail,
+                                                   "closer": other}))
+
+
+@pytest.mark.parametrize("concl,key,forged", [
+    ("(1 + sqrt (1 + 8*n)) / 2 = (1 + (1 + 8*n)^(1/2)) / 2", "nf",
+     mk_lit(0, REAL)),
+    ("prime 7 <-> True", "normalized", mk_conn("true", ())),
+    ("?w = 2 + 3", "assigned", {"w": mk_lit(6)}),
+], ids=["rfl-nf", "eval-normalized", "eval-assigned"])
+def test_rw_search_rejects_a_tampered_closer_detail(concl, key, forged):
+    from dataclasses import replace
+    from holebox.kernel import Hole
+    tele = Telescope((LocalDecl("n", REAL),))
+    goal = Goal("h", tele, parse_term(concl, tele, PROP, metas={"w": INT}))
+    holes = (Hole("w", tele, INT),) if "?w" in concl else ()
+    state = SolutionState(goals=(goal,), holes=holes)
+    cert = apply_tactic(state, "h", "rw_search", "").trace[-1].cert
+    closer = cert.detail["closer"]
+    assert key in closer.detail
+    revalidate_rw_search(cert)
+    tampered = replace(closer, detail={**closer.detail, key: forged})
+    with pytest.raises(CertificateError):
+        revalidate_rw_search(replace(cert, detail={**cert.detail,
+                                                   "closer": tampered}))

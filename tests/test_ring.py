@@ -6,6 +6,7 @@ import pytest
 
 from holebox.expr import (
     App, INT, Lit, LocalDecl, NAT, PROP, RAT, REAL, Telescope, Var, mk_lit,
+    set_of,
 )
 from holebox.kernel import Goal, SolutionState, TacticFailed, apply_tactic
 from holebox.syntax import parse_term, print_term
@@ -125,3 +126,16 @@ def test_oversized_coefficient_fails_cleanly():
     with pytest.raises(CertificateError, match="coefficient of more than"):
         revalidate_ring_nf(Certificate("ring_nf", square,
                                        {"nf": mk_lit(0, INT)}))
+
+
+def test_ring_certificate_needs_a_ring_sort():
+    # ring_nf refuses an equation over sets, and so does its revalidator
+    from holebox.kernel import Certificate, CertificateError
+    from holebox.tactics import revalidate_ring_nf
+    tele = Telescope((LocalDecl("A", set_of(INT)),))
+    goal = Goal("h", tele, parse_term("A = A", tele, PROP))
+    with pytest.raises(TacticFailed, match="ring_nf over"):
+        apply_tactic(SolutionState(goals=(goal,)), "h", "ring_nf", "")
+    with pytest.raises(CertificateError, match="ring_nf over"):
+        revalidate_ring_nf(Certificate("ring_nf", goal,
+                                       {"nf": goal.concl.args[0]}))
