@@ -56,10 +56,11 @@ _SIMP_ROUNDS = 25
 def _simp(t):
     """Normalization with the lemma library, forward direction, fixpoint."""
     t = normalize(t)
+    rules = default_library().simp_rules
     for _ in range(_SIMP_ROUNDS):
         index = SubtermIndex(t)
-        for lemma in default_library():
-            new = first_rewrite(index, lemma, back=False)
+        for lemma, back in rules.for_index(index):
+            new = first_rewrite(index, lemma, back)
             if new is not None and new != t:
                 t = normalize(new)
                 break

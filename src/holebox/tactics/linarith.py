@@ -17,6 +17,20 @@ Fourier-Motzkin and in the Farkas multipliers.  Literal-modulus
 constraints (t % m = r, m | t, even/odd) are compiled to quotient
 variables.
 
+A disequality `e != 0` is split into `e < 0` or `e > 0`.  The splits
+of a system's k disequalities (at most `MAX_NE_SPLITS` = 2^k systems)
+are searched depth first, `<` before `>`, and every partial split below
+the root is checked on its own: one that is infeasible has no feasible
+completion, so it prunes its whole subtree.  The full splits that are
+checked are the same systems, in the same order, as an enumeration of
+all 2^k, so verdicts and certificates do not depend on the pruning.
+
+The hypotheses of a goal are translated once per (hypotheses, sort):
+`_hyp_atoms` is a bounded memo of their constraints and of the atom
+space they leave (atom table, Nat atoms, modulus rows, fresh-name
+counter), and each call extends its own copy with the target, so atom
+names and row order come out as if translated afresh.
+
 Nonlinear subterms are abstracted as opaque atoms, which only weakens
 the system, so every proof produced here is sound.
 """
@@ -26,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from ..expr import (
@@ -67,7 +82,16 @@ def _lin_add(a: Lin, b: Lin, bs: Fraction = Fraction(1)) -> Lin:
 
 
 def _lin_scale(a: Lin, s: Fraction) -> Lin:
-    return {k: v * s for k, v in a.items() if v * s != 0 or k == CONST}
+    out = {}
+    for k, v in a.items():
+        p = v * s
+        if p or k == CONST:
+            out[k] = p
+    return out
+
+
+def _lin_neg(a: Lin) -> Lin:
+    return {k: -v for k, v in a.items()}
 
 
 @dataclass
@@ -183,11 +207,10 @@ def atom_to_constraints(a: Atom, az: Atomizer, positive: bool
         lhs = linearize(a.args[0], az)
         rhs = linearize(a.args[1], az)
         diff = _lin_add(lhs, rhs, Fraction(-1))
-        neg = _lin_scale(diff, Fraction(-1))
         if not positive:
             rel = {"eq": "ne", "ne": "eq", "lt": "le", "le": "lt"}[rel]
             if rel in ("le", "lt"):
-                diff, neg = neg, diff
+                diff = _lin_neg(diff)
         if rel == "eq":
             return [_mk_con(diff, "eq")]
         if rel == "ne":
@@ -568,6 +591,9 @@ def _exact(lo: list[int], hi: list[int]) -> bool:
 # System assembly and the tactic
 
 
+HYP_MEMO_ENTRIES = 64
+
+
 def _hyp_system(goal: Goal, asg: dict[str, Term], sort: Sort,
                 target: Callable[[Atomizer], object]
                 ) -> tuple[Atomizer, list[Constraint], object]:
@@ -575,25 +601,41 @@ def _hyp_system(goal: Goal, asg: dict[str, Term], sort: Sort,
 
     `target` translates what is to be proved (or pinned) in between, so
     that its atoms get the Nat non-negativity rows and the modulus rows
-    too; those rows come last.
+    too; those rows come last.  The hypotheses' part comes from
+    `_hyp_atoms`, copied, so `target` extends it as it would a fresh
+    translation.
     """
-    az = Atomizer(sort)
-    cons: list[Constraint] = []
+    props = []
     for d in goal.ctx.decls:
         if d.prop is None:
             continue
         prop = normalize(instantiate_metas(d.prop, asg))
-        if metavars_of(prop):
-            continue
-        flat = _flatten_pos(prop, az)
-        if flat is not None:
-            cons.extend(flat)
+        if not metavars_of(prop):
+            props.append(prop)
+    table, nat_keys, mods, counter, hyp_cons = _hyp_atoms(tuple(props), sort)
+    az = Atomizer(sort, dict(table), set(nat_keys), list(mods), counter)
+    cons = list(hyp_cons)
     out = target(az)
     # Nat atoms are nonnegative integers
     cons.extend(_mk_con({key: Fraction(-1)}, "le")
                 for key in sorted(az.nat_keys))
     cons.extend(az.mod_constraints)
     return az, cons, out
+
+
+@lru_cache(maxsize=HYP_MEMO_ENTRIES)
+def _hyp_atoms(props: tuple[Term, ...], sort: Sort) -> tuple:
+    """The constraints of the linear conjuncts of `props`, in order, and
+    the atom space they leave: `(table items, nat_keys, mod rows,
+    counter, constraints)`, all immutable."""
+    az = Atomizer(sort)
+    cons: list[Constraint] = []
+    for prop in props:
+        flat = _flatten_pos(prop, az)
+        if flat is not None:
+            cons.extend(flat)
+    return (tuple(az.table.items()), frozenset(az.nat_keys),
+            tuple(az.mod_constraints), az.counter, tuple(cons))
 
 
 def _collect_system(goal: Goal, state: Optional[SolutionState]
@@ -619,42 +661,60 @@ def _goal_sort(concl: Term) -> Sort:
     raise NotLinear("no linear relation in the conclusion")
 
 
-def _split_nes(cons: list[Constraint]) -> list[list[Constraint]]:
-    """Expand ne constraints into strict branches (lt each side)."""
-    systems: list[list[Constraint]] = [[]]
-    n_nes = sum(1 for c in cons if c.rel == "ne")
-    if 2 ** n_nes > MAX_NE_SPLITS:
+def _split_nes(cons: list[Constraint],
+               feasible: Callable[[list[Constraint]], bool]) -> bool:
+    """Whether some split of the ne constraints into strict sides (`<`,
+    then `>`) leaves a feasible system.
+
+    The splits are searched depth first, in constraint order, and each
+    node below the root is checked with the decided sides only: an
+    infeasible one has no feasible split under it, so its subtree is
+    skipped; a check that gives up (`NotLinear`) skips nothing.  The
+    leaves reached are the full splits, in their enumeration order,
+    with every constraint where it stood.
+    """
+    nes = [i for i, c in enumerate(cons) if c.rel == "ne"]
+    if 2 ** len(nes) > MAX_NE_SPLITS:
         raise NotLinear("too many disequalities to split")
-    for c in cons:
-        if c.rel != "ne":
-            for s in systems:
-                s.append(c)
-            continue
-        lt = _mk_con(c.lin(), "lt")
-        gt = _mk_con(_lin_scale(c.lin(), Fraction(-1)), "lt")
-        systems = [s + [side] for s in systems for side in (lt, gt)]
-    return systems
+    sides = {i: (_mk_con(cons[i].lin(), "lt"),
+                 _mk_con(_lin_neg(cons[i].lin()), "lt")) for i in nes}
+
+    def system(chosen: tuple[int, ...]) -> list[Constraint]:
+        picked = dict(zip(nes, chosen))
+        return [c if c.rel != "ne" else sides[i][picked[i]]
+                for i, c in enumerate(cons)
+                if c.rel != "ne" or i in picked]
+
+    def search(chosen: tuple[int, ...]) -> bool:
+        if len(chosen) == len(nes):
+            return feasible(system(chosen))
+        if chosen:
+            try:
+                if not feasible(system(chosen)):
+                    return False
+            except NotLinear:
+                pass
+        return search(chosen + (0,)) or search(chosen + (1,))
+
+    return search(())
 
 
 def refute_branch(sort: Sort, cons: list[Constraint]) -> dict:
     """Show one conjunction of constraints infeasible; raises NotLinear or
     TacticFailed (feasible)."""
-    int_path = sort in (INT, NAT)
-    for sub in _split_nes(cons):
-        if int_path:
-            eqs, ineqs = _int_rows(sub)
-            if omega_sat(eqs, ineqs):
-                raise TacticFailed("linear_arith: system is feasible")
-        else:
-            farkas = fm_refute(sub)
-            if farkas is None:
-                raise TacticFailed("linear_arith: system is feasible")
-    if int_path:
+    if sort in (INT, NAT):
+        if _split_nes(cons, lambda sub: omega_sat(*_int_rows(sub))):
+            raise TacticFailed("linear_arith: system is feasible")
         return {"method": "omega"}
-    if not any(c.rel == "ne" for c in cons):
-        # no split: the one system refuted is `cons` itself, in order
-        return {"method": "farkas", "multipliers": farkas}
-    return {"method": "fm-split"}
+    if any(c.rel == "ne" for c in cons):
+        if _split_nes(cons, lambda sub: fm_refute(sub) is None):
+            raise TacticFailed("linear_arith: system is feasible")
+        return {"method": "fm-split"}
+    # no split: the one system refuted is `cons` itself, in order
+    farkas = fm_refute(cons)
+    if farkas is None:
+        raise TacticFailed("linear_arith: system is feasible")
+    return {"method": "farkas", "multipliers": farkas}
 
 
 def prove_linear(goal: Goal, state: Optional[SolutionState]) -> dict:

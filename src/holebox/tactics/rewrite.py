@@ -19,6 +19,16 @@ every subterm.  `auto`'s simplifier builds one index per round and
 `rw_search` one per frontier term, and both rewrite each match straight
 from its substitution (`rewrite_at`).
 
+Rules are dispatched on the same heads (`RuleDispatch`): a rule list is
+grouped once by the head of each rule's source pattern, and for one
+index only the rules whose head has a bucket there, plus those whose
+pattern is a bare variable, are visited, still in list order.  A rule
+left out has no occurrence, so a round rewrites exactly as a loop over
+every rule would.  A `LemmaLibrary` groups its own rules on first use,
+once for the simplifier (every lemma left to right) and once for
+`rw_search` (both directions, bare-variable patterns skipped); the
+local hypotheses' rules are grouped per search.
+
 An `rw_search` certificate's goal is the conclusion the search started
 from, and its detail holds two items:
 
@@ -37,6 +47,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from itertools import product
 from typing import Iterator, Optional
@@ -263,6 +274,36 @@ def apply_rule(t: Term, rule: RewriteLemma, back: bool,
     return None
 
 
+Rule = tuple[RewriteLemma, bool]      # a rule and whether it runs backward
+
+
+class RuleDispatch:
+    """A list of rules grouped by the head of each one's source pattern.
+
+    `for_index` keeps the list order, and leaves out only rules whose
+    pattern head has no bucket in the index, which therefore have no
+    occurrence there."""
+
+    def __init__(self, rules: list[Rule]):
+        self.rules = rules
+        self._anywhere: list[int] = []
+        self._by_head: dict[tuple, list[int]] = {}
+        for i, (rule, back) in enumerate(rules):
+            pat = rule.rhs if back else rule.lhs
+            if isinstance(pat, Meta):
+                self._anywhere.append(i)
+            else:
+                self._by_head.setdefault(_head(pat), []).append(i)
+
+    def for_index(self, index: SubtermIndex) -> list[Rule]:
+        """The rules that can match somewhere in the indexed term."""
+        hits = list(self._anywhere)
+        for head in index.buckets:
+            hits.extend(self._by_head.get(head, ()))
+        hits.sort()
+        return [self.rules[i] for i in hits]
+
+
 # ---------------------------------------------------------------------------
 # Lemma library
 
@@ -276,6 +317,19 @@ class LemmaLibrary:
 
     def __iter__(self):
         return iter(self.lemmas)
+
+    @cached_property
+    def simp_rules(self) -> RuleDispatch:
+        """Every lemma, left to right: `auto`'s simplifier."""
+        return RuleDispatch([(lem, False) for lem in self.lemmas])
+
+    @cached_property
+    def search_rules(self) -> RuleDispatch:
+        """Each lemma forward, then backward when it is bidirectional:
+        `rw_search`'s library rules."""
+        return RuleDispatch(_searchable(
+            (lem, back) for lem in self.lemmas
+            for back in ((False, True) if lem.bidirectional else (False,))))
 
 
 _PATTERN_SORT_TRIALS = NUMERIC
@@ -429,24 +483,19 @@ def rewrite(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 # rw_search
 
 
-def _search_rules(goal: Goal, state: Optional[SolutionState]
-                  ) -> list[tuple[RewriteLemma, bool]]:
+def _searchable(rules) -> list[Rule]:
     # a direction whose pattern is a bare variable matches every subterm
     # and only inflates the frontier, so it is skipped
-    rules: list[tuple[RewriteLemma, bool]] = []
-    for lem in default_library():
-        if not isinstance(lem.lhs, Meta):
-            rules.append((lem, False))
-        if lem.bidirectional and not isinstance(lem.rhs, Meta):
-            rules.append((lem, True))
+    return [(rule, back) for rule, back in rules
+            if not isinstance(rule.rhs if back else rule.lhs, Meta)]
+
+
+def _hyp_search_rules(goal: Goal, state: Optional[SolutionState]
+                      ) -> RuleDispatch:
+    """The local hypotheses' rules, all forward, then all backward."""
     hyps = _hyp_rules(goal, state)
-    for rule in hyps:
-        if not isinstance(rule.lhs, Meta):
-            rules.append((rule, False))
-    for rule in hyps:
-        if not isinstance(rule.rhs, Meta):
-            rules.append((rule, True))
-    return rules
+    return RuleDispatch(_searchable(
+        [(rule, False) for rule in hyps] + [(rule, True) for rule in hyps]))
 
 
 def _try_close(concl: Term, pending: frozenset[str]
@@ -474,7 +523,8 @@ def rw_search_term(concl: Term, goal: Goal, state: Optional[SolutionState],
     `closer` is the certificate that closes the last term of the path,
     as a goal in `goal`'s case and context, and `assignments` are the
     hole fills it records."""
-    rules = _search_rules(goal, state)
+    library = default_library().search_rules
+    hyps = _hyp_search_rules(goal, state)
     pending = frozenset(h.mid for h in state.unassigned_holes()) \
         if state is not None else frozenset()
     seen = {concl}
@@ -493,7 +543,8 @@ def rw_search_term(concl: Term, goal: Goal, state: Optional[SolutionState],
         nxt: list[tuple[Term, tuple]] = []
         for term, path in frontier:
             index = SubtermIndex(term)
-            for rule, back in rules:
+            for rule, back in library.for_index(index) \
+                    + hyps.for_index(index):
                 pat = rule.rhs if back else rule.lhs
                 for occ, sub in enumerate(index.occurrences(pat), 1):
                     new = rewrite_at(term, rule, back, sub)

@@ -4,16 +4,20 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from holebox.expr import INT, LocalDecl, PROP, RAT, REAL, Telescope
+from holebox.expr import INT, LocalDecl, NAT, PROP, RAT, REAL, Telescope
 from holebox.kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
     apply_tactic,
 )
+from holebox.norm import normalize
 from holebox.syntax import parse_term
+from holebox.tactics import linarith
 from holebox.tactics.linarith import (
-    CONST, NotLinear, fm_refute, omega_sat, revalidate_linear_arith,
-    verify_farkas, _mk_con, _OmegaBudget,
+    CONST, MAX_NE_SPLITS, NotLinear, fm_refute, linearize, omega_sat,
+    prove_linear, refute_branch, revalidate_linear_arith, verify_farkas,
+    _hyp_atoms, _hyp_system, _int_rows, _mk_con, _OmegaBudget,
 )
 
 
@@ -265,3 +269,183 @@ def test_synthesis_certificate_checks_its_assignment():
         with pytest.raises(CertificateError):
             revalidate_linear_arith(replace(
                 cert, detail={**cert.detail, "assigned": assigned}))
+
+
+# ---------------------------------------------------------------------------
+# Disequality splits: the depth-first split against the full enumeration
+
+
+def eager_splits(cons):
+    """All 2^k splits of the k `ne` rows, in order, `<` before `>`."""
+    systems = [[]]
+    for c in cons:
+        if c.rel != "ne":
+            systems = [s + [c] for s in systems]
+            continue
+        lt = _mk_con(c.lin(), "lt")
+        gt = _mk_con({k: -v for k, v in c.lin().items()}, "lt")
+        systems = [s + [side] for s in systems for side in (lt, gt)]
+    return systems
+
+
+def _feasible(sort):
+    if sort in (INT, NAT):
+        return lambda sub: linarith.omega_sat(*_int_rows(sub))
+    return lambda sub: linarith.fm_refute(sub) is None
+
+
+def eager_refute(sort, cons):
+    """`refute_branch` by checking every split up front."""
+    if 2 ** sum(c.rel == "ne" for c in cons) > MAX_NE_SPLITS:
+        raise NotLinear("too many disequalities to split")
+    systems = eager_splits(cons)
+    if any(_feasible(sort)(sub) for sub in systems):
+        raise TacticFailed("linear_arith: system is feasible")
+    if sort in (INT, NAT):
+        return {"method": "omega"}
+    if len(systems) == 1:
+        return {"method": "farkas", "multipliers": fm_refute(cons)}
+    return {"method": "fm-split"}
+
+
+def _outcome(refute, sort, cons):
+    try:
+        return "refuted", refute(sort, cons)
+    except NotLinear:
+        return "not linear", None
+    except TacticFailed:
+        return "feasible", None
+
+
+@st.composite
+def _systems(draw):
+    """An Int or Rat system over x and y with 0-6 disequalities, the
+    other rows drawn from le, lt and eq, in a random order."""
+    sort = draw(st.sampled_from([INT, RAT]))
+    coef = st.integers(-3, 3)
+
+    def row(rel):
+        den = draw(st.integers(1, 3)) if sort == RAT else 1
+        return _mk_con({"x": Fraction(draw(coef), den),
+                        "y": Fraction(draw(coef), den),
+                        CONST: Fraction(draw(st.integers(-6, 6)), den)}, rel)
+
+    rels = ["ne"] * draw(st.integers(0, 6)) + draw(
+        st.lists(st.sampled_from(["le", "lt", "eq"]), max_size=5))
+    return sort, [row(rel) for rel in draw(st.permutations(rels))]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_systems())
+def test_depth_first_split_matches_the_full_enumeration(system):
+    sort, cons = system
+    assert _outcome(refute_branch, sort, cons) \
+        == _outcome(eager_refute, sort, cons)
+    # the full splits it reaches are the enumeration's, in its order;
+    # the shorter systems are the checks of partial splits
+    visited = []
+
+    def recording(sub):
+        visited.append(sub)
+        return _feasible(sort)(sub)
+
+    linarith._split_nes(cons, recording)
+    leaves = iter(eager_splits(cons))
+    assert all(any(leaf == sub for sub in leaves)
+               for leaf in visited if len(leaf) == len(cons))
+
+
+def _ne_rows(n):
+    """1 <= x <= n and x != 1, ..., x != n over Int: infeasible."""
+    box = [_mk_con({"x": Fraction(-1), CONST: Fraction(1)}, "le"),
+           _mk_con({"x": Fraction(1), CONST: Fraction(-n)}, "le")]
+    return box + [_mk_con({"x": Fraction(1), CONST: Fraction(-v)}, "ne")
+                  for v in range(1, n + 1)]
+
+
+def test_ne_split_guard():
+    # MAX_NE_SPLITS = 64 systems: six disequalities split, seven do not
+    assert MAX_NE_SPLITS == 2 ** 6
+    assert refute_branch(INT, _ne_rows(6)) == {"method": "omega"}
+    assert _outcome(eager_refute, INT, _ne_rows(6)) \
+        == ("refuted", {"method": "omega"})
+    with pytest.raises(NotLinear, match="too many disequalities"):
+        refute_branch(INT, _ne_rows(7))
+
+
+def test_ne_split_prunes_infeasible_prefixes(monkeypatch):
+    # six solutions, so the negated conclusion holds six disequalities:
+    # the full enumeration runs omega on all 2^6 splits
+    tele = Telescope((LocalDecl("x", INT),))
+    goal = Goal("h", tele, parse_term(
+        "-8 <= x /\\ x <= 8 /\\ 1 <= x /\\ x <= 6 -> "
+        "x = 1 \\/ x = 2 \\/ x = 3 \\/ x = 4 \\/ x = 5 \\/ x = 6", tele, PROP))
+    calls = []
+
+    def counting(eqs, ineqs, budget=None):
+        calls.append(len(eqs) + len(ineqs))
+        return omega_sat(eqs, ineqs, budget)
+
+    monkeypatch.setattr(linarith, "omega_sat", counting)
+    assert prove_linear(goal, None) == {"branches": [{"method": "omega"}]}
+    # below the 2^6 of the full enumeration: at each split one side is
+    # pruned and the other checked, and the root is never checked
+    assert len(calls) == 12
+    calls.clear()
+    _, hyps, branches = linarith._collect_system(goal, None)
+    assert eager_refute(INT, hyps + branches[0]) == {"method": "omega"}
+    assert len(calls) == 2 ** 6
+
+
+def test_ne_split_check_that_gives_up_prunes_nothing():
+    # a partial split whose check runs out of budget is split further,
+    # so every leaf is still checked
+    cons = _ne_rows(3)
+    leaves = []
+
+    def giving_up(sub):
+        if len(sub) < len(cons):
+            raise NotLinear("omega node budget exceeded")
+        leaves.append(sub)
+        return _feasible(INT)(sub)
+
+    assert not linarith._split_nes(cons, giving_up)
+    assert leaves == eager_splits(cons)
+
+
+# ---------------------------------------------------------------------------
+# The hypothesis memo
+
+
+def test_hyp_system_memo_gives_each_call_a_fresh_atom_space():
+    tele = Telescope((LocalDecl("x", INT), LocalDecl("y", INT),
+                      LocalDecl("m", NAT)))
+    for i, h in enumerate(["x % 3 = 1", "x + y <= 10", "y * y = 4"]):
+        tele = tele.extended(
+            LocalDecl(f"h{i}", PROP, prop=parse_term(h, tele, PROP)))
+    goal = Goal("h", tele, parse_term("x = x", tele, PROP))
+    # the target adds a modulus atom and a Nat atom of its own
+    extra = [normalize(parse_term(t, tele)) for t in ("y % 4", "m")]
+
+    def run():
+        az, cons, out = _hyp_system(
+            goal, {}, INT, lambda az: [linearize(t, az) for t in extra])
+        return (list(az.table.items()), az.nat_keys, az.mod_constraints,
+                az.counter, cons, out)
+
+    _hyp_atoms.cache_clear()
+    cold = run()
+    warm = run()
+    assert _hyp_atoms.cache_info().hits == 1
+    _hyp_atoms.cache_clear()
+    again = run()
+    assert cold == warm == again == run()
+    table, nat_keys, mods, counter, cons, _ = cold
+    assert counter == 2 and len(mods) == 6
+    assert nat_keys == {"`m`"}
+    assert "`y % 4`" in dict(table) and "`m`" in dict(table)
+    # the memo's own snapshot still ends before the target's atoms
+    snap_table, snap_nat, snap_mods, snap_counter, _ = _hyp_atoms(
+        tuple(normalize(d.prop) for d in tele.decls if d.prop), INT)
+    assert snap_counter == 1 and len(snap_mods) == 3
+    assert "`m`" not in dict(snap_table) and not snap_nat

@@ -14,13 +14,15 @@ from holebox.expr import (
 from holebox.kernel import (
     Certificate, CertificateError, Goal, SolutionState, apply_tactic,
 )
+from holebox.norm import normalize
 from holebox.syntax import ParseError, parse_term, print_term
 from holebox.tactics import revalidate
+from holebox.tactics.auto import _SIMP_ROUNDS, _simp
 from holebox.tactics.decide import DEFAULT_BUDGET
 from holebox.tactics.rewrite import (
-    NoMatch, RewriteLemma, SearchExhausted, SubtermIndex, apply_rule,
-    default_library, load_lemma_library, match, parse_lemma_line,
-    revalidate_rw_search, rewrite_at, rule_from_prop,
+    NoMatch, RewriteLemma, RuleDispatch, SearchExhausted, SubtermIndex,
+    apply_rule, default_library, first_rewrite, load_lemma_library, match,
+    parse_lemma_line, revalidate_rw_search, rewrite_at, rule_from_prop,
 )
 
 
@@ -276,6 +278,73 @@ def test_apply_rule_rewrites_at_the_kth_match(seed):
             assert apply_rule(t, rule, back, 0) is None
             first = next((new for new in at if new is not None), None)
             assert apply_rule(t, rule, back) == first
+
+
+# ---------------------------------------------------------------------------
+# Rule dispatch against the loop over every rule
+
+
+def _has_occurrence(index, rule, back):
+    return next(index.occurrences(rule.rhs if back else rule.lhs),
+                None) is not None
+
+
+def _check_dispatch(dispatch, terms):
+    for t in terms:
+        index = SubtermIndex(t)
+        got = dispatch.for_index(index)
+        # in list order, and every rule left out has no occurrence
+        rest = iter(dispatch.rules)
+        assert all(any(rb == r for r in rest) for rb in got)
+        assert [rb for rb in got if _has_occurrence(index, *rb)] \
+            == [rb for rb in dispatch.rules if _has_occurrence(index, *rb)]
+
+
+def _library_dispatches():
+    lib = default_library()
+    search = [(lem, back) for lem in lib for back in (False, True)
+              if (back is False or lem.bidirectional)
+              and not isinstance(lem.rhs if back else lem.lhs, Meta)]
+    assert lib.simp_rules.rules == [(lem, False) for lem in lib]
+    assert lib.search_rules.rules == search
+    assert lib.simp_rules is lib.simp_rules     # grouped once
+    # every rule in both directions, bare-variable patterns included
+    return [lib.simp_rules, lib.search_rules, RuleDispatch(_all_rules())]
+
+
+def reference_simp(t):
+    """`auto._simp` trying every library lemma each round."""
+    t = normalize(t)
+    for _ in range(_SIMP_ROUNDS):
+        index = SubtermIndex(t)
+        for lemma in default_library():
+            new = first_rewrite(index, lemma, back=False)
+            if new is not None and new != t:
+                t = normalize(new)
+                break
+        else:
+            return t
+    return t
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32))
+def test_dispatch_equals_the_full_rule_loop(seed):
+    terms = _terms(seed, embedded=6)
+    for dispatch in _library_dispatches():
+        _check_dispatch(dispatch, terms)
+    for t in terms:
+        assert _simp(t) == reference_simp(t)
+
+
+def test_dispatch_on_every_rule_side():
+    terms = _terms(20250810)
+    for dispatch in _library_dispatches():
+        _check_dispatch(dispatch, terms)
+    simplified = [t for t in terms if _simp(t) != normalize(t)]
+    assert len(simplified) > 20
+    for t in terms:
+        assert _simp(t) == reference_simp(t)
 
 
 # ---------------------------------------------------------------------------
