@@ -568,11 +568,6 @@ def abstract_var(t: Term, name: str, depth: int = 0) -> Term:
     return _rebuild(t, tuple(abstract_var(k, name, depth) for k in kids))
 
 
-def bind(kind: str, name: str, vsort: Sort, body_open: Term) -> Binder:
-    """Build a binder from a body written with a free Var(name)."""
-    return mk_binder(kind, name, vsort, abstract_var(body_open, name))
-
-
 def has_loose_bvars(t: Term, depth: int = 0) -> bool:
     return t.bvar_bound > depth
 

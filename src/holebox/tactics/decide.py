@@ -5,6 +5,15 @@ division, finite-set cardinality and sums over integer ranges or divisor
 sets, and quantifiers bounded by literal constraints.  Everything runs
 on arbitrary-precision rationals under an enumeration budget.
 
+`normalize` runs once, on the whole proposition; the certificate records
+that normal form.  Binder bodies (quantifiers, set-builders and a sum's
+function literal) are then evaluated under an environment of values:
+the body is walked once per element, with `BVar(i)` reading the i-th
+value, innermost binder first, and no term is built per element.  A
+binder's bounds are read off its body opened at a probe variable, once
+per binder, and evaluated under the same environment, so a nested
+binder whose bounds mention an outer variable still enumerates.
+
 A special assignment mode handles goals of the shape `?w = t` (or
 `t = ?w`, or `?w <-> p`) with a closed right-hand side: the value is
 computed and the answer hole is filled, which is how purely
@@ -69,25 +78,33 @@ def _fail_open(t: Term) -> EvalNotClosed:
     return EvalNotClosed(f"not a closed evaluable term: {type(t).__name__}")
 
 
-def eval_term(t: Term, budget: Budget) -> Value:
+Env = tuple[Fraction, ...]
+
+
+def eval_term(t: Term, budget: Budget, env: Env = ()) -> Value:
+    """The value of `t`, whose loose bound variables take their values
+    from `env`: `BVar(i)` reads `env[i]`, innermost binder first."""
     if isinstance(t, Lit):
         if t.sort == REAL:
             raise EvalNotClosed("symbolic Real literal")
         return t.val
-    if isinstance(t, (Var, Meta, BVar)):
-        raise _fail_open(t)
+    if isinstance(t, BVar):
+        if t.sort == REAL:
+            raise EvalNotClosed("symbolic Real variable")
+        if t.idx >= len(env):
+            raise _fail_open(t)
+        return env[t.idx]
     if isinstance(t, Conn):
-        return _eval_conn(t, budget)
+        return _eval_conn(t, budget, env)
     if isinstance(t, Atom):
-        return _eval_atom(t, budget)
+        return _eval_atom(t, budget, env)
+    if isinstance(t, App):
+        return _eval_app(t, budget, env)
     if isinstance(t, Binder):
         if t.kind in ("forall", "exists"):
-            return _eval_quant(t, budget)
+            return _eval_quant(t, budget, env)
         if t.kind == "setb":
-            return _eval_setb(t, budget)
-        raise _fail_open(t)
-    if isinstance(t, App):
-        return _eval_app(t, budget)
+            return _eval_setb(t, budget, env)
     raise _fail_open(t)
 
 
@@ -97,50 +114,39 @@ def _as_num(v: Value) -> Fraction:
     return v
 
 
-def _eval_app(t: App, budget: Budget) -> Value:
+def _eval_app(t: App, budget: Budget, env: Env) -> Value:
     if t.sort == REAL or any(a.sort == REAL for a in t.args):
         raise EvalNotClosed("symbolic Real expression")
     op = t.op
     if op in ("add", "sub", "mul", "div", "mod", "neg", "abs", "pow"):
-        vals = [_as_num(eval_term(a, budget)) for a in t.args]
+        vals = [_as_num(eval_term(a, budget, env)) for a in t.args]
         return _arith(op, vals, t.sort)
     if op == "rat":
-        return _as_num(eval_term(t.args[0], budget))
+        return _as_num(eval_term(t.args[0], budget, env))
     if op == "setlit":
-        return frozenset(_as_num(eval_term(a, budget)) for a in t.args)
+        return frozenset(_as_num(eval_term(a, budget, env)) for a in t.args)
     if op == "divisors":
-        n = _as_num(eval_term(t.args[0], budget))
+        n = _as_num(eval_term(t.args[0], budget, env))
         return _divisors(int(n), budget)
     if op == "range":
-        lo = int(_as_num(eval_term(t.args[0], budget)))
-        hi = int(_as_num(eval_term(t.args[1], budget)))
+        lo = int(_as_num(eval_term(t.args[0], budget, env)))
+        hi = int(_as_num(eval_term(t.args[1], budget, env)))
         if hi >= lo:
             budget.charge(hi - lo + 1)
         return frozenset(Fraction(k) for k in range(lo, hi + 1))
     if op in ("union", "inter"):
-        a = eval_term(t.args[0], budget)
-        b = eval_term(t.args[1], budget)
+        a = eval_term(t.args[0], budget, env)
+        b = eval_term(t.args[1], budget, env)
         if not isinstance(a, frozenset) or not isinstance(b, frozenset):
             raise EvalNotClosed("set operation on non-finite sets")
         return a | b if op == "union" else a & b
     if op == "card":
-        s = eval_term(t.args[0], budget)
+        s = eval_term(t.args[0], budget, env)
         if not isinstance(s, frozenset):
             raise EvalNotClosed("cardinality of a non-enumerable set")
         return Fraction(len(s))
     if op == "sum":
-        s = eval_term(t.args[0], budget)
-        if not isinstance(s, frozenset):
-            raise EvalNotClosed("sum over a non-enumerable set")
-        lam = t.args[1]
-        if not isinstance(lam, Binder) or lam.kind != "lam":
-            raise EvalNotClosed("sum body is not a function literal")
-        total = Fraction(0)
-        for v in sorted(s):
-            budget.charge()
-            body = normalize(instantiate_bvar(lam.body, mk_lit(v, lam.vsort)))
-            total += _as_num(eval_term(body, budget))
-        return total
+        return _eval_sum(t, budget, env)
     raise EvalNotClosed(f"operator {op!r} is not evaluable")
 
 
@@ -180,29 +186,29 @@ def is_prime(n: int, budget: Budget) -> bool:
     return True
 
 
-def _eval_atom(t: Atom, budget: Budget) -> bool:
+def _eval_atom(t: Atom, budget: Budget, env: Env) -> bool:
     if any(a.sort == REAL for a in t.args):
         raise EvalNotClosed("symbolic Real comparison")
     rel = t.rel
     if rel == "mem":
-        x = _as_num(eval_term(t.args[0], budget))
-        s = eval_term(t.args[1], budget)
+        x = _as_num(eval_term(t.args[0], budget, env))
+        s = eval_term(t.args[1], budget, env)
         if not isinstance(s, frozenset):
             raise EvalNotClosed("membership in a non-enumerable set")
         return x in s
     if rel in ("eq", "ne"):
-        a = eval_term(t.args[0], budget)
-        b = eval_term(t.args[1], budget)
+        a = eval_term(t.args[0], budget, env)
+        b = eval_term(t.args[1], budget, env)
         if isinstance(a, frozenset) != isinstance(b, frozenset):
             raise EvalNotClosed("heterogeneous equality")
         return (a == b) if rel == "eq" else (a != b)
-    a = _as_num(eval_term(t.args[0], budget))
+    a = _as_num(eval_term(t.args[0], budget, env))
     if rel == "lt":
-        return a < _as_num(eval_term(t.args[1], budget))
+        return a < _as_num(eval_term(t.args[1], budget, env))
     if rel == "le":
-        return a <= _as_num(eval_term(t.args[1], budget))
+        return a <= _as_num(eval_term(t.args[1], budget, env))
     if rel == "dvd":
-        b = _as_num(eval_term(t.args[1], budget))
+        b = _as_num(eval_term(t.args[1], budget, env))
         ai, bi = int(a), int(b)
         return bi == 0 if ai == 0 else bi % ai == 0
     if rel == "even":
@@ -214,16 +220,16 @@ def _eval_atom(t: Atom, budget: Budget) -> bool:
     raise EvalNotClosed(f"relation {rel!r} is not evaluable")
 
 
-def _eval_conn(t: Conn, budget: Budget) -> bool:
+def _eval_conn(t: Conn, budget: Budget, env: Env) -> bool:
     op = t.op
     if op == "true":
         return True
     if op == "false":
         return False
     if op == "not":
-        return not _as_bool(eval_term(t.args[0], budget))
-    a = _as_bool(eval_term(t.args[0], budget))
-    b = _as_bool(eval_term(t.args[1], budget))
+        return not _as_bool(eval_term(t.args[0], budget, env))
+    a = _as_bool(eval_term(t.args[0], budget, env))
+    b = _as_bool(eval_term(t.args[1], budget, env))
     if op == "and":
         return a and b
     if op == "or":
@@ -252,17 +258,18 @@ def _conjuncts(t: Term) -> list[Term]:
     return [t]
 
 
-def _literal(t: Term, budget: Budget) -> Optional[Fraction]:
+def _literal(t: Term, budget: Budget, env: Env) -> Optional[Fraction]:
     try:
-        v = eval_term(t, budget)
+        v = eval_term(t, budget, env)
     except TacticFailed:
         return None
     return v if isinstance(v, Fraction) else None
 
 
-def _probe_bounds(parts: list[Term], budget: Budget
+def _probe_bounds(parts: list[Term], budget: Budget, env: Env = ()
                   ) -> tuple[Optional[Fraction], Optional[Fraction]]:
-    """Literal lower/upper bounds for the probe variable, if derivable."""
+    """Literal lower/upper bounds for the probe variable, if derivable;
+    the bounds are evaluated under `env`."""
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
 
@@ -282,35 +289,37 @@ def _probe_bounds(parts: list[Term], budget: Budget
             continue
         rel, args = part.rel, part.args
         if rel in ("le", "lt") and is_probe(args[0]):
-            v = _literal(args[1], budget)
+            v = _literal(args[1], budget, env)
             if v is not None:
                 tighten_hi(v if rel == "le" else v - 1)
         elif rel in ("le", "lt") and is_probe(args[1]):
-            v = _literal(args[0], budget)
+            v = _literal(args[0], budget, env)
             if v is not None:
                 tighten_lo(v if rel == "le" else v + 1)
         elif rel in ("le", "lt") and isinstance(args[0], App) \
                 and args[0].op == "abs":
             inner = args[0].args[0]
-            k = _literal(args[1], budget)
+            centred = isinstance(inner, App) and inner.op == "sub" \
+                and is_probe(inner.args[0])
+            if not (centred or is_probe(inner)):
+                # only `abs p` and `abs (p - c)` bound the probe `p`;
+                # for any other `abs` the bound side is not evaluated
+                continue
+            k = _literal(args[1], budget, env)
             if k is None:
                 continue
             if rel == "lt":
                 k -= 1
-            center: Optional[Fraction] = None
-            if is_probe(inner):
-                center = Fraction(0)
-            elif isinstance(inner, App) and inner.op == "sub" \
-                    and is_probe(inner.args[0]):
-                center = _literal(inner.args[1], budget)
+            center = _literal(inner.args[1], budget, env) if centred \
+                else Fraction(0)
             if center is not None:
                 tighten_lo(center - k)
                 tighten_hi(center + k)
         elif rel == "eq":
             if is_probe(args[0]):
-                v = _literal(args[1], budget)
+                v = _literal(args[1], budget, env)
             elif is_probe(args[1]):
-                v = _literal(args[0], budget)
+                v = _literal(args[0], budget, env)
             else:
                 v = None
             if v is not None:
@@ -318,7 +327,7 @@ def _probe_bounds(parts: list[Term], budget: Budget
                 tighten_hi(v)
         elif rel == "mem" and is_probe(args[0]):
             try:
-                s = eval_term(args[1], budget)
+                s = eval_term(args[1], budget, env)
             except TacticFailed:
                 continue
             if isinstance(s, frozenset) and s:
@@ -330,15 +339,15 @@ def _probe_bounds(parts: list[Term], budget: Budget
     return lo, hi
 
 
-def _enum_range(body: Term, vsort: Sort, budget: Budget,
-                for_all: bool) -> Optional[range]:
+def _enum_range(body: Term, vsort: Sort, budget: Budget, for_all: bool,
+                env: Env) -> Optional[range]:
     probe = mk_var(_PROBE, vsort)
     opened = instantiate_bvar(body, probe)
     if for_all and isinstance(opened, Conn) and opened.op == "imp":
         parts = _conjuncts(opened.args[0])
     else:
         parts = _conjuncts(opened)
-    lo, hi = _probe_bounds(parts, budget)
+    lo, hi = _probe_bounds(parts, budget, env)
     if vsort == NAT:
         lo = Fraction(0) if lo is None else max(lo, Fraction(0))
     if lo is None or hi is None:
@@ -346,16 +355,15 @@ def _enum_range(body: Term, vsort: Sort, budget: Budget,
     return range(math.ceil(lo), math.floor(hi) + 1)
 
 
-def _eval_quant(t: Binder, budget: Budget) -> bool:
+def _eval_quant(t: Binder, budget: Budget, env: Env) -> bool:
     if t.vsort not in (NAT, INT):
         raise EvalNotClosed(f"quantifier over {t.vsort}")
-    rng = _enum_range(t.body, t.vsort, budget, t.kind == "forall")
+    rng = _enum_range(t.body, t.vsort, budget, t.kind == "forall", env)
     if rng is None:
         raise EvalNotClosed("quantifier without derivable literal bounds")
     for k in rng:
         budget.charge()
-        inst = normalize(instantiate_bvar(t.body, mk_lit(k, t.vsort)))
-        v = _as_bool(eval_term(inst, budget))
+        v = _as_bool(eval_term(t.body, budget, (Fraction(k),) + env))
         if t.kind == "exists" and v:
             return True
         if t.kind == "forall" and not v:
@@ -363,19 +371,33 @@ def _eval_quant(t: Binder, budget: Budget) -> bool:
     return t.kind == "forall"
 
 
-def _eval_setb(t: Binder, budget: Budget) -> FinSet:
+def _eval_setb(t: Binder, budget: Budget, env: Env) -> FinSet:
     if t.vsort not in (NAT, INT):
         raise EvalNotClosed(f"set-builder over {t.vsort}")
-    rng = _enum_range(t.body, t.vsort, budget, for_all=False)
+    rng = _enum_range(t.body, t.vsort, budget, for_all=False, env=env)
     if rng is None:
         raise EvalNotClosed("set-builder without derivable literal bounds")
     out: set[Fraction] = set()
     for k in rng:
         budget.charge()
-        inst = normalize(instantiate_bvar(t.body, mk_lit(k, t.vsort)))
-        if _as_bool(eval_term(inst, budget)):
-            out.add(Fraction(k))
+        v = Fraction(k)
+        if _as_bool(eval_term(t.body, budget, (v,) + env)):
+            out.add(v)
     return frozenset(out)
+
+
+def _eval_sum(t: App, budget: Budget, env: Env) -> Fraction:
+    s = eval_term(t.args[0], budget, env)
+    if not isinstance(s, frozenset):
+        raise EvalNotClosed("sum over a non-enumerable set")
+    lam = t.args[1]
+    if not isinstance(lam, Binder) or lam.kind != "lam":
+        raise EvalNotClosed("sum body is not a function literal")
+    total = Fraction(0)
+    for v in sorted(s):
+        budget.charge()
+        total += _as_num(eval_term(lam.body, budget, (v,) + env))
+    return total
 
 
 # -- the tactic ---------------------------------------------------------------

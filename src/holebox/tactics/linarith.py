@@ -4,7 +4,7 @@ The goal is proved when the hypotheses together with the negated
 conclusion form an infeasible system.  Rational systems go through
 Fourier-Motzkin elimination with exact arithmetic, and the derived
 contradiction is recorded as a Farkas combination that revalidation
-re-checks by direct arithmetic.  Integer (and Nat-as-nonnegative-Int)
+re-checks by direct arithmetic.  Integer (not Nat, see below)
 systems go through the omega test (Pugh, 1991) on plain `int` rows
 `(c, a_1, ..., a_n)` over one fixed column order: unit equalities are
 substituted away, any other equality is reduced through a fresh sigma
@@ -16,6 +16,13 @@ its fragment.  `Fraction` appears only in linearization, in
 Fourier-Motzkin and in the Farkas multipliers.  Literal-modulus
 constraints (t % m = r, m | t, even/odd) are compiled to quotient
 variables.
+
+Nat is not translated as nonnegative Int.  A Nat conclusion puts the
+system over Int, and a comparison (`=`, `!=`, `<`, `<=`) between Nat
+terms raises `NotLinear` there, so a goal that compares Nat terms is not
+proved and a hypothesis that does is left out of the system.  Only
+`m | t`, `even t` and `odd t` take Nat arguments into an Int system,
+and the Nat atoms they bring get a non-negativity row each.
 
 A disequality `e != 0` is split into `e < 0` or `e > 0`.  The splits
 of a system's k disequalities (at most `MAX_NE_SPLITS` = 2^k systems)

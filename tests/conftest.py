@@ -4,11 +4,17 @@ import random
 import pytest
 
 from holebox.expr import (
-    INT, LocalDecl, NAT, RAT, REAL, Telescope,
-    Term, fn, mk_app, mk_atom, mk_conn, mk_lit, mk_var, set_of,
+    INT, LocalDecl, NAT, RAT, REAL, Binder, Sort, Telescope,
+    Term, abstract_var, fn, mk_app, mk_atom, mk_binder, mk_conn, mk_lit,
+    mk_var, set_of,
 )
 
 FUZZ_SEED = int(os.environ.get("HOLEBOX_SEED", "20250810"))
+
+
+def bind(kind: str, name: str, vsort: Sort, body_open: Term) -> Binder:
+    """Build a binder from a body written with a free Var(name)."""
+    return mk_binder(kind, name, vsort, abstract_var(body_open, name))
 
 
 @pytest.fixture
@@ -93,7 +99,6 @@ class TermFuzzer:
             name = f"v{r.randint(0, 2)}"
             body = mk_atom("le", (mk_var(name, INT),
                                   self.numeric(INT, depth - 1)))
-            from holebox.expr import bind
             return bind(op, name, INT, body)
         return mk_conn(op, (self.prop(depth - 1), self.prop(depth - 1)))
 

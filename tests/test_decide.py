@@ -1,12 +1,23 @@
 """Exact evaluation: spec vectors plus an independent brute-force oracle."""
 
-import pytest
+from contextlib import contextmanager
+from fractions import Fraction
 
-from holebox.expr import INT, PROP, Telescope, mk_lit
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import bind
+from holebox.expr import (
+    INT, NAT, PROP, REAL, BVar, Binder, LocalDecl, Telescope,
+    instantiate_bvar, mk_app, mk_atom, mk_conn, mk_lit, mk_var,
+)
+from holebox.kernel import TacticFailed
+from holebox.norm import normalize
 from holebox.syntax import parse_term
+from holebox.tactics import decide as decide_mod
 from holebox.tactics.decide import (
-    DEFAULT_BUDGET, EvalBudgetExceeded, EvalNotClosed, EvaluatesFalse,
-    decide_prop,
+    DEFAULT_BUDGET, Budget, EvalBudgetExceeded, EvalNotClosed, EvaluatesFalse,
+    decide_prop, eval_evidence, eval_term,
 )
 
 
@@ -193,3 +204,328 @@ def test_certificate_rechecks_under_the_budget_it_ran_under(monkeypatch):
     done = apply_tactic(state, "h", "eval_decide", "100000")
     assert done.trace[-1].cert.detail["budget"] == 100000
     recheck(done)
+
+
+# -- binder bodies under an environment ---------------------------------------
+#
+# `eval_term` evaluates a binder body once per element with the element's
+# value in an environment.  The reference below is the evaluator it
+# replaced: every element is substituted into the body as a literal and
+# the instance normalized and evaluated afresh.  It swaps in only the
+# three enumeration loops, so everything else (dispatch, bound probing,
+# budget charging) is shared, and the two must agree on the value or the
+# exception class and on the budget left.
+
+
+def _subst_quant(t, budget, env):
+    assert env == ()
+    if t.vsort not in (NAT, INT):
+        raise EvalNotClosed(f"quantifier over {t.vsort}")
+    rng = decide_mod._enum_range(t.body, t.vsort, budget,
+                                 t.kind == "forall", ())
+    if rng is None:
+        raise EvalNotClosed("quantifier without derivable literal bounds")
+    for k in rng:
+        budget.charge()
+        inst = normalize(instantiate_bvar(t.body, mk_lit(k, t.vsort)))
+        v = decide_mod._as_bool(eval_term(inst, budget))
+        if t.kind == "exists" and v:
+            return True
+        if t.kind == "forall" and not v:
+            return False
+    return t.kind == "forall"
+
+
+def _subst_setb(t, budget, env):
+    assert env == ()
+    if t.vsort not in (NAT, INT):
+        raise EvalNotClosed(f"set-builder over {t.vsort}")
+    rng = decide_mod._enum_range(t.body, t.vsort, budget, for_all=False,
+                                 env=())
+    if rng is None:
+        raise EvalNotClosed("set-builder without derivable literal bounds")
+    out = set()
+    for k in rng:
+        budget.charge()
+        inst = normalize(instantiate_bvar(t.body, mk_lit(k, t.vsort)))
+        if decide_mod._as_bool(eval_term(inst, budget)):
+            out.add(Fraction(k))
+    return frozenset(out)
+
+
+def _subst_sum(t, budget, env):
+    assert env == ()
+    s = eval_term(t.args[0], budget)
+    if not isinstance(s, frozenset):
+        raise EvalNotClosed("sum over a non-enumerable set")
+    lam = t.args[1]
+    if not isinstance(lam, Binder) or lam.kind != "lam":
+        raise EvalNotClosed("sum body is not a function literal")
+    total = Fraction(0)
+    for v in sorted(s):
+        budget.charge()
+        body = normalize(instantiate_bvar(lam.body, mk_lit(v, lam.vsort)))
+        total += decide_mod._as_num(eval_term(body, budget))
+    return total
+
+
+@contextmanager
+def _substitution_reference():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide_mod, "_eval_quant", _subst_quant)
+        mp.setattr(decide_mod, "_eval_setb", _subst_setb)
+        mp.setattr(decide_mod, "_eval_sum", _subst_sum)
+        yield
+
+
+def _outcome(prop, budget_n):
+    """(value or exception class, budget left) of the top-level
+    evaluation `eval_evidence` makes."""
+    budget = Budget(budget_n)
+    try:
+        value = eval_term(normalize(prop), budget)
+    except TacticFailed as e:
+        value = type(e)
+    return value, budget.remaining
+
+
+class _BinderTerms:
+    """Bounded binders over Nat/Int with small values; a bound may
+    mention outer bound variables, and may itself cost budget."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.fresh = 0
+
+    def pick(self, xs):
+        return self.draw(st.sampled_from(xs))
+
+    def var(self, scope, sort):
+        names = [n for n, s in scope if s == sort]
+        return mk_var(self.pick(names), sort) if names else None
+
+    def num(self, scope, sort, depth):
+        lo = 0 if sort == NAT else -4
+        leaf = mk_lit(self.draw(st.integers(lo, 9)), sort)
+        kinds = ["lit"]
+        if any(s == sort for _, s in scope):
+            kinds += ["var", "var"]
+        if depth > 0:
+            kinds += ["add", "sub", "mul", "mod", "div", "pow", "abs", "sum",
+                      "open"]
+            if sort == NAT:
+                kinds += ["card", "card"]
+        kind = self.pick(kinds)
+        if kind == "lit":
+            return leaf
+        if kind == "open":
+            return mk_var("free", sort)     # never evaluable
+        if kind == "var":
+            return self.var(scope, sort)
+        if kind in ("add", "sub", "mul", "mod", "div"):
+            return mk_app(kind, (self.num(scope, sort, depth - 1),
+                                 self.num(scope, sort, depth - 1)))
+        if kind == "pow":
+            return mk_app("pow", (self.num(scope, sort, depth - 1),
+                                  mk_lit(self.draw(st.integers(0, 2)), NAT)))
+        if kind == "abs":
+            return mk_app("abs", (self.num(scope, sort, depth - 1),))
+        if kind == "card":
+            return self.card(scope, depth - 1)
+        return self.sum(scope, sort, depth - 1)
+
+    def card(self, scope, depth):
+        return mk_app("card", (self.set(scope, self.pick([NAT, INT]),
+                                        depth),))
+
+    def sum(self, scope, sort, depth):
+        esort = self.pick([NAT, INT])
+        s = self.set(scope, esort, depth)
+        name = self.name()
+        body = self.num(scope + [(name, esort)], sort, depth)
+        return mk_app("sum", (s, bind("lam", name, esort, body)))
+
+    def name(self):
+        self.fresh += 1
+        return f"b{self.fresh}"
+
+    def bounds(self, scope, x, sort, depth):
+        """A conjunction bounding the Var `x`, sometimes too weak to
+        enumerate, sometimes with a side condition on outer variables
+        alone, which the bound probe must pass over."""
+        outer = scope[:-1]
+        shape = self.pick(["interval", "interval", "interval", "eq",
+                           "upper", "abs" if sort == INT else "divisors"])
+        if shape == "interval":
+            lo_rel, hi_rel = self.pick(["le", "lt"]), self.pick(["le", "lt"])
+            guard = mk_conn("and", (
+                mk_atom(lo_rel, (self.num(outer, sort, depth), x)),
+                mk_atom(hi_rel, (x, self.num(outer, sort, depth)))))
+        elif shape == "abs":
+            centre = self.pick([x, mk_app("sub", (x, self.num(outer, INT,
+                                                              depth)))])
+            guard = mk_atom(self.pick(["le", "lt"]),
+                            (mk_app("abs", (centre,)),
+                             self.num(outer, INT, depth)))
+        elif shape == "divisors":
+            guard = mk_atom("mem", (x, mk_app("divisors", (
+                self.num(outer, NAT, depth),))))
+        elif shape == "eq":
+            guard = mk_atom("eq", (x, self.num(outer, sort, depth)))
+        else:
+            guard = mk_atom(self.pick(["le", "lt"]),
+                            (x, self.num(outer, sort, depth)))
+        if self.draw(st.booleans()):
+            side = self.var(outer, sort) or self.num(outer, sort, depth)
+            guard = mk_conn("and", (guard, mk_atom(
+                self.pick(["le", "lt"]),
+                (mk_app("abs", (side,)), self.num(outer, sort, depth + 1)))))
+        return guard
+
+    def set(self, scope, sort, depth):
+        kind = self.pick(["range", "setb", "setb", "Icc", "setlit"]
+                         + (["divisors"] if sort == NAT else []))
+        if kind == "range" or kind == "Icc":
+            return mk_app(kind, (self.num(scope, sort, depth),
+                                 self.num(scope, sort, depth)))
+        if kind == "setlit":
+            return mk_app("setlit", (self.num(scope, sort, depth),
+                                     self.num(scope, sort, depth)))
+        if kind == "divisors":
+            return mk_app("divisors", (self.num(scope, NAT, depth),))
+        name = self.name()
+        inner = scope + [(name, sort)]
+        x = mk_var(name, sort)
+        body = mk_conn("and", (self.bounds(inner, x, sort, depth),
+                               self.prop(inner, depth)))
+        return bind("setb", name, sort, body)
+
+    def prop(self, scope, depth, binder=False):
+        """A proposition; with `binder`, one that evaluates a binder."""
+        binders = ["exists", "forall", "card", "sum", "seteq", "mem"]
+        if binder:
+            kinds = binders
+        else:
+            kinds = ["cmp", "cmp", "mem", "dvd", "parity", "prime"]
+            if depth > 0:
+                kinds += ["and", "or", "not"] + binders
+        kind = self.pick(kinds)
+        sort = self.pick([NAT, INT])
+        if kind in ("card", "sum"):
+            n = self.card(scope, depth - 1) if kind == "card" \
+                else self.sum(scope, sort, depth - 1)
+            return mk_atom(self.pick(["le", "eq", "ne"]),
+                           (n, self.num(scope, n.sort, depth - 1)))
+        if kind == "cmp":
+            return mk_atom(self.pick(["le", "lt", "eq", "ne"]),
+                           (self.num(scope, sort, depth),
+                            self.num(scope, sort, depth)))
+        if kind == "mem":
+            return mk_atom("mem", (self.num(scope, sort, depth),
+                                   self.set(scope, sort, max(depth - 1, 0))))
+        if kind == "dvd":
+            return mk_atom("dvd", (self.num(scope, sort, depth),
+                                   self.num(scope, sort, depth)))
+        if kind in ("parity", "prime"):
+            rel = "prime" if kind == "prime" else self.pick(["even", "odd"])
+            return mk_atom(rel, (self.num(scope, sort, depth),))
+        if kind in ("and", "or"):
+            return mk_conn(kind, (self.prop(scope, depth - 1),
+                                  self.prop(scope, depth - 1)))
+        if kind == "not":
+            return mk_conn("not", (self.prop(scope, depth - 1),))
+        if kind == "seteq":
+            return mk_atom("eq", (self.set(scope, sort, max(depth - 1, 0)),
+                                  self.set(scope, sort, max(depth - 1, 0))))
+        name = self.name()
+        inner = scope + [(name, sort)]
+        x = mk_var(name, sort)
+        guard = self.bounds(inner, x, sort, max(depth - 1, 0))
+        rest = self.prop(inner, max(depth - 1, 0))
+        body = mk_conn("imp" if kind == "forall" else "and", (guard, rest))
+        return bind(kind, name, sort, body)
+
+
+@st.composite
+def _binder_props(draw):
+    terms = _BinderTerms(draw)
+    return terms.prop([], draw(st.integers(1, 3)), binder=True)
+
+
+def _assert_agrees(prop, most=None):
+    """The two evaluators agree under a full budget and under every
+    budget up to the steps `prop` takes (or `most`), so that the budget
+    runs out at each step in turn."""
+    full = 3000
+    used = full - _outcome(prop, full)[1]
+    for budget_n in [full, *range(min(used, most or used) + 1)]:
+        got = _outcome(prop, budget_n)
+        with _substitution_reference():
+            want = _outcome(prop, budget_n)
+        assert got == want, budget_n
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_binder_props())
+def test_environment_evaluation_matches_substitution(prop):
+    _assert_agrees(prop, most=80)
+
+
+@pytest.mark.parametrize("text", [
+    # inner bounds that read the outer variable
+    "card {x : Nat | x <= 6 /\\ card {y : Nat | x <= y /\\ y <= 2 * x}"
+    " = x + 1} = 7",
+    "forall (a : Int), abs a <= 3 ->"
+    " (sum b in {b : Int | abs (b - a) <= 2}, b) = 5 * a",
+    "forall (n : Nat), n <= 12 -> (sum d in {d : Nat | d in divisors n}, d)"
+    " >= n",
+    "exists (a : Int), -3 <= a /\\ a <= 3 /\\"
+    " (forall (b : Int), a <= b /\\ b < a + 4 -> b * b >= 0) /\\ a = 3",
+    # an `abs` over the outer variable alone, beside a costly bound: the
+    # substituted body folds it to a literal, so its bound is never read
+    "exists (x : Nat), x <= 2 /\\ (exists (y : Nat), y <= 1 /\\"
+    " abs (x - 3) <= card {z : Nat | z <= 5} /\\ x = 2)",
+    # bodies that fail on their first element: the budget must run out
+    # before the body is evaluated, never after
+    "forall (x : Nat), x <= 3 -> x <= n",
+    "card {x : Nat | x <= 3 /\\ x < n} = 0",
+    "(sum x in {x : Nat | x <= 3}, x * n) = 0",
+])
+def test_binder_cases_match_substitution(text):
+    open_n = Telescope((LocalDecl("n", NAT),))
+    _assert_agrees(parse_term(text, open_n, PROP))
+
+
+def test_real_bound_variable_is_not_closed():
+    with pytest.raises(EvalNotClosed):
+        eval_term(BVar(REAL, 0), Budget(10), (Fraction(1),))
+    with pytest.raises(EvalNotClosed):
+        eval_term(BVar(INT, 0), Budget(10))
+    assert eval_term(BVar(INT, 1), Budget(10),
+                     (Fraction(1), Fraction(2))) == 2
+
+
+@pytest.mark.parametrize("text, probes", [
+    ("card {x : Nat | 0 <= x /\\ x <= 2000 /\\ x % 7 = 3} = 286", 1),
+    ("forall (x : Int), -1000 <= x /\\ x <= 1000 -> x * x >= x", 1),
+    ("(sum d in divisors 720720, d) = 3249792", 0),
+])
+def test_binder_bodies_are_not_rebuilt_per_element(monkeypatch, text, probes):
+    # one normalize (the conclusion's) and one instantiate_bvar per binder
+    # (its bound probe), however many elements the binder enumerates
+    calls = {"normalize": 0, "instantiate_bvar": 0}
+
+    def counted(name):
+        f = getattr(decide_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(decide_mod, name, counted(name))
+    concl = parse_term(text, Telescope(), PROP)
+    detail = eval_evidence(concl, (), DEFAULT_BUDGET)
+    assert detail == {"normalized": normalize(concl), "budget": DEFAULT_BUDGET}
+    assert calls == {"normalize": 1, "instantiate_bvar": probes}
