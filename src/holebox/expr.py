@@ -9,23 +9,29 @@ the display names kept on binders for printing.
 All values are immutable; construction goes through the `mk_*` smart
 constructors, which enforce well-sortedness.
 
-Every term node carries three facts, computed once when it is built from
+Sorts and terms are hash-consed: every one is built through one weak
+table, so two equal terms are the same object and `==` (`syntactic_eq`,
+sensitive to binder display names) is an identity test.  `alpha_eq`,
+which ignores those names, stays a separate check.
+
+Every term node carries four facts, computed once when it is built from
 its children's cached values (as Lean 4's `Expr.Data` does): its hash,
-its loose-bvar bound and a has-meta flag.  So hashing a term, asking
-whether it has loose bound variables or metavariables, and skipping a
-closed or meta-free subterm in `shift`, `instantiate_bvar`, `_inst` and
-`metavars_of` cost one attribute read, never a walk.  `_rebuild` returns
-the node itself when every child is the same object, so a traversal that
-changes nothing allocates nothing.  Terms are not interned: equality is
-still `syntactic_eq` (structural, sensitive to binder display names, with
-an identity and hash check first), and `alpha_eq` stays a separate check.
+its loose-bvar bound, a has-meta flag and its size in nodes.  So hashing
+a term, asking whether it has loose bound variables or metavariables,
+and skipping a closed or meta-free subterm in `shift`, `instantiate_bvar`,
+`_inst` and `metavars_of` cost one attribute read, never a walk; `size`
+lets `alpha_eq` and occurrence search skip terms that cannot match.
+`_rebuild` returns the node itself when every child is the same object,
+so a traversal that changes nothing allocates nothing.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
+from weakref import WeakValueDictionary
 
 
 class ExprError(Exception):
@@ -45,29 +51,60 @@ class OccursCheckError(ExprError):
 
 
 # ---------------------------------------------------------------------------
+# The intern table
+#
+# Sorts and terms are hash-consed (Filliâtre & Conchon 2006): each class's
+# `__new__` looks its key up in `_INTERNED` and returns the live object on
+# a hit, so two equal sorts or terms are one object and `==` is identity.
+# The table holds its objects weakly, so one nobody references leaves it.
+
+_INTERNED: "WeakValueDictionary[tuple, Sort | Term]" = WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+# The table's own dict of weak references, read directly: its `get`
+# costs a Python call and a caught KeyError on every miss, and a term
+# that lives for one tactic call misses each time it is built again.
+_REFS = _INTERNED.data
+
+
+def _lookup(key: tuple):
+    """The live object interned under `key`, else None."""
+    ref = _REFS.get(key)
+    return None if ref is None else ref()
+
+
+def _intern(key: tuple, obj):
+    """Store an object just built for `key`, unless another thread stored
+    one first; return the stored one."""
+    with _INTERN_LOCK:
+        old = _lookup(key)
+        if old is not None:
+            return old
+        _INTERNED[key] = obj
+        return obj
+
+
+# ---------------------------------------------------------------------------
 # Sorts
 
 
 class Sort:
-    """A sort: an atomic kind, or `Set`/`Fn` over argument sorts.  Never
-    assigned to after `__init__`, so its cached hash stays true."""
-    __slots__ = ("kind", "args", "_hash")
+    """A sort: an atomic kind, or `Set`/`Fn` over argument sorts.  Interned,
+    and never assigned to after it is built, so its cached hash stays true."""
+    __slots__ = ("kind", "args", "_hash", "__weakref__")
 
-    def __init__(self, kind: str, args: tuple["Sort", ...] = ()):
-        self.kind = kind
-        self.args = args
-        self._hash = hash((kind, args))
+    def __new__(cls, kind: str, args: tuple["Sort", ...] = ()):
+        key = (Sort, kind, args)
+        sort = _lookup(key)
+        if sort is None:
+            sort = object.__new__(cls)
+            sort.kind = kind
+            sort.args = args
+            sort._hash = hash((kind, args))
+            sort = _intern(key, sort)
+        return sort
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Sort:
-            return NotImplemented
-        return (self._hash == other._hash and self.kind == other.kind
-                and self.args == other.args)
 
     def __repr__(self) -> str:
         return f"Sort(kind={self.kind!r}, args={self.args!r})"
@@ -109,110 +146,82 @@ def fn(dom: Sort, cod: Sort) -> Sort:
 # ---------------------------------------------------------------------------
 # Terms
 #
-# Each node computes three facts when it is built, from its children's
+# A term's intern key is the tuple its hash is computed from,
+# `(cls, sort, <fields>)` with the children as objects; binder display
+# names are part of it.
+#
+# Each node computes four facts when it is built, from its children's
 # cached values: its hash, `bvar_bound` (the largest loose de Bruijn index
-# plus one, 0 when the node is closed) and `has_meta` (a metavariable
-# occurs in it).  Nodes are never assigned to after `__init__`, so the
-# facts stay true.
+# plus one, 0 when the node is closed), `has_meta` (a metavariable occurs
+# in it) and `size` (its number of nodes).  Nodes are never assigned to
+# after they are built, so the facts stay true.
 
 
 class Term:
-    __slots__ = ("sort", "_hash", "bvar_bound", "has_meta")
+    __slots__ = ("sort", "_hash", "bvar_bound", "has_meta", "size",
+                 "__weakref__")
     _FIELDS: tuple[str, ...] = ("sort",)
     sort: Sort
     bvar_bound: int
     has_meta: bool
+    size: int
+
+    # `==` is object identity, inherited from `object`: terms are interned.
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._hash == other._hash and _same_tree(self, other)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._FIELDS)
         return f"{type(self).__name__}({fields})"
 
 
-def _same_tree(a: Term, b: Term) -> bool:
-    """Structural equality, by an explicit stack of node pairs, so that
-    comparing two deep trees takes no interpreter frames per level."""
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if x is y:
-            continue
-        cls = type(x)
-        if cls is not type(y) or x._hash != y._hash \
-                or x.sort is not y.sort and x.sort != y.sort:
-            return False
-        if cls is App or cls is Conn:
-            if x.op != y.op or len(x.args) != len(y.args):
-                return False
-            todo.extend(zip(x.args, y.args))
-        elif cls is Atom:
-            if x.rel != y.rel or len(x.args) != len(y.args):
-                return False
-            todo.extend(zip(x.args, y.args))
-        elif cls is Binder:
-            if x.kind != y.kind or x.var != y.var or x.vsort != y.vsort:
-                return False
-            todo.append((x.body, y.body))
-        elif getattr(x, x._FIELDS[1]) != getattr(y, y._FIELDS[1]):
-            return False                # a leaf: its name, index or value
-    return True
+class _Leaf(Term):
+    """A node with one field besides its sort: Var, BVar, Meta and Lit."""
+    __slots__ = ()
+
+    def __new__(cls, sort: Sort, value):
+        key = (cls, sort, value)
+        node = _lookup(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.sort = sort
+            setattr(node, cls._FIELDS[1], value)
+            node._hash = hash(key)
+            node.bvar_bound = value + 1 if cls is BVar else 0
+            node.has_meta = cls is Meta
+            node.size = 1
+            node = _intern(key, node)
+        return node
 
 
-class Var(Term):
+class Var(_Leaf):
     __slots__ = ("name",)
     _FIELDS = ("sort", "name")
-
-    def __init__(self, sort: Sort, name: str):
-        self.sort = sort
-        self.name = name
-        self._hash = hash((Var, sort, name))
-        self.bvar_bound = 0
-        self.has_meta = False
+    name: str
 
 
-class BVar(Term):
+class BVar(_Leaf):
     __slots__ = ("idx",)
     _FIELDS = ("sort", "idx")
-
-    def __init__(self, sort: Sort, idx: int):
-        self.sort = sort
-        self.idx = idx
-        self._hash = hash((BVar, sort, idx))
-        self.bvar_bound = idx + 1
-        self.has_meta = False
+    idx: int
 
 
-class Meta(Term):
+class Meta(_Leaf):
     __slots__ = ("mid",)
     _FIELDS = ("sort", "mid")
-
-    def __init__(self, sort: Sort, mid: str):
-        self.sort = sort
-        self.mid = mid
-        self._hash = hash((Meta, sort, mid))
-        self.bvar_bound = 0
-        self.has_meta = True
+    mid: str
 
 
-class Lit(Term):
+class Lit(_Leaf):
     __slots__ = ("val",)
     _FIELDS = ("sort", "val")
+    val: Fraction
 
-    def __init__(self, sort: Sort, val: Fraction):
-        self.sort = sort
-        self.val = val
-        self._hash = hash((Lit, sort, val))
-        self.bvar_bound = 0
-        self.has_meta = False
+    def __new__(cls, sort: Sort, val):
+        if type(val) is not Fraction:
+            val = Fraction(val)
+        return _Leaf.__new__(cls, sort, val)
 
 
 class _Node(Term):
@@ -220,27 +229,34 @@ class _Node(Term):
     __slots__ = ("args",)
     args: tuple[Term, ...]
 
-    def __init__(self, sort: Sort, head: str, args: tuple[Term, ...]):
-        self.sort = sort
-        self.args = args
-        self._hash = hash((type(self), sort, head, args))
-        bound = 0
-        meta = False
-        for a in args:
-            if a.bvar_bound > bound:
-                bound = a.bvar_bound
-            meta = meta or a.has_meta
-        self.bvar_bound = bound
-        self.has_meta = meta
+    def __new__(cls, sort: Sort, head: str, args: tuple[Term, ...]):
+        key = (cls, sort, head, args)
+        node = _lookup(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.sort = sort
+            setattr(node, cls._FIELDS[1], head)
+            node.args = args
+            node._hash = hash(key)
+            bound = 0
+            meta = False
+            size = 1
+            for a in args:
+                if a.bvar_bound > bound:
+                    bound = a.bvar_bound
+                meta = meta or a.has_meta
+                size += a.size
+            node.bvar_bound = bound
+            node.has_meta = meta
+            node.size = size
+            node = _intern(key, node)
+        return node
 
 
 class App(_Node):
     __slots__ = ("op",)
     _FIELDS = ("sort", "op", "args")
-
-    def __init__(self, sort: Sort, op: str, args: tuple[Term, ...]):
-        self.op = op
-        _Node.__init__(self, sort, op, args)
+    op: str
 
 
 class Conn(_Node):
@@ -248,19 +264,11 @@ class Conn(_Node):
     _FIELDS = ("sort", "op", "args")
     op: str            # and | or | not | imp | iff | true | false
 
-    def __init__(self, sort: Sort, op: str, args: tuple[Term, ...]):
-        self.op = op
-        _Node.__init__(self, sort, op, args)
-
 
 class Atom(_Node):
     __slots__ = ("rel",)
     _FIELDS = ("sort", "rel", "args")
     rel: str           # eq | ne | lt | le | mem | dvd | even | odd | prime
-
-    def __init__(self, sort: Sort, rel: str, args: tuple[Term, ...]):
-        self.rel = rel
-        _Node.__init__(self, sort, rel, args)
 
 
 class Binder(Term):
@@ -268,17 +276,26 @@ class Binder(Term):
     _FIELDS = ("sort", "kind", "var", "vsort", "body")
     kind: str          # forall | exists | lam | setb
     var: str           # display name only
+    vsort: Sort
+    body: Term
 
-    def __init__(self, sort: Sort, kind: str, var: str, vsort: Sort,
-                 body: Term):
-        self.sort = sort
-        self.kind = kind
-        self.var = var
-        self.vsort = vsort
-        self.body = body
-        self._hash = hash((Binder, sort, kind, var, vsort, body))
-        self.bvar_bound = max(body.bvar_bound - 1, 0)
-        self.has_meta = body.has_meta
+    def __new__(cls, sort: Sort, kind: str, var: str, vsort: Sort,
+                body: Term):
+        key = (Binder, sort, kind, var, vsort, body)
+        node = _lookup(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.sort = sort
+            node.kind = kind
+            node.var = var
+            node.vsort = vsort
+            node.body = body
+            node._hash = hash(key)
+            node.bvar_bound = max(body.bvar_bound - 1, 0)
+            node.has_meta = body.has_meta
+            node.size = body.size + 1
+            node = _intern(key, node)
+        return node
 
 
 # ---------------------------------------------------------------------------
@@ -630,15 +647,17 @@ def eq_sides(t: Term) -> Optional[tuple[Term, Term]]:
 
 
 def syntactic_eq(t1: Term, t2: Term) -> bool:
-    """Structural identity of parsed trees, sensitive to bound names."""
-    return t1 == t2
+    """Structural identity of parsed trees, sensitive to bound names:
+    terms are interned, so this is object identity."""
+    return t1 is t2
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
-    """Structural identity ignoring binder display names."""
+    """Structural identity ignoring binder display names.  Renaming a
+    binder keeps a term's size, so terms of different sizes differ."""
     if t1 is t2:
         return True
-    if type(t1) is not type(t2) or t1.sort != t2.sort:
+    if t1.size != t2.size or type(t1) is not type(t2) or t1.sort != t2.sort:
         return False
     if isinstance(t1, Binder):
         return (t1.kind == t2.kind and t1.vsort == t2.vsort
@@ -649,7 +668,7 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
         return t1.op == t2.op and _alpha_all(t1.args, t2.args)
     if isinstance(t1, Atom):
         return t1.rel == t2.rel and _alpha_all(t1.args, t2.args)
-    return t1 == t2
+    return False                        # equal leaves are one node
 
 
 def _alpha_all(xs: tuple[Term, ...], ys: tuple[Term, ...]) -> bool:
@@ -721,16 +740,10 @@ class Telescope:
     decls: tuple[LocalDecl, ...] = ()
 
     def __post_init__(self):
-        seen: set[str] = set()
-        avail: set[str] = set()
+        names: set[str] = set()
         for d in self.decls:
-            if d.name in seen:
-                raise ExprError(f"duplicate declaration {d.name!r}")
-            if d.prop is not None and not free_vars(d.prop) <= avail:
-                raise ExprError(
-                    f"declaration {d.name!r} references later names")
-            seen.add(d.name)
-            avail.add(d.name)
+            _check_decl(d, names)
+            names.add(d.name)
 
     def lookup(self, name: str) -> Optional[LocalDecl]:
         for d in self.decls:
@@ -742,7 +755,12 @@ class Telescope:
         return tuple(d.name for d in self.decls)
 
     def extended(self, decl: LocalDecl) -> "Telescope":
-        return Telescope(self.decls + (decl,))
+        """This telescope with `decl` appended.  The declarations already
+        here were checked when it was built, so only `decl` is checked."""
+        _check_decl(decl, set(self.names()))
+        out = object.__new__(Telescope)
+        object.__setattr__(out, "decls", self.decls + (decl,))
+        return out
 
     def fresh(self, base: str) -> str:
         if self.lookup(base) is None:
@@ -751,3 +769,12 @@ class Telescope:
         while self.lookup(f"{base}{i}") is not None:
             i += 1
         return f"{base}{i}"
+
+
+def _check_decl(decl: LocalDecl, names: set[str]) -> None:
+    """`decl` may follow declarations named `names`: its name is new, and
+    its proposition mentions only those names."""
+    if decl.name in names:
+        raise ExprError(f"duplicate declaration {decl.name!r}")
+    if decl.prop is not None and not free_vars(decl.prop) <= names:
+        raise ExprError(f"declaration {decl.name!r} references later names")

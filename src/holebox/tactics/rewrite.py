@@ -8,7 +8,9 @@ quantified sources turn their leading binders into pattern variables;
 guard conditions are discharged by exact evaluation on the matched
 instance.  The matched occurrence is located leftmost-innermost, and all
 occurrences of the instantiated left side are replaced, so traces are
-deterministic and replayable.
+deterministic and replayable.  `replace_all` finds those occurrences by
+their cached size: it descends only into subtrees larger than the left
+side and compares (`alpha_eq`) only those of exactly its size.
 
 Matching goes through a one-level head index (`SubtermIndex`): one
 post-order walk of a term buckets its subterms by head, the node type
@@ -175,13 +177,15 @@ class SubtermIndex:
 
 def replace_all(t: Term, old: Term, new: Term) -> Term:
     """`t` with every closed occurrence of `old` (up to binder names)
-    replaced; `t` itself when nothing was."""
-    if not has_loose_bvars(t) and alpha_eq(t, old):
-        return new
-    kids = children(t)
-    if not kids:
+    replaced; `t` itself when nothing was.  An occurrence has `old`'s
+    size, so a subtree smaller than that is returned as it is, and
+    `alpha_eq` is tried only on subtrees of exactly that size."""
+    if t.size <= old.size:
+        if t.size == old.size and not has_loose_bvars(t) \
+                and alpha_eq(t, old):
+            return new
         return t
-    return _rebuild(t, tuple(replace_all(k, old, new) for k in kids))
+    return _rebuild(t, tuple(replace_all(k, old, new) for k in children(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
 """Expression core: substitution, variables, metavariables, telescopes."""
 
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from holebox.expr import (
     App, Atom, BVar, Binder, Conn, ExprError, INT, Lit, LocalDecl, Meta, NAT,
-    OccursCheckError, PROP, RAT, REAL, SubstitutionSortError, Telescope, Var,
-    _rebuild, children, free_vars, has_loose_bvars, instantiate_bvar,
-    instantiate_metas, metavars_of, mk_app, mk_atom, mk_lit, mk_meta, mk_var,
-    shift, substitute, subterms, syntactic_eq,
+    OccursCheckError, PROP, RAT, REAL, Sort, SubstitutionSortError, Telescope,
+    Var, _INTERNED, _rebuild, abstract_var, alpha_eq, children, fn,
+    free_vars, has_loose_bvars, instantiate_bvar, instantiate_metas,
+    metavars_of, mk_app, mk_atom, mk_binder, mk_conn, mk_lit, mk_meta, mk_var,
+    set_of, shift, substitute, subterms, syntactic_eq,
 )
 from holebox.syntax import parse_term, print_term
+from holebox.tactics.rewrite import replace_all
 
 
 def t(text, tele=Telescope(), expected=None):
@@ -109,6 +116,20 @@ def test_telescope_rejects_duplicates_and_forward_refs():
                                                      mk_lit(0, INT)))),
             LocalDecl("z", INT),
         ))
+
+
+def test_extended_checks_the_new_declaration_as_construction_does():
+    h = LocalDecl("h", PROP, prop=mk_atom("eq", (mk_var("x", INT),
+                                                 mk_lit(0, INT))))
+    assert X_INT.extended(h) == Telescope(X_INT.decls + (h,))
+    for bad in (LocalDecl("x", INT),
+                LocalDecl("g", PROP, prop=mk_atom(
+                    "eq", (mk_var("z", INT), mk_lit(0, INT))))):
+        with pytest.raises(ExprError) as built:
+            Telescope(X_INT.decls + (bad,))
+        with pytest.raises(ExprError) as extended:
+            X_INT.extended(bad)
+        assert str(extended.value) == str(built.value)
 
 
 def test_telescope_fresh_names():
@@ -212,7 +233,7 @@ def ref_hash(t):
 
 
 def rebuilt(t):
-    """A structurally equal copy of `t` that shares no node with it."""
+    """`t` built again, node by node, through the class constructors."""
     if isinstance(t, Binder):
         return Binder(t.sort, t.kind, t.var, t.vsort, rebuilt(t.body))
     if isinstance(t, (App, Conn, Atom)):
@@ -231,7 +252,7 @@ def test_cached_facts_match_their_recursive_definitions(prop):
         assert (metavars_of(s) != set()) == ref_meta(s)
         assert hash(s) == ref_hash(s)
         copy = rebuilt(s)
-        assert copy is not s and copy == s and hash(copy) == hash(s)
+        assert copy is s and copy == s and hash(copy) == hash(s)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -247,3 +268,172 @@ def test_traversals_return_unchanged_nodes_themselves(prop):
         if s.bvar_bound:
             # the outermost loose index moves, so a new node comes back
             assert shift(s, 1) is not s and shift(s, 1) != s
+
+
+# -- interning --------------------------------------------------------------
+
+
+def table_key(t):
+    """The key the node `t` was interned under."""
+    return (type(t),) + tuple(getattr(t, f) for f in t._FIELDS)
+
+
+def is_tables_node(t):
+    return all(_INTERNED.get(table_key(s)) is s for s in subterms(t))
+
+
+def test_constructors_return_the_tables_node():
+    x = mk_var("x", INT)
+    one = mk_lit(1, INT)
+    body = mk_atom("eq", (BVar(INT, 0), one))
+    built = [
+        (x, Var(INT, "x")),
+        (mk_meta("w", INT), Meta(INT, "w")),
+        (one, Lit(INT, Fraction(1))),
+        (mk_lit(-1, INT), mk_app("neg", (one,))),
+        (mk_app("add", (x, one)), App(INT, "add", (x, one))),
+        (mk_app("setlit", (x,)), App(set_of(INT), "setlit", (x,))),
+        (mk_atom("lt", (x, one)), Atom(PROP, "lt", (x, one))),
+        (mk_conn("not", (body,)), Conn(PROP, "not", (body,))),
+        (mk_binder("forall", "n", INT, body),
+         Binder(PROP, "forall", "n", INT, body)),
+    ]
+    for a, b in built:
+        assert a is b and is_tables_node(a)
+    # the display name is part of the key
+    assert mk_binder("forall", "m", INT, body) \
+        is not mk_binder("forall", "n", INT, body)
+    # sorts are interned in the same table
+    assert Sort("Int") is INT and set_of(INT) is Sort("Set", (Sort("Int"),))
+    assert fn(INT, PROP) is fn(Sort("Int"), Sort("Prop"))
+    assert _INTERNED.get((Sort, "Set", (INT,))) is set_of(INT)
+
+
+def test_parsing_twice_returns_the_same_node():
+    text = ("forall (n : Int), n * x = x * n"
+            " /\\ {m : Int | m < 2} = {m : Int | m < 2}")
+    once = parse_term(text, X_INT, PROP)
+    assert parse_term(text, X_INT, PROP) is once
+    assert is_tables_node(once)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(elaborated_props())
+def test_shift_and_instantiate_round_trips_return_the_same_node(prop):
+    assert is_tables_node(prop)
+    fresh = "fresh_v"
+    for s in subterms(prop):
+        assert shift(shift(s, 2), -2) is s
+        if isinstance(s, Binder) and not s.bvar_bound:
+            opened = instantiate_bvar(s.body, mk_var(fresh, s.vsort))
+            assert is_tables_node(opened)
+            assert abstract_var(opened, fresh) is s.body
+
+
+def test_unreferenced_terms_leave_the_table():
+    name = "only_referenced_here"
+    term = mk_app("add", (mk_var(name, INT), mk_lit(7, INT)))
+    assert table_key(term) in _INTERNED
+    refs = [weakref.ref(s) for s in subterms(term)]
+    del term
+    gc.collect()
+    assert refs[0]() is None and refs[1]() is None
+    assert (Var, INT, name) not in _INTERNED
+    assert not any(isinstance(v, Var) and v.name == name
+                   for v in _INTERNED.values())
+
+
+def test_literal_values_are_fractions():
+    lits = [Lit(INT, 3), Lit(RAT, Fraction(1, 2)), mk_lit(3, NAT),
+            mk_lit("7", INT), mk_app("neg", (mk_lit(2, INT),)),
+            parse_term("2 / 4 + 3", expected=RAT)]
+    for t in lits:
+        for s in subterms(t):
+            if isinstance(s, Lit):
+                assert type(s.val) is Fraction
+    assert Lit(INT, 3) is mk_lit(Fraction(3), INT)
+
+
+def test_threads_racing_to_build_a_term_get_one_node():
+    # a lookup that misses and a store are two steps; two threads that
+    # both miss must still end with the same node
+    def build(_):
+        out = []
+        for k in range(400):
+            v = mk_var(f"race{k}", INT)
+            out.append(mk_atom("le", (v, mk_app("add", (v, mk_lit(k, INT))))))
+        return out
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(build, i) for i in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    first = results[0]
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(first, other))
+        assert len(other) == len(first) == 400
+
+
+# -- size, and what it prunes ----------------------------------------------
+
+
+def ref_size(t):
+    return 1 + sum(ref_size(k) for k in children(t))
+
+
+def ref_alpha_eq(a, b):
+    """Structural equality ignoring binder names, by a full walk."""
+    if type(a) is not type(b) or a.sort != b.sort:
+        return False
+    if isinstance(a, Binder):
+        return (a.kind == b.kind and a.vsort == b.vsort
+                and ref_alpha_eq(a.body, b.body))
+    if isinstance(a, (App, Conn, Atom)):
+        return (a._FIELDS[1] == b._FIELDS[1]
+                and getattr(a, a._FIELDS[1]) == getattr(b, b._FIELDS[1])
+                and len(a.args) == len(b.args)
+                and all(ref_alpha_eq(x, y) for x, y in zip(a.args, b.args)))
+    field = a._FIELDS[1]
+    return getattr(a, field) == getattr(b, field)
+
+
+def ref_replace_all(t, old, new):
+    """`replace_all` without the size pruning: `alpha_eq` at every node."""
+    if not has_loose_bvars(t) and ref_alpha_eq(t, old):
+        return new
+    kids = children(t)
+    if not kids:
+        return t
+    return _rebuild(t, tuple(ref_replace_all(k, old, new) for k in kids))
+
+
+def renamed(t):
+    """`t` with every binder's display name changed."""
+    if isinstance(t, Binder):
+        return Binder(t.sort, t.kind, t.var + "_r", t.vsort, renamed(t.body))
+    if isinstance(t, (App, Conn, Atom)):
+        return _rebuild(t, tuple(renamed(k) for k in t.args))
+    return t
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(elaborated_props(), elaborated_props())
+def test_size_alpha_eq_and_replace_all_match_their_references(p, q):
+    subs = list(subterms(p))
+    others = list(subterms(q))
+    for s in subs:
+        assert s.size == ref_size(s)
+        copy = renamed(s)
+        assert copy.size == s.size
+        assert alpha_eq(s, copy) and ref_alpha_eq(s, copy)
+        for o in others:
+            assert alpha_eq(s, o) == ref_alpha_eq(s, o)
+            assert alpha_eq(s, renamed(o)) == ref_alpha_eq(s, o)
+    for old in subs + [renamed(s) for s in subs if s.bvar_bound == 0]:
+        new = mk_meta("replaced", old.sort)
+        for t in (p, q):
+            assert replace_all(t, old, new) is ref_replace_all(t, old, new)

@@ -140,9 +140,15 @@ MEMO_CEILING = 1024
 # because they are filled once, at import: the tactic registry.
 IMPORT_TIME_REGISTRIES = {("kernel.py", "TACTICS")}
 
+# The one table allowed to grow with what is alive: the intern table of
+# sorts and terms, whose entries leave it when their object dies.  It is
+# allowed only while it is a WeakValueDictionary.
+WEAK_INTERN_TABLES = {("expr.py", "_INTERNED")}
+
 _GROW = {"add", "append", "extend", "insert", "setdefault", "update"}
 _SHRINK = {"clear", "discard", "pop", "popitem", "remove"}
-_TABLE_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict"}
+_TABLE_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict",
+                "WeakValueDictionary"}
 
 
 def _name_of(node):
@@ -166,24 +172,30 @@ def _int_constants(tree):
 
 
 def _module_tables(tree):
-    names = set()
+    """Module-level tables, and which of them are weak-valued."""
+    names, weak = set(), set()
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) \
             else [node.target] if isinstance(node, ast.AnnAssign) else []
         value = getattr(node, "value", None)
+        bound = {t.id for t in targets if isinstance(t, ast.Name)}
         if isinstance(value, (ast.Dict, ast.Set, ast.List, ast.DictComp,
                               ast.SetComp, ast.ListComp)) \
                 or isinstance(value, ast.Call) \
                 and _name_of(value) in _TABLE_CALLS:
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return names
+            names |= bound
+            if isinstance(value, ast.Call) \
+                    and _name_of(value) == "WeakValueDictionary":
+                weak |= bound
+    return names, weak
 
 
 def unbounded_caches(source, filename="<source>"):
     """Caches in `source` that can grow past MEMO_CEILING entries:
     `functools.cache`, an `lru_cache` whose bound is None, too large or
     not a literal or module constant, and module-level tables that some
-    function adds to and none takes from."""
+    function adds to and none takes from.  A WeakValueDictionary counts
+    as such a table unless it is one of WEAK_INTERN_TABLES."""
     tree = ast.parse(source)
     consts = _int_constants(tree)
     found = []
@@ -207,7 +219,7 @@ def unbounded_caches(source, filename="<source>"):
         if type(size) is not int or size > MEMO_CEILING:
             found.append(f"{filename}:{node.lineno}: lru_cache bound "
                          f"{ast.unparse(bound)}")
-    tables = _module_tables(tree)
+    tables, weak = _module_tables(tree)
     grown, shrunk = set(), set()
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -229,7 +241,9 @@ def unbounded_caches(source, filename="<source>"):
                     shrunk.add(name)
     found += [f"{filename}: module table {name} only grows"
               for name in sorted((grown - shrunk) & tables)
-              if (filename, name) not in IMPORT_TIME_REGISTRIES]
+              if (filename, name) not in IMPORT_TIME_REGISTRIES
+              and not (name in weak
+                       and (filename, name) in WEAK_INTERN_TABLES)]
     return found
 
 
@@ -247,6 +261,17 @@ def test_unbounded_cache_check_catches_growth():
     assert not unbounded_caches(
         "_MEMO = {}\ndef f(t):\n    if len(_MEMO) > 9:\n"
         "        _MEMO.clear()\n    _MEMO[t] = t\n")
+
+
+def test_unbounded_cache_check_allows_only_the_weak_intern_table():
+    weak = ("from weakref import WeakValueDictionary\n"
+            "_INTERNED = WeakValueDictionary()\n"
+            "def f(key, node):\n    return _INTERNED.setdefault(key, node)\n")
+    strong = weak.replace("WeakValueDictionary()", "{}")
+    assert not unbounded_caches(weak, "expr.py")
+    assert unbounded_caches(strong, "expr.py")
+    assert unbounded_caches(weak, "norm.py")
+    assert unbounded_caches(weak.replace("_INTERNED", "_TERMS"), "expr.py")
 
 
 def test_no_engine_module_has_an_unbounded_cache():
