@@ -762,6 +762,21 @@ class Telescope:
         object.__setattr__(out, "decls", self.decls + (decl,))
         return out
 
+    def replaced(self, decl: LocalDecl) -> "Telescope":
+        """This telescope with the declaration named `decl.name` replaced
+        by `decl`, in place.  Only `decl` is checked, against the names
+        before it; without such a declaration the telescope is returned."""
+        names: set[str] = set()
+        for i, d in enumerate(self.decls):
+            if d.name == decl.name:
+                _check_decl(decl, names)
+                out = object.__new__(Telescope)
+                object.__setattr__(out, "decls", self.decls[:i] + (decl,)
+                                   + self.decls[i + 1:])
+                return out
+            names.add(d.name)
+        return self
+
     def fresh(self, base: str) -> str:
         if self.lookup(base) is None:
             return base

@@ -8,11 +8,18 @@ ring_nf, linear_arith, rw_search at depth 3), and finally branch on a
 disjunctive goal.  The node budget bounds the number of goal visits.
 Everything is deterministic, so a recorded verdict can be re-validated
 by simply running auto again.
+
+`_simp` is a bounded memo (`SIMP_MEMO_ENTRIES`) keyed on the interned
+term and on the lemma library: a conclusion met again, in another case
+of a hypothesis disjunction or when `revalidate_auto` runs the search
+again, is simplified once, and a library set by `set_default_library`
+never sees the rules of the one before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..expr import (
     Atom, Binder, Conn, LocalDecl, PROP, Telescope, Term, Var, eq_sides,
@@ -27,7 +34,8 @@ from ..kernel import (
 from .decide import decide_prop
 from .linarith import prove_linear
 from .rewrite import (
-    SubtermIndex, default_library, first_rewrite, rw_search_term,
+    LemmaLibrary, SubtermIndex, default_library, first_rewrite,
+    rw_search_term,
 )
 from .ring import ring_closes
 from .structural import replace_hyp, rfl_evidence, split_hyp, subst_goal
@@ -51,12 +59,18 @@ class _Counter:
 
 
 _SIMP_ROUNDS = 25
+SIMP_MEMO_ENTRIES = 64
 
 
-def _simp(t):
+def _simp(t: Term) -> Term:
     """Normalization with the lemma library, forward direction, fixpoint."""
+    return _simp_with(t, default_library())
+
+
+@lru_cache(maxsize=SIMP_MEMO_ENTRIES)
+def _simp_with(t: Term, library: LemmaLibrary) -> Term:
     t = normalize(t)
-    rules = default_library().simp_rules
+    rules = library.simp_rules
     for _ in range(_SIMP_ROUNDS):
         index = SubtermIndex(t)
         for lemma, back in rules.for_index(index):

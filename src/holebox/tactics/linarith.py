@@ -30,13 +30,21 @@ are searched depth first, `<` before `>`, and every partial split below
 the root is checked on its own: one that is infeasible has no feasible
 completion, so it prunes its whole subtree.  The full splits that are
 checked are the same systems, in the same order, as an enumeration of
-all 2^k, so verdicts and certificates do not depend on the pruning.
+all 2^k, so verdicts and certificates do not depend on the pruning.  A
+strict side is built when the search first reaches it.
 
 The hypotheses of a goal are translated once per (hypotheses, sort):
 `_hyp_atoms` is a bounded memo of their constraints and of the atom
 space they leave (atom table, Nat atoms, modulus rows, fresh-name
 counter), and each call extends its own copy with the target, so atom
-names and row order come out as if translated afresh.
+names and row order come out as if translated afresh.  Below that, each
+atom is translated once per (atom, sort, polarity): `_atom_memo` keeps
+its translation against an empty atom space, and `_atom_constraints`
+replays it into the caller's, registering the same keys in the same
+order.  An atom whose translation makes a fresh `$` name or modulus
+rows, or raises, is translated in place every time.  A constraint
+builds its integer row once, on first use (`Constraint.int_row`), so a
+memoized constraint is scaled once however many systems it joins.
 
 Nonlinear subterms are abstracted as opaque atoms, which only weakens
 the system, so every proof produced here is sound.
@@ -47,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from ..expr import (
@@ -135,6 +143,18 @@ class Constraint:
 
     def lin(self) -> Lin:
         return dict(self.expr)
+
+    @cached_property
+    def int_row(self) -> IntLin:
+        """The row scaled to integer coefficients, built on first use; a
+        strict row is tightened to `<= 0` by adding 1 to its constant."""
+        if self.rel == "ne":
+            raise NotLinear("ne must be split before omega")
+        den = math.lcm(*(v.denominator for _, v in self.expr))
+        lin = {k: v.numerator * (den // v.denominator) for k, v in self.expr}
+        if self.rel == "lt":
+            lin[CONST] = lin.get(CONST, 0) + 1
+        return lin
 
 
 def _mk_con(lin: Lin, rel: str, origin: int = -1) -> Constraint:
@@ -243,6 +263,42 @@ def atom_to_constraints(a: Atom, az: Atomizer, positive: bool
     raise NotLinear(f"relation {rel} is not linear")
 
 
+ATOM_MEMO_ENTRIES = 64
+
+
+def _atom_constraints(a: Atom, az: Atomizer, positive: bool
+                      ) -> list[Constraint]:
+    """`atom_to_constraints`, translated once per (atom, sort, polarity):
+    a memoized translation is replayed into `az`, registering its atom
+    keys in order as `Atomizer.key_for` would.  An atom the memo does not
+    hold is translated in place."""
+    memo = _atom_memo(a, az.sort, positive)
+    if memo is None:
+        return atom_to_constraints(a, az, positive)
+    keys, cons = memo
+    for key, t in keys:
+        if key not in az.table:
+            az.table[key] = t
+            if t.sort == NAT:
+                az.nat_keys.add(key)
+    return list(cons)
+
+
+@lru_cache(maxsize=ATOM_MEMO_ENTRIES)
+def _atom_memo(a: Atom, sort: Sort, positive: bool) -> Optional[tuple]:
+    """The translation of `a` against an empty atom space, as `(table
+    items, constraints)`; None when it makes a fresh `$` key or modulus
+    rows, whose names depend on the space, or raises `NotLinear`."""
+    az = Atomizer(sort)
+    try:
+        cons = atom_to_constraints(a, az, positive)
+    except NotLinear:
+        return None
+    if az.counter or az.mod_constraints:
+        return None
+    return tuple(az.table.items()), tuple(cons)
+
+
 def _flatten_pos(t: Term, az: Atomizer) -> Optional[list[Constraint]]:
     """A proposition as a conjunction of linear constraints, or None."""
     if isinstance(t, Conn) and t.op == "and":
@@ -253,14 +309,14 @@ def _flatten_pos(t: Term, az: Atomizer) -> Optional[list[Constraint]]:
         return lhs + rhs
     if isinstance(t, Conn) and t.op == "not" and isinstance(t.args[0], Atom):
         try:
-            return atom_to_constraints(t.args[0], az, positive=False)
+            return _atom_constraints(t.args[0], az, positive=False)
         except NotLinear:
             return None
     if isinstance(t, Conn) and t.op == "true":
         return []
     if isinstance(t, Atom):
         try:
-            return atom_to_constraints(t, az, positive=True)
+            return _atom_constraints(t, az, positive=True)
         except NotLinear:
             return None
     return None
@@ -292,7 +348,7 @@ def _negation_dnf(t: Term, az: Atomizer) -> list[list[Constraint]]:
         if t.op == "true":
             return []
     if isinstance(t, Atom):
-        return [atom_to_constraints(t, az, positive=False)]
+        return [_atom_constraints(t, az, positive=False)]
     raise NotLinear("conclusion is not in the linear fragment")
 
 
@@ -335,35 +391,38 @@ def fm_refute(cons: list[Constraint]) -> Optional[dict[int, Fraction]]:
         else:
             raise NotLinear("ne must be split before Fourier-Motzkin")
     while True:
-        for r in rows:
-            co = r.coeffs()
-            keys = [k for k in co if k != CONST]
-            if not keys:
+        # each row's coefficients, read once this round
+        cos = [r.coeffs() for r in rows]
+        for r, co in zip(rows, cos):
+            if all(k == CONST for k in co):
                 c0 = co.get(CONST, Fraction(0))
                 if c0 > 0 or (r.strict and c0 >= 0):
                     return dict(r.lineage)
-        vars_ = sorted({k for r in rows for k in r.coeffs() if k != CONST})
-        if not vars_:
+        lo_n: dict[str, int] = {}
+        hi_n: dict[str, int] = {}
+        for co in cos:
+            for k, c in co.items():
+                if k != CONST:
+                    count = lo_n if c < 0 else hi_n
+                    count[k] = count.get(k, 0) + 1
+        if not lo_n and not hi_n:
             return None
         # eliminate the variable with the fewest lower*upper products
         best, best_cost = None, None
-        for v in vars_:
-            lo = sum(1 for r in rows if r.coeffs().get(v, 0) < 0)
-            hi = sum(1 for r in rows if r.coeffs().get(v, 0) > 0)
+        for v in sorted(lo_n.keys() | hi_n.keys()):
+            lo, hi = lo_n.get(v, 0), hi_n.get(v, 0)
             cost = lo * hi + lo + hi
             if best_cost is None or cost < best_cost:
                 best, best_cost = v, cost
         v = best
-        lows = [r for r in rows if r.coeffs().get(v, 0) < 0]
-        highs = [r for r in rows if r.coeffs().get(v, 0) > 0]
-        rest = [r for r in rows if r.coeffs().get(v, 0) == 0]
-        new_rows = list(rest)
-        for lo in lows:
-            for hi in highs:
-                a = -lo.coeffs()[v]
-                b = hi.coeffs()[v]
-                lin = _lin_add(_lin_scale(lo.coeffs(), b),
-                               _lin_scale(hi.coeffs(), a))
+        lows = [(r, co) for r, co in zip(rows, cos) if co.get(v, 0) < 0]
+        highs = [(r, co) for r, co in zip(rows, cos) if co.get(v, 0) > 0]
+        new_rows = [r for r, co in zip(rows, cos) if co.get(v, 0) == 0]
+        for lo, lo_co in lows:
+            for hi, hi_co in highs:
+                a = -lo_co[v]
+                b = hi_co[v]
+                lin = _lin_add(_lin_scale(lo_co, b), _lin_scale(hi_co, a))
                 lin.pop(v, None)
                 lineage: dict[int, Fraction] = {}
                 for idx, m in lo.lineage:
@@ -406,20 +465,12 @@ def verify_farkas(cons: list[Constraint], multipliers: dict[int, Fraction]
 
 def _int_rows(cons: list[Constraint]
               ) -> tuple[list[IntLin], list[IntLin]]:
-    """Scale to integer coefficients; returns (equalities, inequalities<=0).
-
-    A strict row is tightened to `<= 0` by adding 1 to its constant.
-    """
+    """The constraints' integer rows, as (equalities, inequalities <= 0).
+    The rows are shared with the constraints and must not be changed."""
     eqs: list[IntLin] = []
     ineqs: list[IntLin] = []
     for c in cons:
-        if c.rel == "ne":
-            raise NotLinear("ne must be split before omega")
-        den = math.lcm(*(v.denominator for _, v in c.expr))
-        lin = {k: v.numerator * (den // v.denominator) for k, v in c.expr}
-        if c.rel == "lt":
-            lin[CONST] = lin.get(CONST, 0) + 1
-        (eqs if c.rel == "eq" else ineqs).append(lin)
+        (eqs if c.rel == "eq" else ineqs).append(c.int_row)
     return eqs, ineqs
 
 
@@ -683,12 +734,20 @@ def _split_nes(cons: list[Constraint],
     nes = [i for i, c in enumerate(cons) if c.rel == "ne"]
     if 2 ** len(nes) > MAX_NE_SPLITS:
         raise NotLinear("too many disequalities to split")
-    sides = {i: (_mk_con(cons[i].lin(), "lt"),
-                 _mk_con(_lin_neg(cons[i].lin()), "lt")) for i in nes}
+    sides: dict[tuple[int, int], Constraint] = {}
+
+    def side(i: int, gt: int) -> Constraint:
+        """`e < 0` (gt = 0) or `e > 0` (gt = 1) of `cons[i]`, `e != 0`,
+        built when the search first reaches it."""
+        out = sides.get((i, gt))
+        if out is None:
+            lin = cons[i].lin()
+            out = sides[i, gt] = _mk_con(_lin_neg(lin) if gt else lin, "lt")
+        return out
 
     def system(chosen: tuple[int, ...]) -> list[Constraint]:
         picked = dict(zip(nes, chosen))
-        return [c if c.rel != "ne" else sides[i][picked[i]]
+        return [c if c.rel != "ne" else side(i, picked[i])
                 for i, c in enumerate(cons)
                 if c.rel != "ne" or i in picked]
 

@@ -234,9 +234,7 @@ def cases(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 def replace_hyp(goal: Goal, name: str, prop: Term,
                 case: Optional[str] = None) -> Goal:
     """`goal` with hypothesis `name` restated as `prop`, in place."""
-    ctx = Telescope(tuple(
-        d if d.name != name else LocalDecl(name, PROP, prop=prop)
-        for d in goal.ctx.decls))
+    ctx = goal.ctx.replaced(LocalDecl(name, PROP, prop=prop))
     return Goal(goal.case if case is None else case, ctx, goal.concl)
 
 

@@ -17,8 +17,10 @@ from holebox.expr import (
     metavars_of, mk_app, mk_atom, mk_binder, mk_conn, mk_lit, mk_meta, mk_var,
     set_of, shift, substitute, subterms, syntactic_eq,
 )
+from holebox.kernel import Goal
 from holebox.syntax import parse_term, print_term
 from holebox.tactics.rewrite import replace_all
+from holebox.tactics.structural import replace_hyp
 
 
 def t(text, tele=Telescope(), expected=None):
@@ -130,6 +132,29 @@ def test_extended_checks_the_new_declaration_as_construction_does():
         with pytest.raises(ExprError) as extended:
             X_INT.extended(bad)
         assert str(extended.value) == str(built.value)
+
+
+def test_replace_hyp_checks_the_replaced_declaration_as_construction_does():
+    # x, h : x = 0, y: the replaced h may name x only
+    tele = Telescope(X_INT.decls + (
+        LocalDecl("h", PROP, prop=mk_atom("eq", (mk_var("x", INT),
+                                                 mk_lit(0, INT)))),
+        LocalDecl("y", INT)))
+    goal = Goal("h", tele, mk_conn("true", ()))
+    ok = mk_atom("le", (mk_var("x", INT), mk_lit(1, INT)))
+    got = replace_hyp(goal, "h", ok, "h.l")
+    assert got.case == "h.l" and got.concl == goal.concl
+    assert got.ctx == Telescope((tele.decls[0], LocalDecl("h", PROP, prop=ok),
+                                 tele.decls[2]))
+    assert replace_hyp(goal, "g", ok).ctx == tele
+    for name in ("y", "z"):          # a later variable, an unknown one
+        bad = mk_atom("eq", (mk_var(name, INT), mk_lit(0, INT)))
+        with pytest.raises(ExprError) as built:
+            Telescope((tele.decls[0], LocalDecl("h", PROP, prop=bad),
+                       tele.decls[2]))
+        with pytest.raises(ExprError) as replaced:
+            replace_hyp(goal, "h", bad)
+        assert str(replaced.value) == str(built.value)
 
 
 def test_telescope_fresh_names():

@@ -15,9 +15,11 @@ from holebox.norm import normalize
 from holebox.syntax import parse_term
 from holebox.tactics import linarith
 from holebox.tactics.linarith import (
-    CONST, MAX_NE_SPLITS, NotLinear, fm_refute, linearize, omega_sat,
-    prove_linear, refute_branch, revalidate_linear_arith, verify_farkas,
-    _hyp_atoms, _hyp_system, _int_rows, _mk_con, _OmegaBudget,
+    CONST, MAX_NE_SPLITS, Atomizer, NotLinear, atom_to_constraints,
+    fm_refute, linearize, omega_sat, prove_linear, refute_branch,
+    revalidate_linear_arith, verify_farkas, _atom_constraints, _atom_memo,
+    _fm_row, _hyp_atoms, _hyp_system, _int_rows, _lin_add, _lin_scale,
+    _mk_con, _OmegaBudget,
 )
 
 
@@ -449,3 +451,170 @@ def test_hyp_system_memo_gives_each_call_a_fresh_atom_space():
         tuple(normalize(d.prop) for d in tele.decls if d.prop), INT)
     assert snap_counter == 1 and len(snap_mods) == 3
     assert "`m`" not in dict(snap_table) and not snap_nat
+
+
+# ---------------------------------------------------------------------------
+# The atom memo: a replayed translation is the in-place one
+
+ATOM_TELE = Telescope(tuple(LocalDecl(n, s) for n, s in (
+    ("x", INT), ("y", INT), ("m", NAT), ("n", NAT), ("q", RAT))))
+
+# Atoms by the sort of the system they are translated into: {a}, {b}
+# coefficients, {c} constants, {k} literal moduli.  The last ones of
+# each raise `NotLinear` there.
+ATOM_TEMPLATES = {
+    INT: (
+        # linear, Nat, modulus, opaque
+        "{a}*x + {b}*y <= {c}", "x - {c} = y", "x < y + {c}", "x != {c}",
+        "odd m", "{k} dvd m", "m % {k} = 1",
+        "x % {k} = {c}", "{k} dvd x + y", "even (x + {c})", "3 dvd x % {k}",
+        "x * y <= {c}", "abs x <= {c}", "x * x = y", "x % y = {c}",
+        "abs (x % {k}) <= {c}",
+        # a Nat comparison, a non-literal modulus, a Rat atom
+        "m <= n + {k}", "x dvd y", "q <= {c}",
+    ),
+    RAT: (
+        "{a} * q < {c}", "q / {k} = {c}", "{a} * q + 1 != {c}",
+        "q * q < {c}", "abs q <= {c}",
+        # an Int atom, a relation outside the Int path
+        "x < {c}", "even (x + {c})",
+    ),
+}
+
+
+@st.composite
+def _atom_cases(draw):
+    """A system sort, 0-4 hypothesis atoms and one atom to translate."""
+    sort = draw(st.sampled_from([INT, RAT]))
+
+    def atom():
+        text = draw(st.sampled_from(ATOM_TEMPLATES[sort])).format(
+            a=draw(st.integers(-3, 3)), b=draw(st.integers(-3, 3)),
+            c=draw(st.integers(-4, 4)), k=draw(st.integers(2, 4)))
+        return normalize(parse_term(text, ATOM_TELE, PROP))
+
+    hyps = [atom() for _ in range(draw(st.integers(0, 4)))]
+    return sort, hyps, atom()
+
+
+def _atom_space(az):
+    return (list(az.table.items()), set(az.nat_keys),
+            list(az.mod_constraints), az.counter)
+
+
+def _translate(translate, atom, base, positive):
+    az = Atomizer(base.sort, dict(base.table), set(base.nat_keys),
+                  list(base.mod_constraints), base.counter)
+    try:
+        cons = translate(atom, az, positive)
+    except Exception as e:
+        return type(e)
+    return cons, _atom_space(az)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_atom_cases(), st.booleans())
+def test_atom_memo_replays_the_in_place_translation(case, positive):
+    sort, hyps, atom = case
+    # an atom space pre-filled by hypotheses, as `_hyp_atoms` leaves it
+    base = Atomizer(sort)
+    for h in hyps:
+        try:
+            atom_to_constraints(h, base, True)
+        except NotLinear:
+            pass
+    want = _translate(atom_to_constraints, atom, base, positive)
+    _atom_memo.cache_clear()
+    cold = _translate(_atom_constraints, atom, base, positive)
+    warm = _translate(_atom_constraints, atom, base, positive)
+    assert cold == want and warm == want
+    if isinstance(want, tuple):
+        # kept only when it leaves no name that depends on the space
+        fresh = Atomizer(sort)
+        atom_to_constraints(atom, fresh, positive)
+        kept = _atom_memo(atom, sort, positive) is not None
+        assert kept == (not fresh.counter and not fresh.mod_constraints)
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin: the per-round coefficient reads change nothing
+
+
+def reference_fm_refute(cons):
+    """`fm_refute` as it read every row's coefficients for every test."""
+    rows = []
+    for i, c in enumerate(cons):
+        lin = c.lin()
+        if c.rel == "eq":
+            rows.append(_fm_row(lin, False, {2 * i: Fraction(1)}))
+            rows.append(_fm_row(_lin_scale(lin, Fraction(-1)), False,
+                                {2 * i + 1: Fraction(1)}))
+        elif c.rel == "le":
+            rows.append(_fm_row(lin, False, {2 * i: Fraction(1)}))
+        elif c.rel == "lt":
+            rows.append(_fm_row(lin, True, {2 * i: Fraction(1)}))
+        else:
+            raise NotLinear("ne must be split before Fourier-Motzkin")
+    while True:
+        for r in rows:
+            co = r.coeffs()
+            keys = [k for k in co if k != CONST]
+            if not keys:
+                c0 = co.get(CONST, Fraction(0))
+                if c0 > 0 or (r.strict and c0 >= 0):
+                    return dict(r.lineage)
+        vars_ = sorted({k for r in rows for k in r.coeffs() if k != CONST})
+        if not vars_:
+            return None
+        best, best_cost = None, None
+        for v in vars_:
+            lo = sum(1 for r in rows if r.coeffs().get(v, 0) < 0)
+            hi = sum(1 for r in rows if r.coeffs().get(v, 0) > 0)
+            cost = lo * hi + lo + hi
+            if best_cost is None or cost < best_cost:
+                best, best_cost = v, cost
+        v = best
+        lows = [r for r in rows if r.coeffs().get(v, 0) < 0]
+        highs = [r for r in rows if r.coeffs().get(v, 0) > 0]
+        rest = [r for r in rows if r.coeffs().get(v, 0) == 0]
+        new_rows = list(rest)
+        for lo in lows:
+            for hi in highs:
+                a = -lo.coeffs()[v]
+                b = hi.coeffs()[v]
+                lin = _lin_add(_lin_scale(lo.coeffs(), b),
+                               _lin_scale(hi.coeffs(), a))
+                lin.pop(v, None)
+                lineage = {}
+                for idx, m in lo.lineage:
+                    lineage[idx] = lineage.get(idx, Fraction(0)) + b * m
+                for idx, m in hi.lineage:
+                    lineage[idx] = lineage.get(idx, Fraction(0)) + a * m
+                new_rows.append(_fm_row(lin, lo.strict or hi.strict, lineage))
+        if len(new_rows) > 4000:
+            raise NotLinear("Fourier-Motzkin blow-up guard")
+        rows = new_rows
+
+
+@st.composite
+def _rational_systems(draw):
+    """1-6 rows over x, y and z with small rational coefficients."""
+    def row():
+        den = draw(st.integers(1, 3))
+        lin = {v: Fraction(draw(st.integers(-3, 3)), den) for v in "xyz"}
+        lin[CONST] = Fraction(draw(st.integers(-6, 6)), den)
+        return _mk_con(lin, draw(st.sampled_from(["le", "lt", "eq"])))
+    return [row() for _ in range(draw(st.integers(1, 6)))]
+
+
+def _refuted(refute, cons):
+    try:
+        return refute(cons)
+    except NotLinear as e:
+        return str(e)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_rational_systems())
+def test_fm_refute_matches_the_reference(cons):
+    assert _refuted(fm_refute, cons) == _refuted(reference_fm_refute, cons)
