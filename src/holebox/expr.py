@@ -180,8 +180,11 @@ class _Leaf(Term):
     """A node with one field besides its sort: Var, BVar, Meta and Lit."""
     __slots__ = ()
 
-    def __new__(cls, sort: Sort, value):
-        key = (cls, sort, value)
+    def __new__(cls, sort: Sort, value, key: Optional[tuple] = None):
+        """The node for `value`, interned under `key`, by default
+        `(cls, sort, value)`."""
+        if key is None:
+            key = (cls, sort, value)
         node = _lookup(key)
         if node is None:
             node = object.__new__(cls)
@@ -221,7 +224,11 @@ class Lit(_Leaf):
     def __new__(cls, sort: Sort, val):
         if type(val) is not Fraction:
             val = Fraction(val)
-        return _Leaf.__new__(cls, sort, val)
+        # An integral value is keyed by its int: equal to the Fraction and
+        # hashed alike, so the key matches and the node's hash is the same,
+        # but hashed and compared in C, not in Fraction's Python methods.
+        n = val.numerator if val.denominator == 1 else val
+        return _Leaf.__new__(cls, sort, val, (cls, sort, n))
 
 
 class _Node(Term):
@@ -332,7 +339,7 @@ def lit_bits(v: Fraction) -> int:
 
 
 def mk_lit(val, sort: Sort = INT) -> Lit:
-    v = Fraction(val)
+    v = val if type(val) is Fraction else Fraction(val)
     if sort == NAT and (v < 0 or v.denominator != 1):
         raise SortError(f"literal {v} is not a Nat")
     if sort == INT and v.denominator != 1:
@@ -590,9 +597,12 @@ def has_loose_bvars(t: Term, depth: int = 0) -> bool:
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    for k in children(t):
-        yield from subterms(k)
+    """Every subterm of `t`, pre-order, left to right."""
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        yield s
+        todo.extend(reversed(children(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +628,15 @@ def substitute(t: Term, name: str, repl: Term) -> Term:
 
 def free_vars(t: Term) -> set[str]:
     out: set[str] = set()
-    for s in subterms(t):
+    todo = [t]
+    while todo:
+        s = todo.pop()
         if isinstance(s, Var):
             out.add(s.name)
+        elif isinstance(s, Binder):
+            todo.append(s.body)
+        elif isinstance(s, _Node):
+            todo.extend(s.args)
     return out
 
 
@@ -766,16 +782,30 @@ class Telescope:
         """This telescope with the declaration named `decl.name` replaced
         by `decl`, in place.  Only `decl` is checked, against the names
         before it; without such a declaration the telescope is returned."""
-        names: set[str] = set()
         for i, d in enumerate(self.decls):
             if d.name == decl.name:
-                _check_decl(decl, names)
-                out = object.__new__(Telescope)
-                object.__setattr__(out, "decls", self.decls[:i] + (decl,)
-                                   + self.decls[i + 1:])
-                return out
-            names.add(d.name)
+                return self.restated(self.decls[:i] + (decl,)
+                                     + self.decls[i + 1:])
         return self
+
+    def restated(self, decls: tuple[LocalDecl, ...]) -> "Telescope":
+        """A telescope of `decls`: this one's declarations in their order,
+        some left out and some restated.  A declaration that is one of
+        this telescope's own objects was checked when this one was built
+        and is taken as it is (its name must still be new); every other
+        one is checked.  The caller keeps a left-out name out of the
+        declarations taken as they are."""
+        own = {id(d) for d in self.decls}
+        names: set[str] = set()
+        for d in decls:
+            if id(d) not in own:
+                _check_decl(d, names)
+            elif d.name in names:
+                raise ExprError(f"duplicate declaration {d.name!r}")
+            names.add(d.name)
+        out = object.__new__(Telescope)
+        object.__setattr__(out, "decls", decls)
+        return out
 
     def fresh(self, base: str) -> str:
         if self.lookup(base) is None:

@@ -189,16 +189,23 @@ def assign_metavar(s: SolutionState, mid: str, value: Term,
 
 
 def _instantiate_goal(g: Goal, asg: dict[str, Term]) -> Goal:
+    """`g` with the assigned metavariables replaced; `g` itself when
+    nothing in it changes.  Only a restated hypothesis is checked."""
     decls = []
+    restated = False
     for d in g.ctx.decls:
-        if d.prop is not None:
-            decls.append(LocalDecl(d.name, d.sort,
-                                   prop=instantiate_metas(d.prop, asg)))
-        else:
-            decls.append(d)
-    concl = g.concl if isinstance(g.concl, Sort) \
-        else instantiate_metas(g.concl, asg)
-    return Goal(g.case, Telescope(tuple(decls)), concl)
+        if d.prop is not None and d.prop.has_meta:
+            prop = instantiate_metas(d.prop, asg)
+            if prop is not d.prop:
+                d = LocalDecl(d.name, d.sort, prop=prop)
+                restated = True
+        decls.append(d)
+    concl = g.concl
+    if not isinstance(concl, Sort) and concl.has_meta:
+        concl = instantiate_metas(concl, asg)
+    if not restated:
+        return g if concl is g.concl else Goal(g.case, g.ctx, concl)
+    return Goal(g.case, g.ctx.restated(tuple(decls)), concl)
 
 
 # ---------------------------------------------------------------------------

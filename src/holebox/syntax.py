@@ -10,6 +10,8 @@ always denote exact rationals (3.64 parses as 91/25).
 from __future__ import annotations
 
 import json
+import re
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar
@@ -25,7 +27,9 @@ from .expr import (
 
 # Input limits, so that oversized input is a ParseError, not a crash.
 # Each nesting level (bracket, binder, prefix or right-associative
-# operator) costs the parser up to 14 of Python's 1000 stack frames, and
+# operator) costs the parser at most 5 of Python's 1000 stack frames
+# (measured: MAX_NESTING nested brackets take 258 frames, a binder or
+# prefix chain 208 or less; `test_parser_reference` holds it there), and
 # a numeral of MAX_NUMERAL_DIGITS digits fits in MAX_LIT_BITS bits.
 # Left-associative chains (`a + b + ...`, application, binder groups)
 # are parsed by loops, so the elaborated tree's depth is bounded on its
@@ -68,212 +72,312 @@ _UNICODE_ALIASES = {
     "∪": "\\/", "∩": "/\\", "⊢": "|-", "↦": "=>",
 }
 
-_SYMBOLS = ["<->", "->", "/\\", "\\/", "<=", ">=", "!=", "=>", "|-",
-            "(", ")", "{", "}", ",", ":", "|", "^", "*", "/", "%",
-            "+", "-", "=", "<", ">", "?"]
-
 _KEYWORDS = {"forall", "exists", "fun", "in", "dvd", "not", "sum",
              "True", "False"}
 
+_SYMBOLS = {"<->", "->", "/\\", "\\/", "<=", ">=", "!=", "=>", "|-",
+            "(", ")", "{", "}", ",", ":", "|", "^", "*", "/", "%",
+            "+", "-", "=", "<", ">", "?"}
 
-@dataclass
+# One lexeme after optional whitespace: a comment, numeral, name, meta,
+# symbol, the end, or one character no lexeme starts with.  `\s`, `\d`
+# and `\w` are exactly `str.isspace`, `str.isdecimal` (what `int` reads)
+# and `str.isalnum` or `_`.  A name starts with a letter or `_` and may
+# hold `.` and `'` but not end in `.`; `[^\W\d]` also admits the
+# non-decimal digits and numerics (`²`, `½`), which `tokenize` rejects.
+# Longer symbols come before their prefixes, and `--` before `-`.
+_LEXEME = re.compile(r"""\s*(
+      --[^\n]*
+    | \d+(?:\.\d+)?
+    | [^\W\d][\w']*(?:\.+[\w']+)*
+    | \?[^\W\d][\w']*
+    | <-> | -> | /\\ | \\/ | <= | >= | != | => | \|-
+    | [-(){},:|^*/%+=<>?]
+    | \Z
+    | .)""", re.VERBOSE)
+
+
 class Tok:
-    kind: str   # num | ident | meta | sym | kw | eof
-    text: str
-    line: int
-    col: int
+    """One token: `kind` is num, ident, meta, sym, kw or eof."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(src: str) -> list[Tok]:
-    for u, a in _UNICODE_ALIASES.items():
-        src = src.replace(u, f" {a} ")
+    """The tokens of `src`, each with its line and column, ending in eof."""
+    if not src.isascii():
+        for u, a in _UNICODE_ALIASES.items():
+            src = src.replace(u, f" {a} ")
     toks: list[Tok] = []
-    i, line, col = 0, 1, 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            if j - i > MAX_NUMERAL_DIGITS:
+    line, bol = 1, 0             # the current line and where it begins
+    comment_end = comment_col = -1
+    for m in _LEXEME.finditer(src):
+        at = m.start(1)
+        if src.find("\n", m.start(), at) >= 0:
+            line += src.count("\n", m.start(), at)
+            bol = src.rfind("\n", m.start(), at) + 1
+        col = at - bol
+        text = m.group(1)
+        c = text[:1]
+        if c.isdecimal():
+            if len(text) > MAX_NUMERAL_DIGITS:
                 raise ParseError(f"numeral longer than {MAX_NUMERAL_DIGITS}"
                                  " digits", line, col)
-            toks.append(Tok("num", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_.'"):
-                j += 1
-            while src[j - 1] == ".":   # trailing dot is punctuation, not name
-                j -= 1
-            text = src[i:j]
-            kind = "kw" if text in _KEYWORDS else "ident"
-            toks.append(Tok(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "?" and i + 1 < n and (src[i + 1].isalpha() or src[i + 1] == "_"):
-            j = i + 1
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            toks.append(Tok("meta", src[i + 1:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(Tok("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+            toks.append(Tok("num", text, line, col))
+        elif c.isalpha() or c == "_":
+            toks.append(Tok("kw" if text in _KEYWORDS else "ident",
+                            text, line, col))
+        elif text in _SYMBOLS:
+            toks.append(Tok("sym", text, line, col))
+        elif c == "?" and (text[1].isalpha() or text[1] == "_"):
+            toks.append(Tok("meta", text[1:], line, col))
+        elif text.startswith("--"):
+            comment_end, comment_col = m.end(), col
+        elif not text:
+            # a comment that runs to the end leaves the column at its start
+            toks.append(Tok("eof", "", line,
+                            comment_col if at == comment_end else col))
+            break
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Tok("eof", "", line, col))
+            bad = 1 if c == "?" else 0
+            raise ParseError(f"unexpected character {text[bad]!r}",
+                             line, col + bad)
     return toks
+
+
+# The parser reads each token as a key and a text.  The key is the text
+# of a symbol or keyword, else the token's kind (num, ident, meta, eof).
+_KEYS = {s: s for s in _SYMBOLS | _KEYWORDS}
+# the key of any other lexeme of ASCII input without comments or errors,
+# by its first character
+_FIRST = {"": "eof", "?": "meta", "_": "ident"}
+_FIRST.update((c, "num") for c in string.digits)
+_FIRST.update((c, "ident") for c in string.ascii_letters)
+
+
+def _lex(src: str) -> tuple[list[str], list[str], Optional[list[Tok]]]:
+    """The keys and texts of `src`'s tokens, as `tokenize` reads them.
+
+    ASCII input with no comment and no stray character, too short to
+    hold an overlong numeral, is read by one `findall` and needs no
+    `Tok`; any other input goes through `tokenize`, whose tokens are
+    returned too."""
+    if src.isascii() and len(src) <= MAX_NUMERAL_DIGITS:
+        texts = _LEXEME.findall(src)
+        keys = [_KEYS.get(t) or _FIRST.get(t[:1]) for t in texts]
+        if None not in keys:
+            n = keys.index("eof") + 1    # trailing space leaves two ends
+            if "meta" in keys:
+                texts = [t[1:] if k == "meta" else t
+                         for k, t in zip(keys, texts)]
+            return keys[:n], texts[:n], None
+    toks = tokenize(src)
+    keys = [t.text if t.kind == "sym" or t.kind == "kw" else t.kind
+            for t in toks]
+    return keys, [t.text for t in toks], toks
 
 
 # ---------------------------------------------------------------------------
 # Raw (unsorted) syntax trees
 
-@dataclass
+
 class Raw:
-    pass
+    """A parsed term before elaboration.  Nodes compare by their fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and all(
+            getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(repr(getattr(self, f)) for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
 class RNum(Raw):
-    val: Fraction
+    __slots__ = _fields = ("val",)
+
+    def __init__(self, val: Fraction):
+        self.val = val
 
 
-@dataclass
 class RName(Raw):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
 class RMeta(Raw):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
 class RBin(Raw):
-    op: str
-    lhs: Raw
-    rhs: Raw
+    __slots__ = _fields = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Raw, rhs: Raw):
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass
 class RNot(Raw):
-    arg: Raw
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Raw):
+        self.arg = arg
 
 
-@dataclass
 class RNeg(Raw):
-    arg: Raw
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Raw):
+        self.arg = arg
 
 
-@dataclass
 class RAppl(Raw):
-    head: Raw
-    args: list[Raw]
+    __slots__ = _fields = ("head", "args")
+
+    def __init__(self, head: Raw, args: list[Raw]):
+        self.head = head
+        self.args = args
 
 
-@dataclass
 class RBinderRaw(Raw):
-    kind: str
-    groups: list[tuple[str, Sort]]
-    body: Raw
+    __slots__ = _fields = ("kind", "groups", "body")
+
+    def __init__(self, kind: str, groups: list[tuple[str, Sort]], body: Raw):
+        self.kind = kind
+        self.groups = groups
+        self.body = body
 
 
-@dataclass
 class RSum(Raw):
-    var: str
-    coll: Raw
-    body: Raw
+    __slots__ = _fields = ("var", "coll", "body")
+
+    def __init__(self, var: str, coll: Raw, body: Raw):
+        self.var = var
+        self.coll = coll
+        self.body = body
 
 
-@dataclass
 class RSetB(Raw):
-    var: str
-    vsort: Sort
-    body: Raw
+    __slots__ = _fields = ("var", "vsort", "body")
+
+    def __init__(self, var: str, vsort: Sort, body: Raw):
+        self.var = var
+        self.vsort = vsort
+        self.body = body
 
 
-@dataclass
 class RSetLit(Raw):
-    elems: list[Raw]
+    __slots__ = _fields = ("elems",)
+
+    def __init__(self, elems: list[Raw]):
+        self.elems = elems
 
 
-@dataclass
 class RAscribe(Raw):
-    inner: Raw
-    sort: Sort
+    __slots__ = _fields = ("inner", "sort")
+
+    def __init__(self, inner: Raw, sort: Sort):
+        self.inner = inner
+        self.sort = sort
 
 
-@dataclass
 class RBool(Raw):
-    val: bool
+    __slots__ = _fields = ("val",)
+
+    def __init__(self, val: bool):
+        self.val = val
+
+
+# ---------------------------------------------------------------------------
+# Parser
+#
+# Precedence climbing (Pratt, "Top down operator precedence", 1973) over
+# these levels:
+#
+#   0  a whole term: `forall`, `exists`, `fun` and `sum` first
+#   1  <->    2  ->    3  \/    4  /\     right-associative
+#   5  `not` and its operand
+#   6  = != < <= > >= in dvd           one comparison, no chain
+#   7  + -    8  * / %                  left-associative
+#   9  unary minus, and `sum` or `fun` reaching to the right
+#   10 ^                                right-associative, a unary exponent
+#
+# `expr(level)` reads an operand, then each operator of `level` or
+# tighter that may follow what it has read so far: its `loosest` level.
+# After a `not`, or a quantifier inside a connective, only connectives
+# may follow (4); after a comparison no second one (5); after unary
+# minus, or a binder reached from an arithmetic operand, no `^` (8).  A
+# right operand read at its operator's own level, and each bracket,
+# binder body and prefix operand, is one nesting level (`nested`).
+#
+# The binary operators: token key -> (level, raw op).
+_BINARY = {
+    "<->": (1, "iff"), "->": (2, "imp"), "\\/": (3, "or"), "/\\": (4, "and"),
+    "=": (6, "eq"), "!=": (6, "ne"), "<": (6, "lt"), "<=": (6, "le"),
+    ">": (6, "gt"), ">=": (6, "ge"), "in": (6, "mem"), "dvd": (6, "dvd"),
+    "+": (7, "add"), "-": (7, "sub"),
+    "*": (8, "mul"), "/": (8, "div"), "%": (8, "mod"),
+    "^": (10, "pow"),
+}
+
+_ATOM_START = {"num", "ident", "meta", "True", "False", "(", "{"}
 
 
 class _P:
-    def __init__(self, toks: list[Tok]):
-        self.toks = toks
+    """A parser over the tokens of one text; `i` is the current token."""
+
+    def __init__(self, src: str):
+        self.src = src
+        self.keys, self.texts, self._toks = _lex(src)
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> Tok:
-        return self.toks[self.i]
+    def at(self, key: str) -> bool:
+        return self.keys[self.i] == key
 
-    def next(self) -> Tok:
-        t = self.toks[self.i]
+    def next(self) -> str:
+        """Consume the current token; its text."""
         self.i += 1
-        return t
+        return self.texts[self.i - 1]
+
+    def position(self, i: int) -> tuple[int, int]:
+        """The line and column of token `i`, read on demand: only an
+        error reports one."""
+        if self._toks is None:
+            self._toks = tokenize(self.src)
+        t = self._toks[i]
+        return t.line, t.col
 
     def err(self, msg: str) -> ParseError:
-        t = self.peek()
-        found = t.text or "end of input"
-        return ParseError(f"{msg}, found {found!r}", t.line, t.col)
+        found = self.texts[self.i] or "end of input"
+        return ParseError(f"{msg}, found {found!r}", *self.position(self.i))
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Tok:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            raise self.err(f"expected {text or kind}")
+    def expect(self, key: str) -> str:
+        if self.keys[self.i] != key:
+            raise self.err(f"expected {key}")
         return self.next()
 
-    def at_sym(self, *texts: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text in texts
-
-    def at_kw(self, *texts: str) -> bool:
-        t = self.peek()
-        return t.kind == "kw" and t.text in texts
-
-    def nested(self, parse: Callable[[], _T]) -> _T:
+    def nested(self, parse: Callable[..., _T], *args) -> _T:
         """Parse one nesting level, at most MAX_NESTING deep."""
         if self.depth >= MAX_NESTING:
             raise self.err(f"nesting deeper than {MAX_NESTING} levels")
         self.depth += 1
-        out = parse()
+        out = parse(*args)
         self.depth -= 1
         return out
 
@@ -282,7 +386,7 @@ class _P:
 
         Each level of that term consumes a token of its own, so only
         inputs of more than MAX_DEPTH tokens are measured."""
-        if len(self.toks) > MAX_DEPTH and _levels(raw) > MAX_DEPTH:
+        if len(self.keys) > MAX_DEPTH and _levels(raw) > MAX_DEPTH:
             raise ParseError(f"term deeper than {MAX_DEPTH} levels")
         return raw
 
@@ -290,247 +394,205 @@ class _P:
 
     def sort(self) -> Sort:
         s = self.sort_atom()
-        if self.at_sym("->"):
-            self.next()
+        if self.at("->"):
+            self.i += 1
             return fn(s, self.nested(self.sort))
         return s
 
     def sort_atom(self) -> Sort:
-        t = self.peek()
-        if t.kind == "sym" and t.text == "(":
-            self.next()
+        if self.at("("):
+            self.i += 1
             s = self.nested(self.sort)
-            self.expect("sym", ")")
+            self.expect(")")
             return s
-        if t.kind == "ident":
-            self.next()
-            if t.text == "Set":
+        if self.at("ident"):
+            name = self.next()
+            if name == "Set":
                 return set_of(self.nested(self.sort_atom))
-            if t.text in ATOMIC_SORTS:
-                return ATOMIC_SORTS[t.text]
-            raise ParseError(f"unknown sort {t.text!r}", t.line, t.col)
+            if name in ATOMIC_SORTS:
+                return ATOMIC_SORTS[name]
+            raise ParseError(f"unknown sort {name!r}",
+                             *self.position(self.i - 1))
         raise self.err("expected a sort")
 
     # terms ----------------------------------------------------------------
 
     def term(self) -> Raw:
-        if self.at_kw("forall", "exists"):
-            kind = self.next().text
-            groups: list[tuple[str, Sort]] = []
-            while self.at_sym("("):
-                save = self.i
-                self.next()
-                names: list[str] = []
-                while self.peek().kind == "ident":
-                    names.append(self.next().text)
-                if not names or not self.at_sym(":"):
-                    self.i = save   # it is the body's parenthesis
-                    break
-                self.next()
-                s = self.sort()
-                self.expect("sym", ")")
-                groups.extend((nm, s) for nm in names)
-            if not groups:
-                raise self.err("expected (name : Sort) after binder")
-            self.expect("sym", ",")
-            return RBinderRaw(kind, groups, self.nested(self.term))
-        if self.at_kw("fun"):
-            self.next()
-            self.expect("sym", "(")
-            name = self.expect("ident").text
-            self.expect("sym", ":")
-            s = self.sort()
-            self.expect("sym", ")")
-            self.expect("sym", "=>")
-            return RBinderRaw("lam", [(name, s)], self.nested(self.term))
-        if self.at_kw("sum"):
-            self.next()
-            name = self.expect("ident").text
-            self.expect("kw", "in")
-            coll = self.cmp_operand()
-            self.expect("sym", ",")
-            return RSum(name, coll, self.nested(self.term))
-        return self.iff_expr()
+        return self.expr(0)
 
-    def iff_expr(self) -> Raw:
-        lhs = self.imp_expr()
-        if self.at_sym("<->"):
-            self.next()
-            return RBin("iff", lhs, self.nested(self.iff_expr))
-        return lhs
+    def expr(self, level: int) -> Raw:
+        """A term at `level` (see the table above)."""
+        keys = self.keys
+        if keys[self.i] in _ATOM_START:
+            lhs, loosest = self.app_expr(), 10
+        else:
+            lhs, loosest = self.prefix(level)
+        while True:
+            op = _BINARY.get(keys[self.i])
+            if op is None or not level <= op[0] <= loosest:
+                return lhs
+            lv, name = op
+            self.i += 1
+            if lv == 6:
+                rhs, loosest = self.expr(7), 5
+            elif lv == 7 or lv == 8:
+                rhs, loosest = self.expr(lv + 1), lv
+            else:
+                rhs = self.nested(self.expr, 9 if lv == 10 else lv)
+                loosest = lv - 1
+            lhs = RBin(name, lhs, rhs)
 
-    def imp_expr(self) -> Raw:
-        lhs = self.or_expr()
-        if self.at_sym("->"):
-            self.next()
-            return RBin("imp", lhs, self.nested(self.imp_expr))
-        return lhs
-
-    def or_expr(self) -> Raw:
-        lhs = self.and_expr()
-        if self.at_sym("\\/"):
-            self.next()
-            return RBin("or", lhs, self.nested(self.or_expr))
-        return lhs
-
-    def and_expr(self) -> Raw:
-        lhs = self.not_expr()
-        if self.at_sym("/\\"):
-            self.next()
-            return RBin("and", lhs, self.nested(self.and_expr))
-        return lhs
-
-    def not_expr(self) -> Raw:
-        if self.at_kw("not"):
-            self.next()
-            return RNot(self.nested(self.not_expr))
-        if self.at_kw("forall", "exists"):
-            return self.nested(self.term)
-        return self.cmp_expr()
-
-    _CMP = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le",
-            ">": "gt", ">=": "ge"}
-
-    def cmp_expr(self) -> Raw:
-        lhs = self.add_expr()
-        t = self.peek()
-        if t.kind == "sym" and t.text in self._CMP:
-            self.next()
-            return RBin(self._CMP[t.text], lhs, self.add_expr())
-        if self.at_kw("in"):
-            self.next()
-            return RBin("mem", lhs, self.add_expr())
-        if self.at_kw("dvd"):
-            self.next()
-            return RBin("dvd", lhs, self.add_expr())
-        return lhs
-
-    def cmp_operand(self) -> Raw:
-        return self.add_expr()
-
-    def add_expr(self) -> Raw:
-        lhs = self.mul_expr()
-        while self.at_sym("+", "-"):
-            op = "add" if self.next().text == "+" else "sub"
-            lhs = RBin(op, lhs, self.mul_expr())
-        return lhs
-
-    def mul_expr(self) -> Raw:
-        lhs = self.unary()
-        while self.at_sym("*", "/", "%"):
-            sym = self.next().text
-            op = {"*": "mul", "/": "div", "%": "mod"}[sym]
-            lhs = RBin(op, lhs, self.unary())
-        return lhs
-
-    def unary(self) -> Raw:
-        if self.at_sym("-"):
-            self.next()
-            return RNeg(self.nested(self.unary))
-        if self.at_kw("sum", "fun"):
+    def prefix(self, level: int) -> tuple[Raw, int]:
+        """The first operand of a term at `level`, and the loosest level
+        of an operator that may follow it."""
+        key = self.keys[self.i]
+        if level == 0:
+            if key == "forall" or key == "exists":
+                return self.binder(), 0
+            if key == "fun":
+                return self.lam(), 0
+            if key == "sum":
+                return self.sum(), 0
+        if level <= 5:
+            if key == "not":
+                self.i += 1
+                return RNot(self.nested(self.expr, 5)), 4
+            if key == "forall" or key == "exists":
+                return self.nested(self.expr, 0), 4
+        if key == "-":
+            self.i += 1
+            return RNeg(self.nested(self.expr, 9)), 8
+        if key == "sum" or key == "fun":
             # value-sorted binders extend maximally to the right
-            return self.nested(self.term)
-        return self.pow_expr()
+            return self.nested(self.expr, 0), 8
+        return self.app_expr(), 10
 
-    def pow_expr(self) -> Raw:
-        base = self.app_expr()
-        if self.at_sym("^"):
-            self.next()
-            return RBin("pow", base, self.nested(self.unary))
-        return base
+    def binder(self) -> Raw:
+        kind = self.next()
+        groups: list[tuple[str, Sort]] = []
+        while self.at("("):
+            save = self.i
+            self.i += 1
+            names: list[str] = []
+            while self.at("ident"):
+                names.append(self.next())
+            if not names or not self.at(":"):
+                self.i = save   # it is the body's parenthesis
+                break
+            self.i += 1
+            s = self.sort()
+            self.expect(")")
+            groups.extend((nm, s) for nm in names)
+        if not groups:
+            raise self.err("expected (name : Sort) after binder")
+        self.expect(",")
+        return RBinderRaw(kind, groups, self.nested(self.expr, 0))
+
+    def lam(self) -> Raw:
+        self.i += 1
+        self.expect("(")
+        name = self.expect("ident")
+        self.expect(":")
+        s = self.sort()
+        self.expect(")")
+        self.expect("=>")
+        return RBinderRaw("lam", [(name, s)], self.nested(self.expr, 0))
+
+    def sum(self) -> Raw:
+        self.i += 1
+        name = self.expect("ident")
+        self.expect("in")
+        coll = self.expr(7)
+        self.expect(",")
+        return RSum(name, coll, self.nested(self.expr, 0))
 
     def app_expr(self) -> Raw:
         head = self.atom()
+        keys = self.keys
+        if keys[self.i] not in _ATOM_START:
+            return head
         args: list[Raw] = []
-        while self._at_atom_start():
+        while keys[self.i] in _ATOM_START:
             args.append(self.atom())
-        return RAppl(head, args) if args else head
-
-    def _at_atom_start(self) -> bool:
-        t = self.peek()
-        if t.kind in ("num", "ident", "meta"):
-            return True
-        if t.kind == "kw" and t.text in ("True", "False"):
-            return True
-        return t.kind == "sym" and t.text in ("(", "{")
+        return RAppl(head, args)
 
     def atom(self) -> Raw:
-        t = self.peek()
-        if t.kind == "num":
-            self.next()
-            if "." in t.text:
-                whole, frac = t.text.split(".")
+        key = self.keys[self.i]
+        if key == "ident":
+            return RName(self.next())
+        if key == "num":
+            text = self.next()
+            if "." in text:
+                whole, frac = text.split(".")
                 return RNum(Fraction(int(whole + frac), 10 ** len(frac)))
-            return RNum(Fraction(int(t.text)))
-        if t.kind == "meta":
-            self.next()
-            return RMeta(t.text)
-        if t.kind == "kw" and t.text in ("True", "False"):
-            self.next()
-            return RBool(t.text == "True")
-        if t.kind == "ident":
-            self.next()
-            return RName(t.text)
-        if self.at_sym("("):
-            self.next()
-            inner = self.nested(self.term)
-            if self.at_sym(":"):
-                self.next()
+            return RNum(Fraction(int(text)))
+        if key == "(":
+            self.i += 1
+            inner = self.nested(self.expr, 0)
+            if self.at(":"):
+                self.i += 1
                 s = self.sort()
-                self.expect("sym", ")")
+                self.expect(")")
                 return RAscribe(inner, s)
-            self.expect("sym", ")")
+            self.expect(")")
             return inner
-        if self.at_sym("{"):
-            self.next()
+        if key == "meta":
+            return RMeta(self.next())
+        if key == "True" or key == "False":
+            self.i += 1
+            return RBool(key == "True")
+        if key == "{":
+            self.i += 1
             # {x : S | p} or {e, e, ...}
-            save = self.i
-            if self.peek().kind == "ident":
-                name = self.next().text
-                if self.at_sym(":"):
-                    self.next()
-                    s = self.sort()
-                    self.expect("sym", "|")
-                    body = self.nested(self.term)
-                    self.expect("sym", "}")
-                    return RSetB(name, s, body)
-            self.i = save
-            elems = [self.nested(self.term)]
-            while self.at_sym(","):
-                self.next()
-                elems.append(self.nested(self.term))
-            self.expect("sym", "}")
+            if self.at("ident") and self.keys[self.i + 1] == ":":
+                name = self.texts[self.i]
+                self.i += 2
+                s = self.sort()
+                self.expect("|")
+                body = self.nested(self.expr, 0)
+                self.expect("}")
+                return RSetB(name, s, body)
+            elems = [self.nested(self.expr, 0)]
+            while self.at(","):
+                self.i += 1
+                elems.append(self.nested(self.expr, 0))
+            self.expect("}")
             return RSetLit(elems)
         raise self.err("expected a term")
 
 
+def _raw_kids(r: Raw) -> tuple[int, list[Raw]]:
+    """The levels `r` adds to the term it elaborates to, and its
+    subtrees: an application chain adds a level per argument, a binder
+    a level per bound name, and `sum` two (the sum and its lambda)."""
+    if isinstance(r, RBin):
+        return 1, [r.lhs, r.rhs]
+    if isinstance(r, (RNot, RNeg)):
+        return 1, [r.arg]
+    if isinstance(r, RAppl):
+        return len(r.args), [r.head, *r.args]
+    if isinstance(r, RBinderRaw):
+        return len(r.groups), [r.body]
+    if isinstance(r, RSum):
+        return 2, [r.coll, r.body]
+    if isinstance(r, RSetB):
+        return 1, [r.body]
+    if isinstance(r, RSetLit):
+        return 1, r.elems
+    if isinstance(r, RAscribe):
+        return 0, [r.inner]
+    return 0, []
+
+
 def _levels(raw: Raw) -> int:
     """The depth of the term `raw` elaborates to, counted without
-    recursion: an application chain adds a level per argument, a binder
-    a level per bound name, and `sum` two (the sum and its lambda)."""
+    recursion."""
     deepest = 0
     stack = [(raw, 1)]
     while stack:
         r, d = stack.pop()
         deepest = max(deepest, d)
-        if isinstance(r, RBin):
-            step, kids = 1, [r.lhs, r.rhs]
-        elif isinstance(r, (RNot, RNeg)):
-            step, kids = 1, [r.arg]
-        elif isinstance(r, RAppl):
-            step, kids = len(r.args), [r.head, *r.args]
-        elif isinstance(r, RBinderRaw):
-            step, kids = len(r.groups), [r.body]
-        elif isinstance(r, RSum):
-            step, kids = 2, [r.coll, r.body]
-        elif isinstance(r, RSetB):
-            step, kids = 1, [r.body]
-        elif isinstance(r, RSetLit):
-            step, kids = 1, r.elems
-        elif isinstance(r, RAscribe):
-            step, kids = 0, [r.inner]
-        else:
-            step, kids = 0, []
+        step, kids = _raw_kids(r)
         stack.extend((k, d + step) for k in kids)
     return deepest
 
@@ -575,6 +637,8 @@ class _Env:
 
 
 def _elab(raw: Raw, expected: Optional[Sort], env: _Env) -> Term:
+    if isinstance(raw, RBin):
+        return _elab_bin(raw, expected, env)
     if isinstance(raw, RNum):
         if expected is None:
             if env.probing:
@@ -613,8 +677,6 @@ def _elab(raw: Raw, expected: Optional[Sort], env: _Env) -> Term:
         return _chk(mk_app("neg", (a,)), expected)
     if isinstance(raw, RNot):
         return _chk(mk_conn("not", (_elab(raw.arg, PROP, env),)), expected)
-    if isinstance(raw, RBin):
-        return _elab_bin(raw, expected, env)
     if isinstance(raw, RAppl):
         return _elab_app(raw, expected, env)
     if isinstance(raw, RBinderRaw):
@@ -698,6 +760,13 @@ def _elab_numeric(raw: Raw, expected: Optional[Sort], env: _Env) -> Term:
 
 def _elab_bin(raw: RBin, expected: Optional[Sort], env: _Env) -> Term:
     op = raw.op
+    if op in ("add", "sub", "mul", "div", "mod"):
+        if op == "div" and expected == RAT:
+            v = _numeral_value(raw)
+            if v is not None:
+                return mk_lit(v, RAT)
+        lhs, rhs = _elab_pair(raw.lhs, raw.rhs, expected, env)
+        return _chk(mk_app(op, (lhs, rhs)), expected)
     if op in ("and", "or", "imp", "iff"):
         if expected is None or expected == PROP:
             try:
@@ -754,13 +823,6 @@ def _elab_bin(raw: RBin, expected: Optional[Sort], env: _Env) -> Term:
         base = _elab(raw.lhs, expected, env)
         exps = REAL if base.sort == REAL else NAT
         return _chk(mk_app("pow", (base, _elab(raw.rhs, exps, env))), expected)
-    if op in ("add", "sub", "mul", "div", "mod"):
-        if op == "div":
-            v = _numeral_value(raw)
-            if v is not None and expected == RAT:
-                return mk_lit(v, RAT)
-        lhs, rhs = _elab_pair(raw.lhs, raw.rhs, expected, env)
-        return _chk(mk_app(op, (lhs, rhs)), expected)
     raise AssertionError(f"unhandled binary op {op}")
 
 
@@ -871,7 +933,14 @@ def _elab_builtin(name: str, args: list[Raw], expected: Optional[Sort],
             a = _elab(args[0], INT, env)
         return _chk(mk_app("rat", (a,)), expected)
     if name == "card":
-        return _chk(mk_app("card", (_elab(args[0], None, env),)), expected)
+        # a cardinality is a Nat whatever the set's element sort, so it
+        # anchors a comparison even when the set is numerals only
+        saved, env.probing = env.probing, False
+        try:
+            coll = _elab(args[0], None, env)
+        finally:
+            env.probing = saved
+        return _chk(mk_app("card", (coll,)), expected)
     if name == "divisors":
         return _chk(mk_app("divisors", (_elab(args[0], NAT, env),)), expected)
     if name in ("Iio", "Ioi", "Icc", "Ico", "Ioc", "range"):
@@ -895,34 +964,26 @@ def parse_term(text: str, ctx: Telescope = Telescope(),
                metas: Optional[dict[str, Sort]] = None) -> Term:
     """Parse and elaborate one term of outside input in the given
     telescope; the term may be at most MAX_DEPTH levels deep."""
-    p = _P(tokenize(text))
-    if p.peek().kind == "eof":
+    p = _P(text)
+    if p.at("eof"):
         raise ParseError("empty input")
     raw = p.term()
-    if p.peek().kind != "eof":
+    if not p.at("eof"):
         raise p.err("trailing input")
     env = _Env(ctx, [], dict(metas or {}))
     return _elab(p.bounded(raw), expected, env)
 
 
 def _numeral_fallback(raw: Raw) -> Sort:
-    frac = [False]
-
-    def walk(r: Raw) -> None:
-        if isinstance(r, RNum) and r.val.denominator != 1:
-            frac[0] = True
-        for f in vars(r).values():
-            if isinstance(f, Raw):
-                walk(f)
-            elif isinstance(f, list):
-                for x in f:
-                    if isinstance(x, Raw):
-                        walk(x)
-        if isinstance(r, RBin) and r.op == "div":
-            frac[0] = True
-
-    walk(raw)
-    return RAT if frac[0] else INT
+    """Rat if `raw` holds a fractional numeral or a division, else Int."""
+    stack = [raw]
+    while stack:
+        r = stack.pop()
+        if (isinstance(r, RNum) and r.val.denominator != 1) \
+                or (isinstance(r, RBin) and r.op == "div"):
+            return RAT
+        stack.extend(_raw_kids(r)[1])
+    return INT
 
 
 # ---------------------------------------------------------------------------
@@ -1017,10 +1078,20 @@ def _pp_lv(t: Term, scope: list[str]) -> tuple[str, int]:
         if t.kind == "setb":
             body = _pp(t.body, 0, scope + [nm])
             return "{" + f"{nm} : {t.vsort} | {body}" + "}", 12
-        body = _pp(t.body, 0, scope + [nm])
         if t.kind == "lam":
+            body = _pp(t.body, 0, scope + [nm])
             return f"fun ({nm} : {t.vsort}) => {body}", 0
-        return f"{t.kind} ({nm} : {t.vsort}), {body}", 0
+        # a run of quantifiers of one kind prints as one binder group, so
+        # a run longer than MAX_NESTING still reads back
+        inner = scope + [nm]
+        groups = [f"({nm} : {t.vsort})"]
+        body = t.body
+        while isinstance(body, Binder) and body.kind == t.kind:
+            nm = _fresh_name(body.var, inner)
+            inner.append(nm)
+            groups.append(f"({nm} : {body.vsort})")
+            body = body.body
+        return f"{t.kind} {' '.join(groups)}, {_pp(body, 0, inner)}", 0
     raise AssertionError(f"cannot print {t!r}")
 
 
@@ -1046,11 +1117,18 @@ class Problem:
     concls: tuple[Term, ...]
     answer: Optional[Term] = None
     informal: Optional[str] = None
+    # built and checked by the first `telescope()` call; not an init
+    # field, so `dataclasses.replace` starts the copy without one
+    _telescope: Optional[Telescope] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def telescope(self) -> Telescope:
-        decls = [LocalDecl(n, s) for n, s in self.vars]
-        decls += [LocalDecl(n, PROP, prop=p) for n, p in self.hyps]
-        return Telescope(tuple(decls))
+        """The variables, then the hypotheses, as one telescope."""
+        if self._telescope is None:
+            decls = [LocalDecl(n, s) for n, s in self.vars]
+            decls += [LocalDecl(n, PROP, prop=p) for n, p in self.hyps]
+            object.__setattr__(self, "_telescope", Telescope(tuple(decls)))
+        return self._telescope
 
     def conclusion(self) -> Term:
         out = self.concls[-1]
@@ -1118,6 +1196,7 @@ def parse_problem(doc: bytes | str | dict) -> Problem:
             raise SchemaError(f"answer: {e}") from None
     prob = Problem(framework, tuple(vars_), (qname, qsort), tuple(hyps),
                    tuple(concls), answer, obj.get("informal"))
+    object.__setattr__(prob, "_telescope", tele)   # checked as it grew
     if framework == "dfps":
         _check_dfps_shape(prob)
     return prob
@@ -1141,9 +1220,9 @@ def _check_dfps_shape(p: Problem) -> None:
 
 
 def _parse_sort_text(text: str) -> Sort:
-    p = _P(tokenize(text))
+    p = _P(text)
     s = p.sort()
-    if p.peek().kind != "eof":
+    if not p.at("eof"):
         raise SchemaError(f"trailing input in sort {text!r}")
     return s
 

@@ -21,7 +21,7 @@ from ..kernel import (
     TacticResult, register_tactic,
 )
 from ..syntax import (
-    ParseError, RAppl, RName, parse_term, print_term, tokenize, _Env, _P,
+    ParseError, RAppl, RName, parse_term, print_term, _Env, _P,
     _elab,
 )
 from .decide import Budget, DEFAULT_BUDGET, _PROBE, _probe_bounds, _conjuncts
@@ -100,11 +100,11 @@ def and_split(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 def _parse_citation(argtext: str) -> tuple[str, list]:
     """Parse `h` or `h arg1 arg2 ...` into a name and raw argument trees."""
     try:
-        p = _P(tokenize(argtext))
+        p = _P(argtext)
         raw = p.bounded(p.app_expr())
     except ParseError as e:
         raise TacticFailed(f"cannot cite {argtext!r}: {e}")
-    if p.peek().kind != "eof":
+    if not p.at("eof"):
         raise TacticFailed(f"trailing input in citation {argtext!r}")
     if isinstance(raw, RName):
         return raw.name, []
@@ -250,17 +250,25 @@ def subst_goal(goal: Goal, var: str, value: Term, case: str,
                drop: Optional[str] = None) -> Goal:
     """`goal` with `var := value`: the declaration of `var` (and of the
     hypothesis `drop`, when given) is removed, and every hypothesis and
-    the conclusion get the value substituted and their literals folded."""
+    the conclusion get the value substituted and their literals folded.
+
+    `value` must not mention `var`: then a hypothesis left as it was
+    does not mention `var` either, and only the restated ones are
+    checked.  (A hypothesis name is never a term, so none mentions
+    `drop`.)"""
+    if var in free_vars(value):
+        raise ExprError(f"substituting for {var!r} a value that mentions it")
     decls = []
     for d in goal.ctx.decls:
         if d.name == var or d.name == drop:
             continue
         if d.prop is not None:
-            d = LocalDecl(d.name, PROP,
-                          prop=fold_literals(substitute(d.prop, var, value)))
+            prop = fold_literals(substitute(d.prop, var, value))
+            if prop is not d.prop:
+                d = LocalDecl(d.name, PROP, prop=prop)
         decls.append(d)
     concl = fold_literals(substitute(goal.concl, var, value))
-    return Goal(case, Telescope(tuple(decls)), concl)
+    return Goal(case, goal.ctx.restated(tuple(decls)), concl)
 
 
 @register_tactic("int_cases")

@@ -200,7 +200,9 @@ def test_lemmas_flag_overrides_library(tmp_path, capsys):
     ("not " * 3000 + "True", "nesting deeper than"),
     ("7" * 5000, "numeral longer than"),
     ("y", "unknown identifier"),
-], ids=["nested-parens", "nested-not", "long-numeral", "unknown-name"])
+    ("2\u00b2", "unexpected character"),
+], ids=["nested-parens", "nested-not", "long-numeral", "unknown-name",
+        "superscript-digit"])
 def test_rpe_check_malformed_answer_exits_two(capsys, term, message):
     code = cli_main(["rpe-check", problem_path("rationals.json"),
                      "--a", term, "--b", "1"])

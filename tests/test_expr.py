@@ -157,6 +157,39 @@ def test_replace_hyp_checks_the_replaced_declaration_as_construction_does():
         assert str(replaced.value) == str(built.value)
 
 
+def test_restated_checks_what_it_restates_as_construction_does():
+    # x, h : x = 0, y, g : y = 0: restate h, drop y and g
+    h = LocalDecl("h", PROP, prop=mk_atom("eq", (mk_var("x", INT),
+                                                 mk_lit(0, INT))))
+    g = LocalDecl("g", PROP, prop=mk_atom("eq", (mk_var("y", INT),
+                                                 mk_lit(0, INT))))
+    tele = Telescope(X_INT.decls + (h, LocalDecl("y", INT), g))
+    ok = LocalDecl("h", PROP, prop=mk_atom("le", (mk_var("x", INT),
+                                                  mk_lit(1, INT))))
+    assert tele.restated((tele.decls[0], ok)) == Telescope(
+        (tele.decls[0], ok))
+    assert tele.restated(tele.decls) == tele
+    # g restated (a new object) without y; h twice; a variable named h
+    for decls in ((tele.decls[0], LocalDecl("g", PROP, prop=g.prop)),
+                  (tele.decls[0], h, h),
+                  (LocalDecl("x", INT), h, LocalDecl("h", INT))):
+        with pytest.raises(ExprError) as built:
+            Telescope(decls)
+        with pytest.raises(ExprError) as restated:
+            tele.restated(decls)
+        assert str(restated.value) == str(built.value)
+
+
+def test_free_vars_and_subterms_walk_deep_terms_without_recursion():
+    deep = mk_var("x", INT)
+    for k in range(3 * sys.getrecursionlimit()):
+        deep = mk_app("add", (deep, mk_var(f"v{k % 3}", INT)))
+    assert free_vars(deep) == {"x", "v0", "v1", "v2"}
+    walk = list(subterms(deep))
+    assert len(walk) == deep.size and walk[0] is deep
+    assert walk[1] is deep.args[0] and walk[-1] is deep.args[1]
+
+
 def test_telescope_fresh_names():
     tele = Telescope((LocalDecl("h", INT), LocalDecl("h1", INT)))
     assert tele.fresh("h") == "h2"

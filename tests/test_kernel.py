@@ -61,6 +61,16 @@ def test_assign_metavar_rewrites_goals():
     assert [g.case for g in out.goals] == ["h"]
 
 
+def test_assign_metavar_keeps_goals_without_the_hole():
+    state = session_init(prob(NICKELS)).state
+    state = apply_tactic(state, "h", "have", "hd : d = 4")
+    goal = state.goal("h.hd")
+    out = assign_metavar(state, "w", mk_lit(7, INT))
+    assert out.goal("h.hd") is goal
+    assert print_term(out.goal("h").concl) == "n = 7"
+    assert out.goal("h").ctx is state.goal("h").ctx
+
+
 def test_assign_out_of_context():
     state = session_init(prob(FERMAT)).state
     with pytest.raises(OutOfContextError):

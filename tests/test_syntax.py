@@ -1,11 +1,12 @@
 """Parser, printer, problem documents, and tactic scripts."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from holebox.expr import (
-    INT, LocalDecl, PROP, RAT, REAL, Telescope, alpha_eq, children, fn,
+    INT, LocalDecl, NAT, PROP, RAT, REAL, Telescope, alpha_eq, children, fn,
     mk_app, mk_atom, mk_conn, set_of, substitute, syntactic_eq,
 )
 from holebox.kernel import Goal, SolutionState, apply_tactic, recheck
@@ -14,6 +15,7 @@ from holebox.syntax import (
     MAX_DEPTH, DfpsShapeError, ParseError, SchemaError, parse_problem,
     parse_script, parse_term, print_term,
 )
+from holebox.tactics.decide import decide_prop
 from holebox.tactics.rewrite import SubtermIndex
 
 
@@ -95,6 +97,44 @@ def test_shadowed_binder_printing(tele):
     assert syntactic_eq(term, back)
 
 
+def test_quantifier_runs_print_as_one_binder_group(tele):
+    term = parse_term("forall (a : Int), forall (b : Nat), exists (c : Int),"
+                      " exists (c : Int), a < c \\/ b = b", tele)
+    assert print_term(term) == ("forall (a : Int) (b : Nat), exists (c : Int)"
+                                " (c1 : Int), a < c1 \\/ b = b")
+    assert alpha_eq(parse_term(print_term(term), tele), term)
+
+
+def test_binder_group_beyond_the_nesting_bound_reads_back(tele):
+    names = " ".join(f"v{i}" for i in range(60))
+    term = parse_term(f"forall ({names} : Int), x = x", tele)
+    printed = print_term(term)
+    assert printed.count("forall") == 1
+    assert parse_term(printed, tele, PROP) is term
+
+
+def test_numerals_are_decimal_digits(tele):
+    assert print_term(parse_term("\u0663 + 1", tele, INT)) == "3 + 1"
+    for text in ("2\u00b2", "x = 2\u00b2", "\u00bd"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_term(text, tele)
+
+
+@pytest.mark.parametrize("text", ["card {1, 2, 3} = 3", "card (Icc 1 5) = 5",
+                                  "3 = card {1, 2, 3}", "card {1/2} = 1"])
+def test_cardinality_anchors_a_comparison_at_nat(text):
+    term = parse_term(text, Telescope(), PROP)
+    assert term.args[0].sort == term.args[1].sort == NAT
+    assert print_term(term) == text
+
+
+def test_cardinality_of_an_interval_decides():
+    assert decide_prop(parse_term("card (Icc 1 5) = 5", Telescope(),
+                                  PROP))[0] is True
+    assert decide_prop(parse_term("card (Icc 1 5) = 4", Telescope(),
+                                  PROP))[0] is False
+
+
 # -- problems ---------------------------------------------------------------
 
 FIND_ALL_DOC = {
@@ -115,6 +155,16 @@ def test_parse_problem_find_all():
     assert [n for n, _ in p.vars] == ["x"]
     assert print_term(p.concls[0]) == "x in a <-> x ^ 2 - 1 = 0"
     assert print_term(p.answer) == "{-1, 1}"
+
+
+def test_problem_telescope_is_built_once():
+    p = parse_problem(json.dumps(FIND_ALL_DOC))
+    tele = p.telescope()
+    assert p.telescope() is tele
+    assert tele.names() == ("x", "hlb", "hub")
+    fewer = replace(p, hyps=p.hyps[:1])
+    assert fewer.telescope().names() == ("x", "hlb")
+    assert fewer == replace(p, hyps=p.hyps[:1]) and fewer != p
 
 
 def test_queriable_name_clash():
@@ -233,7 +283,7 @@ def test_term_depth_is_bounded(tele, shape):
         parse_term(text(MAX_DEPTH + 1), tele)
 
 
-# a binder group prints as nested binders, which the nesting bound limits
+# a binder group is a proposition, which `add` does not take
 @pytest.mark.parametrize("shape", sorted(set(DEEP_SHAPES) - {"binder-names"}))
 def test_printed_terms_reread_past_the_depth_bound(tele, shape):
     tele = tele.extended(LocalDecl("g", _curried(MAX_DEPTH - 1)))
