@@ -422,11 +422,8 @@ class _P:
 
     def expr(self, level: int) -> Raw:
         """A term at `level` (see the table above)."""
+        lhs, loosest = self.prefix(level)
         keys = self.keys
-        if keys[self.i] in _ATOM_START:
-            lhs, loosest = self.app_expr(), 10
-        else:
-            lhs, loosest = self.prefix(level)
         while True:
             op = _BINARY.get(keys[self.i])
             if op is None or not level <= op[0] <= loosest:
@@ -508,13 +505,10 @@ class _P:
 
     def app_expr(self) -> Raw:
         head = self.atom()
-        keys = self.keys
-        if keys[self.i] not in _ATOM_START:
-            return head
         args: list[Raw] = []
-        while keys[self.i] in _ATOM_START:
+        while self.keys[self.i] in _ATOM_START:
             args.append(self.atom())
-        return RAppl(head, args)
+        return RAppl(head, args) if args else head
 
     def atom(self) -> Raw:
         key = self.keys[self.i]
