@@ -7,9 +7,10 @@ certificate: the goal it closed, as the term the engine built, and the
 evidence why.  `recheck` re-validates all of them, which substitutes for
 a typechecking kernel.  Certificates never leave the process, so their
 details hold the engine's own values (terms, sorts, numbers) and every
-check compares values with `==`: neither the printer nor the parser is
-on the path a proof is checked on.  `render_goal` and `render_state`
-print states for people and policies, never for a check.
+check compares values with `==`: the parser is not on the path a proof
+is checked on, and the printer only names `linear_arith`'s atoms there.
+`render_goal` and `render_state` print states for people and policies,
+never for a check.
 """
 
 from __future__ import annotations

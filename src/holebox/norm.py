@@ -12,12 +12,22 @@ levels on reals.
 `fold_literals` is the lighter pass used after rewriting: beta plus
 closed literal arithmetic, no definition unfolding.
 
-Both are memoized on the term, each in a least-recently-used table of
-`NORM_MEMO_ENTRIES` entries.  The same inputs come back many times
-within one proof search (the simplifier, the closers and the
-certificate checks normalize the same goals and hypotheses), and a
-term's hash is cached on the node, so a hit costs one lookup.  The bound
-is a constant: the tables hold the recently used terms alive, and a
+Both are memoized on the term itself.  Terms are hash-consed, so a
+subterm met again is the same node, and each node has one memo slot per
+pass (`_nf_memo`, `_fold_memo`; see `expr`).  `_norm` reads the slot
+before it recurses and fills it with the result, and marks the result
+as its own normal form, so a subterm that was normalized once is never
+walked again while it lives, and the memo dies with its node.  A node
+that is its own normal form holds the `_NORMAL` sentinel rather than
+itself, which would make it a reference cycle that only the cyclic
+collector frees.
+
+In front of the two entry points sit least-recently-used tables of
+`NORM_MEMO_ENTRIES` entries.  They save no walk; they keep the recently
+used inputs and their normal forms alive between calls, so the terms one
+proof search builds again and again (its goals and hypotheses) are found
+in the intern table, memo and all, instead of built anew, and a repeated
+input is answered without entering `_norm`.  The bound is a constant: a
 larger table raises peak memory without buying hits.
 """
 
@@ -159,7 +169,29 @@ def _sh(t: Term) -> Term:
     return shift(t, 1)
 
 
+# The memo value of a node that is its own normal form.
+_NORMAL = object()
+
+
 def _norm(t: Term, unfold: bool) -> Term:
+    memo = t._nf_memo if unfold else t._fold_memo
+    if memo is not None:
+        return t if memo is _NORMAL else memo
+    out = _reduce(t, unfold)
+    # a normal form is its own: mark it too, so normalizing a result
+    # again is one slot read
+    if unfold:
+        out._nf_memo = _NORMAL
+        if out is not t:
+            t._nf_memo = out
+    else:
+        out._fold_memo = _NORMAL
+        if out is not t:
+            t._fold_memo = out
+    return out
+
+
+def _reduce(t: Term, unfold: bool) -> Term:
     # normalize children first, then reduce at the head until fixed
     kids = children(t)
     if kids:

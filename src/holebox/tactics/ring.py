@@ -23,7 +23,6 @@ from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
     TacticResult, register_tactic,
 )
-from ..syntax import print_term
 
 MAX_RING_EXP = 64
 
@@ -39,16 +38,19 @@ class NotRingExpr(TacticFailed):
 
 
 class AtomTable:
+    """The ring atoms met so far, numbered in order of first occurrence.
+    Terms are interned, so an atom is keyed by its node."""
+
     def __init__(self) -> None:
         self.terms: list[Term] = []
-        self.index: dict[str, int] = {}
+        self.index: dict[Term, int] = {}
 
     def key(self, t: Term) -> int:
-        k = print_term(t)
-        if k not in self.index:
-            self.index[k] = len(self.terms)
+        k = self.index.get(t)
+        if k is None:
+            k = self.index[t] = len(self.terms)
             self.terms.append(t)
-        return self.index[k]
+        return k
 
 
 def _padd(a: Poly, b: Poly, scale: Fraction = Fraction(1)) -> Poly:
@@ -164,10 +166,6 @@ def render(p: Poly, atoms: AtomTable, sort: Sort) -> Term:
     for pt in parts[1:]:
         out = mk_app("add", (out, pt))
     return out
-
-
-def normal_form(t: Term, atoms: AtomTable) -> Term:
-    return render(poly_of(t, atoms, t.sort), atoms, t.sort)
 
 
 def ring_sides(concl: Term) -> tuple[Poly, Poly, AtomTable, Sort]:

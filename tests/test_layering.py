@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import holebox
+from holebox.expr import Term
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -88,6 +89,38 @@ def _called_names(fn):
             yield f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
 
 
+# The text the functions a revalidator reaches in its own module still
+# read or print: linear_arith names its atoms by their printed text, and
+# rw_search parses the lemma library the first time it is loaded.
+TEXT_ON_CHECK_PATH = {("tactics/linarith.py", "_mod_key", "print_term"),
+                      ("tactics/linarith.py", "key_for", "print_term"),
+                      ("tactics/rewrite.py", "parse_lemma_line", "parse_term")}
+
+
+def _text_reached_by_revalidators(rel, tree):
+    """(module, function, parse_term or print_term) for every function
+    that a `revalidate*` function of `tree` reaches through calls by
+    name to the module's own functions (methods included), and that
+    calls the parser or the printer itself."""
+    fns = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            fns.setdefault(fn.name, []).append(fn)
+    todo = [name for name in fns if name.startswith("revalidate")]
+    seen = set(todo)
+    found = set()
+    while todo:
+        name = todo.pop()
+        for fn in fns[name]:
+            for called in _called_names(fn):
+                if called in ("parse_term", "print_term"):
+                    found.add((rel, name, called))
+                elif called in fns and called not in seen:
+                    seen.add(called)
+                    todo.append(called)
+    return found
+
+
 def test_certificates_are_checked_without_the_parser():
     # a certificate carries its goal and details as the engine's values,
     # so neither the kernel nor any revalidator reads or prints text, and
@@ -106,6 +139,14 @@ def test_certificates_are_checked_without_the_parser():
         for name in ("parse_term", "print_term")
         if name in _called_names(fn))
     assert not callers, callers
+    # ring atoms are keyed by their interned node: ring_nf's check
+    # (`ring_sides`, `poly_of`, `AtomTable.key`) prints nothing
+    ring = {a.name for node in ast.walk(trees["tactics/ring.py"])
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not ring & {"parse_term", "print_term"}
+    reached = set().union(*(_text_reached_by_revalidators(rel, tree)
+                            for rel, tree in trees.items()))
+    assert reached == TEXT_ON_CHECK_PATH
     hashing = sorted(
         rel for rel, tree in trees.items() for node in ast.walk(tree)
         if isinstance(node, ast.Import)
@@ -128,6 +169,60 @@ def test_rw_search_closes_only_through_the_closers():
     direct = {name: sorted(set(_called_names(fns[name])) & CLOSURE_INTERNALS)
               for name in ("_try_close", "revalidate_rw_search")}
     assert direct == {"_try_close": [], "revalidate_rw_search": []}
+
+
+# -- the normal-form memo slots ---------------------------------------------
+
+# The two slots on every term in which `norm` memoizes its normal forms.
+MEMO_SLOTS = ("_nf_memo", "_fold_memo")
+
+
+def memo_slot_writes(source, filename="<source>"):
+    """Stores to or deletions of a memo slot, and `setattr` calls naming
+    one, in `source`.  `norm.py` writes the slots and is not asked;
+    `expr.py` declares them and may only start them empty, by assigning
+    None."""
+    tree = ast.parse(source)
+    starts = set()
+    if filename == "expr.py":
+        starts = {id(t) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Constant)
+                  and node.value.value is None
+                  for t in node.targets}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in MEMO_SLOTS \
+                and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                and id(node) not in starts:
+            found.append(f"{filename}:{node.lineno}: {node.attr}")
+        elif isinstance(node, ast.Call) and _name_of(node) in (
+                "setattr", "__setattr__", "delattr", "__delattr__"):
+            found += [f"{filename}:{node.lineno}: {a.value}"
+                      for a in node.args if isinstance(a, ast.Constant)
+                      and a.value in MEMO_SLOTS]
+    return found
+
+
+def test_memo_slot_check_catches_writes():
+    assert memo_slot_writes("t._nf_memo = None\n", "expr.py") == []
+    assert memo_slot_writes("a.x = t._nf_memo = None\n", "expr.py") == []
+    assert memo_slot_writes("t._nf_memo = t\n", "expr.py")
+    assert memo_slot_writes("t._fold_memo = None\n", "auto.py")
+    assert memo_slot_writes("setattr(t, '_fold_memo', u)\n")
+    assert memo_slot_writes("object.__setattr__(t, '_nf_memo', u)\n")
+    assert memo_slot_writes("del t._nf_memo\n")
+    assert memo_slot_writes("a, t._nf_memo = u\n", "expr.py")
+    assert not memo_slot_writes("u = t._nf_memo\n", "auto.py")
+
+
+def test_only_norm_writes_the_memo_slots():
+    assert set(MEMO_SLOTS) <= set(Term.__slots__)
+    found = [hit for path in sorted(PACKAGE.rglob("*.py"))
+             if path != PACKAGE / "norm.py"
+             for hit in memo_slot_writes(path.read_text(encoding="utf-8"),
+                                         path.relative_to(PACKAGE).as_posix())]
+    assert not found, found
 
 
 # -- no cache in the engine grows without bound -----------------------------

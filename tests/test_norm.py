@@ -1,15 +1,35 @@
 """Normalization and the definitional equality level."""
 
+import gc
+import weakref
+
 import pytest
 
 from holebox.expr import (
-    App, BVar, INT, Lit, LocalDecl, NAT, RAT, REAL, SortError, Telescope, fn,
-    free_vars, metavars_of, mk_app, mk_binder, mk_lit, mk_var, syntactic_eq,
+    App, BVar, INT, Lit, LocalDecl, NAT, RAT, REAL, SortError, Telescope,
+    Term, Var, _INTERNED, _rebuild, children, fn, free_vars, metavars_of,
+    mk_app, mk_atom, mk_binder, mk_lit, mk_var, substitute, subterms,
+    syntactic_eq,
 )
 from holebox.norm import (
-    NORM_MEMO_ENTRIES, _norm, definitional_eq, fold_literals, normalize,
+    NORM_MEMO_ENTRIES, _norm, _step, definitional_eq, fold_literals,
+    normalize,
 )
 from holebox.syntax import parse_term, print_term
+
+
+def norm_reference(t, unfold):
+    """Normalization without the memo on the node, as it was before the
+    memo: children first, then reduce at the head until fixed, walking
+    every subterm again on every call."""
+    kids = children(t)
+    if kids:
+        t = _rebuild(t, tuple(norm_reference(k, unfold) for k in kids))
+    while True:
+        nxt = _step(t, unfold)
+        if nxt is None:
+            return t
+        t = norm_reference(nxt, unfold) if children(nxt) else nxt
 
 
 def t(text, tele=Telescope(), expected=None):
@@ -142,8 +162,8 @@ def test_memoized_normal_forms_equal_the_uncached_ones(text):
     tele = Telescope((LocalDecl("x", INT),))
     term = t(text, tele)
     for _ in range(2):                  # a miss, then a hit
-        assert normalize(term) == _norm(term, unfold=True)
-        assert fold_literals(term) == _norm(term, unfold=False)
+        assert normalize(term) == norm_reference(term, unfold=True)
+        assert fold_literals(term) == norm_reference(term, unfold=False)
     # an equal term built separately hits the same entry
     assert normalize(t(text, tele)) is normalize(term)
 
@@ -153,3 +173,62 @@ def test_memo_stays_within_its_bound():
         for k in range(3 * NORM_MEMO_ENTRIES):
             memo(mk_app("add", (mk_lit(k, INT), mk_lit(1, INT))))
         assert memo.cache_info().currsize == NORM_MEMO_ENTRIES
+
+
+# -- the memo on the node ------------------------------------------------
+
+def renamed_apart(term, suffix):
+    """`term` with each free variable renamed by `suffix`: none of its
+    open subterms was built, so none was normalized, before."""
+    for v in {s for s in subterms(term) if isinstance(s, Var)}:
+        term = substitute(term, v.name, mk_var(v.name + suffix, v.sort))
+    return term
+
+
+MEMOS = [(normalize, True, "_nf_memo"), (fold_literals, False, "_fold_memo")]
+
+
+@pytest.mark.parametrize("memo, unfold, slot", MEMOS)
+def test_memo_on_the_node_equals_the_reference(fuzzer, rng, memo, unfold,
+                                               slot):
+    for i in range(150):
+        base = fuzzer.term(3)
+        # cold: the node and its open subterms were never normalized
+        term = renamed_apart(base, f"_cold{slot}{i}")
+        if free_vars(term):
+            assert getattr(term, slot) is None
+        want = norm_reference(term, unfold)
+        assert memo(term) is want
+        # warm: through the LRU table, then through the slot alone
+        assert memo(term) is want
+        assert _norm(term, unfold) is want
+        # after one of its subterms was normalized first
+        term = renamed_apart(base, f"_sub{slot}{i}")
+        sub = rng.choice(list(subterms(term)))
+        assert memo(sub) is norm_reference(sub, unfold)
+        assert memo(term) is norm_reference(term, unfold)
+        # a normal form is its own
+        assert memo(memo(term)) is memo(term)
+
+
+def test_the_memo_makes_no_reference_cycle():
+    # with the cyclic collector off, reference counting alone must take a
+    # term and both of its normal forms out of the intern table
+    name = "held_only_here"
+    gc.disable()
+    try:
+        x = mk_var(name, INT)
+        term = mk_atom("mem", (x, mk_app("Icc", (
+            mk_app("add", (mk_lit(1, INT), mk_lit(2, INT))), x))))
+        nf, folded = normalize(term), fold_literals(term)
+        assert print_term(nf) == f"3 <= {name} /\\ {name} <= {name}"
+        assert print_term(folded) == f"{name} in Icc 3 {name}"
+        refs = [weakref.ref(s) for s in (term, nf, folded)]
+        del x, term, nf, folded
+        normalize.cache_clear()
+        fold_literals.cache_clear()
+        assert all(r() is None for r in refs)
+        assert not any(isinstance(v, Term) and name in free_vars(v)
+                       for v in list(_INTERNED.values()))
+    finally:
+        gc.enable()
