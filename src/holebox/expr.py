@@ -8,10 +8,11 @@ the display names kept on binders for printing.
 
 All values are immutable; construction goes through the `mk_*` smart
 constructors, which enforce well-sortedness.  The one exception is a
-term's two memo slots, `_nf_memo` and `_fold_memo`, which `norm` fills
-with the node's normal forms: each starts empty and, once written, never
-changes, because its value is a pure function of the node; two threads
-that race write the same value.
+term's three memo slots: `_nf_memo` and `_fold_memo`, which `norm` fills
+with the node's normal forms, and `_eval_memo`, which `tactics.decide`
+fills with a closed node's value and the steps evaluating it charged.
+Each starts empty and, once written, never changes, because its value is
+a pure function of the node; two threads that race write the same value.
 
 Sorts and terms are hash-consed: every one is built through one weak
 table, so two equal terms are the same object and `==` (`syntactic_eq`,
@@ -160,15 +161,17 @@ def fn(dom: Sort, cod: Sort) -> Sort:
 # in it) and `size` (its number of nodes).  Nodes are never assigned to
 # after they are built, so the facts stay true.
 #
-# The exception is the two memo slots, `_nf_memo` (for `norm.normalize`)
-# and `_fold_memo` (for `norm.fold_literals`).  They start as None, and
-# only `norm` writes them, each with one value that depends on the node
-# alone; the memo lives exactly as long as its node.
+# The exception is the three memo slots, `_nf_memo` (for
+# `norm.normalize`), `_fold_memo` (for `norm.fold_literals`) and
+# `_eval_memo` (for `tactics.decide.eval_term`).  They start as None, and
+# each has one writer, `norm` for the first two and `tactics.decide` for
+# the third, which writes one value that depends on the node alone; the
+# memo lives exactly as long as its node.
 
 
 class Term:
     __slots__ = ("sort", "_hash", "bvar_bound", "has_meta", "size",
-                 "_nf_memo", "_fold_memo", "__weakref__")
+                 "_nf_memo", "_fold_memo", "_eval_memo", "__weakref__")
     _FIELDS: tuple[str, ...] = ("sort",)
     sort: Sort
     bvar_bound: int
@@ -203,7 +206,7 @@ class _Leaf(Term):
             node.bvar_bound = value + 1 if cls is BVar else 0
             node.has_meta = cls is Meta
             node.size = 1
-            node._nf_memo = node._fold_memo = None
+            node._nf_memo = node._fold_memo = node._eval_memo = None
             node = _intern(key, node)
         return node
 
@@ -266,7 +269,7 @@ class _Node(Term):
             node.bvar_bound = bound
             node.has_meta = meta
             node.size = size
-            node._nf_memo = node._fold_memo = None
+            node._nf_memo = node._fold_memo = node._eval_memo = None
             node = _intern(key, node)
         return node
 
@@ -312,7 +315,7 @@ class Binder(Term):
             node.bvar_bound = max(body.bvar_bound - 1, 0)
             node.has_meta = body.has_meta
             node.size = body.size + 1
-            node._nf_memo = node._fold_memo = None
+            node._nf_memo = node._fold_memo = node._eval_memo = None
             node = _intern(key, node)
         return node
 

@@ -259,8 +259,14 @@ def run_trace(state: SolutionState, recorded: SolutionState) -> SolutionState:
 
 
 def _recheck_statement(p: Problem, answer: Term, script: ProofScript) -> None:
-    """Re-prove the instantiated statement with the script's closing suffix."""
+    """Re-prove the instantiated statement with the script's closing suffix.
+
+    A line may still name the answer hole (`have hx : ?w = 7`): the hole
+    is there, assigned the answer, so it reads as the answer."""
     state = init_prove(p, answer)
+    state = replace(state, holes=(Hole(ANSWER_HOLE, p.telescope(),
+                                       answer.sort),),
+                    assignment=((ANSWER_HOLE, answer),))
     report = run_script(state, prove_script(script))
     if not report.accepted:
         raise CertifyFailed(

@@ -11,6 +11,11 @@ check compares values with `==`: the parser is not on the path a proof
 is checked on, and the printer only names `linear_arith`'s atoms there.
 `render_goal` and `render_state` print states for people and policies,
 never for a check.
+
+No goal holds an assigned hole: `assign_metavar` instantiates the open
+goals when it assigns one, and `apply_tactic` instantiates a tactic's
+new goals against the holes assigned before, so the goal a certificate
+stores reads the same without the state.
 """
 
 from __future__ import annotations
@@ -255,10 +260,16 @@ def apply_tactic(s: SolutionState, case: Optional[str], tactic: str,
     closed = () if res.new_goals else (g.case,)
     step = TraceStep(g.case, tactic, argtext, closed,
                      tuple(k for k, _ in res.assignments), res.cert)
+    new_goals = res.new_goals
+    if s.assignment:
+        # a new goal may name a hole assigned earlier (`have` parses
+        # against every hole): no goal holds an assigned hole
+        asg = s.asg_map()
+        new_goals = tuple(_instantiate_goal(ng, asg) for ng in new_goals)
     out = s
     for h in res.new_holes:
         out = out.with_new_hole(h)
-    out = out.with_goal_replaced(g.case, res.new_goals, step)
+    out = out.with_goal_replaced(g.case, new_goals, step)
     for mid, val in res.assignments:
         out = assign_metavar(out, mid, val)
     return out

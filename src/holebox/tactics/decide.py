@@ -12,7 +12,23 @@ the body is walked once per element, with `BVar(i)` reading the i-th
 value, innermost binder first, and no term is built per element.  A
 binder's bounds are read off its body opened at a probe variable, once
 per binder, and evaluated under the same environment, so a nested
-binder whose bounds mention an outer variable still enumerates.
+binder whose bounds mention an outer variable still enumerates.  Set
+literals and `range` reach the evaluator only as the set-builders
+`normalize` unfolds them into.
+
+A closed node (no loose bound variable, no metavariable) is evaluated
+once while it lives: its `_eval_memo` slot, which only this module
+writes, holds `(value, steps charged)`.  A later evaluation under a
+budget that covers those steps charges them at once and returns the
+value; under a smaller budget it evaluates as if there were no memo, so
+the budget runs out at the same step as it would have.  The memo is
+written only when an evaluation ends with the budget not overdrawn.
+Two places go on after the budget runs out, because they treat any
+failure as "no bound": `_literal` and the `mem` bound in
+`_probe_bounds`.  An evaluation that passed through one of them may end
+with a value that depends on the budget it had, and its charged steps
+then exceed that budget; such a result is not the node's own and is
+not kept.  A failure is never kept either.
 
 A special assignment mode handles goals of the shape `?w = t` (or
 `t = ?w`, or `?w <-> p`) with a closed right-hand side: the value is
@@ -83,7 +99,27 @@ Env = tuple[Fraction, ...]
 
 def eval_term(t: Term, budget: Budget, env: Env = ()) -> Value:
     """The value of `t`, whose loose bound variables take their values
-    from `env`: `BVar(i)` reads `env[i]`, innermost binder first."""
+    from `env`: `BVar(i)` reads `env[i]`, innermost binder first.
+
+    A closed node (no loose bound variable, no metavariable) is read from
+    its `_eval_memo`, `(value, steps charged)`, when the budget left
+    covers those steps; else it is evaluated, and the memo is written
+    only if the budget did not run out on the way."""
+    if t.bvar_bound or t.has_meta or isinstance(t, Lit):
+        return _eval(t, budget, env)
+    memo = t._eval_memo
+    if memo is not None and memo[1] <= budget.remaining:
+        budget.charge(memo[1])
+        return memo[0]
+    start = budget.remaining
+    value = _eval(t, budget, ())
+    if budget.remaining >= 0:
+        t._eval_memo = (value, start - budget.remaining)
+    return value
+
+
+def _eval(t: Term, budget: Budget, env: Env) -> Value:
+    """One evaluation step of `eval_term`: dispatch on the node's kind."""
     if isinstance(t, Lit):
         if t.sort == REAL:
             raise EvalNotClosed("symbolic Real literal")
@@ -123,17 +159,9 @@ def _eval_app(t: App, budget: Budget, env: Env) -> Value:
         return _arith(op, vals, t.sort)
     if op == "rat":
         return _as_num(eval_term(t.args[0], budget, env))
-    if op == "setlit":
-        return frozenset(_as_num(eval_term(a, budget, env)) for a in t.args)
     if op == "divisors":
         n = _as_num(eval_term(t.args[0], budget, env))
         return _divisors(int(n), budget)
-    if op == "range":
-        lo = int(_as_num(eval_term(t.args[0], budget, env)))
-        hi = int(_as_num(eval_term(t.args[1], budget, env)))
-        if hi >= lo:
-            budget.charge(hi - lo + 1)
-        return frozenset(Fraction(k) for k in range(lo, hi + 1))
     if op in ("union", "inter"):
         a = eval_term(t.args[0], budget, env)
         b = eval_term(t.args[1], budget, env)

@@ -46,6 +46,17 @@ rows, or raises, is translated in place every time.  A constraint
 builds its integer row once, on first use (`Constraint.int_row`), so a
 memoized constraint is scaled once however many systems it joins.
 
+The two deciders are memoized on what they read, in bounded tables of
+`LINEAR_MEMO_ENTRIES`: `fm_refute` on each constraint's `(expr, rel)`
+(its `origin` is not read), keeping the multipliers as an immutable
+tuple and handing each caller a fresh dict; `omega_sat` on the integer
+rows `(c, a_1, ..., a_n)` it builds over the sorted columns, so systems
+that differ only in atom names share a verdict, which omega never
+depends on.  A search that runs out of nodes raises and is not kept,
+and a call with a caller's `_OmegaBudget` is not memoized.
+`revalidate_linear_arith` still checks stored multipliers with
+`verify_farkas`, arithmetic that shares nothing with the memo.
+
 Nonlinear subterms are abstracted as opaque atoms, which only weakens
 the system, so every proof produced here is sound.
 """
@@ -371,22 +382,34 @@ def _fm_row(lin: Lin, strict: bool, lineage: dict[int, Fraction]) -> _FmRow:
                   strict, tuple(sorted(lineage.items())))
 
 
+LINEAR_MEMO_ENTRIES = 64
+
+
 def fm_refute(cons: list[Constraint]) -> Optional[dict[int, Fraction]]:
     """Return Farkas multipliers showing infeasibility, or None if feasible.
 
     Equalities are split into two tracked inequalities; `ne` rows must be
-    split by the caller.
+    split by the caller.  Each call gets a dict of its own.
     """
+    farkas = _fm_memo(tuple((c.expr, c.rel) for c in cons))
+    return None if farkas is None else dict(farkas)
+
+
+@lru_cache(maxsize=LINEAR_MEMO_ENTRIES)
+def _fm_memo(system: tuple[tuple[tuple, str], ...]
+             ) -> Optional[tuple[tuple[int, Fraction], ...]]:
+    """Fourier-Motzkin elimination on `(expr, rel)` pairs, which are all
+    of a constraint that it reads; the multipliers as sorted pairs."""
     rows: list[_FmRow] = []
-    for i, c in enumerate(cons):
-        lin = c.lin()
-        if c.rel == "eq":
+    for i, (expr, rel) in enumerate(system):
+        lin = dict(expr)
+        if rel == "eq":
             rows.append(_fm_row(lin, False, {2 * i: Fraction(1)}))
             rows.append(_fm_row(_lin_scale(lin, Fraction(-1)), False,
                                 {2 * i + 1: Fraction(1)}))
-        elif c.rel == "le":
+        elif rel == "le":
             rows.append(_fm_row(lin, False, {2 * i: Fraction(1)}))
-        elif c.rel == "lt":
+        elif rel == "lt":
             rows.append(_fm_row(lin, True, {2 * i: Fraction(1)}))
         else:
             raise NotLinear("ne must be split before Fourier-Motzkin")
@@ -397,7 +420,7 @@ def fm_refute(cons: list[Constraint]) -> Optional[dict[int, Fraction]]:
             if all(k == CONST for k in co):
                 c0 = co.get(CONST, Fraction(0))
                 if c0 > 0 or (r.strict and c0 >= 0):
-                    return dict(r.lineage)
+                    return r.lineage
         lo_n: dict[str, int] = {}
         hi_n: dict[str, int] = {}
         for co in cos:
@@ -509,9 +532,11 @@ def omega_sat(eqs: list[Lin] | list[IntLin],
     row, and each node keeps one inequality per coefficient vector, the
     one with the largest constant.  Each node costs one tick of
     `budget`; running out raises `NotLinear`.
+
+    Without a `budget`, the search gets a fresh one of `MAX_OMEGA_NODES`
+    and its verdict is memoized on the rows, which omega alone reads; a
+    caller's budget is shared state, so such a call is not memoized.
     """
-    if budget is None:
-        budget = _OmegaBudget(MAX_OMEGA_NODES)
     cols = sorted({k for row in eqs + ineqs for k in row if k != CONST})
 
     def to_row(lin: Lin | IntLin) -> Row:
@@ -520,8 +545,16 @@ def omega_sat(eqs: list[Lin] | list[IntLin],
             raise NotLinear("omega needs integer coefficients")
         return tuple(v.numerator for v in vals)
 
-    return _omega([to_row(e) for e in eqs], [to_row(i) for i in ineqs],
-                  budget)
+    eq_rows = tuple(to_row(e) for e in eqs)
+    ineq_rows = tuple(to_row(i) for i in ineqs)
+    if budget is None:
+        return _omega_memo(eq_rows, ineq_rows)
+    return _omega(list(eq_rows), list(ineq_rows), budget)
+
+
+@lru_cache(maxsize=LINEAR_MEMO_ENTRIES)
+def _omega_memo(eqs: tuple[Row, ...], ineqs: tuple[Row, ...]) -> bool:
+    return _omega(list(eqs), list(ineqs), _OmegaBudget(MAX_OMEGA_NODES))
 
 
 def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget) -> bool:

@@ -92,7 +92,8 @@ def _ppow(a: Poly, e: int) -> Poly:
 
 
 def poly_of(t: Term, atoms: AtomTable, sort: Sort) -> Poly:
-    t = fold_literals(t)
+    """`t`, already folded by `fold_literals`, as a polynomial; every
+    subterm of a folded term is folded too."""
     if isinstance(t, Lit):
         return {ONE: t.val} if t.val else {}
     if isinstance(t, App):
@@ -121,7 +122,6 @@ def poly_of(t: Term, atoms: AtomTable, sort: Sort) -> Poly:
 
 
 def _int_exp(t: Term) -> Optional[int]:
-    t = fold_literals(t)
     if isinstance(t, Lit) and t.val.denominator == 1 and t.val >= 0:
         return int(t.val)
     return None
@@ -171,16 +171,17 @@ def render(p: Poly, atoms: AtomTable, sort: Sort) -> Term:
 def ring_sides(concl: Term) -> tuple[Poly, Poly, AtomTable, Sort]:
     """Both sides of the equation `concl` as polynomials over one atom
     table, and their sort; the one place ring_nf's closure test, its
-    revalidator and `ring_closes` get them.  Raises NotRingExpr unless
-    `concl` is an equation over a numeric sort."""
+    revalidator and `ring_closes` get them.  Each side is folded once,
+    here.  Raises NotRingExpr unless `concl` is an equation over a
+    numeric sort."""
     if not (isinstance(concl, Atom) and concl.rel == "eq"):
         raise NotRingExpr("ring_nf needs an equality goal")
     lhs, rhs = concl.args
     if lhs.sort.kind in ("Set", "Fn", "Prop", "Bool"):
         raise NotRingExpr(f"ring_nf over {lhs.sort}")
     atoms = AtomTable()
-    return (poly_of(lhs, atoms, lhs.sort), poly_of(rhs, atoms, rhs.sort),
-            atoms, lhs.sort)
+    return (poly_of(fold_literals(lhs), atoms, lhs.sort),
+            poly_of(fold_literals(rhs), atoms, rhs.sort), atoms, lhs.sort)
 
 
 @register_tactic("ring_nf")

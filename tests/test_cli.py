@@ -48,6 +48,22 @@ def test_solve_with_script(tmp_path, capsys):
     assert out["certificate"]["forward"] and out["certificate"]["backward"]
 
 
+@pytest.mark.parametrize("closer", ["rfl", "auto", "ring_nf"])
+def test_script_naming_an_assigned_hole_certifies(tmp_path, capsys, closer):
+    # `have` states `?w = 7` after `?w` is filled: the new goal is
+    # `7 = 7`, so the closer's certificate holds no hole, and the
+    # statement recheck reads `?w` as the answer
+    script = tmp_path / "s.txt"
+    script.write_text(f"@goal w exact 7\nhave hx : ?w = 7\n{closer}\n"
+                      "linear_arith\n")
+    code = cli_main(["solve", problem_path("nickels.json"),
+                     "--script", str(script)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["answer"] == "7"
+    assert out["certificate"]["forward"] and out["certificate"]["backward"]
+
+
 def _script_entry(name, answer, lines):
     problem = parse_problem(open(problem_path(name), "rb").read())
     truth = parse_term(answer, problem.telescope(), problem.queriable[1])

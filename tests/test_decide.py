@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bind
 from holebox.expr import (
-    INT, NAT, PROP, REAL, BVar, Binder, LocalDecl, Telescope,
-    instantiate_bvar, mk_app, mk_atom, mk_conn, mk_lit, mk_var,
+    INT, NAT, PROP, REAL, App, BVar, Binder, Lit, LocalDecl, Telescope,
+    instantiate_bvar, mk_app, mk_atom, mk_conn, mk_lit, mk_var, subterms,
 )
 from holebox.kernel import TacticFailed
 from holebox.norm import normalize
@@ -214,7 +214,9 @@ def test_certificate_rechecks_under_the_budget_it_ran_under(monkeypatch):
 # the instance normalized and evaluated afresh.  It swaps in only the
 # three enumeration loops, so everything else (dispatch, bound probing,
 # budget charging) is shared, and the two must agree on the value or the
-# exception class and on the budget left.
+# exception class and on the budget left.  It runs without the evaluation
+# memo (below), so that a memo the first evaluator wrote cannot answer
+# for it.
 
 
 def _subst_quant(t, budget, env):
@@ -228,7 +230,7 @@ def _subst_quant(t, budget, env):
     for k in rng:
         budget.charge()
         inst = normalize(instantiate_bvar(t.body, mk_lit(k, t.vsort)))
-        v = decide_mod._as_bool(eval_term(inst, budget))
+        v = decide_mod._as_bool(decide_mod.eval_term(inst, budget))
         if t.kind == "exists" and v:
             return True
         if t.kind == "forall" and not v:
@@ -248,14 +250,14 @@ def _subst_setb(t, budget, env):
     for k in rng:
         budget.charge()
         inst = normalize(instantiate_bvar(t.body, mk_lit(k, t.vsort)))
-        if decide_mod._as_bool(eval_term(inst, budget)):
+        if decide_mod._as_bool(decide_mod.eval_term(inst, budget)):
             out.add(Fraction(k))
     return frozenset(out)
 
 
 def _subst_sum(t, budget, env):
     assert env == ()
-    s = eval_term(t.args[0], budget)
+    s = decide_mod.eval_term(t.args[0], budget)
     if not isinstance(s, frozenset):
         raise EvalNotClosed("sum over a non-enumerable set")
     lam = t.args[1]
@@ -265,13 +267,26 @@ def _subst_sum(t, budget, env):
     for v in sorted(s):
         budget.charge()
         body = normalize(instantiate_bvar(lam.body, mk_lit(v, lam.vsort)))
-        total += decide_mod._as_num(eval_term(body, budget))
+        total += decide_mod._as_num(decide_mod.eval_term(body, budget))
     return total
+
+
+def _memo_free_eval_term(t, budget, env=()):
+    """`eval_term` without its memo: every node is dispatched, and no
+    slot is read or written."""
+    return decide_mod._eval(t, budget, env)
+
+
+@contextmanager
+def _memo_free_reference():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide_mod, "eval_term", _memo_free_eval_term)
+        yield mp
 
 
 @contextmanager
 def _substitution_reference():
-    with pytest.MonkeyPatch.context() as mp:
+    with _memo_free_reference() as mp:
         mp.setattr(decide_mod, "_eval_quant", _subst_quant)
         mp.setattr(decide_mod, "_eval_setb", _subst_setb)
         mp.setattr(decide_mod, "_eval_sum", _subst_sum)
@@ -283,7 +298,7 @@ def _outcome(prop, budget_n):
     evaluation `eval_evidence` makes."""
     budget = Budget(budget_n)
     try:
-        value = eval_term(normalize(prop), budget)
+        value = decide_mod.eval_term(normalize(prop), budget)
     except TacticFailed as e:
         value = type(e)
     return value, budget.remaining
@@ -494,6 +509,83 @@ def test_environment_evaluation_matches_substitution(prop):
 def test_binder_cases_match_substitution(text):
     open_n = Telescope((LocalDecl("n", NAT),))
     _assert_agrees(parse_term(text, open_n, PROP))
+
+
+# -- the evaluation memo ------------------------------------------------------
+#
+# `eval_term` keeps a closed node's value and the steps it charged in the
+# node's `_eval_memo`.  Against the memo-free evaluator it must agree on
+# the value or the exception class and on the budget left, under every
+# budget up to the steps an input takes: cold (no memo in the term), and
+# warm, after the whole term or one closed subterm was evaluated first.
+
+
+def _forget_evaluations(t):
+    for s in subterms(t):
+        s._eval_memo = None
+
+
+def _closed_subterms(t):
+    return [s for s in subterms(t)
+            if not s.bvar_bound and not s.has_meta and not isinstance(s, Lit)]
+
+
+def _assert_memo_agrees(prop, warm, most=None):
+    """With the term's memos cleared and `warm` (if any) evaluated under
+    a full budget, each evaluation agrees with the memo-free one."""
+    full = 3000
+    with _memo_free_reference():
+        used = full - _outcome(prop, full)[1]
+    t = normalize(prop)
+    for budget_n in [full, *range(min(used, most or used) + 1)]:
+        with _memo_free_reference():
+            want = _outcome(prop, budget_n)
+        _forget_evaluations(t)
+        if warm is not None:
+            try:
+                eval_term(warm, Budget(full))
+            except TacticFailed:
+                pass
+        assert _outcome(prop, budget_n) == want, budget_n
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_binder_props(), st.data())
+def test_evaluation_memo_matches_the_memo_free_evaluator(prop, data):
+    t = normalize(prop)
+    sub = data.draw(st.sampled_from(_closed_subterms(t)))
+    for warm in (None, t, sub):
+        _assert_memo_agrees(prop, warm, most=80)
+
+
+def test_an_overdrawn_evaluation_is_not_memoized():
+    # the second bound's evaluation runs out of budget inside
+    # `_probe_bounds` and is passed over; the first bound already leaves
+    # no element, so the evaluation ends, True, with the budget overdrawn
+    prop = parse_term("forall (x : Nat), x < 0 /\\ x <= card {y : Nat |"
+                      " y <= 20} -> x = 5", Telescope(), PROP)
+    t = normalize(prop)
+    _forget_evaluations(t)
+    assert _outcome(prop, 5) == (True, -1)
+    assert t._eval_memo is None
+    assert _outcome(prop, 3000) == (True, 2979)
+    assert t._eval_memo == (True, 21)
+    # and after the overdrawn run, every budget agrees with no memo
+    _forget_evaluations(t)
+    _outcome(prop, 5)
+    for budget_n in range(30):
+        with _memo_free_reference():
+            want = _outcome(prop, budget_n)
+        assert _outcome(prop, budget_n) == want, budget_n
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_binder_props())
+def test_normal_forms_hold_no_set_literal_or_range(prop):
+    # so the evaluator needs no case for either: `normalize` unfolds both
+    # into set-builders before anything is evaluated
+    assert not {s.op for s in subterms(normalize(prop))
+                if isinstance(s, App)} & {"setlit", "range"}
 
 
 def test_real_bound_variable_is_not_closed():

@@ -171,17 +171,19 @@ def test_rw_search_closes_only_through_the_closers():
     assert direct == {"_try_close": [], "revalidate_rw_search": []}
 
 
-# -- the normal-form memo slots ---------------------------------------------
+# -- the memo slots ---------------------------------------------------------
 
-# The two slots on every term in which `norm` memoizes its normal forms.
-MEMO_SLOTS = ("_nf_memo", "_fold_memo")
+# The memo slots on every term, each with the one module that writes it:
+# `norm` memoizes its normal forms, `decide` a closed node's value.
+MEMO_SLOT_WRITERS = {"_nf_memo": "norm.py", "_fold_memo": "norm.py",
+                     "_eval_memo": "tactics/decide.py"}
+MEMO_SLOTS = tuple(MEMO_SLOT_WRITERS)
 
 
 def memo_slot_writes(source, filename="<source>"):
     """Stores to or deletions of a memo slot, and `setattr` calls naming
-    one, in `source`.  `norm.py` writes the slots and is not asked;
-    `expr.py` declares them and may only start them empty, by assigning
-    None."""
+    one, in `source`, as `file:line: slot`.  `expr.py` declares the
+    slots and may only start them empty, by assigning None."""
     tree = ast.parse(source)
     starts = set()
     if filename == "expr.py":
@@ -214,15 +216,24 @@ def test_memo_slot_check_catches_writes():
     assert memo_slot_writes("del t._nf_memo\n")
     assert memo_slot_writes("a, t._nf_memo = u\n", "expr.py")
     assert not memo_slot_writes("u = t._nf_memo\n", "auto.py")
+    assert not memo_slot_writes("t._eval_memo = None\n", "expr.py")
+    assert memo_slot_writes("t._eval_memo = (v, 0)\n", "norm.py") \
+        == ["norm.py:1: _eval_memo"]
+    assert memo_slot_writes("setattr(t, '_eval_memo', m)\n")
 
 
-def test_only_norm_writes_the_memo_slots():
+def test_each_memo_slot_has_one_writer():
     assert set(MEMO_SLOTS) <= set(Term.__slots__)
     found = [hit for path in sorted(PACKAGE.rglob("*.py"))
-             if path != PACKAGE / "norm.py"
              for hit in memo_slot_writes(path.read_text(encoding="utf-8"),
                                          path.relative_to(PACKAGE).as_posix())]
-    assert not found, found
+    stray = [hit for hit in found
+             if MEMO_SLOT_WRITERS[hit.rsplit(": ", 1)[1]]
+             != hit.split(":", 1)[0]]
+    assert not stray, stray
+    # and each writer does write its slot
+    assert {(hit.split(":", 1)[0], hit.rsplit(": ", 1)[1])
+            for hit in found} == {(w, s) for s, w in MEMO_SLOT_WRITERS.items()}
 
 
 # -- no cache in the engine grows without bound -----------------------------

@@ -618,3 +618,72 @@ def _refuted(refute, cons):
 @given(_rational_systems())
 def test_fm_refute_matches_the_reference(cons):
     assert _refuted(fm_refute, cons) == _refuted(reference_fm_refute, cons)
+
+
+# ---------------------------------------------------------------------------
+# The memos of fm_refute and omega_sat answer as the deciders do
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_rational_systems())
+def test_fm_refute_memo_matches_the_elimination(cons):
+    want = _refuted(reference_fm_refute, cons)
+    linarith._fm_memo.cache_clear()
+    cold = _refuted(fm_refute, cons)
+    if isinstance(cold, dict):
+        # a caller that changes its dict changes no later answer
+        kept = dict(cold)
+        cold[len(cons) * 2] = Fraction(1)
+        cold = kept
+    warm = _refuted(fm_refute, cons)
+    moved = _refuted(fm_refute, [_mk_con(c.lin(), c.rel, origin=5)
+                                 for c in cons])
+    assert cold == want and warm == want and moved == want
+
+
+OMEGA_NAMES = ("x0", "x1", "x2")
+
+
+@st.composite
+def _int_systems(draw):
+    """0-2 equalities and 1-4 inequalities over three integer columns,
+    each column boxed in [-3, 3]."""
+    def lin(lo, hi):
+        out = {n: Fraction(draw(st.integers(lo, hi))) for n in OMEGA_NAMES}
+        out[CONST] = Fraction(draw(st.integers(-8, 8)))
+        return out
+    eqs = [lin(-4, 5) for _ in range(draw(st.integers(0, 2)))]
+    ineqs = [lin(-5, 5) for _ in range(draw(st.integers(1, 4)))]
+    for n in OMEGA_NAMES:
+        ineqs.append({n: Fraction(-1), CONST: Fraction(-3)})
+        ineqs.append({n: Fraction(1), CONST: Fraction(-3)})
+    return eqs, ineqs
+
+
+def _omega_outcome(decide):
+    try:
+        return decide()
+    except NotLinear as e:
+        return str(e)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_int_systems(), st.permutations(("a", "b", "c")))
+def test_omega_memo_matches_the_search(system, names):
+    eqs, ineqs = system
+
+    def rows(lins):
+        return [tuple(int(r.get(k, 0)) for k in (CONST,) + OMEGA_NAMES)
+                for r in lins]
+
+    want = _omega_outcome(lambda: linarith._omega(
+        rows(eqs), rows(ineqs), _OmegaBudget(linarith.MAX_OMEGA_NODES)))
+    linarith._omega_memo.cache_clear()
+    cold = _omega_outcome(lambda: omega_sat(eqs, ineqs))
+    warm = _omega_outcome(lambda: omega_sat(eqs, ineqs))
+    # the same system under other atom names, in another column order
+    rename = dict(zip(OMEGA_NAMES, names), **{CONST: CONST})
+    renamed = [[{rename[k]: v for k, v in r.items()} for r in part]
+               for part in (eqs, ineqs)]
+    other = _omega_outcome(lambda: omega_sat(*renamed))
+    assert cold == want and warm == want and other == want
