@@ -164,8 +164,8 @@ def fn(dom: Sort, cod: Sort) -> Sort:
 # The exception is the three memo slots, `_nf_memo` (for
 # `norm.normalize`), `_fold_memo` (for `norm.fold_literals`) and
 # `_eval_memo` (for `tactics.decide.eval_term`).  They start as None, and
-# each has one writer, `norm` for the first two and `tactics.decide` for
-# the third, which writes one value that depends on the node alone; the
+# each has one writer (`norm` for the first two, `tactics.decide` for the
+# third), which writes one value that depends on the node alone; the
 # memo lives exactly as long as its node.
 
 
