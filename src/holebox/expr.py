@@ -733,22 +733,23 @@ def _inst(t: Term, asg: dict[str, Term]) -> Term:
 
 
 def _check_acyclic(asg: dict[str, Term]) -> None:
-    # DFS over the dependency graph mid -> metavars_of(asg[mid])
-    state: dict[str, int] = {}
-
-    def visit(mid: str) -> None:
-        mark = state.get(mid, 0)
-        if mark == 1:
-            raise OccursCheckError(f"cyclic metavariable assignment at ?{mid}")
-        if mark == 2 or mid not in asg:
-            return
-        state[mid] = 1
-        for dep in sorted(metavars_of(asg[mid])):
-            visit(dep)
-        state[mid] = 2
-
-    for m in sorted(asg):
-        visit(m)
+    # DFS over the dependency graph mid -> metavars_of(asg[mid]) on an
+    # explicit stack; a mid is marked 1 while on the path, 2 when done
+    mark: dict[str, int] = {}
+    for root in sorted(asg):
+        todo = [(root, False)]          # (mid, leaving it)
+        while todo:
+            mid, leaving = todo.pop()
+            if leaving:
+                mark[mid] = 2
+            elif mark.get(mid) == 1:
+                raise OccursCheckError(
+                    f"cyclic metavariable assignment at ?{mid}")
+            elif mid in asg and mid not in mark:
+                mark[mid] = 1
+                todo.append((mid, True))
+                todo += [(dep, False) for dep in
+                         sorted(metavars_of(asg[mid]), reverse=True)]
 
 
 # ---------------------------------------------------------------------------

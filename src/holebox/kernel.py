@@ -15,7 +15,11 @@ never for a check.
 No goal holds an assigned hole: `assign_metavar` instantiates the open
 goals when it assigns one, and `apply_tactic` instantiates a tactic's
 new goals against the holes assigned before, so the goal a certificate
-stores reads the same without the state.
+stores reads the same without the state.  A closer is therefore a
+function of the goal alone, plus the pending holes where it assigns
+one: the same function a certificate checker calls.  Text that names a
+hole is instantiated where it is read (`SolutionState.instantiated`),
+so a term a tactic elaborates holds no assigned hole either.
 """
 
 from __future__ import annotations
@@ -124,6 +128,13 @@ class SolutionState:
 
     def meta_sorts(self) -> dict[str, Sort]:
         return {h.mid: h.target for h in self.holes}
+
+    def instantiated(self, t: Term) -> Term:
+        """`t`, read from text that may name any hole, with the assigned
+        holes replaced."""
+        if not (self.assignment and t.has_meta):
+            return t
+        return instantiate_metas(t, self.asg_map())
 
     # -- transitions ----------------------------------------------------
 

@@ -23,8 +23,7 @@ from functools import lru_cache
 
 from ..expr import (
     Atom, Binder, Conn, LocalDecl, PROP, Telescope, Term, Var, eq_sides,
-    free_vars, instantiate_bvar, instantiate_metas, metavars_of, mk_atom,
-    mk_conn, mk_var,
+    free_vars, instantiate_bvar, metavars_of, mk_atom, mk_conn, mk_var,
 )
 from ..norm import definitional_eq, normalize
 from ..kernel import (
@@ -192,12 +191,12 @@ def _closers(goal: Goal) -> bool:
     if ring_closes(concl):
         return True
     try:
-        prove_linear(goal, None)
+        prove_linear(goal)
         return True
     except TacticFailed:
         pass
     if eq_sides(concl) is not None:
-        hit = rw_search_term(concl, goal, None, AUTO_RW_DEPTH)
+        hit = rw_search_term(concl, goal, frozenset(), AUTO_RW_DEPTH)
         if hit is not None and not hit[2]:
             return True
     return False
@@ -208,10 +207,8 @@ def auto(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if goal.is_hole_goal():
         raise TacticFailed("auto does not apply to a hole goal")
     budget_n = int_arg(argtext, AUTO_BUDGET)
-    concl = instantiate_metas(goal.concl, state.asg_map())
     budget = _Counter(budget_n)
-    start = Goal(goal.case, goal.ctx, concl)
-    proved = _prove(start, budget, frozenset())
+    proved = _prove(goal, budget, frozenset())
     if not proved:
         if budget.n < 0:
             raise BudgetExhausted("auto budget exhausted")

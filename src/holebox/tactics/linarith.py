@@ -685,7 +685,7 @@ def _exact(lo: list[int], hi: list[int]) -> bool:
 HYP_MEMO_ENTRIES = 64
 
 
-def _hyp_system(goal: Goal, asg: dict[str, Term], sort: Sort,
+def _hyp_system(goal: Goal, sort: Sort,
                 target: Callable[[Atomizer], object]
                 ) -> tuple[Atomizer, list[Constraint], object]:
     """The hypotheses of `goal` as constraints over a fresh atom space.
@@ -700,8 +700,8 @@ def _hyp_system(goal: Goal, asg: dict[str, Term], sort: Sort,
     for d in goal.ctx.decls:
         if d.prop is None:
             continue
-        prop = normalize(instantiate_metas(d.prop, asg))
-        if not metavars_of(prop):
+        prop = normalize(d.prop)
+        if not prop.has_meta:
             props.append(prop)
     table, nat_keys, mods, counter, hyp_cons = _hyp_atoms(tuple(props), sort)
     az = Atomizer(sort, dict(table), set(nat_keys), list(mods), counter)
@@ -729,15 +729,13 @@ def _hyp_atoms(props: tuple[Term, ...], sort: Sort) -> tuple:
             tuple(az.mod_constraints), az.counter, tuple(cons))
 
 
-def _collect_system(goal: Goal, state: Optional[SolutionState]
-                    ) -> tuple[Atomizer, list[Constraint],
-                               list[list[Constraint]]]:
+def _collect_system(goal: Goal) -> tuple[Atomizer, list[Constraint],
+                                         list[list[Constraint]]]:
     concl = goal.concl
     if not isinstance(concl, Term):
         raise NotLinear("hole goals are not linear goals")
-    asg = state.asg_map() if state is not None else {}
-    concl = normalize(instantiate_metas(concl, asg))
-    return _hyp_system(goal, asg, _goal_sort(concl),
+    concl = normalize(concl)
+    return _hyp_system(goal, _goal_sort(concl),
                        lambda az: _negation_dnf(concl, az))
 
 
@@ -767,35 +765,28 @@ def _split_nes(cons: list[Constraint],
     nes = [i for i, c in enumerate(cons) if c.rel == "ne"]
     if 2 ** len(nes) > MAX_NE_SPLITS:
         raise NotLinear("too many disequalities to split")
-    sides: dict[tuple[int, int], Constraint] = {}
-
-    def side(i: int, gt: int) -> Constraint:
-        """`e < 0` (gt = 0) or `e > 0` (gt = 1) of `cons[i]`, `e != 0`,
-        built when the search first reaches it."""
-        out = sides.get((i, gt))
-        if out is None:
-            lin = cons[i].lin()
-            out = sides[i, gt] = _mk_con(_lin_neg(lin) if gt else lin, "lt")
-        return out
-
-    def system(chosen: tuple[int, ...]) -> list[Constraint]:
+    # `e < 0` (0) and `e > 0` (1) of each `cons[i]`, `e != 0`
+    sides = {(i, gt): _mk_con(_lin_neg(cons[i].lin()) if gt
+                              else cons[i].lin(), "lt")
+             for i in nes for gt in (0, 1)}
+    todo: list[tuple[int, ...]] = [()]
+    while todo:
+        chosen = todo.pop()
         picked = dict(zip(nes, chosen))
-        return [c if c.rel != "ne" else side(i, picked[i])
-                for i, c in enumerate(cons)
-                if c.rel != "ne" or i in picked]
-
-    def search(chosen: tuple[int, ...]) -> bool:
+        system = [sides[i, picked[i]] if c.rel == "ne" else c
+                  for i, c in enumerate(cons)
+                  if c.rel != "ne" or i in picked]
         if len(chosen) == len(nes):
-            return feasible(system(chosen))
-        if chosen:
-            try:
-                if not feasible(system(chosen)):
-                    return False
-            except NotLinear:
-                pass
-        return search(chosen + (0,)) or search(chosen + (1,))
-
-    return search(())
+            if feasible(system):
+                return True
+            continue
+        try:
+            if chosen and not feasible(system):
+                continue
+        except NotLinear:
+            pass
+        todo += [chosen + (1,), chosen + (0,)]    # the `<` side first
+    return False
 
 
 def refute_branch(sort: Sort, cons: list[Constraint]) -> dict:
@@ -816,9 +807,9 @@ def refute_branch(sort: Sort, cons: list[Constraint]) -> dict:
     return {"method": "farkas", "multipliers": farkas}
 
 
-def prove_linear(goal: Goal, state: Optional[SolutionState]) -> dict:
+def prove_linear(goal: Goal) -> dict:
     """Prove a goal by refuting hypotheses + negated conclusion."""
-    return _refute_system(*_collect_system(goal, state))
+    return _refute_system(*_collect_system(goal))
 
 
 def _refute_system(az: Atomizer, hyps: list[Constraint],
@@ -834,7 +825,7 @@ def linear_arith(state: SolutionState, goal: Goal, argtext: str
                  ) -> TacticResult:
     if goal.is_hole_goal():
         raise TacticFailed("linear_arith does not apply to a hole goal")
-    concl = instantiate_metas(goal.concl, state.asg_map())
+    concl = goal.concl
     # `t = ?w` or `?w = t` with an unassigned hole: pin the value of t
     pending = {h.mid for h in state.unassigned_holes()}
     synth = _assign_split(concl, pending) \
@@ -842,27 +833,26 @@ def linear_arith(state: SolutionState, goal: Goal, argtext: str
     if synth is not None:
         meta, expr = synth
         mid = meta.mid
-        value = _synthesize(goal, state, expr)
+        value = _synthesize(goal, expr)
         answer = _value_term(value, state.hole(mid).target)
         check = Goal(goal.case, goal.ctx,
                      instantiate_metas(concl, {mid: answer}))
-        detail = prove_linear(check, state)
+        detail = prove_linear(check)
         # the goal as searched, hole open: recheck fills it from `assigned`
-        cert = Certificate("linear_arith", Goal(goal.case, goal.ctx, concl), {
+        cert = Certificate("linear_arith", goal, {
             "assigned": {mid: answer},
             **detail,
         })
         return TacticResult(assignments=((mid, answer),), cert=cert)
-    detail = prove_linear(goal, state)
+    detail = prove_linear(goal)
     cert = Certificate("linear_arith", goal, detail)
     return TacticResult(cert=cert)
 
 
-def _synthesize(goal: Goal, state: SolutionState, expr: Term) -> Fraction:
+def _synthesize(goal: Goal, expr: Term) -> Fraction:
     """Find the unique value the hypotheses force for `expr`."""
     az, hyp_cons, target = _hyp_system(
-        goal, state.asg_map(), _expr_sort(expr),
-        lambda az: linearize(normalize(expr), az))
+        goal, _expr_sort(expr), lambda az: linearize(normalize(expr), az))
     # 1) Gaussian elimination over the equality subset
     value = _gauss_value(hyp_cons, target)
     if value is None:
@@ -985,7 +975,7 @@ def revalidate_linear_arith(cert: Certificate) -> None:
         if metavars_of(goal.concl):
             raise CertificateError("linear_arith leaves its hole unassigned")
     try:
-        az, hyps, branches = _collect_system(goal, None)
+        az, hyps, branches = _collect_system(goal)
         fresh = _refute_system(az, hyps, branches)["branches"]
     except TacticFailed as e:
         raise CertificateError(f"linear_arith no longer validates: {e}")

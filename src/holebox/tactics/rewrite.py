@@ -427,17 +427,12 @@ def set_default_library(lib: LemmaLibrary) -> None:
 # The rewrite tactic
 
 
-def _hyp_rules(goal: Goal, state: Optional[SolutionState]
-               ) -> list[RewriteLemma]:
-    asg = state.asg_map() if state is not None else {}
+def _hyp_rules(goal: Goal) -> list[RewriteLemma]:
     out = []
     for d in goal.ctx.decls:
-        if d.prop is None:
+        if d.prop is None or d.prop.has_meta:
             continue
-        prop = instantiate_metas(d.prop, asg)
-        if metavars_of(prop):
-            continue
-        rule = rule_from_prop(d.name, prop)
+        rule = rule_from_prop(d.name, d.prop)
         if rule is not None:
             out.append(rule)
     return out
@@ -463,10 +458,9 @@ def rewrite(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     rules: list[RewriteLemma] = []
     decl = goal.ctx.lookup(name)
     if decl is not None and decl.prop is not None:
-        prop = instantiate_metas(decl.prop, state.asg_map())
+        prop = decl.prop
         if raw_args:
-            prop, _ = _instantiate_hyp(prop, raw_args, goal.ctx,
-                                       state.meta_sorts())
+            prop, _ = _instantiate_hyp(prop, raw_args, goal.ctx, state)
         rule = rule_from_prop(name, prop)
         if rule is None:
             raise TacticFailed(f"{name} is not an equation or iff")
@@ -475,7 +469,7 @@ def rewrite(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         rules = default_library().named(name)
         if not rules:
             raise TacticFailed(f"no hypothesis or lemma named {name!r}")
-    concl = instantiate_metas(goal.concl, state.asg_map())
+    concl = goal.concl
     for rule in rules:
         new = apply_rule(concl, rule, back, occurrence)
         if new is not None and new != concl:
@@ -494,10 +488,9 @@ def _searchable(rules) -> list[Rule]:
             if not isinstance(rule.rhs if back else rule.lhs, Meta)]
 
 
-def _hyp_search_rules(goal: Goal, state: Optional[SolutionState]
-                      ) -> RuleDispatch:
+def _hyp_search_rules(goal: Goal) -> RuleDispatch:
     """The local hypotheses' rules, all forward, then all backward."""
-    hyps = _hyp_rules(goal, state)
+    hyps = _hyp_rules(goal)
     return RuleDispatch(_searchable(
         [(rule, False) for rule in hyps] + [(rule, True) for rule in hyps]))
 
@@ -520,17 +513,15 @@ def _try_close(concl: Term, pending: frozenset[str]
         return None
 
 
-def rw_search_term(concl: Term, goal: Goal, state: Optional[SolutionState],
+def rw_search_term(concl: Term, goal: Goal, pending: frozenset[str],
                    max_depth: int = RW_SEARCH_DEPTH):
     """BFS over rewrites; returns (path, closer, assignments) or None.
 
     `closer` is the certificate that closes the last term of the path,
     as a goal in `goal`'s case and context, and `assignments` are the
-    hole fills it records."""
+    fills of `pending` holes it records."""
     library = default_library().search_rules
-    hyps = _hyp_search_rules(goal, state)
-    pending = frozenset(h.mid for h in state.unassigned_holes()) \
-        if state is not None else frozenset()
+    hyps = _hyp_search_rules(goal)
     seen = {concl}
     frontier: list[tuple[Term, tuple]] = [(concl, ())]
     nodes = 0
@@ -572,16 +563,15 @@ def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if goal.is_hole_goal():
         raise TacticFailed("rw_search does not apply to a hole goal")
     max_depth = int_arg(argtext, RW_SEARCH_DEPTH)
-    concl = instantiate_metas(goal.concl, state.asg_map())
+    concl = goal.concl
     if eq_sides(concl) is None:
         raise TacticFailed("rw_search needs an equality or iff goal")
-    hit = rw_search_term(concl, goal, state, max_depth)
+    pending = frozenset(h.mid for h in state.unassigned_holes())
+    hit = rw_search_term(concl, goal, pending, max_depth)
     if hit is None:
         raise SearchExhausted(f"no rewrite proof within depth {max_depth}")
     path, closer, assigns = hit
-    # the certificate's goal is the conclusion the search started from
-    searched = Goal(goal.case, goal.ctx, concl)
-    cert = Certificate("rw_search", searched, {
+    cert = Certificate("rw_search", goal, {
         "path": [[name, back, occ] for name, back, occ in path],
         "closer": closer,
     })
@@ -601,7 +591,7 @@ def revalidate_rw_search(cert: Certificate) -> None:
     library = default_library()
     for name, back, occ in cert.detail["path"]:
         candidates = library.named(name) or [
-            r for r in _hyp_rules(goal, None) if r.name == name]
+            r for r in _hyp_rules(goal) if r.name == name]
         new = None
         for rule in candidates:
             new = apply_rule(term, rule, back, occ)

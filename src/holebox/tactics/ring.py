@@ -16,7 +16,7 @@ from typing import Optional
 
 from ..expr import (
     App, Atom, Lit, MAX_LIT_BITS, NAT, RAT, REAL, Sort, Term,
-    instantiate_metas, lit_bits, mk_app, mk_atom, mk_lit,
+    lit_bits, mk_app, mk_atom, mk_lit,
 )
 from ..norm import fold_literals
 from ..kernel import (
@@ -188,7 +188,7 @@ def ring_sides(concl: Term) -> tuple[Poly, Poly, AtomTable, Sort]:
 def ring_nf(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if goal.is_hole_goal():
         raise NotRingExpr("ring_nf does not apply to a hole goal")
-    concl = instantiate_metas(goal.concl, state.asg_map())
+    concl = goal.concl
     pl, pr, atoms, sort = ring_sides(concl)
     nl = render(pl, atoms, sort)
     if pl == pr:

@@ -12,8 +12,8 @@ from typing import Optional
 
 from ..expr import (
     Binder, Conn, ExprError, INT, LocalDecl, Meta, NAT, PROP, Sort,
-    Telescope, Term, eq_sides, free_vars, instantiate_bvar,
-    instantiate_metas, metavars_of, mk_conn, mk_lit, mk_var, substitute,
+    Telescope, Term, eq_sides, free_vars, instantiate_bvar, metavars_of,
+    mk_conn, mk_lit, mk_var, substitute,
 )
 from ..norm import definitional_eq, fold_literals, normalize
 from ..kernel import (
@@ -114,14 +114,17 @@ def _parse_citation(argtext: str) -> tuple[str, list]:
 
 
 def _instantiate_hyp(prop: Term, raw_args: list, ctx: Telescope,
-                     metas: dict) -> tuple[Term, tuple[Term, ...]]:
-    """Open leading foralls of a hypothesis at explicit argument terms."""
+                     state: SolutionState) -> tuple[Term, tuple[Term, ...]]:
+    """Open leading foralls of a hypothesis at explicit argument terms.
+
+    An argument may name any hole; an assigned one reads as its value,
+    so the instance holds no assigned hole, as no goal does."""
     args: list[Term] = []
     for raw in raw_args:
         if not (isinstance(prop, Binder) and prop.kind == "forall"):
             raise TacticFailed("more arguments than leading quantifiers")
-        env = _Env(ctx, [], dict(metas))
-        arg = _elab(raw, prop.vsort, env)
+        env = _Env(ctx, [], state.meta_sorts())
+        arg = state.instantiated(_elab(raw, prop.vsort, env))
         args.append(arg)
         prop = instantiate_bvar(prop.body, arg)
     return fold_literals(prop), tuple(args)
@@ -131,7 +134,6 @@ def _instantiate_hyp(prop: Term, raw_args: list, ctx: Telescope,
 def exact(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if not argtext.strip():
         raise TacticFailed("exact needs an argument")
-    metas = state.meta_sorts()
     if goal.is_hole_goal():
         # term-mode: fill the hole with a well-sorted term
         try:
@@ -144,20 +146,17 @@ def exact(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     decl = goal.ctx.lookup(name)
     if decl is None or decl.prop is None:
         raise TacticFailed(f"no hypothesis named {name!r}")
-    instance, args = _instantiate_hyp(decl.prop, raw_args, goal.ctx, metas)
+    instance, args = _instantiate_hyp(decl.prop, raw_args, goal.ctx, state)
     concl = goal.concl
     if isinstance(concl, Meta):
         # Simultaneous hole fill: the only place a bare answer hole may be
         # unified against a hypothesis (deductive forward finish).
-        if state.assigned_value(concl.mid) is not None:
-            raise TacticFailed(f"?{concl.mid} is already assigned")
         cert = Certificate("exact", goal, {
             "hyp": name, "args": args,
             "assigns": {concl.mid: instance},
         })
         return TacticResult(assignments=((concl.mid, instance),), cert=cert)
-    if not definitional_eq(_inst_state(instance, state),
-                           _inst_state(concl, state)):
+    if not definitional_eq(instance, concl):
         raise TacticFailed(
             f"exact: {print_term(instance)} does not match the conclusion")
     cert = Certificate("exact", goal, {
@@ -165,10 +164,6 @@ def exact(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         "instance": instance,
     })
     return TacticResult(cert=cert)
-
-
-def _inst_state(t: Term, state: SolutionState) -> Term:
-    return instantiate_metas(t, state.asg_map())
 
 
 def rfl_evidence(concl: Term) -> dict:
@@ -185,8 +180,8 @@ def rfl_evidence(concl: Term) -> dict:
 
 @register_tactic("rfl")
 def rfl(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
-    concl = _inst_state(_need_prop_goal(goal, "rfl"), state)
-    return TacticResult(cert=Certificate("rfl", goal, rfl_evidence(concl)))
+    detail = rfl_evidence(_need_prop_goal(goal, "rfl"))
+    return TacticResult(cert=Certificate("rfl", goal, detail))
 
 
 @register_tactic("have")
@@ -218,7 +213,7 @@ def cases(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     decl = goal.ctx.lookup(name)
     if decl is None or decl.prop is None:
         raise TacticFailed(f"no hypothesis named {name!r}")
-    prop = normalize(_inst_state(decl.prop, state))
+    prop = normalize(decl.prop)
     if isinstance(prop, Conn) and prop.op == "or":
         gl = replace_hyp(goal, name, prop.args[0], f"{goal.case}.l")
         gr = replace_hyp(goal, name, prop.args[1], f"{goal.case}.r")

@@ -64,6 +64,27 @@ def test_script_naming_an_assigned_hole_certifies(tmp_path, capsys, closer):
     assert out["certificate"]["forward"] and out["certificate"]["backward"]
 
 
+@pytest.mark.parametrize("lines", [
+    ["have hr : forall (k : Int), k = k", "intro k", "rfl",
+     "have hx : 7 = 7", "exact hr ?w"],
+    ["have hr : forall (k : Int), k = n + (k - n)", "intro k",
+     "linear_arith", "rewrite hr ?w"],
+])
+def test_hypothesis_argument_naming_an_assigned_hole_certifies(
+        tmp_path, capsys, lines):
+    # `?w` is read as its value where the argument is elaborated, so the
+    # instance `exact` stores and the rule `rewrite` applies hold `7`
+    script = tmp_path / "s.txt"
+    script.write_text("\n".join(["@goal w exact 7", *lines, "linear_arith"])
+                      + "\n")
+    code = cli_main(["solve", problem_path("nickels.json"),
+                     "--script", str(script)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["answer"] == "7"
+    assert out["certificate"]["forward"] and out["certificate"]["backward"]
+
+
 def _script_entry(name, answer, lines):
     problem = parse_problem(open(problem_path(name), "rb").read())
     truth = parse_term(answer, problem.telescope(), problem.queriable[1])

@@ -1,15 +1,19 @@
 """Kernel: states, assignment, immutability, replay determinism."""
 
+import gc
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holebox.expr import (
-    INT, Meta, NAT, OccursCheckError, SortError, mk_app, mk_lit, mk_var,
+    INT, ExprError, LocalDecl, Meta, NAT, OccursCheckError, PROP, SortError,
+    Telescope, instantiate_metas, metavars_of, mk_app, mk_lit, mk_var,
 )
 from holebox.kernel import (
-    OutOfContextError, TacticFailed, apply_tactic, assign_metavar,
-    init_prove, is_terminal, render_state,
+    Goal, KernelError, OutOfContextError, SolutionState, TacticFailed,
+    apply_tactic, assign_metavar, init_prove, is_terminal, recheck,
+    render_state, run_script,
 )
 from holebox.fps import replay_check, session_init
 from holebox.syntax import parse_problem, parse_script, parse_term, print_term
@@ -189,3 +193,85 @@ def test_concurrent_tactics_on_shared_state():
         rendered = list(pool.map(work, range(16)))
     assert render_state(state) == before
     assert len(set(rendered)) == 1
+
+
+# -- no goal holds an assigned hole ------------------------------------------
+
+# Blocks of lines for random scripts on NICKELS that name the answer
+# hole before and after `@goal w exact c` fills it, and the closers.
+HOLE_BLOCKS = [
+    ("have hr : forall (k : Int), k = k", "intro k", "rfl"),
+    ("have hr : forall (k : Int), k = k", "intro k", "rfl",
+     "have hz : ?w = ?w", "exact hr ?w"),
+    ("have hs : forall (k : Int), k = n + (k - n)", "intro k",
+     "linear_arith"),
+    ("have hx : ?w = 7",), ("have hy : n = ?w",),
+    ("have hz : ?w = ?w", "exact hr ?w"), ("exact hr ?w",), ("exact hy",),
+    ("exact hx",), ("rewrite hs ?w",), ("rewrite hy",), ("rfl",),
+    ("linear_arith",), ("auto",), ("eval_decide",), ("ring_nf",),
+    ("rw_search 2",),
+]
+
+
+def _assigned_holes_in_goals(state):
+    assigned = {mid for mid, _ in state.assignment}
+    terms = [g.concl for g in state.goals if not g.is_hole_goal()]
+    terms += [d.prop for g in state.goals for d in g.ctx.decls
+              if d.prop is not None]
+    return {m for t in terms for m in metavars_of(t)} & assigned
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(HOLE_BLOCKS), max_size=8),
+       st.integers(0, 8), st.sampled_from([6, 7, 8]))
+def test_no_goal_holds_an_assigned_hole(blocks, at, value):
+    blocks = blocks[:at] + [(f"@goal w exact {value}",)] + blocks[at:]
+    lines = [text for block in blocks for text in block]
+    start = state = session_init(prob(NICKELS)).state
+    kept = []
+    for text in lines:
+        ln, = parse_script([text]).lines
+        try:
+            state = apply_tactic(state, ln.goal, ln.tactic, ln.argtext)
+        except (KernelError, ExprError):
+            continue
+        kept.append(text)
+        assert not _assigned_holes_in_goals(state), (kept, render_state(state))
+    # the lines that applied make a script, accepted or not, and every
+    # certificate it records rechecks
+    report = run_script(start, parse_script(kept))
+    assert report.final == state
+    recheck(state)
+
+
+def test_rewrite_reads_an_assigned_hole_as_its_value():
+    # `?w` in the argument is the value 7, not a pattern variable that
+    # matches the first subterm (`n`)
+    script = parse_script(["@goal w exact 7",
+                           "have hr : forall (k : Int), k = n + (k - n)",
+                           "intro k", "linear_arith", "rewrite hr ?w"])
+    report = run_script(session_init(prob(NICKELS)).state, script,
+                        done=lambda s: True)
+    assert report.accepted
+    assert print_term(report.final.goal("h").concl) == "n = n + (7 - n)"
+
+
+def test_closers_make_no_reference_cycle():
+    # with the cyclic collector off, the occurs check and a linear_arith
+    # call that splits disequalities leave no garbage behind
+    tele = Telescope((LocalDecl("x", INT),))
+    tele = tele.extended(LocalDecl("hx", PROP, prop=parse_term(
+        "1 <= x /\\ x <= 3", tele, PROP)))
+    concl = parse_term("x = 1 \\/ x = 2 \\/ x = 3", tele, PROP)
+    state = SolutionState(goals=(Goal("h", tele, concl),))
+    chain = {"a": mk_app("add", (Meta(INT, "b"), mk_lit(1, INT))),
+             "b": mk_var("x", INT)}
+    gc.collect()
+    gc.disable()
+    try:
+        out = instantiate_metas(Meta(INT, "a"), chain)
+        closed = apply_tactic(state, "h", "linear_arith", "")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert print_term(out) == "x + 1" and is_terminal(closed)

@@ -171,6 +171,54 @@ def test_rw_search_closes_only_through_the_closers():
     assert direct == {"_try_close": [], "revalidate_rw_search": []}
 
 
+# -- a state's assignment ----------------------------------------------------
+
+# The modules that read a state's assignment as a map: the kernel, which
+# keeps every goal free of assigned holes, and `fps.extract_answer`.  A
+# tactic reads its goal, and text through `SolutionState.instantiated`.
+ASG_MAP_READERS = {"kernel.py", "fps.py"}
+
+
+def assignment_reads(source, filename="<source>"):
+    """Calls of `asg_map`, and `instantiate_metas` calls handed a state's
+    assignment (an argument that calls `asg_map` or reads `.assignment`),
+    in `source`, as `file:line: asg_map` or `file:line: instantiate_metas`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _name_of(node)
+        args = node.args[1:] + [k.value for k in node.keywords]
+        if name == "asg_map" or name == "instantiate_metas" and any(
+                isinstance(sub, ast.Attribute)
+                and sub.attr in ("asg_map", "assignment")
+                for arg in args for sub in ast.walk(arg)):
+            found.append(f"{filename}:{node.lineno}: {name}")
+    return sorted(found)
+
+
+def test_assignment_read_check_catches_planted_calls():
+    assert assignment_reads(
+        "x = 1\nconcl = instantiate_metas(goal.concl, state.asg_map())\n",
+        "tactics/auto.py") == ["tactics/auto.py:2: asg_map",
+                               "tactics/auto.py:2: instantiate_metas"]
+    assert assignment_reads("instantiate_metas(t, dict(s.assignment))\n") \
+        == ["<source>:1: instantiate_metas"]
+    assert assignment_reads("asg = s.asg_map()\n") == ["<source>:1: asg_map"]
+    assert not assignment_reads("instantiate_metas(pat, sub)\n")
+    assert not assignment_reads("instantiate_metas(t, {m: v})\n")
+    assert not assignment_reads("arg = state.instantiated(arg)\n")
+
+
+def test_only_the_kernel_and_fps_read_the_assignment():
+    found = [hit for path in sorted(PACKAGE.rglob("*.py"))
+             for hit in assignment_reads(path.read_text(encoding="utf-8"),
+                                         path.relative_to(PACKAGE).as_posix())]
+    stray = [hit for hit in found
+             if hit.split(":", 1)[0] not in ASG_MAP_READERS]
+    assert not stray, stray
+
+
 # -- the memo slots ---------------------------------------------------------
 
 # The memo slots on every term, each with the one module that writes it:

@@ -389,12 +389,12 @@ def test_ne_split_prunes_infeasible_prefixes(monkeypatch):
         return omega_sat(eqs, ineqs, budget)
 
     monkeypatch.setattr(linarith, "omega_sat", counting)
-    assert prove_linear(goal, None) == {"branches": [{"method": "omega"}]}
+    assert prove_linear(goal) == {"branches": [{"method": "omega"}]}
     # below the 2^6 of the full enumeration: at each split one side is
     # pruned and the other checked, and the root is never checked
     assert len(calls) == 12
     calls.clear()
-    _, hyps, branches = linarith._collect_system(goal, None)
+    _, hyps, branches = linarith._collect_system(goal)
     assert eager_refute(INT, hyps + branches[0]) == {"method": "omega"}
     assert len(calls) == 2 ** 6
 
@@ -431,7 +431,7 @@ def test_hyp_system_memo_gives_each_call_a_fresh_atom_space():
 
     def run():
         az, cons, out = _hyp_system(
-            goal, {}, INT, lambda az: [linearize(t, az) for t in extra])
+            goal, INT, lambda az: [linearize(t, az) for t in extra])
         return (list(az.table.items()), az.nat_keys, az.mod_constraints,
                 az.counter, cons, out)
 
