@@ -21,11 +21,11 @@ from .syntax import (  # noqa: F401
 )
 from .kernel import (  # noqa: F401
     Goal, Hole, SolutionState, TacticFailed, apply_tactic, assign_metavar,
-    init_prove, is_terminal,
+    is_terminal,
 )
 from .fps import (  # noqa: F401
     Session, certify, dfps_init, extract_answer, forward_finished, fps_init,
-    fps_to_dfps, replay_check, session_init,
+    fps_to_dfps, init_prove, prove_by_script, replay_check, session_init,
 )
 from .rpe import RpeVerdict, build_rpe_goal, rpe_check  # noqa: F401
 from .search import (  # noqa: F401

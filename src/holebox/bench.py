@@ -7,10 +7,11 @@ free-form tags.  Parse-only entries are excluded from rate denominators.
 
 Outcomes partition: an entry is exactly one of solved (certified answer,
 equivalent to the ground truth), neSubmitted (certified answer, not
-equivalent), or unsolved.  The proven flag is computed independently by
-building the statement with the ground-truth answer substituted and
-attempting it.  Reports are deterministic: stable key order, no
-timestamps, and entries evaluated serially in corpus order.
+equivalent), or unsolved.  The proven flag proves the statement with
+the ground-truth answer independently, with the prover certification
+uses (`fps.prove_by_script`, `search.prove_by_search`).  Reports are
+deterministic: stable key order, no timestamps, and entries evaluated
+serially in corpus order.
 """
 
 from __future__ import annotations
@@ -21,15 +22,13 @@ from typing import Optional
 
 from .expr import ExprError, Term
 from .fps import (
-    SessionError, dfps_prove_script, prove_script, solve_certified,
+    SessionError, dfps_prove_script, prove_by_script, prove_script,
+    solve_certified,
 )
-from .kernel import (
-    CertificateError, KernelError, init_prove, is_terminal, run_script,
-    recheck, script_of_trace,
-)
+from .kernel import CertificateError, KernelError, script_of_trace
 from .rpe import rpe_check
 from .search import SearchConfig, best_first_search, builtin_policy, \
-    public_stats, search_states
+    prove_by_search, public_stats
 from .syntax import (
     ParseError, Problem, ProofScript, SchemaError, parse_problem,
     parse_script, parse_term,
@@ -128,31 +127,16 @@ def _solve(entry: BenchmarkEntry, solver: str, cfg: SearchConfig
 def _prove_ground_truth(entry: BenchmarkEntry, solver: str,
                         cfg: SearchConfig) -> bool:
     """The statement with the ground-truth answer, attempted independently."""
+    p, truth = entry.problem, entry.formal_answer
     try:
-        state = init_prove(entry.problem, entry.formal_answer)
+        if solver == "script" and entry.script is not None:
+            script = dfps_prove_script(entry.script) \
+                if p.framework == "dfps" else prove_script(entry.script)
+            return prove_by_script(p, truth, script).accepted
+        report, _ = prove_by_search(p, truth, cfg)
     except (KernelError, ExprError):
         return False
-    if solver == "script" and entry.script is not None:
-        if entry.problem.framework == "dfps":
-            script = dfps_prove_script(entry.script)
-        else:
-            script = prove_script(entry.script)
-        report = run_script(state, script)
-        if report.accepted:
-            try:
-                recheck(report.final)
-                return True
-            except KernelError:
-                return False
-        return False
-    node, _ = search_states(state, builtin_policy, cfg, is_terminal)
-    if node is None:
-        return False
-    try:
-        recheck(node.state)
-        return True
-    except KernelError:
-        return False
+    return report is not None and report.accepted
 
 
 def evaluate_entry(entry: BenchmarkEntry, solver: str = "script",

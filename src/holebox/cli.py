@@ -16,16 +16,13 @@ from typing import Optional, TextIO
 from .bench import load_benchmark, report_json, run_benchmark, \
     BenchmarkLoadError
 from .expr import ExprError
-from .fps import Session, ScriptRejected, extract_answer, session_init, \
-    solve_certified
-from .kernel import (
-    KernelError, apply_tactic, init_prove, is_terminal, recheck,
-    render_state, run_script,
-)
+from .fps import Session, ScriptRejected, extract_answer, prove_by_script, \
+    session_init, solve_certified
+from .kernel import KernelError, apply_tactic, is_terminal, render_state
 from .rpe import rpe_check
 from .search import (
     ExternalPolicy, SearchConfig, best_first_search, builtin_policy,
-    public_stats, search_states,
+    prove_by_search, public_stats,
 )
 from .syntax import ParseError, SchemaError, parse_problem, parse_script, \
     parse_term, print_term
@@ -95,29 +92,20 @@ def cmd_prove(args) -> int:
     problem = _load_problem(args.problem)
     answer = parse_term(args.answer, problem.telescope(),
                         problem.queriable[1])
-    state = init_prove(problem, answer)
     if args.script:
         with open(args.script, "r", encoding="utf-8") as fh:
             script = parse_script(fh.read())
-        report = run_script(state, script)
-        if not report.accepted:
-            print(f"not proven: line {report.failed_line}: {report.reason}")
+        report = prove_by_script(problem, answer, script)
+    else:
+        report, stats = prove_by_search(problem, answer, _search_cfg(args))
+        if report is None:
+            print(json.dumps({"status": "not proven",
+                              "stats": public_stats(stats)}, sort_keys=True))
             return 1
-        return _report_proven(report.final)
-    node, stats = search_states(state, builtin_policy, _search_cfg(args),
-                                is_terminal)
-    if node is None:
-        print(json.dumps({"status": "not proven",
-                          "stats": public_stats(stats)}, sort_keys=True))
-        return 1
-    return _report_proven(node.state)
-
-
-def _report_proven(final) -> int:
-    try:
-        recheck(final)
-    except KernelError as e:
-        print(f"not proven: {e}")
+    if not report.accepted:
+        at = "" if report.failed_line is None \
+            else f"line {report.failed_line}: "
+        print(f"not proven: {at}{report.reason}")
         return 1
     print("proven")
     return 0

@@ -16,6 +16,10 @@ Two session protocols over the kernel:
   tactic citing a hypothesis against the bare `?w` target performs the
   simultaneous fill-and-close.
 
+P(answer) has one prover: `prove_by_script` runs a script from
+`init_prove` and rechecks it (`search.prove_by_search` searches).  The
+statement recheck, the proven flag and `holebox prove` all use it.
+
 `fps_to_dfps` is the find-all injection: the queriable becomes an extra
 universally quantified variable and the new answer is the proposition
 `a = answer`.
@@ -28,13 +32,12 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .expr import (
-    LocalDecl, Meta, PROP, Term, Var, free_vars, instantiate_metas,
-    metavars_of, mk_atom, mk_conn, substitute,
+    LocalDecl, Meta, PROP, SortError, Term, Var, free_vars,
+    instantiate_metas, metavars_of, mk_atom, mk_conn, substitute,
 )
 from .kernel import (
     CertificateError, Goal, Hole, KernelError, ReplayReport, SolutionState,
-    apply_tactic, init_prove, is_terminal, run_script, recheck,
-    script_of_trace,
+    apply_tactic, is_terminal, run_script, recheck, script_of_trace,
 )
 from .syntax import (
     DfpsShapeError, Problem, ProofScript, ScriptLine, _check_dfps_shape,
@@ -139,19 +142,46 @@ def session_init(p: Problem) -> Session:
     return fps_init(p) if p.framework == "fps" else dfps_init(p)
 
 
-def solve_script(p: Problem, script: ProofScript) -> ReplayReport:
-    """Run a solving script; accepted once an answer can be extracted."""
-    return run_script(session_init(p).state, script,
-                      done=lambda s: Session(p, s).answer_ready())
+def init_prove(p: Problem, answer: Term) -> SolutionState:
+    """Theorem-mode initial state for P(answer): the one goal `h`, and
+    the answer hole assigned `answer`, so a line that names `?w` reads
+    it as the answer."""
+    tele = p.telescope()
+    qname, qsort = p.queriable
+    if answer.sort != qsort:
+        raise SortError(f"answer sort {answer.sort}, expected {qsort}")
+    concl = substitute(p.conclusion(), qname, answer)
+    return SolutionState(goals=(Goal("h", tele, concl),),
+                         holes=(Hole(ANSWER_HOLE, tele, qsort),),
+                         assignment=((ANSWER_HOLE, answer),))
+
+
+def rechecked(report: ReplayReport) -> ReplayReport:
+    """`report`, rejected when it was accepted but a closure certificate
+    of its final state no longer validates."""
+    if report.accepted:
+        try:
+            recheck(report.final)
+        except CertificateError as e:
+            return ReplayReport(False, report.final, None, str(e))
+    return report
+
+
+def prove_by_script(p: Problem, answer: Term,
+                    script: ProofScript) -> ReplayReport:
+    """Prove P(answer) with a proving script and recheck its
+    certificates."""
+    return rechecked(run_script(init_prove(p, answer), script))
 
 
 def solve_certified(p: Problem, script: ProofScript
                     ) -> tuple[Term, SessionCertificate, SolutionState]:
     """Run a solving script, then extract and certify its answer; the
-    answer, the certificate and the final state.  Raises ScriptRejected
-    when the script is not accepted, and any error of `extract_answer`
-    or `certify`."""
-    report = solve_script(p, script)
+    answer, the certificate and the final state.  The script is
+    accepted once an answer can be extracted.  Raises ScriptRejected
+    when it is not, and any error of `extract_answer` or `certify`."""
+    report = run_script(session_init(p).state, script,
+                        done=lambda s: Session(p, s).answer_ready())
     if not report.accepted:
         raise ScriptRejected(report.failed_line, report.reason)
     sess = Session(p, report.final)
@@ -161,13 +191,7 @@ def solve_certified(p: Problem, script: ProofScript
 def replay_check(p: Problem, script: ProofScript) -> ReplayReport:
     """Replay a script from the session's initial state to the terminal
     state and recheck every closure certificate."""
-    report = run_script(session_init(p).state, script)
-    if report.accepted:
-        try:
-            recheck(report.final)
-        except CertificateError as e:
-            return ReplayReport(False, report.final, None, str(e))
-    return report
+    return rechecked(run_script(session_init(p).state, script))
 
 
 def forward_finished(sess: Session) -> bool:
@@ -259,19 +283,13 @@ def run_trace(state: SolutionState, recorded: SolutionState) -> SolutionState:
 
 
 def _recheck_statement(p: Problem, answer: Term, script: ProofScript) -> None:
-    """Re-prove the instantiated statement with the script's closing suffix.
-
-    A line may still name the answer hole (`have hx : ?w = 7`): the hole
-    is there, assigned the answer, so it reads as the answer."""
-    state = init_prove(p, answer)
-    state = replace(state, holes=(Hole(ANSWER_HOLE, p.telescope(),
-                                       answer.sort),),
-                    assignment=((ANSWER_HOLE, answer),))
-    report = run_script(state, prove_script(script))
+    """Re-prove the instantiated statement with the script's closing
+    suffix, and recheck the re-proof's certificates."""
+    report = prove_by_script(p, answer, prove_script(script))
     if not report.accepted:
-        raise CertifyFailed(
-            f"statement recheck failed at line {report.failed_line}: "
-            f"{report.reason}")
+        at = "" if report.failed_line is None \
+            else f" at line {report.failed_line}"
+        raise CertifyFailed(f"statement recheck failed{at}: {report.reason}")
 
 
 def prove_script(script: ProofScript) -> ProofScript:

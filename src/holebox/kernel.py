@@ -20,6 +20,9 @@ function of the goal alone, plus the pending holes where it assigns
 one: the same function a certificate checker calls.  Text that names a
 hole is instantiated where it is read (`SolutionState.instantiated`),
 so a term a tactic elaborates holds no assigned hole either.
+
+The kernel knows states, not problems: `fps` builds every initial
+state and is the one module above that runs scripts and rechecks them.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from typing import Callable, Optional, Union
 
 from .expr import (
     ExprError, LocalDecl, OccursCheckError, Sort, SortError, Telescope, Term,
-    free_vars, instantiate_metas, substitute,
+    free_vars, instantiate_metas,
 )
-from .syntax import Problem, ProofScript, ScriptLine, print_term
+from .syntax import ProofScript, ScriptLine, print_term
 
 
 class KernelError(Exception):
@@ -284,20 +287,6 @@ def apply_tactic(s: SolutionState, case: Optional[str], tactic: str,
     for mid, val in res.assignments:
         out = assign_metavar(out, mid, val)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Initialization: proving-mode states
-
-
-def init_prove(p: Problem, answer: Term) -> SolutionState:
-    """Theorem-mode initial state for P(answer): no holes."""
-    tele = p.telescope()
-    qname, qsort = p.queriable
-    if answer.sort != qsort:
-        raise SortError(f"answer sort {answer.sort}, expected {qsort}")
-    concl = substitute(p.conclusion(), qname, answer)
-    return SolutionState(goals=(Goal("h", tele, concl),))
 
 
 # ---------------------------------------------------------------------------

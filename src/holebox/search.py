@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .expr import Binder, Conn, ExprError, Term
-from .fps import Session, certify, extract_answer, session_init
+from .fps import (
+    Session, certify, extract_answer, init_prove, rechecked, session_init,
+)
 from .kernel import (
-    Goal, KernelError, SolutionState, apply_tactic, is_terminal,
-    render_goal, script_of_trace,
+    Goal, KernelError, ReplayReport, SolutionState, apply_tactic,
+    is_terminal, render_goal, script_of_trace,
 )
 from .syntax import Problem, ProofScript
 
@@ -236,6 +238,18 @@ def best_first_search(problem: Problem, policy: Policy,
     if node is None:
         return SearchResult("exhausted", stats=stats)
     return _finish(problem, node, stats)
+
+
+def prove_by_search(problem: Problem, answer: Term, cfg: SearchConfig
+                    ) -> tuple[Optional[ReplayReport], dict]:
+    """Search for a proof of P(answer) with the builtin policy and
+    recheck its certificates; the report, or None when the budget runs
+    out, and the search stats."""
+    node, stats = search_states(init_prove(problem, answer), builtin_policy,
+                                cfg, is_terminal)
+    if node is None:
+        return None, stats
+    return rechecked(ReplayReport(True, node.state)), stats
 
 
 def _finish(problem: Problem, node: SearchNode, stats: dict) -> SearchResult:

@@ -461,6 +461,10 @@ def rewrite(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         prop = decl.prop
         if raw_args:
             prop, _ = _instantiate_hyp(prop, raw_args, goal.ctx, state)
+        if prop.has_meta:
+            # a pending hole would match as a pattern variable: any
+            # subterm, not the hole (as `_hyp_rules` skips such rules)
+            raise TacticFailed(f"{name}: the cited instance holds a hole")
         rule = rule_from_prop(name, prop)
         if rule is None:
             raise TacticFailed(f"{name} is not an equation or iff")

@@ -1,10 +1,12 @@
 """Command-line surface and the interactive session loop."""
 
+import contextlib
 import io
 import json
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from holebox.bench import BenchmarkEntry, evaluate_entry
 from holebox.cli import cli_main, repl_session
@@ -83,6 +85,42 @@ def test_hypothesis_argument_naming_an_assigned_hole_certifies(
     assert code == 0
     assert out["answer"] == "7"
     assert out["certificate"]["forward"] and out["certificate"]["backward"]
+
+
+# a proof of P(7) for nickels whose `have` names the answer hole
+NAMES_THE_HOLE = ["have hx : ?w = 7", "rfl", "linear_arith"]
+
+
+def test_bench_entry_whose_script_names_the_hole_is_proven(tmp_path, capsys):
+    # the proven flag reads `?w` as the ground truth, as certification's
+    # statement recheck does
+    doc = json.loads(open(problem_path("nickels.json"), "rb").read())
+    entry = {"id": "nickels", "informalProblem": doc["informal"],
+             "informalAnswer": "7", "formalProblem": doc,
+             "formalAnswer": "7", "script": ["@goal w exact 7",
+                                             *NAMES_THE_HOLE]}
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(entry) + "\n")
+    code = cli_main(["bench", "run", str(corpus)])
+    rec = json.loads(capsys.readouterr().out)["perEntry"][0]
+    assert code == 0
+    assert rec["outcome"] == "solved" and rec["proven"] is True
+
+
+@pytest.mark.parametrize("lines, code, want", [
+    (NAMES_THE_HOLE, 0, "proven"),
+    (["have hx : 1 = 1"], 1, "not proven: script left open goals"),
+    (["linear_arith", "rfl"], 1, "not proven: line 2: rfl: no goals"),
+], ids=["names-the-hole", "open-goals", "failed-line"])
+def test_prove_script_verdict(tmp_path, capsys, lines, code, want):
+    # a failure names a line only when a line failed
+    script = tmp_path / "s.txt"
+    script.write_text("\n".join(lines) + "\n")
+    argv = ["prove", problem_path("nickels.json"), "--answer", "7",
+            "--script", str(script)]
+    assert cli_main(argv) == code
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.strip() == want
 
 
 def _script_entry(name, answer, lines):
@@ -405,3 +443,44 @@ def test_rejected_certificate_is_the_entrys_error(certificates_rejected,
     assert rec["outcome"] == "unsolved"
     assert "certificate rejected" in rec["stats"]["error"]
     assert rec["proven"] is False
+
+
+# -- the entry points under random scripts ----------------------------------
+
+FUZZ_GOALS = ["", "@goal w ", "@goal h ", "@goal h.hx ", "@goal zz "]
+FUZZ_TACTICS = ["intro", "iff_split", "exists_intro", "exact", "rfl",
+                "cases", "eval_decide", "ring_nf", "linear_arith",
+                "rw_search", "auto", "have", "rewrite", "frob"]
+FUZZ_ARGS = ["", "7", "?w", "?u", "k", "h2", "h3", "h2 ?w", "<- h2",
+             "h2 @ 2", "hr ?w", "hx", "hx : ?w = 7", "hx : ?w = ?w",
+             "hr : forall (k : Int), k = n + (k - n)", "1e9", "(", "2"]
+FUZZ_ANSWERS = ["7", "n", "d + 1", "?w", "7 +", "(", "1/2"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@example(command="solve", answer="7",
+         lines=["@goal w exact 7", *NAMES_THE_HOLE])
+@example(command="prove", answer="7", lines=NAMES_THE_HOLE)
+@given(command=st.sampled_from(["prove", "solve"]),
+       answer=st.sampled_from(FUZZ_ANSWERS),
+       lines=st.lists(st.builds(lambda g, t, a: f"{g}{t} {a}".rstrip(),
+                                st.sampled_from(FUZZ_GOALS),
+                                st.sampled_from(FUZZ_TACTICS),
+                                st.sampled_from(FUZZ_ARGS)),
+                      max_size=5))
+def test_script_entry_points_end_in_a_verdict(tmp_path_factory, command,
+                                              answer, lines):
+    # a random script ends in a verdict or one error line, never a
+    # traceback; lines may name the answer hole
+    script = tmp_path_factory.getbasetemp() / "fuzz-script.txt"
+    script.write_text("\n".join(lines) + "\n")
+    argv = [command, problem_path("nickels.json"), "--script", str(script)]
+    if command == "prove":
+        argv += ["--answer", answer]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1

@@ -151,8 +151,8 @@ def test_fps_to_dfps_ground_truth_220():
 
 
 def test_dfps_replay_and_prove_script():
-    from holebox.fps import dfps_prove_script
-    from holebox.kernel import init_prove, run_script
+    from holebox.fps import dfps_prove_script, init_prove
+    from holebox.kernel import run_script
     sess = session_init(NICKELS_D)
     state = sess.state
     for ln in DFPS_SCRIPT.lines:

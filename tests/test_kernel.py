@@ -12,10 +12,10 @@ from holebox.expr import (
 )
 from holebox.kernel import (
     Goal, KernelError, OutOfContextError, SolutionState, TacticFailed,
-    apply_tactic, assign_metavar, init_prove, is_terminal, recheck,
-    render_state, run_script,
+    apply_tactic, assign_metavar, is_terminal, recheck, render_state,
+    run_script,
 )
-from holebox.fps import replay_check, session_init
+from holebox.fps import init_prove, replay_check, session_init
 from holebox.syntax import parse_problem, parse_script, parse_term, print_term
 
 NICKELS = {

@@ -219,6 +219,58 @@ def test_only_the_kernel_and_fps_read_the_assignment():
     assert not stray, stray
 
 
+# -- one statement prover ----------------------------------------------------
+
+# Above the kernel only `fps` runs scripts and rechecks certificates.
+# The benchmark's proven flag and `holebox prove` prove through
+# `fps.prove_by_script` and `search.prove_by_search`, on the path that
+# certification re-proves a statement on, so neither builds a proving
+# state or runs a search of its own.
+PROVING_STEPS = {"run_script", "recheck"}
+PROVING_INTERNALS = PROVING_STEPS | {"init_prove", "search_states"}
+SCRIPT_RUNNERS = {"kernel.py", "fps.py"}
+PROVER_CLIENTS = {"bench.py", "cli.py"}
+
+
+def proving_uses(source, filename="<source>"):
+    """Calls of `run_script` or `recheck`, and `from` imports of them or
+    of `init_prove` or `search_states`, in `source`, as
+    `file:line: call name` or `file:line: import name`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _name_of(node) in PROVING_STEPS:
+            found.append(f"{filename}:{node.lineno}: call {_name_of(node)}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{filename}:{node.lineno}: import {a.name}"
+                      for a in node.names if a.name in PROVING_INTERNALS]
+    return sorted(found)
+
+
+def test_proving_check_catches_planted_calls():
+    assert proving_uses("x = 1\nreport = run_script(state, script)\n",
+                        "bench.py") == ["bench.py:2: call run_script"]
+    assert proving_uses("kernel.recheck(final)\n") \
+        == ["<source>:1: call recheck"]
+    assert proving_uses("from .kernel import init_prove, is_terminal\n") \
+        == ["<source>:1: import init_prove"]
+    assert proving_uses("from .search import search_states as run\n") \
+        == ["<source>:1: import search_states"]
+    assert not proving_uses("report = prove_by_script(p, answer, s)\n")
+    assert not proving_uses("from .fps import rechecked\n")
+
+
+def test_only_fps_runs_scripts_and_rechecks():
+    found = [hit for path in sorted(PACKAGE.rglob("*.py"))
+             for hit in proving_uses(path.read_text(encoding="utf-8"),
+                                     path.relative_to(PACKAGE).as_posix())]
+    stray = [hit for hit in found
+             if " call " in hit
+             and hit.split(":", 1)[0] not in SCRIPT_RUNNERS
+             or " import " in hit
+             and hit.split(":", 1)[0] in PROVER_CLIENTS]
+    assert not stray, stray
+
+
 # -- the memo slots ---------------------------------------------------------
 
 # The memo slots on every term, each with the one module that writes it:

@@ -11,11 +11,13 @@ from holebox.expr import (
     instantiate_metas, mk_app, mk_atom, mk_conn, mk_lit, mk_meta, mk_var,
     fn, set_of, subterms,
 )
+from holebox.fps import session_init
 from holebox.kernel import (
-    Certificate, CertificateError, Goal, SolutionState, apply_tactic,
+    Certificate, CertificateError, Goal, SolutionState, TacticFailed,
+    apply_tactic,
 )
 from holebox.norm import normalize
-from holebox.syntax import ParseError, parse_term, print_term
+from holebox.syntax import ParseError, parse_problem, parse_term, print_term
 from holebox.tactics import revalidate
 from holebox.tactics.auto import _SIMP_ROUNDS, _simp
 from holebox.tactics.decide import DEFAULT_BUDGET
@@ -65,6 +67,28 @@ def test_rewrite_no_match():
     st = setup_state("f 2 = f 2", [("h9", "f 9 = 3")], (F,))
     with pytest.raises(NoMatch):
         apply_tactic(st, "h", "rewrite", "h9")
+
+
+NICKELS = {"format_version": "1", "framework": "fps",
+           "vars": [["d", "Int"], ["n", "Int"]], "queriable": ["a", "Int"],
+           "hypotheses": [["h2", "d + n = 11"]], "conclusions": ["n = a"]}
+
+
+def test_rewrite_citing_a_pending_hole_fails():
+    # a pending `?w` in the rule would match as a pattern variable, so
+    # `rewrite hr ?w` would rewrite `n`, the first subterm, not the hole
+    state = session_init(parse_problem(NICKELS)).state
+    for tactic, arg in (("have", "hr : forall (k : Int), k = n + (k - n)"),
+                        ("intro", "k"), ("linear_arith", ""),
+                        ("have", "hx : ?w = 7")):
+        state = apply_tactic(state, None, tactic, arg)
+    for arg in ("hr ?w", "hx", "<- hx"):
+        with pytest.raises(TacticFailed, match="holds a hole"):
+            apply_tactic(state, "h", "rewrite", arg)
+    # once assigned, `?w` reads as its value
+    filled = apply_tactic(state, "w", "exact", "7")
+    out = apply_tactic(filled, "h", "rewrite", "hr ?w")
+    assert print_term(out.goal("h").concl) == "n = n + (7 - n)"
 
 
 def test_rewrite_quantified_hypothesis_with_guard():
