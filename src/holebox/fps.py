@@ -176,16 +176,16 @@ def prove_by_script(p: Problem, answer: Term,
 
 def solve_certified(p: Problem, script: ProofScript
                     ) -> tuple[Term, SessionCertificate, SolutionState]:
-    """Run a solving script, then extract and certify its answer; the
-    answer, the certificate and the final state.  The script is
+    """Run a solving script once, then extract and certify its answer;
+    the answer, the certificate and the final state.  The script is
     accepted once an answer can be extracted.  Raises ScriptRejected
-    when it is not, and any error of `extract_answer` or `certify`."""
+    when it is not, and any error of `check_session`."""
     report = run_script(session_init(p).state, script,
                         done=lambda s: Session(p, s).answer_ready())
     if not report.accepted:
         raise ScriptRejected(report.failed_line, report.reason)
     sess = Session(p, report.final)
-    return extract_answer(sess), certify(sess), sess.state
+    return extract_answer(sess), check_session(sess), sess.state
 
 
 def replay_check(p: Problem, script: ProofScript) -> ReplayReport:
@@ -246,34 +246,33 @@ def _script_hash(script: ProofScript) -> str:
 
 
 def certify(sess: Session) -> SessionCertificate:
-    """Replay the session trace and re-prove what the framework promises."""
+    """Replay a session handed in from a fresh state, then check it: the
+    replay reproduces the trace, so the recorded certificates are checked."""
+    run_trace(session_init(sess.problem).state, sess.state)
+    return check_session(sess)
+
+
+def check_session(sess: Session) -> SessionCertificate:
+    """Re-prove what the framework promises of a session's final state:
+    recheck its certificates, and re-prove the instantiated statement
+    (fps) or read off whether the backward case is closed too (dfps)."""
     answer = extract_answer(sess)
     script = script_of_trace(sess.state)
-    fresh = session_init(sess.problem)
-    report = run_trace(fresh.state, sess.state)
+    recheck(sess.state)
     if sess.framework == "fps":
-        if not is_terminal(report):
-            raise CertifyFailed("replayed trace does not reach the terminal state")
-        recheck(report)
         _recheck_statement(sess.problem, answer, script)
-        return SessionCertificate("fps", print_term(answer), True, True,
-                                  _script_hash(script))
-    # dfps: forward always (extraction precondition), backward optional
-    recheck(report)
-    replayed = Session(sess.problem, report)
-    if not forward_finished(replayed):
-        raise CertifyFailed("replayed trace does not finish the forward phase")
-    backward = is_terminal(report)
-    return SessionCertificate("dfps", print_term(answer), True, backward,
-                              _script_hash(script), early_exit=not backward)
+    backward = is_terminal(sess.state)      # always, for fps
+    return SessionCertificate(sess.framework, print_term(answer), True,
+                              backward, _script_hash(script),
+                              early_exit=not backward)
 
 
 def run_trace(state: SolutionState, recorded: SolutionState) -> SolutionState:
     """Deterministically re-run a recorded trace from a fresh state; the
-    replay must reach the recorded goals and assignment, term for term."""
-    want = (recorded.goals, recorded.assignment)
+    replay must reproduce the recorded state term for term: its goals,
+    holes and assignment, and its trace, certificates included."""
     report = run_script(state, script_of_trace(recorded),
-                        done=lambda s: (s.goals, s.assignment) == want)
+                        done=lambda s: s == recorded)
     if report.failed_line is not None:
         raise CertifyFailed(f"trace replay failed at step "
                             f"{report.failed_line}: {report.reason}")

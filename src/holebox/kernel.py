@@ -2,13 +2,15 @@
 
 States are immutable snapshots.  A tactic application never mutates its
 input; it either returns a fresh state or raises TacticFailed, in which
-case the caller keeps the old state.  Every goal-closing step records a
-certificate: the goal it closed, as the term the engine built, and the
-evidence why.  `recheck` re-validates all of them, which substitutes for
-a typechecking kernel.  Certificates never leave the process, so their
-details hold the engine's own values (terms, sorts, numbers) and every
-check compares values with `==`: the parser is not on the path a proof
-is checked on, and the printer only names `linear_arith`'s atoms there.
+case the caller keeps the old state.  A closing step is its certificate:
+the goal it closed, as the term the engine built, the evidence why, and
+the holes it fills, the kernel's only source of assignments.  `recheck`
+re-validates them all, which substitutes for a typechecking kernel, and
+certification rechecks those recorded in the trace it is handed.
+Certificates never leave the process, so they hold the engine's own
+values and every check compares values with `==`: the parser is not on
+the path a proof is checked on, and the printer only names
+`linear_arith`'s atoms there.
 `render_goal` and `render_state` print states for people and policies,
 never for a check.
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from .expr import (
-    ExprError, LocalDecl, OccursCheckError, Sort, SortError, Telescope, Term,
+    ExprError, LocalDecl, Sort, SortError, Telescope, Term,
     free_vars, instantiate_metas,
 )
 from .syntax import ProofScript, ScriptLine, print_term
@@ -51,6 +53,11 @@ class OutOfContextError(KernelError):
 
 class CertificateError(KernelError):
     pass
+
+
+class EngineError(Exception):
+    """A tactic closed its goal without a certificate, or brought one and
+    opened goals: a bug, not a failed line, so nothing catches it."""
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +82,22 @@ class Hole:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Why `goal` closed: the tactic's evidence, checked by its revalidator."""
+    """Why `goal` closed, checked by the tactic's revalidator: its
+    evidence, and the `(hole, value)` pairs the step fills."""
     tactic: str
     goal: Goal
     detail: dict
+    assigns: tuple[tuple[str, Term], ...] = ()
+
+    def fills(self, asked: dict[str, Sort]) -> dict[str, Term]:
+        """`assigns` as a map, when it fills each hole the goal asks for,
+        `asked` with its sort, once and at that sort, and no other."""
+        got = dict(self.assigns)
+        if len(got) != len(self.assigns) or got.keys() != asked.keys() \
+                or any(v.sort != asked[m] for m, v in got.items()):
+            raise CertificateError(f"{self.tactic} fills {sorted(got)}, "
+                                   f"its goal asks for {sorted(asked)}")
+        return got
 
 
 @dataclass(frozen=True)
@@ -86,8 +105,6 @@ class TraceStep:
     goal: str
     tactic: str
     argtext: str
-    closed: tuple[str, ...] = ()
-    assigned: tuple[str, ...] = ()
     cert: Optional[Certificate] = None
 
 
@@ -180,8 +197,7 @@ def is_terminal(s: SolutionState) -> bool:
 # Metavariable assignment
 
 
-def assign_metavar(s: SolutionState, mid: str, value: Term,
-                   step: Optional[TraceStep] = None) -> SolutionState:
+def assign_metavar(s: SolutionState, mid: str, value: Term) -> SolutionState:
     hole = s.hole(mid)
     if s.assigned_value(mid) is not None:
         raise KernelError(f"?{mid} is already assigned")
@@ -195,17 +211,11 @@ def assign_metavar(s: SolutionState, mid: str, value: Term,
             f"assignment for ?{mid} uses {sorted(stray)} outside its context")
     new_asg = dict(s.assignment)
     new_asg[mid] = value
-    try:
-        instantiate_metas(value, new_asg)   # occurs check, transitively
-    except OccursCheckError:
-        raise
+    instantiate_metas(value, new_asg)   # occurs check, transitively
     asg = tuple(sorted(new_asg.items()))
     goals = tuple(_instantiate_goal(g, new_asg) for g in s.goals
                   if g.case != mid)
-    out = replace(s, goals=goals, assignment=asg)
-    if step is not None:
-        out = replace(out, trace=out.trace + (step,))
-    return out
+    return replace(s, goals=goals, assignment=asg)
 
 
 def _instantiate_goal(g: Goal, asg: dict[str, Term]) -> Goal:
@@ -237,7 +247,6 @@ class TacticResult:
     """Outcome of applying one tactic to one goal."""
     new_goals: tuple[Goal, ...] = ()
     new_holes: tuple[Hole, ...] = ()
-    assignments: tuple[tuple[str, Term], ...] = ()
     cert: Optional[Certificate] = None
 
 
@@ -271,9 +280,9 @@ def apply_tactic(s: SolutionState, case: Optional[str], tactic: str,
     if fn is None:
         raise TacticFailed(f"unknown tactic {tactic!r}")
     res = fn(s, g, argtext)
-    closed = () if res.new_goals else (g.case,)
-    step = TraceStep(g.case, tactic, argtext, closed,
-                     tuple(k for k, _ in res.assignments), res.cert)
+    if (res.cert is None) != bool(res.new_goals):
+        raise EngineError(f"{tactic} broke the certificate protocol")
+    step = TraceStep(g.case, tactic, argtext, res.cert)
     new_goals = res.new_goals
     if s.assignment:
         # a new goal may name a hole assigned earlier (`have` parses
@@ -284,7 +293,7 @@ def apply_tactic(s: SolutionState, case: Optional[str], tactic: str,
     for h in res.new_holes:
         out = out.with_new_hole(h)
     out = out.with_goal_replaced(g.case, new_goals, step)
-    for mid, val in res.assignments:
+    for mid, val in res.cert.assigns if res.cert is not None else ():
         out = assign_metavar(out, mid, val)
     return out
 

@@ -1063,12 +1063,12 @@ def _pp_lv(t: Term, scope: list[str]) -> tuple[str, int]:
         if t.op == "sum":
             coll, lam = t.args
             assert isinstance(lam, Binder)
-            nm = _fresh_name(lam.var, scope)
+            nm = _fresh_name(lam.var, scope, lam.body)
             body = _pp(lam.body, 0, scope + [nm])
             return f"sum {nm} in {_pp(coll, 7, scope)}, {body}", 0
         raise AssertionError(f"cannot print op {t.op!r}")
     if isinstance(t, Binder):
-        nm = _fresh_name(t.var, scope)
+        nm = _fresh_name(t.var, scope, t.body)
         if t.kind == "setb":
             body = _pp(t.body, 0, scope + [nm])
             return "{" + f"{nm} : {t.vsort} | {body}" + "}", 12
@@ -1081,7 +1081,7 @@ def _pp_lv(t: Term, scope: list[str]) -> tuple[str, int]:
         groups = [f"({nm} : {t.vsort})"]
         body = t.body
         while isinstance(body, Binder) and body.kind == t.kind:
-            nm = _fresh_name(body.var, inner)
+            nm = _fresh_name(body.var, inner, body.body)
             inner.append(nm)
             groups.append(f"({nm} : {body.vsort})")
             body = body.body
@@ -1089,13 +1089,16 @@ def _pp_lv(t: Term, scope: list[str]) -> tuple[str, int]:
     raise AssertionError(f"cannot print {t!r}")
 
 
-def _fresh_name(base: str, scope: list[str]) -> str:
-    if base not in scope:
-        return base
-    i = 1
-    while f"{base}{i}" in scope:
+def _fresh_name(base: str, scope: list[str], body: Term) -> str:
+    """The name a binder over `body` prints with: `base`, or `base`
+    numbered when that names an enclosing binder or a free variable of
+    `body`, which the binder would otherwise capture."""
+    free = free_vars(body)
+    name, i = base, 0
+    while name in scope or name in free:
         i += 1
-    return f"{base}{i}"
+        name = f"{base}{i}"
+    return name
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,7 @@ def auto(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 
 
 def revalidate_auto(cert: Certificate) -> None:
+    cert.fills({})
     budget = _Counter(cert.detail["budget"])
     try:
         proved = _prove(cert.goal, budget, frozenset())

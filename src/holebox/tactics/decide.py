@@ -463,13 +463,13 @@ def _assign_split(concl: Term, pending: Collection[str]
 
 
 def eval_evidence(concl: Term, pending: Collection[str], budget_n: int
-                  ) -> dict:
-    """The eval_decide certificate detail for `concl`, evaluated within
+                  ) -> tuple[dict, tuple[tuple[str, Term], ...]]:
+    """The eval_decide certificate detail and fills for `concl`, within
     `budget_n` enumeration steps; the one evaluation closure test.
 
     When `concl` is `?w = t`, `t = ?w` or `?w <-> p` with `?w` one of the
-    `pending` holes and the other side meta-free, the detail assigns `?w`
-    the value of that side.  Otherwise `concl` must be closed and
+    `pending` holes and the other side meta-free, the step fills `?w`
+    with the value of that side.  Otherwise `concl` must be closed and
     evaluate to True, and the detail records its normal form.  Raises
     TacticFailed on anything else."""
     normalized = normalize(concl)
@@ -477,12 +477,12 @@ def eval_evidence(concl: Term, pending: Collection[str], budget_n: int
     if split is not None:
         me, other = split
         value = _value_term(eval_term(other, Budget(budget_n)), me.sort)
-        return {"assigned": {me.mid: value}, "budget": budget_n}
+        return {"budget": budget_n}, ((me.mid, value),)
     if metavars_of(normalized):
         raise EvalNotClosed("conclusion still contains metavariables")
     if not _as_bool(eval_term(normalized, Budget(budget_n))):
         raise EvaluatesFalse(normalized)
-    return {"normalized": normalized, "budget": budget_n}
+    return {"normalized": normalized, "budget": budget_n}, ()
 
 
 @register_tactic("eval_decide")
@@ -492,21 +492,21 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
         raise TacticFailed("eval_decide does not apply to a hole goal")
     budget_n = int_arg(argtext, DEFAULT_BUDGET)
     pending = {h.mid for h in state.unassigned_holes()}
-    detail = eval_evidence(goal.concl, pending, budget_n)
-    cert = Certificate("eval_decide", goal, detail)
-    return TacticResult(assignments=tuple(detail.get("assigned", {}).items()),
-                        cert=cert)
+    return TacticResult(cert=Certificate(
+        "eval_decide", goal, *eval_evidence(goal.concl, pending, budget_n)))
 
 
 def revalidate_eval_decide(cert: Certificate) -> None:
     """Re-derive the evidence under the budget the tactic ran under (a
     certificate that names none ran under the default), with the holes
-    it assigns, if any, as the pending ones."""
+    it fills, if any, as the pending ones, and the same fills."""
     budget_n = cert.detail.get("budget", DEFAULT_BUDGET)
     try:
-        detail = eval_evidence(cert.goal.concl,
-                               cert.detail.get("assigned", {}), budget_n)
+        detail, fills = eval_evidence(
+            cert.goal.concl, [mid for mid, _ in cert.assigns], budget_n)
     except TacticFailed as e:
         raise CertificateError(f"eval_decide no longer evaluates: {e}")
+    if fills != cert.assigns:
+        raise CertificateError("eval_decide assignment mismatch")
     if detail != {**cert.detail, "budget": budget_n}:
         raise CertificateError("eval_decide certificate mismatch")

@@ -67,11 +67,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from ..expr import (
-    App, Atom, Conn, INT, Lit, NAT, RAT, REAL, Sort, Term, Var,
-    instantiate_metas, metavars_of, subterms,
+    App, Atom, Conn, INT, Lit, Meta, NAT, RAT, REAL, Sort, Term, Var,
+    instantiate_metas, subterms,
 )
 from ..norm import fold_literals, normalize
 from ..kernel import (
@@ -826,27 +826,24 @@ def linear_arith(state: SolutionState, goal: Goal, argtext: str
     if goal.is_hole_goal():
         raise TacticFailed("linear_arith does not apply to a hole goal")
     concl = goal.concl
-    # `t = ?w` or `?w = t` with an unassigned hole: pin the value of t
-    pending = {h.mid for h in state.unassigned_holes()}
-    synth = _assign_split(concl, pending) \
-        if isinstance(concl, Atom) and concl.rel == "eq" else None
+    synth = _synth_split(concl, {h.mid for h in state.unassigned_holes()})
     if synth is not None:
         meta, expr = synth
-        mid = meta.mid
-        value = _synthesize(goal, expr)
-        answer = _value_term(value, state.hole(mid).target)
-        check = Goal(goal.case, goal.ctx,
-                     instantiate_metas(concl, {mid: answer}))
-        detail = prove_linear(check)
-        # the goal as searched, hole open: recheck fills it from `assigned`
-        cert = Certificate("linear_arith", goal, {
-            "assigned": {mid: answer},
-            **detail,
-        })
-        return TacticResult(assignments=((mid, answer),), cert=cert)
-    detail = prove_linear(goal)
-    cert = Certificate("linear_arith", goal, detail)
-    return TacticResult(cert=cert)
+        answer = _value_term(_synthesize(goal, expr), meta.sort)
+        fill = ((meta.mid, answer),)
+        check = Goal(goal.case, goal.ctx, instantiate_metas(concl, dict(fill)))
+        # the goal as searched, hole open: recheck fills it from `assigns`
+        return TacticResult(cert=Certificate("linear_arith", goal,
+                                             prove_linear(check), fill))
+    return TacticResult(cert=Certificate("linear_arith", goal,
+                                         prove_linear(goal)))
+
+
+def _synth_split(concl: Term, pending: Collection[str]
+                 ) -> Optional[tuple[Meta, Term]]:
+    """`t = ?w` or `?w = t` with `?w` pending: the hole, and `t`."""
+    eq = isinstance(concl, Atom) and concl.rel == "eq"
+    return _assign_split(concl, pending) if eq else None
 
 
 def _synthesize(goal: Goal, expr: Term) -> Fraction:
@@ -964,16 +961,15 @@ def _target_bounds(cons: list[Constraint], target: Lin
 
 
 def revalidate_linear_arith(cert: Certificate) -> None:
-    """Fill the holes the certificate assigns, re-refute the goal's system,
-    then check the stored evidence branch by branch: same branch count,
-    same method, and each stored Farkas combination valid for its own
-    branch."""
+    """Fill the hole the goal asks for from the certificate's assigns,
+    re-refute the goal's system, then check the stored evidence branch
+    by branch: same branch count, same method, and each stored Farkas
+    combination valid for its own branch."""
     goal = cert.goal
-    if "assigned" in cert.detail:
-        goal = Goal(goal.case, goal.ctx,
-                    instantiate_metas(goal.concl, cert.detail["assigned"]))
-        if metavars_of(goal.concl):
-            raise CertificateError("linear_arith leaves its hole unassigned")
+    synth = _synth_split(goal.concl, [mid for mid, _ in cert.assigns])
+    fills = cert.fills({synth[0].mid: synth[0].sort} if synth else {})
+    if fills:
+        goal = Goal(goal.case, goal.ctx, instantiate_metas(goal.concl, fills))
     try:
         az, hyps, branches = _collect_system(goal)
         fresh = _refute_system(az, hyps, branches)["branches"]

@@ -39,7 +39,7 @@ from, and its detail holds two items:
                           Goal(case, ctx, term the path ends at), detail)
 
 The closer is the certificate its tactic would record for that goal,
-including the holes an `eval_decide` closer assigns.
+including the holes an `eval_decide` closer fills, as `rw_search` does.
 `revalidate_rw_search` replays the path, requires it to end at an
 equation or iff that is exactly the closer's goal, and hands the closer
 to `revalidate_rfl` or `revalidate_eval_decide`.
@@ -500,19 +500,19 @@ def _hyp_search_rules(goal: Goal) -> RuleDispatch:
 
 
 def _try_close(concl: Term, pending: frozenset[str]
-               ) -> Optional[tuple[str, dict]]:
-    """The closer of an equation or iff and its certificate detail: rfl,
-    then eval_decide; on a conclusion with a hole, only eval_decide's
-    assignment of one of the `pending` holes."""
+               ) -> Optional[tuple[str, dict, tuple]]:
+    """The closer of an equation or iff, its certificate detail and its
+    fills: rfl, then eval_decide; on a conclusion with a hole, only
+    eval_decide's fill of one of the `pending` holes."""
     if eq_sides(concl) is None:
         return None
     if not metavars_of(concl):
         try:
-            return "rfl", rfl_evidence(concl)
+            return "rfl", rfl_evidence(concl), ()
         except TacticFailed:
             pass
     try:
-        return "eval_decide", eval_evidence(concl, pending, DEFAULT_BUDGET)
+        return ("eval_decide", *eval_evidence(concl, pending, DEFAULT_BUDGET))
     except TacticFailed:
         return None
 
@@ -533,10 +533,10 @@ def rw_search_term(concl: Term, goal: Goal, pending: frozenset[str],
         for term, path in frontier:
             hit = _try_close(term, pending)
             if hit is not None:
-                tactic, detail = hit
+                tactic, detail, fills = hit
                 closer = Certificate(tactic, Goal(goal.case, goal.ctx, term),
-                                     detail)
-                return path, closer, tuple(detail.get("assigned", {}).items())
+                                     detail, fills)
+                return path, closer, fills
         if depth == max_depth:
             break
         nxt: list[tuple[Term, tuple]] = []
@@ -574,12 +574,12 @@ def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     hit = rw_search_term(concl, goal, pending, max_depth)
     if hit is None:
         raise SearchExhausted(f"no rewrite proof within depth {max_depth}")
-    path, closer, assigns = hit
+    path, closer, fills = hit
     cert = Certificate("rw_search", goal, {
         "path": [[name, back, occ] for name, back, occ in path],
         "closer": closer,
-    })
-    return TacticResult(assignments=assigns, cert=cert)
+    }, fills)
+    return TacticResult(cert=cert)
 
 
 _CLOSER_CHECKS = {"rfl": revalidate_rfl, "eval_decide": revalidate_eval_decide}
@@ -609,6 +609,8 @@ def revalidate_rw_search(cert: Certificate) -> None:
     closer = cert.detail["closer"]
     if closer.goal != Goal(goal.case, goal.ctx, term):
         raise CertificateError("rw_search closer names another goal")
+    if closer.assigns != cert.assigns:
+        raise CertificateError("rw_search fills other holes than its closer")
     check = _CLOSER_CHECKS.get(closer.tactic)
     if check is None:
         raise CertificateError(f"rw_search closer {closer.tactic!r} is "

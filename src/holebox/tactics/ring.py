@@ -210,6 +210,7 @@ def ring_closes(concl: Term) -> bool:
 
 
 def revalidate_ring_nf(cert: Certificate) -> None:
+    cert.fills({})
     try:
         pl, pr, atoms, sort = ring_sides(cert.goal.concl)
         nf = render(pl, atoms, sort)

@@ -140,8 +140,8 @@ def exact(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
             value = parse_term(argtext, goal.ctx, goal.concl, metas=None)
         except (ParseError, ExprError) as e:
             raise TacticFailed(f"exact: {e}")
-        cert = Certificate("exact", goal, {"term": value})
-        return TacticResult(assignments=((goal.case, value),), cert=cert)
+        fill = ((goal.case, value),)
+        return TacticResult(cert=Certificate("exact", goal, {}, fill))
     name, raw_args = _parse_citation(argtext)
     decl = goal.ctx.lookup(name)
     if decl is None or decl.prop is None:
@@ -151,11 +151,9 @@ def exact(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if isinstance(concl, Meta):
         # Simultaneous hole fill: the only place a bare answer hole may be
         # unified against a hypothesis (deductive forward finish).
-        cert = Certificate("exact", goal, {
-            "hyp": name, "args": args,
-            "assigns": {concl.mid: instance},
-        })
-        return TacticResult(assignments=((concl.mid, instance),), cert=cert)
+        return TacticResult(cert=Certificate(
+            "exact", goal, {"hyp": name, "args": args},
+            ((concl.mid, instance),)))
     if not definitional_eq(instance, concl):
         raise TacticFailed(
             f"exact: {print_term(instance)} does not match the conclusion")
@@ -292,6 +290,10 @@ def int_cases(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     if lo is None or hi is None:
         raise TacticFailed(f"no literal bounds on {name!r} in the hypotheses")
     lo_i, hi_i = math.ceil(lo), math.floor(hi)
+    if hi_i < lo_i:
+        # no case to split into, and no certificate for the closure
+        raise TacticFailed(f"the bounds on {name!r} are contradictory; "
+                           "use linear_arith")
     if hi_i - lo_i + 1 > MAX_CASE_SPLIT:
         raise TacticFailed(f"case split of width {hi_i - lo_i + 1} refused")
     goals = []
@@ -316,12 +318,14 @@ def _in_context(t: Term, goal: Goal, sort: Sort) -> bool:
 
 def revalidate_exact(cert: Certificate) -> None:
     goal, detail = cert.goal, cert.detail
-    if "term" in detail:
-        value = detail["term"]
-        if not goal.is_hole_goal() or metavars_of(value) \
-                or not _in_context(value, goal, goal.concl):
+    if goal.is_hole_goal():
+        value = cert.fills({goal.case: goal.concl})[goal.case]
+        if metavars_of(value) or not _in_context(value, goal, goal.concl):
             raise CertificateError("exact: stored term does not fill the hole")
         return
+    concl = goal.concl
+    fills = cert.fills(
+        {concl.mid: concl.sort} if isinstance(concl, Meta) else {})
     decl = goal.ctx.lookup(detail["hyp"])
     if decl is None or decl.prop is None:
         raise CertificateError("exact: cited hypothesis is gone")
@@ -333,19 +337,18 @@ def revalidate_exact(cert: Certificate) -> None:
             raise CertificateError("exact: argument does not fit its binder")
         prop = instantiate_bvar(prop.body, arg)
     prop = fold_literals(prop)
-    if "assigns" in detail:
-        (mid, stored), = detail["assigns"].items()
-        if prop != stored:
+    if fills:
+        if prop != fills[concl.mid]:
             raise CertificateError("exact: assignment mismatch")
         return
     if prop != detail["instance"]:
         raise CertificateError("exact: instance mismatch")
-    if not isinstance(goal.concl, Term) \
-            or not definitional_eq(prop, goal.concl):
+    if not definitional_eq(prop, concl):
         raise CertificateError("exact: instance no longer matches the goal")
 
 
 def revalidate_rfl(cert: Certificate) -> None:
+    cert.fills({})
     try:
         detail = rfl_evidence(cert.goal.concl)
     except TacticFailed:
@@ -355,6 +358,7 @@ def revalidate_rfl(cert: Certificate) -> None:
 
 
 def revalidate_cases(cert: Certificate) -> None:
+    cert.fills({})
     decl = cert.goal.ctx.lookup(cert.detail["false_hyp"])
     if decl is None or decl.prop is None:
         raise CertificateError("cases: false hypothesis is gone")

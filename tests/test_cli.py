@@ -14,6 +14,7 @@ from holebox.fps import replay_check
 from holebox.syntax import (
     MAX_DEPTH, parse_problem, parse_script, parse_term,
 )
+from test_parser_reference import operator_texts, token_texts
 
 
 def data_path(name):
@@ -121,6 +122,35 @@ def test_prove_script_verdict(tmp_path, capsys, lines, code, want):
     assert cli_main(argv) == code
     out = capsys.readouterr()
     assert out.err == "" and out.out.strip() == want
+
+
+# `forall y, (sum x in S, x + y) = (sum x in S, x + x) + a` is false at
+# n = 0, y = 1.  After `intro x` the two sums differ only in what their
+# `x` names; printed with the binder capturing the free `x`, they read
+# alike, and linear_arith, which names its atoms by their text, "proved"
+# the goal.
+CAPTURE = {
+    "format_version": "1", "framework": "fps", "vars": [["n", "Int"]],
+    "queriable": ["a", "Int"], "hypotheses": [],
+    "conclusions": ["forall (y : Int), (sum x in {k : Int | 0 <= k /\\ "
+                    "k <= n}, x + y) = (sum x in {k : Int | 0 <= k /\\ "
+                    "k <= n}, x + x) + a"]}
+
+
+@pytest.mark.parametrize("command, lines", [
+    (["solve"], ["@goal w exact 0", "intro x", "linear_arith"]),
+    (["prove", "--answer", "0"], ["intro x", "linear_arith"]),
+], ids=["solve", "prove"])
+def test_a_captured_binder_proves_nothing(tmp_path, capsys, command, lines):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(CAPTURE))
+    script = tmp_path / "s.txt"
+    script.write_text("\n".join(lines) + "\n")
+    argv = [command[0], str(problem)] + command[1:] + ["--script",
+                                                       str(script)]
+    assert cli_main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err == "" and "system is feasible" in out.out
 
 
 def _script_entry(name, answer, lines):
@@ -484,3 +514,49 @@ def test_script_entry_points_end_in_a_verdict(tmp_path_factory, command,
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 2:
         assert len(err.getvalue().splitlines()) == 1
+
+
+# -- the other entry points under random input ------------------------------
+
+FUZZ_PROBLEM = {"format_version": "1", "framework": "fps",
+                "vars": [["x", "Int"], ["y", "Int"]],
+                "queriable": ["a", "Int"], "hypotheses": [],
+                "conclusions": ["a = x + y"]}
+TERM_TEXTS = st.one_of(operator_texts(2), token_texts(), st.sampled_from(
+    ["x + y", "y + x", "2 * x", "x ^ 2 ^ 3", "(x + y) / 1", "x - -y"]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=TERM_TEXTS, b=TERM_TEXTS)
+def test_rpe_check_ends_in_a_verdict(tmp_path_factory, a, b):
+    # random answer texts end in a verdict or one error line
+    problem = tmp_path_factory.getbasetemp() / "fuzz-rpe.json"
+    problem.write_text(json.dumps(FUZZ_PROBLEM))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["rpe-check", str(problem), f"--a={a}", f"--b={b}"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+    else:
+        assert json.loads(out.getvalue())["equivalent"] is (code == 0)
+
+
+REPL_COMMANDS = ["undo", "extract", "", "-- note", "@goal", "@goal w"]
+NICKELS = parse_problem((resources.files("holebox.data") / "problems"
+                         / "nickels.json").read_bytes())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(
+    st.sampled_from(REPL_COMMANDS),
+    st.builds(lambda g, t, a: f"{g}{t} {a}".rstrip(),
+              st.sampled_from(FUZZ_GOALS), st.sampled_from(FUZZ_TACTICS),
+              st.sampled_from(FUZZ_ARGS))), max_size=6))
+def test_repl_session_ends_without_an_error(lines):
+    # every line is applied, reported or refused; the session ends at
+    # the end of its input, at a prompt, with exit code 0
+    out = io.StringIO()
+    text = "".join(line + "\n" for line in lines)
+    assert repl_session(NICKELS, io.StringIO(text), out) == 0
+    assert out.getvalue().endswith("> ")

@@ -122,7 +122,8 @@ def _eval_cert(text, metas=None):
 
 def _open_goal_certs():
     """Certificates that claim eval_decide closed the open goal x = 1,
-    then genuine eval_decide certificates with one detail replaced."""
+    then genuine eval_decide certificates with one detail or their fill
+    replaced: another value, another hole, or the hole twice."""
     from dataclasses import replace
     from holebox.expr import LocalDecl
     from holebox.kernel import Certificate, Goal
@@ -135,16 +136,17 @@ def _open_goal_certs():
     return [
         Certificate("eval_decide", goal, {"normalized": goal.concl,
                                           "budget_used": 0}),
-        Certificate("eval_decide", assigned, {
-            "assigned": {"w": mk_lit(1, INT)}, "budget_used": 0}),
+        Certificate("eval_decide", assigned, {"budget_used": 0},
+                    (("w", mk_lit(1, INT)),)),
         Certificate("rw_search", goal, {"path": [], "closer": Certificate(
             "eval_decide", goal, {"normalized": goal.concl,
                                   "budget": DEFAULT_BUDGET})}),
         replace(closed, detail={
             **closed.detail,
             "normalized": parse_term("3 = 3", Telescope(), PROP)}),
-        replace(filled, detail={**filled.detail,
-                                "assigned": {"w": mk_lit(5, INT)}}),
+        replace(filled, assigns=(("w", mk_lit(5, INT)),)),
+        replace(filled, assigns=(("v", mk_lit(4, INT)),)),
+        replace(filled, assigns=filled.assigns * 2),
     ]
 
 
@@ -154,6 +156,7 @@ def test_open_goal_certificates_rejected_by_each_revalidator():
     certs = _open_goal_certs()
     checks = (revalidate_eval_decide, revalidate_eval_decide,
               revalidate_rw_search, revalidate_eval_decide,
+              revalidate_eval_decide, revalidate_eval_decide,
               revalidate_eval_decide)
     assert len(certs) == len(checks)
     for cert, check in zip(certs, checks):
@@ -618,6 +621,7 @@ def test_binder_bodies_are_not_rebuilt_per_element(monkeypatch, text, probes):
     for name in calls:
         monkeypatch.setattr(decide_mod, name, counted(name))
     concl = parse_term(text, Telescope(), PROP)
-    detail = eval_evidence(concl, (), DEFAULT_BUDGET)
+    detail, fills = eval_evidence(concl, (), DEFAULT_BUDGET)
     assert detail == {"normalized": normalize(concl), "budget": DEFAULT_BUDGET}
+    assert fills == ()
     assert calls == {"normalize": 1, "instantiate_bvar": probes}

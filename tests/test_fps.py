@@ -2,10 +2,12 @@
 and the find-all injection."""
 
 import json
+from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from holebox.expr import PROP, set_of, INT
+from holebox.expr import PROP, set_of, INT, mk_lit
 from holebox.fps import (
     CertifyFailed, DependsOnNonV, NotFinished, certify, dfps_init,
     extract_answer, forward_finished, fps_init, fps_to_dfps, session_init,
@@ -122,6 +124,40 @@ def test_certify_rejects_tampered_trace():
         trace=(replace(step, argtext="2"),) + sess.state.trace[1:]))
     with pytest.raises(CertifyFailed):
         certify(tampered)
+
+
+def _altered(sess, step, **changes):
+    """`sess` with the recorded certificate of trace step `step` altered."""
+    trace = list(sess.state.trace)
+    trace[step] = replace(trace[step],
+                          cert=replace(trace[step].cert, **changes))
+    return replace(sess, state=replace(sess.state, trace=tuple(trace)))
+
+
+def test_certify_rejects_an_altered_recorded_certificate():
+    # the replay reproduces the trace it is handed, certificates included,
+    # so what certify rechecks is what was recorded
+    nickels = prob(json.loads((resources.files("holebox.data") / "problems"
+                               / "nickels.json").read_text()))
+    solved = session_init(nickels).apply("w", "exact", "7") \
+        .apply("h", "linear_arith", "")
+    assert solved.state.trace[1].cert.detail["branches"] == \
+        [{"method": "omega"}]
+    by_auto = fps_init(EQ_ONE).apply("w", "exact", "1").apply("h", "auto", "")
+    for sess in (solved, by_auto):
+        assert certify(sess).backward
+    farkas = {"branches": [{"method": "farkas",
+                            "multipliers": {0: Fraction(1)}}]}
+    auto_detail = by_auto.state.trace[1].cert.detail
+    altered = [
+        _altered(solved, 1, detail=farkas),
+        _altered(by_auto, 1, detail={**auto_detail, "budget": 1}),
+        _altered(solved, 0, assigns=(("w", mk_lit(8, INT)),)),
+        _altered(solved, 0, assigns=(("v", mk_lit(7, INT)),)),
+    ]
+    for sess in altered:
+        with pytest.raises(CertifyFailed, match="differs"):
+            certify(sess)
 
 
 def test_fps_to_dfps_injection():

@@ -11,9 +11,9 @@ from holebox.expr import (
     Telescope, instantiate_metas, metavars_of, mk_app, mk_lit, mk_var,
 )
 from holebox.kernel import (
-    Goal, KernelError, OutOfContextError, SolutionState, TacticFailed,
-    apply_tactic, assign_metavar, is_terminal, recheck, render_state,
-    run_script,
+    TACTICS, Certificate, EngineError, Goal, KernelError, OutOfContextError,
+    SolutionState, TacticFailed, TacticResult, TraceStep, apply_tactic,
+    assign_metavar, is_terminal, recheck, render_state, run_script,
 )
 from holebox.fps import init_prove, replay_check, session_init
 from holebox.syntax import parse_problem, parse_script, parse_term, print_term
@@ -275,3 +275,35 @@ def test_closers_make_no_reference_cycle():
     finally:
         gc.enable()
     assert print_term(out) == "x + 1" and is_terminal(closed)
+
+
+# -- a closing step is its certificate ----------------------------------------
+
+
+@pytest.mark.parametrize("broken", [
+    lambda goal: TacticResult(),
+    lambda goal: TacticResult(new_goals=(goal,),
+                              cert=Certificate("rfl", goal, {})),
+], ids=["closes-without-certificate", "certificate-and-new-goals"])
+def test_a_tactic_breaking_the_protocol_is_an_engine_bug(monkeypatch, broken):
+    # neither the script runner nor the search takes it for a failed line
+    from holebox.search import PolicySuggestion, SearchNode, expand
+    monkeypatch.setitem(TACTICS, "rfl",
+                        lambda state, goal, argtext: broken(goal))
+    state = session_init(prob(NICKELS)).state
+    with pytest.raises(EngineError):
+        apply_tactic(state, "h", "rfl")
+    with pytest.raises(EngineError):
+        run_script(state, parse_script(["rfl"]))
+    root = SearchNode(state, None, None, 0.0, 0)
+    with pytest.raises(EngineError):
+        expand(root, lambda s, goal, k: [
+            PolicySuggestion(goal.case, "rfl", "", -1.0, 3)], 1)
+
+
+def test_holes_are_filled_from_the_certificate_alone():
+    state = session_init(prob(NICKELS)).state
+    out = apply_tactic(state, "h", "linear_arith")
+    cert = out.trace[-1].cert
+    assert out.assignment == cert.assigns == (("w", mk_lit(7, INT)),)
+    assert out.trace == (TraceStep("h", "linear_arith", "", cert),)

@@ -219,6 +219,37 @@ def test_only_the_kernel_and_fps_read_the_assignment():
     assert not stray, stray
 
 
+# -- hole assignment ---------------------------------------------------------
+
+# Only the kernel assigns a hole: `apply_tactic`, from the `assigns` of
+# the certificate a closing step brings.
+
+
+def assign_calls(source, filename="<source>"):
+    """Calls of `assign_metavar` in `source`, as `file:line: assign_metavar`."""
+    return sorted(f"{filename}:{node.lineno}: assign_metavar"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and _name_of(node) == "assign_metavar")
+
+
+def test_assign_check_catches_planted_calls():
+    assert assign_calls("x = 1\nout = assign_metavar(s, 'w', v)\n",
+                        "fps.py") == ["fps.py:2: assign_metavar"]
+    assert assign_calls("kernel.assign_metavar(s, mid, value)\n") \
+        == ["<source>:1: assign_metavar"]
+    assert not assign_calls("from .kernel import assign_metavar\n")
+    assert not assign_calls("out = apply_tactic(s, 'w', 'exact', '7')\n")
+
+
+def test_only_the_kernel_assigns_holes():
+    found = [hit for path in sorted(PACKAGE.rglob("*.py"))
+             for hit in assign_calls(path.read_text(encoding="utf-8"),
+                                     path.relative_to(PACKAGE).as_posix())]
+    assert found and {hit.split(":", 1)[0] for hit in found} \
+        == {"kernel.py"}, found
+
+
 # -- one statement prover ----------------------------------------------------
 
 # Above the kernel only `fps` runs scripts and rechecks certificates.

@@ -250,6 +250,24 @@ def test_unsplit_branch_runs_fourier_motzkin_once(monkeypatch):
     revalidate_linear_arith(cert)
 
 
+def test_sums_that_differ_in_a_captured_variable_stay_two_atoms():
+    # `intro x` opens `forall y` at x: the first sum adds the free x, the
+    # second its own bound x.  linear_arith names atoms by their printed
+    # text, so the printer must keep them apart, or it refutes nothing
+    # and "proves" a false goal
+    from holebox.syntax import print_term
+    tele = Telescope((LocalDecl("n", INT),))
+    s = "{k : Int | 0 <= k /\\ k <= n}"
+    goal = Goal("h", tele, parse_term(
+        f"forall (y : Int), (sum x in {s}, x + y) = (sum x in {s}, x + x)",
+        tele, PROP))
+    opened = apply_tactic(SolutionState(goals=(goal,)), "h", "intro", "x")
+    assert print_term(opened.goal("h").concl) == \
+        f"(sum x1 in {s}, x1 + x) = (sum x in {s}, x + x)"
+    with pytest.raises(TacticFailed):
+        apply_tactic(opened, "h", "linear_arith", "")
+
+
 def test_synthesis_certificate_checks_its_assignment():
     # the certificate keeps the hole open and names its value; recheck
     # fills the hole, so a changed value no longer validates
@@ -265,12 +283,13 @@ def test_synthesis_certificate_checks_its_assignment():
     sess = session_init(parse_problem(json.dumps(doc)))
     cert = apply_tactic(sess.state, "h", "linear_arith", "").trace[-1].cert
     assert "sort" not in cert.detail
-    assert cert.detail["assigned"] == {"w": mk_lit(7, INT)}
+    assert cert.assigns == (("w", mk_lit(7, INT)),)
     revalidate_linear_arith(cert)
-    for assigned in ({"w": mk_lit(8, INT)}, {"v": mk_lit(7, INT)}):
+    for assigns in ((("w", mk_lit(8, INT)),), (("v", mk_lit(7, INT)),),
+                    (("w", mk_lit(7, REAL)),), cert.assigns * 2,
+                    cert.assigns + (("v", mk_lit(7, INT)),), ()):
         with pytest.raises(CertificateError):
-            revalidate_linear_arith(replace(
-                cert, detail={**cert.detail, "assigned": assigned}))
+            revalidate_linear_arith(replace(cert, assigns=assigns))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from holebox.expr import (
-    INT, LocalDecl, Telescope, free_vars, mk_app, mk_lit, mk_var,
-    substitute, syntactic_eq,
+    INT, PROP, LocalDecl, Telescope, abstract_var, alpha_eq, free_vars,
+    instantiate_bvar, mk_app, mk_atom, mk_binder, mk_lit, mk_var,
+    set_of, substitute, syntactic_eq,
 )
 from holebox.norm import definitional_eq, normalize
 from holebox.syntax import parse_term, print_term
@@ -70,3 +71,46 @@ def test_normalization_respects_evaluation(term, xval):
         normalize(term), "x", mk_lit(xval, INT)), "y", mk_lit(2, INT)),
         "z", mk_lit(-3, INT)))
     assert syntactic_eq(n1, n2)
+
+
+# Terms in which a binder sits over a free variable of its own name, as
+# `intro x` leaves `sum x in S, x + y` when it opens `forall y` at `x`:
+# a binder's body instantiated with a Var named like a binder inside it.
+# Inner binders bind the placeholders `i` and `j`, the outer one `o`.
+PLACEHOLDER_TERMS = st.recursive(
+    st.one_of(st.integers(-3, 3).map(lambda v: mk_lit(v, INT)),
+              st.sampled_from(["x", "y", "z", "i", "j", "o"]).map(
+                  lambda n: mk_var(n, INT))),
+    lambda sub: st.tuples(st.sampled_from(["add", "sub", "mul"]),
+                          sub, sub).map(lambda t: mk_app(t[0], (t[1], t[2]))),
+    max_leaves=6)
+COLL = parse_term("{k : Int | 0 <= k /\\ k <= 2}", TELE, set_of(INT))
+
+
+@st.composite
+def captured_terms(draw):
+    name, other = draw(st.sampled_from(["x", "y", "z"])), \
+        draw(st.sampled_from(["x", "y", "z"]))
+    kind = draw(st.sampled_from(["forall", "exists", "sum"]))
+    e1, e2 = draw(PLACEHOLDER_TERMS), draw(PLACEHOLDER_TERMS)
+    if kind == "sum":
+        lam = mk_binder("lam", name, INT,
+                        abstract_var(substitute(e1, "j", mk_lit(1, INT)),
+                                     "i"))
+        rest = substitute(substitute(e2, "i", mk_lit(0, INT)), "j",
+                          mk_lit(1, INT))
+        inner = mk_atom("eq", (mk_app("sum", (COLL, lam)), rest))
+    else:
+        # a binder group of two names: each is checked against the body
+        body = mk_atom("eq", (e1, e2))
+        inner = mk_binder(kind, name, INT, abstract_var(
+            mk_binder(kind, other, INT, abstract_var(body, "j")), "i"))
+    outer = mk_binder("forall", "o", INT, abstract_var(inner, "o"))
+    return instantiate_bvar(outer.body, mk_var(draw(st.sampled_from(
+        [name, other])), INT))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(captured_terms())
+def test_printing_never_captures_a_free_variable(term):
+    assert alpha_eq(parse_term(print_term(term), TELE, PROP), term)

@@ -410,9 +410,10 @@ def test_rw_search_certificate_checks_its_assignment():
     from holebox.kernel import Hole
     tele = Telescope((LocalDecl("x", INT),))
     open_goal = Goal("h", tele, parse_term("x = 1", tele, PROP))
+    fill = (("w", mk_lit(1)),)
     forged = Certificate("rw_search", open_goal, {
         "path": [], "closer": Certificate("eval_decide", open_goal, {
-            "assigned": {"w": mk_lit(1)}, "budget": DEFAULT_BUDGET})})
+            "budget": DEFAULT_BUDGET}, fill)}, fill)
     with pytest.raises(CertificateError):
         revalidate_rw_search(forged)
     hole_goal = Goal("h", Telescope(), parse_term(
@@ -421,17 +422,21 @@ def test_rw_search_certificate_checks_its_assignment():
                           holes=(Hole("w", Telescope(), INT),))
     cert = apply_tactic(state, "h", "rw_search", "").trace[-1].cert
     closer = cert.detail["closer"]
-    assert closer.detail["assigned"] == {"w": mk_lit(5)}
+    assert closer.assigns == cert.assigns == (("w", mk_lit(5)),)
     revalidate_rw_search(cert)
-    for forged_closer in (
-            replace(closer, detail={**closer.detail,
-                                    "assigned": {"w": mk_lit(6)}}),
-            replace(closer, detail={**closer.detail,
-                                    "assigned": {"v": mk_lit(5)}}),
-            replace(closer, tactic="rfl")):
+    for fill in ((("w", mk_lit(6)),), (("v", mk_lit(5)),)):
+        # the closer's fill alone, and the closer and the step alike,
+        # which the closer's own check rejects
+        detail = {**cert.detail, "closer": replace(closer, assigns=fill)}
+        for forged in (replace(cert, detail=detail),
+                       replace(cert, assigns=fill, detail=detail)):
+            with pytest.raises(CertificateError):
+                revalidate_rw_search(forged)
+    for forged in (replace(cert, assigns=()),
+                   replace(cert, detail={**cert.detail, "closer": replace(
+                       closer, tactic="rfl")})):
         with pytest.raises(CertificateError):
-            revalidate_rw_search(replace(cert, detail={
-                **cert.detail, "closer": forged_closer}))
+            revalidate_rw_search(forged)
 
 
 def _pinned_cert():
@@ -476,7 +481,7 @@ def test_rw_search_closer_is_rfl_or_eval_decide(tactic):
     ("(1 + sqrt (1 + 8*n)) / 2 = (1 + (1 + 8*n)^(1/2)) / 2", "nf",
      mk_lit(0, REAL)),
     ("prime 7 <-> True", "normalized", mk_conn("true", ())),
-    ("?w = 2 + 3", "assigned", {"w": mk_lit(6)}),
+    ("?w = 2 + 3", "assigns", (("w", mk_lit(6)),)),
 ], ids=["rfl-nf", "eval-normalized", "eval-assigned"])
 def test_rw_search_rejects_a_tampered_closer_detail(concl, key, forged):
     from dataclasses import replace
@@ -487,9 +492,15 @@ def test_rw_search_rejects_a_tampered_closer_detail(concl, key, forged):
     state = SolutionState(goals=(goal,), holes=holes)
     cert = apply_tactic(state, "h", "rw_search", "").trace[-1].cert
     closer = cert.detail["closer"]
-    assert key in closer.detail
     revalidate_rw_search(cert)
-    tampered = replace(closer, detail={**closer.detail, key: forged})
+    if key == "assigns":
+        # the step fills what its closer fills: tamper both alike
+        assert closer.assigns == cert.assigns == (("w", mk_lit(5)),)
+        cert = replace(cert, assigns=forged)
+        tampered = replace(closer, assigns=forged)
+    else:
+        assert key in closer.detail
+        tampered = replace(closer, detail={**closer.detail, key: forged})
     with pytest.raises(CertificateError):
         revalidate_rw_search(replace(cert, detail={**cert.detail,
                                                    "closer": tampered}))

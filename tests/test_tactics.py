@@ -170,6 +170,20 @@ def test_int_cases_needs_bounds():
         apply_tactic(st, "h", "int_cases", "x")
 
 
+def test_int_cases_on_an_empty_range_fails():
+    # no case to split into would close `x = 100` with no certificate;
+    # contradictory bounds are linear_arith's to refute, with one
+    x = LocalDecl("x", INT)
+    tele = Telescope((x,))
+    lb = LocalDecl("lb", PROP, prop=parse_term("5 <= x", tele, PROP))
+    ub = LocalDecl("ub", PROP, prop=parse_term("x <= 3", tele, PROP))
+    st = goal_state("x = 100", (x, lb, ub))
+    with pytest.raises(TacticFailed, match="linear_arith"):
+        apply_tactic(st, "h", "int_cases", "x")
+    out = apply_tactic(st, "h", "linear_arith", "")
+    assert not out.goals and out.trace[-1].cert is not None
+
+
 # -- provability preservation of the safe tactics -----------------------------
 #
 # On goals over small bounded Int domains, model-checking the conjunction
@@ -292,7 +306,11 @@ def test_exact_certificate_terms_must_fit_their_goal():
     revalidate_exact(cited)
     for value in (mk_lit(1, REAL), mk_var("y", INT), mk_meta("w", INT)):
         with pytest.raises(CertificateError):
-            revalidate_exact(replace(filled, detail={"term": value}))
+            revalidate_exact(replace(filled, assigns=(("w", value),)))
+    # the fill must name the hole the goal asks for, once
+    for assigns in ((("v", mk_lit(1, INT)),), (), filled.assigns * 2):
+        with pytest.raises(CertificateError):
+            revalidate_exact(replace(filled, assigns=assigns))
     for arg in (mk_lit(2, NAT), mk_var("y", INT)):
         with pytest.raises(CertificateError):
             revalidate_exact(replace(
@@ -304,11 +322,14 @@ def test_exact_certificate_terms_must_fit_their_goal():
     fill = _exact_cert(bare, "h", "hp")
     revalidate_exact(fill)
     other = parse_term("x = 2", tele, PROP)
-    for cert, key, stored in ((cited, "instance", other),
-                              (fill, "assigns", {"w": other})):
+    instance = fill.assigns[0][1]
+    for forged in (replace(cited, detail={**cited.detail, "instance": other}),
+                   replace(fill, assigns=(("w", other),)),
+                   replace(fill, assigns=(("v", instance),)),
+                   replace(fill, assigns=()),
+                   replace(cited, assigns=(("w", other),))):
         with pytest.raises(CertificateError):
-            revalidate_exact(replace(
-                cert, detail={**cert.detail, key: stored}))
+            revalidate_exact(forged)
 
 
 def test_normal_form_certificates_reject_a_tampered_nf():
