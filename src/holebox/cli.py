@@ -196,8 +196,16 @@ def cmd_repl(args) -> int:
     return repl_session(problem, sys.stdin, sys.stdout)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error: ...` line on stderr, exit 2;
+    the subparsers `add_subparsers` makes are of the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="holebox",
         description="Formal problem-solving engine: sessions, restricted "
                     "equivalence checking, best-first search, benchmarks.")

@@ -16,6 +16,12 @@ Two session protocols over the kernel:
   tactic citing a hypothesis against the bare `?w` target performs the
   simultaneous fill-and-close.
 
+Certification (`certify`) replays a finished session from a fresh state
+and checks each recorded certificate once, in the replay: a searching
+line (`auto`, `rw_search`, ...) replays from its certificate under its
+own parameters instead of searching again, and every other line runs
+again.  `check_session` checks a final state where it stands.
+
 P(answer) has one prover: `prove_by_script` runs a script from
 `init_prove` and rechecks it (`search.prove_by_search` searches).  The
 statement recheck, the proven flag and `holebox prove` all use it.
@@ -37,12 +43,14 @@ from .expr import (
 )
 from .kernel import (
     CertificateError, Goal, Hole, KernelError, ReplayReport, SolutionState,
-    apply_tactic, is_terminal, run_script, recheck, script_of_trace,
+    TraceStep, apply_tactic, close_with, is_terminal, run_script, recheck,
+    script_of_trace,
 )
 from .syntax import (
     DfpsShapeError, Problem, ProofScript, ScriptLine, _check_dfps_shape,
     print_term,
 )
+from .tactics import replays_from_certificate, revalidate, revalidate_step
 
 ANSWER_HOLE = "w"
 FORWARD_HYP = "h_p_1"
@@ -246,19 +254,26 @@ def _script_hash(script: ProofScript) -> str:
 
 
 def certify(sess: Session) -> SessionCertificate:
-    """Replay a session handed in from a fresh state, then check it: the
-    replay reproduces the trace, so the recorded certificates are checked."""
+    """Replay a session handed in from a fresh state, checking each
+    recorded certificate once on the way (`run_trace`), then re-prove
+    what the framework promises of it."""
     run_trace(session_init(sess.problem).state, sess.state)
-    return check_session(sess)
+    return _framework_check(sess)
 
 
 def check_session(sess: Session) -> SessionCertificate:
-    """Re-prove what the framework promises of a session's final state:
-    recheck its certificates, and re-prove the instantiated statement
-    (fps) or read off whether the backward case is closed too (dfps)."""
+    """Check a session's final state where it stands, without a replay:
+    recheck its certificates, then re-prove what the framework promises
+    of it."""
+    recheck(sess.state)
+    return _framework_check(sess)
+
+
+def _framework_check(sess: Session) -> SessionCertificate:
+    """Extract the answer, and re-prove the instantiated statement (fps)
+    or read off whether the backward case is closed too (dfps)."""
     answer = extract_answer(sess)
     script = script_of_trace(sess.state)
-    recheck(sess.state)
     if sess.framework == "fps":
         _recheck_statement(sess.problem, answer, script)
     backward = is_terminal(sess.state)      # always, for fps
@@ -268,17 +283,34 @@ def check_session(sess: Session) -> SessionCertificate:
 
 
 def run_trace(state: SolutionState, recorded: SolutionState) -> SolutionState:
-    """Deterministically re-run a recorded trace from a fresh state; the
+    """Replay a recorded trace from a fresh state and check it step by
+    step: a closing line that only searches (`auto`, `rw_search`, ...)
+    replays from its certificate under its own parameters, every other
+    line runs again and its certificate is revalidated at once.  The
     replay must reproduce the recorded state term for term: its goals,
     holes and assignment, and its trace, certificates included."""
-    report = run_script(state, script_of_trace(recorded),
-                        done=lambda s: s == recorded)
+    steps = recorded.trace
+    report = run_script(
+        state, script_of_trace(recorded), done=lambda s: s == recorded,
+        step=lambda s, ln: _replay_step(s, steps[ln.lineno - 1]))
     if report.failed_line is not None:
         raise CertifyFailed(f"trace replay failed at step "
                             f"{report.failed_line}: {report.reason}")
     if not report.accepted:
         raise CertifyFailed("replayed state differs from the recorded state")
     return report.final
+
+
+def _replay_step(state: SolutionState, step: TraceStep) -> SolutionState:
+    """`state` after the recorded `step`, whose certificate is checked."""
+    if replays_from_certificate(step):
+        revalidate_step(step)
+        return close_with(state, step)
+    state = apply_tactic(state, step.goal, step.tactic, step.argtext)
+    cert = state.trace[-1].cert
+    if cert is not None:
+        revalidate(cert)
+    return state
 
 
 def _recheck_statement(p: Problem, answer: Term, script: ProofScript) -> None:

@@ -5,8 +5,11 @@ input; it either returns a fresh state or raises TacticFailed, in which
 case the caller keeps the old state.  A closing step is its certificate:
 the goal it closed, as the term the engine built, the evidence why, and
 the holes it fills, the kernel's only source of assignments.  `recheck`
-re-validates them all, which substitutes for a typechecking kernel, and
-certification rechecks those recorded in the trace it is handed.
+re-validates them all, which substitutes for a typechecking kernel.
+Certification checks each certificate recorded in the trace it is
+handed once, in its replay: a searching line replays from its
+certificate under its own parameters, and `close_with` commits it
+without running the tactic, through the same step as `apply_tactic`.
 Certificates never leave the process, so they hold the engine's own
 values and every check compares values with `==`: the parser is not on
 the path a proof is checked on, and the printer only names
@@ -282,18 +285,36 @@ def apply_tactic(s: SolutionState, case: Optional[str], tactic: str,
     res = fn(s, g, argtext)
     if (res.cert is None) != bool(res.new_goals):
         raise EngineError(f"{tactic} broke the certificate protocol")
-    step = TraceStep(g.case, tactic, argtext, res.cert)
-    new_goals = res.new_goals
+    return _commit(s, g, TraceStep(g.case, tactic, argtext, res.cert),
+                   res.new_goals, res.new_holes)
+
+
+def close_with(s: SolutionState, step: TraceStep) -> SolutionState:
+    """Close `step.goal` with `step.cert`, a recorded certificate of
+    that goal as it stands in `s`, without running the tactic; the
+    caller has revalidated it.  Raises CertificateError otherwise."""
+    g = s.goal(step.goal)
+    if step.cert is None or step.cert.goal != g:
+        raise CertificateError(f"{step.tactic}: the recorded certificate "
+                               f"does not close goal {g.case!r}")
+    return _commit(s, g, step)
+
+
+def _commit(s: SolutionState, g: Goal, step: TraceStep,
+            new_goals: tuple[Goal, ...] = (),
+            new_holes: tuple[Hole, ...] = ()) -> SolutionState:
+    """The one transition of a step on goal `g`: its new holes and
+    goals in, `g` out, and the holes its certificate fills assigned."""
     if s.assignment:
         # a new goal may name a hole assigned earlier (`have` parses
         # against every hole): no goal holds an assigned hole
         asg = s.asg_map()
         new_goals = tuple(_instantiate_goal(ng, asg) for ng in new_goals)
     out = s
-    for h in res.new_holes:
+    for h in new_holes:
         out = out.with_new_hole(h)
     out = out.with_goal_replaced(g.case, new_goals, step)
-    for mid, val in res.cert.assigns if res.cert is not None else ():
+    for mid, val in step.cert.assigns if step.cert is not None else ():
         out = assign_metavar(out, mid, val)
     return out
 
@@ -311,16 +332,21 @@ class ReplayReport:
 
 
 def run_script(state: SolutionState, script: ProofScript,
-               done: Callable[[SolutionState], bool] = is_terminal
+               done: Callable[[SolutionState], bool] = is_terminal,
+               step: Optional[Callable[[SolutionState, ScriptLine],
+                                       SolutionState]] = None
                ) -> ReplayReport:
     """Apply the script's lines in order; the only script runner.
 
-    Stops at the first line that fails.  A script that runs through is
-    accepted when `done` holds of the final state.
+    Each line runs its tactic through `apply_tactic`, or goes through
+    `step` when one is given.  Stops at the first line that fails.  A
+    script that runs through is accepted when `done` holds of the final
+    state.
     """
     for ln in script.lines:
         try:
-            state = apply_tactic(state, ln.goal, ln.tactic, ln.argtext)
+            state = apply_tactic(state, ln.goal, ln.tactic, ln.argtext) \
+                if step is None else step(state, ln)
         except (KernelError, ExprError) as e:
             return ReplayReport(False, state, ln.lineno,
                                 f"{ln.tactic}: {e}")

@@ -999,7 +999,10 @@ _NAMED_FNS = {"abs", "sqrt", "log", "card", "divisors", "rat",
 
 
 def print_term(t: Term, names: tuple[str, ...] = ()) -> str:
-    """Canonical ASCII rendering; parses back to a syntactically equal tree."""
+    """Canonical ASCII rendering.  Parsed back in the same telescope, the
+    text elaborates to a term `alpha_eq` to `t`: a binder that shadows a
+    name in scope, or one its body uses free, prints under a fresh name,
+    so the node read back may differ from `t` in binder names only."""
     return _pp(t, 0, list(names))
 
 

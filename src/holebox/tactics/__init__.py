@@ -12,22 +12,28 @@ tactic and its revalidator both call: `structural.rfl_evidence`,
 and `rw_search` closes through the rfl and eval_decide ones: its
 certificate carries the closer's own certificate, which that kind's
 revalidator checks.
+
+Certification replays a recorded closing step from its certificate,
+without running its line, when the tactic has a line check here: a line
+that takes no argument or only an optional number, which must agree
+with what the certificate records (`revalidate_step`).  So a searching
+line replays under its own parameters, and its search is not run again.
 """
 
 from __future__ import annotations
 
-from ..kernel import Certificate, CertificateError
+from ..kernel import Certificate, CertificateError, TraceStep, int_arg
 
 from . import structural, decide, linarith, ring, rewrite, auto  # noqa: F401
 
 from .structural import (  # noqa: F401
     revalidate_cases, revalidate_exact, revalidate_rfl,
 )
-from .decide import revalidate_eval_decide  # noqa: F401
+from .decide import DEFAULT_BUDGET, revalidate_eval_decide  # noqa: F401
 from .linarith import revalidate_linear_arith  # noqa: F401
 from .ring import revalidate_ring_nf  # noqa: F401
-from .rewrite import revalidate_rw_search  # noqa: F401
-from .auto import revalidate_auto  # noqa: F401
+from .rewrite import RW_SEARCH_DEPTH, revalidate_rw_search  # noqa: F401
+from .auto import AUTO_BUDGET, revalidate_auto  # noqa: F401
 
 _REVALIDATORS = {
     "exact": revalidate_exact,
@@ -47,3 +53,50 @@ def revalidate(cert: Certificate) -> None:
         raise CertificateError(
             f"no revalidator for certificate kind {cert.tactic!r}")
     fn(cert)
+
+
+def _auto_line(detail: dict, argtext: str) -> bool:
+    return detail["budget"] == int_arg(argtext, AUTO_BUDGET)
+
+
+def _eval_decide_line(detail: dict, argtext: str) -> bool:
+    return detail.get("budget", DEFAULT_BUDGET) \
+        == int_arg(argtext, DEFAULT_BUDGET)
+
+
+def _rw_search_line(detail: dict, argtext: str) -> bool:
+    return len(detail["path"]) <= int_arg(argtext, RW_SEARCH_DEPTH)
+
+
+def _reads_no_argument(detail: dict, argtext: str) -> bool:
+    return True
+
+
+# Whether a line's parameter agrees with the certificate of the step
+# it closed, for the closing lines replayed from their certificate.
+_LINE_CHECKS = {
+    "auto": _auto_line,
+    "eval_decide": _eval_decide_line,
+    "rw_search": _rw_search_line,
+    "linear_arith": _reads_no_argument,
+    "ring_nf": _reads_no_argument,
+    "rfl": _reads_no_argument,
+}
+
+
+def replays_from_certificate(step: TraceStep) -> bool:
+    """A recorded step that closed its goal with a line that has a line
+    check: certification replays it from its certificate."""
+    return step.cert is not None and step.tactic in _LINE_CHECKS
+
+
+def revalidate_step(step: TraceStep) -> None:
+    """Check a recorded closing step without running its line: the
+    certificate is of the line's tactic, agrees with the line's
+    parameter, and revalidates."""
+    cert = step.cert
+    if cert.tactic != step.tactic \
+            or not _LINE_CHECKS[step.tactic](cert.detail, step.argtext):
+        raise CertificateError(f"the line {step.tactic} {step.argtext!r} "
+                               "differs from its certificate")
+    revalidate(cert)

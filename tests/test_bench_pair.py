@@ -1,0 +1,62 @@
+"""The paired benchmark runner's summary, on made-up results; no run."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pair.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_pair", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+bench_pair = _load()
+METRICS = [("latency_p50_ms", "lower"), ("throughput_ops_s", "higher")]
+
+
+def _pairs(base_p50, change_p50, base_ops, change_ops):
+    return [({"latency_p50_ms": b, "throughput_ops_s": bo},
+             {"latency_p50_ms": c, "throughput_ops_s": co})
+            for b, c, bo, co in zip(base_p50, change_p50, base_ops,
+                                    change_ops)]
+
+
+def test_summary_counts_wins_in_each_metric_direction():
+    pairs = _pairs([1.5, 1.4, 1.6, 1.5], [1.2, 1.5, 1.3, 1.2],
+                   [400, 410, 390, 400], [450, 400, 440, 400])
+    s = bench_pair.summarize(pairs, METRICS)
+    # lower is better: pair 2 lost; higher is better: pairs 2, 4 did not win
+    assert s["latency_p50_ms"]["wins"] == 3
+    assert s["throughput_ops_s"]["wins"] == 2
+    assert s["latency_p50_ms"]["pairs"] == 4
+
+
+def test_summary_medians_quartiles_and_the_base_spread():
+    pairs = _pairs([1.0, 2.0, 3.0, 4.0, 5.0], [0.5] * 5, [1] * 5, [1] * 5)
+    s = bench_pair.summarize(pairs, METRICS)["latency_p50_ms"]
+    assert s["base"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert s["change"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+    # 2.5 between the medians against a base spread of 2.0
+    assert s["beyond_base_iqr"]
+    near = _pairs([1.0, 2.0, 3.0, 4.0, 5.0], [2.5] * 5, [1] * 5, [1] * 5)
+    assert not bench_pair.summarize(near, METRICS)[
+        "latency_p50_ms"]["beyond_base_iqr"]
+
+
+def test_summary_of_one_pair_and_ties():
+    s = bench_pair.summarize(_pairs([2.0], [2.0], [7], [8]), METRICS)
+    assert s["latency_p50_ms"]["wins"] == 0     # a tie is not a win
+    assert s["throughput_ops_s"]["wins"] == 1
+    assert s["latency_p50_ms"]["base"] == {"median": 2.0, "q1": 2.0,
+                                           "q3": 2.0}
+
+
+def test_report_has_a_row_per_metric():
+    s = bench_pair.summarize(_pairs([1.5, 1.4], [1.2, 1.3], [4, 4], [5, 5]),
+                             METRICS)
+    rows = bench_pair.report(s).splitlines()
+    assert len(rows) == 1 + len(METRICS)
+    assert rows[1].startswith("latency_p50_ms") and "2/2" in rows[1]

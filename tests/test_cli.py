@@ -230,6 +230,23 @@ def test_unknown_flag_exits_two(capsys):
     assert cli_main(["solve", "--bogus"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["rpe-check", problem_path("nickels.json"), "--a", "x", "--b", "->"],
+    ["solve"], ["bench", "run"], ["bench"], ["solve", "p.json", "--k", "q"],
+])
+def test_usage_error_is_one_line(capsys, argv):
+    # argparse's usage block is not printed, only the error line
+    assert cli_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_help_still_prints_usage(capsys):
+    assert cli_main(["solve", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: holebox solve")
+
+
 def test_missing_file_exits_two(capsys):
     assert cli_main(["solve", "/nonexistent/p.json"]) == 2
 
@@ -532,14 +549,18 @@ def test_rpe_check_ends_in_a_verdict(tmp_path_factory, a, b):
     # random answer texts end in a verdict or one error line
     problem = tmp_path_factory.getbasetemp() / "fuzz-rpe.json"
     problem.write_text(json.dumps(FUZZ_PROBLEM))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(["rpe-check", str(problem), f"--a={a}", f"--b={b}"])
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
-    else:
-        assert json.loads(out.getvalue())["equivalent"] is (code == 0)
+    # each text joined to its flag, and as an argv item of its own
+    for flags in ([f"--a={a}", f"--b={b}"], ["--a", a, "--b", b]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli_main(["rpe-check", str(problem)] + flags)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
+        else:
+            assert json.loads(out.getvalue())["equivalent"] is (code == 0)
 
 
 REPL_COMMANDS = ["undo", "extract", "", "-- note", "@goal", "@goal w"]

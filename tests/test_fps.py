@@ -12,7 +12,8 @@ from holebox.fps import (
     CertifyFailed, DependsOnNonV, NotFinished, certify, dfps_init,
     extract_answer, forward_finished, fps_init, fps_to_dfps, session_init,
 )
-from holebox.kernel import is_terminal, run_script
+from holebox import kernel, tactics
+from holebox.kernel import CertificateError, is_terminal, run_script
 from holebox.syntax import (
     DfpsShapeError, parse_problem, parse_script, print_term,
 )
@@ -150,14 +151,98 @@ def test_certify_rejects_an_altered_recorded_certificate():
                             "multipliers": {0: Fraction(1)}}]}
     auto_detail = by_auto.state.trace[1].cert.detail
     altered = [
-        _altered(solved, 1, detail=farkas),
-        _altered(by_auto, 1, detail={**auto_detail, "budget": 1}),
-        _altered(solved, 0, assigns=(("w", mk_lit(8, INT)),)),
-        _altered(solved, 0, assigns=(("v", mk_lit(7, INT)),)),
+        (_altered(solved, 1, detail=farkas), "method mismatch"),
+        (_altered(by_auto, 1, detail={**auto_detail, "budget": 1}),
+         "differs"),
+        (_altered(solved, 0, assigns=(("w", mk_lit(8, INT)),)), "differs"),
+        (_altered(solved, 0, assigns=(("v", mk_lit(7, INT)),)), "differs"),
     ]
-    for sess in altered:
-        with pytest.raises(CertifyFailed, match="differs"):
+    for sess, match in altered:
+        with pytest.raises(CertifyFailed, match=match):
             certify(sess)
+
+
+def _with_line(sess, step, argtext):
+    """`sess` with the line of trace step `step` given `argtext`."""
+    trace = list(sess.state.trace)
+    trace[step] = replace(trace[step], argtext=argtext)
+    return replace(sess, state=replace(sess.state, trace=tuple(trace)))
+
+
+def _counting(calls, fn):
+    def counted(*args):
+        calls.append(fn)
+        return fn(*args)
+    return counted
+
+
+def _by_auto_both_ways():
+    sess = dfps_init(NICKELS_D).apply("h.mp", "have", "hans : t = 7") \
+        .apply("h.mp.hans", "auto", "").apply("h.mp", "exact", "hans")
+    return sess.apply("h.mpr", "auto", "")
+
+
+def test_certify_replays_a_searching_step_from_its_certificate(monkeypatch):
+    # each recorded `auto` certificate is revalidated once, in the
+    # replay, and the search that found it does not run again
+    sess = _by_auto_both_ways()
+    runs, checks = [], []
+    monkeypatch.setitem(kernel.TACTICS, "auto",
+                        _counting(runs, kernel.TACTICS["auto"]))
+    monkeypatch.setitem(tactics._REVALIDATORS, "auto",
+                        _counting(checks, tactics._REVALIDATORS["auto"]))
+    cert = certify(sess)
+    assert cert.forward and cert.backward
+    assert len(runs) == 0
+    assert len(checks) == sum(st.tactic == "auto" for st in sess.state.trace)
+    assert len(checks) == 2
+
+
+TRANSITIVE = prob({
+    "format_version": "1", "framework": "fps",
+    "vars": [["x", "Int"], ["y", "Int"], ["z", "Int"]],
+    "queriable": ["a", "Int"],
+    "hypotheses": [["hx", "x = y"], ["hy", "y = z"]],
+    "conclusions": ["x = z"]})
+
+SQUARE = prob({
+    "format_version": "1", "framework": "fps", "vars": [],
+    "queriable": ["a", "Int"], "hypotheses": [],
+    "conclusions": ["a * a = 49"]})
+
+
+def test_certify_checks_a_line_against_its_certificate():
+    # the certificate alone would validate, but the line asks for
+    # another budget or depth than the certificate records
+    by_600 = fps_init(EQ_ONE).apply("w", "exact", "1").apply("h", "auto", "600")
+    by_rw = session_init(TRANSITIVE).apply("w", "exact", "0") \
+        .apply("h", "rw_search", "")
+    by_eval = fps_init(SQUARE).apply("w", "exact", "7") \
+        .apply("h", "eval_decide", "5000")
+    assert len(by_rw.state.trace[1].cert.detail["path"]) == 2
+    for sess in (by_600, by_rw, by_eval):
+        assert certify(sess).backward
+    mismatched = [_with_line(by_600, 1, ""), _with_line(by_rw, 1, "1"),
+                  _with_line(by_eval, 1, "")]
+    for sess in mismatched:
+        step = sess.state.trace[1]
+        tactics.revalidate(step.cert)
+        with pytest.raises(CertificateError, match="differs"):
+            tactics.revalidate_step(step)
+        with pytest.raises(CertifyFailed,
+                           match="differs from its certificate"):
+            certify(sess)
+
+
+def test_certify_rejects_swapped_certificates():
+    sess = _by_auto_both_ways()
+    trace = list(sess.state.trace)
+    fwd, bwd = (i for i, st in enumerate(trace) if st.tactic == "auto")
+    trace[fwd], trace[bwd] = (replace(trace[fwd], cert=trace[bwd].cert),
+                              replace(trace[bwd], cert=trace[fwd].cert))
+    swapped = replace(sess, state=replace(sess.state, trace=tuple(trace)))
+    with pytest.raises(CertifyFailed, match="does not close goal"):
+        certify(swapped)
 
 
 def test_fps_to_dfps_injection():

@@ -2,6 +2,7 @@
 
 import gc
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +12,10 @@ from holebox.expr import (
     Telescope, instantiate_metas, metavars_of, mk_app, mk_lit, mk_var,
 )
 from holebox.kernel import (
-    TACTICS, Certificate, EngineError, Goal, KernelError, OutOfContextError,
-    SolutionState, TacticFailed, TacticResult, TraceStep, apply_tactic,
-    assign_metavar, is_terminal, recheck, render_state, run_script,
+    TACTICS, Certificate, CertificateError, EngineError, Goal, KernelError,
+    OutOfContextError, SolutionState, TacticFailed, TacticResult, TraceStep,
+    apply_tactic, assign_metavar, close_with, is_terminal, recheck,
+    render_state, run_script,
 )
 from holebox.fps import init_prove, replay_check, session_init
 from holebox.syntax import parse_problem, parse_script, parse_term, print_term
@@ -307,3 +309,17 @@ def test_holes_are_filled_from_the_certificate_alone():
     cert = out.trace[-1].cert
     assert out.assignment == cert.assigns == (("w", mk_lit(7, INT)),)
     assert out.trace == (TraceStep("h", "linear_arith", "", cert),)
+
+
+def test_close_with_commits_a_certificate_of_the_goal_as_it_stands():
+    # a recorded closing step, committed without running its tactic,
+    # reaches the state the tactic reached, hole fills included
+    state = session_init(prob(NICKELS)).state
+    ran = apply_tactic(state, "h", "linear_arith")
+    step = ran.trace[-1]
+    assert close_with(state, step) == ran
+    with pytest.raises(CertificateError, match="does not close goal"):
+        close_with(state, replace(step, cert=None))
+    other = apply_tactic(state, "w", "exact", "7")    # `h` now reads `n = 7`
+    with pytest.raises(CertificateError, match="does not close goal"):
+        close_with(other, step)

@@ -97,16 +97,25 @@ TEXT_ON_CHECK_PATH = {("tactics/linarith.py", "_mod_key", "print_term"),
                       ("tactics/rewrite.py", "parse_lemma_line", "parse_term")}
 
 
+# The line checks certification runs instead of a searching line.
+LINE_CHECKS = {fn.__name__ for fn in
+               importlib.import_module("holebox.tactics")._LINE_CHECKS.values()}
+
+
+def _is_check(name):
+    return name.startswith("revalidate") or name in LINE_CHECKS
+
+
 def _text_reached_by_revalidators(rel, tree):
     """(module, function, parse_term or print_term) for every function
-    that a `revalidate*` function of `tree` reaches through calls by
-    name to the module's own functions (methods included), and that
-    calls the parser or the printer itself."""
+    that a `revalidate*` function or a line check of `tree` reaches
+    through calls by name to the module's own functions (methods
+    included), and that calls the parser or the printer itself."""
     fns = {}
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef):
             fns.setdefault(fn.name, []).append(fn)
-    todo = [name for name in fns if name.startswith("revalidate")]
+    todo = [name for name in fns if _is_check(name)]
     seen = set(todo)
     found = set()
     while todo:
@@ -123,8 +132,8 @@ def _text_reached_by_revalidators(rel, tree):
 
 def test_certificates_are_checked_without_the_parser():
     # a certificate carries its goal and details as the engine's values,
-    # so neither the kernel nor any revalidator reads or prints text, and
-    # nothing hashes text except the reported script hash
+    # so neither the kernel nor any revalidator or line check reads or
+    # prints text, and nothing hashes text except the reported script hash
     trees = {path.relative_to(PACKAGE).as_posix():
              ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.rglob("*.py"))}
@@ -134,11 +143,12 @@ def test_certificates_are_checked_without_the_parser():
     callers = sorted(
         (fn.name, name) for tree in trees.values()
         for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        and fn.name.startswith("revalidate")
+        if isinstance(fn, ast.FunctionDef) and _is_check(fn.name)
         for name in ("parse_term", "print_term")
         if name in _called_names(fn))
     assert not callers, callers
+    assert LINE_CHECKS <= {fn.name for fn in ast.walk(
+        trees["tactics/__init__.py"]) if isinstance(fn, ast.FunctionDef)}
     # ring atoms are keyed by their interned node: ring_nf's check
     # (`ring_sides`, `poly_of`, `AtomTable.key`) prints nothing
     ring = {a.name for node in ast.walk(trees["tactics/ring.py"])
@@ -221,8 +231,9 @@ def test_only_the_kernel_and_fps_read_the_assignment():
 
 # -- hole assignment ---------------------------------------------------------
 
-# Only the kernel assigns a hole: `apply_tactic`, from the `assigns` of
-# the certificate a closing step brings.
+# Only the kernel assigns a hole: its one commit step, behind
+# `apply_tactic` and `close_with`, from the `assigns` of the certificate
+# a closing step brings.
 
 
 def assign_calls(source, filename="<source>"):

@@ -5,12 +5,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from holebox.expr import (
-    INT, PROP, LocalDecl, Telescope, abstract_var, alpha_eq, free_vars,
-    instantiate_bvar, mk_app, mk_atom, mk_binder, mk_lit, mk_var,
+    INT, PROP, ExprError, LocalDecl, Telescope, abstract_var, alpha_eq, fn,
+    free_vars, instantiate_bvar, mk_app, mk_atom, mk_binder, mk_lit, mk_var,
     set_of, substitute, syntactic_eq,
 )
 from holebox.norm import definitional_eq, normalize
-from holebox.syntax import parse_term, print_term
+from holebox.syntax import ParseError, parse_term, print_term
+from test_parser_reference import operator_texts, token_texts
 
 TELE = Telescope((LocalDecl("x", INT), LocalDecl("y", INT),
                   LocalDecl("z", INT)))
@@ -114,3 +115,72 @@ def captured_terms(draw):
 @given(captured_terms())
 def test_printing_never_captures_a_free_variable(term):
     assert alpha_eq(parse_term(print_term(term), TELE, PROP), term)
+
+
+# -- the print/parse contract on parsed input -------------------------------
+
+# `print_term`'s contract: the text reads back `alpha_eq` to the term.  A
+# binder that shadows a name in scope may read back under another
+# display name, so identity of the node is not promised.
+READ_BACK_TELE = Telescope((LocalDecl("x", INT), LocalDecl("y", INT),
+                            LocalDecl("S", set_of(INT)),
+                            LocalDecl("f", fn(INT, INT))))
+BINDER_NAMES = ["x", "y", "v"]      # reused, so binders nest and shadow
+CONNECTIVES = ["/\\", "\\/", "->"]
+
+
+@st.composite
+def int_texts(draw, bound=(), depth=3):
+    kind = draw(st.integers(0, 4 if depth else 0))
+    if kind == 0:
+        leaf = draw(st.sampled_from(["x", "y", "1"] + list(bound)))
+        return draw(st.sampled_from([leaf, f"f {leaf}"]))
+    if kind == 1:
+        return f"{draw(int_texts(bound, depth - 1))} " \
+            f"{draw(st.sampled_from(['+', '-', '*']))} " \
+            f"{draw(int_texts(bound, depth - 1))}"
+    if kind == 2:
+        return f"f ({draw(int_texts(bound, depth - 1))})"
+    if kind == 3:
+        name = draw(st.sampled_from(BINDER_NAMES))
+        return f"(sum {name} in S, " \
+            f"{draw(int_texts(bound + (name,), depth - 1))})"
+    return f"({draw(int_texts(bound, depth - 1))})"
+
+
+@st.composite
+def shadowing_texts(draw, bound=(), depth=3):
+    """Propositions whose binders reuse the names of the telescope and
+    of each other."""
+    kind = draw(st.integers(0, 4 if depth else 0))
+    name = draw(st.sampled_from(BINDER_NAMES))
+    inner = bound + (name,)
+    if kind == 0:
+        return f"{draw(int_texts(bound, depth))} " \
+            f"{draw(st.sampled_from(['=', '<=', '<', '!=']))} " \
+            f"{draw(int_texts(bound, depth))}"
+    if kind == 1:
+        return f"{draw(st.sampled_from(['forall', 'exists']))} " \
+            f"({name} : Int), {draw(shadowing_texts(inner, depth - 1))}"
+    if kind == 2:
+        left, right = draw(shadowing_texts(bound, depth - 1)), \
+            draw(shadowing_texts(bound, depth - 1))
+        return f"({left}) {draw(st.sampled_from(CONNECTIVES))} ({right})"
+    if kind == 3:
+        return f"{draw(int_texts(bound, depth - 1))} in " \
+            f"{{{name} : Int | {draw(shadowing_texts(inner, depth - 1))}}}"
+    return f"(fun ({name} : Int) => {draw(int_texts(inner, depth - 1))}) " \
+        f"= (fun ({name} : Int) => {draw(int_texts(inner, depth - 1))})"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(shadowing_texts(), operator_texts(), token_texts()))
+def test_parsed_text_prints_to_text_that_reads_back(text):
+    try:
+        term = parse_term(text, READ_BACK_TELE, metas={"w": INT})
+    except (ParseError, ExprError):
+        return
+    printed = print_term(term)
+    back = parse_term(printed, READ_BACK_TELE, term.sort, metas={"w": INT})
+    assert alpha_eq(back, term), (text, printed)
+    assert print_term(back) == printed

@@ -1,0 +1,157 @@
+"""Paired benchmark runs: a base commit against this checkout.
+
+    python3 tools/bench_pair.py --base REF --workload W --pairs N \
+        [--seconds S] [--seed N] --out FILE
+
+Exports REF with `git archive` into a temporary directory, then runs
+`perfbench/run.py --trace 0` of each tree one at a time, N pairs, with
+the side that goes first alternating from pair to pair.  It prints, per
+end-to-end metric of BENCHMARK.json, each side's median and quartiles
+and how many pairs the change won, and writes the per-run values and
+whether the digests matched to FILE under `workloads.W`; the other
+workloads already in FILE are kept, so one file holds a change's runs
+on every workload.  The temporary tree is removed at the end, and every
+run has finished before the next one starts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIGEST = re.compile(r"^\s+digest ([0-9a-f]{64}) ", re.M)
+
+
+def export(ref: str, dest: str) -> str:
+    """Write the tree of `ref` into `dest`; its full commit id."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{ref}^{{commit}}"], cwd=ROOT,
+        check=True, capture_output=True, text=True).stdout.strip()
+    tar = subprocess.run(["git", "archive", "--format=tar", commit],
+                         cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest)
+    return commit
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One `perfbench/run.py` run in `tree`: its metric values, digest
+    and op counts."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"run in {tree} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    result = json.loads(lines[-1])
+    digest = DIGEST.search(proc.stdout)
+    return {"values": {k: v["value"] for k, v in result["metrics"].items()},
+            "digest": digest.group(1) if digest else None,
+            "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"]}
+
+
+def _spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[tuple[dict, dict]],
+              metrics: list[tuple[str, str]]) -> dict:
+    """Per metric `(name, "higher" or "lower")`: each side's median and
+    quartiles over `pairs` of (base values, change values), the pairs
+    the change won (strictly better in its metric's direction), and
+    whether the medians differ by more than the base's quartile
+    spread."""
+    out = {}
+    for name, better in metrics:
+        base = [b[name] for b, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        sign = 1 if better == "higher" else -1
+        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        b, c = _spread(base), _spread(change)
+        out[name] = {
+            "better": better, "base": b, "change": c, "wins": wins,
+            "pairs": len(pairs),
+            "beyond_base_iqr": abs(c["median"] - b["median"])
+            > b["q3"] - b["q1"],
+        }
+    return out
+
+
+def report(summary: dict) -> str:
+    rows = [f"{'metric':<18} {'base median [q1, q3]':>30} "
+            f"{'change median [q1, q3]':>30}  wins"]
+    for name, s in summary.items():
+        b, c = s["base"], s["change"]
+        rows.append(
+            f"{name:<18} {b['median']:>12.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
+            f"{'':>3} {c['median']:>12.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
+            f"{'':>3} {s['wins']}/{s['pairs']}"
+            + ("  beyond base IQR" if s["beyond_base_iqr"] else ""))
+    return "\n".join(rows)
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--base", required=True, help="git ref of the base")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=35.0)
+    ap.add_argument("--seed", type=int, default=20250810)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = [(m["name"], m["better"])
+                   for m in json.load(fh)["end_to_end"]]
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        commit = export(args.base, tmp)
+        trees = {"base": tmp, "change": ROOT}
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run_once(trees[side], args.workload, args.seed,
+                                      args.seconds)
+                print(f"pair {i + 1}/{args.pairs} {side}: "
+                      f"p50 {pair[side]['values']['latency_p50_ms']:.4g}",
+                      file=sys.stderr)
+            runs.append(pair)
+    summary = summarize([(p["base"]["values"], p["change"]["values"])
+                         for p in runs], metrics)
+    digests = {p[side]["digest"] for p in runs for side in ("base", "change")}
+    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
+          f"seed {args.seed}, base {commit[:12]}; digests "
+          f"{'match' if len(digests) == 1 else 'DIFFER'}")
+    print(report(summary))
+    doc = {"workloads": {}}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc["workloads"][args.workload] = {
+        "base": commit, "seed": args.seed, "seconds": args.seconds,
+        "digests_match": len(digests) == 1, "summary": summary,
+        "runs": runs,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
