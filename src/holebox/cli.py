@@ -40,8 +40,6 @@ def _search_cfg(args) -> SearchConfig:
 
 def _policy(args):
     if args.policy == "ext":
-        if not args.cmd:
-            raise SystemExit(2)
         return ExternalPolicy(args.cmd, timeout=args.policy_timeout)
     return builtin_policy
 
@@ -266,6 +264,8 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if getattr(args, "policy", None) == "ext" and not args.cmd:
+            ap.error("--policy ext needs --cmd")
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     if getattr(args, "lemmas", None):

@@ -11,9 +11,10 @@ handed once, in its replay: a searching line replays from its
 certificate under its own parameters, and `close_with` commits it
 without running the tactic, through the same step as `apply_tactic`.
 Certificates never leave the process, so they hold the engine's own
-values and every check compares values with `==`: the parser is not on
-the path a proof is checked on, and the printer only names
-`linear_arith`'s atoms there.
+values and every check compares values with `==`: neither the parser
+nor the printer is on the path a proof is checked on.  A check reads
+the keys of a certificate's detail through `detail_value`, so a missing
+or mistyped key is a `CertificateError`.
 `render_goal` and `render_state` print states for people and policies,
 never for a check.
 
@@ -101,6 +102,17 @@ class Certificate:
             raise CertificateError(f"{self.tactic} fills {sorted(got)}, "
                                    f"its goal asks for {sorted(asked)}")
         return got
+
+
+def detail_value(tactic: str, detail: object, key: str, kind: type):
+    """`detail[key]`, which the detail of a `tactic` certificate (or a
+    dict inside it) must hold as a `kind`; a missing or mistyped key is a
+    `CertificateError`."""
+    value = detail.get(key) if isinstance(detail, dict) else None
+    if not isinstance(value, kind):
+        raise CertificateError(f"{tactic} certificate has no {key!r} "
+                               f"of type {kind.__name__}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ line replays under its own parameters, and its search is not run again.
 
 from __future__ import annotations
 
-from ..kernel import Certificate, CertificateError, TraceStep, int_arg
+from ..kernel import (
+    Certificate, CertificateError, TraceStep, detail_value, int_arg,
+)
 
 from . import structural, decide, linarith, ring, rewrite, auto  # noqa: F401
 
@@ -56,16 +58,18 @@ def revalidate(cert: Certificate) -> None:
 
 
 def _auto_line(detail: dict, argtext: str) -> bool:
-    return detail["budget"] == int_arg(argtext, AUTO_BUDGET)
+    return detail_value("auto", detail, "budget", int) \
+        == int_arg(argtext, AUTO_BUDGET)
 
 
 def _eval_decide_line(detail: dict, argtext: str) -> bool:
-    return detail.get("budget", DEFAULT_BUDGET) \
+    return detail_value("eval_decide", detail, "budget", int) \
         == int_arg(argtext, DEFAULT_BUDGET)
 
 
 def _rw_search_line(detail: dict, argtext: str) -> bool:
-    return len(detail["path"]) <= int_arg(argtext, RW_SEARCH_DEPTH)
+    return len(detail_value("rw_search", detail, "path", list)) \
+        <= int_arg(argtext, RW_SEARCH_DEPTH)
 
 
 def _reads_no_argument(detail: dict, argtext: str) -> bool:

@@ -28,7 +28,7 @@ from ..expr import (
 from ..norm import definitional_eq, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, int_arg, register_tactic,
+    TacticResult, detail_value, int_arg, register_tactic,
 )
 from .decide import decide_prop
 from .linarith import prove_linear
@@ -222,10 +222,14 @@ def auto(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 
 def revalidate_auto(cert: Certificate) -> None:
     cert.fills({})
-    budget = _Counter(cert.detail["budget"])
+    budget_n = detail_value("auto", cert.detail, "budget", int)
+    nodes_used = detail_value("auto", cert.detail, "nodes_used", int)
+    budget = _Counter(budget_n)
     try:
         proved = _prove(cert.goal, budget, frozenset())
     except TacticFailed:
         proved = False
     if not proved:
         raise CertificateError("auto certificate no longer validates")
+    if budget_n - budget.n != nodes_used:
+        raise CertificateError("auto used another number of nodes")

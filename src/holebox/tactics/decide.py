@@ -51,7 +51,7 @@ from ..expr import (
 from ..norm import arith, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, int_arg, register_tactic,
+    TacticResult, detail_value, int_arg, register_tactic,
 )
 from ..syntax import print_term
 
@@ -497,10 +497,9 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
 
 
 def revalidate_eval_decide(cert: Certificate) -> None:
-    """Re-derive the evidence under the budget the tactic ran under (a
-    certificate that names none ran under the default), with the holes
-    it fills, if any, as the pending ones, and the same fills."""
-    budget_n = cert.detail.get("budget", DEFAULT_BUDGET)
+    """Re-derive the evidence under the budget the tactic ran under, with
+    the holes it fills, if any, as the pending ones, and the same fills."""
+    budget_n = detail_value("eval_decide", cert.detail, "budget", int)
     try:
         detail, fills = eval_evidence(
             cert.goal.concl, [mid for mid, _ in cert.assigns], budget_n)
@@ -508,5 +507,5 @@ def revalidate_eval_decide(cert: Certificate) -> None:
         raise CertificateError(f"eval_decide no longer evaluates: {e}")
     if fills != cert.assigns:
         raise CertificateError("eval_decide assignment mismatch")
-    if detail != {**cert.detail, "budget": budget_n}:
+    if detail != cert.detail:
         raise CertificateError("eval_decide certificate mismatch")

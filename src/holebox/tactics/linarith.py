@@ -1,21 +1,33 @@
 """linear_arith: decision procedure for linear arithmetic goals.
 
 The goal is proved when the hypotheses together with the negated
-conclusion form an infeasible system.  Rational systems go through
-Fourier-Motzkin elimination with exact arithmetic, and the derived
-contradiction is recorded as a Farkas combination that revalidation
-re-checks by direct arithmetic.  Integer (not Nat, see below)
-systems go through the omega test (Pugh, 1991) on plain `int` rows
-`(c, a_1, ..., a_n)` over one fixed column order: unit equalities are
-substituted away, any other equality is reduced through a fresh sigma
-column by the symmetric-mod step, and inequalities are gcd-tightened,
-kept one per coefficient vector (the one with the largest constant),
-checked for a contradictory opposite pair, and projected through the
-real and dark shadows with splinters, so the procedure is complete on
-its fragment.  `Fraction` appears only in linearization, in
-Fourier-Motzkin and in the Farkas multipliers.  Literal-modulus
-constraints (t % m = r, m | t, even/odd) are compiled to quotient
-variables.
+conclusion form an infeasible system.  A system is a list of integer
+rows `(c, a_1, ..., a_n)`, each `c + a_1 x_1 + ... + a_n x_n` related
+to 0 by `<=`, `<`, `=` or `!=` (`Constraint`), over columns that are
+fixed once per system when `_hyp_system` assembles it.  Column 0 holds
+the constant, and every atom gets the next column when it is first met.
+An opaque subterm is keyed by its interned node (terms are hash-consed,
+so equal means identical, as for `ring.AtomTable`), and the remainder
+and quotient of `t % m` by `("mod", t, m)` and `("div", t, m)`; the
+printer is on no path here.  `linearize` reads a term with `Fraction`
+coefficients, and each constraint is scaled to integers by the positive
+lcm of its denominators (`_mk_con`), which keeps the constraint, so a
+strict rational row stays strict.  `Fraction` is left only in
+linearization and in synthesized values.
+
+Rational systems go through Fourier-Motzkin elimination, and the
+contradiction it derives is recorded as nonnegative integer Farkas
+multipliers of the system's own rows, which revalidation re-checks by
+direct arithmetic.  Integer (not Nat, see below) systems go through the
+omega test (Pugh, 1991) on the same rows, a strict row `e < 0` read as
+`e + 1 <= 0`: unit equalities are substituted away, any other equality
+is reduced through a fresh sigma column by the symmetric-mod step, and
+inequalities are gcd-tightened, kept one per coefficient vector (the
+one with the largest constant), checked for a contradictory opposite
+pair, and projected through the real and dark shadows with splinters,
+so the procedure is complete on its fragment.  Literal-modulus
+constraints (t % m = r, m | t, even/odd) are compiled to quotient and
+remainder columns.
 
 Nat is not translated as nonnegative Int.  A Nat conclusion puts the
 system over Int, and a comparison (`=`, `!=`, `<`, `<=`) between Nat
@@ -35,25 +47,20 @@ strict side is built when the search first reaches it.
 
 The hypotheses of a goal are translated once per (hypotheses, sort):
 `_hyp_atoms` is a bounded memo of their constraints and of the atom
-space they leave (atom table, Nat atoms, modulus rows, fresh-name
-counter), and each call extends its own copy with the target, so atom
-names and row order come out as if translated afresh.  Below that, each
-atom is translated once per (atom, sort, polarity): `_atom_memo` keeps
-its translation against an empty atom space, and `_atom_constraints`
-replays it into the caller's, registering the same keys in the same
-order.  An atom whose translation makes a fresh `$` name or modulus
-rows, or raises, is translated in place every time.  A constraint
-builds its integer row once, on first use (`Constraint.int_row`), so a
-memoized constraint is scaled once however many systems it joins.
+space they leave (columns and modulus rows), and each call extends its
+own copy with the target, so columns and row order come out as if
+translated afresh.  Below that, each atom is translated once per (atom,
+sort, polarity): `_atom_memo` keeps its translation against an empty
+atom space, and `_atom_constraints` replays it into the caller's,
+registering the same keys in the same order.  An atom whose translation
+makes modulus rows, or raises, is translated in place every time.
 
-The two deciders are memoized on what they read, in bounded tables of
-`LINEAR_MEMO_ENTRIES`: `fm_refute` on each constraint's `(expr, rel)`
-(its `origin` is not read), keeping the multipliers as an immutable
-tuple and handing each caller a fresh dict; `omega_sat` on the integer
-rows `(c, a_1, ..., a_n)` it builds over the sorted columns, so systems
-that differ only in atom names share a verdict, which omega never
-depends on.  A search that runs out of nodes raises and is not kept,
-and a call with a caller's `_OmegaBudget` is not memoized.
+The two deciders are memoized on the rows they read, in bounded tables
+of `LINEAR_MEMO_ENTRIES`: `fm_refute` keeps the multipliers as an
+immutable tuple and hands each caller a fresh dict, and `omega_sat`
+keeps the verdict, so two systems that differ only in the atoms behind
+their columns share it.  A search that runs out of nodes raises and is
+not kept, and a call with a caller's `_OmegaBudget` is not memoized.
 `revalidate_linear_arith` still checks stored multipliers with
 `verify_farkas`, arithmetic that shares nothing with the memo.
 
@@ -66,19 +73,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Collection, Optional
 
 from ..expr import (
-    App, Atom, Conn, INT, Lit, Meta, NAT, RAT, REAL, Sort, Term, Var,
+    App, Atom, Conn, INT, Lit, Meta, NAT, RAT, REAL, Sort, Term,
     instantiate_metas, subterms,
 )
 from ..norm import fold_literals, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, register_tactic,
+    TacticResult, detail_value, register_tactic,
 )
-from ..syntax import print_term
 from .decide import _assign_split, _value_term
 
 MAX_NE_SPLITS = 64
@@ -90,12 +96,16 @@ class NotLinear(TacticFailed):
     pass
 
 
-# A linear expression is a mapping from atom keys to coefficients; the
-# empty key holds the constant.
-Lin = dict[str, Fraction]
-IntLin = dict[str, int]       # a Lin scaled to integer coefficients
+# A linear expression maps atom keys to coefficients; the key CONST
+# holds the constant.
+Lin = dict[object, Fraction]
 
 CONST = ""
+
+# A translated constraint, `lin (<= | < | = | !=) 0` with integer
+# coefficients, before the system it joins has fixed its columns:
+# (lin items, relation).
+LinCon = tuple[tuple[tuple[object, int], ...], str]
 
 
 def _lin_add(a: Lin, b: Lin, bs: Fraction = Fraction(1)) -> Lin:
@@ -116,62 +126,42 @@ def _lin_scale(a: Lin, s: Fraction) -> Lin:
     return out
 
 
-def _lin_neg(a: Lin) -> Lin:
-    return {k: -v for k, v in a.items()}
+@dataclass(frozen=True)
+class Constraint:
+    """`row[0] + row[1] x_1 + ... + row[n] x_n (<= | < | = | !=) 0`:
+    one integer row of a system, over the system's columns."""
+    row: tuple[int, ...]
+    rel: str                      # le | lt | eq | ne
 
 
 @dataclass
 class Atomizer:
-    """Maps opaque non-linear subterms to stable atom names."""
+    """The columns of one system: the constant's, 0, and one per atom,
+    numbered in order of first occurrence."""
     sort: Sort
-    table: dict[str, Term] = field(default_factory=dict)
-    nat_keys: set[str] = field(default_factory=set)
-    mod_constraints: list["Constraint"] = field(default_factory=list)
-    counter: int = 0
+    cols: dict = field(default_factory=lambda: {CONST: 0})
+    mod_constraints: list[LinCon] = field(default_factory=list)
 
-    def key_for(self, t: Term) -> str:
-        key = f"`{print_term(t)}`"
-        if key not in self.table:
-            self.table[key] = t
-            if t.sort == NAT:
-                self.nat_keys.add(key)
+    def key_for(self, key: object) -> object:
+        """Register `key` (a node, or a modulus key) as an atom."""
+        self.cols.setdefault(key, len(self.cols))
         return key
 
-    def fresh(self, prefix: str, nat: bool = False) -> str:
-        self.counter += 1
-        key = f"${prefix}{self.counter}"
-        if nat:
-            self.nat_keys.add(key)
-        return key
+    def row(self, con: LinCon) -> Constraint:
+        """`con` over this system's columns."""
+        lin, rel = con
+        row = [0] * len(self.cols)
+        for k, v in lin:
+            row[self.cols[k]] = v
+        return Constraint(tuple(row), rel)
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """expr (<= | < | = | !=) 0 over the shared atom space."""
-    expr: tuple[tuple[str, Fraction], ...]
-    rel: str                      # le | lt | eq | ne
-    origin: int = -1              # index into the certificate's atom list
-
-    def lin(self) -> Lin:
-        return dict(self.expr)
-
-    @cached_property
-    def int_row(self) -> IntLin:
-        """The row scaled to integer coefficients, built on first use; a
-        strict row is tightened to `<= 0` by adding 1 to its constant."""
-        if self.rel == "ne":
-            raise NotLinear("ne must be split before omega")
-        den = math.lcm(*(v.denominator for _, v in self.expr))
-        lin = {k: v.numerator * (den // v.denominator) for k, v in self.expr}
-        if self.rel == "lt":
-            lin[CONST] = lin.get(CONST, 0) + 1
-        return lin
-
-
-def _mk_con(lin: Lin, rel: str, origin: int = -1) -> Constraint:
-    items = tuple(sorted((k, v) for k, v in lin.items()
-                         if v != 0 or k == CONST))
-    return Constraint(items, rel, origin)
+def _mk_con(lin: Lin, rel: str) -> LinCon:
+    """`lin rel 0` scaled to integer coefficients by the positive lcm of
+    its denominators, which keeps the constraint."""
+    den = math.lcm(*(v.denominator for v in lin.values()))
+    return tuple((k, v.numerator * (den // v.denominator))
+                 for k, v in lin.items()), rel
 
 
 def linearize(t: Term, az: Atomizer) -> Lin:
@@ -202,10 +192,7 @@ def linearize(t: Term, az: Atomizer) -> Lin:
             m = _const_value(t.args[1])
             if m is not None and m > 0:
                 return {_mod_key(t.args[0], int(m), az): Fraction(1)}
-    if isinstance(t, Var):
-        key = az.key_for(t)
-        return {key: Fraction(1)}
-    # anything else is an opaque atom
+    # a variable, or an opaque atom
     return {az.key_for(t): Fraction(1)}
 
 
@@ -214,27 +201,26 @@ def _const_value(t: Term) -> Optional[Fraction]:
     return t.val if isinstance(t, Lit) else None
 
 
-def _mod_key(t: Term, m: int, az: Atomizer) -> str:
-    """Abstract t % m with vars q, r and side constraints t = m q + r,
-    0 <= r < m."""
-    key = f"`{print_term(t)} % {m}`"
-    if key in az.table:
-        return key
-    az.table[key] = t            # placeholder registration
+def _mod_key(t: Term, m: int, az: Atomizer) -> object:
+    """Abstract t % m by a remainder r and a quotient q, with the side
+    constraints t = m q + r, 0 <= r < m."""
+    r = ("mod", t, m)
+    if r in az.cols:
+        return r
+    az.key_for(r)
     base = linearize(t, az)
-    q = az.fresh("q")
-    r = key
+    q = az.key_for(("div", t, m))
     # t - m q - r = 0
     eq = _lin_add(base, {q: Fraction(m), r: Fraction(1)}, Fraction(-1))
     az.mod_constraints.append(_mk_con(eq, "eq"))
     az.mod_constraints.append(_mk_con({r: Fraction(-1)}, "le"))
     az.mod_constraints.append(
         _mk_con({r: Fraction(1), CONST: Fraction(1 - m)}, "le"))
-    return key
+    return r
 
 
 def atom_to_constraints(a: Atom, az: Atomizer, positive: bool
-                        ) -> list[Constraint]:
+                        ) -> list[LinCon]:
     """Translate one relational atom (or its negation) to constraints."""
     rel = a.rel
     int_path = az.sort in (INT, NAT)
@@ -248,17 +234,11 @@ def atom_to_constraints(a: Atom, az: Atomizer, positive: bool
         if not positive:
             rel = {"eq": "ne", "ne": "eq", "lt": "le", "le": "lt"}[rel]
             if rel in ("le", "lt"):
-                diff = _lin_neg(diff)
-        if rel == "eq":
-            return [_mk_con(diff, "eq")]
-        if rel == "ne":
-            return [_mk_con(diff, "ne")]
-        if rel == "le":
-            return [_mk_con(diff, "le")]
+                diff = _lin_scale(diff, Fraction(-1))
         # strict: integers tighten to <=
-        if int_path:
+        if rel == "lt" and int_path:
             return [_mk_con(_lin_add(diff, {CONST: one}), "le")]
-        return [_mk_con(diff, "lt")]
+        return [_mk_con(diff, rel)]
     if not int_path:
         raise NotLinear(f"relation {rel} outside the Int path")
     if rel == "dvd":
@@ -278,7 +258,7 @@ ATOM_MEMO_ENTRIES = 64
 
 
 def _atom_constraints(a: Atom, az: Atomizer, positive: bool
-                      ) -> list[Constraint]:
+                      ) -> list[LinCon]:
     """`atom_to_constraints`, translated once per (atom, sort, polarity):
     a memoized translation is replayed into `az`, registering its atom
     keys in order as `Atomizer.key_for` would.  An atom the memo does not
@@ -287,30 +267,28 @@ def _atom_constraints(a: Atom, az: Atomizer, positive: bool
     if memo is None:
         return atom_to_constraints(a, az, positive)
     keys, cons = memo
-    for key, t in keys:
-        if key not in az.table:
-            az.table[key] = t
-            if t.sort == NAT:
-                az.nat_keys.add(key)
+    for key in keys:
+        az.key_for(key)
     return list(cons)
 
 
 @lru_cache(maxsize=ATOM_MEMO_ENTRIES)
 def _atom_memo(a: Atom, sort: Sort, positive: bool) -> Optional[tuple]:
-    """The translation of `a` against an empty atom space, as `(table
-    items, constraints)`; None when it makes a fresh `$` key or modulus
-    rows, whose names depend on the space, or raises `NotLinear`."""
+    """The translation of `a` against an empty atom space, as `(atom
+    keys, constraints)`; None when it makes modulus rows, which a space
+    that already holds the modulus does not get again, or raises
+    `NotLinear`."""
     az = Atomizer(sort)
     try:
         cons = atom_to_constraints(a, az, positive)
     except NotLinear:
         return None
-    if az.counter or az.mod_constraints:
+    if az.mod_constraints:
         return None
-    return tuple(az.table.items()), tuple(cons)
+    return tuple(az.cols), tuple(cons)
 
 
-def _flatten_pos(t: Term, az: Atomizer) -> Optional[list[Constraint]]:
+def _flatten_pos(t: Term, az: Atomizer) -> Optional[list[LinCon]]:
     """A proposition as a conjunction of linear constraints, or None."""
     if isinstance(t, Conn) and t.op == "and":
         lhs = _flatten_pos(t.args[0], az)
@@ -333,7 +311,7 @@ def _flatten_pos(t: Term, az: Atomizer) -> Optional[list[Constraint]]:
     return None
 
 
-def _negation_dnf(t: Term, az: Atomizer) -> list[list[Constraint]]:
+def _negation_dnf(t: Term, az: Atomizer) -> list[list[LinCon]]:
     """Disjuncts of not(t), each a conjunction of constraints."""
     if isinstance(t, Conn):
         if t.op == "and":
@@ -367,134 +345,91 @@ def _negation_dnf(t: Term, az: Atomizer) -> list[list[Constraint]]:
 # Rational path: Fourier-Motzkin with Farkas tracking
 
 
-@dataclass(frozen=True)
-class _FmRow:
-    lin: tuple[tuple[str, Fraction], ...]
-    strict: bool
-    lineage: tuple[tuple[int, Fraction], ...]   # origin index -> multiplier
-
-    def coeffs(self) -> Lin:
-        return dict(self.lin)
-
-
-def _fm_row(lin: Lin, strict: bool, lineage: dict[int, Fraction]) -> _FmRow:
-    return _FmRow(tuple(sorted((k, v) for k, v in lin.items() if v != 0)),
-                  strict, tuple(sorted(lineage.items())))
-
-
 LINEAR_MEMO_ENTRIES = 64
 
 
-def fm_refute(cons: list[Constraint]) -> Optional[dict[int, Fraction]]:
+def fm_refute(cons: list[Constraint]) -> Optional[dict[int, int]]:
     """Return Farkas multipliers showing infeasibility, or None if feasible.
 
-    Equalities are split into two tracked inequalities; `ne` rows must be
-    split by the caller.  Each call gets a dict of its own.
+    Equalities are split into two tracked inequalities, row `2 i` and its
+    negation `2 i + 1`; `ne` rows must be split by the caller.  Each call
+    gets a dict of its own.
     """
-    farkas = _fm_memo(tuple((c.expr, c.rel) for c in cons))
+    farkas = _fm_memo(tuple((c.row, c.rel) for c in cons))
     return None if farkas is None else dict(farkas)
 
 
 @lru_cache(maxsize=LINEAR_MEMO_ENTRIES)
-def _fm_memo(system: tuple[tuple[tuple, str], ...]
-             ) -> Optional[tuple[tuple[int, Fraction], ...]]:
-    """Fourier-Motzkin elimination on `(expr, rel)` pairs, which are all
-    of a constraint that it reads; the multipliers as sorted pairs."""
-    rows: list[_FmRow] = []
-    for i, (expr, rel) in enumerate(system):
-        lin = dict(expr)
-        if rel == "eq":
-            rows.append(_fm_row(lin, False, {2 * i: Fraction(1)}))
-            rows.append(_fm_row(_lin_scale(lin, Fraction(-1)), False,
-                                {2 * i + 1: Fraction(1)}))
-        elif rel == "le":
-            rows.append(_fm_row(lin, False, {2 * i: Fraction(1)}))
-        elif rel == "lt":
-            rows.append(_fm_row(lin, True, {2 * i: Fraction(1)}))
-        else:
+def _fm_memo(system: tuple[tuple[tuple[int, ...], str], ...]
+             ) -> Optional[tuple[tuple[int, int], ...]]:
+    """Fourier-Motzkin elimination on `(row, rel)` pairs, which are all
+    of a constraint that it reads.  Each working row is `(row, strict,
+    lineage)`, its lineage the multipliers of the system's rows that sum
+    to it, all integers."""
+    rows: list[tuple[tuple[int, ...], bool, tuple]] = []
+    for i, (row, rel) in enumerate(system):
+        if rel == "ne":
             raise NotLinear("ne must be split before Fourier-Motzkin")
+        rows.append((row, rel == "lt", ((2 * i, 1),)))
+        if rel == "eq":
+            rows.append((tuple(-a for a in row), False, ((2 * i + 1, 1),)))
     while True:
-        # each row's coefficients, read once this round
-        cos = [r.coeffs() for r in rows]
-        for r, co in zip(rows, cos):
-            if all(k == CONST for k in co):
-                c0 = co.get(CONST, Fraction(0))
-                if c0 > 0 or (r.strict and c0 >= 0):
-                    return r.lineage
-        lo_n: dict[str, int] = {}
-        hi_n: dict[str, int] = {}
-        for co in cos:
-            for k, c in co.items():
-                if k != CONST:
-                    count = lo_n if c < 0 else hi_n
-                    count[k] = count.get(k, 0) + 1
-        if not lo_n and not hi_n:
-            return None
-        # eliminate the variable with the fewest lower*upper products
-        best, best_cost = None, None
-        for v in sorted(lo_n.keys() | hi_n.keys()):
-            lo, hi = lo_n.get(v, 0), hi_n.get(v, 0)
+        for row, strict, lineage in rows:
+            if not any(row[1:]) and (row[0] > 0 or strict and row[0] >= 0):
+                return lineage
+        # eliminate the column with the fewest lower*upper products
+        best, best_cost = 0, None
+        for v in range(1, len(rows[0][0]) if rows else 0):
+            lo = sum(r[0][v] < 0 for r in rows)
+            hi = sum(r[0][v] > 0 for r in rows)
             cost = lo * hi + lo + hi
-            if best_cost is None or cost < best_cost:
+            if cost and (best_cost is None or cost < best_cost):
                 best, best_cost = v, cost
+        if not best:
+            return None
         v = best
-        lows = [(r, co) for r, co in zip(rows, cos) if co.get(v, 0) < 0]
-        highs = [(r, co) for r, co in zip(rows, cos) if co.get(v, 0) > 0]
-        new_rows = [r for r, co in zip(rows, cos) if co.get(v, 0) == 0]
-        for lo, lo_co in lows:
-            for hi, hi_co in highs:
-                a = -lo_co[v]
-                b = hi_co[v]
-                lin = _lin_add(_lin_scale(lo_co, b), _lin_scale(hi_co, a))
-                lin.pop(v, None)
-                lineage: dict[int, Fraction] = {}
-                for idx, m in lo.lineage:
-                    lineage[idx] = lineage.get(idx, Fraction(0)) + b * m
-                for idx, m in hi.lineage:
-                    lineage[idx] = lineage.get(idx, Fraction(0)) + a * m
-                new_rows.append(_fm_row(lin, lo.strict or hi.strict, lineage))
+        lows = [r for r in rows if r[0][v] < 0]
+        highs = [r for r in rows if r[0][v] > 0]
+        new_rows = [r for r in rows if r[0][v] == 0]
+        for lo, lo_strict, lo_lineage in lows:
+            a = -lo[v]
+            for hi, hi_strict, hi_lineage in highs:
+                b = hi[v]
+                lineage: dict[int, int] = {}
+                for idx, m in lo_lineage:
+                    lineage[idx] = lineage.get(idx, 0) + b * m
+                for idx, m in hi_lineage:
+                    lineage[idx] = lineage.get(idx, 0) + a * m
+                new_rows.append((tuple(b * x + a * y for x, y in zip(lo, hi)),
+                                 lo_strict or hi_strict,
+                                 tuple(lineage.items())))
         if len(new_rows) > 4000:
             raise NotLinear("Fourier-Motzkin blow-up guard")
         rows = new_rows
 
 
-def verify_farkas(cons: list[Constraint], multipliers: dict[int, Fraction]
-                  ) -> bool:
-    """Check a Farkas combination: nonneg multipliers, zero coefficients,
-    contradictory constant."""
-    total: Lin = {}
+def verify_farkas(cons: list[Constraint], multipliers: dict) -> bool:
+    """Check a Farkas combination of the rows of `cons`: nonnegative
+    integer multipliers, zero coefficients, contradictory constant."""
+    total = [0] * (len(cons[0].row) if cons else 1)
     strict = False
     for idx, mult in multipliers.items():
-        if mult < 0 or not 0 <= idx < 2 * len(cons):
+        if type(idx) is not int or type(mult) is not int or mult < 0 \
+                or not 0 <= idx < 2 * len(cons):
             return False
         base = cons[idx // 2]
-        lin = base.lin()
         if base.rel == "eq" and idx % 2 == 1:
-            lin = _lin_scale(lin, Fraction(-1))
+            mult = -mult
         elif base.rel == "lt":
             strict = strict or mult > 0
         elif base.rel not in ("le", "eq"):
             return False
-        total = _lin_add(total, lin, mult)
-    if any(k != CONST and v != 0 for k, v in total.items()):
-        return False
-    c0 = total.get(CONST, Fraction(0))
-    return c0 > 0 or (strict and c0 >= 0)
+        total = [t + mult * a for t, a in zip(total, base.row)]
+    return not any(total[1:]) and (total[0] > 0 or strict and total[0] >= 0)
 
 
 # ---------------------------------------------------------------------------
 # Integer path: the omega test over int rows
-
-
-def _int_rows(cons: list[Constraint]
-              ) -> tuple[list[IntLin], list[IntLin]]:
-    """The constraints' integer rows, as (equalities, inequalities <= 0).
-    The rows are shared with the constraints and must not be changed."""
-    eqs: list[IntLin] = []
-    ineqs: list[IntLin] = []
-    for c in cons:
-        (eqs if c.rel == "eq" else ineqs).append(c.int_row)
-    return eqs, ineqs
 
 
 def _mods(a: int, m: int) -> int:
@@ -515,41 +450,38 @@ class _OmegaBudget:
             raise NotLinear("omega node budget exceeded")
 
 
-# An omega row is (c, a_1, ..., a_n): the constraint a.x + c (= | <=) 0
-# over one fixed column order.
+# An omega row is (c, a_1, ..., a_n): the constraint a.x + c (= | <=) 0.
 Row = tuple[int, ...]
 
 
-def omega_sat(eqs: list[Lin] | list[IntLin],
-              ineqs: list[Lin] | list[IntLin],
+def omega_sat(cons: list[Constraint],
               budget: Optional[_OmegaBudget] = None) -> bool:
-    """Integer satisfiability of {eq = 0} and {ineq <= 0}.
+    """Integer satisfiability of a system with no `ne` rows.
 
-    Every coefficient and constant must be an integer, else `NotLinear`.
-    The rows are mapped once to `int` tuples `(c, a_1, ..., a_n)` over
-    the sorted atom names, and the search (`_omega`) works on those
-    alone: the symmetric-mod step appends a fresh sigma column to every
-    row, and each node keeps one inequality per coefficient vector, the
-    one with the largest constant.  Each node costs one tick of
-    `budget`; running out raises `NotLinear`.
+    The search (`_omega`) reads the rows as they are, a strict row
+    `e < 0` as `e + 1 <= 0`: the symmetric-mod step appends a fresh sigma
+    column to every row, and each node keeps one inequality per
+    coefficient vector, the one with the largest constant.  Each node
+    costs one tick of `budget`; running out raises `NotLinear`.
 
     Without a `budget`, the search gets a fresh one of `MAX_OMEGA_NODES`
     and its verdict is memoized on the rows, which omega alone reads; a
     caller's budget is shared state, so such a call is not memoized.
     """
-    cols = sorted({k for row in eqs + ineqs for k in row if k != CONST})
-
-    def to_row(lin: Lin | IntLin) -> Row:
-        vals = [lin.get(CONST, 0)] + [lin.get(k, 0) for k in cols]
-        if any(v.denominator != 1 for v in vals):
-            raise NotLinear("omega needs integer coefficients")
-        return tuple(v.numerator for v in vals)
-
-    eq_rows = tuple(to_row(e) for e in eqs)
-    ineq_rows = tuple(to_row(i) for i in ineqs)
+    eqs: list[Row] = []
+    ineqs: list[Row] = []
+    for c in cons:
+        if c.rel == "eq":
+            eqs.append(c.row)
+        elif c.rel == "le":
+            ineqs.append(c.row)
+        elif c.rel == "lt":
+            ineqs.append((c.row[0] + 1,) + c.row[1:])
+        else:
+            raise NotLinear("ne must be split before omega")
     if budget is None:
-        return _omega_memo(eq_rows, ineq_rows)
-    return _omega(list(eq_rows), list(ineq_rows), budget)
+        return _omega_memo(tuple(eqs), tuple(ineqs))
+    return _omega(eqs, ineqs, budget)
 
 
 @lru_cache(maxsize=LINEAR_MEMO_ENTRIES)
@@ -688,13 +620,14 @@ HYP_MEMO_ENTRIES = 64
 def _hyp_system(goal: Goal, sort: Sort,
                 target: Callable[[Atomizer], object]
                 ) -> tuple[Atomizer, list[Constraint], object]:
-    """The hypotheses of `goal` as constraints over a fresh atom space.
+    """The hypotheses of `goal` as the rows of a system, over a fresh
+    atom space.
 
     `target` translates what is to be proved (or pinned) in between, so
-    that its atoms get the Nat non-negativity rows and the modulus rows
-    too; those rows come last.  The hypotheses' part comes from
-    `_hyp_atoms`, copied, so `target` extends it as it would a fresh
-    translation.
+    that its atoms get columns, Nat non-negativity rows and modulus rows
+    too; those rows come last, and the system's columns are fixed once
+    it has run.  The hypotheses' part comes from `_hyp_atoms`, copied, so
+    `target` extends it as it would a fresh translation.
     """
     props = []
     for d in goal.ctx.decls:
@@ -703,40 +636,40 @@ def _hyp_system(goal: Goal, sort: Sort,
         prop = normalize(d.prop)
         if not prop.has_meta:
             props.append(prop)
-    table, nat_keys, mods, counter, hyp_cons = _hyp_atoms(tuple(props), sort)
-    az = Atomizer(sort, dict(table), set(nat_keys), list(mods), counter)
-    cons = list(hyp_cons)
+    cols, mods, hyp_cons = _hyp_atoms(tuple(props), sort)
+    az = Atomizer(sort, dict(cols), list(mods))
     out = target(az)
     # Nat atoms are nonnegative integers
-    cons.extend(_mk_con({key: Fraction(-1)}, "le")
-                for key in sorted(az.nat_keys))
-    cons.extend(az.mod_constraints)
-    return az, cons, out
+    nat = [_mk_con({key: Fraction(-1)}, "le") for key in az.cols
+           if isinstance(key, Term) and key.sort == NAT]
+    return az, [az.row(c) for c in (*hyp_cons, *nat, *az.mod_constraints)], out
 
 
 @lru_cache(maxsize=HYP_MEMO_ENTRIES)
 def _hyp_atoms(props: tuple[Term, ...], sort: Sort) -> tuple:
     """The constraints of the linear conjuncts of `props`, in order, and
-    the atom space they leave: `(table items, nat_keys, mod rows,
-    counter, constraints)`, all immutable."""
+    the atom space they leave: `(column items, mod rows, constraints)`,
+    all immutable."""
     az = Atomizer(sort)
-    cons: list[Constraint] = []
+    cons: list[LinCon] = []
     for prop in props:
         flat = _flatten_pos(prop, az)
         if flat is not None:
             cons.extend(flat)
-    return (tuple(az.table.items()), frozenset(az.nat_keys),
-            tuple(az.mod_constraints), az.counter, tuple(cons))
+    return tuple(az.cols.items()), tuple(az.mod_constraints), tuple(cons)
 
 
-def _collect_system(goal: Goal) -> tuple[Atomizer, list[Constraint],
+def _collect_system(goal: Goal) -> tuple[Sort, list[Constraint],
                                          list[list[Constraint]]]:
+    """The system's sort, the hypotheses' rows and the rows of each
+    disjunct of the negated conclusion, over one set of columns."""
     concl = goal.concl
     if not isinstance(concl, Term):
         raise NotLinear("hole goals are not linear goals")
     concl = normalize(concl)
-    return _hyp_system(goal, _goal_sort(concl),
-                       lambda az: _negation_dnf(concl, az))
+    az, hyps, dnf = _hyp_system(goal, _goal_sort(concl),
+                                lambda az: _negation_dnf(concl, az))
+    return az.sort, hyps, [[az.row(c) for c in branch] for branch in dnf]
 
 
 def _goal_sort(concl: Term) -> Sort:
@@ -766,8 +699,8 @@ def _split_nes(cons: list[Constraint],
     if 2 ** len(nes) > MAX_NE_SPLITS:
         raise NotLinear("too many disequalities to split")
     # `e < 0` (0) and `e > 0` (1) of each `cons[i]`, `e != 0`
-    sides = {(i, gt): _mk_con(_lin_neg(cons[i].lin()) if gt
-                              else cons[i].lin(), "lt")
+    sides = {(i, gt): Constraint(tuple(-a for a in cons[i].row) if gt
+                                 else cons[i].row, "lt")
              for i in nes for gt in (0, 1)}
     todo: list[tuple[int, ...]] = [()]
     while todo:
@@ -793,7 +726,7 @@ def refute_branch(sort: Sort, cons: list[Constraint]) -> dict:
     """Show one conjunction of constraints infeasible; raises NotLinear or
     TacticFailed (feasible)."""
     if sort in (INT, NAT):
-        if _split_nes(cons, lambda sub: omega_sat(*_int_rows(sub))):
+        if _split_nes(cons, omega_sat):
             raise TacticFailed("linear_arith: system is feasible")
         return {"method": "omega"}
     if any(c.rel == "ne" for c in cons):
@@ -812,11 +745,11 @@ def prove_linear(goal: Goal) -> dict:
     return _refute_system(*_collect_system(goal))
 
 
-def _refute_system(az: Atomizer, hyps: list[Constraint],
+def _refute_system(sort: Sort, hyps: list[Constraint],
                    branches: list[list[Constraint]]) -> dict:
     if not branches:
         raise NotLinear("conclusion is trivially true; use rfl or eval_decide")
-    evidence = [refute_branch(az.sort, hyps + branch) for branch in branches]
+    evidence = [refute_branch(sort, hyps + branch) for branch in branches]
     return {"branches": evidence}
 
 
@@ -848,12 +781,16 @@ def _synth_split(concl: Term, pending: Collection[str]
 
 def _synthesize(goal: Goal, expr: Term) -> Fraction:
     """Find the unique value the hypotheses force for `expr`."""
-    az, hyp_cons, target = _hyp_system(
+    az, hyp_cons, lin = _hyp_system(
         goal, _expr_sort(expr), lambda az: linearize(normalize(expr), az))
+    # the target over the system's columns
+    target = [Fraction(0)] * len(az.cols)
+    for k, v in lin.items():
+        target[az.cols[k]] = v
     # 1) Gaussian elimination over the equality subset
     value = _gauss_value(hyp_cons, target)
     if value is None:
-        value = _scan_value(az, hyp_cons, target)
+        value = _scan_value(az.sort, hyp_cons, target)
     if value is None:
         raise NotLinear("hypotheses do not pin the target value")
     if az.sort in (INT, NAT) and value.denominator != 1:
@@ -866,92 +803,77 @@ def _expr_sort(expr: Term) -> Sort:
     return INT if s == NAT else s
 
 
-def _gauss_value(cons: list[Constraint], target: Lin) -> Optional[Fraction]:
-    rows = [c.lin() for c in cons if c.rel == "eq"]
-    target = dict(target)
+def _gauss_value(cons: list[Constraint], target: list[Fraction]
+                 ) -> Optional[Fraction]:
+    """Reduce `target` by the equality rows, each used once on the first
+    column it shares with the target; the constant left, if no column
+    is."""
+    rows = [c.row for c in cons if c.rel == "eq"]
     changed = True
     while changed:
         changed = False
-        for row in rows:
-            keys = [k for k in row if k != CONST and row[k] != 0]
-            if len(keys) == 0:
-                continue
-            pivot = None
-            for k in sorted(keys):
-                if k in target and target[k] != 0:
-                    pivot = k
-                    break
+        for i, row in enumerate(rows):
+            pivot = next((k for k in range(1, len(row))
+                          if row[k] and target[k]), None)
             if pivot is None:
                 continue
             scale = target[pivot] / row[pivot]
-            target = _lin_add(target, row, -scale)
-            target.pop(pivot, None)
+            target = [t - scale * a for t, a in zip(target, row)]
             changed = True
-            rows = [_eliminate(r, row, pivot) for r in rows if r is not row]
+            rows = [_eliminate(r, row, pivot)
+                    for j, r in enumerate(rows) if j != i]
             break
-    keys = [k for k in target if k != CONST and target[k] != 0]
-    if keys:
+    if any(target[1:]):
         return None
-    return target.get(CONST, Fraction(0))
+    return target[0]
 
 
-def _eliminate(row: Lin, by: Lin, pivot: str) -> Lin:
-    if row.get(pivot, 0) == 0:
+def _eliminate(row: tuple[int, ...], by: tuple[int, ...], pivot: int
+               ) -> tuple[int, ...]:
+    """`row` with column `pivot` cleared by the equality `by`, scaled by
+    `by[pivot]`, which keeps it an equality."""
+    if not row[pivot]:
         return row
-    scale = row[pivot] / by[pivot]
-    out = _lin_add(row, by, -scale)
-    out.pop(pivot, None)
-    return out
+    return tuple(by[pivot] * a - row[pivot] * b for a, b in zip(row, by))
 
 
-def _scan_value(az: Atomizer, cons: list[Constraint], target: Lin
+def _scan_value(sort: Sort, cons: list[Constraint], target: list[Fraction]
                 ) -> Optional[Fraction]:
     """Bounded scan: try candidate values v, keep the one that is forced."""
-    if az.sort not in (INT, NAT):
+    if sort not in (INT, NAT):
         return None
     lo, hi = _target_bounds(cons, target)
     if lo is None or hi is None or hi - lo > MAX_SYNTH_SCAN:
         return None
-    forced = None
+    # an Int target `x + c` has integer coefficients
+    row = tuple(int(t) for t in target)
     for v in range(math.ceil(lo), math.floor(hi) + 1):
         # forced iff cons /\ target != v is infeasible
-        diff = _lin_add(target, {CONST: Fraction(-v)})
-        feasible_ne = False
-        for side in (_mk_con(_lin_add(diff, {CONST: Fraction(1)}), "le"),
-                     _mk_con(_lin_add(_lin_scale(diff, Fraction(-1)),
-                                      {CONST: Fraction(1)}), "le")):
-            eqs, ineqs = _int_rows(cons + [side])
-            if omega_sat(eqs, ineqs):
-                feasible_ne = True
-                break
-        if not feasible_ne:
-            forced = Fraction(v)
-            break
-    return forced
+        diff = (row[0] - v,) + row[1:]
+        if not any(omega_sat(cons + [Constraint(side, "lt")])
+                   for side in (diff, tuple(-a for a in diff))):
+            return Fraction(v)
+    return None
 
 
-def _target_bounds(cons: list[Constraint], target: Lin
+def _target_bounds(cons: list[Constraint], target: list[Fraction]
                    ) -> tuple[Optional[Fraction], Optional[Fraction]]:
-    keys = [k for k in target if k != CONST and target[k] != 0]
+    keys = [k for k in range(1, len(target)) if target[k]]
     if len(keys) != 1 or target[keys[0]] != 1:
         return None, None
     key = keys[0]
-    base = target.get(CONST, Fraction(0))
     lo = hi = None
     for c in cons:
         if c.rel != "le":
             continue
-        lin = c.lin()
-        others = [k for k in lin if k != CONST and lin[k] != 0]
-        if others != [key]:
+        a = c.row[key]
+        if not a or any(c.row[k] for k in range(1, len(c.row)) if k != key):
             continue
-        a = lin[key]
-        b = -lin.get(CONST, Fraction(0))
+        # a x + c0 <= 0 bounds x by -c0 / a
+        v = Fraction(-c.row[0], a) + target[0]
         if a > 0:
-            v = b / a + base
             hi = v if hi is None else min(hi, v)
         else:
-            v = b / a + base
             lo = v if lo is None else max(lo, v)
     return lo, hi
 
@@ -970,19 +892,21 @@ def revalidate_linear_arith(cert: Certificate) -> None:
     fills = cert.fills({synth[0].mid: synth[0].sort} if synth else {})
     if fills:
         goal = Goal(goal.case, goal.ctx, instantiate_metas(goal.concl, fills))
+    stored = detail_value("linear_arith", cert.detail, "branches", list)
     try:
-        az, hyps, branches = _collect_system(goal)
-        fresh = _refute_system(az, hyps, branches)["branches"]
+        sort, hyps, branches = _collect_system(goal)
+        fresh = _refute_system(sort, hyps, branches)["branches"]
     except TacticFailed as e:
         raise CertificateError(f"linear_arith no longer validates: {e}")
-    stored = cert.detail["branches"]
     if len(stored) != len(fresh):
         raise CertificateError(
             f"linear_arith certificate has {len(stored)} branches, "
             f"the goal has {len(fresh)}")
     for want, got, branch in zip(stored, fresh, branches):
-        if want.get("method") != got.get("method"):
+        method = detail_value("linear_arith", want, "method", str)
+        if method != got["method"]:
             raise CertificateError("linear_arith method mismatch")
-        if want.get("method") == "farkas":
-            if not verify_farkas(hyps + branch, want["multipliers"]):
-                raise CertificateError("stored Farkas combination is invalid")
+        if method == "farkas" and not verify_farkas(
+                hyps + branch,
+                detail_value("linear_arith", want, "multipliers", dict)):
+            raise CertificateError("stored Farkas combination is invalid")

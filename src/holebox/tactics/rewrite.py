@@ -63,7 +63,7 @@ from ..expr import (
 from ..norm import fold_literals
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, int_arg, register_tactic,
+    TacticResult, detail_value, int_arg, register_tactic,
 )
 from ..syntax import ParseError, parse_term
 from .decide import (
@@ -593,7 +593,11 @@ def revalidate_rw_search(cert: Certificate) -> None:
     if not isinstance(term, Term):
         raise CertificateError("rw_search on a hole goal")
     library = default_library()
-    for name, back, occ in cert.detail["path"]:
+    for step in detail_value("rw_search", cert.detail, "path", list):
+        if not (isinstance(step, list) and len(step) == 3 and all(
+                isinstance(x, k) for x, k in zip(step, (str, bool, int)))):
+            raise CertificateError(f"rw_search step {step!r} is malformed")
+        name, back, occ = step
         candidates = library.named(name) or [
             r for r in _hyp_rules(goal) if r.name == name]
         new = None
@@ -606,7 +610,7 @@ def revalidate_rw_search(cert: Certificate) -> None:
         term = new
     if eq_sides(term) is None:
         raise CertificateError("rw_search closer on a non-equation")
-    closer = cert.detail["closer"]
+    closer = detail_value("rw_search", cert.detail, "closer", Certificate)
     if closer.goal != Goal(goal.case, goal.ctx, term):
         raise CertificateError("rw_search closer names another goal")
     if closer.assigns != cert.assigns:

@@ -190,10 +190,9 @@ def ring_nf(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         raise NotRingExpr("ring_nf does not apply to a hole goal")
     concl = goal.concl
     pl, pr, atoms, sort = ring_sides(concl)
-    nl = render(pl, atoms, sort)
     if pl == pr:
-        return TacticResult(cert=Certificate("ring_nf", goal, {"nf": nl}))
-    nr = render(pr, atoms, sort)
+        return TacticResult(cert=Certificate("ring_nf", goal, {}))
+    nl, nr = render(pl, atoms, sort), render(pr, atoms, sort)
     if (nl, nr) == concl.args:
         raise NotRingExpr("ring_nf: already in normal form, sides differ")
     new_goal = Goal(goal.case, goal.ctx, mk_atom("eq", (nl, nr)))
@@ -210,13 +209,12 @@ def ring_closes(concl: Term) -> bool:
 
 
 def revalidate_ring_nf(cert: Certificate) -> None:
+    """The two sides' normal forms are equal; the certificate holds no
+    evidence, since both are functions of the goal."""
     cert.fills({})
     try:
-        pl, pr, atoms, sort = ring_sides(cert.goal.concl)
-        nf = render(pl, atoms, sort)
+        pl, pr, _, _ = ring_sides(cert.goal.concl)
     except NotRingExpr as e:
         raise CertificateError(f"ring_nf: {e}")
     if pl != pr:
         raise CertificateError("ring_nf certificate no longer validates")
-    if nf != cert.detail["nf"]:
-        raise CertificateError("ring_nf normal form mismatch")

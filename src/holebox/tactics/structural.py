@@ -18,7 +18,7 @@ from ..expr import (
 from ..norm import definitional_eq, fold_literals, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, Hole, SolutionState, TacticFailed,
-    TacticResult, register_tactic,
+    TacticResult, detail_value, register_tactic,
 )
 from ..syntax import (
     ParseError, RAppl, RName, parse_term, print_term, _Env, _P,
@@ -326,11 +326,11 @@ def revalidate_exact(cert: Certificate) -> None:
     concl = goal.concl
     fills = cert.fills(
         {concl.mid: concl.sort} if isinstance(concl, Meta) else {})
-    decl = goal.ctx.lookup(detail["hyp"])
+    decl = goal.ctx.lookup(detail_value("exact", detail, "hyp", str))
     if decl is None or decl.prop is None:
         raise CertificateError("exact: cited hypothesis is gone")
     prop = decl.prop
-    for arg in detail["args"]:
+    for arg in detail_value("exact", detail, "args", tuple):
         if not (isinstance(prop, Binder) and prop.kind == "forall"):
             raise CertificateError("exact: over-instantiated hypothesis")
         if not _in_context(arg, goal, prop.vsort):
@@ -341,7 +341,7 @@ def revalidate_exact(cert: Certificate) -> None:
         if prop != fills[concl.mid]:
             raise CertificateError("exact: assignment mismatch")
         return
-    if prop != detail["instance"]:
+    if prop != detail_value("exact", detail, "instance", Term):
         raise CertificateError("exact: instance mismatch")
     if not definitional_eq(prop, concl):
         raise CertificateError("exact: instance no longer matches the goal")
@@ -359,7 +359,8 @@ def revalidate_rfl(cert: Certificate) -> None:
 
 def revalidate_cases(cert: Certificate) -> None:
     cert.fills({})
-    decl = cert.goal.ctx.lookup(cert.detail["false_hyp"])
+    decl = cert.goal.ctx.lookup(
+        detail_value("cases", cert.detail, "false_hyp", str))
     if decl is None or decl.prop is None:
         raise CertificateError("cases: false hypothesis is gone")
     prop = normalize(decl.prop)

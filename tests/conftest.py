@@ -125,6 +125,15 @@ def corpus():
     return load_corpus_entries()
 
 
+def linear_rows(names, lins):
+    """`(lin, rel)` pairs, each lin a map from `names` and linarith's
+    `CONST` to numbers, as the integer rows of one system over the
+    columns `(CONST, *names)`, scaled as linear_arith scales them."""
+    from holebox.tactics.linarith import CONST, Atomizer, _mk_con
+    az = Atomizer(RAT, {CONST: 0, **{n: i for i, n in enumerate(names, 1)}})
+    return [az.row(_mk_con(lin, rel)) for lin, rel in lins]
+
+
 # ---------------------------------------------------------------------------
 # Independent evaluation oracle (no engine imports beyond node types)
 

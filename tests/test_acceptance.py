@@ -248,7 +248,7 @@ def test_criterion_3_deductive_theorem_oracle():
 
 
 def test_criterion_4_decision_procedure_oracle():
-    from conftest import brute_eval
+    from conftest import brute_eval, linear_rows
     from holebox.tactics.decide import decide_prop
     from holebox.tactics.linarith import CONST, omega_sat
     from holebox.tactics.ring import ring_sides
@@ -288,7 +288,8 @@ def test_criterion_4_decision_procedure_oracle():
         for n in names:
             ineqs.append({n: Fraction(-1), CONST: Fraction(-20)})
             ineqs.append({n: Fraction(1), CONST: Fraction(-20)})
-        got = omega_sat([dict(e) for e in eqs], [dict(i) for i in ineqs])
+        got = omega_sat(linear_rows(names, [(e, "eq") for e in eqs]
+                                    + [(i, "le") for i in ineqs]))
         want = any(
             all(sum(int(e.get(n, 0)) * v for n, v in zip(names, vals))
                 + int(e.get(CONST, 0)) == 0 for e in eqs)

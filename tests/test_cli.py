@@ -233,6 +233,7 @@ def test_unknown_flag_exits_two(capsys):
 @pytest.mark.parametrize("argv", [
     ["rpe-check", problem_path("nickels.json"), "--a", "x", "--b", "->"],
     ["solve"], ["bench", "run"], ["bench"], ["solve", "p.json", "--k", "q"],
+    ["solve", problem_path("nickels.json"), "--policy", "ext"],
 ])
 def test_usage_error_is_one_line(capsys, argv):
     # argparse's usage block is not printed, only the error line

@@ -162,6 +162,15 @@ def test_certify_rejects_an_altered_recorded_certificate():
             certify(sess)
 
 
+def test_certify_rejects_a_certificate_that_lacks_a_detail_key():
+    # the line check reads the budget through the checked accessor, so
+    # the session fails certification rather than raise KeyError
+    by_auto = fps_init(EQ_ONE).apply("w", "exact", "1").apply("h", "auto", "")
+    lacking = _altered(by_auto, 1, detail={"nodes_used": 3})
+    with pytest.raises(CertifyFailed, match="has no 'budget'"):
+        certify(lacking)
+
+
 def _with_line(sess, step, argtext):
     """`sess` with the line of trace step `step` given `argtext`."""
     trace = list(sess.state.trace)

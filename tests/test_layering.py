@@ -90,11 +90,9 @@ def _called_names(fn):
 
 
 # The text the functions a revalidator reaches in its own module still
-# read or print: linear_arith names its atoms by their printed text, and
-# rw_search parses the lemma library the first time it is loaded.
-TEXT_ON_CHECK_PATH = {("tactics/linarith.py", "_mod_key", "print_term"),
-                      ("tactics/linarith.py", "key_for", "print_term"),
-                      ("tactics/rewrite.py", "parse_lemma_line", "parse_term")}
+# read or print: rw_search parses the lemma library the first time it is
+# loaded.  Nothing on a check path prints.
+TEXT_ON_CHECK_PATH = {("tactics/rewrite.py", "parse_lemma_line", "parse_term")}
 
 
 # The line checks certification runs instead of a searching line.
@@ -149,11 +147,13 @@ def test_certificates_are_checked_without_the_parser():
     assert not callers, callers
     assert LINE_CHECKS <= {fn.name for fn in ast.walk(
         trees["tactics/__init__.py"]) if isinstance(fn, ast.FunctionDef)}
-    # ring atoms are keyed by their interned node: ring_nf's check
-    # (`ring_sides`, `poly_of`, `AtomTable.key`) prints nothing
-    ring = {a.name for node in ast.walk(trees["tactics/ring.py"])
-            if isinstance(node, ast.ImportFrom) for a in node.names}
-    assert not ring & {"parse_term", "print_term"}
+    # ring and linear_arith atoms are keyed by their interned node, so
+    # neither ring_nf's check (`ring_sides`, `poly_of`, `AtomTable.key`)
+    # nor linear_arith's (`Atomizer.key_for`, `_mod_key`) prints
+    for rel in ("tactics/ring.py", "tactics/linarith.py"):
+        names = {a.name for node in ast.walk(trees[rel])
+                 if isinstance(node, ast.ImportFrom) for a in node.names}
+        assert not names & {"parse_term", "print_term"}, rel
     reached = set().union(*(_text_reached_by_revalidators(rel, tree)
                             for rel, tree in trees.items()))
     assert reached == TEXT_ON_CHECK_PATH

@@ -1,25 +1,32 @@
-"""linear_arith: spec vectors, completeness against brute force, Farkas."""
+"""linear_arith: spec vectors, completeness against brute force, Farkas,
+and the integer rows against the reference they replaced."""
 
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holebox.expr import INT, LocalDecl, NAT, PROP, RAT, REAL, Telescope
+from conftest import linear_rows
+from holebox.expr import (
+    App, Atom, Conn, INT, Lit, LocalDecl, NAT, PROP, RAT, REAL, Telescope,
+    mk_conn, mk_var,
+)
 from holebox.kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
     apply_tactic,
 )
-from holebox.norm import normalize
-from holebox.syntax import parse_term
+from holebox.norm import fold_literals, normalize
+from holebox.syntax import parse_term, print_term
 from holebox.tactics import linarith
 from holebox.tactics.linarith import (
-    CONST, MAX_NE_SPLITS, Atomizer, NotLinear, atom_to_constraints,
-    fm_refute, linearize, omega_sat, prove_linear, refute_branch,
-    revalidate_linear_arith, verify_farkas, _atom_constraints, _atom_memo,
-    _fm_row, _hyp_atoms, _hyp_system, _int_rows, _lin_add, _lin_scale,
-    _mk_con, _OmegaBudget,
+    CONST, MAX_NE_SPLITS, Atomizer, Constraint, NotLinear,
+    atom_to_constraints, fm_refute, linearize, omega_sat, prove_linear,
+    refute_branch, revalidate_linear_arith, verify_farkas, _atom_constraints,
+    _atom_memo, _hyp_atoms, _hyp_system, _lin_add, _lin_scale, _OmegaBudget,
 )
 
 
@@ -82,6 +89,12 @@ def test_nonlinear_atoms_are_opaque():
     assert proves("x * x = 4", ["x * x = 4"], [("x", INT)])
 
 
+def omega_rows(names, eqs, ineqs):
+    """Equalities and `<= 0` inequalities as one system's rows."""
+    return linear_rows(names, [(e, "eq") for e in eqs]
+                       + [(i, "le") for i in ineqs])
+
+
 def test_omega_brute_force(rng):
     """Verdicts match exhaustive search over the bounded box."""
     names = ["x0", "x1"]
@@ -94,7 +107,7 @@ def test_omega_brute_force(rng):
         for n in names:
             ineqs.append({n: Fraction(-1), CONST: Fraction(-20)})
             ineqs.append({n: Fraction(1), CONST: Fraction(-20)})
-        got = omega_sat([dict(e) for e in eqs], [dict(i) for i in ineqs])
+        got = omega_sat(omega_rows(names, eqs, ineqs))
         want = any(
             all(sum(int(e.get(n, 0)) * v for n, v in zip(names, vals))
                 + int(e.get(CONST, 0)) == 0 for e in eqs)
@@ -136,63 +149,79 @@ def test_omega_brute_force_three_vars(rng):
         for n in names:
             ineqs.append({n: Fraction(-1), CONST: Fraction(-bound)})
             ineqs.append({n: Fraction(1), CONST: Fraction(-bound)})
-        got = omega_sat(eqs, ineqs)
+        got = omega_sat(omega_rows(names, eqs, ineqs))
         assert got == _box_sat(eqs, ineqs, names, bound)
         sat += got
     assert 40 < sat < 160     # both verdicts well represented
 
 
+def _ineqs(*lins):
+    return omega_rows(["x", "y"], [], lins)
+
+
 def test_omega_duplicate_rows_keep_the_tightest():
-    x = {"x": Fraction(1)}
+    x = {"x": 1}
     # x <= 5, x <= 2 (twice), x >= 2: only x = 2 is left
-    rows = [x | {CONST: Fraction(-5)}, x | {CONST: Fraction(-2)},
-            x | {CONST: Fraction(-2)}, {"x": Fraction(-1), CONST: Fraction(2)}]
-    assert omega_sat([], rows)
+    assert omega_sat(_ineqs(x | {CONST: -5}, x | {CONST: -2},
+                            x | {CONST: -2}, {"x": -1, CONST: 2}))
     # the same after scaling: 2x <= 4 tightens to x <= 2, 3x >= 7 to x >= 3
-    assert not omega_sat([], [{"x": Fraction(2), CONST: Fraction(-4)},
-                              x | {CONST: Fraction(-9)},
-                              {"x": Fraction(-3), CONST: Fraction(7)}])
+    assert not omega_sat(_ineqs({"x": 2, CONST: -4}, x | {CONST: -9},
+                                {"x": -3, CONST: 7}))
 
 
 def test_omega_contradictory_opposite_pair():
     # x + 2y <= 3 and x + 2y >= 4
-    lo = {"x": Fraction(1), "y": Fraction(2), CONST: Fraction(-3)}
-    hi = {"x": Fraction(-1), "y": Fraction(-2), CONST: Fraction(4)}
-    assert not omega_sat([], [lo, hi])
+    lo = {"x": 1, "y": 2, CONST: -3}
+    hi = {"x": -1, "y": -2, CONST: 4}
+    assert not omega_sat(_ineqs(lo, hi))
     # touching bounds meet: x + 2y = 3
-    assert omega_sat([], [lo, {**hi, CONST: Fraction(3)}])
+    assert omega_sat(_ineqs(lo, {**hi, CONST: 3}))
 
 
 def test_omega_budget_exhaustion_is_not_linear():
-    rows = [{"x": Fraction(1), CONST: Fraction(-5)},
-            {"x": Fraction(-1)}]
-    assert omega_sat([], rows)
+    rows = _ineqs({"x": 1, CONST: -5}, {"x": -1})
+    assert omega_sat(rows)
     with pytest.raises(NotLinear):
-        omega_sat([], rows, budget=_OmegaBudget(1))
+        omega_sat(rows, budget=_OmegaBudget(1))
 
 
-def test_omega_rejects_non_integral_coefficients():
-    with pytest.raises(NotLinear):
-        omega_sat([], [{"x": Fraction(1, 2), CONST: Fraction(-1)}])
-    with pytest.raises(NotLinear):
-        omega_sat([{"x": Fraction(1), CONST: Fraction(1, 3)}], [])
+def test_rational_rows_are_scaled_to_integers():
+    # each row is scaled by the positive lcm of its denominators, so the
+    # deciders see integers only, and a strict row stays strict
+    le, eq, lt = linear_rows(["x"], [
+        ({"x": Fraction(1, 2), CONST: Fraction(-1)}, "le"),
+        ({"x": Fraction(1), CONST: Fraction(1, 3)}, "eq"),
+        ({"x": Fraction(-2, 3), CONST: Fraction(1, 2)}, "lt")])
+    assert le == Constraint((-2, 1), "le")
+    assert eq == Constraint((1, 3), "eq")
+    assert lt == Constraint((3, -4), "lt")
+    # 3x + 1 = 0 has a rational solution and no integer one
+    assert fm_refute([eq]) is None and not omega_sat([eq])
+    # omega reads a strict row e < 0 as e + 1 <= 0: -4x + 3 < 0 is x >= 1
+    def below(bound):
+        return [lt] + linear_rows(["x"], [({"x": 1, CONST: -bound}, "le")])
+    assert omega_sat(below(1)) and not omega_sat(below(0))
+    with pytest.raises(NotLinear, match="ne must be split"):
+        omega_sat([Constraint((1, 1), "ne")])
 
 
 def test_farkas_certificate_checks():
-    cons = [
-        _mk_con({"x": Fraction(1), CONST: Fraction(-3)}, "le"),   # x <= 3
-        _mk_con({"x": Fraction(-1), CONST: Fraction(4)}, "le"),   # x >= 4
-    ]
+    # x <= 3, x >= 4
+    cons = linear_rows(["x"], [({"x": 1, CONST: -3}, "le"),
+                               ({"x": -1, CONST: 4}, "le")])
     farkas = fm_refute(cons)
     assert farkas is not None
     assert verify_farkas(cons, farkas)
     # a tampered combination must not verify
     tampered = {k: v + 1 for k, v in farkas.items()}
     bad = dict(tampered)
-    bad[next(iter(bad))] = Fraction(-1)
+    bad[next(iter(bad))] = -1
     assert not verify_farkas(cons, bad)
-    # a multiplier for a row the system does not have
-    assert not verify_farkas(cons, {4: Fraction(1)})
+    # a multiplier for a row the system does not have, or no row at all
+    assert not verify_farkas(cons, {4: 1})
+    assert not verify_farkas(cons, {})
+    # multipliers are integers
+    assert not verify_farkas(cons, {k: Fraction(v) for k, v in farkas.items()})
 
 
 def test_synthesis_by_gauss_and_scan():
@@ -208,7 +237,6 @@ def test_synthesis_by_gauss_and_scan():
     out = apply_tactic(sess.state, "h", "linear_arith", "")
     from holebox.kernel import is_terminal
     assert is_terminal(out)
-    from holebox.syntax import print_term
     assert print_term(dict(out.assignment)["w"]) == "7"
 
 
@@ -234,7 +262,6 @@ def test_certificate_with_a_dropped_branch_rejected():
 def test_unsplit_branch_runs_fourier_motzkin_once(monkeypatch):
     # a branch without disequalities is refuted once; that refutation's
     # multipliers are the branch's evidence
-    import holebox.tactics.linarith as linarith
     calls = []
 
     def counting(cons):
@@ -252,10 +279,9 @@ def test_unsplit_branch_runs_fourier_motzkin_once(monkeypatch):
 
 def test_sums_that_differ_in_a_captured_variable_stay_two_atoms():
     # `intro x` opens `forall y` at x: the first sum adds the free x, the
-    # second its own bound x.  linear_arith names atoms by their printed
-    # text, so the printer must keep them apart, or it refutes nothing
-    # and "proves" a false goal
-    from holebox.syntax import print_term
+    # second its own bound x.  linear_arith keys atoms by their interned
+    # node, so the two sums are two atoms whatever the printer makes of
+    # them, and it refutes nothing rather than "prove" a false goal
     tele = Telescope((LocalDecl("n", INT),))
     s = "{k : Int | 0 <= k /\\ k <= n}"
     goal = Goal("h", tele, parse_term(
@@ -296,36 +322,39 @@ def test_synthesis_certificate_checks_its_assignment():
 # Disequality splits: the depth-first split against the full enumeration
 
 
-def eager_splits(cons):
+def _row_side(c, gt):
+    """`e < 0` (gt 0) or `e > 0` (gt 1) of the row `e != 0`."""
+    return Constraint(tuple(-a for a in c.row) if gt else c.row, "lt")
+
+
+def eager_splits(cons, side=_row_side):
     """All 2^k splits of the k `ne` rows, in order, `<` before `>`."""
     systems = [[]]
     for c in cons:
         if c.rel != "ne":
             systems = [s + [c] for s in systems]
             continue
-        lt = _mk_con(c.lin(), "lt")
-        gt = _mk_con({k: -v for k, v in c.lin().items()}, "lt")
-        systems = [s + [side] for s in systems for side in (lt, gt)]
+        systems = [s + [side(c, gt)] for s in systems for gt in (0, 1)]
     return systems
 
 
-def _feasible(sort):
+def _feasible(sort, omega=omega_sat, fm=fm_refute):
     if sort in (INT, NAT):
-        return lambda sub: linarith.omega_sat(*_int_rows(sub))
-    return lambda sub: linarith.fm_refute(sub) is None
+        return omega
+    return lambda sub: fm(sub) is None
 
 
-def eager_refute(sort, cons):
+def eager_refute(sort, cons, side=_row_side, omega=omega_sat, fm=fm_refute):
     """`refute_branch` by checking every split up front."""
     if 2 ** sum(c.rel == "ne" for c in cons) > MAX_NE_SPLITS:
         raise NotLinear("too many disequalities to split")
-    systems = eager_splits(cons)
-    if any(_feasible(sort)(sub) for sub in systems):
+    systems = eager_splits(cons, side)
+    if any(_feasible(sort, omega, fm)(sub) for sub in systems):
         raise TacticFailed("linear_arith: system is feasible")
     if sort in (INT, NAT):
         return {"method": "omega"}
     if len(systems) == 1:
-        return {"method": "farkas", "multipliers": fm_refute(cons)}
+        return {"method": "farkas", "multipliers": fm(cons)}
     return {"method": "fm-split"}
 
 
@@ -347,13 +376,14 @@ def _systems(draw):
 
     def row(rel):
         den = draw(st.integers(1, 3)) if sort == RAT else 1
-        return _mk_con({"x": Fraction(draw(coef), den),
-                        "y": Fraction(draw(coef), den),
-                        CONST: Fraction(draw(st.integers(-6, 6)), den)}, rel)
+        return ({"x": Fraction(draw(coef), den),
+                 "y": Fraction(draw(coef), den),
+                 CONST: Fraction(draw(st.integers(-6, 6)), den)}, rel)
 
     rels = ["ne"] * draw(st.integers(0, 6)) + draw(
         st.lists(st.sampled_from(["le", "lt", "eq"]), max_size=5))
-    return sort, [row(rel) for rel in draw(st.permutations(rels))]
+    return sort, linear_rows(["x", "y"], [
+        row(rel) for rel in draw(st.permutations(rels))])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -378,10 +408,10 @@ def test_depth_first_split_matches_the_full_enumeration(system):
 
 def _ne_rows(n):
     """1 <= x <= n and x != 1, ..., x != n over Int: infeasible."""
-    box = [_mk_con({"x": Fraction(-1), CONST: Fraction(1)}, "le"),
-           _mk_con({"x": Fraction(1), CONST: Fraction(-n)}, "le")]
-    return box + [_mk_con({"x": Fraction(1), CONST: Fraction(-v)}, "ne")
-                  for v in range(1, n + 1)]
+    return linear_rows(["x"], [({"x": -1, CONST: 1}, "le"),
+                               ({"x": 1, CONST: -n}, "le")]
+                       + [({"x": 1, CONST: -v}, "ne")
+                          for v in range(1, n + 1)])
 
 
 def test_ne_split_guard():
@@ -403,9 +433,9 @@ def test_ne_split_prunes_infeasible_prefixes(monkeypatch):
         "x = 1 \\/ x = 2 \\/ x = 3 \\/ x = 4 \\/ x = 5 \\/ x = 6", tele, PROP))
     calls = []
 
-    def counting(eqs, ineqs, budget=None):
-        calls.append(len(eqs) + len(ineqs))
-        return omega_sat(eqs, ineqs, budget)
+    def counting(cons, budget=None):
+        calls.append(len(cons))
+        return omega_sat(cons, budget)
 
     monkeypatch.setattr(linarith, "omega_sat", counting)
     assert prove_linear(goal) == {"branches": [{"method": "omega"}]}
@@ -414,7 +444,8 @@ def test_ne_split_prunes_infeasible_prefixes(monkeypatch):
     assert len(calls) == 12
     calls.clear()
     _, hyps, branches = linarith._collect_system(goal)
-    assert eager_refute(INT, hyps + branches[0]) == {"method": "omega"}
+    assert eager_refute(INT, hyps + branches[0], omega=counting) \
+        == {"method": "omega"}
     assert len(calls) == 2 ** 6
 
 
@@ -451,8 +482,7 @@ def test_hyp_system_memo_gives_each_call_a_fresh_atom_space():
     def run():
         az, cons, out = _hyp_system(
             goal, INT, lambda az: [linearize(t, az) for t in extra])
-        return (list(az.table.items()), az.nat_keys, az.mod_constraints,
-                az.counter, cons, out)
+        return list(az.cols.items()), az.mod_constraints, cons, out
 
     _hyp_atoms.cache_clear()
     cold = run()
@@ -461,15 +491,22 @@ def test_hyp_system_memo_gives_each_call_a_fresh_atom_space():
     _hyp_atoms.cache_clear()
     again = run()
     assert cold == warm == again == run()
-    table, nat_keys, mods, counter, cons, _ = cold
-    assert counter == 2 and len(mods) == 6
-    assert nat_keys == {"`m`"}
-    assert "`y % 4`" in dict(table) and "`m`" in dict(table)
+    cols, mods, cons, _ = cold
+    assert len(mods) == 6
+    # columns in order of first occurrence, keyed by node: the remainder
+    # of x % 3, x, its quotient, y, ..., then the target's atoms
+    x, y, m = mk_var("x", INT), mk_var("y", INT), mk_var("m", NAT)
+    keys = [k for k, _ in cols]
+    assert [col for _, col in cols] == list(range(len(cols)))
+    assert keys[:5] == [CONST, ("mod", x, 3), x, ("div", x, 3), y]
+    assert keys[-3:] == [("mod", y, 4), ("div", y, 4), m]
+    # the Nat atom's non-negativity row, -m <= 0
+    assert Constraint(tuple(-(k is m) for k in keys), "le") in cons
     # the memo's own snapshot still ends before the target's atoms
-    snap_table, snap_nat, snap_mods, snap_counter, _ = _hyp_atoms(
+    snap_cols, snap_mods, _ = _hyp_atoms(
         tuple(normalize(d.prop) for d in tele.decls if d.prop), INT)
-    assert snap_counter == 1 and len(snap_mods) == 3
-    assert "`m`" not in dict(snap_table) and not snap_nat
+    assert len(snap_mods) == 3
+    assert m not in dict(snap_cols) and ("mod", y, 4) not in dict(snap_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -501,29 +538,27 @@ ATOM_TEMPLATES = {
 }
 
 
+def _template_atom(draw, sort):
+    text = draw(st.sampled_from(ATOM_TEMPLATES[sort])).format(
+        a=draw(st.integers(-3, 3)), b=draw(st.integers(-3, 3)),
+        c=draw(st.integers(-4, 4)), k=draw(st.integers(2, 4)))
+    return normalize(parse_term(text, ATOM_TELE, PROP))
+
+
 @st.composite
 def _atom_cases(draw):
     """A system sort, 0-4 hypothesis atoms and one atom to translate."""
     sort = draw(st.sampled_from([INT, RAT]))
-
-    def atom():
-        text = draw(st.sampled_from(ATOM_TEMPLATES[sort])).format(
-            a=draw(st.integers(-3, 3)), b=draw(st.integers(-3, 3)),
-            c=draw(st.integers(-4, 4)), k=draw(st.integers(2, 4)))
-        return normalize(parse_term(text, ATOM_TELE, PROP))
-
-    hyps = [atom() for _ in range(draw(st.integers(0, 4)))]
-    return sort, hyps, atom()
+    hyps = [_template_atom(draw, sort) for _ in range(draw(st.integers(0, 4)))]
+    return sort, hyps, _template_atom(draw, sort)
 
 
 def _atom_space(az):
-    return (list(az.table.items()), set(az.nat_keys),
-            list(az.mod_constraints), az.counter)
+    return list(az.cols.items()), list(az.mod_constraints)
 
 
 def _translate(translate, atom, base, positive):
-    az = Atomizer(base.sort, dict(base.table), set(base.nat_keys),
-                  list(base.mod_constraints), base.counter)
+    az = Atomizer(base.sort, dict(base.cols), list(base.mod_constraints))
     try:
         cons = translate(atom, az, positive)
     except Exception as e:
@@ -548,19 +583,245 @@ def test_atom_memo_replays_the_in_place_translation(case, positive):
     warm = _translate(_atom_constraints, atom, base, positive)
     assert cold == want and warm == want
     if isinstance(want, tuple):
-        # kept only when it leaves no name that depends on the space
+        # kept only when it makes no modulus rows, which a space that
+        # already holds the modulus would not get again
         fresh = Atomizer(sort)
         atom_to_constraints(atom, fresh, positive)
         kept = _atom_memo(atom, sort, positive) is not None
-        assert kept == (not fresh.counter and not fresh.mod_constraints)
+        assert kept == (not fresh.mod_constraints)
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin: the per-round coefficient reads change nothing
+# The reference: linear_arith as it was before its systems were integer
+# rows over first-occurrence columns.  Atoms are named by their printed
+# text, a constraint is a `Lin` dict of Fractions that builds its integer
+# row on first use (`int_row`), Fourier-Motzkin runs on the Fractions,
+# and omega gets `int` tuples over the sorted names (`to_row`).  The
+# omega search itself (`linarith._omega`) is shared.
+
+
+@dataclass(frozen=True)
+class RefConstraint:
+    expr: tuple
+    rel: str
+
+    def lin(self):
+        return dict(self.expr)
+
+    @cached_property
+    def int_row(self):
+        if self.rel == "ne":
+            raise NotLinear("ne must be split before omega")
+        den = math.lcm(*(v.denominator for _, v in self.expr))
+        lin = {k: v.numerator * (den // v.denominator) for k, v in self.expr}
+        if self.rel == "lt":
+            lin[CONST] = lin.get(CONST, 0) + 1
+        return lin
+
+
+def _ref_con(lin, rel):
+    return RefConstraint(tuple(sorted((k, v) for k, v in lin.items()
+                                      if v != 0 or k == CONST)), rel)
+
+
+@dataclass
+class RefAtomizer:
+    sort: object
+    table: dict
+    nat_keys: set
+    mod_constraints: list
+    counter: int = 0
+
+    def key_for(self, t):
+        key = f"`{print_term(t)}`"
+        if key not in self.table:
+            self.table[key] = t
+            if t.sort == NAT:
+                self.nat_keys.add(key)
+        return key
+
+    def fresh(self, prefix):
+        self.counter += 1
+        return f"${prefix}{self.counter}"
+
+
+def _ref_const(t):
+    t = fold_literals(t)
+    return t.val if isinstance(t, Lit) else None
+
+
+def ref_linearize(t, az):
+    t = fold_literals(t)
+    if isinstance(t, Lit):
+        return {CONST: t.val}
+    if isinstance(t, App):
+        args = t.args
+        if t.op == "add":
+            return _lin_add(ref_linearize(args[0], az),
+                            ref_linearize(args[1], az))
+        if t.op == "sub" and t.sort != NAT:
+            return _lin_add(ref_linearize(args[0], az),
+                            ref_linearize(args[1], az), Fraction(-1))
+        if t.op == "neg":
+            return _lin_scale(ref_linearize(args[0], az), Fraction(-1))
+        if t.op == "mul":
+            lv, rv = _ref_const(args[0]), _ref_const(args[1])
+            if lv is not None:
+                return _lin_scale(ref_linearize(args[1], az), lv)
+            if rv is not None:
+                return _lin_scale(ref_linearize(args[0], az), rv)
+        if t.op == "div" and t.sort in (RAT, REAL):
+            rv = _ref_const(args[1])
+            if rv:
+                return _lin_scale(ref_linearize(args[0], az), 1 / rv)
+        if t.op == "mod" and t.sort in (NAT, INT):
+            m = _ref_const(args[1])
+            if m is not None and m > 0:
+                return {_ref_mod_key(args[0], int(m), az): Fraction(1)}
+    return {az.key_for(t): Fraction(1)}
+
+
+def _ref_mod_key(t, m, az):
+    key = f"`{print_term(t)} % {m}`"
+    if key in az.table:
+        return key
+    az.table[key] = t
+    base = ref_linearize(t, az)
+    q = az.fresh("q")
+    eq = _lin_add(base, {q: Fraction(m), key: Fraction(1)}, Fraction(-1))
+    az.mod_constraints.append(_ref_con(eq, "eq"))
+    az.mod_constraints.append(_ref_con({key: Fraction(-1)}, "le"))
+    az.mod_constraints.append(
+        _ref_con({key: Fraction(1), CONST: Fraction(1 - m)}, "le"))
+    return key
+
+
+def ref_atom_to_constraints(a, az, positive):
+    rel = a.rel
+    int_path = az.sort in (INT, NAT)
+    one = Fraction(1)
+    if rel in ("eq", "ne", "lt", "le"):
+        if a.args[0].sort != az.sort:
+            raise NotLinear(
+                f"atom over {a.args[0].sort}, system over {az.sort}")
+        diff = _lin_add(ref_linearize(a.args[0], az),
+                        ref_linearize(a.args[1], az), Fraction(-1))
+        if not positive:
+            rel = {"eq": "ne", "ne": "eq", "lt": "le", "le": "lt"}[rel]
+            if rel in ("le", "lt"):
+                diff = {k: -v for k, v in diff.items()}
+        if rel == "lt" and int_path:
+            return [_ref_con(_lin_add(diff, {CONST: one}), "le")]
+        return [_ref_con(diff, rel)]
+    if not int_path:
+        raise NotLinear(f"relation {rel} outside the Int path")
+    if rel == "dvd":
+        m = _ref_const(a.args[0])
+        if m is None or m <= 0:
+            raise NotLinear("divisibility with a non-literal modulus")
+        r = _ref_mod_key(a.args[1], int(m), az)
+        return [_ref_con({r: one}, "eq" if positive else "ne")]
+    if rel in ("even", "odd"):
+        r = _ref_mod_key(a.args[0], 2, az)
+        want_zero = (rel == "even") == positive
+        return [_ref_con({r: one}, "eq" if want_zero else "ne")]
+    raise NotLinear(f"relation {rel} is not linear")
+
+
+def _ref_flatten_pos(t, az):
+    if isinstance(t, Conn) and t.op == "and":
+        lhs = _ref_flatten_pos(t.args[0], az)
+        rhs = _ref_flatten_pos(t.args[1], az)
+        return None if lhs is None or rhs is None else lhs + rhs
+    if isinstance(t, Conn) and t.op == "true":
+        return []
+    negated = isinstance(t, Conn) and t.op == "not" \
+        and isinstance(t.args[0], Atom)
+    if negated or isinstance(t, Atom):
+        try:
+            return ref_atom_to_constraints(t.args[0] if negated else t, az,
+                                           not negated)
+        except NotLinear:
+            return None
+    return None
+
+
+def _ref_negation_dnf(t, az):
+    if isinstance(t, Conn):
+        if t.op == "and":
+            return _ref_negation_dnf(t.args[0], az) \
+                + _ref_negation_dnf(t.args[1], az)
+        if t.op == "or":
+            return [l + r for l in _ref_negation_dnf(t.args[0], az)
+                    for r in _ref_negation_dnf(t.args[1], az)]
+        if t.op == "imp":
+            pos = _ref_flatten_pos(t.args[0], az)
+            if pos is None:
+                raise NotLinear("non-linear antecedent in the conclusion")
+            return [pos + d for d in _ref_negation_dnf(t.args[1], az)]
+        if t.op == "not":
+            pos = _ref_flatten_pos(t.args[0], az)
+            if pos is None:
+                raise NotLinear("non-linear negated conclusion")
+            return [pos]
+        if t.op == "false":
+            return [[]]
+        if t.op == "true":
+            return []
+    if isinstance(t, Atom):
+        return [ref_atom_to_constraints(t, az, positive=False)]
+    raise NotLinear("conclusion is not in the linear fragment")
+
+
+def ref_collect_system(goal):
+    """The reference's sort, hypothesis constraints and branches."""
+    concl = normalize(goal.concl)
+    sort = linarith._goal_sort(concl)
+    az = RefAtomizer(sort, {}, set(), [])
+    hyps = []
+    for d in goal.ctx.decls:
+        prop = None if d.prop is None else normalize(d.prop)
+        if prop is not None and not prop.has_meta:
+            hyps.extend(_ref_flatten_pos(prop, az) or [])
+    branches = _ref_negation_dnf(concl, az)
+    hyps.extend(_ref_con({key: Fraction(-1)}, "le")
+                for key in sorted(az.nat_keys))
+    hyps.extend(az.mod_constraints)
+    return sort, hyps, branches
+
+
+def reference_omega_sat(cons):
+    """omega over `int_row`s mapped to tuples over the sorted names."""
+    rows = [c.int_row for c in cons]
+    cols = sorted({k for row in rows for k in row if k != CONST})
+
+    def to_row(lin):
+        return tuple(lin.get(k, 0) for k in (CONST, *cols))
+
+    return linarith._omega(
+        [to_row(r) for c, r in zip(cons, rows) if c.rel == "eq"],
+        [to_row(r) for c, r in zip(cons, rows) if c.rel != "eq"],
+        _OmegaBudget(linarith.MAX_OMEGA_NODES))
+
+
+@dataclass(frozen=True)
+class _FmRow:
+    lin: tuple
+    strict: bool
+    lineage: tuple
+
+    def coeffs(self):
+        return dict(self.lin)
+
+
+def _fm_row(lin, strict, lineage):
+    return _FmRow(tuple(sorted((k, v) for k, v in lin.items() if v != 0)),
+                  strict, tuple(sorted(lineage.items())))
 
 
 def reference_fm_refute(cons):
-    """`fm_refute` as it read every row's coefficients for every test."""
+    """`fm_refute` on Fractions, reading every row's coefficients for
+    every test."""
     rows = []
     for i, c in enumerate(cons):
         lin = c.lin()
@@ -615,15 +876,39 @@ def reference_fm_refute(cons):
         rows = new_rows
 
 
-@st.composite
-def _rational_systems(draw):
-    """1-6 rows over x, y and z with small rational coefficients."""
-    def row():
-        den = draw(st.integers(1, 3))
-        lin = {v: Fraction(draw(st.integers(-3, 3)), den) for v in "xyz"}
-        lin[CONST] = Fraction(draw(st.integers(-6, 6)), den)
-        return _mk_con(lin, draw(st.sampled_from(["le", "lt", "eq"])))
-    return [row() for _ in range(draw(st.integers(1, 6)))]
+def reference_verify_farkas(cons, multipliers):
+    total = {}
+    strict = False
+    for idx, mult in multipliers.items():
+        if mult < 0 or not 0 <= idx < 2 * len(cons):
+            return False
+        base = cons[idx // 2]
+        lin = base.lin()
+        if base.rel == "eq" and idx % 2 == 1:
+            lin = _lin_scale(lin, Fraction(-1))
+        elif base.rel == "lt":
+            strict = strict or mult > 0
+        elif base.rel not in ("le", "eq"):
+            return False
+        total = _lin_add(total, lin, mult)
+    if any(k != CONST and v != 0 for k, v in total.items()):
+        return False
+    c0 = total.get(CONST, Fraction(0))
+    return c0 > 0 or (strict and c0 >= 0)
+
+
+def _ref_side(c, gt):
+    return _ref_con(_lin_scale(c.lin(), Fraction(-1)) if gt else c.lin(),
+                    "lt")
+
+
+def reference_prove_linear(goal):
+    sort, hyps, branches = ref_collect_system(goal)
+    if not branches:
+        raise NotLinear("conclusion is trivially true; use rfl or eval_decide")
+    return {"branches": [
+        eager_refute(sort, hyps + branch, _ref_side, reference_omega_sat,
+                     reference_fm_refute) for branch in branches]}
 
 
 def _refuted(refute, cons):
@@ -633,10 +918,81 @@ def _refuted(refute, cons):
         return str(e)
 
 
+@st.composite
+def _rational_systems(draw):
+    """1-6 rows over x, y and z with small rational coefficients, as
+    `(lin, rel)` pairs."""
+    def row():
+        den = draw(st.integers(1, 3))
+        lin = {v: Fraction(draw(st.integers(-3, 3)), den) for v in "xyz"}
+        lin[CONST] = Fraction(draw(st.integers(-6, 6)), den)
+        return lin, draw(st.sampled_from(["le", "lt", "eq"]))
+    return [row() for _ in range(draw(st.integers(1, 6)))]
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_rational_systems())
-def test_fm_refute_matches_the_reference(cons):
-    assert _refuted(fm_refute, cons) == _refuted(reference_fm_refute, cons)
+def test_fm_refute_matches_the_reference(lins):
+    # the same verdict on the integer rows as on the Fractions, and each
+    # side's multipliers check on its own rows
+    rows = linear_rows("xyz", lins)
+    ref = [_ref_con(lin, rel) for lin, rel in lins]
+    got, want = _refuted(fm_refute, rows), _refuted(reference_fm_refute, ref)
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert verify_farkas(rows, got)
+        assert reference_verify_farkas(ref, want)
+    else:
+        assert got == want
+
+
+@st.composite
+def _linear_goals(draw):
+    """A goal over `ATOM_TELE`: 0-4 hypotheses and a conclusion of one
+    or two atoms, all drawn from one sort's `ATOM_TEMPLATES`.  Half the
+    time a hypothesis repeats the conclusion's first atom, so refutations
+    are common."""
+    sort = draw(st.sampled_from([INT, RAT]))
+    atoms = [_template_atom(draw, sort)
+             for _ in range(draw(st.integers(1, 2)))]
+    concl = atoms[0] if len(atoms) == 1 else mk_conn(
+        draw(st.sampled_from(["and", "or", "imp"])), tuple(atoms))
+    hyps = [_template_atom(draw, sort) for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        hyps.insert(draw(st.integers(0, len(hyps))), atoms[0])
+    tele = ATOM_TELE
+    for i, h in enumerate(hyps):
+        tele = tele.extended(LocalDecl(f"h{i}", PROP, prop=h))
+    return Goal("h", tele, concl)
+
+
+def _proved(prove, goal):
+    try:
+        return "refuted", prove(goal)["branches"]
+    except NotLinear as e:
+        return "not linear", str(e)
+    except TacticFailed as e:
+        return "feasible", str(e)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_linear_goals())
+def test_integer_rows_match_the_reference(goal):
+    got, want = _proved(prove_linear, goal), _proved(reference_prove_linear,
+                                                     goal)
+    assert got[0] == want[0]
+    if got[0] != "refuted":
+        assert got == want
+        return
+    assert [b["method"] for b in got[1]] == [b["method"] for b in want[1]]
+    _, hyps, branches = linarith._collect_system(goal)
+    _, ref_hyps, ref_branches = ref_collect_system(goal)
+    for new, ref, rows, ref_rows in zip(got[1], want[1], branches,
+                                        ref_branches):
+        if new["method"] == "farkas":
+            assert verify_farkas(hyps + rows, new["multipliers"])
+            assert reference_verify_farkas(ref_hyps + ref_rows,
+                                           ref["multipliers"])
 
 
 # ---------------------------------------------------------------------------
@@ -645,19 +1001,21 @@ def test_fm_refute_matches_the_reference(cons):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_rational_systems())
-def test_fm_refute_memo_matches_the_elimination(cons):
-    want = _refuted(reference_fm_refute, cons)
+def test_fm_refute_memo_matches_the_elimination(lins):
+    cons = linear_rows("xyz", lins)
+    want = _refuted(linarith._fm_memo.__wrapped__,
+                    tuple((c.row, c.rel) for c in cons))
+    if isinstance(want, tuple):
+        want = dict(want)
     linarith._fm_memo.cache_clear()
     cold = _refuted(fm_refute, cons)
     if isinstance(cold, dict):
         # a caller that changes its dict changes no later answer
         kept = dict(cold)
-        cold[len(cons) * 2] = Fraction(1)
+        cold[len(cons) * 2] = 1
         cold = kept
     warm = _refuted(fm_refute, cons)
-    moved = _refuted(fm_refute, [_mk_con(c.lin(), c.rel, origin=5)
-                                 for c in cons])
-    assert cold == want and warm == want and moved == want
+    assert cold == want and warm == want
 
 
 OMEGA_NAMES = ("x0", "x1", "x2")
@@ -687,22 +1045,17 @@ def _omega_outcome(decide):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(_int_systems(), st.permutations(("a", "b", "c")))
+@given(_int_systems(), st.permutations(OMEGA_NAMES))
 def test_omega_memo_matches_the_search(system, names):
     eqs, ineqs = system
-
-    def rows(lins):
-        return [tuple(int(r.get(k, 0)) for k in (CONST,) + OMEGA_NAMES)
-                for r in lins]
-
+    cons = omega_rows(OMEGA_NAMES, eqs, ineqs)
     want = _omega_outcome(lambda: linarith._omega(
-        rows(eqs), rows(ineqs), _OmegaBudget(linarith.MAX_OMEGA_NODES)))
+        [c.row for c in cons if c.rel == "eq"],
+        [c.row for c in cons if c.rel == "le"],
+        _OmegaBudget(linarith.MAX_OMEGA_NODES)))
     linarith._omega_memo.cache_clear()
-    cold = _omega_outcome(lambda: omega_sat(eqs, ineqs))
-    warm = _omega_outcome(lambda: omega_sat(eqs, ineqs))
-    # the same system under other atom names, in another column order
-    rename = dict(zip(OMEGA_NAMES, names), **{CONST: CONST})
-    renamed = [[{rename[k]: v for k, v in r.items()} for r in part]
-               for part in (eqs, ineqs)]
-    other = _omega_outcome(lambda: omega_sat(*renamed))
+    cold = _omega_outcome(lambda: omega_sat(cons))
+    warm = _omega_outcome(lambda: omega_sat(cons))
+    # the same system with its columns in another order
+    other = _omega_outcome(lambda: omega_sat(omega_rows(names, eqs, ineqs)))
     assert cold == want and warm == want and other == want

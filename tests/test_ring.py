@@ -6,7 +6,7 @@ import pytest
 
 from holebox.expr import (
     App, INT, Lit, LocalDecl, NAT, PROP, RAT, REAL, Telescope, Var, mk_atom,
-    mk_lit, set_of,
+    set_of,
 )
 from holebox.kernel import Goal, SolutionState, TacticFailed, apply_tactic
 from holebox.syntax import parse_term, print_term
@@ -114,17 +114,20 @@ def test_nat_truncated_subtraction_not_a_ring():
 
 
 def test_oversized_coefficient_fails_cleanly():
-    from holebox.kernel import Certificate, CertificateError
+    from holebox.kernel import Certificate
     from holebox.tactics import revalidate_ring_nf
     tele = Telescope((LocalDecl("x", INT),))
     goal = Goal("h", tele, parse_term("(10^3000 + x)^2 = x^2", tele, PROP))
     with pytest.raises(TacticFailed, match="coefficient of more than"):
         apply_tactic(SolutionState(goals=(goal,)), "h", "ring_nf", "")
+    # equal normal forms close the goal unrendered, so the size of their
+    # coefficients does not matter, and the revalidator renders nothing
     square = Goal("h", tele, parse_term(
         "(10^3000 + x)^2 = (10^3000 + x) * (10^3000 + x)", tele, PROP))
-    with pytest.raises(CertificateError, match="coefficient of more than"):
-        revalidate_ring_nf(Certificate("ring_nf", square,
-                                       {"nf": mk_lit(0, INT)}))
+    cert = apply_tactic(SolutionState(goals=(square,)), "h", "ring_nf",
+                        "").trace[-1].cert
+    assert cert == Certificate("ring_nf", square, {})
+    revalidate_ring_nf(cert)
 
 
 def test_ring_certificate_needs_a_ring_sort():
@@ -136,5 +139,4 @@ def test_ring_certificate_needs_a_ring_sort():
     with pytest.raises(TacticFailed, match="ring_nf over"):
         apply_tactic(SolutionState(goals=(goal,)), "h", "ring_nf", "")
     with pytest.raises(CertificateError, match="ring_nf over"):
-        revalidate_ring_nf(Certificate("ring_nf", goal,
-                                       {"nf": goal.concl.args[0]}))
+        revalidate_ring_nf(Certificate("ring_nf", goal, {}))

@@ -333,16 +333,87 @@ def test_exact_certificate_terms_must_fit_their_goal():
 
 
 def test_normal_form_certificates_reject_a_tampered_nf():
+    # rfl's certificate holds a normal form; ring_nf's holds none, since
+    # its check is that the two sides' normal forms are equal
     from dataclasses import replace
     from holebox.kernel import CertificateError
-    from holebox.tactics import revalidate_rfl, revalidate_ring_nf
+    from holebox.tactics import revalidate_rfl
     x = LocalDecl("x", INT)
     other = parse_term("x + 2", Telescope((x,)), INT)
-    for tactic, check, text in (("rfl", revalidate_rfl, "x + 1 = x + 1"),
-                                ("ring_nf", revalidate_ring_nf,
-                                 "(x + 1) * 2 = 2 * x + 2")):
-        cert = apply_tactic(goal_state(text, (x,)), "h", tactic,
-                            "").trace[-1].cert
-        check(cert)
+    cert = apply_tactic(goal_state("x + 1 = x + 1", (x,)), "h", "rfl",
+                        "").trace[-1].cert
+    revalidate_rfl(cert)
+    with pytest.raises(CertificateError):
+        revalidate_rfl(replace(cert, detail={**cert.detail, "nf": other}))
+    ring = apply_tactic(goal_state("(x + 1) * 2 = 2 * x + 2", (x,)), "h",
+                        "ring_nf", "").trace[-1].cert
+    assert ring.detail == {}
+
+
+def _certificates_with_details():
+    """A certificate of each kind, and of each shape of detail."""
+    from holebox.expr import mk_meta
+    from holebox.kernel import Hole
+
+    def cert(state, tactic, argtext=""):
+        return apply_tactic(state, "h", tactic, argtext).trace[-1].cert
+
+    x, y = LocalDecl("x", INT), LocalDecl("y", REAL)
+    tele = Telescope((x,))
+    h0 = LocalDecl("h0", PROP, prop=parse_term(
+        "forall (m : Int), m + 0 = m", tele, PROP))
+    hp = LocalDecl("hp", PROP, prop=parse_term("x = 1", tele, PROP))
+    hf = LocalDecl("hf", PROP, prop=parse_term("False", Telescope(), PROP))
+    bare = SolutionState(
+        goals=(Goal("h", Telescope((x, hp)), mk_meta("w", PROP)),),
+        holes=(Hole("w", tele, PROP),))
+    pinned = SolutionState(
+        goals=(Goal("h", Telescope(), parse_term(
+            "?w = 2 + 2", Telescope(), PROP, metas={"w": INT})),),
+        holes=(Hole("w", Telescope(), INT),))
+    return [
+        cert(goal_state("x + 0 = x", (x, h0)), "exact", "h0 x"),
+        cert(bare, "exact", "hp"),
+        cert(goal_state("x + 1 = x + 1", (x,)), "rfl"),
+        cert(goal_state("1 = 2", (hf,)), "cases", "hf"),
+        cert(goal_state("2 + 2 = 4"), "eval_decide"),
+        cert(pinned, "eval_decide"),
+        cert(goal_state("(x + 1) * 2 = 2 * x + 2", (x,)), "ring_nf"),
+        cert(goal_state("y < y + 1", (y,)), "linear_arith"),
+        cert(goal_state("x + 0 = x", (x,)), "rw_search"),
+        cert(goal_state("x + 0 = x", (x,)), "auto"),
+    ]
+
+
+def test_a_missing_or_mistyped_detail_key_is_a_certificate_error():
+    # every check reads a detail through one checked accessor, so a key
+    # dropped or of the wrong type fails the check, never with KeyError
+    from dataclasses import replace
+    from holebox.kernel import CertificateError, TraceStep
+    from holebox.tactics import _LINE_CHECKS, revalidate, revalidate_step
+    certs = _certificates_with_details()
+    assert {c.tactic for c in certs} == {
+        "exact", "rfl", "cases", "eval_decide", "ring_nf", "linear_arith",
+        "rw_search", "auto"}
+    farkas = next(c for c in certs if c.tactic == "linear_arith")
+    branch = farkas.detail["branches"][0]
+    assert branch["method"] == "farkas"
+    rw = next(c for c in certs if c.tactic == "rw_search")
+    bad = [replace(rw, detail={**rw.detail, "path": [["add_zero", 1]]})]
+    for cert in certs:
+        revalidate(cert)
+        for key in cert.detail:
+            bad += [replace(cert, detail={k: v for k, v in cert.detail.items()
+                                          if k != key}),
+                    replace(cert, detail={**cert.detail, key: object()})]
+    for key in branch:
+        for changed in ({k: v for k, v in branch.items() if k != key},
+                        {**branch, key: object()}):
+            bad.append(replace(farkas, detail={"branches": [changed]}))
+    assert len(bad) == 1 + 2 * 15 + 2 * 2
+    for cert in bad:
         with pytest.raises(CertificateError):
-            check(replace(cert, detail={**cert.detail, "nf": other}))
+            revalidate(cert)
+        if cert.tactic in _LINE_CHECKS:
+            with pytest.raises(CertificateError):
+                revalidate_step(TraceStep("h", cert.tactic, "", cert))
