@@ -150,36 +150,33 @@ def repl_session(problem, in_stream: TextIO, out_stream: TextIO) -> int:
         line = in_stream.readline()
         if not line:
             return 0
-        line = line.split("--", 1)[0].strip()
-        if not line:
+        try:
+            script = parse_script([line])
+        except SchemaError as e:
+            out_stream.write(f"error: {e}\n")
             continue
-        if line == "quit":
+        if not script.lines:
+            continue
+        ln = script.lines[0]
+        command = ln.tactic if ln.goal is None and not ln.argtext else None
+        if command == "quit":
             return 0
-        if line == "undo":
+        if command == "undo":
             if len(history) > 1:
                 history.pop()
             else:
                 out_stream.write("nothing to undo\n")
             show()
             continue
-        if line == "extract":
+        if command == "extract":
             try:
                 answer = extract_answer(Session(problem, history[-1]))
                 out_stream.write(print_term(answer) + "\n")
             except KernelError as e:
                 out_stream.write(f"error: {e}\n")
             continue
-        goal = None
-        if line.startswith("@goal"):
-            parts = line.split(None, 2)
-            if len(parts) < 3:
-                out_stream.write("error: malformed @goal prefix\n")
-                continue
-            goal, line = parts[1], parts[2]
-        toks = line.split(None, 1)
         try:
-            state = apply_tactic(history[-1], goal, toks[0],
-                                 toks[1] if len(toks) > 1 else "")
+            state = apply_tactic(history[-1], ln.goal, ln.tactic, ln.argtext)
         except (KernelError, ExprError) as e:
             out_stream.write(f"error: {e}\n")
             continue

@@ -12,9 +12,12 @@ certificate under its own parameters, and `close_with` commits it
 without running the tactic, through the same step as `apply_tactic`.
 Certificates never leave the process, so they hold the engine's own
 values and every check compares values with `==`: neither the parser
-nor the printer is on the path a proof is checked on.  A check reads
-the keys of a certificate's detail through `detail_value`, so a missing
-or mistyped key is a `CertificateError`.
+nor the printer is on the path a proof is checked on.  A detail holds
+evidence a check reads (a cited hypothesis and its arguments, Farkas
+multipliers, a rewrite path, a false hypothesis) or the line's budget,
+and no value the goal determines, which a check would only derive again.
+A check reads the keys of a certificate's detail through
+`detail_value`, so a missing or mistyped key is a `CertificateError`.
 `render_goal` and `render_state` print states for people and policies,
 never for a check.
 

@@ -5,13 +5,25 @@ Importing this package registers every tactic with the kernel registry.
 revalidator of its kind; replay uses it to confirm that each goal the
 trace closed really was closed for the reason stated.
 
+A certificate's detail holds only evidence that its check reads, or the
+line's own parameter, never a value its goal determines:
+
+    exact         {"hyp", "args"}, or {} for a hole fill
+    cases         {"false_hyp"}
+    rfl, ring_nf  {}
+    eval_decide   {"budget"}
+    auto          {"budget"}
+    linear_arith  {"branches"}: {"multipliers"} for a rational branch
+                  with no `!=`, {} for any other
+    rw_search     {"path", "closer"}, the closer a (kind, detail) pair
+
 Each computational closer decides closure in one function, which its
-tactic and its revalidator both call: `structural.rfl_evidence`,
-`decide.eval_evidence` (deciding and hole-assigning) and
+tactic and its revalidator both call: `structural.rfl_check`,
+`decide.eval_fills` (deciding and hole-assigning) and
 `ring.ring_sides`.  `auto` tests rfl and ring closure through them,
 and `rw_search` closes through the rfl and eval_decide ones: its
-certificate carries the closer's own certificate, which that kind's
-revalidator checks.
+revalidator builds the closer's certificate of the term its path ends
+at, which that kind's revalidator checks.
 
 Certification replays a recorded closing step from its certificate,
 without running its line, when the tactic has a line check here: a line

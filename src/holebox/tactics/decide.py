@@ -6,10 +6,11 @@ sets, and quantifiers bounded by literal constraints.  Everything runs
 on arbitrary-precision rationals under an enumeration budget.
 
 `normalize` runs once, on the whole proposition; the certificate records
-that normal form.  Binder bodies (quantifiers, set-builders and a sum's
-function literal) are then evaluated under an environment of values:
-the body is walked once per element, with `BVar(i)` reading the i-th
-value, innermost binder first, and no term is built per element.  A
+only the budget, under which its check evaluates again.  Binder bodies
+(quantifiers, set-builders and a sum's function literal) are then
+evaluated under an environment of values: the body is walked once per
+element, with `BVar(i)` reading the i-th value, innermost binder
+first, and no term is built per element.  A
 binder's bounds are read off its body opened at a probe variable, once
 per binder, and evaluated under the same environment, so a nested
 binder whose bounds mention an outer variable still enumerates.  Set
@@ -462,27 +463,27 @@ def _assign_split(concl: Term, pending: Collection[str]
     return None
 
 
-def eval_evidence(concl: Term, pending: Collection[str], budget_n: int
-                  ) -> tuple[dict, tuple[tuple[str, Term], ...]]:
-    """The eval_decide certificate detail and fills for `concl`, within
-    `budget_n` enumeration steps; the one evaluation closure test.
+def eval_fills(concl: Term, pending: Collection[str], budget_n: int
+               ) -> tuple[tuple[str, Term], ...]:
+    """The holes an eval_decide step on `concl` fills, within `budget_n`
+    enumeration steps; the one evaluation closure test.
 
     When `concl` is `?w = t`, `t = ?w` or `?w <-> p` with `?w` one of the
     `pending` holes and the other side meta-free, the step fills `?w`
     with the value of that side.  Otherwise `concl` must be closed and
-    evaluate to True, and the detail records its normal form.  Raises
-    TacticFailed on anything else."""
+    evaluate to True, and the step fills nothing.  Raises TacticFailed on
+    anything else."""
     normalized = normalize(concl)
     split = _assign_split(normalized, pending)
     if split is not None:
         me, other = split
         value = _value_term(eval_term(other, Budget(budget_n)), me.sort)
-        return {"budget": budget_n}, ((me.mid, value),)
+        return ((me.mid, value),)
     if metavars_of(normalized):
         raise EvalNotClosed("conclusion still contains metavariables")
     if not _as_bool(eval_term(normalized, Budget(budget_n))):
         raise EvaluatesFalse(normalized)
-    return {"normalized": normalized, "budget": budget_n}, ()
+    return ()
 
 
 @register_tactic("eval_decide")
@@ -493,19 +494,18 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
     budget_n = int_arg(argtext, DEFAULT_BUDGET)
     pending = {h.mid for h in state.unassigned_holes()}
     return TacticResult(cert=Certificate(
-        "eval_decide", goal, *eval_evidence(goal.concl, pending, budget_n)))
+        "eval_decide", goal, {"budget": budget_n},
+        eval_fills(goal.concl, pending, budget_n)))
 
 
 def revalidate_eval_decide(cert: Certificate) -> None:
-    """Re-derive the evidence under the budget the tactic ran under, with
-    the holes it fills, if any, as the pending ones, and the same fills."""
+    """Evaluate again under the budget the tactic ran under, with the
+    holes it fills, if any, as the pending ones: the same fills."""
     budget_n = detail_value("eval_decide", cert.detail, "budget", int)
     try:
-        detail, fills = eval_evidence(
+        fills = eval_fills(
             cert.goal.concl, [mid for mid, _ in cert.assigns], budget_n)
     except TacticFailed as e:
         raise CertificateError(f"eval_decide no longer evaluates: {e}")
     if fills != cert.assigns:
         raise CertificateError("eval_decide assignment mismatch")
-    if detail != cert.detail:
-        raise CertificateError("eval_decide certificate mismatch")

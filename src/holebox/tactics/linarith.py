@@ -60,9 +60,14 @@ of `LINEAR_MEMO_ENTRIES`: `fm_refute` keeps the multipliers as an
 immutable tuple and hands each caller a fresh dict, and `omega_sat`
 keeps the verdict, so two systems that differ only in the atoms behind
 their columns share it.  A search that runs out of nodes raises and is
-not kept, and a call with a caller's `_OmegaBudget` is not memoized.
-`revalidate_linear_arith` still checks stored multipliers with
-`verify_farkas`, arithmetic that shares nothing with the memo.
+not kept.
+
+A certificate holds one entry per disjunct of the negated conclusion.
+A Farkas branch, a rational system with no `!=` row, holds its
+multipliers, and `revalidate_linear_arith` checks them with
+`verify_farkas` alone, arithmetic that shares nothing with the memo;
+it runs no elimination.  Any other branch holds nothing, and is decided
+again (`refute_branch`), as the tactic decided it.
 
 Nonlinear subterms are abstracted as opaque atoms, which only weakens
 the system, so every proof produced here is sound.
@@ -454,19 +459,16 @@ class _OmegaBudget:
 Row = tuple[int, ...]
 
 
-def omega_sat(cons: list[Constraint],
-              budget: Optional[_OmegaBudget] = None) -> bool:
+def omega_sat(cons: list[Constraint]) -> bool:
     """Integer satisfiability of a system with no `ne` rows.
 
     The search (`_omega`) reads the rows as they are, a strict row
     `e < 0` as `e + 1 <= 0`: the symmetric-mod step appends a fresh sigma
     column to every row, and each node keeps one inequality per
-    coefficient vector, the one with the largest constant.  Each node
-    costs one tick of `budget`; running out raises `NotLinear`.
-
-    Without a `budget`, the search gets a fresh one of `MAX_OMEGA_NODES`
-    and its verdict is memoized on the rows, which omega alone reads; a
-    caller's budget is shared state, so such a call is not memoized.
+    coefficient vector, the one with the largest constant.  The search
+    gets a budget of `MAX_OMEGA_NODES` nodes, and running out raises
+    `NotLinear`.  The verdict is memoized on the rows, which omega alone
+    reads.
     """
     eqs: list[Row] = []
     ineqs: list[Row] = []
@@ -479,9 +481,7 @@ def omega_sat(cons: list[Constraint],
             ineqs.append((c.row[0] + 1,) + c.row[1:])
         else:
             raise NotLinear("ne must be split before omega")
-    if budget is None:
-        return _omega_memo(tuple(eqs), tuple(ineqs))
-    return _omega(eqs, ineqs, budget)
+    return _omega_memo(tuple(eqs), tuple(ineqs))
 
 
 @lru_cache(maxsize=LINEAR_MEMO_ENTRIES)
@@ -722,35 +722,40 @@ def _split_nes(cons: list[Constraint],
     return False
 
 
+def is_farkas_branch(sort: Sort, cons: list[Constraint]) -> bool:
+    """A rational system with no `!=` row: Fourier-Motzkin refutes it as
+    it stands, and its certificate is the Farkas multipliers."""
+    return sort not in (INT, NAT) and all(c.rel != "ne" for c in cons)
+
+
 def refute_branch(sort: Sort, cons: list[Constraint]) -> dict:
-    """Show one conjunction of constraints infeasible; raises NotLinear or
-    TacticFailed (feasible)."""
-    if sort in (INT, NAT):
-        if _split_nes(cons, omega_sat):
+    """Show one conjunction of constraints infeasible: its certificate
+    branch, `{"multipliers": ...}` for a Farkas branch and `{}` for any
+    other.  Raises NotLinear or TacticFailed (feasible)."""
+    if is_farkas_branch(sort, cons):
+        farkas = fm_refute(cons)
+        if farkas is None:
             raise TacticFailed("linear_arith: system is feasible")
-        return {"method": "omega"}
-    if any(c.rel == "ne" for c in cons):
-        if _split_nes(cons, lambda sub: fm_refute(sub) is None):
-            raise TacticFailed("linear_arith: system is feasible")
-        return {"method": "fm-split"}
-    # no split: the one system refuted is `cons` itself, in order
-    farkas = fm_refute(cons)
-    if farkas is None:
+        return {"multipliers": farkas}
+    if _split_nes(cons, omega_sat if sort in (INT, NAT)
+                  else lambda sub: fm_refute(sub) is None):
         raise TacticFailed("linear_arith: system is feasible")
-    return {"method": "farkas", "multipliers": farkas}
+    return {}
+
+
+def _branch_systems(goal: Goal) -> tuple[Sort, list[list[Constraint]]]:
+    """The system's sort and, per disjunct of the negated conclusion,
+    the hypotheses' rows followed by the disjunct's."""
+    sort, hyps, branches = _collect_system(goal)
+    if not branches:
+        raise NotLinear("conclusion is trivially true; use rfl or eval_decide")
+    return sort, [hyps + branch for branch in branches]
 
 
 def prove_linear(goal: Goal) -> dict:
     """Prove a goal by refuting hypotheses + negated conclusion."""
-    return _refute_system(*_collect_system(goal))
-
-
-def _refute_system(sort: Sort, hyps: list[Constraint],
-                   branches: list[list[Constraint]]) -> dict:
-    if not branches:
-        raise NotLinear("conclusion is trivially true; use rfl or eval_decide")
-    evidence = [refute_branch(sort, hyps + branch) for branch in branches]
-    return {"branches": evidence}
+    sort, systems = _branch_systems(goal)
+    return {"branches": [refute_branch(sort, cons) for cons in systems]}
 
 
 @register_tactic("linear_arith")
@@ -884,9 +889,9 @@ def _target_bounds(cons: list[Constraint], target: list[Fraction]
 
 def revalidate_linear_arith(cert: Certificate) -> None:
     """Fill the hole the goal asks for from the certificate's assigns,
-    re-refute the goal's system, then check the stored evidence branch
-    by branch: same branch count, same method, and each stored Farkas
-    combination valid for its own branch."""
+    rebuild the goal's branch systems, and check them against the stored
+    branches, as many: a Farkas branch by its stored multipliers, with
+    `verify_farkas` alone, and any other by deciding it again."""
     goal = cert.goal
     synth = _synth_split(goal.concl, [mid for mid, _ in cert.assigns])
     fills = cert.fills({synth[0].mid: synth[0].sort} if synth else {})
@@ -894,19 +899,16 @@ def revalidate_linear_arith(cert: Certificate) -> None:
         goal = Goal(goal.case, goal.ctx, instantiate_metas(goal.concl, fills))
     stored = detail_value("linear_arith", cert.detail, "branches", list)
     try:
-        sort, hyps, branches = _collect_system(goal)
-        fresh = _refute_system(sort, hyps, branches)["branches"]
+        sort, systems = _branch_systems(goal)
+        if len(stored) != len(systems):
+            raise CertificateError(
+                f"linear_arith certificate has {len(stored)} branches, "
+                f"the goal has {len(systems)}")
+        for branch, cons in zip(stored, systems):
+            if not is_farkas_branch(sort, cons):
+                refute_branch(sort, cons)
+            elif not verify_farkas(cons, detail_value(
+                    "linear_arith", branch, "multipliers", dict)):
+                raise CertificateError("stored Farkas combination is invalid")
     except TacticFailed as e:
         raise CertificateError(f"linear_arith no longer validates: {e}")
-    if len(stored) != len(fresh):
-        raise CertificateError(
-            f"linear_arith certificate has {len(stored)} branches, "
-            f"the goal has {len(fresh)}")
-    for want, got, branch in zip(stored, fresh, branches):
-        method = detail_value("linear_arith", want, "method", str)
-        if method != got["method"]:
-            raise CertificateError("linear_arith method mismatch")
-        if method == "farkas" and not verify_farkas(
-                hyps + branch,
-                detail_value("linear_arith", want, "multipliers", dict)):
-            raise CertificateError("stored Farkas combination is invalid")

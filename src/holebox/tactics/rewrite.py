@@ -35,14 +35,14 @@ An `rw_search` certificate's goal is the conclusion the search started
 from, and its detail holds two items:
 
     "path":   [[rule name, backward?, occurrence], ...], one per step
-    "closer": Certificate("rfl" | "eval_decide",
-                          Goal(case, ctx, term the path ends at), detail)
+    "closer": ("rfl", {}) or ("eval_decide", {"budget": n})
 
-The closer is the certificate its tactic would record for that goal,
-including the holes an `eval_decide` closer fills, as `rw_search` does.
-`revalidate_rw_search` replays the path, requires it to end at an
-equation or iff that is exactly the closer's goal, and hands the closer
-to `revalidate_rfl` or `revalidate_eval_decide`.
+The closer is the kind and detail its tactic would record for the term
+the path ends at; the holes an `eval_decide` closer fills are the
+step's own `assigns`.  `revalidate_rw_search` replays the path, requires
+it to end at an equation or iff, and builds the closer's certificate
+from that term, in the step's case and context, with the step's
+`assigns`, which `revalidate_rfl` or `revalidate_eval_decide` checks.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ from ..kernel import (
 )
 from ..syntax import ParseError, parse_term
 from .decide import (
-    DEFAULT_BUDGET, decide_prop, eval_evidence, revalidate_eval_decide,
+    DEFAULT_BUDGET, decide_prop, eval_fills, revalidate_eval_decide,
 )
 from .structural import (
-    _instantiate_hyp, _parse_citation, revalidate_rfl, rfl_evidence,
+    _instantiate_hyp, _parse_citation, revalidate_rfl, rfl_check,
 )
 
 RW_SEARCH_DEPTH = 6
@@ -500,30 +500,32 @@ def _hyp_search_rules(goal: Goal) -> RuleDispatch:
 
 
 def _try_close(concl: Term, pending: frozenset[str]
-               ) -> Optional[tuple[str, dict, tuple]]:
-    """The closer of an equation or iff, its certificate detail and its
+               ) -> Optional[tuple[tuple[str, dict], tuple]]:
+    """The closer of an equation or iff, as `(kind, detail)`, and its
     fills: rfl, then eval_decide; on a conclusion with a hole, only
     eval_decide's fill of one of the `pending` holes."""
     if eq_sides(concl) is None:
         return None
     if not metavars_of(concl):
         try:
-            return "rfl", rfl_evidence(concl), ()
+            rfl_check(concl)
+            return ("rfl", {}), ()
         except TacticFailed:
             pass
     try:
-        return ("eval_decide", *eval_evidence(concl, pending, DEFAULT_BUDGET))
+        fills = eval_fills(concl, pending, DEFAULT_BUDGET)
     except TacticFailed:
         return None
+    return ("eval_decide", {"budget": DEFAULT_BUDGET}), fills
 
 
 def rw_search_term(concl: Term, goal: Goal, pending: frozenset[str],
                    max_depth: int = RW_SEARCH_DEPTH):
     """BFS over rewrites; returns (path, closer, assignments) or None.
 
-    `closer` is the certificate that closes the last term of the path,
-    as a goal in `goal`'s case and context, and `assignments` are the
-    fills of `pending` holes it records."""
+    `closer` is the `(kind, detail)` of the closer of the last term of
+    the path, and `assignments` are the fills of `pending` holes it
+    makes."""
     library = default_library().search_rules
     hyps = _hyp_search_rules(goal)
     seen = {concl}
@@ -533,10 +535,7 @@ def rw_search_term(concl: Term, goal: Goal, pending: frozenset[str],
         for term, path in frontier:
             hit = _try_close(term, pending)
             if hit is not None:
-                tactic, detail, fills = hit
-                closer = Certificate(tactic, Goal(goal.case, goal.ctx, term),
-                                     detail, fills)
-                return path, closer, fills
+                return (path, *hit)
         if depth == max_depth:
             break
         nxt: list[tuple[Term, tuple]] = []
@@ -587,7 +586,8 @@ _CLOSER_CHECKS = {"rfl": revalidate_rfl, "eval_decide": revalidate_eval_decide}
 
 def revalidate_rw_search(cert: Certificate) -> None:
     """Replay the path from the searched conclusion, then check the
-    closer's own certificate, which must name the replayed equation."""
+    closer's certificate of the replayed equation, which fills the
+    step's holes."""
     goal = cert.goal
     term = goal.concl
     if not isinstance(term, Term):
@@ -610,13 +610,10 @@ def revalidate_rw_search(cert: Certificate) -> None:
         term = new
     if eq_sides(term) is None:
         raise CertificateError("rw_search closer on a non-equation")
-    closer = detail_value("rw_search", cert.detail, "closer", Certificate)
-    if closer.goal != Goal(goal.case, goal.ctx, term):
-        raise CertificateError("rw_search closer names another goal")
-    if closer.assigns != cert.assigns:
-        raise CertificateError("rw_search fills other holes than its closer")
-    check = _CLOSER_CHECKS.get(closer.tactic)
-    if check is None:
-        raise CertificateError(f"rw_search closer {closer.tactic!r} is "
-                               "neither rfl nor eval_decide")
-    check(closer)
+    closer = detail_value("rw_search", cert.detail, "closer", tuple)
+    if len(closer) != 2 or closer[0] not in ("rfl", "eval_decide"):
+        raise CertificateError(f"rw_search closer {closer!r} is neither "
+                               "rfl nor eval_decide")
+    kind, detail = closer
+    _CLOSER_CHECKS[kind](Certificate(
+        kind, Goal(goal.case, goal.ctx, term), detail, cert.assigns))

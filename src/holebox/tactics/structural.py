@@ -1,7 +1,7 @@
 """Structural tactics: binder introduction, goal splitting, case analysis,
 hypothesis citation, and closure up to definitional equality.
 
-`rfl_evidence` is the one rfl closure test: the `rfl` tactic, its
+`rfl_check` is the one rfl closure test: the `rfl` tactic, its
 revalidator, `auto`'s closers and `rw_search`'s closer all call it.
 """
 
@@ -148,38 +148,32 @@ def exact(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         raise TacticFailed(f"no hypothesis named {name!r}")
     instance, args = _instantiate_hyp(decl.prop, raw_args, goal.ctx, state)
     concl = goal.concl
+    fill = ()
     if isinstance(concl, Meta):
         # Simultaneous hole fill: the only place a bare answer hole may be
         # unified against a hypothesis (deductive forward finish).
-        return TacticResult(cert=Certificate(
-            "exact", goal, {"hyp": name, "args": args},
-            ((concl.mid, instance),)))
-    if not definitional_eq(instance, concl):
+        fill = ((concl.mid, instance),)
+    elif not definitional_eq(instance, concl):
         raise TacticFailed(
             f"exact: {print_term(instance)} does not match the conclusion")
-    cert = Certificate("exact", goal, {
-        "hyp": name, "args": args,
-        "instance": instance,
-    })
-    return TacticResult(cert=cert)
+    return TacticResult(cert=Certificate(
+        "exact", goal, {"hyp": name, "args": args}, fill))
 
 
-def rfl_evidence(concl: Term) -> dict:
-    """The rfl certificate detail for `concl`, an equation or iff whose
-    sides are definitionally equal: their normal form.  Raises
-    TacticFailed on any other conclusion."""
+def rfl_check(concl: Term) -> None:
+    """Raise TacticFailed unless `concl` is an equation or iff whose
+    sides are definitionally equal."""
     sides = eq_sides(concl)
     if sides is None:
         raise TacticFailed("rfl needs an equality or iff goal")
     if not definitional_eq(*sides):
         raise TacticFailed("rfl: sides are not definitionally equal")
-    return {"nf": normalize(sides[0])}
 
 
 @register_tactic("rfl")
 def rfl(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
-    detail = rfl_evidence(_need_prop_goal(goal, "rfl"))
-    return TacticResult(cert=Certificate("rfl", goal, detail))
+    rfl_check(_need_prop_goal(goal, "rfl"))
+    return TacticResult(cert=Certificate("rfl", goal, {}))
 
 
 @register_tactic("have")
@@ -341,8 +335,6 @@ def revalidate_exact(cert: Certificate) -> None:
         if prop != fills[concl.mid]:
             raise CertificateError("exact: assignment mismatch")
         return
-    if prop != detail_value("exact", detail, "instance", Term):
-        raise CertificateError("exact: instance mismatch")
     if not definitional_eq(prop, concl):
         raise CertificateError("exact: instance no longer matches the goal")
 
@@ -350,11 +342,9 @@ def revalidate_exact(cert: Certificate) -> None:
 def revalidate_rfl(cert: Certificate) -> None:
     cert.fills({})
     try:
-        detail = rfl_evidence(cert.goal.concl)
+        rfl_check(cert.goal.concl)
     except TacticFailed:
         raise CertificateError("rfl certificate no longer validates")
-    if detail != cert.detail:
-        raise CertificateError("rfl normal form mismatch")
 
 
 def revalidate_cases(cert: Certificate) -> None:

@@ -17,7 +17,7 @@ from holebox.syntax import parse_term
 from holebox.tactics import decide as decide_mod
 from holebox.tactics.decide import (
     DEFAULT_BUDGET, Budget, EvalBudgetExceeded, EvalNotClosed, EvaluatesFalse,
-    decide_prop, eval_evidence, eval_term,
+    decide_prop, eval_fills, eval_term,
 )
 
 
@@ -122,8 +122,8 @@ def _eval_cert(text, metas=None):
 
 def _open_goal_certs():
     """Certificates that claim eval_decide closed the open goal x = 1,
-    then genuine eval_decide certificates with one detail or their fill
-    replaced: another value, another hole, or the hole twice."""
+    then a genuine eval_decide certificate with its fill replaced:
+    another value, another hole, or the hole twice."""
     from dataclasses import replace
     from holebox.expr import LocalDecl
     from holebox.kernel import Certificate, Goal
@@ -131,19 +131,14 @@ def _open_goal_certs():
     goal = Goal("h", tele, parse_term("x = 1", tele, PROP))
     assigned = Goal("h", tele, parse_term("?w = x", tele, PROP,
                                           metas={"w": INT}))
-    closed = _eval_cert("2 + 2 = 4")
     filled = _eval_cert("?w = 2 + 2", {"w": INT})
+    budget = {"budget": DEFAULT_BUDGET}
     return [
-        Certificate("eval_decide", goal, {"normalized": goal.concl,
-                                          "budget_used": 0}),
-        Certificate("eval_decide", assigned, {"budget_used": 0},
+        Certificate("eval_decide", goal, budget),
+        Certificate("eval_decide", assigned, budget,
                     (("w", mk_lit(1, INT)),)),
-        Certificate("rw_search", goal, {"path": [], "closer": Certificate(
-            "eval_decide", goal, {"normalized": goal.concl,
-                                  "budget": DEFAULT_BUDGET})}),
-        replace(closed, detail={
-            **closed.detail,
-            "normalized": parse_term("3 = 3", Telescope(), PROP)}),
+        Certificate("rw_search", goal, {
+            "path": [], "closer": ("eval_decide", budget)}),
         replace(filled, assigns=(("w", mk_lit(5, INT)),)),
         replace(filled, assigns=(("v", mk_lit(4, INT)),)),
         replace(filled, assigns=filled.assigns * 2),
@@ -156,8 +151,7 @@ def test_open_goal_certificates_rejected_by_each_revalidator():
     certs = _open_goal_certs()
     checks = (revalidate_eval_decide, revalidate_eval_decide,
               revalidate_rw_search, revalidate_eval_decide,
-              revalidate_eval_decide, revalidate_eval_decide,
-              revalidate_eval_decide)
+              revalidate_eval_decide, revalidate_eval_decide)
     assert len(certs) == len(checks)
     for cert, check in zip(certs, checks):
         with pytest.raises(CertificateError):
@@ -298,7 +292,7 @@ def _substitution_reference():
 
 def _outcome(prop, budget_n):
     """(value or exception class, budget left) of the top-level
-    evaluation `eval_evidence` makes."""
+    evaluation `eval_fills` makes."""
     budget = Budget(budget_n)
     try:
         value = decide_mod.eval_term(normalize(prop), budget)
@@ -621,7 +615,5 @@ def test_binder_bodies_are_not_rebuilt_per_element(monkeypatch, text, probes):
     for name in calls:
         monkeypatch.setattr(decide_mod, name, counted(name))
     concl = parse_term(text, Telescope(), PROP)
-    detail, fills = eval_evidence(concl, (), DEFAULT_BUDGET)
-    assert detail == {"normalized": normalize(concl), "budget": DEFAULT_BUDGET}
-    assert fills == ()
+    assert eval_fills(concl, (), DEFAULT_BUDGET) == ()
     assert calls == {"normalize": 1, "instantiate_bvar": probes}

@@ -2,7 +2,6 @@
 and the find-all injection."""
 
 import json
-from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -142,16 +141,14 @@ def test_certify_rejects_an_altered_recorded_certificate():
                                / "nickels.json").read_text()))
     solved = session_init(nickels).apply("w", "exact", "7") \
         .apply("h", "linear_arith", "")
-    assert solved.state.trace[1].cert.detail["branches"] == \
-        [{"method": "omega"}]
+    assert solved.state.trace[1].cert.detail["branches"] == [{}]
     by_auto = fps_init(EQ_ONE).apply("w", "exact", "1").apply("h", "auto", "")
     for sess in (solved, by_auto):
         assert certify(sess).backward
-    farkas = {"branches": [{"method": "farkas",
-                            "multipliers": {0: Fraction(1)}}]}
     auto_detail = by_auto.state.trace[1].cert.detail
     altered = [
-        (_altered(solved, 1, detail=farkas), "method mismatch"),
+        (_altered(solved, 1, detail={"branches": [{}, {}]}),
+         "has 2 branches"),
         (_altered(by_auto, 1, detail={**auto_detail, "budget": 1}),
          "differs"),
         (_altered(solved, 0, assigns=(("w", mk_lit(8, INT)),)), "differs"),
@@ -166,7 +163,7 @@ def test_certify_rejects_a_certificate_that_lacks_a_detail_key():
     # the line check reads the budget through the checked accessor, so
     # the session fails certification rather than raise KeyError
     by_auto = fps_init(EQ_ONE).apply("w", "exact", "1").apply("h", "auto", "")
-    lacking = _altered(by_auto, 1, detail={"nodes_used": 3})
+    lacking = _altered(by_auto, 1, detail={})
     with pytest.raises(CertifyFailed, match="has no 'budget'"):
         certify(lacking)
 

@@ -166,7 +166,7 @@ def test_certificates_are_checked_without_the_parser():
 
 
 # The closure tests rw_search must reach only through the closers' own
-# functions (`rfl_evidence`, `eval_evidence`) and their revalidators.
+# functions (`rfl_check`, `eval_fills`) and their revalidators.
 CLOSURE_INTERNALS = {"definitional_eq", "decide_prop", "eval_term",
                      "_value_term", "_check_assignment"}
 

@@ -182,7 +182,7 @@ def test_omega_budget_exhaustion_is_not_linear():
     rows = _ineqs({"x": 1, CONST: -5}, {"x": -1})
     assert omega_sat(rows)
     with pytest.raises(NotLinear):
-        omega_sat(rows, budget=_OmegaBudget(1))
+        linarith._omega([], [c.row for c in rows], _OmegaBudget(1))
 
 
 def test_rational_rows_are_scaled_to_integers():
@@ -247,7 +247,7 @@ def test_certificate_with_a_dropped_branch_rejected():
     st = state_for("0 < y + 1 /\\ 0 < y + 2", ["0 < y"], [("y", REAL)])
     cert = apply_tactic(st, "h", "linear_arith", "").trace[-1].cert
     first, second = cert.detail["branches"]
-    assert [first["method"], second["method"]] == ["farkas", "farkas"]
+    assert first.keys() == second.keys() == {"multipliers"}
     revalidate_linear_arith(cert)
     idx, mult = next(iter(first["multipliers"].items()))
     scaled = {**first, "multipliers": {**first["multipliers"],
@@ -271,10 +271,45 @@ def test_unsplit_branch_runs_fourier_motzkin_once(monkeypatch):
     monkeypatch.setattr(linarith, "fm_refute", counting)
     st = state_for("0 < y + 1 /\\ 0 < y + 2", ["0 < y"], [("y", REAL)])
     cert = apply_tactic(st, "h", "linear_arith", "").trace[-1].cert
-    assert [b["method"] for b in cert.detail["branches"]] \
-        == ["farkas", "farkas"]
+    assert [b.keys() for b in cert.detail["branches"]] \
+        == [{"multipliers"}, {"multipliers"}]
     assert len(calls) == 2
     revalidate_linear_arith(cert)
+
+
+def test_only_a_branch_without_multipliers_is_decided_again(monkeypatch):
+    # a Farkas branch (rational, no `!=`) is checked by its multipliers
+    # alone, so its revalidation runs neither decider; an omega branch
+    # and a split rational branch hold no evidence and are decided again
+    def cert(concl, hyps, var_sorts):
+        st = state_for(concl, hyps, var_sorts)
+        return apply_tactic(st, "h", "linear_arith", "").trace[-1].cert
+
+    farkas = cert("0 < y + 1 /\\ 0 < y + 2", ["0 < y"], [("y", REAL)])
+    omega = cert("x < x + 1", [], [("x", INT)])
+    split = cert("y = 5", ["0 <= y", "y <= 0", "y != 0"], [("y", REAL)])
+    assert [b.keys() for c in (farkas, omega, split)
+            for b in c.detail["branches"]] \
+        == [{"multipliers"}, {"multipliers"}, set(), set()]
+    calls = []
+
+    def counted(name):
+        decide = getattr(linarith, name)
+
+        def wrapper(cons):
+            calls.append(name)
+            return decide(cons)
+        return wrapper
+
+    for name in ("fm_refute", "omega_sat"):
+        monkeypatch.setattr(linarith, name, counted(name))
+    revalidate_linear_arith(farkas)
+    assert calls == []
+    revalidate_linear_arith(omega)
+    assert calls == ["omega_sat"]
+    calls.clear()
+    revalidate_linear_arith(split)
+    assert calls and set(calls) == {"fm_refute"}
 
 
 def test_sums_that_differ_in_a_captured_variable_stay_two_atoms():
@@ -351,11 +386,9 @@ def eager_refute(sort, cons, side=_row_side, omega=omega_sat, fm=fm_refute):
     systems = eager_splits(cons, side)
     if any(_feasible(sort, omega, fm)(sub) for sub in systems):
         raise TacticFailed("linear_arith: system is feasible")
-    if sort in (INT, NAT):
-        return {"method": "omega"}
-    if len(systems) == 1:
-        return {"method": "farkas", "multipliers": fm(cons)}
-    return {"method": "fm-split"}
+    if sort not in (INT, NAT) and len(systems) == 1:
+        return {"multipliers": fm(cons)}
+    return {}
 
 
 def _outcome(refute, sort, cons):
@@ -417,9 +450,8 @@ def _ne_rows(n):
 def test_ne_split_guard():
     # MAX_NE_SPLITS = 64 systems: six disequalities split, seven do not
     assert MAX_NE_SPLITS == 2 ** 6
-    assert refute_branch(INT, _ne_rows(6)) == {"method": "omega"}
-    assert _outcome(eager_refute, INT, _ne_rows(6)) \
-        == ("refuted", {"method": "omega"})
+    assert refute_branch(INT, _ne_rows(6)) == {}
+    assert _outcome(eager_refute, INT, _ne_rows(6)) == ("refuted", {})
     with pytest.raises(NotLinear, match="too many disequalities"):
         refute_branch(INT, _ne_rows(7))
 
@@ -433,19 +465,18 @@ def test_ne_split_prunes_infeasible_prefixes(monkeypatch):
         "x = 1 \\/ x = 2 \\/ x = 3 \\/ x = 4 \\/ x = 5 \\/ x = 6", tele, PROP))
     calls = []
 
-    def counting(cons, budget=None):
+    def counting(cons):
         calls.append(len(cons))
-        return omega_sat(cons, budget)
+        return omega_sat(cons)
 
     monkeypatch.setattr(linarith, "omega_sat", counting)
-    assert prove_linear(goal) == {"branches": [{"method": "omega"}]}
+    assert prove_linear(goal) == {"branches": [{}]}
     # below the 2^6 of the full enumeration: at each split one side is
     # pruned and the other checked, and the root is never checked
     assert len(calls) == 12
     calls.clear()
     _, hyps, branches = linarith._collect_system(goal)
-    assert eager_refute(INT, hyps + branches[0], omega=counting) \
-        == {"method": "omega"}
+    assert eager_refute(INT, hyps + branches[0], omega=counting) == {}
     assert len(calls) == 2 ** 6
 
 
@@ -984,12 +1015,12 @@ def test_integer_rows_match_the_reference(goal):
     if got[0] != "refuted":
         assert got == want
         return
-    assert [b["method"] for b in got[1]] == [b["method"] for b in want[1]]
+    assert [b.keys() for b in got[1]] == [b.keys() for b in want[1]]
     _, hyps, branches = linarith._collect_system(goal)
     _, ref_hyps, ref_branches = ref_collect_system(goal)
     for new, ref, rows, ref_rows in zip(got[1], want[1], branches,
                                         ref_branches):
-        if new["method"] == "farkas":
+        if new:
             assert verify_farkas(hyps + rows, new["multipliers"])
             assert reference_verify_farkas(ref_hyps + ref_rows,
                                            ref["multipliers"])

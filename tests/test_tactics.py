@@ -289,7 +289,7 @@ def _exact_cert(state, case, argtext):
 def test_exact_certificate_terms_must_fit_their_goal():
     # the stored hole value and citation arguments are terms; each must
     # have its binder's sort and use only the goal's variables, and the
-    # stored instance or assignment must equal the re-instantiated citation
+    # stored assignment must equal the re-instantiated citation
     from dataclasses import replace
     from holebox.expr import NAT, mk_lit, mk_meta, mk_var
     from holebox.kernel import CertificateError, Hole
@@ -323,8 +323,7 @@ def test_exact_certificate_terms_must_fit_their_goal():
     revalidate_exact(fill)
     other = parse_term("x = 2", tele, PROP)
     instance = fill.assigns[0][1]
-    for forged in (replace(cited, detail={**cited.detail, "instance": other}),
-                   replace(fill, assigns=(("w", other),)),
+    for forged in (replace(fill, assigns=(("w", other),)),
                    replace(fill, assigns=(("v", instance),)),
                    replace(fill, assigns=()),
                    replace(cited, assigns=(("w", other),))):
@@ -332,22 +331,23 @@ def test_exact_certificate_terms_must_fit_their_goal():
             revalidate_exact(forged)
 
 
-def test_normal_form_certificates_reject_a_tampered_nf():
-    # rfl's certificate holds a normal form; ring_nf's holds none, since
-    # its check is that the two sides' normal forms are equal
+def test_normal_form_certificates_hold_no_normal_form():
+    # rfl's and ring_nf's checks compare the normal forms of the goal's
+    # two sides, so neither certificate holds one, and each check fails
+    # on a goal whose sides differ
     from dataclasses import replace
     from holebox.kernel import CertificateError
-    from holebox.tactics import revalidate_rfl
+    from holebox.tactics import revalidate
     x = LocalDecl("x", INT)
-    other = parse_term("x + 2", Telescope((x,)), INT)
-    cert = apply_tactic(goal_state("x + 1 = x + 1", (x,)), "h", "rfl",
-                        "").trace[-1].cert
-    revalidate_rfl(cert)
-    with pytest.raises(CertificateError):
-        revalidate_rfl(replace(cert, detail={**cert.detail, "nf": other}))
-    ring = apply_tactic(goal_state("(x + 1) * 2 = 2 * x + 2", (x,)), "h",
-                        "ring_nf", "").trace[-1].cert
-    assert ring.detail == {}
+    unequal = parse_term("x + 1 = x + 2", Telescope((x,)), PROP)
+    for concl, tactic in (("x + 1 = x + 1", "rfl"),
+                          ("(x + 1) * 2 = 2 * x + 2", "ring_nf")):
+        cert = apply_tactic(goal_state(concl, (x,)), "h", tactic,
+                            "").trace[-1].cert
+        assert cert.detail == {}
+        revalidate(cert)
+        with pytest.raises(CertificateError):
+            revalidate(replace(cert, goal=replace(cert.goal, concl=unequal)))
 
 
 def _certificates_with_details():
@@ -371,18 +371,37 @@ def _certificates_with_details():
         goals=(Goal("h", Telescope(), parse_term(
             "?w = 2 + 2", Telescope(), PROP, metas={"w": INT})),),
         holes=(Hole("w", Telescope(), INT),))
+    hole = SolutionState(goals=(Goal("h", tele, INT),),
+                         holes=(Hole("h", tele, INT),))
     return [
         cert(goal_state("x + 0 = x", (x, h0)), "exact", "h0 x"),
         cert(bare, "exact", "hp"),
+        cert(hole, "exact", "x + 1"),
         cert(goal_state("x + 1 = x + 1", (x,)), "rfl"),
         cert(goal_state("1 = 2", (hf,)), "cases", "hf"),
         cert(goal_state("2 + 2 = 4"), "eval_decide"),
         cert(pinned, "eval_decide"),
         cert(goal_state("(x + 1) * 2 = 2 * x + 2", (x,)), "ring_nf"),
         cert(goal_state("y < y + 1", (y,)), "linear_arith"),
+        cert(goal_state("x < x + 1", (x,)), "linear_arith"),
         cert(goal_state("x + 0 = x", (x,)), "rw_search"),
         cert(goal_state("x + 0 = x", (x,)), "auto"),
     ]
+
+
+# The keys of each certificate of `_certificates_with_details`, in order:
+# evidence a check reads, or the line's budget, and nothing the goal
+# determines.
+DETAIL_KEYS = [
+    {"hyp", "args"}, {"hyp", "args"}, set(),       # exact; a hole fill
+    set(),                                        # rfl
+    {"false_hyp"},                                # cases
+    {"budget"}, {"budget"},                       # eval_decide
+    set(),                                        # ring_nf
+    {"branches"}, {"branches"},                   # linear_arith
+    {"path", "closer"},                           # rw_search
+    {"budget"},                                   # auto
+]
 
 
 def test_a_missing_or_mistyped_detail_key_is_a_certificate_error():
@@ -395,10 +414,15 @@ def test_a_missing_or_mistyped_detail_key_is_a_certificate_error():
     assert {c.tactic for c in certs} == {
         "exact", "rfl", "cases", "eval_decide", "ring_nf", "linear_arith",
         "rw_search", "auto"}
-    farkas = next(c for c in certs if c.tactic == "linear_arith")
+    assert [c.detail.keys() for c in certs] == DETAIL_KEYS
+    # a rational branch with no `!=` holds its Farkas multipliers, an
+    # integer one nothing; an rw_search closer is a (kind, detail) pair
+    farkas, omega = [c for c in certs if c.tactic == "linear_arith"]
+    assert [b.keys() for b in farkas.detail["branches"]] == [{"multipliers"}]
+    assert omega.detail["branches"] == [{}]
     branch = farkas.detail["branches"][0]
-    assert branch["method"] == "farkas"
     rw = next(c for c in certs if c.tactic == "rw_search")
+    assert rw.detail["closer"] == ("rfl", {})
     bad = [replace(rw, detail={**rw.detail, "path": [["add_zero", 1]]})]
     for cert in certs:
         revalidate(cert)
@@ -410,7 +434,7 @@ def test_a_missing_or_mistyped_detail_key_is_a_certificate_error():
         for changed in ({k: v for k, v in branch.items() if k != key},
                         {**branch, key: object()}):
             bad.append(replace(farkas, detail={"branches": [changed]}))
-    assert len(bad) == 1 + 2 * 15 + 2 * 2
+    assert len(bad) == 1 + 2 * 12 + 2 * 1
     for cert in bad:
         with pytest.raises(CertificateError):
             revalidate(cert)
