@@ -434,12 +434,6 @@ def test_rw_search_certificate_checks_its_assignment():
             revalidate_rw_search(forged)
 
 
-def _pinned_cert():
-    concl, hyps, decls, _ = PINNED_PATHS[0]
-    return apply_tactic(setup_state(concl, hyps, decls), "h", "rw_search",
-                        "").trace[-1].cert
-
-
 @pytest.mark.parametrize("tactic", ["ring_nf", "auto"])
 def test_rw_search_closer_is_rfl_or_eval_decide(tactic):
     # the closer of an empty path closes the step's own goal; another
