@@ -122,8 +122,7 @@ def cmd_rpe_check(args) -> int:
 
 def cmd_bench_run(args) -> int:
     entries = load_benchmark(args.corpus)
-    cfg = SearchConfig(width=args.s, budget=args.k)
-    report = run_benchmark(entries, solver=args.solver, cfg=cfg,
+    report = run_benchmark(entries, solver=args.solver, cfg=_search_cfg(args),
                            workers=args.workers)
     text = report_json(report)
     if args.out:

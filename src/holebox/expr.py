@@ -595,18 +595,6 @@ def instantiate_bvar(body: Term, repl: Term, depth: int = 0) -> Term:
     return _rebuild(body, tuple(instantiate_bvar(k, repl, depth) for k in kids))
 
 
-def abstract_var(t: Term, name: str, depth: int = 0) -> Term:
-    """Turn free occurrences of Var(name) into BVar(depth)."""
-    if isinstance(t, Var) and t.name == name:
-        return BVar(t.sort, depth)
-    if isinstance(t, Binder):
-        return _rebuild(t, (abstract_var(t.body, name, depth + 1),))
-    kids = children(t)
-    if not kids:
-        return t
-    return _rebuild(t, tuple(abstract_var(k, name, depth) for k in kids))
-
-
 def has_loose_bvars(t: Term, depth: int = 0) -> bool:
     return t.bvar_bound > depth
 

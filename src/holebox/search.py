@@ -71,8 +71,6 @@ class SearchConfig:
 @dataclass
 class SearchNode:
     state: SolutionState
-    parent: Optional["SearchNode"]
-    incoming: Optional[PolicySuggestion]
     path_log_score: float
     depth: int
 
@@ -186,8 +184,7 @@ def expand(node: SearchNode, policy: Policy, width: int
         except (KernelError, ExprError):
             continue
         children.append(SearchNode(
-            nxt, node, sug,
-            node.path_log_score + sug.logprob / sug.tactic_length,
+            nxt, node.path_log_score + sug.logprob / sug.tactic_length,
             node.depth + 1))
     return children
 
@@ -197,7 +194,7 @@ def search_states(root_state: SolutionState, policy: Policy,
                   success: Callable[[SolutionState], bool]
                   ) -> tuple[Optional[SearchNode], dict]:
     """Core loop: pop up to K nodes by value, expand, stop on success."""
-    root = SearchNode(root_state, None, None, 0.0, 0)
+    root = SearchNode(root_state, 0.0, 0)
     counter = 0
     heap: list[tuple[float, int, SearchNode]] = [(0.0, counter, root)]
     popped = 0

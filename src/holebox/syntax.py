@@ -84,7 +84,7 @@ _SYMBOLS = {"<->", "->", "/\\", "\\/", "<=", ">=", "!=", "=>", "|-",
 # and `\w` are exactly `str.isspace`, `str.isdecimal` (what `int` reads)
 # and `str.isalnum` or `_`.  A name starts with a letter or `_` and may
 # hold `.` and `'` but not end in `.`; `[^\W\d]` also admits the
-# non-decimal digits and numerics (`²`, `½`), which `tokenize` rejects.
+# non-decimal digits and numerics (`²`, `½`), which `_sift` rejects.
 # Longer symbols come before their prefixes, and `--` before `-`.
 _LEXEME = re.compile(r"""\s*(
       --[^\n]*
@@ -96,91 +96,90 @@ _LEXEME = re.compile(r"""\s*(
     | \Z
     | .)""", re.VERBOSE)
 
-
-class Tok:
-    """One token: `kind` is num, ident, meta, sym, kw or eof."""
-
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def tokenize(src: str) -> list[Tok]:
-    """The tokens of `src`, each with its line and column, ending in eof."""
-    if not src.isascii():
-        for u, a in _UNICODE_ALIASES.items():
-            src = src.replace(u, f" {a} ")
-    toks: list[Tok] = []
-    line, bol = 1, 0             # the current line and where it begins
-    comment_end = comment_col = -1
-    for m in _LEXEME.finditer(src):
-        at = m.start(1)
-        if src.find("\n", m.start(), at) >= 0:
-            line += src.count("\n", m.start(), at)
-            bol = src.rfind("\n", m.start(), at) + 1
-        col = at - bol
-        text = m.group(1)
-        c = text[:1]
-        if c.isdecimal():
-            if len(text) > MAX_NUMERAL_DIGITS:
-                raise ParseError(f"numeral longer than {MAX_NUMERAL_DIGITS}"
-                                 " digits", line, col)
-            toks.append(Tok("num", text, line, col))
-        elif c.isalpha() or c == "_":
-            toks.append(Tok("kw" if text in _KEYWORDS else "ident",
-                            text, line, col))
-        elif text in _SYMBOLS:
-            toks.append(Tok("sym", text, line, col))
-        elif c == "?" and (text[1].isalpha() or text[1] == "_"):
-            toks.append(Tok("meta", text[1:], line, col))
-        elif text.startswith("--"):
-            comment_end, comment_col = m.end(), col
-        elif not text:
-            # a comment that runs to the end leaves the column at its start
-            toks.append(Tok("eof", "", line,
-                            comment_col if at == comment_end else col))
-            break
-        else:
-            bad = 1 if c == "?" else 0
-            raise ParseError(f"unexpected character {text[bad]!r}",
-                             line, col + bad)
-    return toks
-
-
 # The parser reads each token as a key and a text.  The key is the text
 # of a symbol or keyword, else the token's kind (num, ident, meta, eof).
 _KEYS = {s: s for s in _SYMBOLS | _KEYWORDS}
-# the key of any other lexeme of ASCII input without comments or errors,
-# by its first character
+# the key of any other lexeme that starts with an ASCII character and is
+# no comment or stray character, by that character
 _FIRST = {"": "eof", "?": "meta", "_": "ident"}
 _FIRST.update((c, "num") for c in string.digits)
 _FIRST.update((c, "ident") for c in string.ascii_letters)
 
 
-def _lex(src: str) -> tuple[list[str], list[str], Optional[list[Tok]]]:
-    """The keys and texts of `src`'s tokens, as `tokenize` reads them.
+def _spell(src: str) -> str:
+    """`src` with its Unicode aliases spelled out in ASCII."""
+    for u, a in _UNICODE_ALIASES.items():
+        src = src.replace(u, f" {a} ")
+    return src
 
+
+def _lex(src: str) -> tuple[list[str], list[str]]:
+    """The keys and texts of `src`'s tokens, the last one eof.
+
+    One `findall` reads the lexemes, and `_KEYS` or `_FIRST` keys them.
     ASCII input with no comment and no stray character, too short to
-    hold an overlong numeral, is read by one `findall` and needs no
-    `Tok`; any other input goes through `tokenize`, whose tokens are
-    returned too."""
-    if src.isascii() and len(src) <= MAX_NUMERAL_DIGITS:
-        texts = _LEXEME.findall(src)
-        keys = [_KEYS.get(t) or _FIRST.get(t[:1]) for t in texts]
-        if None not in keys:
-            n = keys.index("eof") + 1    # trailing space leaves two ends
-            if "meta" in keys:
-                texts = [t[1:] if k == "meta" else t
-                         for k, t in zip(keys, texts)]
-            return keys[:n], texts[:n], None
-    toks = tokenize(src)
-    keys = [t.text if t.kind == "sym" or t.kind == "kw" else t.kind
-            for t in toks]
-    return keys, [t.text for t in toks], toks
+    hold an overlong numeral, needs no more; any other input is sifted
+    lexeme by lexeme."""
+    plain = src.isascii()
+    if not plain:
+        src = _spell(src)
+    texts = _LEXEME.findall(src)
+    keys = [_KEYS.get(t) or _FIRST.get(t[:1]) for t in texts]
+    if None in keys or not plain or len(src) > MAX_NUMERAL_DIGITS:
+        keys, texts = _sift(src, keys, texts)
+    n = keys.index("eof") + 1    # trailing space leaves two ends
+    if "meta" in keys:
+        texts = [t[1:] if k == "meta" else t for k, t in zip(keys, texts)]
+    return keys[:n], texts[:n]
+
+
+def _sift(src: str, keys: list[Optional[str]], texts: list[str]
+          ) -> tuple[list[str], list[str]]:
+    """The keys and texts of the tokens among `src`'s lexemes: a comment
+    is dropped, a lexeme `_KEYS` and `_FIRST` miss is keyed by its first
+    character, and a stray character or an overlong numeral is a
+    ParseError."""
+    out_keys: list[str] = []
+    out_texts: list[str] = []
+    for key, text in zip(keys, texts):
+        bad = 0                  # where in `text` a stray character is
+        if key is None:
+            if text.startswith("--"):
+                continue
+            c = text[0]
+            key = "num" if c.isdecimal() else "ident" if c.isalpha() \
+                else None
+        elif key == "meta" and not (text[1].isalpha() or text[1] == "_"):
+            key, bad = None, 1   # `?` and a non-decimal digit
+        if key is None:
+            line, col = _position(src, len(out_keys))
+            raise ParseError(f"unexpected character {text[bad]!r}",
+                             line, col + bad)
+        if key == "num" and len(text) > MAX_NUMERAL_DIGITS:
+            raise ParseError(f"numeral longer than {MAX_NUMERAL_DIGITS}"
+                             " digits", *_position(src, len(out_keys)))
+        out_keys.append(key)
+        out_texts.append(text)
+    return out_keys, out_texts
+
+
+def _position(src: str, i: int) -> tuple[int, int]:
+    """The line and column of `src`'s token `i`, found by lexing `src`
+    again: only a ParseError reports one.  The end of input right after
+    a comment is placed at the comment."""
+    src = _spell(src)
+    comment = None
+    for m in _LEXEME.finditer(src):
+        if m[1].startswith("--"):
+            comment = m
+        elif i:
+            i -= 1
+        else:
+            break
+    at = m.start(1)
+    if comment is not None and comment.end() == at:
+        at = comment.start(1)
+    return src.count("\n", 0, at) + 1, at - src.rfind("\n", 0, at) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +342,7 @@ class _P:
 
     def __init__(self, src: str):
         self.src = src
-        self.keys, self.texts, self._toks = _lex(src)
+        self.keys, self.texts = _lex(src)
         self.i = 0
         self.depth = 0
 
@@ -355,17 +354,10 @@ class _P:
         self.i += 1
         return self.texts[self.i - 1]
 
-    def position(self, i: int) -> tuple[int, int]:
-        """The line and column of token `i`, read on demand: only an
-        error reports one."""
-        if self._toks is None:
-            self._toks = tokenize(self.src)
-        t = self._toks[i]
-        return t.line, t.col
-
     def err(self, msg: str) -> ParseError:
         found = self.texts[self.i] or "end of input"
-        return ParseError(f"{msg}, found {found!r}", *self.position(self.i))
+        return ParseError(f"{msg}, found {found!r}",
+                          *_position(self.src, self.i))
 
     def expect(self, key: str) -> str:
         if self.keys[self.i] != key:
@@ -412,7 +404,7 @@ class _P:
             if name in ATOMIC_SORTS:
                 return ATOMIC_SORTS[name]
             raise ParseError(f"unknown sort {name!r}",
-                             *self.position(self.i - 1))
+                             *_position(self.src, self.i - 1))
         raise self.err("expected a sort")
 
     # terms ----------------------------------------------------------------

@@ -34,15 +34,18 @@ local hypotheses' rules are grouped per search.
 An `rw_search` certificate's goal is the conclusion the search started
 from, and its detail holds two items:
 
-    "path":   [[rule name, backward?, occurrence], ...], one per step
+    "path":   [[rule, backward?, occurrence], ...], one per step
     "closer": ("rfl", {}) or ("eval_decide", {"budget": n})
 
-The closer is the kind and detail its tactic would record for the term
-the path ends at; the holes an `eval_decide` closer fills are the
-step's own `assigns`.  `revalidate_rw_search` replays the path, requires
-it to end at an equation or iff, and builds the closer's certificate
-from that term, in the step's case and context, with the step's
-`assigns`, which `revalidate_rfl` or `revalidate_eval_decide` checks.
+A step holds the `RewriteLemma` it applied, as certificates never leave
+the process.  The closer is the kind and detail its tactic would record
+for the term the path ends at; the holes an `eval_decide` closer fills
+are the step's own `assigns`.  `revalidate_rw_search` replays the path,
+each rule a library lemma or a hypothesis' rule in the step's context,
+requires it to end at an equation or iff, and builds the closer's
+certificate from that term, in the step's case and context, with the
+step's `assigns`, which `revalidate_rfl` or `revalidate_eval_decide`
+checks.
 """
 
 from __future__ import annotations
@@ -554,7 +557,7 @@ def rw_search_term(concl: Term, goal: Goal, pending: frozenset[str],
                     nodes += 1
                     if nodes > RW_SEARCH_NODES:
                         return None
-                    nxt.append((new, path + ((rule.name, back, occ),)))
+                    nxt.append((new, path + ((rule, back, occ),)))
         frontier = nxt
         if not frontier:
             break
@@ -575,7 +578,7 @@ def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         raise SearchExhausted(f"no rewrite proof within depth {max_depth}")
     path, closer, fills = hit
     cert = Certificate("rw_search", goal, {
-        "path": [[name, back, occ] for name, back, occ in path],
+        "path": [list(step) for step in path],
         "closer": closer,
     }, fills)
     return TacticResult(cert=cert)
@@ -592,22 +595,20 @@ def revalidate_rw_search(cert: Certificate) -> None:
     term = goal.concl
     if not isinstance(term, Term):
         raise CertificateError("rw_search on a hole goal")
-    library = default_library()
+    lemmas = default_library().lemmas
     for step in detail_value("rw_search", cert.detail, "path", list):
         if not (isinstance(step, list) and len(step) == 3 and all(
-                isinstance(x, k) for x, k in zip(step, (str, bool, int)))):
+                isinstance(x, k) for x, k in
+                zip(step, (RewriteLemma, bool, int)))):
             raise CertificateError(f"rw_search step {step!r} is malformed")
-        name, back, occ = step
-        candidates = library.named(name) or [
-            r for r in _hyp_rules(goal) if r.name == name]
-        new = None
-        for rule in candidates:
-            new = apply_rule(term, rule, back, occ)
-            if new is not None:
-                break
-        if new is None:
-            raise CertificateError(f"rw_search step {name!r} fails to replay")
-        term = new
+        rule, back, occ = step
+        if rule not in lemmas and rule not in _hyp_rules(goal):
+            raise CertificateError(f"rw_search rule {rule.name!r} is "
+                                   "no lemma or hypothesis")
+        term = apply_rule(term, rule, back, occ)
+        if term is None:
+            raise CertificateError(
+                f"rw_search step {rule.name!r} fails to replay")
     if eq_sides(term) is None:
         raise CertificateError("rw_search closer on a non-equation")
     closer = detail_value("rw_search", cert.detail, "closer", tuple)

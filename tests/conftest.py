@@ -4,12 +4,24 @@ import random
 import pytest
 
 from holebox.expr import (
-    INT, LocalDecl, NAT, RAT, REAL, Binder, Sort, Telescope,
-    Term, abstract_var, fn, mk_app, mk_atom, mk_binder, mk_conn, mk_lit,
-    mk_var, set_of,
+    INT, LocalDecl, NAT, RAT, REAL, BVar, Binder, Sort, Telescope,
+    Term, Var, _rebuild, children, fn, mk_app, mk_atom, mk_binder, mk_conn,
+    mk_lit, mk_var, set_of,
 )
 
 FUZZ_SEED = int(os.environ.get("HOLEBOX_SEED", "20250810"))
+
+
+def abstract_var(t: Term, name: str, depth: int = 0) -> Term:
+    """Turn free occurrences of Var(name) into BVar(depth)."""
+    if isinstance(t, Var) and t.name == name:
+        return BVar(t.sort, depth)
+    if isinstance(t, Binder):
+        return _rebuild(t, (abstract_var(t.body, name, depth + 1),))
+    kids = children(t)
+    if not kids:
+        return t
+    return _rebuild(t, tuple(abstract_var(k, name, depth) for k in kids))
 
 
 def bind(kind: str, name: str, vsort: Sort, body_open: Term) -> Binder:

@@ -9,10 +9,11 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from conftest import abstract_var
 from holebox.expr import (
     App, Atom, BVar, Binder, Conn, ExprError, INT, Lit, LocalDecl, Meta, NAT,
     OccursCheckError, PROP, RAT, REAL, Sort, SubstitutionSortError, Telescope,
-    Var, _INTERNED, _rebuild, abstract_var, alpha_eq, children, fn,
+    Var, _INTERNED, _rebuild, alpha_eq, children, fn,
     free_vars, has_loose_bvars, instantiate_bvar, instantiate_metas,
     metavars_of, mk_app, mk_atom, mk_binder, mk_conn, mk_lit, mk_meta, mk_var,
     set_of, shift, substitute, subterms, syntactic_eq,

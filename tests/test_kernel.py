@@ -297,7 +297,7 @@ def test_a_tactic_breaking_the_protocol_is_an_engine_bug(monkeypatch, broken):
         apply_tactic(state, "h", "rfl")
     with pytest.raises(EngineError):
         run_script(state, parse_script(["rfl"]))
-    root = SearchNode(state, None, None, 0.0, 0)
+    root = SearchNode(state, 0.0, 0)
     with pytest.raises(EngineError):
         expand(root, lambda s, goal, k: [
             PolicySuggestion(goal.case, "rfl", "", -1.0, 3)], 1)

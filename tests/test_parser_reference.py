@@ -6,12 +6,15 @@ parser they replaced: a per-character scan, and one function per
 precedence level from `term` down to `atom`.  The only change to them is
 that numerals are read by `str.isdecimal` (what `int` accepts), where
 the old lexer took every `str.isdigit` character and crashed on `2²`.
-Both must give the same tokens or the same raw tree, or else the same
-`ParseError` with the same line and column.
+`_lex` must give the reference's keys and texts, and `_position` each
+token's line and column; the parsers must give the same raw tree.
+Where one raises a `ParseError`, the other must raise one with the same
+message, line and column.
 """
 
 import random
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -23,10 +26,12 @@ from holebox.expr import ATOMIC_SORTS, fn, set_of
 from holebox.syntax import (
     MAX_DEPTH, MAX_NESTING, MAX_NUMERAL_DIGITS, ParseError, RAppl, RAscribe,
     RBin, RBinderRaw, RBool, RMeta, RName, RNeg, RNot, RNum, RSetB, RSetLit,
-    RSum, Tok, _lex, _P, print_term, tokenize,
+    RSum, _lex, _P, _position, print_term,
 )
 
 # -- the reference lexer --------------------------------------------------------
+
+Tok = namedtuple("Tok", "kind text line col")
 
 _ALIASES = {
     "∀": "forall", "∃": "exists", "λ": "fun", "¬": "not",
@@ -442,25 +447,32 @@ def _outcome(make, entry, text):
         return "error", str(e), e.line, e.col
 
 
+def _lexed(text):
+    """Each token's key, text, line and column by `_lex` and `_position`,
+    or the error."""
+    try:
+        keys, texts = _lex(text)
+    except ParseError as e:
+        return "error", str(e), e.line, e.col
+    return [(k, t, *_position(text, i))
+            for i, (k, t) in enumerate(zip(keys, texts))]
+
+
+def _referenced(text):
+    """The same of the reference's tokens, each keyed as `_lex` keys it."""
+    try:
+        toks = ref_tokenize(text)
+    except ParseError as e:
+        return "error", str(e), e.line, e.col
+    return [(t.text if t.kind in ("sym", "kw") else t.kind, t.text,
+             t.line, t.col) for t in toks]
+
+
 def _same(text):
+    assert _lexed(text) == _referenced(text), text
     for entry in (_term, _citation, _sort):
         assert _outcome(_New, entry, text) == _outcome(_Ref, entry, text), \
             (entry.__name__, text)
-
-
-def _tokens(lexer, text):
-    try:
-        return [(t.kind, t.text, t.line, t.col) for t in lexer(text)]
-    except ParseError as e:
-        return "error", str(e), e.line, e.col
-
-
-def _same_tokens(text):
-    got = _tokens(tokenize, text)
-    assert got == _tokens(ref_tokenize, text), text
-    if got[0] != "error":
-        keys = [t if k in ("sym", "kw") else k for k, t, _, _ in got]
-        assert _lex(text)[:2] == (keys, [t for _, t, _, _ in got]), text
 
 
 # -- properties -----------------------------------------------------------------
@@ -484,7 +496,6 @@ def token_texts(draw):
 @given(token_texts())
 def test_random_token_strings_parse_alike(text):
     _same(text)
-    _same_tokens(text)
 
 
 BINARY = ["<->", "->", "\\/", "/\\", "=", "!=", "<", "<=", ">", ">=", "in",
@@ -560,7 +571,6 @@ CHARS = "xy1 2.(){}<->/\\=!?_':,|^*%+-\n\t" + "²٣½∀≤∧ \x1c$"
 @settings(max_examples=600, deadline=None)
 @given(st.text(alphabet=CHARS, max_size=30))
 def test_random_characters_lex_alike(text):
-    _same_tokens(text)
     _same(text)
 
 
@@ -570,7 +580,6 @@ def test_printed_terms_parse_alike(seed, depth):
     term = TermFuzzer(random.Random(seed)).term(depth)
     text = print_term(term)
     _same(text)
-    _same_tokens(text)
     assert _outcome(_New, _term, text)[0] == "ok"
 
 
@@ -587,7 +596,6 @@ def test_bundled_texts_parse_alike():
         texts += [s for _, s in prob["vars"]] + [prob["queriable"][1]]
     for text in texts:
         _same(text)
-        _same_tokens(text)
 
 
 # nesting shapes, each `n` levels deep

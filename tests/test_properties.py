@@ -4,10 +4,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import abstract_var
 from holebox.expr import (
-    INT, PROP, ExprError, LocalDecl, Telescope, abstract_var, alpha_eq, fn,
-    free_vars, instantiate_bvar, mk_app, mk_atom, mk_binder, mk_lit, mk_var,
-    set_of, substitute, syntactic_eq,
+    INT, PROP, ExprError, LocalDecl, Telescope, alpha_eq, fn, free_vars,
+    instantiate_bvar, mk_app, mk_atom, mk_binder, mk_lit, mk_var, set_of,
+    substitute, syntactic_eq,
 )
 from holebox.norm import definitional_eq, normalize
 from holebox.syntax import ParseError, parse_term, print_term

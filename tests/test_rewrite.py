@@ -398,9 +398,28 @@ PINNED_PATHS = [
 def test_rw_search_certificate_paths_pinned(concl, hyps, decls, path):
     st_ = setup_state(concl, hyps, decls)
     cert = apply_tactic(st_, "h", "rw_search", "").trace[-1].cert
-    assert cert.detail["path"] == path
+    assert [[rule.name, back, occ] for rule, back, occ
+            in cert.detail["path"]] == path
     assert cert.detail["closer"] == ("rfl", {})
     revalidate_rw_search(cert)
+
+
+def test_rw_search_step_replays_the_rule_it_applied():
+    # a hypothesis may share a library lemma's name: the step holds the
+    # hypothesis' rule, and replays it, not the lemma of that name
+    from dataclasses import replace
+    n = LocalDecl("n", INT)
+    st_ = setup_state("n + 1 = 3", [("add_zero", "n = 2")], (n,))
+    cert = apply_tactic(st_, "h", "rw_search", "").trace[-1].cert
+    [[rule, back, occ]] = cert.detail["path"]
+    assert (rule.name, back, occ) == ("add_zero", False, 1)
+    assert rule not in default_library().lemmas
+    revalidate_rw_search(cert)
+    # in a context without that hypothesis the rule is neither a lemma
+    # nor a hypothesis' rule, though the path would replay and close
+    bare = Goal("h", Telescope((n,)), cert.goal.concl)
+    with pytest.raises(CertificateError, match="no lemma or hypothesis"):
+        revalidate_rw_search(replace(cert, goal=bare))
 
 
 def test_rw_search_certificate_checks_its_assignment():

@@ -33,13 +33,13 @@ UNITS = prob({
 
 
 def test_node_value_formula():
-    root = SearchNode(None, None, None, 0.0, 0)
+    root = SearchNode(None, 0.0, 0)
     assert node_value(root) == 0.0
     s1 = PolicySuggestion("h", "rfl", "", math.log(0.5), 4)
     s2 = PolicySuggestion("h", "auto", "", math.log(0.25), 8)
-    child = SearchNode(None, root, s1,
+    child = SearchNode(None,
                        root.path_log_score + s1.logprob / s1.tactic_length, 1)
-    grand = SearchNode(None, child, s2,
+    grand = SearchNode(None,
                        child.path_log_score + s2.logprob / s2.tactic_length, 2)
     expected = math.log(0.5) / 4 + math.log(0.25) / 8
     assert abs(node_value(grand) - expected) < 1e-12
@@ -75,7 +75,7 @@ def test_builtin_policy_menu_order():
 
 def test_expand_failed_suggestions_yield_no_children():
     sess = session_init(NICKELS)
-    root = SearchNode(sess.state, None, None, 0.0, 0)
+    root = SearchNode(sess.state, 0.0, 0)
 
     def all_fail(state, goal, k):
         return [PolicySuggestion(goal.case, "rfl", "", math.log(0.5), 3)]

@@ -240,6 +240,31 @@ def test_all_bundled_problem_files_parse():
     assert count >= 5
 
 
+def test_bundled_texts_never_look_up_a_position(monkeypatch):
+    # only a ParseError asks where a token is, so the lemma library, the
+    # problem files and the corpus, its scripts run by both solvers,
+    # parse without lexing any text twice
+    from importlib import resources
+    from holebox import syntax
+    from holebox.bench import load_benchmark, run_benchmark
+    from holebox.tactics.rewrite import load_lemma_library
+    asked = []
+    monkeypatch.setattr(syntax, "_position",
+                        lambda src, i: asked.append(src) or (1, 0))
+    root = resources.files("holebox.data")
+    load_lemma_library((root / "lemmas.txt").read_text())
+    for entry in (root / "problems").iterdir():
+        if entry.name.endswith(".json"):
+            parse_problem(entry.read_bytes())
+    entries = load_benchmark(str(root / "corpus.jsonl"))
+    for solver in ("script", "search"):
+        run_benchmark(entries, solver=solver)
+    assert asked == []
+    with pytest.raises(ParseError):
+        parse_term("x +")
+    assert asked == ["x +"]
+
+
 def _depth(t):
     return 1 + max((_depth(k) for k in children(t)), default=0)
 

@@ -416,14 +416,16 @@ def test_a_missing_or_mistyped_detail_key_is_a_certificate_error():
         "rw_search", "auto"}
     assert [c.detail.keys() for c in certs] == DETAIL_KEYS
     # a rational branch with no `!=` holds its Farkas multipliers, an
-    # integer one nothing; an rw_search closer is a (kind, detail) pair
+    # integer one nothing; an rw_search closer is a (kind, detail) pair,
+    # and a path step holds its rule, so a rule's name is a mistyped step
     farkas, omega = [c for c in certs if c.tactic == "linear_arith"]
     assert [b.keys() for b in farkas.detail["branches"]] == [{"multipliers"}]
     assert omega.detail["branches"] == [{}]
     branch = farkas.detail["branches"][0]
     rw = next(c for c in certs if c.tactic == "rw_search")
     assert rw.detail["closer"] == ("rfl", {})
-    bad = [replace(rw, detail={**rw.detail, "path": [["add_zero", 1]]})]
+    bad = [replace(rw, detail={**rw.detail,
+                               "path": [["add_zero", False, 1]]})]
     for cert in certs:
         revalidate(cert)
         for key in cert.detail:
