@@ -6,6 +6,10 @@ case on hypothesis disjunctions, substitute variable equations, try an
 assumption-matching exact, then run the closers (rfl, eval_decide,
 ring_nf, linear_arith, rw_search at depth 3), and finally branch on a
 disjunctive goal.  The node budget bounds the number of goal visits.
+The depth-3 rw_search closer reuses the failures of deeper searches
+through `rw_search_term`'s failure memo: the RPE stack runs `rw_search`
+at depth 6 before `auto`, and a conclusion that stage failed on, with
+the same hypotheses and no pending hole, is not searched again.
 Everything is deterministic, so the certificate records only the budget,
 and `revalidate_auto` checks it by running the search again under that
 budget.

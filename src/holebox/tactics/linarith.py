@@ -46,14 +46,16 @@ all 2^k, so verdicts and certificates do not depend on the pruning.  A
 strict side is built when the search first reaches it.
 
 The hypotheses of a goal are translated once per (hypotheses, sort):
-`_hyp_atoms` is a bounded memo of their constraints and of the atom
-space they leave (columns and modulus rows), and each call extends its
-own copy with the target, so columns and row order come out as if
-translated afresh.  Below that, each atom is translated once per (atom,
-sort, polarity): `_atom_memo` keeps its translation against an empty
-atom space, and `_atom_constraints` replays it into the caller's,
-registering the same keys in the same order.  An atom whose translation
-makes modulus rows, or raises, is translated in place every time.
+`_hyp_atoms` is a bounded memo of their rows and of the atom space they
+leave (columns and modulus constraints), and each call extends its own
+copy with the target, so columns and row order come out as if
+translated afresh.  The target only appends columns, so each
+hypothesis row is the memoized one padded with zeros.  Below that, each
+atom is translated once per (atom, sort, polarity): `_atom_memo` keeps
+its translation against an empty atom space, and `_atom_constraints`
+replays it into the caller's, registering the same keys in the same
+order.  An atom whose translation makes modulus rows, or raises, is
+translated in place every time.
 
 The two deciders are memoized on the rows they read, in bounded tables
 of `LINEAR_MEMO_ENTRIES`: `fm_refute` keeps the multipliers as an
@@ -636,27 +638,31 @@ def _hyp_system(goal: Goal, sort: Sort,
         prop = normalize(d.prop)
         if not prop.has_meta:
             props.append(prop)
-    cols, mods, hyp_cons = _hyp_atoms(tuple(props), sort)
+    cols, mods, hyp_rows = _hyp_atoms(tuple(props), sort)
     az = Atomizer(sort, dict(cols), list(mods))
     out = target(az)
+    # the target's columns come after the hypotheses', which are 0 there
+    pad = (0,) * (len(az.cols) - len(cols))
     # Nat atoms are nonnegative integers
     nat = [_mk_con({key: Fraction(-1)}, "le") for key in az.cols
            if isinstance(key, Term) and key.sort == NAT]
-    return az, [az.row(c) for c in (*hyp_cons, *nat, *az.mod_constraints)], out
+    return az, [Constraint(c.row + pad, c.rel) for c in hyp_rows] \
+        + [az.row(c) for c in (*nat, *az.mod_constraints)], out
 
 
 @lru_cache(maxsize=HYP_MEMO_ENTRIES)
 def _hyp_atoms(props: tuple[Term, ...], sort: Sort) -> tuple:
-    """The constraints of the linear conjuncts of `props`, in order, and
-    the atom space they leave: `(column items, mod rows, constraints)`,
-    all immutable."""
+    """The atom space the linear conjuncts of `props` leave, and their
+    constraints in order as rows over its columns: `(column items, mod
+    constraints, rows)`, all immutable."""
     az = Atomizer(sort)
     cons: list[LinCon] = []
     for prop in props:
         flat = _flatten_pos(prop, az)
         if flat is not None:
             cons.extend(flat)
-    return tuple(az.cols.items()), tuple(az.mod_constraints), tuple(cons)
+    return tuple(az.cols.items()), tuple(az.mod_constraints), \
+        tuple(az.row(c) for c in cons)
 
 
 def _collect_system(goal: Goal) -> tuple[Sort, list[Constraint],

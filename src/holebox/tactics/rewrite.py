@@ -31,6 +31,19 @@ once for the simplifier (every lemma left to right) and once for
 `rw_search` (both directions, bare-variable patterns skipped); the
 local hypotheses' rules are grouped per search.
 
+`rw_search_term` searches to a depth bound, and remembers its failures
+in a bounded LRU table (`RW_SEARCH_MEMO_ENTRIES`) keyed on the
+conclusion, the hypotheses' rules, the pending holes and the library
+object, with the largest depth at which the search is known to fail.
+BFS builds levels 1..d the same way whatever its bound and reaches the
+node cap (`RW_SEARCH_NODES`) at the same node, so a failure at depth D
+is a failure at every depth up to D, and one that ran out of nodes or
+of terms to rewrite is a failure at every depth.  A call at or below
+the stored depth returns None without searching.  Only failures are
+kept: a remembered answer is one the search would give anyway, so the
+table can never close a goal, and a success, whose closer holds a
+detail dict, is always searched again.
+
 An `rw_search` certificate's goal is the conclusion the search started
 from, and its detail holds two items:
 
@@ -50,7 +63,9 @@ checks.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -78,6 +93,7 @@ from .structural import (
 
 RW_SEARCH_DEPTH = 6
 RW_SEARCH_NODES = 2000
+RW_SEARCH_MEMO_ENTRIES = 128
 
 
 class NoMatch(TacticFailed):
@@ -495,13 +511,6 @@ def _searchable(rules) -> list[Rule]:
             if not isinstance(rule.rhs if back else rule.lhs, Meta)]
 
 
-def _hyp_search_rules(goal: Goal) -> RuleDispatch:
-    """The local hypotheses' rules, all forward, then all backward."""
-    hyps = _hyp_rules(goal)
-    return RuleDispatch(_searchable(
-        [(rule, False) for rule in hyps] + [(rule, True) for rule in hyps]))
-
-
 def _try_close(concl: Term, pending: frozenset[str]
                ) -> Optional[tuple[tuple[str, dict], tuple]]:
     """The closer of an equation or iff, as `(kind, detail)`, and its
@@ -522,15 +531,55 @@ def _try_close(concl: Term, pending: frozenset[str]
     return ("eval_decide", {"budget": DEFAULT_BUDGET}), fills
 
 
+# (conclusion, hypothesis rules, pending holes, library) -> the largest
+# depth at which that search is known to fail, least recently used first
+_FAILED: OrderedDict[tuple, float] = OrderedDict()
+
+
 def rw_search_term(concl: Term, goal: Goal, pending: frozenset[str],
                    max_depth: int = RW_SEARCH_DEPTH):
-    """BFS over rewrites; returns (path, closer, assignments) or None.
+    """BFS over rewrites, to `max_depth` steps; returns (path, closer,
+    assignments) or None.
 
     `closer` is the `(kind, detail)` of the closer of the last term of
     the path, and `assignments` are the fills of `pending` holes it
-    makes."""
-    library = default_library().search_rules
-    hyps = _hyp_search_rules(goal)
+    makes.
+
+    A failure is remembered (`_FAILED`) with the largest depth at which
+    it is known: `max_depth`, or every depth when the search ran out of
+    nodes or of terms to rewrite.  BFS builds levels 1..d the same way
+    whatever its depth bound, and reaches the node cap at the same
+    node, so a search that fails at depth D fails at every d <= D, and
+    a later call at such a depth returns None without searching.  Only
+    failures are kept: a remembered answer is one the search would give
+    anyway, so it can never close a goal."""
+    hyps = tuple(_hyp_rules(goal))
+    library = default_library()
+    key = (concl, hyps, pending, library)
+    failed = _FAILED.get(key)
+    if failed is not None and max_depth <= failed:
+        _FAILED.move_to_end(key)
+        return None
+    hit, failed = _bfs(concl, library, hyps, pending, max_depth)
+    if hit is None:
+        _FAILED[key] = failed
+        _FAILED.move_to_end(key)
+        if len(_FAILED) > RW_SEARCH_MEMO_ENTRIES:
+            _FAILED.popitem(last=False)
+    return hit
+
+
+def _bfs(concl: Term, library: LemmaLibrary,
+         hyps: tuple[RewriteLemma, ...], pending: frozenset[str],
+         max_depth: int) -> tuple[Optional[tuple], float]:
+    """BFS from `concl` over the library's search rules and the
+    hypotheses' (all forward, then all backward): the first closed path
+    and `max_depth`, or None and the largest depth at which the search
+    is known to fail: `max_depth` when it stopped there, infinity when
+    it ran out of nodes or of terms to rewrite."""
+    lemmas = library.search_rules
+    local = RuleDispatch(_searchable(
+        [(rule, False) for rule in hyps] + [(rule, True) for rule in hyps]))
     seen = {concl}
     frontier: list[tuple[Term, tuple]] = [(concl, ())]
     nodes = 0
@@ -538,14 +587,14 @@ def rw_search_term(concl: Term, goal: Goal, pending: frozenset[str],
         for term, path in frontier:
             hit = _try_close(term, pending)
             if hit is not None:
-                return (path, *hit)
+                return (path, *hit), max_depth
         if depth == max_depth:
             break
         nxt: list[tuple[Term, tuple]] = []
         for term, path in frontier:
             index = SubtermIndex(term)
-            for rule, back in library.for_index(index) \
-                    + hyps.for_index(index):
+            for rule, back in lemmas.for_index(index) \
+                    + local.for_index(index):
                 pat = rule.rhs if back else rule.lhs
                 for occ, sub in enumerate(index.occurrences(pat), 1):
                     new = rewrite_at(term, rule, back, sub)
@@ -556,12 +605,12 @@ def rw_search_term(concl: Term, goal: Goal, pending: frozenset[str],
                     seen.add(new)
                     nodes += 1
                     if nodes > RW_SEARCH_NODES:
-                        return None
+                        return None, math.inf
                     nxt.append((new, path + ((rule, back, occ),)))
         frontier = nxt
         if not frontier:
-            break
-    return None
+            return None, math.inf
+    return None, max_depth
 
 
 @register_tactic("rw_search")

@@ -60,3 +60,20 @@ def test_report_has_a_row_per_metric():
     rows = bench_pair.report(s).splitlines()
     assert len(rows) == 1 + len(METRICS)
     assert rows[1].startswith("latency_p50_ms") and "2/2" in rows[1]
+
+
+def test_report_shows_each_side_ops_attempted():
+    # a faster side completes more ops, and its peak memory counts
+    # their records, so the op counts sit beside the metric rows
+    runs = [{"base": {"attempted": b}, "change": {"attempted": c}}
+            for b, c in ((5000, 6400), (5200, 6000), (4800, 6600))]
+    ops = bench_pair.attempted(runs)
+    assert ops["base"]["median"] == 5000 and ops["change"]["median"] == 6400
+    s = bench_pair.summarize(_pairs([1.5, 1.4, 1.6], [1.2, 1.3, 1.2],
+                                    [4, 4, 4], [5, 5, 5]), METRICS)
+    rows = bench_pair.report(s, ops).splitlines()
+    assert len(rows) == 2 + len(METRICS)
+    assert rows[-1].startswith("ops attempted")
+    assert rows[-1].split()[2:] == ["5000", "[4900,", "5100]",
+                                    "6400", "[6200,", "6500]"]
+    assert bench_pair.report(s).splitlines() == rows[:-1]

@@ -1,5 +1,6 @@
 """Rewriting: the tactic, the lemma library, and bounded rewrite search."""
 
+import math
 import random
 
 import pytest
@@ -21,10 +22,13 @@ from holebox.syntax import ParseError, parse_problem, parse_term, print_term
 from holebox.tactics import revalidate
 from holebox.tactics.auto import _SIMP_ROUNDS, _simp
 from holebox.tactics.decide import DEFAULT_BUDGET
+from holebox.tactics import rewrite
 from holebox.tactics.rewrite import (
-    NoMatch, RewriteLemma, RuleDispatch, SearchExhausted, SubtermIndex,
-    apply_rule, default_library, first_rewrite, load_lemma_library, match,
+    LemmaLibrary, NoMatch, RewriteLemma, RuleDispatch, SearchExhausted,
+    SubtermIndex, _hyp_rules, _searchable, _try_close, apply_rule,
+    default_library, first_rewrite, load_lemma_library, match,
     parse_lemma_line, revalidate_rw_search, rewrite_at, rule_from_prop,
+    set_default_library,
 )
 
 
@@ -493,3 +497,182 @@ def test_rw_search_rejects_a_tampered_closer_detail(concl, key, forged):
             **cert.detail, "closer": (kind, {**detail, key: forged})})
     with pytest.raises(CertificateError):
         revalidate_rw_search(tampered)
+
+
+# ---------------------------------------------------------------------------
+# The failure memo of rw_search_term, against the search without it
+
+
+def reference_rw_search(concl, goal, pending, max_depth):
+    """`rw_search_term` without its failure memo: BFS from scratch."""
+    library = default_library().search_rules
+    hyps = _hyp_rules(goal)
+    local = RuleDispatch(_searchable(
+        [(rule, False) for rule in hyps] + [(rule, True) for rule in hyps]))
+    seen = {concl}
+    frontier = [(concl, ())]
+    nodes = 0
+    for depth in range(max_depth + 1):
+        for term, path in frontier:
+            hit = _try_close(term, pending)
+            if hit is not None:
+                return (path, *hit)
+        if depth == max_depth:
+            break
+        nxt = []
+        for term, path in frontier:
+            index = SubtermIndex(term)
+            for rule, back in library.for_index(index) \
+                    + local.for_index(index):
+                pat = rule.rhs if back else rule.lhs
+                for occ, sub in enumerate(index.occurrences(pat), 1):
+                    new = rewrite_at(term, rule, back, sub)
+                    if new is None or new == term or new in seen:
+                        continue
+                    seen.add(new)
+                    nodes += 1
+                    if nodes > rewrite.RW_SEARCH_NODES:
+                        return None
+                    nxt.append((new, path + ((rule, back, occ),)))
+        frontier = nxt
+        if not frontier:
+            break
+    return None
+
+
+XI, YI, XR = LocalDecl("x", INT), LocalDecl("y", INT), LocalDecl("x", REAL)
+
+# (conclusion, hypotheses, declarations): searches that close at depth
+# 0, 1 or 2, fail at every depth on an empty frontier, or fail at each
+# depth they reach; each is searched with and without its hypotheses
+MEMO_GOALS = [
+    ("x = y", [("h", "x = x + 0")], (XI, YI)),
+    ("x * 1 = y + 0", [("h", "y = x * 1")], (XI, YI)),
+    ("x + 1 = 3", [("h", "x = 2")], (XI,)),
+    ("?w = x + 0", [("h", "x = 2")], (XI,)),
+    ("?w = 2 + 3", [], ()),
+    ("f (f 9) = 0", [("h9", "f 9 = 3"), ("h3", "f 3 = 0")], (F,)),
+    ("sqrt x + sqrt y + sqrt n = sqrt x + y ^ (1/2) + n ^ (1/2)", [],
+     (X, Y, LocalDecl("n", REAL))),
+    ("f (x + 0) * 1 = f x + 1", [], (F, XR)),
+    ("x = 1", [], (XI,)),
+]
+
+
+def memo_goal(concl, hyps, decls):
+    tele = Telescope(tuple(decls))
+    for name, text in hyps:
+        tele = tele.extended(
+            LocalDecl(name, PROP, prop=parse_term(text, tele, PROP)))
+    return Goal("h", tele, parse_term(concl, tele, PROP, metas={"w": INT}))
+
+
+@pytest.fixture
+def fresh_memo():
+    rewrite._FAILED.clear()
+    yield rewrite._FAILED
+    rewrite._FAILED.clear()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32))
+def test_failure_memo_answers_as_the_search_without_it(seed):
+    # a sequence of searches mixing depths, contexts and pending holes
+    # returns what each search would return from scratch
+    rng = random.Random(seed)
+    goals = [memo_goal(c, h if with_hyps else [], d)
+             for c, h, d in MEMO_GOALS for with_hyps in (True, False)]
+    rewrite._FAILED.clear()
+    try:
+        for _ in range(12):
+            goal = rng.choice(goals)
+            pending = rng.choice((frozenset(), frozenset({"w"})))
+            depth = rng.randint(0, 6)
+            assert rewrite.rw_search_term(goal.concl, goal, pending, depth) \
+                == reference_rw_search(goal.concl, goal, pending, depth)
+    finally:
+        rewrite._FAILED.clear()
+
+
+def _no_index(t):
+    raise AssertionError("searched although the memo holds the failure")
+
+
+def test_failure_memo_answers_a_shallower_call(fresh_memo, monkeypatch):
+    goal = memo_goal(*MEMO_GOALS[0])
+    assert rewrite.rw_search_term(goal.concl, goal, frozenset(), 6) is None
+    assert list(fresh_memo.values()) == [6]
+    monkeypatch.setattr(rewrite, "SubtermIndex", _no_index)
+    assert rewrite.rw_search_term(goal.concl, goal, frozenset(), 3) is None
+
+
+def test_failure_memo_on_an_empty_frontier_answers_deeper(fresh_memo,
+                                                           monkeypatch):
+    goal = memo_goal(*MEMO_GOALS[-1])
+    assert rewrite.rw_search_term(goal.concl, goal, frozenset(), 2) is None
+    assert list(fresh_memo.values()) == [math.inf]
+    monkeypatch.setattr(rewrite, "SubtermIndex", _no_index)
+    assert rewrite.rw_search_term(goal.concl, goal, frozenset(), 6) is None
+
+
+def test_failure_memo_on_the_node_cap_answers_deeper(fresh_memo,
+                                                     monkeypatch):
+    # under a cap of 2 nodes the first level overflows; under the usual
+    # cap this search closes at depth 2
+    goal = memo_goal(*MEMO_GOALS[1])
+    monkeypatch.setattr(rewrite, "RW_SEARCH_NODES", 2)
+    assert rewrite.rw_search_term(goal.concl, goal, frozenset(), 1) is None
+    assert list(fresh_memo.values()) == [math.inf]
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "SubtermIndex", _no_index)
+        assert rewrite.rw_search_term(goal.concl, goal, frozenset(), 6) \
+            is None
+    assert reference_rw_search(goal.concl, goal, frozenset(), 6) is None
+
+
+def test_failure_memo_does_not_answer_a_deeper_call(fresh_memo, monkeypatch):
+    goal = memo_goal(*MEMO_GOALS[0])
+    assert rewrite.rw_search_term(goal.concl, goal, frozenset(), 3) is None
+    built = []
+    monkeypatch.setattr(rewrite, "SubtermIndex",
+                        lambda t: built.append(t) or SubtermIndex(t))
+    assert rewrite.rw_search_term(goal.concl, goal, frozenset(), 6) is None
+    assert built
+    assert list(fresh_memo.values()) == [6]
+    # a search that fails at depth 1 still closes at depth 2
+    goal = memo_goal(*MEMO_GOALS[6])
+    assert rewrite.rw_search_term(goal.concl, goal, frozenset(), 1) is None
+    path, _, _ = rewrite.rw_search_term(goal.concl, goal, frozenset(), 2)
+    assert [rule.name for rule, _, _ in path] == ["sqrt_eq_rpow"] * 2
+
+
+def test_failure_memo_follows_the_default_library(fresh_memo, monkeypatch):
+    goal = memo_goal("sqrt x = x ^ (1/2)", [], (XR,))
+    bundled, empty = default_library(), LemmaLibrary()
+    try:
+        set_default_library(empty)
+        assert rewrite.rw_search_term(goal.concl, goal, frozenset()) is None
+        set_default_library(bundled)
+        path, _, _ = rewrite.rw_search_term(goal.concl, goal, frozenset())
+        assert [rule.name for rule, _, _ in path] == ["sqrt_eq_rpow"]
+        set_default_library(empty)
+        monkeypatch.setattr(rewrite, "SubtermIndex", _no_index)
+        assert rewrite.rw_search_term(goal.concl, goal, frozenset()) is None
+    finally:
+        set_default_library(bundled)
+
+
+def test_failure_memo_keeps_no_success(fresh_memo):
+    for concl, hyps, decls in MEMO_GOALS[1:3]:
+        goal = memo_goal(concl, hyps, decls)
+        assert rewrite.rw_search_term(goal.concl, goal, frozenset()) \
+            is not None
+    assert not fresh_memo
+
+
+def test_failure_memo_drops_the_least_recently_used(fresh_memo, monkeypatch):
+    monkeypatch.setattr(rewrite, "RW_SEARCH_MEMO_ENTRIES", 2)
+    a, b, c = (memo_goal(*MEMO_GOALS[i]) for i in (0, 7, 8))
+    for goal in (a, b, a, c):
+        assert rewrite.rw_search_term(goal.concl, goal, frozenset()) is None
+    assert [key[0] for key in fresh_memo] == [a.concl, c.concl]

@@ -10,8 +10,10 @@ end-to-end metric of BENCHMARK.json, each side's median and quartiles
 and how many pairs the change won, and writes the per-run values and
 whether the digests matched to FILE under `workloads.W`; the other
 workloads already in FILE are kept, so one file holds a change's runs
-on every workload.  The temporary tree is removed at the end, and every
-run has finished before the next one starts.
+on every workload.  Beside the metric rows it prints each side's median
+ops attempted: a side that completes more ops keeps more per-op records,
+which `peak_rss_mb` counts.  The temporary tree is removed at the end,
+and every run has finished before the next one starts.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from typing import Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGEST = re.compile(r"^\s+digest ([0-9a-f]{64}) ", re.M)
@@ -93,16 +96,33 @@ def summarize(pairs: list[tuple[dict, dict]],
     return out
 
 
-def report(summary: dict) -> str:
+def attempted(runs: list[dict]) -> dict:
+    """Each side's median and quartiles of the ops a run attempted.  A
+    side that completes more ops in the same seconds keeps more per-op
+    records, and `peak_rss_mb` counts them."""
+    return {side: _spread([p[side]["attempted"] for p in runs])
+            for side in ("base", "change")}
+
+
+def _row(name: str, b: dict, c: dict, fmt: str = ".4g") -> str:
+    return (f"{name:<18} {b['median']:>12{fmt}} [{b['q1']:{fmt}}, "
+            f"{b['q3']:{fmt}}]{'':>3} {c['median']:>12{fmt}} "
+            f"[{c['q1']:{fmt}}, {c['q3']:{fmt}}]")
+
+
+def report(summary: dict, ops: Optional[dict] = None) -> str:
+    """One row per metric, and one of the ops attempted when `ops`
+    (from `attempted`) is given."""
     rows = [f"{'metric':<18} {'base median [q1, q3]':>30} "
             f"{'change median [q1, q3]':>30}  wins"]
     for name, s in summary.items():
-        b, c = s["base"], s["change"]
         rows.append(
-            f"{name:<18} {b['median']:>12.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
-            f"{'':>3} {c['median']:>12.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-            f"{'':>3} {s['wins']}/{s['pairs']}"
+            _row(name, s["base"], s["change"])
+            + f"{'':>3} {s['wins']}/{s['pairs']}"
             + ("  beyond base IQR" if s["beyond_base_iqr"] else ""))
+    if ops is not None:
+        rows.append(_row("ops attempted", ops["base"], ops["change"],
+                         ".0f"))
     return "\n".join(rows)
 
 
@@ -134,11 +154,12 @@ def main(argv: list[str]) -> int:
             runs.append(pair)
     summary = summarize([(p["base"]["values"], p["change"]["values"])
                          for p in runs], metrics)
+    ops = attempted(runs)
     digests = {p[side]["digest"] for p in runs for side in ("base", "change")}
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
           f"seed {args.seed}, base {commit[:12]}; digests "
           f"{'match' if len(digests) == 1 else 'DIFFER'}")
-    print(report(summary))
+    print(report(summary, ops))
     doc = {"workloads": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -146,7 +167,7 @@ def main(argv: list[str]) -> int:
     doc["workloads"][args.workload] = {
         "base": commit, "seed": args.seed, "seconds": args.seconds,
         "digests_match": len(digests) == 1, "summary": summary,
-        "runs": runs,
+        "attempted": ops, "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
