@@ -14,6 +14,25 @@ Everything is deterministic, so the certificate records only the budget,
 and `revalidate_auto` checks it by running the search again under that
 budget.
 
+Each search (one `auto` or `revalidate_auto` call) keeps a table of
+countermodels, a dict keyed by telescope that it starts empty and
+drops at its end.  When `linear_arith` finds a goal's negation
+feasible over Int, the point it found (`Feasible.point`, by variable
+name) becomes a candidate for the goal's telescope.  The first time
+another goal in that telescope reaches the closers, the candidate is
+checked by exact evaluation (`eval_at`): each value fits its variable's
+sort (a Nat one is at least 0, and a Real variable takes none), and
+every hypothesis is True there; a candidate that fails is dropped, and
+one that passes is a countermodel from then on.  A goal whose
+conclusion evaluates to False at a countermodel is not valid, so no
+sound closer can close it, and `_closers` returns False without
+running them.  This keeps every verdict: closers return only a
+boolean and do not tick the budget, so `_prove` returns the same
+results, and the certificates, reports and failure classes stay the
+same.  A find-all answer chain that misses a solution is where this
+acts: the point that shows the whole chain feasible falsifies every
+disjunct and every tail that `auto` then branches into.
+
 `_simp` is a bounded memo (`SIMP_MEMO_ENTRIES`) keyed on the interned
 term and on the lemma library: a conclusion met again, in another case
 of a hypothesis disjunction or when `revalidate_auto` runs the search
@@ -27,16 +46,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..expr import (
-    Atom, Binder, Conn, LocalDecl, PROP, Telescope, Term, Var, eq_sides,
-    free_vars, instantiate_bvar, metavars_of, mk_atom, mk_conn, mk_var,
+    Atom, Binder, Conn, INT, LocalDecl, NAT, PROP, RAT, Telescope, Term, Var,
+    eq_sides, free_vars, instantiate_bvar, metavars_of, mk_atom, mk_conn,
+    mk_var,
 )
 from ..norm import definitional_eq, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
     TacticResult, detail_value, int_arg, register_tactic,
 )
-from .decide import decide_prop
-from .linarith import prove_linear
+from .decide import Point, decide_prop, eval_at
+from .linarith import Feasible, prove_linear
 from .rewrite import (
     LemmaLibrary, SubtermIndex, default_library, first_rewrite,
     rw_search_term,
@@ -46,6 +66,11 @@ from .structural import replace_hyp, rfl_check, split_hyp, subst_goal
 
 AUTO_BUDGET = 500
 AUTO_RW_DEPTH = 3
+# evaluation steps for a hypothesis or conclusion at a candidate point
+MODEL_EVAL_BUDGET = 10 ** 4
+
+# per telescope: the candidates, and the countermodels checked among them
+Countermodels = dict[Telescope, tuple[list[Point], list[Point]]]
 
 
 class BudgetExhausted(TacticFailed):
@@ -88,7 +113,8 @@ def _simp_with(t: Term, library: LemmaLibrary) -> Term:
 
 
 def _prove(goal: Goal, budget: _Counter,
-           seen: frozenset[tuple[Telescope, Term]]) -> bool:
+           seen: frozenset[tuple[Telescope, Term]],
+           models: Countermodels) -> bool:
     budget.tick()
     concl = _simp(goal.concl)
     ctx = goal.ctx
@@ -105,13 +131,13 @@ def _prove(goal: Goal, budget: _Counter,
         name = ctx.fresh(concl.var)
         g = Goal(goal.case, ctx.extended(LocalDecl(name, concl.vsort)),
                  instantiate_bvar(concl.body, mk_var(name, concl.vsort)))
-        return _prove(g, budget, seen)
+        return _prove(g, budget, seen, models)
     if isinstance(concl, Conn) and concl.op == "imp":
         name = ctx.fresh("h")
         g = Goal(goal.case,
                  ctx.extended(LocalDecl(name, PROP, prop=concl.args[0])),
                  concl.args[1])
-        return _prove(g, budget, seen)
+        return _prove(g, budget, seen, models)
     if isinstance(concl, Conn) and concl.op in ("iff", "and"):
         a, b = concl.args
         if concl.op == "iff":
@@ -120,7 +146,8 @@ def _prove(goal: Goal, budget: _Counter,
         else:
             ga = Goal(goal.case, ctx, a)
             gb = Goal(goal.case, ctx, b)
-        return _prove(ga, budget, seen) and _prove(gb, budget, seen)
+        return _prove(ga, budget, seen, models) \
+            and _prove(gb, budget, seen, models)
     if isinstance(concl, Atom) and concl.rel == "eq" \
             and concl.args[0].sort.kind == "Set":
         # extensionality: S = T becomes x in S <-> x in T for a fresh x
@@ -130,7 +157,7 @@ def _prove(goal: Goal, budget: _Counter,
         opened = mk_conn("iff", (mk_atom("mem", (x, concl.args[0])),
                                  mk_atom("mem", (x, concl.args[1]))))
         return _prove(Goal(goal.case, ctx.extended(LocalDecl(name, elem)),
-                           opened), budget, seen)
+                           opened), budget, seen, models)
 
     # hypothesis decomposition, in telescope order
     here = Goal(goal.case, ctx, concl)
@@ -141,10 +168,12 @@ def _prove(goal: Goal, budget: _Counter,
         if isinstance(p, Conn) and p.op == "false":
             return True
         if isinstance(p, Conn) and p.op == "and":
-            return _prove(split_hyp(here, d.name, p), budget, seen)
+            return _prove(split_hyp(here, d.name, p), budget, seen, models)
         if isinstance(p, Conn) and p.op == "or":
-            return _prove(replace_hyp(here, d.name, p.args[0]), budget, seen) \
-                and _prove(replace_hyp(here, d.name, p.args[1]), budget, seen)
+            return _prove(replace_hyp(here, d.name, p.args[0]), budget,
+                          seen, models) \
+                and _prove(replace_hyp(here, d.name, p.args[1]), budget,
+                           seen, models)
 
     # substitute variable equations (h : x = t with x not in t)
     for d in ctx.decls:
@@ -158,7 +187,7 @@ def _prove(goal: Goal, budget: _Counter,
                         and ctx.lookup(me.name).prop is None:
                     g = subst_goal(goal, me.name, other, goal.case,
                                    drop=d.name)
-                    return _prove(g, budget, seen)
+                    return _prove(g, budget, seen, models)
 
     # assumption-matching exact
     if not metavars_of(concl):
@@ -168,19 +197,23 @@ def _prove(goal: Goal, budget: _Counter,
                 return True
 
     # closers
-    if _closers(here):
+    if _closers(here, models):
         return True
 
     # disjunctive goal: branch
     if isinstance(concl, Conn) and concl.op == "or":
-        return _prove(Goal(goal.case, ctx, concl.args[0]), budget, seen) \
-            or _prove(Goal(goal.case, ctx, concl.args[1]), budget, seen)
+        return _prove(Goal(goal.case, ctx, concl.args[0]), budget, seen,
+                      models) \
+            or _prove(Goal(goal.case, ctx, concl.args[1]), budget, seen,
+                      models)
     return False
 
 
-def _closers(goal: Goal) -> bool:
+def _closers(goal: Goal, models: Countermodels) -> bool:
     concl = goal.concl
     if metavars_of(concl):
+        return False
+    if models and _refuted(goal, models):
         return False
     try:
         rfl_check(concl)
@@ -198,10 +231,62 @@ def _closers(goal: Goal) -> bool:
     try:
         prove_linear(goal)
         return True
+    except Feasible as e:
+        if e.point:
+            models.setdefault(goal.ctx, ([], []))[0].append(Point(e.point))
     except TacticFailed:
         pass
     return eq_sides(concl) is not None and rw_search_term(
         concl, goal, frozenset(), AUTO_RW_DEPTH) is not None
+
+
+def _refuted(goal: Goal, models: Countermodels) -> bool:
+    """Whether a countermodel of the goal's telescope makes its
+    conclusion False.
+
+    `models` maps a telescope to its candidates, the points
+    `linear_arith` found feasible on goals in it, and to its
+    countermodels, the candidates checked against it.  A candidate is
+    checked the first time a goal in its telescope reaches the closers,
+    and then never again; one that fails the check is dropped."""
+    found = models.get(goal.ctx)
+    if found is None:
+        return False
+    candidates, countermodels = found
+    if any(_false_at(goal.concl, p) for p in countermodels):
+        return True
+    while candidates:
+        point = candidates.pop()
+        if _countermodel(goal.ctx, point):
+            countermodels.append(point)
+            if _false_at(goal.concl, point):
+                return True
+    return False
+
+
+def _countermodel(ctx: Telescope, point: Point) -> bool:
+    """Whether `point` gives each variable of `ctx` it names a value of
+    that variable's sort (an integer for Int, at least 0 for Nat, and no
+    Real variable), and every hypothesis of `ctx` evaluates to True at
+    it."""
+    for name, value in point.values.items():
+        d = ctx.lookup(name)
+        if d is None or d.sort not in (INT, NAT, RAT) \
+                or d.sort != RAT and value.denominator != 1 \
+                or d.sort == NAT and value < 0:
+            return False
+    try:
+        return all(eval_at(d.prop, point, MODEL_EVAL_BUDGET) is True
+                   for d in ctx.decls if d.prop is not None)
+    except TacticFailed:
+        return False
+
+
+def _false_at(concl: Term, point: Point) -> bool:
+    try:
+        return eval_at(concl, point, MODEL_EVAL_BUDGET) is False
+    except TacticFailed:
+        return False
 
 
 @register_tactic("auto")
@@ -210,7 +295,7 @@ def auto(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         raise TacticFailed("auto does not apply to a hole goal")
     budget_n = int_arg(argtext, AUTO_BUDGET)
     budget = _Counter(budget_n)
-    proved = _prove(goal, budget, frozenset())
+    proved = _prove(goal, budget, frozenset(), {})
     if not proved:
         if budget.n < 0:
             raise BudgetExhausted("auto budget exhausted")
@@ -222,7 +307,7 @@ def revalidate_auto(cert: Certificate) -> None:
     cert.fills({})
     budget = _Counter(detail_value("auto", cert.detail, "budget", int))
     try:
-        proved = _prove(cert.goal, budget, frozenset())
+        proved = _prove(cert.goal, budget, frozenset(), {})
     except TacticFailed:
         proved = False
     if not proved:

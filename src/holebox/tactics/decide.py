@@ -31,6 +31,15 @@ with a value that depends on the budget it had, and its charged steps
 then exceed that budget; such a result is not the node's own and is
 not kept.  A failure is never kept either.
 
+`eval_at` evaluates a term at a point: values for named Int, Nat and
+Rat variables, which a `Var` node takes at `eval_term`'s closed-node
+step, after the memo lookup, so the evaluation of a closed term costs
+nothing more.  Nothing evaluated at a point writes an `_eval_memo`,
+since its value may depend on the point; the point keeps its own
+values instead, so a subterm met again at the same point, such as the
+tail of a chain of disjunctions `x = c`, is evaluated once.
+`auto` checks candidate countermodels this way.
+
 A special assignment mode handles goals of the shape `?w = t` (or
 `t = ?w`, or `?w <-> p`) with a closed right-hand side: the value is
 computed and the answer hole is filled, which is how purely
@@ -76,19 +85,30 @@ class EvaluatesFalse(TacticFailed):
         return f"evaluates to False: {print_term(self.args[0])}"
 
 
+FinSet = frozenset  # of Fraction
+
+Value = Union[Fraction, bool, FinSet]
+
+
+class Point:
+    """Values of named Int, Nat and Rat variables, and the values of the
+    terms evaluated at them so far (`eval_at`)."""
+    __slots__ = ("values", "cache")
+
+    def __init__(self, values: dict[str, Union[int, Fraction]]):
+        self.values = {name: Fraction(v) for name, v in values.items()}
+        self.cache: dict[Term, Value] = {}
+
+
 @dataclass
 class Budget:
     remaining: int
+    point: Optional[Point] = None
 
     def charge(self, n: int = 1) -> None:
         self.remaining -= n
         if self.remaining < 0:
             raise EvalBudgetExceeded("enumeration budget exceeded")
-
-
-FinSet = frozenset  # of Fraction
-
-Value = Union[Fraction, bool, FinSet]
 
 
 def _fail_open(t: Term) -> EvalNotClosed:
@@ -105,17 +125,39 @@ def eval_term(t: Term, budget: Budget, env: Env = ()) -> Value:
     A closed node (no loose bound variable, no metavariable) is read from
     its `_eval_memo`, `(value, steps charged)`, when the budget left
     covers those steps; else it is evaluated, and the memo is written
-    only if the budget did not run out on the way."""
+    only if the budget did not run out on the way.  Under a budget that
+    carries a point (`eval_at`) such a node is evaluated at the point
+    instead, and no memo is written."""
     if t.bvar_bound or t.has_meta or isinstance(t, Lit):
         return _eval(t, budget, env)
     memo = t._eval_memo
     if memo is not None and memo[1] <= budget.remaining:
         budget.charge(memo[1])
         return memo[0]
+    if budget.point is not None:
+        return _eval_at(t, budget)
     start = budget.remaining
     value = _eval(t, budget, ())
     if budget.remaining >= 0:
         t._eval_memo = (value, start - budget.remaining)
+    return value
+
+
+def _eval_at(t: Term, budget: Budget) -> Value:
+    """`eval_term` on a closed node at `budget.point`: a variable takes
+    its value there, and any other node is evaluated once per point.
+    The node's memo is not written, since the value may depend on the
+    point."""
+    point = budget.point
+    value = point.cache.get(t)
+    if value is None:
+        if isinstance(t, Var):
+            if t.sort == REAL or t.name not in point.values:
+                raise _fail_open(t)
+            value = point.values[t.name]
+        else:
+            value = _eval(t, budget, ())
+        point.cache[t] = value
     return value
 
 
@@ -437,6 +479,15 @@ def decide_prop(prop: Term, budget_n: int = DEFAULT_BUDGET) -> tuple[bool, int]:
     budget = Budget(budget_n)
     v = _as_bool(eval_term(normalize(prop), budget))
     return v, budget_n - budget.remaining
+
+
+def eval_at(t: Term, point: Point, budget_n: int) -> Value:
+    """The value of `t` (normalized) when each variable named in `point`
+    takes its value there, under a budget of `budget_n` steps.  Builds
+    no terms; a node met again at the same point is not evaluated again.
+    Raises TacticFailed where `eval_term` would, and on a variable the
+    point does not name or a Real one."""
+    return eval_term(normalize(t), Budget(budget_n, point))
 
 
 def _value_term(v: Value, sort: Sort) -> Term:

@@ -29,6 +29,20 @@ so the procedure is complete on its fragment.  Literal-modulus
 constraints (t % m = r, m | t, even/odd) are compiled to quotient and
 remainder columns.
 
+A feasible integer verdict carries a point (`omega_point`): an integer
+solution of every row, built by back-substitution as the search
+returns.  A column eliminated from the inequalities, one-sided, exactly
+or through the dark shadow, takes the largest lower bound the solved
+rest allows, else the smallest upper bound, else 0 (the shadow that was
+solved guarantees an integer between the bounds); a splinter returns
+its own point; a column a unit equality removed is solved from it after
+the rest, in reverse order; the sigma columns are dropped.  The search
+visits the same nodes as a search for the verdict alone.  `Feasible`,
+the failure `linear_arith: system is feasible`, carries the point of
+the first feasible split, and `prove_linear` gives it by variable name,
+for `auto` to use as a candidate countermodel.  A rational branch
+carries no point.
+
 Nat is not translated as nonnegative Int.  A Nat conclusion puts the
 system over Int, and a comparison (`=`, `!=`, `<`, `<=`) between Nat
 terms raises `NotLinear` there, so a goal that compares Nat terms is not
@@ -59,10 +73,10 @@ translated in place every time.
 
 The two deciders are memoized on the rows they read, in bounded tables
 of `LINEAR_MEMO_ENTRIES`: `fm_refute` keeps the multipliers as an
-immutable tuple and hands each caller a fresh dict, and `omega_sat`
-keeps the verdict, so two systems that differ only in the atoms behind
-their columns share it.  A search that runs out of nodes raises and is
-not kept.
+immutable tuple and hands each caller a fresh dict, and `omega_point`
+keeps the point as a tuple, so two systems that differ only in the
+atoms behind their columns share it.  A search that runs out of nodes
+raises and is not kept.
 
 A certificate holds one entry per disjunct of the negated conclusion.
 A Farkas branch, a rational system with no `!=` row, holds its
@@ -84,7 +98,7 @@ from functools import lru_cache
 from typing import Callable, Collection, Optional
 
 from ..expr import (
-    App, Atom, Conn, INT, Lit, Meta, NAT, RAT, REAL, Sort, Term,
+    App, Atom, Conn, INT, Lit, Meta, NAT, RAT, REAL, Sort, Term, Var,
     instantiate_metas, subterms,
 )
 from ..norm import fold_literals, normalize
@@ -461,16 +475,18 @@ class _OmegaBudget:
 Row = tuple[int, ...]
 
 
-def omega_sat(cons: list[Constraint]) -> bool:
-    """Integer satisfiability of a system with no `ne` rows.
+def omega_point(cons: list[Constraint]) -> Optional[tuple[int, ...]]:
+    """An integer point of a system with no `ne` rows, or None when it
+    has none.
 
-    The search (`_omega`) reads the rows as they are, a strict row
-    `e < 0` as `e + 1 <= 0`: the symmetric-mod step appends a fresh sigma
-    column to every row, and each node keeps one inequality per
-    coefficient vector, the one with the largest constant.  The search
-    gets a budget of `MAX_OMEGA_NODES` nodes, and running out raises
-    `NotLinear`.  The verdict is memoized on the rows, which omega alone
-    reads.
+    The point holds 1 in column 0, for the constant, and one int per
+    column of the system.  The search (`_omega`) reads the rows as they
+    are, a strict row `e < 0` as `e + 1 <= 0`: the symmetric-mod step
+    appends a fresh sigma column to every row, and each node keeps one
+    inequality per coefficient vector, the one with the largest
+    constant.  The search gets a budget of `MAX_OMEGA_NODES` nodes, and
+    running out raises `NotLinear`.  The answer is memoized on the rows,
+    which omega alone reads.
     """
     eqs: list[Row] = []
     ineqs: list[Row] = []
@@ -486,13 +502,32 @@ def omega_sat(cons: list[Constraint]) -> bool:
     return _omega_memo(tuple(eqs), tuple(ineqs))
 
 
+def omega_sat(cons: list[Constraint]) -> bool:
+    """Integer satisfiability of a system with no `ne` rows
+    (`omega_point`)."""
+    return omega_point(cons) is not None
+
+
 @lru_cache(maxsize=LINEAR_MEMO_ENTRIES)
-def _omega_memo(eqs: tuple[Row, ...], ineqs: tuple[Row, ...]) -> bool:
-    return _omega(list(eqs), list(ineqs), _OmegaBudget(MAX_OMEGA_NODES))
+def _omega_memo(eqs: tuple[Row, ...], ineqs: tuple[Row, ...]
+                ) -> Optional[tuple[int, ...]]:
+    point = _omega(list(eqs), list(ineqs), _OmegaBudget(MAX_OMEGA_NODES))
+    return None if point is None else tuple(point)
 
 
-def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget) -> bool:
+def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget
+           ) -> Optional[list[int]]:
+    """An integer point of `eqs` (`= 0`) and `ineqs` (`<= 0`), over the
+    columns of their rows (`[1]` when there are none), or None.
+
+    A column that a unit equality removes is solved from that equality
+    once the rest is solved, in the reverse of the order the columns
+    were removed in; the sigma columns the symmetric-mod step adds are
+    dropped from the point returned."""
     budget.tick()
+    width = len(eqs[0]) if eqs else len(ineqs[0]) if ineqs else 1
+    cols = width
+    solved: list[tuple[Row, int]] = []
 
     # -- equality elimination
     while eqs:
@@ -500,10 +535,10 @@ def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget) -> bool:
         g = math.gcd(*eq[1:])
         if g == 0:
             if eq[0] != 0:
-                return False
+                return None
             continue
         if eq[0] % g != 0:
-            return False
+            return None
         if g > 1:
             eq = tuple(a // g for a in eq)
         k = min((j for j in range(1, len(eq)) if eq[j]),
@@ -511,6 +546,7 @@ def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget) -> bool:
         if abs(eq[k]) == 1:
             eqs = [_unit_subst(r, eq, k) for r in eqs]
             ineqs = [_unit_subst(r, eq, k) for r in ineqs]
+            solved.append((eq, k))
             continue
         # symmetric mod: a fresh column sigma with sum(mods(a, m) x)
         # + mods(c, m) - m sigma = 0, in which x_k has a unit coefficient
@@ -519,7 +555,21 @@ def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget) -> bool:
         ineqs = [r + (0,) for r in ineqs]
         eqs.append(eq + (0,))
         eqs.append(tuple(_mods(a, m) for a in eq) + (-m,))
+        cols += 1
 
+    point = _omega_ineqs(ineqs, cols, budget)
+    if point is None:
+        return None
+    # x_k = -eq[k] * (the rest of eq), the rest already solved
+    for eq, k in reversed(solved):
+        point[k] = 0
+        point[k] = -eq[k] * _dot(eq, point)
+    return point[:width]
+
+
+def _omega_ineqs(ineqs: list[Row], cols: int, budget: _OmegaBudget
+                 ) -> Optional[list[int]]:
+    """`_omega` on inequalities alone, over `cols` columns."""
     # -- normalize inequalities: gcd tightening, then the tightest
     # constant per coefficient vector
     tightest: dict[Row, int] = {}
@@ -528,7 +578,7 @@ def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget) -> bool:
         g = math.gcd(*coeffs)
         if g == 0:
             if r[0] > 0:
-                return False
+                return None
             continue
         c = r[0]
         if g > 1:
@@ -541,16 +591,16 @@ def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget) -> bool:
     for coeffs, c in tightest.items():
         opp = tightest.get(tuple(-a for a in coeffs))
         if opp is not None and c + opp > 0:
-            return False
+            return None
     if not tightest:
-        return True
+        return [1] + [0] * (cols - 1)
     ineqs = [(c,) + coeffs for coeffs, c in tightest.items()]
 
     # -- choose a column to eliminate: one bounded on one side only,
     # else an exact one (every pair has a unit side), else the fewest
     # lower * upper pairs
     best, best_cost = 0, None
-    for v in range(1, len(ineqs[0])):
+    for v in range(1, cols):
         lo = [r[v] for r in ineqs if r[v] < 0]
         hi = [r[v] for r in ineqs if r[v] > 0]
         if not lo and not hi:
@@ -566,7 +616,7 @@ def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget) -> bool:
     highs = [r for r in ineqs if r[v] > 0]
     rest = [r for r in ineqs if r[v] == 0]
     if not lows or not highs:
-        return _omega([], rest, budget)
+        return _place(_omega([], rest, budget), cols, v, lows, highs)
 
     def shadow(dark: bool) -> list[Row]:
         out = list(rest)
@@ -581,11 +631,13 @@ def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget) -> bool:
         return out
 
     if _exact([lo[v] for lo in lows], [hi[v] for hi in highs]):
-        return _omega([], shadow(False), budget)
-    if not _omega([], shadow(False), budget):
-        return False
-    if _omega([], shadow(True), budget):
-        return True
+        return _place(_omega([], shadow(False), budget), cols, v, lows,
+                      highs)
+    if _omega([], shadow(False), budget) is None:
+        return None
+    point = _omega([], shadow(True), budget)
+    if point is not None:
+        return _place(point, cols, v, lows, highs)
     # splinters: some lower bound lo holds with slack i, lo + i = 0,
     # for 0 <= i <= top
     amax = max(hi[v] for hi in highs)
@@ -593,9 +645,35 @@ def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget) -> bool:
         b = -lo[v]
         top = (amax * b - amax - b) // amax
         for i in range(top + 1):
-            if _omega([(lo[0] + i,) + lo[1:]], ineqs, budget):
-                return True
-    return False
+            point = _omega([(lo[0] + i,) + lo[1:]], ineqs, budget)
+            if point is not None:
+                return point
+    return None
+
+
+def _dot(row: Row, point: list[int]) -> int:
+    return sum(a * x for a, x in zip(row, point))
+
+
+def _place(point: Optional[list[int]], cols: int, v: int,
+           lows: list[Row], highs: list[Row]) -> Optional[list[int]]:
+    """`point`, a solution of the rows column `v` was eliminated from,
+    widened to `cols` columns, with x_v the largest lower bound `lows`
+    allow there, else the smallest upper bound `highs` allow, else 0.
+    The shadow it solves puts an integer between the two (the omega
+    test's real shadow when the elimination is exact, its dark shadow
+    otherwise)."""
+    if point is None:
+        return None
+    point = point + [0] * (cols - len(point))
+    point[v] = 0
+    if lows:
+        # lo[v] x + s <= 0 with lo[v] < 0: x >= ceil(s / -lo[v])
+        point[v] = max(-(_dot(lo, point) // lo[v]) for lo in lows)
+    elif highs:
+        # hi[v] x + s <= 0 with hi[v] > 0: x <= floor(-s / hi[v])
+        point[v] = min(-_dot(hi, point) // hi[v] for hi in highs)
+    return point
 
 
 def _unit_subst(r: Row, eq: Row, k: int) -> Row:
@@ -665,17 +743,18 @@ def _hyp_atoms(props: tuple[Term, ...], sort: Sort) -> tuple:
         tuple(az.row(c) for c in cons)
 
 
-def _collect_system(goal: Goal) -> tuple[Sort, list[Constraint],
+def _collect_system(goal: Goal) -> tuple[Atomizer, list[Constraint],
                                          list[list[Constraint]]]:
-    """The system's sort, the hypotheses' rows and the rows of each
-    disjunct of the negated conclusion, over one set of columns."""
+    """The system's atom space (its sort and columns), the hypotheses'
+    rows and the rows of each disjunct of the negated conclusion, over
+    one set of columns."""
     concl = goal.concl
     if not isinstance(concl, Term):
         raise NotLinear("hole goals are not linear goals")
     concl = normalize(concl)
     az, hyps, dnf = _hyp_system(goal, _goal_sort(concl),
                                 lambda az: _negation_dnf(concl, az))
-    return az.sort, hyps, [[az.row(c) for c in branch] for branch in dnf]
+    return az, hyps, [[az.row(c) for c in branch] for branch in dnf]
 
 
 def _goal_sort(concl: Term) -> Sort:
@@ -690,9 +769,11 @@ def _goal_sort(concl: Term) -> Sort:
 
 
 def _split_nes(cons: list[Constraint],
-               feasible: Callable[[list[Constraint]], bool]) -> bool:
-    """Whether some split of the ne constraints into strict sides (`<`,
-    then `>`) leaves a feasible system.
+               feasible: Callable[[list[Constraint]], Optional[tuple]]
+               ) -> Optional[tuple]:
+    """What `feasible` gives (a point, or `()` for none) on the first
+    split of the ne constraints into strict sides (`<`, then `>`) that
+    leaves a feasible system; None when no split does.
 
     The splits are searched depth first, in constraint order, and each
     node below the root is checked with the decided sides only: an
@@ -716,16 +797,23 @@ def _split_nes(cons: list[Constraint],
                   for i, c in enumerate(cons)
                   if c.rel != "ne" or i in picked]
         if len(chosen) == len(nes):
-            if feasible(system):
-                return True
+            point = feasible(system)
+            if point is not None:
+                return point
             continue
         try:
-            if chosen and not feasible(system):
+            if chosen and feasible(system) is None:
                 continue
         except NotLinear:
             pass
         todo += [chosen + (1,), chosen + (0,)]    # the `<` side first
-    return False
+    return None
+
+
+def _rational_feasible(cons: list[Constraint]) -> Optional[tuple]:
+    """`()` when Fourier-Motzkin finds `cons` feasible, which gives no
+    point, else None."""
+    return () if fm_refute(cons) is None else None
 
 
 def is_farkas_branch(sort: Sort, cons: list[Constraint]) -> bool:
@@ -734,34 +822,57 @@ def is_farkas_branch(sort: Sort, cons: list[Constraint]) -> bool:
     return sort not in (INT, NAT) and all(c.rel != "ne" for c in cons)
 
 
+class Feasible(TacticFailed):
+    """The negated goal has a solution, so the goal is not proved.
+
+    `point` is the integer point omega found, over the system's columns
+    as `refute_branch` raises it and by variable name as `prove_linear`
+    does; None for a rational branch, which gives no point."""
+
+    def __init__(self, point=None):
+        super().__init__("linear_arith: system is feasible")
+        self.point = point
+
+
 def refute_branch(sort: Sort, cons: list[Constraint]) -> dict:
     """Show one conjunction of constraints infeasible: its certificate
     branch, `{"multipliers": ...}` for a Farkas branch and `{}` for any
-    other.  Raises NotLinear or TacticFailed (feasible)."""
+    other.  Raises NotLinear, or Feasible with the point of the first
+    feasible split (integer branches)."""
     if is_farkas_branch(sort, cons):
         farkas = fm_refute(cons)
         if farkas is None:
-            raise TacticFailed("linear_arith: system is feasible")
+            raise Feasible()
         return {"multipliers": farkas}
-    if _split_nes(cons, omega_sat if sort in (INT, NAT)
-                  else lambda sub: fm_refute(sub) is None):
-        raise TacticFailed("linear_arith: system is feasible")
+    point = _split_nes(cons, omega_point if sort in (INT, NAT)
+                       else _rational_feasible)
+    if point is not None:
+        raise Feasible(point or None)
     return {}
 
 
-def _branch_systems(goal: Goal) -> tuple[Sort, list[list[Constraint]]]:
-    """The system's sort and, per disjunct of the negated conclusion,
-    the hypotheses' rows followed by the disjunct's."""
-    sort, hyps, branches = _collect_system(goal)
+def _branch_systems(goal: Goal) -> tuple[Atomizer, list[list[Constraint]]]:
+    """The system's atom space and, per disjunct of the negated
+    conclusion, the hypotheses' rows followed by the disjunct's."""
+    az, hyps, branches = _collect_system(goal)
     if not branches:
         raise NotLinear("conclusion is trivially true; use rfl or eval_decide")
-    return sort, [hyps + branch for branch in branches]
+    return az, [hyps + branch for branch in branches]
 
 
 def prove_linear(goal: Goal) -> dict:
-    """Prove a goal by refuting hypotheses + negated conclusion."""
-    sort, systems = _branch_systems(goal)
-    return {"branches": [refute_branch(sort, cons) for cons in systems]}
+    """Prove a goal by refuting hypotheses + negated conclusion.  An
+    integer branch that is feasible raises Feasible with the values its
+    point gives the columns keyed by a variable, by name."""
+    az, systems = _branch_systems(goal)
+    try:
+        return {"branches": [refute_branch(az.sort, cons)
+                             for cons in systems]}
+    except Feasible as e:
+        if e.point is None:
+            raise
+        raise Feasible({key.name: v for key, v in zip(az.cols, e.point)
+                        if isinstance(key, Var)}) from None
 
 
 @register_tactic("linear_arith")
@@ -905,14 +1016,14 @@ def revalidate_linear_arith(cert: Certificate) -> None:
         goal = Goal(goal.case, goal.ctx, instantiate_metas(goal.concl, fills))
     stored = detail_value("linear_arith", cert.detail, "branches", list)
     try:
-        sort, systems = _branch_systems(goal)
+        az, systems = _branch_systems(goal)
         if len(stored) != len(systems):
             raise CertificateError(
                 f"linear_arith certificate has {len(stored)} branches, "
                 f"the goal has {len(systems)}")
         for branch, cons in zip(stored, systems):
-            if not is_farkas_branch(sort, cons):
-                refute_branch(sort, cons)
+            if not is_farkas_branch(az.sort, cons):
+                refute_branch(az.sort, cons)
             elif not verify_farkas(cons, detail_value(
                     "linear_arith", branch, "multipliers", dict)):
                 raise CertificateError("stored Farkas combination is invalid")

@@ -1,6 +1,8 @@
-"""The paired benchmark runner's summary, on made-up results; no run."""
+"""The paired benchmark runner's summary, on made-up results, and the
+trees it runs; no benchmark run."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pair.py"
@@ -77,3 +79,31 @@ def test_report_shows_each_side_ops_attempted():
     assert rows[-1].split()[2:] == ["5000", "[4900,", "5100]",
                                     "6400", "[6200,", "6500]"]
     assert bench_pair.report(s).splitlines() == rows[:-1]
+
+
+def test_the_change_side_is_the_working_tree_without_ignored_files(tmp_path):
+    # both sides run from temporary trees: the checkout's copy holds its
+    # tracked and untracked files as they are on disk, an uncommitted
+    # edit included, and nothing git ignores
+    repo, dest = tmp_path / "repo", tmp_path / "change"
+    (repo / "pkg").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "gone.py").write_text("")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")
+    (repo / "pkg" / "new.py").write_text("Y = 3\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "gone.py").unlink()
+    assert bench_pair.copy_checkout(str(repo), str(dest)) == 3
+    assert sorted(p.relative_to(dest).as_posix()
+                  for p in dest.rglob("*") if p.is_file()) \
+        == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "X = 2\n"

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bind
 from holebox.expr import (
-    INT, NAT, PROP, REAL, App, BVar, Binder, Lit, LocalDecl, Telescope,
-    instantiate_bvar, mk_app, mk_atom, mk_conn, mk_lit, mk_var, subterms,
+    INT, NAT, PROP, RAT, REAL, App, BVar, Binder, Lit, LocalDecl, Telescope,
+    Var, instantiate_bvar, mk_app, mk_atom, mk_conn, mk_lit, mk_var, subterms,
 )
 from holebox.kernel import TacticFailed
 from holebox.norm import normalize
@@ -17,7 +17,7 @@ from holebox.syntax import parse_term
 from holebox.tactics import decide as decide_mod
 from holebox.tactics.decide import (
     DEFAULT_BUDGET, Budget, EvalBudgetExceeded, EvalNotClosed, EvaluatesFalse,
-    decide_prop, eval_fills, eval_term,
+    Point, decide_prop, eval_at, eval_fills, eval_term,
 )
 
 
@@ -617,3 +617,59 @@ def test_binder_bodies_are_not_rebuilt_per_element(monkeypatch, text, probes):
     concl = parse_term(text, Telescope(), PROP)
     assert eval_fills(concl, (), DEFAULT_BUDGET) == ()
     assert calls == {"normalize": 1, "instantiate_bvar": probes}
+
+
+# -- evaluation at a point ---------------------------------------------------
+
+POINT_TELE = Telescope((LocalDecl("x", INT), LocalDecl("n", NAT),
+                        LocalDecl("q", RAT), LocalDecl("r", REAL)))
+
+
+def test_evaluation_at_a_point_writes_no_memo():
+    # a node that mentions a variable still fails to evaluate without the
+    # point afterwards: its value at the point was not kept on the node
+    chain = normalize(parse_term(
+        "x = 1 \\/ x = 2 \\/ n + 3 = 7 \\/ q < 1", POINT_TELE, PROP))
+    point = Point({"x": 3, "n": 4, "q": Fraction(1, 2)})
+    assert eval_at(chain, point, DEFAULT_BUDGET) is True
+    for t in subterms(chain):
+        if t.bvar_bound or t.has_meta or isinstance(t, Lit):
+            continue
+        if any(isinstance(s, Var) for s in subterms(t)):
+            assert t._eval_memo is None
+            with pytest.raises(EvalNotClosed):
+                eval_term(t, Budget(DEFAULT_BUDGET))
+
+
+def test_evaluation_at_a_point_evaluates_a_tail_once(monkeypatch):
+    chain = normalize(parse_term(
+        "x = 1 \\/ x = 2 \\/ x = 3 \\/ x = 4", POINT_TELE, PROP))
+    tail = chain.args[1]
+    point = Point({"x": 5})
+    assert eval_at(tail, point, DEFAULT_BUDGET) is False
+    calls = []
+    evaluate = decide_mod._eval
+
+    def counted(t, budget, env):
+        calls.append(t)
+        return evaluate(t, budget, env)
+
+    monkeypatch.setattr(decide_mod, "_eval", counted)
+    assert eval_at(chain, point, DEFAULT_BUDGET) is False
+    # the chain, its head `x = 1` and the literal 1; `x` and the tail
+    # are read off the point
+    head = chain.args[0]
+    assert calls == [chain, head, head.args[1]]
+    assert eval_at(chain, Point({"x": 4}), DEFAULT_BUDGET) is True
+
+
+def test_evaluation_at_a_point_refuses_real_and_unnamed_variables():
+    point = Point({"x": 1, "r": 1})
+    for text, want in (("x + 1 = 2", True), ("r = 1", None),
+                       ("n = 0", None)):
+        prop = parse_term(text, POINT_TELE, PROP)
+        if want is None:
+            with pytest.raises(EvalNotClosed):
+                eval_at(prop, point, DEFAULT_BUDGET)
+        else:
+            assert eval_at(prop, point, DEFAULT_BUDGET) is want

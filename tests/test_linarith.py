@@ -24,7 +24,8 @@ from holebox.syntax import parse_term, print_term
 from holebox.tactics import linarith
 from holebox.tactics.linarith import (
     CONST, MAX_NE_SPLITS, Atomizer, Constraint, NotLinear,
-    atom_to_constraints, fm_refute, linearize, omega_sat, prove_linear,
+    atom_to_constraints, fm_refute, linearize, omega_point, omega_sat,
+    prove_linear,
     refute_branch, revalidate_linear_arith, verify_farkas, _atom_constraints,
     _atom_memo, _hyp_atoms, _hyp_system, _lin_add, _lin_scale, _OmegaBudget,
 )
@@ -128,6 +129,26 @@ def _box_sat(eqs, ineqs, names, bound):
                                    repeat=len(names)))
 
 
+def _three_var_system(rng, names, bound=None):
+    """Equalities with non-unit coefficients and inequalities over three
+    variables, each boxed in [-bound, bound] unless `bound` is None."""
+    eqs, ineqs = [], []
+    for _ in range(rng.randint(0, 2)):
+        lin = {n: Fraction(rng.choice([-4, -3, -2, 0, 2, 3, 5]))
+               for n in names}
+        lin[CONST] = Fraction(rng.randint(-6, 6))
+        eqs.append(lin)
+    for _ in range(rng.randint(1, 4)):
+        lin = {n: Fraction(rng.randint(-5, 5)) for n in names}
+        lin[CONST] = Fraction(rng.randint(-8, 8))
+        ineqs.append(lin)
+    if bound is not None:
+        for n in names:
+            ineqs.append({n: Fraction(-1), CONST: Fraction(-bound)})
+            ineqs.append({n: Fraction(1), CONST: Fraction(-bound)})
+    return eqs, ineqs
+
+
 def test_omega_brute_force_three_vars(rng):
     """Three variables, non-unit coefficients: the equalities take the
     symmetric-mod (sigma column) path, and the inequalities reach the
@@ -136,23 +157,70 @@ def test_omega_brute_force_three_vars(rng):
     bound = 3
     sat = 0
     for _ in range(200):
-        eqs, ineqs = [], []
-        for _ in range(rng.randint(0, 2)):
-            lin = {n: Fraction(rng.choice([-4, -3, -2, 0, 2, 3, 5]))
-                   for n in names}
-            lin[CONST] = Fraction(rng.randint(-6, 6))
-            eqs.append(lin)
-        for _ in range(rng.randint(1, 4)):
-            lin = {n: Fraction(rng.randint(-5, 5)) for n in names}
-            lin[CONST] = Fraction(rng.randint(-8, 8))
-            ineqs.append(lin)
-        for n in names:
-            ineqs.append({n: Fraction(-1), CONST: Fraction(-bound)})
-            ineqs.append({n: Fraction(1), CONST: Fraction(-bound)})
+        eqs, ineqs = _three_var_system(rng, names, bound)
         got = omega_sat(omega_rows(names, eqs, ineqs))
         assert got == _box_sat(eqs, ineqs, names, bound)
         sat += got
     assert 40 < sat < 160     # both verdicts well represented
+
+
+def _holds_at(c, point):
+    """Whether the integer point satisfies the constraint `c`."""
+    v = sum(a * x for a, x in zip(c.row, point))
+    return {"le": v <= 0, "lt": v < 0, "eq": v == 0, "ne": v != 0}[c.rel]
+
+
+def _searched(search, cons):
+    """`search` (`linarith._omega` or `reference_omega`) on the rows of
+    `cons`, which have no strict row: its answer and the nodes it used."""
+    budget = _OmegaBudget(linarith.MAX_OMEGA_NODES)
+    try:
+        out = search([c.row for c in cons if c.rel == "eq"],
+                     [c.row for c in cons if c.rel == "le"], budget)
+    except NotLinear as e:
+        out = str(e)
+    return out, linarith.MAX_OMEGA_NODES - budget.n
+
+
+def test_omega_points_satisfy_every_row(rng):
+    """The brute-force systems of three variables, boxed and not: the
+    search that returns a point gives the verdict-only search's verdict
+    after the same number of nodes, and its point satisfies every row.
+    The equalities take the sigma path, the inequalities reach the dark
+    shadow and the splinters, and a column bounded on one side takes
+    its bound."""
+    names = ["x0", "x1", "x2"]
+    paths = {"sigma": 0, "splinter": 0}
+    search, mods = linarith._omega, linarith._mods
+
+    def counting_search(eqs, ineqs, budget):
+        paths["splinter"] += len(eqs) == 1 and len(ineqs) > 0
+        return search(eqs, ineqs, budget)
+
+    def counting_mods(a, m):
+        paths["sigma"] += 1
+        return mods(a, m)
+
+    sat = 0
+    for i in range(400):
+        cons = omega_rows(names, *_three_var_system(
+            rng, names, 3 if i % 2 else None))
+        want, want_nodes = _searched(reference_omega, cons)
+        linarith._omega, linarith._mods = counting_search, counting_mods
+        try:
+            got, nodes = _searched(linarith._omega, cons)
+        finally:
+            linarith._omega, linarith._mods = search, mods
+        assert nodes == want_nodes
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert (got is not None) == want
+        if got is not None:
+            sat += 1
+            assert len(got) == 1 + len(names) and got[0] == 1
+            assert all(_holds_at(c, got) for c in cons)
+    assert 80 < sat < 320 and paths["sigma"] and paths["splinter"]
 
 
 def _ineqs(*lins):
@@ -301,15 +369,37 @@ def test_only_a_branch_without_multipliers_is_decided_again(monkeypatch):
             return decide(cons)
         return wrapper
 
-    for name in ("fm_refute", "omega_sat"):
+    for name in ("fm_refute", "omega_point"):
         monkeypatch.setattr(linarith, name, counted(name))
     revalidate_linear_arith(farkas)
     assert calls == []
     revalidate_linear_arith(omega)
-    assert calls == ["omega_sat"]
+    assert calls == ["omega_point"]
     calls.clear()
     revalidate_linear_arith(split)
     assert calls and set(calls) == {"fm_refute"}
+
+
+def test_a_feasible_system_fails_with_the_same_message_and_a_point():
+    # the message is the one `linear_arith` always gave; an integer
+    # system adds its point by variable name, a rational one none
+    for concl, hyps, var_sorts, point in (
+            ("x = 1", ["x <= 3"], [("x", INT), ("y", INT)], True),
+            ("y = 5", ["0 <= y", "y <= 1"], [("y", REAL)], False),
+            ("q < 2", ["2 * q <= 5"], [("q", RAT)], False)):
+        st = state_for(concl, hyps, var_sorts)
+        with pytest.raises(TacticFailed) as failed:
+            apply_tactic(st, "h", "linear_arith", "")
+        assert str(failed.value) == "linear_arith: system is feasible"
+        with pytest.raises(linarith.Feasible) as feasible:
+            prove_linear(st.goal("h"))
+        assert str(feasible.value) == "linear_arith: system is feasible"
+        if not point:
+            assert feasible.value.point is None
+            continue
+        # the first split, x < 1, bounds x from above only: x takes its
+        # smallest upper bound; y is in no row and gets no value
+        assert feasible.value.point == {"x": 0}
 
 
 def test_sums_that_differ_in_a_captured_variable_stay_two_atoms():
@@ -379,6 +469,12 @@ def _feasible(sort, omega=omega_sat, fm=fm_refute):
     return lambda sub: fm(sub) is None
 
 
+def _split_check(sort):
+    """The check `refute_branch` hands `_split_nes`: a point, `()` for a
+    feasible rational system, or None."""
+    return omega_point if sort in (INT, NAT) else linarith._rational_feasible
+
+
 def eager_refute(sort, cons, side=_row_side, omega=omega_sat, fm=fm_refute):
     """`refute_branch` by checking every split up front."""
     if 2 ** sum(c.rel == "ne" for c in cons) > MAX_NE_SPLITS:
@@ -391,9 +487,9 @@ def eager_refute(sort, cons, side=_row_side, omega=omega_sat, fm=fm_refute):
     return {}
 
 
-def _outcome(refute, sort, cons):
+def _outcome(refute, sort, cons, **kw):
     try:
-        return "refuted", refute(sort, cons)
+        return "refuted", refute(sort, cons, **kw)
     except NotLinear:
         return "not linear", None
     except TacticFailed:
@@ -401,10 +497,10 @@ def _outcome(refute, sort, cons):
 
 
 @st.composite
-def _systems(draw):
+def _systems(draw, sorts=(INT, RAT)):
     """An Int or Rat system over x and y with 0-6 disequalities, the
     other rows drawn from le, lt and eq, in a random order."""
-    sort = draw(st.sampled_from([INT, RAT]))
+    sort = draw(st.sampled_from(sorts))
     coef = st.integers(-3, 3)
 
     def row(rel):
@@ -431,12 +527,40 @@ def test_depth_first_split_matches_the_full_enumeration(system):
 
     def recording(sub):
         visited.append(sub)
-        return _feasible(sort)(sub)
+        return _split_check(sort)(sub)
 
     linarith._split_nes(cons, recording)
     leaves = iter(eager_splits(cons))
     assert all(any(leaf == sub for sub in leaves)
                for leaf in visited if len(leaf) == len(cons))
+
+
+def _reference_omega_sat(cons):
+    """The verdict-only search on a system's rows, a strict row `e < 0`
+    read as `e + 1 <= 0`."""
+    return reference_omega(
+        [c.row for c in cons if c.rel == "eq"],
+        [(c.row[0] + 1,) + c.row[1:] if c.rel == "lt" else c.row
+         for c in cons if c.rel != "eq"],
+        _OmegaBudget(linarith.MAX_OMEGA_NODES))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_systems(sorts=(INT,)))
+def test_split_point_satisfies_the_leaf(system):
+    # the point of the first feasible split satisfies every row of the
+    # system, its `!=` rows included, and there is one exactly when the
+    # verdict-only search finds some split feasible
+    _, cons = system
+    want = _outcome(eager_refute, INT, cons, omega=_reference_omega_sat)
+    try:
+        point = linarith._split_nes(cons, omega_point)
+    except NotLinear:
+        assert want[0] == "not linear"
+        return
+    assert (point is not None) == (want[0] == "feasible")
+    if point is not None:
+        assert all(_holds_at(c, point) for c in cons)
 
 
 def _ne_rows(n):
@@ -467,9 +591,9 @@ def test_ne_split_prunes_infeasible_prefixes(monkeypatch):
 
     def counting(cons):
         calls.append(len(cons))
-        return omega_sat(cons)
+        return omega_point(cons)
 
-    monkeypatch.setattr(linarith, "omega_sat", counting)
+    monkeypatch.setattr(linarith, "omega_point", counting)
     assert prove_linear(goal) == {"branches": [{}]}
     # below the 2^6 of the full enumeration: at each split one side is
     # pruned and the other checked, and the root is never checked
@@ -490,9 +614,9 @@ def test_ne_split_check_that_gives_up_prunes_nothing():
         if len(sub) < len(cons):
             raise NotLinear("omega node budget exceeded")
         leaves.append(sub)
-        return _feasible(INT)(sub)
+        return _split_check(INT)(sub)
 
-    assert not linarith._split_nes(cons, giving_up)
+    assert linarith._split_nes(cons, giving_up) is None
     assert leaves == eager_splits(cons)
 
 
@@ -627,8 +751,8 @@ def test_atom_memo_replays_the_in_place_translation(case, positive):
 # rows over first-occurrence columns.  Atoms are named by their printed
 # text, a constraint is a `Lin` dict of Fractions that builds its integer
 # row on first use (`int_row`), Fourier-Motzkin runs on the Fractions,
-# and omega gets `int` tuples over the sorted names (`to_row`).  The
-# omega search itself (`linarith._omega`) is shared.
+# and omega gets `int` tuples over the sorted names (`to_row`) and
+# returns the verdict alone (`reference_omega`).
 
 
 @dataclass(frozen=True)
@@ -829,10 +953,119 @@ def reference_omega_sat(cons):
     def to_row(lin):
         return tuple(lin.get(k, 0) for k in (CONST, *cols))
 
-    return linarith._omega(
+    return reference_omega(
         [to_row(r) for c, r in zip(cons, rows) if c.rel == "eq"],
         [to_row(r) for c, r in zip(cons, rows) if c.rel != "eq"],
         _OmegaBudget(linarith.MAX_OMEGA_NODES))
+
+
+def reference_omega(eqs, ineqs, budget):
+    """The omega search as it was before it returned a point: the
+    verdict alone."""
+    budget.tick()
+
+    # -- equality elimination
+    while eqs:
+        eq = eqs.pop()
+        g = math.gcd(*eq[1:])
+        if g == 0:
+            if eq[0] != 0:
+                return False
+            continue
+        if eq[0] % g != 0:
+            return False
+        if g > 1:
+            eq = tuple(a // g for a in eq)
+        k = min((j for j in range(1, len(eq)) if eq[j]),
+                key=lambda j: abs(eq[j]))
+        if abs(eq[k]) == 1:
+            eqs = [linarith._unit_subst(r, eq, k) for r in eqs]
+            ineqs = [linarith._unit_subst(r, eq, k) for r in ineqs]
+            continue
+        # symmetric mod: a fresh column sigma with sum(mods(a, m) x)
+        # + mods(c, m) - m sigma = 0, in which x_k has a unit coefficient
+        m = abs(eq[k]) + 1
+        eqs = [r + (0,) for r in eqs]
+        ineqs = [r + (0,) for r in ineqs]
+        eqs.append(eq + (0,))
+        eqs.append(tuple(linarith._mods(a, m) for a in eq) + (-m,))
+
+    # -- normalize inequalities: gcd tightening, then the tightest
+    # constant per coefficient vector
+    tightest = {}
+    for r in ineqs:
+        coeffs = r[1:]
+        g = math.gcd(*coeffs)
+        if g == 0:
+            if r[0] > 0:
+                return False
+            continue
+        c = r[0]
+        if g > 1:
+            # a.x + c <= 0 tightens to (a/g).x + ceil(c/g) <= 0
+            coeffs = tuple(a // g for a in coeffs)
+            c = -(-c // g)
+        if tightest.get(coeffs, c) <= c:
+            tightest[coeffs] = c
+    # a.x + c1 <= 0 and -a.x + c2 <= 0 need c1 + c2 <= 0
+    for coeffs, c in tightest.items():
+        opp = tightest.get(tuple(-a for a in coeffs))
+        if opp is not None and c + opp > 0:
+            return False
+    if not tightest:
+        return True
+    ineqs = [(c,) + coeffs for coeffs, c in tightest.items()]
+
+    # -- choose a column to eliminate: one bounded on one side only,
+    # else an exact one (every pair has a unit side), else the fewest
+    # lower * upper pairs
+    best, best_cost = 0, None
+    for v in range(1, len(ineqs[0])):
+        lo = [r[v] for r in ineqs if r[v] < 0]
+        hi = [r[v] for r in ineqs if r[v] > 0]
+        if not lo and not hi:
+            continue
+        if not lo or not hi:
+            best = v
+            break
+        cost = len(lo) * len(hi) - (1000 if linarith._exact(lo, hi) else 0)
+        if best_cost is None or cost < best_cost:
+            best, best_cost = v, cost
+    v = best
+    lows = [r for r in ineqs if r[v] < 0]
+    highs = [r for r in ineqs if r[v] > 0]
+    rest = [r for r in ineqs if r[v] == 0]
+    if not lows or not highs:
+        return reference_omega([], rest, budget)
+
+    def shadow(dark):
+        out = list(rest)
+        for lo in lows:
+            b = -lo[v]
+            for hi in highs:
+                a = hi[v]
+                row = [a * x + b * y for x, y in zip(lo, hi)]
+                if dark:
+                    row[0] += (a - 1) * (b - 1)
+                out.append(tuple(row))
+        return out
+
+    if linarith._exact([lo[v] for lo in lows], [hi[v] for hi in highs]):
+        return reference_omega([], shadow(False), budget)
+    if not reference_omega([], shadow(False), budget):
+        return False
+    if reference_omega([], shadow(True), budget):
+        return True
+    # splinters: some lower bound lo holds with slack i, lo + i = 0,
+    # for 0 <= i <= top
+    amax = max(hi[v] for hi in highs)
+    for lo in lows:
+        b = -lo[v]
+        top = (amax * b - amax - b) // amax
+        for i in range(top + 1):
+            if reference_omega([(lo[0] + i,) + lo[1:]], ineqs, budget):
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -1080,13 +1313,15 @@ def _omega_outcome(decide):
 def test_omega_memo_matches_the_search(system, names):
     eqs, ineqs = system
     cons = omega_rows(OMEGA_NAMES, eqs, ineqs)
-    want = _omega_outcome(lambda: linarith._omega(
+    search = _omega_outcome(lambda: linarith._omega(
         [c.row for c in cons if c.rel == "eq"],
         [c.row for c in cons if c.rel == "le"],
         _OmegaBudget(linarith.MAX_OMEGA_NODES)))
+    want = tuple(search) if isinstance(search, list) else search
     linarith._omega_memo.cache_clear()
-    cold = _omega_outcome(lambda: omega_sat(cons))
-    warm = _omega_outcome(lambda: omega_sat(cons))
-    # the same system with its columns in another order
+    cold = _omega_outcome(lambda: omega_point(cons))
+    warm = _omega_outcome(lambda: omega_point(cons))
+    # the same system with its columns in another order: the verdict
     other = _omega_outcome(lambda: omega_sat(omega_rows(names, eqs, ineqs)))
-    assert cold == want and warm == want and other == want
+    assert cold == want and warm == want
+    assert other == (want if isinstance(want, str) else want is not None)

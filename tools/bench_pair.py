@@ -3,17 +3,21 @@
     python3 tools/bench_pair.py --base REF --workload W --pairs N \
         [--seconds S] [--seed N] --out FILE
 
-Exports REF with `git archive` into a temporary directory, then runs
-`perfbench/run.py --trace 0` of each tree one at a time, N pairs, with
-the side that goes first alternating from pair to pair.  It prints, per
-end-to-end metric of BENCHMARK.json, each side's median and quartiles
-and how many pairs the change won, and writes the per-run values and
-whether the digests matched to FILE under `workloads.W`; the other
-workloads already in FILE are kept, so one file holds a change's runs
-on every workload.  Beside the metric rows it prints each side's median
-ops attempted: a side that completes more ops keeps more per-op records,
-which `peak_rss_mb` counts.  The temporary tree is removed at the end,
-and every run has finished before the next one starts.
+Exports REF with `git archive` into one temporary directory and copies
+the checkout into a sibling of it: its tracked files and the untracked
+ones git does not ignore, as they are in the working tree, so both
+sides run from trees placed alike and an uncommitted edit is measured.
+It then runs `perfbench/run.py --trace 0` of each tree one at a time,
+N pairs, with the side that goes first alternating from pair to pair.
+It prints, per end-to-end metric of BENCHMARK.json, each side's median
+and quartiles and how many pairs the change won, and writes the per-run
+values and whether the digests matched to FILE under `workloads.W`;
+the other workloads already in FILE are kept, so one file holds a
+change's runs on every workload.  Beside the metric rows it prints each
+side's median ops attempted: a side that completes more ops keeps more
+per-op records, which `peak_rss_mb` counts.  The temporary trees are
+removed at the end, and every run has finished before the next one
+starts.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import io
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +49,27 @@ def export(ref: str, dest: str) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest)
     return commit
+
+
+def copy_checkout(root: str, dest: str) -> int:
+    """Copy the working tree of the git checkout `root` into `dest`: the
+    tracked files and the untracked ones git does not ignore, with their
+    working-tree content (a tracked file deleted there is left out).
+    Returns the number of files copied."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], cwd=root, check=True,
+        capture_output=True).stdout.decode()
+    copied = 0
+    for rel in sorted(set(filter(None, listed.split("\0")))):
+        src = os.path.join(root, rel)
+        if not os.path.isfile(src):
+            continue
+        dst = os.path.join(dest, rel)
+        os.makedirs(os.path.dirname(dst), exist_ok=True)
+        shutil.copy2(src, dst)
+        copied += 1
+    return copied
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -140,8 +166,9 @@ def main(argv: list[str]) -> int:
                    for m in json.load(fh)["end_to_end"]]
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
-        commit = export(args.base, tmp)
-        trees = {"base": tmp, "change": ROOT}
+        trees = {side: os.path.join(tmp, side) for side in ("base", "change")}
+        commit = export(args.base, trees["base"])
+        copy_checkout(ROOT, trees["change"])
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {"first": order[0]}
