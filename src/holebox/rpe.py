@@ -7,6 +7,21 @@ rw_search at depth 6, auto with a 500-node budget.  First success wins
 and is reported; failure of the whole stack is a verdict, not an error.
 Prop-sorted answers (deductive sessions) compare by iff instead of
 equality, which the verdict flags.
+
+Once ring_nf has failed, the stack looks for a countermodel before it
+searches (`_refuted`).  When every variable the telescope declares is
+of sort Nat, Int, Rat or Real, one `prove_linear` call on the statement
+gives a candidate point: omega's integer point, or the rational point
+Fourier-Motzkin back-substitutes for a rational branch; a telescope
+that declares no variable takes the empty point.  The candidate is
+checked by `auto`'s own countermodel check (`auto.refuted_at`): every
+value fits its variable's sort, every hypothesis evaluates to True at
+it, Real as Rat, and the statement evaluates to False there.  Then the
+stack ends with `(False, None)`, the verdict rw_search and auto would
+have reached: the point shows the statement is not valid, so no sound
+stage can close it, and a telescope whose hypotheses are inconsistent
+has no such point.  A `prove_linear` that proves the statement is not
+used, so the stage reported for an accepted pair stays the same.
 """
 
 from __future__ import annotations
@@ -15,11 +30,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .expr import (
-    PROP, SortError, Term, free_vars, mk_atom, mk_conn,
+    NUMERIC, PROP, SortError, Term, free_vars, mk_atom, mk_conn,
 )
 from .kernel import Goal, SolutionState, TacticFailed, apply_tactic, \
     render_goal
 from .syntax import Problem
+from .tactics.auto import refuted_at
+from .tactics.decide import Point
+from .tactics.linarith import Feasible, prove_linear
 
 
 class FreeVarError(SortError):
@@ -72,9 +90,32 @@ def rpe_check(p: Problem, a_hat: Term, a_bar: Term) -> RpeVerdict:
     for stage in RPE_STACK:
         try:
             out = apply_tactic(state, "rpe", stage, _STACK_ARGS.get(stage, ""))
+            if not out.goals:
+                return RpeVerdict(True, stage, goal, prop_answers)
         except TacticFailed:
-            continue
-        if not out.goals:
-            return RpeVerdict(True, stage, goal, prop_answers)
+            pass
         # a transforming stage (ring_nf normalization mode) does not count
+        if stage == "ring_nf" and _refuted(goal):
+            break
     return RpeVerdict(False, None, goal, prop_answers)
+
+
+def _refuted(goal: Goal) -> bool:
+    """Whether a checked countermodel shows the statement not valid: the
+    point of one `prove_linear` call (the empty point when the telescope
+    declares no variable), at which every hypothesis is True and the
+    statement False.  A telescope with a variable of any other sort than
+    Nat, Int, Rat or Real is left to the search."""
+    variables = [d for d in goal.ctx.decls if d.prop is None]
+    if any(d.sort not in NUMERIC for d in variables):
+        return False
+    if not variables:
+        return refuted_at(goal, Point({}))
+    try:
+        prove_linear(goal)
+        return False
+    except Feasible as e:
+        values = e.point if e.point is not None else e.rational_point()
+    except TacticFailed:
+        return False
+    return values is not None and refuted_at(goal, Point(values))

@@ -46,9 +46,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..expr import (
-    Atom, Binder, Conn, INT, LocalDecl, NAT, PROP, RAT, Telescope, Term, Var,
-    eq_sides, free_vars, instantiate_bvar, metavars_of, mk_atom, mk_conn,
-    mk_var,
+    Atom, Binder, Conn, INT, LocalDecl, NAT, NUMERIC, PROP, Telescope, Term,
+    Var, eq_sides, free_vars, instantiate_bvar, metavars_of, mk_atom,
+    mk_conn, mk_var,
 )
 from ..norm import definitional_eq, normalize
 from ..kernel import (
@@ -264,15 +264,22 @@ def _refuted(goal: Goal, models: Countermodels) -> bool:
     return False
 
 
+def refuted_at(goal: Goal, point: Point) -> bool:
+    """Whether `point` is a countermodel of `goal`: it passes
+    `_countermodel` in the goal's telescope, and the conclusion
+    evaluates to False there."""
+    return _countermodel(goal.ctx, point) and _false_at(goal.concl, point)
+
+
 def _countermodel(ctx: Telescope, point: Point) -> bool:
     """Whether `point` gives each variable of `ctx` it names a value of
-    that variable's sort (an integer for Int, at least 0 for Nat, and no
-    Real variable), and every hypothesis of `ctx` evaluates to True at
-    it."""
+    that variable's sort (an integer for Int, an integer at least 0 for
+    Nat, any rational for Rat and Real), and every hypothesis of `ctx`
+    evaluates to True at it."""
     for name, value in point.values.items():
         d = ctx.lookup(name)
-        if d is None or d.sort not in (INT, NAT, RAT) \
-                or d.sort != RAT and value.denominator != 1 \
+        if d is None or d.sort not in NUMERIC \
+                or d.sort in (INT, NAT) and value.denominator != 1 \
                 or d.sort == NAT and value < 0:
             return False
     try:

@@ -31,14 +31,25 @@ with a value that depends on the budget it had, and its charged steps
 then exceed that budget; such a result is not the node's own and is
 not kept.  A failure is never kept either.
 
-`eval_at` evaluates a term at a point: values for named Int, Nat and
-Rat variables, which a `Var` node takes at `eval_term`'s closed-node
-step, after the memo lookup, so the evaluation of a closed term costs
-nothing more.  Nothing evaluated at a point writes an `_eval_memo`,
-since its value may depend on the point; the point keeps its own
-values instead, so a subterm met again at the same point, such as the
-tail of a chain of disjunctions `x = c`, is evaluated once.
-`auto` checks candidate countermodels this way.
+`eval_at` evaluates a term at a point: values for named Nat, Int, Rat
+and Real variables, which a `Var` node takes at `eval_term`'s
+closed-node step, after the memo lookup, so the evaluation of a closed
+term costs nothing more.  Nothing evaluated at a point writes an
+`_eval_memo`, since its value may depend on the point; the point keeps
+its own values instead, so a subterm met again at the same point, such
+as the tail of a chain of disjunctions `x = c`, is evaluated once.
+`auto` checks candidate countermodels this way, and so does the RPE
+stack before it searches.
+
+At a point, Real is evaluated as Rat (`_eval_real`): a Real variable
+takes its rational value, Real literals their value, and `+`, `-`,
+`*`, negation, `abs`, `/` and `^` with a natural exponent, and the
+comparisons, follow `norm.arith`'s Rat semantics.  A Real division by a
+zero value refuses (`EvalNotClosed`) rather than take `a / 0 = 0`, and
+`sqrt`, `log`, `pi`, function symbols and a power whose exponent is not
+a natural number refuse as well.  Off a point nothing changed: every
+Real term refuses, so `eval_decide` and `decide_prop` close no Real
+goal.
 
 A special assignment mode handles goals of the shape `?w = t` (or
 `t = ?w`, or `?w <-> p`) with a closed right-hand side: the value is
@@ -54,9 +65,9 @@ from fractions import Fraction
 from typing import Collection, Optional, Union
 
 from ..expr import (
-    App, Atom, BVar, Binder, Conn, INT, Lit, MAX_LIT_BITS, Meta, NAT, REAL,
-    Sort, Term, Var, eq_sides, instantiate_bvar, lit_bits, metavars_of,
-    mk_conn, mk_lit, mk_var,
+    App, Atom, BVar, Binder, Conn, INT, Lit, MAX_LIT_BITS, Meta, NAT, RAT,
+    REAL, Sort, Term, Var, eq_sides, instantiate_bvar, lit_bits,
+    metavars_of, mk_conn, mk_lit, mk_var,
 )
 from ..norm import arith, normalize
 from ..kernel import (
@@ -91,8 +102,8 @@ Value = Union[Fraction, bool, FinSet]
 
 
 class Point:
-    """Values of named Int, Nat and Rat variables, and the values of the
-    terms evaluated at them so far (`eval_at`)."""
+    """Values of named Nat, Int, Rat and Real variables, and the values
+    of the terms evaluated at them so far (`eval_at`)."""
     __slots__ = ("values", "cache")
 
     def __init__(self, values: dict[str, Union[int, Fraction]]):
@@ -152,7 +163,7 @@ def _eval_at(t: Term, budget: Budget) -> Value:
     value = point.cache.get(t)
     if value is None:
         if isinstance(t, Var):
-            if t.sort == REAL or t.name not in point.values:
+            if t.name not in point.values:
                 raise _fail_open(t)
             value = point.values[t.name]
         else:
@@ -164,7 +175,7 @@ def _eval_at(t: Term, budget: Budget) -> Value:
 def _eval(t: Term, budget: Budget, env: Env) -> Value:
     """One evaluation step of `eval_term`: dispatch on the node's kind."""
     if isinstance(t, Lit):
-        if t.sort == REAL:
+        if t.sort == REAL and budget.point is None:
             raise EvalNotClosed("symbolic Real literal")
         return t.val
     if isinstance(t, BVar):
@@ -195,7 +206,9 @@ def _as_num(v: Value) -> Fraction:
 
 def _eval_app(t: App, budget: Budget, env: Env) -> Value:
     if t.sort == REAL or any(a.sort == REAL for a in t.args):
-        raise EvalNotClosed("symbolic Real expression")
+        if budget.point is None:
+            raise EvalNotClosed("symbolic Real expression")
+        return _eval_real(t, budget, env)
     op = t.op
     if op in ("add", "sub", "mul", "div", "mod", "neg", "abs", "pow"):
         vals = [_as_num(eval_term(a, budget, env)) for a in t.args]
@@ -219,6 +232,22 @@ def _eval_app(t: App, budget: Budget, env: Env) -> Value:
     if op == "sum":
         return _eval_sum(t, budget, env)
     raise EvalNotClosed(f"operator {op!r} is not evaluable")
+
+
+REAL_AT_A_POINT = ("add", "sub", "mul", "div", "neg", "abs", "pow")
+
+
+def _eval_real(t: App, budget: Budget, env: Env) -> Fraction:
+    """A Real node at a point: the field operations and natural powers,
+    with Rat semantics.  A zero divisor, a power whose exponent is not a
+    natural number and any other operator (`sqrt`, `log`, `pi`, function
+    symbols) refuse."""
+    if t.op not in REAL_AT_A_POINT:
+        raise EvalNotClosed(f"Real operator {t.op!r} is not evaluable")
+    vals = [_as_num(eval_term(a, budget, env)) for a in t.args]
+    if t.op == "div" and not vals[1]:
+        raise EvalNotClosed("Real division by zero")
+    return _arith(t.op, vals, RAT)
 
 
 def _arith(op: str, vals: list[Fraction], sort: Sort) -> Fraction:
@@ -258,7 +287,7 @@ def is_prime(n: int, budget: Budget) -> bool:
 
 
 def _eval_atom(t: Atom, budget: Budget, env: Env) -> bool:
-    if any(a.sort == REAL for a in t.args):
+    if any(a.sort == REAL for a in t.args) and budget.point is None:
         raise EvalNotClosed("symbolic Real comparison")
     rel = t.rel
     if rel == "mem":
@@ -485,8 +514,8 @@ def eval_at(t: Term, point: Point, budget_n: int) -> Value:
     """The value of `t` (normalized) when each variable named in `point`
     takes its value there, under a budget of `budget_n` steps.  Builds
     no terms; a node met again at the same point is not evaluated again.
-    Raises TacticFailed where `eval_term` would, and on a variable the
-    point does not name or a Real one."""
+    Real terms evaluate as Rat (`_eval_real`).  Raises TacticFailed where
+    `eval_term` would, and on a variable the point does not name."""
     return eval_term(normalize(t), Budget(budget_n, point))
 
 

@@ -40,8 +40,22 @@ the rest, in reverse order; the sigma columns are dropped.  The search
 visits the same nodes as a search for the verdict alone.  `Feasible`,
 the failure `linear_arith: system is feasible`, carries the point of
 the first feasible split, and `prove_linear` gives it by variable name,
-for `auto` to use as a candidate countermodel.  A rational branch
-carries no point.
+for `auto` to use as a candidate countermodel.
+
+A feasible rational branch gives a point only when asked for one.
+`Feasible` carries the leaf system Fourier-Motzkin found feasible, and
+`Feasible.rational_point` builds its point (`fm_point`) by variable
+name; `Feasible.point` stays None, so a caller that does not ask, such
+as `auto`, pays nothing for it.  The elimination (`_fm_memo`) records,
+for a feasible system, each column it eliminated, in order, with the
+rows that bounded it at that step, and `fm_point` back-substitutes in
+reverse: a column takes its largest lower bound, else its smallest
+upper bound, else 0, with the columns placed before it substituted;
+where that bound is strict, the midpoint of the two bounds, or the
+bound moved by 1 when the other side is open; equal non-strict bounds
+give their value.  The elimination guarantees each lower bound is at
+most each upper bound, strictly when either is strict, so the point
+satisfies every row, strict rows strictly.
 
 Nat is not translated as nonnegative Int.  A Nat conclusion puts the
 system over Int, and a comparison (`=`, `!=`, `<`, `<=`) between Nat
@@ -72,8 +86,9 @@ order.  An atom whose translation makes modulus rows, or raises, is
 translated in place every time.
 
 The two deciders are memoized on the rows they read, in bounded tables
-of `LINEAR_MEMO_ENTRIES`: `fm_refute` keeps the multipliers as an
-immutable tuple and hands each caller a fresh dict, and `omega_point`
+of `LINEAR_MEMO_ENTRIES`: `fm_refute` keeps the multipliers, or the
+elimination steps of a feasible system, as immutable tuples and hands
+each caller a fresh dict, and `omega_point`
 keeps the point as a tuple, so two systems that differ only in the
 atoms behind their columns share it.  A search that runs out of nodes
 raises and is not kept.
@@ -376,17 +391,65 @@ def fm_refute(cons: list[Constraint]) -> Optional[dict[int, int]]:
     negation `2 i + 1`; `ne` rows must be split by the caller.  Each call
     gets a dict of its own.
     """
-    farkas = _fm_memo(tuple((c.row, c.rel) for c in cons))
+    farkas, _ = _fm_memo(tuple((c.row, c.rel) for c in cons))
     return None if farkas is None else dict(farkas)
+
+
+def fm_point(cons: list[Constraint]) -> Optional[list[Fraction]]:
+    """A rational point of a system with no `ne` rows, 1 in column 0 and
+    one value per column, or None when Fourier-Motzkin refutes it.
+
+    The columns are placed by back-substitution, in the reverse of the
+    order they were eliminated in, each with the columns placed before
+    it substituted into the rows that bounded it when it was eliminated.
+    A column takes its largest lower bound, else its smallest upper
+    bound, else 0; where that bound is strict, the midpoint between the
+    two, or the bound moved by 1 when the other side is open.  A column
+    that was never eliminated takes 0."""
+    width = len(cons[0].row) if cons else 1
+    farkas, steps = _fm_memo(tuple((c.row, c.rel) for c in cons))
+    if farkas is not None:
+        return None
+    point = [Fraction(1)] + [Fraction(0)] * (width - 1)
+    for v, lows, highs in reversed(steps):
+        point[v] = Fraction(0)
+        # row[v] x + s (< | <=) 0 bounds x by -s / row[v]: from below
+        # when row[v] < 0, from above when row[v] > 0.  Of two equal
+        # bounds the strict one is the tighter, so a lower bound is
+        # ranked with its strictness and an upper one with its looseness
+        lo = max(((Fraction(-_dot(r, point), r[v]), strict)
+                  for r, strict, _ in lows), default=None)
+        hi = min(((Fraction(-_dot(r, point), r[v]), not strict)
+                  for r, strict, _ in highs), default=None)
+        if lo is not None:
+            x, strict = lo
+            if strict:
+                x = x + 1 if hi is None else (x + hi[0]) / 2
+        elif hi is not None:
+            x, loose = hi
+            if not loose:
+                x -= 1
+        else:
+            x = Fraction(0)
+        point[v] = x
+    return point
+
+
+# One elimination step of a feasible system: the column eliminated, and
+# the working rows that bounded it from below and from above.
+FmStep = tuple[int, tuple, tuple]
 
 
 @lru_cache(maxsize=LINEAR_MEMO_ENTRIES)
 def _fm_memo(system: tuple[tuple[tuple[int, ...], str], ...]
-             ) -> Optional[tuple[tuple[int, int], ...]]:
+             ) -> tuple[Optional[tuple[tuple[int, int], ...]],
+                        Optional[tuple[FmStep, ...]]]:
     """Fourier-Motzkin elimination on `(row, rel)` pairs, which are all
-    of a constraint that it reads.  Each working row is `(row, strict,
-    lineage)`, its lineage the multipliers of the system's rows that sum
-    to it, all integers."""
+    of a constraint that it reads: `(Farkas multipliers, None)` when it
+    refutes them, else `(None, the elimination steps)`, what `fm_point`
+    back-substitutes.  Each working row is `(row, strict, lineage)`, its
+    lineage the multipliers of the system's rows that sum to it, all
+    integers."""
     rows: list[tuple[tuple[int, ...], bool, tuple]] = []
     for i, (row, rel) in enumerate(system):
         if rel == "ne":
@@ -394,10 +457,11 @@ def _fm_memo(system: tuple[tuple[tuple[int, ...], str], ...]
         rows.append((row, rel == "lt", ((2 * i, 1),)))
         if rel == "eq":
             rows.append((tuple(-a for a in row), False, ((2 * i + 1, 1),)))
+    steps: list[FmStep] = []
     while True:
         for row, strict, lineage in rows:
             if not any(row[1:]) and (row[0] > 0 or strict and row[0] >= 0):
-                return lineage
+                return lineage, None
         # eliminate the column with the fewest lower*upper products
         best, best_cost = 0, None
         for v in range(1, len(rows[0][0]) if rows else 0):
@@ -407,10 +471,11 @@ def _fm_memo(system: tuple[tuple[tuple[int, ...], str], ...]
             if cost and (best_cost is None or cost < best_cost):
                 best, best_cost = v, cost
         if not best:
-            return None
+            return None, tuple(steps)
         v = best
         lows = [r for r in rows if r[0][v] < 0]
         highs = [r for r in rows if r[0][v] > 0]
+        steps.append((v, tuple(lows), tuple(highs)))
         new_rows = [r for r in rows if r[0][v] == 0]
         for lo, lo_strict, lo_lineage in lows:
             a = -lo[v]
@@ -771,7 +836,7 @@ def _goal_sort(concl: Term) -> Sort:
 def _split_nes(cons: list[Constraint],
                feasible: Callable[[list[Constraint]], Optional[tuple]]
                ) -> Optional[tuple]:
-    """What `feasible` gives (a point, or `()` for none) on the first
+    """What `feasible` gives (a point, or the leaf system) on the first
     split of the ne constraints into strict sides (`<`, then `>`) that
     leaves a feasible system; None when no split does.
 
@@ -810,10 +875,11 @@ def _split_nes(cons: list[Constraint],
     return None
 
 
-def _rational_feasible(cons: list[Constraint]) -> Optional[tuple]:
-    """`()` when Fourier-Motzkin finds `cons` feasible, which gives no
-    point, else None."""
-    return () if fm_refute(cons) is None else None
+def _rational_feasible(cons: list[Constraint]
+                       ) -> Optional[list[Constraint]]:
+    """`cons` itself when Fourier-Motzkin finds it feasible, else None:
+    its point is built only when asked for (`fm_point`)."""
+    return cons if fm_refute(cons) is None else None
 
 
 def is_farkas_branch(sort: Sort, cons: list[Constraint]) -> bool:
@@ -827,27 +893,44 @@ class Feasible(TacticFailed):
 
     `point` is the integer point omega found, over the system's columns
     as `refute_branch` raises it and by variable name as `prove_linear`
-    does; None for a rational branch, which gives no point."""
+    does; None for a rational branch.  A rational branch carries its
+    feasible leaf system instead, and from `prove_linear` also the
+    system's columns, so that `rational_point` can build its point when
+    a caller asks for it."""
 
-    def __init__(self, point=None):
+    def __init__(self, point=None, system=None, cols=None):
         super().__init__("linear_arith: system is feasible")
         self.point = point
+        self.system = system
+        self.cols = cols
+
+    def rational_point(self) -> Optional[dict[str, Fraction]]:
+        """The point of a rational branch by variable name (`fm_point`),
+        or None when the failure carries no rational system."""
+        if self.system is None or self.cols is None:
+            return None
+        return _named(self.cols, fm_point(self.system))
 
 
 def refute_branch(sort: Sort, cons: list[Constraint]) -> dict:
     """Show one conjunction of constraints infeasible: its certificate
     branch, `{"multipliers": ...}` for a Farkas branch and `{}` for any
     other.  Raises NotLinear, or Feasible with the point of the first
-    feasible split (integer branches)."""
+    feasible split (integer branches) or that split's system (rational
+    branches)."""
     if is_farkas_branch(sort, cons):
         farkas = fm_refute(cons)
         if farkas is None:
-            raise Feasible()
+            raise Feasible(system=cons)
         return {"multipliers": farkas}
-    point = _split_nes(cons, omega_point if sort in (INT, NAT)
-                       else _rational_feasible)
-    if point is not None:
-        raise Feasible(point or None)
+    if sort in (INT, NAT):
+        point = _split_nes(cons, omega_point)
+        if point is not None:
+            raise Feasible(point)
+        return {}
+    leaf = _split_nes(cons, _rational_feasible)
+    if leaf is not None:
+        raise Feasible(system=leaf)
     return {}
 
 
@@ -863,16 +946,24 @@ def _branch_systems(goal: Goal) -> tuple[Atomizer, list[list[Constraint]]]:
 def prove_linear(goal: Goal) -> dict:
     """Prove a goal by refuting hypotheses + negated conclusion.  An
     integer branch that is feasible raises Feasible with the values its
-    point gives the columns keyed by a variable, by name."""
+    point gives the columns keyed by a variable, by name; a rational one
+    raises it with its leaf system and the columns, and builds no
+    point."""
     az, systems = _branch_systems(goal)
     try:
         return {"branches": [refute_branch(az.sort, cons)
                              for cons in systems]}
     except Feasible as e:
         if e.point is None:
-            raise
-        raise Feasible({key.name: v for key, v in zip(az.cols, e.point)
-                        if isinstance(key, Var)}) from None
+            raise Feasible(system=e.system, cols=az.cols) from None
+        raise Feasible(_named(az.cols, e.point)) from None
+
+
+def _named(cols: dict, point) -> dict:
+    """The values `point` gives the columns keyed by a variable, by
+    name."""
+    return {key.name: v for key, v in zip(cols, point)
+            if isinstance(key, Var)}
 
 
 @register_tactic("linear_arith")

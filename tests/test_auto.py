@@ -7,12 +7,16 @@ import pytest
 from holebox.expr import (
     INT, LocalDecl, NAT, PROP, REAL, Telescope, eq_sides, metavars_of,
 )
-from holebox.kernel import Goal, SolutionState, TacticFailed, apply_tactic
+from holebox.kernel import (
+    Certificate, CertificateError, Goal, SolutionState, TacticFailed,
+    apply_tactic,
+)
 from holebox.norm import normalize
 from holebox.syntax import parse_term
 from holebox.tactics import auto as auto_mod, linarith
 from holebox.tactics.auto import (
     AUTO_BUDGET, AUTO_RW_DEPTH, BudgetExhausted, _Counter, _simp,
+    refuted_at, revalidate_auto,
 )
 from holebox.tactics.decide import Point, decide_prop
 from holebox.tactics.linarith import atom_to_constraints, prove_linear
@@ -51,9 +55,21 @@ def test_disjunctive_hypothesis_cases():
 
 
 def test_budget_exhaustion():
+    # the proof visits six goals, so a budget of five runs out
     x = LocalDecl("x", REAL)
-    with pytest.raises((BudgetExhausted, TacticFailed)):
-        closes("x * x * x = 5", (x,), budget="1")
+    with pytest.raises(BudgetExhausted):
+        closes("x = 1 -> x = 1 /\\ x = 1", (x,), budget="5")
+    assert closes("x = 1 -> x = 1 /\\ x = 1", (x,), budget="6")
+
+
+def test_revalidation_rejects_a_budget_below_the_proof():
+    tele = Telescope((LocalDecl("y", INT),))
+    goal = Goal("h", tele, parse_term(
+        "1 <= y /\\ y <= 3 -> y = 1 \\/ y = 2 \\/ y = 3", tele, PROP))
+    for budget in (1, 2):
+        with pytest.raises(CertificateError):
+            revalidate_auto(Certificate("auto", goal, {"budget": budget}))
+    revalidate_auto(Certificate("auto", goal, {"budget": 3}))
 
 
 def test_cannot_prove_false_statement():
@@ -253,12 +269,27 @@ def test_countermodel_values_fit_their_variables():
     tele = _tele(LocalDecl("n", NAT), LocalDecl("r", REAL),
                  LocalDecl("x", INT))
     assert auto_mod._countermodel(tele, Point({"n": 0, "x": -2}))
-    for values in ({"n": -1}, {"r": 1}, {"x": Fraction(1, 2)}, {"y": 1}):
+    # a Real variable takes any rational value
+    assert auto_mod._countermodel(tele, Point({"r": Fraction(1, 2)}))
+    for values in ({"n": -1}, {"x": Fraction(1, 2)}, {"y": 1}):
         assert not auto_mod._countermodel(tele, Point(values)), values
     # a Nat hypothesis that fails at the point refuses it too
     tele = _tele(LocalDecl("n", NAT), hyps=["n >= 2"])
     assert not auto_mod._countermodel(tele, Point({"n": 1}))
     assert auto_mod._countermodel(tele, Point({"n": 2}))
+
+
+def test_a_real_countermodel_is_checked_as_rat():
+    # Real hypotheses evaluate at a rational point; a zero divisor in a
+    # hypothesis refuses the point, since `1 / r` is not evaluated there
+    tele = _tele(LocalDecl("r", REAL), hyps=["r > 0", "1 / r < 3"])
+    assert auto_mod._countermodel(tele, Point({"r": Fraction(1, 2)}))
+    for r in (Fraction(1, 4), -1, 0):
+        assert not auto_mod._countermodel(tele, Point({"r": r})), r
+    goal = Goal("h", tele, parse_term("r * r = 1", tele, PROP))
+    assert refuted_at(goal, Point({"r": Fraction(1, 2)}))
+    assert not refuted_at(goal, Point({"r": 1}))
+    assert not refuted_at(goal, Point({"r": Fraction(1, 4)}))
 
 
 def test_each_search_starts_with_an_empty_table(monkeypatch):

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import bind
 from holebox.expr import (
     INT, NAT, PROP, RAT, REAL, App, BVar, Binder, Lit, LocalDecl, Telescope,
-    Var, instantiate_bvar, mk_app, mk_atom, mk_conn, mk_lit, mk_var, subterms,
+    Var, fn, instantiate_bvar, mk_app, mk_atom, mk_conn, mk_lit, mk_var,
+    subterms,
 )
-from holebox.kernel import TacticFailed
+from holebox.kernel import Goal, SolutionState, TacticFailed, apply_tactic
 from holebox.norm import normalize
 from holebox.syntax import parse_term
 from holebox.tactics import decide as decide_mod
@@ -664,8 +665,10 @@ def test_evaluation_at_a_point_evaluates_a_tail_once(monkeypatch):
 
 
 def test_evaluation_at_a_point_refuses_real_and_unnamed_variables():
+    # a Real variable the point names takes its value there; an unnamed
+    # variable refuses
     point = Point({"x": 1, "r": 1})
-    for text, want in (("x + 1 = 2", True), ("r = 1", None),
+    for text, want in (("x + 1 = 2", True), ("r = 1", True),
                        ("n = 0", None)):
         prop = parse_term(text, POINT_TELE, PROP)
         if want is None:
@@ -673,3 +676,45 @@ def test_evaluation_at_a_point_refuses_real_and_unnamed_variables():
                 eval_at(prop, point, DEFAULT_BUDGET)
         else:
             assert eval_at(prop, point, DEFAULT_BUDGET) is want
+
+
+REAL_TELE = Telescope((LocalDecl("r", REAL), LocalDecl("f", fn(REAL, REAL))))
+
+
+def test_real_evaluates_as_rat_at_a_point():
+    point = Point({"r": Fraction(1, 2)})
+    for text, want in (
+            ("r + 1 = 3/2", True), ("r - 1 = -1/2", True),
+            ("2 * r = 1", True), ("-r < 0", True),
+            ("abs (r - 1) = 1/2", True), ("1 / r = 2", True),
+            ("r / 4 = 1/8", True), ("r ^ 3 = 1/8", True),
+            ("r ^ 0 = 1", True), ("r <= 1/2", True), ("r < 1/2", False),
+            ("r * r * r = 5", False), ("(1 : Real) + 2 = 3", True)):
+        prop = parse_term(text, REAL_TELE, PROP)
+        assert eval_at(prop, point, DEFAULT_BUDGET) is want, text
+
+
+def test_real_at_a_point_refuses_a_zero_divisor_and_what_is_not_a_field():
+    for text, value in (
+            ("1 / r = 0", 0), ("r / (r - 1) = 0", 1), ("sqrt r = 1", 1),
+            ("log r = 0", 1), ("pi > 3", 1), ("r ^ (1/2) = 1", 1),
+            ("(2 : Real) ^ r = 2", Fraction(1, 2)), ("f r = 1", 1),
+            ("r = f 0", 1)):
+        prop = parse_term(text, REAL_TELE, PROP)
+        with pytest.raises(EvalNotClosed):
+            eval_at(prop, Point({"r": value}), DEFAULT_BUDGET)
+
+
+def test_real_without_a_point_still_refuses():
+    # off a point nothing changed: a Real term, even a closed one, raises
+    # EvalNotClosed, and eval_decide closes no Real goal
+    for text in ("(1 : Real) + 2 = 3", "(1 : Real) / 2 < 1",
+                 "abs (-1 : Real) = 1"):
+        prop = parse_term(text, Telescope(), PROP)
+        with pytest.raises(EvalNotClosed):
+            eval_term(normalize(prop), Budget(DEFAULT_BUDGET))
+        with pytest.raises(EvalNotClosed):
+            decide_prop(prop)
+        with pytest.raises(TacticFailed):
+            apply_tactic(SolutionState(goals=(Goal("h", Telescope(), prop),)),
+                         "h", "eval_decide", "")

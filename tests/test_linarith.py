@@ -24,8 +24,8 @@ from holebox.syntax import parse_term, print_term
 from holebox.tactics import linarith
 from holebox.tactics.linarith import (
     CONST, MAX_NE_SPLITS, Atomizer, Constraint, NotLinear,
-    atom_to_constraints, fm_refute, linearize, omega_point, omega_sat,
-    prove_linear,
+    atom_to_constraints, fm_point, fm_refute, linearize, omega_point,
+    omega_sat, prove_linear,
     refute_branch, revalidate_linear_arith, verify_farkas, _atom_constraints,
     _atom_memo, _hyp_atoms, _hyp_system, _lin_add, _lin_scale, _OmegaBudget,
 )
@@ -470,8 +470,8 @@ def _feasible(sort, omega=omega_sat, fm=fm_refute):
 
 
 def _split_check(sort):
-    """The check `refute_branch` hands `_split_nes`: a point, `()` for a
-    feasible rational system, or None."""
+    """The check `refute_branch` hands `_split_nes`: a point, the system
+    itself when it is rational and feasible, or None."""
     return omega_point if sort in (INT, NAT) else linarith._rational_feasible
 
 
@@ -1270,7 +1270,8 @@ def test_fm_refute_memo_matches_the_elimination(lins):
     want = _refuted(linarith._fm_memo.__wrapped__,
                     tuple((c.row, c.rel) for c in cons))
     if isinstance(want, tuple):
-        want = dict(want)
+        # (multipliers, None) when refuted, (None, steps) when feasible
+        want = None if want[0] is None else dict(want[0])
     linarith._fm_memo.cache_clear()
     cold = _refuted(fm_refute, cons)
     if isinstance(cold, dict):
@@ -1280,6 +1281,91 @@ def test_fm_refute_memo_matches_the_elimination(lins):
         cold = kept
     warm = _refuted(fm_refute, cons)
     assert cold == want and warm == want
+
+
+# ---------------------------------------------------------------------------
+# The rational point Fourier-Motzkin back-substitutes
+
+
+def _rational_system(rng, names):
+    """2-7 rows over `names` with small rational coefficients, each
+    `<=`, `<` or `=`; half the time every column is also boxed in
+    [-2, 2] by rows of a random strictness, so tight systems and empty
+    ones are common."""
+    rows = []
+    for _ in range(rng.randint(2, 7)):
+        den = rng.randint(1, 3)
+        lin = {n: Fraction(rng.randint(-3, 3), den) for n in names}
+        lin[CONST] = Fraction(rng.randint(-6, 6), den)
+        rows.append((lin, rng.choice(["le", "lt", "eq"])))
+    if rng.random() < 0.5:
+        for n in names:
+            for sign in (1, -1):
+                rows.append(({n: Fraction(sign), CONST: Fraction(-2)},
+                             rng.choice(["le", "lt"])))
+    rng.shuffle(rows)
+    return linear_rows(names, rows)
+
+
+def test_fm_point_exists_exactly_when_nothing_is_refuted(rng):
+    # the back-substituted point satisfies every row, strict rows
+    # strictly, and there is one exactly when fm_refute finds no Farkas
+    # combination
+    names = ["x", "y", "z"]
+    feasible = refuted = 0
+    for _ in range(800):
+        cons = _rational_system(rng, names)
+        try:
+            multipliers = fm_refute(cons)
+        except NotLinear:
+            # the blow-up guard: no point either
+            with pytest.raises(NotLinear):
+                fm_point(cons)
+            continue
+        point = fm_point(cons)
+        assert (point is None) == (multipliers is not None)
+        if point is None:
+            refuted += 1
+            continue
+        feasible += 1
+        assert len(point) == 1 + len(names) and point[0] == 1
+        assert all(isinstance(v, Fraction) for v in point)
+        assert all(_holds_at(c, point) for c in cons), (cons, point)
+    assert feasible > 200 and refuted > 200
+
+
+def test_fm_point_takes_each_kind_of_bound():
+    # x: the largest of its lower bounds, here strict against an upper
+    # bound, so the midpoint; y: a strict upper bound alone, moved by 1;
+    # z: equal non-strict bounds, that value; w: unbounded, 0
+    rows = linear_rows(["x", "y", "z", "w"], [
+        ({"x": -1, CONST: 1}, "le"),        # x >= 1
+        ({"x": -1, CONST: 2}, "lt"),        # x > 2
+        ({"x": 1, CONST: -3}, "le"),        # x <= 3
+        ({"y": 1, CONST: -5}, "lt"),        # y < 5
+        ({"z": 1, CONST: Fraction(-1, 2)}, "le"),
+        ({"z": -1, CONST: Fraction(1, 2)}, "le"),
+    ])
+    assert fm_point(rows) == [1, Fraction(5, 2), 4, Fraction(1, 2), 0]
+    # x > 2 and x < 2 share no point
+    assert fm_point(linear_rows(["x"], [({"x": -1, CONST: 2}, "lt"),
+                                        ({"x": 1, CONST: -2}, "lt")])) \
+        is None
+
+
+def test_rational_feasibility_builds_a_point_only_on_request(monkeypatch):
+    # a rational branch carries its leaf system; prove_linear builds no
+    # point, and `rational_point` builds it by variable name
+    built = []
+    monkeypatch.setattr(linarith, "fm_point",
+                        lambda cons: built.append(cons) or fm_point(cons))
+    st = state_for("y = 5", ["0 <= y", "y <= 1"], [("y", REAL)])
+    with pytest.raises(linarith.Feasible) as feasible:
+        prove_linear(st.goal("h"))
+    assert feasible.value.point is None and not built
+    # the first split, y < 5, with 0 <= y <= 1: y takes its lower bound
+    assert feasible.value.rational_point() == {"y": 0}
+    assert len(built) == 1
 
 
 OMEGA_NAMES = ("x0", "x1", "x2")
