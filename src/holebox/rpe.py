@@ -11,12 +11,12 @@ equality, which the verdict flags.
 Once ring_nf has failed, the stack looks for a countermodel before it
 searches (`_refuted`).  When every variable the telescope declares is
 of sort Nat, Int, Rat or Real, one `prove_linear` call on the statement
-gives a candidate point: omega's integer point, or the rational point
-Fourier-Motzkin back-substitutes for a rational branch; a telescope
-that declares no variable takes the empty point.  The candidate is
-checked by `auto`'s own countermodel check (`auto.refuted_at`): every
-value fits its variable's sort, every hypothesis evaluates to True at
-it, Real as Rat, and the statement evaluates to False there.  Then the
+gives a candidate point, the one its feasible verdict carries (integer
+over Int, rational over Rat and Real); a telescope that declares no
+variable takes the empty point.  The candidate is checked by `auto`'s
+own countermodel check (`auto.refuted_at`): every value fits its
+variable's sort, every hypothesis evaluates to True at it, Real as Rat,
+and the statement evaluates to False there.  Then the
 stack ends with `(False, None)`, the verdict rw_search and auto would
 have reached: the point shows the statement is not valid, so no sound
 stage can close it, and a telescope whose hypotheses are inconsistent
@@ -115,7 +115,6 @@ def _refuted(goal: Goal) -> bool:
         prove_linear(goal)
         return False
     except Feasible as e:
-        values = e.point if e.point is not None else e.rational_point()
+        return refuted_at(goal, Point(e.point))
     except TacticFailed:
         return False
-    return values is not None and refuted_at(goal, Point(values))

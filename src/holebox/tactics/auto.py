@@ -17,12 +17,13 @@ budget.
 Each search (one `auto` or `revalidate_auto` call) keeps a table of
 countermodels, a dict keyed by telescope that it starts empty and
 drops at its end.  When `linear_arith` finds a goal's negation
-feasible over Int, the point it found (`Feasible.point`, by variable
-name) becomes a candidate for the goal's telescope.  The first time
-another goal in that telescope reaches the closers, the candidate is
-checked by exact evaluation (`eval_at`): each value fits its variable's
-sort (a Nat one is at least 0, and a Real variable takes none), and
-every hypothesis is True there; a candidate that fails is dropped, and
+feasible, the point it found (`Feasible.point`, by variable name,
+integer or rational) becomes a candidate for the goal's telescope.  The
+first time another goal in that telescope reaches the closers, the
+candidate is checked by exact evaluation (`eval_at`): each value fits
+its variable's sort (an Int one is an integer, a Nat one an integer at
+least 0, a Rat or Real one any rational), and every hypothesis is True
+there, Real evaluated as Rat; a candidate that fails is dropped, and
 one that passes is a countermodel from then on.  A goal whose
 conclusion evaluates to False at a countermodel is not valid, so no
 sound closer can close it, and `_closers` returns False without
@@ -304,8 +305,6 @@ def auto(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     budget = _Counter(budget_n)
     proved = _prove(goal, budget, frozenset(), {})
     if not proved:
-        if budget.n < 0:
-            raise BudgetExhausted("auto budget exhausted")
         raise TacticFailed("auto could not close the goal")
     return TacticResult(cert=Certificate("auto", goal, {"budget": budget_n}))
 

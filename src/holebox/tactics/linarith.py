@@ -13,49 +13,41 @@ printer is on no path here.  `linearize` reads a term with `Fraction`
 coefficients, and each constraint is scaled to integers by the positive
 lcm of its denominators (`_mk_con`), which keeps the constraint, so a
 strict rational row stays strict.  `Fraction` is left only in
-linearization and in synthesized values.
+linearization, rational points and synthesized values.
 
-Rational systems go through Fourier-Motzkin elimination, and the
-contradiction it derives is recorded as nonnegative integer Farkas
-multipliers of the system's own rows, which revalidation re-checks by
-direct arithmetic.  Integer (not Nat, see below) systems go through the
-omega test (Pugh, 1991) on the same rows, a strict row `e < 0` read as
-`e + 1 <= 0`: unit equalities are substituted away, any other equality
-is reduced through a fresh sigma column by the symmetric-mod step, and
-inequalities are gcd-tightened, kept one per coefficient vector (the
-one with the largest constant), checked for a contradictory opposite
-pair, and projected through the real and dark shadows with splinters,
-so the procedure is complete on its fragment.  Literal-modulus
-constraints (t % m = r, m | t, even/odd) are compiled to quotient and
-remainder columns.
+One elimination decides a system: over the rationals for Rat and Real,
+over the integers for Int (not Nat, see below).  It searches over
+working rows `(coefficients, strict, lineage)`; an equality of a
+rational system is two of them, row `2 i` and its negation `2 i + 1`.
+Each node keeps the tightest row per coefficient vector, refutes on a
+contradictory constant row or opposite pair, and eliminates one column
+(one bounded on one side only, else an exact one, else the one with
+the fewest lower * upper pairs) through the real shadow, as
+Fourier-Motzkin does.  In rational mode a row's lineage is the
+nonnegative integer Farkas multipliers of the system's rows that sum
+to it, and a refutation is the contradictory row's lineage, which
+revalidation re-checks by direct arithmetic.  Integer mode is the omega
+test (Pugh, 1991) and adds only what is integral: a strict row `e < 0`
+is read as `e + 1 <= 0`, unit equalities are substituted away, any
+other equality is reduced through a fresh sigma column by the
+symmetric-mod step, rows are gcd-tightened, and an inexact elimination
+whose real shadow is feasible decides on the dark shadow and the
+splinters, so the procedure is complete on its fragment.
+Literal-modulus constraints (t % m = r, m | t, even/odd) are compiled
+to quotient and remainder columns.
 
-A feasible integer verdict carries a point (`omega_point`): an integer
-solution of every row, built by back-substitution as the search
-returns.  A column eliminated from the inequalities, one-sided, exactly
-or through the dark shadow, takes the largest lower bound the solved
-rest allows, else the smallest upper bound, else 0 (the shadow that was
-solved guarantees an integer between the bounds); a splinter returns
-its own point; a column a unit equality removed is solved from it after
-the rest, in reverse order; the sigma columns are dropped.  The search
-visits the same nodes as a search for the verdict alone.  `Feasible`,
-the failure `linear_arith: system is feasible`, carries the point of
-the first feasible split, and `prove_linear` gives it by variable name,
-for `auto` to use as a candidate countermodel.
-
-A feasible rational branch gives a point only when asked for one.
-`Feasible` carries the leaf system Fourier-Motzkin found feasible, and
-`Feasible.rational_point` builds its point (`fm_point`) by variable
-name; `Feasible.point` stays None, so a caller that does not ask, such
-as `auto`, pays nothing for it.  The elimination (`_fm_memo`) records,
-for a feasible system, each column it eliminated, in order, with the
-rows that bounded it at that step, and `fm_point` back-substitutes in
-reverse: a column takes its largest lower bound, else its smallest
-upper bound, else 0, with the columns placed before it substituted;
-where that bound is strict, the midpoint of the two bounds, or the
-bound moved by 1 when the other side is open; equal non-strict bounds
-give their value.  The elimination guarantees each lower bound is at
-most each upper bound, strictly when either is strict, so the point
-satisfies every row, strict rows strictly.
+Every feasible verdict carries its point, built by back-substitution as
+the search returns (`_place`): an eliminated column takes the largest
+lower bound the solved rest allows, else the smallest upper bound,
+rounded inward in integer mode; where a rational bound is strict, the
+midpoint to the other side, or the bound moved by 1 when that side is
+open.  A splinter returns its own point, a column a unit equality
+removed is solved from it after the rest, the sigma columns are
+dropped, and a column in no row takes 0.  `Feasible`, the failure
+`linear_arith: system is feasible`, carries the point of the first
+feasible split, by column from `refute_branch` and by variable name
+from `prove_linear`, for `auto` and the RPE stack to check as a
+countermodel.
 
 Nat is not translated as nonnegative Int.  A Nat conclusion puts the
 system over Int, and a comparison (`=`, `!=`, `<`, `<=`) between Nat
@@ -85,13 +77,12 @@ replays it into the caller's, registering the same keys in the same
 order.  An atom whose translation makes modulus rows, or raises, is
 translated in place every time.
 
-The two deciders are memoized on the rows they read, in bounded tables
-of `LINEAR_MEMO_ENTRIES`: `fm_refute` keeps the multipliers, or the
-elimination steps of a feasible system, as immutable tuples and hands
-each caller a fresh dict, and `omega_point`
-keeps the point as a tuple, so two systems that differ only in the
-atoms behind their columns share it.  A search that runs out of nodes
-raises and is not kept.
+The elimination is memoized on the rows it reads and its mode, in one
+bounded table of `LINEAR_MEMO_ENTRIES` (`_linear_memo`) that holds the
+refutation or the point as immutable tuples; `fm_refute` hands each
+caller a fresh dict, and two systems that differ only in the atoms
+behind their columns share an entry.  A search that runs out of nodes,
+or whose shadow passes `MAX_SHADOW_ROWS` rows, raises and is not kept.
 
 A certificate holds one entry per disjunct of the negated conclusion.
 A Farkas branch, a rational system with no `!=` row, holds its
@@ -378,120 +369,77 @@ def _negation_dnf(t: Term, az: Atomizer) -> list[list[LinCon]]:
 
 
 # ---------------------------------------------------------------------------
-# Rational path: Fourier-Motzkin with Farkas tracking
+# The elimination: one shadow search for Rat and Int
 
 
 LINEAR_MEMO_ENTRIES = 64
+MAX_SHADOW_ROWS = 4000
+
+# A row (c, a_1, ..., a_n): the constraint a.x + c (= | <= | <) 0.
+Row = tuple[int, ...]
+# A working row (row, strict, lineage): `row < 0` when strict, else
+# `row <= 0`.  Its lineage is the multipliers of the system's tracked
+# rows that sum to it in rational mode, and () in integer mode.
+WorkRow = tuple[Row, bool, tuple]
 
 
 def fm_refute(cons: list[Constraint]) -> Optional[dict[int, int]]:
-    """Return Farkas multipliers showing infeasibility, or None if feasible.
+    """Farkas multipliers showing a system with no `ne` rows infeasible
+    over the rationals, or None if it is feasible.
 
-    Equalities are split into two tracked inequalities, row `2 i` and its
-    negation `2 i + 1`; `ne` rows must be split by the caller.  Each call
-    gets a dict of its own.
-    """
-    farkas, _ = _fm_memo(tuple((c.row, c.rel) for c in cons))
-    return None if farkas is None else dict(farkas)
+    An equality is two tracked rows, row `2 i` and its negation
+    `2 i + 1`.  Each call gets a dict of its own."""
+    refutation, _ = _decide(cons, False)
+    return None if refutation is None else dict(refutation)
 
 
 def fm_point(cons: list[Constraint]) -> Optional[list[Fraction]]:
     """A rational point of a system with no `ne` rows, 1 in column 0 and
-    one value per column, or None when Fourier-Motzkin refutes it.
-
-    The columns are placed by back-substitution, in the reverse of the
-    order they were eliminated in, each with the columns placed before
-    it substituted into the rows that bounded it when it was eliminated.
-    A column takes its largest lower bound, else its smallest upper
-    bound, else 0; where that bound is strict, the midpoint between the
-    two, or the bound moved by 1 when the other side is open.  A column
-    that was never eliminated takes 0."""
-    width = len(cons[0].row) if cons else 1
-    farkas, steps = _fm_memo(tuple((c.row, c.rel) for c in cons))
-    if farkas is not None:
-        return None
-    point = [Fraction(1)] + [Fraction(0)] * (width - 1)
-    for v, lows, highs in reversed(steps):
-        point[v] = Fraction(0)
-        # row[v] x + s (< | <=) 0 bounds x by -s / row[v]: from below
-        # when row[v] < 0, from above when row[v] > 0.  Of two equal
-        # bounds the strict one is the tighter, so a lower bound is
-        # ranked with its strictness and an upper one with its looseness
-        lo = max(((Fraction(-_dot(r, point), r[v]), strict)
-                  for r, strict, _ in lows), default=None)
-        hi = min(((Fraction(-_dot(r, point), r[v]), not strict)
-                  for r, strict, _ in highs), default=None)
-        if lo is not None:
-            x, strict = lo
-            if strict:
-                x = x + 1 if hi is None else (x + hi[0]) / 2
-        elif hi is not None:
-            x, loose = hi
-            if not loose:
-                x -= 1
-        else:
-            x = Fraction(0)
-        point[v] = x
-    return point
+    one `Fraction` per column, or None when `fm_refute` refutes it."""
+    _, point = _decide(cons, False)
+    return None if point is None else list(point)
 
 
-# One elimination step of a feasible system: the column eliminated, and
-# the working rows that bounded it from below and from above.
-FmStep = tuple[int, tuple, tuple]
+def omega_point(cons: list[Constraint]) -> Optional[tuple[int, ...]]:
+    """An integer point of a system with no `ne` rows, 1 in column 0 and
+    one int per column, or None when it has none.  A strict row `e < 0`
+    is read as `e + 1 <= 0`."""
+    return _decide(cons, True)[1]
+
+
+def omega_sat(cons: list[Constraint]) -> bool:
+    """Integer satisfiability of a system with no `ne` rows
+    (`omega_point`)."""
+    return omega_point(cons) is not None
+
+
+def _decide(cons: list[Constraint], integral: bool) -> tuple:
+    return _linear_memo(tuple((c.row, c.rel) for c in cons), integral)
 
 
 @lru_cache(maxsize=LINEAR_MEMO_ENTRIES)
-def _fm_memo(system: tuple[tuple[tuple[int, ...], str], ...]
-             ) -> tuple[Optional[tuple[tuple[int, int], ...]],
-                        Optional[tuple[FmStep, ...]]]:
-    """Fourier-Motzkin elimination on `(row, rel)` pairs, which are all
-    of a constraint that it reads: `(Farkas multipliers, None)` when it
-    refutes them, else `(None, the elimination steps)`, what `fm_point`
-    back-substitutes.  Each working row is `(row, strict, lineage)`, its
-    lineage the multipliers of the system's rows that sum to it, all
-    integers."""
-    rows: list[tuple[tuple[int, ...], bool, tuple]] = []
+def _linear_memo(system: tuple[tuple[Row, str], ...], integral: bool
+                 ) -> tuple[Optional[tuple], Optional[tuple]]:
+    """The elimination on `(row, rel)` pairs, which are all of a
+    constraint that it reads: `(refutation, None)` when the system is
+    infeasible, else `(None, point)`.  Each search gets a budget of
+    `MAX_OMEGA_NODES` nodes, and running out raises `NotLinear`."""
+    if any(rel == "ne" for _, rel in system):
+        raise NotLinear("ne must be split before elimination")
+    budget = _OmegaBudget(MAX_OMEGA_NODES)
+    if integral:
+        point = _omega([row for row, rel in system if rel == "eq"],
+                       [(row[0] + 1,) + row[1:] if rel == "lt" else row
+                        for row, rel in system if rel != "eq"], budget)
+        return ((), None) if point is None else (None, tuple(point))
+    rows: list[WorkRow] = []
     for i, (row, rel) in enumerate(system):
-        if rel == "ne":
-            raise NotLinear("ne must be split before Fourier-Motzkin")
         rows.append((row, rel == "lt", ((2 * i, 1),)))
         if rel == "eq":
             rows.append((tuple(-a for a in row), False, ((2 * i + 1, 1),)))
-    steps: list[FmStep] = []
-    while True:
-        for row, strict, lineage in rows:
-            if not any(row[1:]) and (row[0] > 0 or strict and row[0] >= 0):
-                return lineage, None
-        # eliminate the column with the fewest lower*upper products
-        best, best_cost = 0, None
-        for v in range(1, len(rows[0][0]) if rows else 0):
-            lo = sum(r[0][v] < 0 for r in rows)
-            hi = sum(r[0][v] > 0 for r in rows)
-            cost = lo * hi + lo + hi
-            if cost and (best_cost is None or cost < best_cost):
-                best, best_cost = v, cost
-        if not best:
-            return None, tuple(steps)
-        v = best
-        lows = [r for r in rows if r[0][v] < 0]
-        highs = [r for r in rows if r[0][v] > 0]
-        steps.append((v, tuple(lows), tuple(highs)))
-        new_rows = [r for r in rows if r[0][v] == 0]
-        for lo, lo_strict, lo_lineage in lows:
-            a = -lo[v]
-            for hi, hi_strict, hi_lineage in highs:
-                b = hi[v]
-                lineage: dict[int, int] = {}
-                for idx, m in lo_lineage:
-                    lineage[idx] = lineage.get(idx, 0) + b * m
-                for idx, m in hi_lineage:
-                    lineage[idx] = lineage.get(idx, 0) + a * m
-                new_rows.append((tuple(b * x + a * y for x, y in zip(lo, hi)),
-                                 lo_strict or hi_strict,
-                                 tuple(lineage.items())))
-        if len(new_rows) > 4000:
-            raise NotLinear("Fourier-Motzkin blow-up guard")
-        rows = new_rows
+    refutation, point = _search(rows, len(system[0][0]) if system else 1,
+                                False, budget)
+    return refutation, None if point is None else tuple(map(Fraction, point))
 
 
 def verify_farkas(cons: list[Constraint], multipliers: dict) -> bool:
@@ -514,10 +462,6 @@ def verify_farkas(cons: list[Constraint], multipliers: dict) -> bool:
     return not any(total[1:]) and (total[0] > 0 or strict and total[0] >= 0)
 
 
-# ---------------------------------------------------------------------------
-# Integer path: the omega test over int rows
-
-
 def _mods(a: int, m: int) -> int:
     """Symmetric residue in (-m/2, m/2]."""
     r = a % m
@@ -536,54 +480,12 @@ class _OmegaBudget:
             raise NotLinear("omega node budget exceeded")
 
 
-# An omega row is (c, a_1, ..., a_n): the constraint a.x + c (= | <=) 0.
-Row = tuple[int, ...]
-
-
-def omega_point(cons: list[Constraint]) -> Optional[tuple[int, ...]]:
-    """An integer point of a system with no `ne` rows, or None when it
-    has none.
-
-    The point holds 1 in column 0, for the constant, and one int per
-    column of the system.  The search (`_omega`) reads the rows as they
-    are, a strict row `e < 0` as `e + 1 <= 0`: the symmetric-mod step
-    appends a fresh sigma column to every row, and each node keeps one
-    inequality per coefficient vector, the one with the largest
-    constant.  The search gets a budget of `MAX_OMEGA_NODES` nodes, and
-    running out raises `NotLinear`.  The answer is memoized on the rows,
-    which omega alone reads.
-    """
-    eqs: list[Row] = []
-    ineqs: list[Row] = []
-    for c in cons:
-        if c.rel == "eq":
-            eqs.append(c.row)
-        elif c.rel == "le":
-            ineqs.append(c.row)
-        elif c.rel == "lt":
-            ineqs.append((c.row[0] + 1,) + c.row[1:])
-        else:
-            raise NotLinear("ne must be split before omega")
-    return _omega_memo(tuple(eqs), tuple(ineqs))
-
-
-def omega_sat(cons: list[Constraint]) -> bool:
-    """Integer satisfiability of a system with no `ne` rows
-    (`omega_point`)."""
-    return omega_point(cons) is not None
-
-
-@lru_cache(maxsize=LINEAR_MEMO_ENTRIES)
-def _omega_memo(eqs: tuple[Row, ...], ineqs: tuple[Row, ...]
-                ) -> Optional[tuple[int, ...]]:
-    point = _omega(list(eqs), list(ineqs), _OmegaBudget(MAX_OMEGA_NODES))
-    return None if point is None else tuple(point)
-
-
 def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget
            ) -> Optional[list[int]]:
     """An integer point of `eqs` (`= 0`) and `ineqs` (`<= 0`), over the
-    columns of their rows (`[1]` when there are none), or None.
+    columns of their rows (`[1]` when there are none), or None: one node
+    of the integer search, its equalities eliminated here and its
+    inequalities by `_node`.
 
     A column that a unit equality removes is solved from that equality
     once the rest is solved, in the reverse of the order the columns
@@ -593,8 +495,6 @@ def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget
     width = len(eqs[0]) if eqs else len(ineqs[0]) if ineqs else 1
     cols = width
     solved: list[tuple[Row, int]] = []
-
-    # -- equality elimination
     while eqs:
         eq = eqs.pop()
         g = math.gcd(*eq[1:])
@@ -621,8 +521,7 @@ def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget
         eqs.append(eq + (0,))
         eqs.append(tuple(_mods(a, m) for a in eq) + (-m,))
         cols += 1
-
-    point = _omega_ineqs(ineqs, cols, budget)
+    _, point = _node([(r, False, ()) for r in ineqs], cols, True, budget)
     if point is None:
         return None
     # x_k = -eq[k] * (the rest of eq), the rest already solved
@@ -632,42 +531,58 @@ def _omega(eqs: list[Row], ineqs: list[Row], budget: _OmegaBudget
     return point[:width]
 
 
-def _omega_ineqs(ineqs: list[Row], cols: int, budget: _OmegaBudget
-                 ) -> Optional[list[int]]:
-    """`_omega` on inequalities alone, over `cols` columns."""
-    # -- normalize inequalities: gcd tightening, then the tightest
-    # constant per coefficient vector
-    tightest: dict[Row, int] = {}
-    for r in ineqs:
-        coeffs = r[1:]
+def _search(rows: list[WorkRow], cols: int, integral: bool,
+            budget: _OmegaBudget) -> tuple[Optional[tuple], Optional[list]]:
+    """`_node`, counted as one node of the search's budget."""
+    budget.tick()
+    return _node(rows, cols, integral, budget)
+
+
+def _node(rows: list[WorkRow], cols: int, integral: bool,
+          budget: _OmegaBudget) -> tuple[Optional[tuple], Optional[list]]:
+    """`(refutation, None)` or `(None, point)` for inequality rows over
+    `cols` columns, rational or integral.
+
+    The tightest row is kept per coefficient vector (integer rows
+    gcd-tightened first; at an equal constant a strict row is the
+    tighter), and a constant row or an opposite pair that contradicts
+    refutes.  One column is eliminated: the rest is searched, then the
+    column is placed (`_place`)."""
+    tightest: dict[Row, WorkRow] = {}
+    for work in rows:
+        row, strict, lineage = work
+        coeffs = row[1:]
         g = math.gcd(*coeffs)
         if g == 0:
-            if r[0] > 0:
-                return None
+            if row[0] > 0 or strict and row[0] >= 0:
+                return lineage, None
             continue
-        c = r[0]
-        if g > 1:
+        if integral and g > 1:
             # a.x + c <= 0 tightens to (a/g).x + ceil(c/g) <= 0
             coeffs = tuple(a // g for a in coeffs)
-            c = -(-c // g)
-        if tightest.get(coeffs, c) <= c:
-            tightest[coeffs] = c
-    # a.x + c1 <= 0 and -a.x + c2 <= 0 need c1 + c2 <= 0
-    for coeffs, c in tightest.items():
+            row = (-(-row[0] // g),) + coeffs
+            work = (row, strict, lineage)
+        kept = tightest.get(coeffs)
+        if kept is None or row[0] > kept[0][0] \
+                or row[0] == kept[0][0] and strict and not kept[1]:
+            tightest[coeffs] = work
+    # a.x + c1 and -a.x + c2 need c1 + c2 <= 0, < 0 when either is strict
+    for coeffs, (row, strict, lineage) in tightest.items():
         opp = tightest.get(tuple(-a for a in coeffs))
-        if opp is not None and c + opp > 0:
-            return None
+        if opp is not None:
+            c = row[0] + opp[0][0]
+            if c > 0 or (strict or opp[1]) and c >= 0:
+                return _combine(lineage, 1, opp[2], 1), None
     if not tightest:
-        return [1] + [0] * (cols - 1)
-    ineqs = [(c,) + coeffs for coeffs, c in tightest.items()]
+        return None, [1] + [0] * (cols - 1)
+    rows = list(tightest.values())
 
-    # -- choose a column to eliminate: one bounded on one side only,
-    # else an exact one (every pair has a unit side), else the fewest
-    # lower * upper pairs
+    # a column bounded on one side only, else an exact one (every pair
+    # has a unit side), else the fewest lower * upper pairs
     best, best_cost = 0, None
     for v in range(1, cols):
-        lo = [r[v] for r in ineqs if r[v] < 0]
-        hi = [r[v] for r in ineqs if r[v] > 0]
+        lo = [r[v] for r, _, _ in rows if r[v] < 0]
+        hi = [r[v] for r, _, _ in rows if r[v] > 0]
         if not lo and not hi:
             continue
         if not lo or not hi:
@@ -677,67 +592,116 @@ def _omega_ineqs(ineqs: list[Row], cols: int, budget: _OmegaBudget
         if best_cost is None or cost < best_cost:
             best, best_cost = v, cost
     v = best
-    lows = [r for r in ineqs if r[v] < 0]
-    highs = [r for r in ineqs if r[v] > 0]
-    rest = [r for r in ineqs if r[v] == 0]
+    lows = [r for r in rows if r[0][v] < 0]
+    highs = [r for r in rows if r[0][v] > 0]
     if not lows or not highs:
-        return _place(_omega([], rest, budget), cols, v, lows, highs)
+        refutation, point = _search([r for r in rows if not r[0][v]], cols,
+                                    integral, budget)
+    else:
+        refutation, point = _search(_shadow(rows, v, lows, highs, False),
+                                    cols, integral, budget)
+        if point is not None and integral and not _exact(
+                [lo[v] for lo, _, _ in lows], [hi[v] for hi, _, _ in highs]):
+            # the real shadow is only necessary: the dark shadow is
+            # sufficient, and the splinters are what lies between
+            refutation, point = _search(_shadow(rows, v, lows, highs, True),
+                                        cols, integral, budget)
+            if point is None:
+                return _splinters(rows, v, lows, highs, budget)
+    if point is None:
+        return refutation, None
+    return None, _place(point, v, lows, highs, integral)
 
-    def shadow(dark: bool) -> list[Row]:
-        out = list(rest)
-        for lo in lows:
-            b = -lo[v]
-            for hi in highs:
-                a = hi[v]
-                row = [a * x + b * y for x, y in zip(lo, hi)]
-                if dark:
-                    row[0] += (a - 1) * (b - 1)
-                out.append(tuple(row))
-        return out
 
-    if _exact([lo[v] for lo in lows], [hi[v] for hi in highs]):
-        return _place(_omega([], shadow(False), budget), cols, v, lows,
-                      highs)
-    if _omega([], shadow(False), budget) is None:
-        return None
-    point = _omega([], shadow(True), budget)
-    if point is not None:
-        return _place(point, cols, v, lows, highs)
-    # splinters: some lower bound lo holds with slack i, lo + i = 0,
-    # for 0 <= i <= top
-    amax = max(hi[v] for hi in highs)
-    for lo in lows:
+def _shadow(rows: list[WorkRow], v: int, lows: list[WorkRow],
+            highs: list[WorkRow], dark: bool) -> list[WorkRow]:
+    """The rows without column `v`: those that do not bound it, and each
+    lower and upper bound summed so that `v` cancels, strict when either
+    is, with their lineages combined.  The dark shadow tightens each
+    sum's constant by (a - 1)(b - 1).  More than `MAX_SHADOW_ROWS` rows
+    raise `NotLinear`."""
+    out = [r for r in rows if not r[0][v]]
+    if len(out) + len(lows) * len(highs) > MAX_SHADOW_ROWS:
+        raise NotLinear("Fourier-Motzkin blow-up guard")
+    for lo, lo_strict, lo_lineage in lows:
         b = -lo[v]
-        top = (amax * b - amax - b) // amax
-        for i in range(top + 1):
+        for hi, hi_strict, hi_lineage in highs:
+            a = hi[v]
+            row = [a * x + b * y for x, y in zip(lo, hi)]
+            if dark:
+                row[0] += (a - 1) * (b - 1)
+            # an integer row carries no lineage
+            out.append((tuple(row), lo_strict or hi_strict,
+                        lo_lineage and _combine(lo_lineage, a, hi_lineage, b)))
+    return out
+
+
+def _combine(p: tuple, pm: int, q: tuple, qm: int) -> tuple:
+    """The lineage of `pm` times a row of lineage `p` plus `qm` times one
+    of lineage `q`."""
+    out = {idx: pm * m for idx, m in p}
+    for idx, m in q:
+        out[idx] = out.get(idx, 0) + qm * m
+    return tuple(out.items())
+
+
+def _splinters(rows: list[WorkRow], v: int, lows: list[WorkRow],
+               highs: list[WorkRow], budget: _OmegaBudget
+               ) -> tuple[Optional[tuple], Optional[list]]:
+    """The integer solutions the dark shadow misses: some lower bound lo
+    holds with slack i, lo + i = 0, for 0 <= i <= top.  The first
+    splinter's point, else the refutation."""
+    amax = max(hi[v] for hi, _, _ in highs)
+    ineqs = [r for r, _, _ in rows]
+    for lo, _, _ in lows:
+        b = -lo[v]
+        for i in range((amax * b - amax - b) // amax + 1):
             point = _omega([(lo[0] + i,) + lo[1:]], ineqs, budget)
             if point is not None:
-                return point
-    return None
+                return None, point
+    return (), None
 
 
-def _dot(row: Row, point: list[int]) -> int:
-    return sum(a * x for a, x in zip(row, point))
+def _dot(row: Row, point: list) -> int:
+    return sum(a * x for a, x in zip(row, point) if a)
 
 
-def _place(point: Optional[list[int]], cols: int, v: int,
-           lows: list[Row], highs: list[Row]) -> Optional[list[int]]:
+def _place(point: list, v: int, lows: list[WorkRow], highs: list[WorkRow],
+           integral: bool) -> list:
     """`point`, a solution of the rows column `v` was eliminated from,
-    widened to `cols` columns, with x_v the largest lower bound `lows`
-    allow there, else the smallest upper bound `highs` allow, else 0.
-    The shadow it solves puts an integer between the two (the omega
-    test's real shadow when the elimination is exact, its dark shadow
-    otherwise)."""
-    if point is None:
-        return None
-    point = point + [0] * (cols - len(point))
+    with x_v the largest lower bound `lows` allow there, else the
+    smallest upper bound `highs` allow; an eliminated column has one.
+
+    The elimination puts every lower bound at most every upper bound,
+    below it when either is strict.  An integer column rounds inward, and
+    the shadow that was solved puts an integer between the bounds (the
+    real shadow when the elimination is exact, the dark shadow
+    otherwise).  Where a rational column's bound is strict, it takes the
+    midpoint to the other side, or the bound moved by 1 when that side
+    is open."""
     point[v] = 0
+    # row[v] x + s (< | <=) 0 bounds x by -s / row[v]: from below when
+    # row[v] < 0, from above when row[v] > 0
+    if integral:
+        point[v] = max(-(_dot(r, point) // r[v]) for r, _, _ in lows) \
+            if lows else min(-_dot(r, point) // r[v] for r, _, _ in highs)
+        return point
+    # of two equal bounds the strict one is the tighter, so a lower bound
+    # is ranked with its strictness and an upper one with its looseness
     if lows:
-        # lo[v] x + s <= 0 with lo[v] < 0: x >= ceil(s / -lo[v])
-        point[v] = max(-(_dot(lo, point) // lo[v]) for lo in lows)
-    elif highs:
-        # hi[v] x + s <= 0 with hi[v] > 0: x <= floor(-s / hi[v])
-        point[v] = min(-_dot(hi, point) // hi[v] for hi in highs)
+        x, strict = max((Fraction(-_dot(r, point), r[v]), s)
+                        for r, s, _ in lows)
+        if strict:
+            hi = min((Fraction(-_dot(r, point), r[v]) for r, _, _ in highs),
+                     default=None)
+            x = x + 1 if hi is None else (x + hi) / 2
+    else:
+        x, loose = min((Fraction(-_dot(r, point), r[v]), not s)
+                       for r, s, _ in highs)
+        x = x if loose else x - 1
+    # an integral value stays an int, which keeps later dot products
+    # cheap; the memo makes every value a Fraction
+    point[v] = x.numerator if x.denominator == 1 else x
     return point
 
 
@@ -836,9 +800,9 @@ def _goal_sort(concl: Term) -> Sort:
 def _split_nes(cons: list[Constraint],
                feasible: Callable[[list[Constraint]], Optional[tuple]]
                ) -> Optional[tuple]:
-    """What `feasible` gives (a point, or the leaf system) on the first
-    split of the ne constraints into strict sides (`<`, then `>`) that
-    leaves a feasible system; None when no split does.
+    """The point `feasible` gives on the first split of the ne
+    constraints into strict sides (`<`, then `>`) that leaves a feasible
+    system; None when no split does.
 
     The splits are searched depth first, in constraint order, and each
     node below the root is checked with the decided sides only: an
@@ -875,13 +839,6 @@ def _split_nes(cons: list[Constraint],
     return None
 
 
-def _rational_feasible(cons: list[Constraint]
-                       ) -> Optional[list[Constraint]]:
-    """`cons` itself when Fourier-Motzkin finds it feasible, else None:
-    its point is built only when asked for (`fm_point`)."""
-    return cons if fm_refute(cons) is None else None
-
-
 def is_farkas_branch(sort: Sort, cons: list[Constraint]) -> bool:
     """A rational system with no `!=` row: Fourier-Motzkin refutes it as
     it stands, and its certificate is the Farkas multipliers."""
@@ -891,46 +848,28 @@ def is_farkas_branch(sort: Sort, cons: list[Constraint]) -> bool:
 class Feasible(TacticFailed):
     """The negated goal has a solution, so the goal is not proved.
 
-    `point` is the integer point omega found, over the system's columns
-    as `refute_branch` raises it and by variable name as `prove_linear`
-    does; None for a rational branch.  A rational branch carries its
-    feasible leaf system instead, and from `prove_linear` also the
-    system's columns, so that `rational_point` can build its point when
-    a caller asks for it."""
+    `point` is that solution, integer on an Int system and rational on a
+    Rat or Real one: over the system's columns as `refute_branch` raises
+    it, by variable name as `prove_linear` does."""
 
-    def __init__(self, point=None, system=None, cols=None):
+    def __init__(self, point):
         super().__init__("linear_arith: system is feasible")
         self.point = point
-        self.system = system
-        self.cols = cols
-
-    def rational_point(self) -> Optional[dict[str, Fraction]]:
-        """The point of a rational branch by variable name (`fm_point`),
-        or None when the failure carries no rational system."""
-        if self.system is None or self.cols is None:
-            return None
-        return _named(self.cols, fm_point(self.system))
 
 
 def refute_branch(sort: Sort, cons: list[Constraint]) -> dict:
     """Show one conjunction of constraints infeasible: its certificate
     branch, `{"multipliers": ...}` for a Farkas branch and `{}` for any
     other.  Raises NotLinear, or Feasible with the point of the first
-    feasible split (integer branches) or that split's system (rational
-    branches)."""
+    feasible split."""
     if is_farkas_branch(sort, cons):
         farkas = fm_refute(cons)
         if farkas is None:
-            raise Feasible(system=cons)
+            raise Feasible(fm_point(cons))
         return {"multipliers": farkas}
-    if sort in (INT, NAT):
-        point = _split_nes(cons, omega_point)
-        if point is not None:
-            raise Feasible(point)
-        return {}
-    leaf = _split_nes(cons, _rational_feasible)
-    if leaf is not None:
-        raise Feasible(system=leaf)
+    point = _split_nes(cons, omega_point if sort in (INT, NAT) else fm_point)
+    if point is not None:
+        raise Feasible(point)
     return {}
 
 
@@ -944,18 +883,14 @@ def _branch_systems(goal: Goal) -> tuple[Atomizer, list[list[Constraint]]]:
 
 
 def prove_linear(goal: Goal) -> dict:
-    """Prove a goal by refuting hypotheses + negated conclusion.  An
-    integer branch that is feasible raises Feasible with the values its
-    point gives the columns keyed by a variable, by name; a rational one
-    raises it with its leaf system and the columns, and builds no
-    point."""
+    """Prove a goal by refuting hypotheses + negated conclusion.  A
+    branch that is feasible raises Feasible with the values its point
+    gives the columns keyed by a variable, by name."""
     az, systems = _branch_systems(goal)
     try:
         return {"branches": [refute_branch(az.sort, cons)
                              for cons in systems]}
     except Feasible as e:
-        if e.point is None:
-            raise Feasible(system=e.system, cols=az.cols) from None
         raise Feasible(_named(az.cols, e.point)) from None
 
 

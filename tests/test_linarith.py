@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import linear_rows
 from holebox.expr import (
     App, Atom, Conn, INT, Lit, LocalDecl, NAT, PROP, RAT, REAL, Telescope,
-    mk_conn, mk_var,
+    Var, mk_conn, mk_var,
 )
 from holebox.kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
@@ -22,6 +22,8 @@ from holebox.kernel import (
 from holebox.norm import fold_literals, normalize
 from holebox.syntax import parse_term, print_term
 from holebox.tactics import linarith
+from holebox.tactics.auto import MODEL_EVAL_BUDGET
+from holebox.tactics.decide import Point, eval_at
 from holebox.tactics.linarith import (
     CONST, MAX_NE_SPLITS, Atomizer, Constraint, NotLinear,
     atom_to_constraints, fm_point, fm_refute, linearize, omega_point,
@@ -269,8 +271,9 @@ def test_rational_rows_are_scaled_to_integers():
     def below(bound):
         return [lt] + linear_rows(["x"], [({"x": 1, CONST: -bound}, "le")])
     assert omega_sat(below(1)) and not omega_sat(below(0))
-    with pytest.raises(NotLinear, match="ne must be split"):
-        omega_sat([Constraint((1, 1), "ne")])
+    for decide in (omega_sat, fm_refute, fm_point):
+        with pytest.raises(NotLinear, match="ne must be split"):
+            decide([Constraint((1, 1), "ne")])
 
 
 def test_farkas_certificate_checks():
@@ -348,7 +351,8 @@ def test_unsplit_branch_runs_fourier_motzkin_once(monkeypatch):
 def test_only_a_branch_without_multipliers_is_decided_again(monkeypatch):
     # a Farkas branch (rational, no `!=`) is checked by its multipliers
     # alone, so its revalidation runs neither decider; an omega branch
-    # and a split rational branch hold no evidence and are decided again
+    # and a split rational branch hold no evidence and are decided again,
+    # the split one leaf by leaf through `fm_point`
     def cert(concl, hyps, var_sorts):
         st = state_for(concl, hyps, var_sorts)
         return apply_tactic(st, "h", "linear_arith", "").trace[-1].cert
@@ -369,7 +373,7 @@ def test_only_a_branch_without_multipliers_is_decided_again(monkeypatch):
             return decide(cons)
         return wrapper
 
-    for name in ("fm_refute", "omega_point"):
+    for name in ("fm_refute", "fm_point", "omega_point"):
         monkeypatch.setattr(linarith, name, counted(name))
     revalidate_linear_arith(farkas)
     assert calls == []
@@ -377,16 +381,22 @@ def test_only_a_branch_without_multipliers_is_decided_again(monkeypatch):
     assert calls == ["omega_point"]
     calls.clear()
     revalidate_linear_arith(split)
-    assert calls and set(calls) == {"fm_refute"}
+    assert calls and set(calls) == {"fm_point"}
 
 
 def test_a_feasible_system_fails_with_the_same_message_and_a_point():
-    # the message is the one `linear_arith` always gave; an integer
-    # system adds its point by variable name, a rational one none
+    # the message is the one `linear_arith` always gave; the failure
+    # adds its point by variable name, integer or rational
     for concl, hyps, var_sorts, point in (
-            ("x = 1", ["x <= 3"], [("x", INT), ("y", INT)], True),
-            ("y = 5", ["0 <= y", "y <= 1"], [("y", REAL)], False),
-            ("q < 2", ["2 * q <= 5"], [("q", RAT)], False)):
+            # the first split, x < 1, bounds x from above only: x takes
+            # its smallest upper bound; y is in no row and gets no value
+            ("x = 1", ["x <= 3"], [("x", INT), ("y", INT)], {"x": 0}),
+            # the first split, y < 5, with 0 <= y <= 1: y takes its
+            # largest lower bound
+            ("y = 5", ["0 <= y", "y <= 1"], [("y", REAL)],
+             {"y": Fraction(0)}),
+            # q >= 2 and 2 q <= 5, a Farkas branch: q takes 2
+            ("q < 2", ["2 * q <= 5"], [("q", RAT)], {"q": Fraction(2)})):
         st = state_for(concl, hyps, var_sorts)
         with pytest.raises(TacticFailed) as failed:
             apply_tactic(st, "h", "linear_arith", "")
@@ -394,12 +404,9 @@ def test_a_feasible_system_fails_with_the_same_message_and_a_point():
         with pytest.raises(linarith.Feasible) as feasible:
             prove_linear(st.goal("h"))
         assert str(feasible.value) == "linear_arith: system is feasible"
-        if not point:
-            assert feasible.value.point is None
-            continue
-        # the first split, x < 1, bounds x from above only: x takes its
-        # smallest upper bound; y is in no row and gets no value
-        assert feasible.value.point == {"x": 0}
+        assert feasible.value.point == point
+        assert all(type(v) is type(point[n]) for n, v in
+                   feasible.value.point.items())
 
 
 def test_sums_that_differ_in_a_captured_variable_stay_two_atoms():
@@ -444,6 +451,72 @@ def test_synthesis_certificate_checks_its_assignment():
 
 
 # ---------------------------------------------------------------------------
+# The edges of the fragment, each reached through an entry point
+
+
+def test_a_negated_term_is_linear():
+    assert proves("-x <= 1", ["-1 <= x"], [("x", INT)])
+    assert not proves("-x <= 1", ["-2 <= x"], [("x", INT)])
+
+
+def test_hypotheses_outside_the_fragment_are_left_out_whole():
+    sorts = [("x", INT), ("m", NAT), ("n", NAT)]
+    # a conjunct that is a disjunction drops the whole conjunction
+    assert not proves("x <= 1", ["x <= 1 /\\ (x < 0 \\/ 2 < x)"], sorts)
+    # a negated Nat comparison in an Int system, and a relation with no
+    # linear reading, are dropped; True adds no row
+    assert proves("x <= 1", ["not (m <= n)", "prime x", "True /\\ x <= 1"],
+                  sorts)
+    assert not proves("2 <= x", ["prime x"], sorts)
+
+
+def test_conclusions_with_not_false_and_true():
+    sorts = [("x", INT)]
+    assert proves("not (x < 1)", ["1 <= x"], sorts)
+    assert not proves("not (x < 1)", ["0 <= x"], sorts)
+    assert proves("x = 1 \\/ False", ["x = 1"], sorts)
+    assert not proves("x = 1 \\/ False", ["x <= 1"], sorts)
+    for concl, message in (
+            ("not (x < 1 \\/ 2 < x)", "non-linear negated conclusion"),
+            ("x <= 1 \\/ True", "conclusion is trivially true")):
+        with pytest.raises(NotLinear, match=message):
+            prove_linear(state_for(concl, [], sorts).goal("h"))
+
+
+def test_a_hole_goal_is_not_a_linear_goal():
+    goal = Goal("h", Telescope((LocalDecl("x", INT),)), INT)
+    with pytest.raises(NotLinear, match="hole goals"):
+        prove_linear(goal)
+
+
+def test_synthesis_fails_where_the_hypotheses_pin_no_integer():
+    import json
+    from holebox.fps import session_init
+    from holebox.syntax import parse_problem
+    for hyps, concl, message in (
+            # Gauss pins d = 1/2, which is no integer
+            (["2 * d = 1"], "d = a", "non-integral synthesized value"),
+            # the scan finds each of 0..3 possible, so none forced
+            (["0 <= d", "d <= 3"], "d = a", "do not pin"),
+            # a target of two columns has no bounds to scan
+            (["0 <= d", "d <= 3", "n = 0"], "d + n = a", "do not pin")):
+        doc = {"format_version": "1", "framework": "fps",
+               "vars": [["d", "Int"], ["n", "Int"]],
+               "queriable": ["a", "Int"],
+               "hypotheses": [[f"h{i}", h] for i, h in enumerate(hyps)],
+               "conclusions": [concl]}
+        sess = session_init(parse_problem(json.dumps(doc)))
+        with pytest.raises(TacticFailed, match=message):
+            apply_tactic(sess.state, "h", "linear_arith", "")
+
+
+def test_verify_farkas_rejects_a_multiplier_on_a_disequality():
+    # 1 <= 0 is refuted by its own row, and 1 != 0 is not a bound
+    assert verify_farkas([Constraint((1, 0), "le")], {0: 1})
+    assert not verify_farkas([Constraint((1, 0), "ne")], {0: 1})
+
+
+# ---------------------------------------------------------------------------
 # Disequality splits: the depth-first split against the full enumeration
 
 
@@ -470,9 +543,8 @@ def _feasible(sort, omega=omega_sat, fm=fm_refute):
 
 
 def _split_check(sort):
-    """The check `refute_branch` hands `_split_nes`: a point, the system
-    itself when it is rational and feasible, or None."""
-    return omega_point if sort in (INT, NAT) else linarith._rational_feasible
+    """The check `refute_branch` hands `_split_nes`: a point, or None."""
+    return omega_point if sort in (INT, NAT) else fm_point
 
 
 def eager_refute(sort, cons, side=_row_side, omega=omega_sat, fm=fm_refute):
@@ -1259,20 +1331,51 @@ def test_integer_rows_match_the_reference(goal):
                                            ref["multipliers"])
 
 
+def _in_the_fragment(goal):
+    """Whether every atom of `goal` is linear in its variables: the
+    system's columns are variables and literal-modulus keys, and no
+    hypothesis is left out of it."""
+    az, _ = linarith._branch_systems(goal)
+    return all(key == CONST or isinstance(key, (Var, tuple))
+               for key in az.cols) \
+        and all(linarith._flatten_pos(normalize(d.prop), Atomizer(az.sort))
+                is not None for d in goal.ctx.decls if d.prop is not None)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_linear_goals())
+def test_every_feasible_point_is_a_countermodel(goal):
+    # the contract `auto` and the RPE step rely on: in the fragment, the
+    # point a Feasible failure carries, integer or rational, makes every
+    # hypothesis True and the conclusion False
+    try:
+        prove_linear(goal)
+        return
+    except linarith.Feasible as e:
+        point = e.point
+    except TacticFailed:
+        return
+    if not _in_the_fragment(goal):
+        return
+    assert all(eval_at(d.prop, Point(point), MODEL_EVAL_BUDGET) is True
+               for d in goal.ctx.decls if d.prop is not None), point
+    assert eval_at(goal.concl, Point(point), MODEL_EVAL_BUDGET) is False
+
+
 # ---------------------------------------------------------------------------
-# The memos of fm_refute and omega_sat answer as the deciders do
+# The one memo of fm_refute and omega_point answers as the search does
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_rational_systems())
 def test_fm_refute_memo_matches_the_elimination(lins):
     cons = linear_rows("xyz", lins)
-    want = _refuted(linarith._fm_memo.__wrapped__,
-                    tuple((c.row, c.rel) for c in cons))
+    want = _refuted(lambda system: linarith._linear_memo.__wrapped__(
+        system, False), tuple((c.row, c.rel) for c in cons))
     if isinstance(want, tuple):
-        # (multipliers, None) when refuted, (None, steps) when feasible
+        # (multipliers, None) when refuted, (None, point) when feasible
         want = None if want[0] is None else dict(want[0])
-    linarith._fm_memo.cache_clear()
+    linarith._linear_memo.cache_clear()
     cold = _refuted(fm_refute, cons)
     if isinstance(cold, dict):
         # a caller that changes its dict changes no later answer
@@ -1353,19 +1456,22 @@ def test_fm_point_takes_each_kind_of_bound():
         is None
 
 
-def test_rational_feasibility_builds_a_point_only_on_request(monkeypatch):
-    # a rational branch carries its leaf system; prove_linear builds no
-    # point, and `rational_point` builds it by variable name
-    built = []
-    monkeypatch.setattr(linarith, "fm_point",
-                        lambda cons: built.append(cons) or fm_point(cons))
-    st = state_for("y = 5", ["0 <= y", "y <= 1"], [("y", REAL)])
-    with pytest.raises(linarith.Feasible) as feasible:
-        prove_linear(st.goal("h"))
-    assert feasible.value.point is None and not built
-    # the first split, y < 5, with 0 <= y <= 1: y takes its lower bound
-    assert feasible.value.rational_point() == {"y": 0}
-    assert len(built) == 1
+def _fan(k):
+    """The 4 k bounds s x + i y <= 100 over x and y, s = +-1 and
+    -k <= i < k: distinct coefficient vectors, no contradictory pair, so
+    the first column eliminated is x (exact), with (2 k)^2 pairs."""
+    return linear_rows(["x", "y"], [({"x": s, "y": i, CONST: -100}, "le")
+                                    for s in (1, -1) for i in range(-k, k)])
+
+
+def test_a_shadow_past_the_row_guard_raises_in_both_modes():
+    assert linarith.MAX_SHADOW_ROWS == 4000
+    # 60 * 60 pairs are under the guard, and 0 is a point
+    assert fm_refute(_fan(30)) is None and omega_point(_fan(30))
+    # 80 * 80 are over it
+    for decide in (fm_refute, fm_point, omega_point):
+        with pytest.raises(NotLinear, match="Fourier-Motzkin blow-up guard"):
+            decide(_fan(40))
 
 
 OMEGA_NAMES = ("x0", "x1", "x2")
@@ -1404,7 +1510,7 @@ def test_omega_memo_matches_the_search(system, names):
         [c.row for c in cons if c.rel == "le"],
         _OmegaBudget(linarith.MAX_OMEGA_NODES)))
     want = tuple(search) if isinstance(search, list) else search
-    linarith._omega_memo.cache_clear()
+    linarith._linear_memo.cache_clear()
     cold = _omega_outcome(lambda: omega_point(cons))
     warm = _omega_outcome(lambda: omega_point(cons))
     # the same system with its columns in another order: the verdict
