@@ -194,13 +194,8 @@ def aggregate_metrics(records: list[dict]) -> dict:
 
 
 def run_benchmark(entries: list[BenchmarkEntry], solver: str = "script",
-                  cfg: SearchConfig = SearchConfig(),
-                  workers: int = 1) -> dict:
-    """Evaluate every entry and assemble the report.
-
-    `workers` is accepted for the command line's sake and does not
-    change the work: the whole corpus evaluates in about a second, too
-    little for a pool to pay for itself, so entries run serially."""
+                  cfg: SearchConfig = SearchConfig()) -> dict:
+    """Evaluate every entry, in order, and assemble the report."""
     records = [evaluate_entry(e, solver, cfg) for e in entries]
     report = {
         "header": {

@@ -122,8 +122,7 @@ def cmd_rpe_check(args) -> int:
 
 def cmd_bench_run(args) -> int:
     entries = load_benchmark(args.corpus)
-    report = run_benchmark(entries, solver=args.solver, cfg=_search_cfg(args),
-                           workers=args.workers)
+    report = run_benchmark(entries, solver=args.solver, cfg=_search_cfg(args))
     text = report_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = bsub.add_parser("run", help="evaluate a benchmark corpus")
     p.add_argument("corpus")
     p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--solver", choices=("script", "search"),
                    default="script")
     p.add_argument("--lemmas")

@@ -562,7 +562,6 @@ def _rebuild(t: Term, args: tuple[Term, ...]) -> Term:
         return mk_atom(t.rel, args)
     if isinstance(t, Binder):
         return mk_binder(t.kind, t.var, t.vsort, args[0])
-    return t
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
@@ -573,10 +572,7 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
         return BVar(t.sort, t.idx + by)
     if isinstance(t, Binder):
         return _rebuild(t, (shift(t.body, by, cutoff + 1),))
-    kids = children(t)
-    if not kids:
-        return t
-    return _rebuild(t, tuple(shift(k, by, cutoff) for k in kids))
+    return _rebuild(t, tuple(shift(k, by, cutoff) for k in children(t)))
 
 
 def instantiate_bvar(body: Term, repl: Term, depth: int = 0) -> Term:
@@ -589,10 +585,8 @@ def instantiate_bvar(body: Term, repl: Term, depth: int = 0) -> Term:
         return BVar(body.sort, body.idx - 1)
     if isinstance(body, Binder):
         return _rebuild(body, (instantiate_bvar(body.body, repl, depth + 1),))
-    kids = children(body)
-    if not kids:
-        return body
-    return _rebuild(body, tuple(instantiate_bvar(k, repl, depth) for k in kids))
+    return _rebuild(body, tuple(instantiate_bvar(k, repl, depth)
+                                for k in children(body)))
 
 
 def has_loose_bvars(t: Term, depth: int = 0) -> bool:
@@ -712,12 +706,9 @@ def _inst(t: Term, asg: dict[str, Term]) -> Term:
                     f"expected {t.sort}")
             return _inst(val, asg)
         return t
-    kids = children(t)
-    if not kids:
-        return t
     if isinstance(t, Binder):
         return _rebuild(t, (_inst(t.body, asg),))
-    return _rebuild(t, tuple(_inst(k, asg) for k in kids))
+    return _rebuild(t, tuple(_inst(k, asg) for k in children(t)))
 
 
 def _check_acyclic(asg: dict[str, Term]) -> None:

@@ -17,10 +17,11 @@ Two session protocols over the kernel:
   simultaneous fill-and-close.
 
 Certification (`certify`) replays a finished session from a fresh state
-and checks each recorded certificate once, in the replay: a searching
-line (`auto`, `rw_search`, ...) replays from its certificate under its
-own parameters instead of searching again, and every other line runs
-again.  `check_session` checks a final state where it stands.
+and checks each recorded certificate once, in the replay, one
+`kernel.replay_step` per recorded step: a searching line (`auto`,
+`rw_search`, ...) replays from its certificate under its own parameters
+instead of searching again, and every other line runs again.
+`check_session` checks a final state where it stands.
 
 P(answer) has one prover: `prove_by_script` runs a script from
 `init_prove` and rechecks it (`search.prove_by_search` searches).  The
@@ -43,14 +44,13 @@ from .expr import (
 )
 from .kernel import (
     CertificateError, Goal, Hole, KernelError, ReplayReport, SolutionState,
-    TraceStep, apply_tactic, close_with, is_terminal, run_script, recheck,
+    apply_tactic, is_terminal, replay_step, run_script, recheck,
     script_of_trace,
 )
 from .syntax import (
     DfpsShapeError, Problem, ProofScript, ScriptLine, _check_dfps_shape,
     print_term,
 )
-from .tactics import replays_from_certificate, revalidate, revalidate_step
 
 ANSWER_HOLE = "w"
 FORWARD_HYP = "h_p_1"
@@ -284,33 +284,22 @@ def _framework_check(sess: Session) -> SessionCertificate:
 
 def run_trace(state: SolutionState, recorded: SolutionState) -> SolutionState:
     """Replay a recorded trace from a fresh state and check it step by
-    step: a closing line that only searches (`auto`, `rw_search`, ...)
-    replays from its certificate under its own parameters, every other
-    line runs again and its certificate is revalidated at once.  The
+    step (`kernel.replay_step`): a closing line that only searches
+    (`auto`, `rw_search`, ...) replays from its certificate under its
+    own parameters, every other line runs again and its certificate is
+    revalidated at once.  The
     replay must reproduce the recorded state term for term: its goals,
     holes and assignment, and its trace, certificates included."""
     steps = recorded.trace
     report = run_script(
         state, script_of_trace(recorded), done=lambda s: s == recorded,
-        step=lambda s, ln: _replay_step(s, steps[ln.lineno - 1]))
+        step=lambda s, ln: replay_step(s, steps[ln.lineno - 1]))
     if report.failed_line is not None:
         raise CertifyFailed(f"trace replay failed at step "
                             f"{report.failed_line}: {report.reason}")
     if not report.accepted:
         raise CertifyFailed("replayed state differs from the recorded state")
     return report.final
-
-
-def _replay_step(state: SolutionState, step: TraceStep) -> SolutionState:
-    """`state` after the recorded `step`, whose certificate is checked."""
-    if replays_from_certificate(step):
-        revalidate_step(step)
-        return close_with(state, step)
-    state = apply_tactic(state, step.goal, step.tactic, step.argtext)
-    cert = state.trace[-1].cert
-    if cert is not None:
-        revalidate(cert)
-    return state
 
 
 def _recheck_statement(p: Problem, answer: Term, script: ProofScript) -> None:

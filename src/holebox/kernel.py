@@ -6,10 +6,16 @@ case the caller keeps the old state.  A closing step is its certificate:
 the goal it closed, as the term the engine built, the evidence why, and
 the holes it fills, the kernel's only source of assignments.  `recheck`
 re-validates them all, which substitutes for a typechecking kernel.
-Certification checks each certificate recorded in the trace it is
-handed once, in its replay: a searching line replays from its
-certificate under its own parameters, and `close_with` commits it
-without running the tactic, through the same step as `apply_tactic`.
+The kernel holds every check.  Each tactic module registers the check
+of its certificate kind beside its tactic (`register_check`, into
+`CHECKS`); a closing line that takes no argument or only an optional
+number registers its replay rule in the same call (into
+`REPLAY_LINES`).  `revalidate` checks one certificate.  Certification
+checks each certificate of the trace it is handed once, in its replay,
+one `replay_step` per step: a line with a replay rule replays from its
+certificate under its own parameters and is committed without running
+the tactic, through the same step as `apply_tactic`; any other line
+runs again.
 Certificates never leave the process, so they hold the engine's own
 values and every check compares values with `==`: neither the parser
 nor the printer is on the path a proof is checked on.  A detail holds
@@ -304,17 +310,6 @@ def apply_tactic(s: SolutionState, case: Optional[str], tactic: str,
                    res.new_goals, res.new_holes)
 
 
-def close_with(s: SolutionState, step: TraceStep) -> SolutionState:
-    """Close `step.goal` with `step.cert`, a recorded certificate of
-    that goal as it stands in `s`, without running the tactic; the
-    caller has revalidated it.  Raises CertificateError otherwise."""
-    g = s.goal(step.goal)
-    if step.cert is None or step.cert.goal != g:
-        raise CertificateError(f"{step.tactic}: the recorded certificate "
-                               f"does not close goal {g.case!r}")
-    return _commit(s, g, step)
-
-
 def _commit(s: SolutionState, g: Goal, step: TraceStep,
             new_goals: tuple[Goal, ...] = (),
             new_holes: tuple[Hole, ...] = ()) -> SolutionState:
@@ -332,6 +327,74 @@ def _commit(s: SolutionState, g: Goal, step: TraceStep,
     for mid, val in step.cert.assigns if step.cert is not None else ():
         out = assign_metavar(out, mid, val)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Certificate checks and replay
+
+CheckFn = Callable[[Certificate], None]
+LineFn = Callable[[dict, str], bool]
+
+# The check of each certificate kind, and the replay rule of each closing
+# line that certification replays from its certificate: whether the
+# line's parameter agrees with the certificate's detail.  Each tactic
+# module fills both beside its tactic, at import (`register_check`).
+CHECKS: dict[str, CheckFn] = {}
+REPLAY_LINES: dict[str, LineFn] = {}
+
+
+def register_check(kind: str, line: Optional[LineFn] = None):
+    """Register the decorated function as the check of `kind`
+    certificates and, for a closing line that takes no argument or only
+    an optional number, `line` as its replay rule."""
+    def deco(fn: CheckFn) -> CheckFn:
+        CHECKS[kind] = fn
+        if line is not None:
+            REPLAY_LINES[kind] = line
+        return fn
+    return deco
+
+
+def reads_no_argument(detail: dict, argtext: str) -> bool:
+    """The replay rule of a closing line that takes no argument."""
+    return True
+
+
+def revalidate(cert: Certificate) -> None:
+    """Check `cert` with the check of its kind."""
+    fn = CHECKS.get(cert.tactic)
+    if fn is None:
+        raise CertificateError(
+            f"no revalidator for certificate kind {cert.tactic!r}")
+    fn(cert)
+
+
+def replay_step(s: SolutionState, step: TraceStep) -> SolutionState:
+    """`s` after the recorded `step`, whose certificate is checked.
+
+    A closing line with a replay rule does not run: its certificate must
+    be of the line's tactic, agree with the line, revalidate, and close
+    the goal as it stands in `s`, and it is committed through the same
+    step as `apply_tactic`.  Any other line runs again, and its
+    certificate is revalidated at once.  Raises CertificateError when a
+    check fails."""
+    cert = step.cert
+    line = REPLAY_LINES.get(step.tactic)
+    if cert is None or line is None:
+        s = apply_tactic(s, step.goal, step.tactic, step.argtext)
+        cert = s.trace[-1].cert
+        if cert is not None:
+            revalidate(cert)
+        return s
+    if cert.tactic != step.tactic or not line(cert.detail, step.argtext):
+        raise CertificateError(f"the line {step.tactic} {step.argtext!r} "
+                               "differs from its certificate")
+    revalidate(cert)
+    g = s.goal(step.goal)
+    if cert.goal != g:
+        raise CertificateError(f"{step.tactic}: the recorded certificate "
+                               f"does not close goal {g.case!r}")
+    return _commit(s, g, step)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +435,6 @@ def run_script(state: SolutionState, script: ProofScript,
 
 def recheck(final: SolutionState) -> None:
     """Re-validate every closure certificate in a finished trace."""
-    from .tactics import revalidate
     for step in final.trace:
         if step.cert is not None:
             revalidate(step.cert)

@@ -2,9 +2,11 @@
 
 Two answers are equivalent when the equality statement built over the
 problem's variables and hypotheses is proven by a fixed automation
-stack, tried in order: rfl, eval_decide, ring_nf (closing mode),
-rw_search at depth 6, auto with a 500-node budget.  First success wins
-and is reported; failure of the whole stack is a verdict, not an error.
+stack, tried in order: rfl, eval_decide, ring_nf (closing mode, asked
+of `ring_closes`, which holds exactly when the tactic closes the goal,
+and renders no normal form), rw_search at depth 6, auto with a 500-node
+budget.  First success wins and is reported; failure of the whole stack
+is a verdict, not an error.
 Prop-sorted answers (deductive sessions) compare by iff instead of
 equality, which the verdict flags.
 
@@ -38,6 +40,7 @@ from .syntax import Problem
 from .tactics.auto import refuted_at
 from .tactics.decide import Point
 from .tactics.linarith import Feasible, prove_linear
+from .tactics.ring import ring_closes
 
 
 class FreeVarError(SortError):
@@ -88,15 +91,18 @@ def rpe_check(p: Problem, a_hat: Term, a_bar: Term) -> RpeVerdict:
     state = SolutionState(goals=(goal,))
     prop_answers = p.queriable[1] == PROP
     for stage in RPE_STACK:
+        if stage == "ring_nf":
+            if ring_closes(goal.concl):
+                return RpeVerdict(True, stage, goal, prop_answers)
+            if _refuted(goal):
+                break
+            continue
         try:
             out = apply_tactic(state, "rpe", stage, _STACK_ARGS.get(stage, ""))
             if not out.goals:
                 return RpeVerdict(True, stage, goal, prop_answers)
         except TacticFailed:
             pass
-        # a transforming stage (ring_nf normalization mode) does not count
-        if stage == "ring_nf" and _refuted(goal):
-            break
     return RpeVerdict(False, None, goal, prop_answers)
 
 

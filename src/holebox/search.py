@@ -54,9 +54,6 @@ class PolicySuggestion:
         if self.tactic_length < 1:
             raise PolicyError("protocol", "tacticLength must be positive")
 
-    def render(self) -> str:
-        return f"{self.tactic} {self.argtext}".strip()
-
 
 @dataclass(frozen=True)
 class SearchConfig:

@@ -54,7 +54,7 @@ from ..expr import (
 from ..norm import definitional_eq, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, detail_value, int_arg, register_tactic,
+    TacticResult, detail_value, int_arg, register_check, register_tactic,
 )
 from .decide import Point, decide_prop, eval_at
 from .linarith import Feasible, prove_linear
@@ -309,6 +309,12 @@ def auto(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     return TacticResult(cert=Certificate("auto", goal, {"budget": budget_n}))
 
 
+def _auto_line(detail: dict, argtext: str) -> bool:
+    return detail_value("auto", detail, "budget", int) \
+        == int_arg(argtext, AUTO_BUDGET)
+
+
+@register_check("auto", line=_auto_line)
 def revalidate_auto(cert: Certificate) -> None:
     cert.fills({})
     budget = _Counter(detail_value("auto", cert.detail, "budget", int))

@@ -72,7 +72,7 @@ from ..expr import (
 from ..norm import arith, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, detail_value, int_arg, register_tactic,
+    TacticResult, detail_value, int_arg, register_check, register_tactic,
 )
 from ..syntax import print_term
 
@@ -578,6 +578,12 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
         eval_fills(goal.concl, pending, budget_n)))
 
 
+def _eval_decide_line(detail: dict, argtext: str) -> bool:
+    return detail_value("eval_decide", detail, "budget", int) \
+        == int_arg(argtext, DEFAULT_BUDGET)
+
+
+@register_check("eval_decide", line=_eval_decide_line)
 def revalidate_eval_decide(cert: Certificate) -> None:
     """Evaluate again under the budget the tactic ran under, with the
     holes it fills, if any, as the pending ones: the same fills."""

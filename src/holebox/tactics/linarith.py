@@ -110,7 +110,8 @@ from ..expr import (
 from ..norm import fold_literals, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, detail_value, register_tactic,
+    TacticResult, detail_value, reads_no_argument, register_check,
+    register_tactic,
 )
 from .decide import _assign_split, _value_term
 
@@ -1030,6 +1031,7 @@ def _target_bounds(cons: list[Constraint], target: list[Fraction]
 # Revalidation
 
 
+@register_check("linear_arith", line=reads_no_argument)
 def revalidate_linear_arith(cert: Certificate) -> None:
     """Fill the hole the goal asks for from the certificate's assigns,
     rebuild the goal's branch systems, and check them against the stored

@@ -57,8 +57,8 @@ are the step's own `assigns`.  `revalidate_rw_search` replays the path,
 each rule a library lemma or a hypothesis' rule in the step's context,
 requires it to end at an equation or iff, and builds the closer's
 certificate from that term, in the step's case and context, with the
-step's `assigns`, which `revalidate_rfl` or `revalidate_eval_decide`
-checks.
+step's `assigns`, which `kernel.revalidate` checks with the closer's
+own check.
 """
 
 from __future__ import annotations
@@ -81,15 +81,12 @@ from ..expr import (
 from ..norm import fold_literals
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, detail_value, int_arg, register_tactic,
+    TacticResult, detail_value, int_arg, register_check, register_tactic,
+    revalidate,
 )
 from ..syntax import ParseError, parse_term
-from .decide import (
-    DEFAULT_BUDGET, decide_prop, eval_fills, revalidate_eval_decide,
-)
-from .structural import (
-    _instantiate_hyp, _parse_citation, revalidate_rfl, rfl_check,
-)
+from .decide import DEFAULT_BUDGET, decide_prop, eval_fills
+from .structural import _instantiate_hyp, _parse_citation, rfl_check
 
 RW_SEARCH_DEPTH = 6
 RW_SEARCH_NODES = 2000
@@ -633,9 +630,12 @@ def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     return TacticResult(cert=cert)
 
 
-_CLOSER_CHECKS = {"rfl": revalidate_rfl, "eval_decide": revalidate_eval_decide}
+def _rw_search_line(detail: dict, argtext: str) -> bool:
+    return len(detail_value("rw_search", detail, "path", list)) \
+        <= int_arg(argtext, RW_SEARCH_DEPTH)
 
 
+@register_check("rw_search", line=_rw_search_line)
 def revalidate_rw_search(cert: Certificate) -> None:
     """Replay the path from the searched conclusion, then check the
     closer's certificate of the replayed equation, which fills the
@@ -665,5 +665,5 @@ def revalidate_rw_search(cert: Certificate) -> None:
         raise CertificateError(f"rw_search closer {closer!r} is neither "
                                "rfl nor eval_decide")
     kind, detail = closer
-    _CLOSER_CHECKS[kind](Certificate(
+    revalidate(Certificate(
         kind, Goal(goal.case, goal.ctx, term), detail, cert.assigns))

@@ -21,7 +21,7 @@ from ..expr import (
 from ..norm import fold_literals
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, register_tactic,
+    TacticResult, reads_no_argument, register_check, register_tactic,
 )
 
 MAX_RING_EXP = 64
@@ -208,6 +208,7 @@ def ring_closes(concl: Term) -> bool:
     return pl == pr
 
 
+@register_check("ring_nf", line=reads_no_argument)
 def revalidate_ring_nf(cert: Certificate) -> None:
     """The two sides' normal forms are equal; the certificate holds no
     evidence, since both are functions of the goal."""

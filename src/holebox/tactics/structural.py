@@ -18,7 +18,8 @@ from ..expr import (
 from ..norm import definitional_eq, fold_literals, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, Hole, SolutionState, TacticFailed,
-    TacticResult, detail_value, register_tactic,
+    TacticResult, detail_value, reads_no_argument, register_check,
+    register_tactic,
 )
 from ..syntax import (
     ParseError, RAppl, RName, parse_term, print_term, _Env, _P,
@@ -310,6 +311,7 @@ def _in_context(t: Term, goal: Goal, sort: Sort) -> bool:
     return t.sort == sort and free_vars(t) <= set(goal.ctx.names())
 
 
+@register_check("exact")
 def revalidate_exact(cert: Certificate) -> None:
     goal, detail = cert.goal, cert.detail
     if goal.is_hole_goal():
@@ -339,6 +341,7 @@ def revalidate_exact(cert: Certificate) -> None:
         raise CertificateError("exact: instance no longer matches the goal")
 
 
+@register_check("rfl", line=reads_no_argument)
 def revalidate_rfl(cert: Certificate) -> None:
     cert.fills({})
     try:
@@ -347,6 +350,7 @@ def revalidate_rfl(cert: Certificate) -> None:
         raise CertificateError("rfl certificate no longer validates")
 
 
+@register_check("cases")
 def revalidate_cases(cert: Certificate) -> None:
     cert.fills({})
     decl = cert.goal.ctx.lookup(

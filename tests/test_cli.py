@@ -451,14 +451,14 @@ def test_prove_with_a_nat_subtraction_lemma(tmp_path, capsys):
 @pytest.fixture
 def certificates_rejected(monkeypatch):
     """Every revalidator rejects every certificate."""
-    from holebox import tactics
+    from holebox import kernel
     from holebox.kernel import CertificateError
 
     def reject(cert):
         raise CertificateError(f"{cert.tactic} certificate rejected")
 
-    for kind in list(tactics._REVALIDATORS):
-        monkeypatch.setitem(tactics._REVALIDATORS, kind, reject)
+    for kind in list(kernel.CHECKS):
+        monkeypatch.setitem(kernel.CHECKS, kind, reject)
 
 
 @pytest.mark.parametrize("command, prefix", [

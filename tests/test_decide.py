@@ -111,7 +111,7 @@ def test_oracle_agreement_closed_props(fuzzer, rng):
 def _eval_cert(text, metas=None):
     """The certificate eval_decide records for the goal `text`, checked."""
     from holebox.kernel import Goal, Hole, SolutionState, apply_tactic
-    from holebox.tactics import revalidate_eval_decide
+    from holebox.tactics.decide import revalidate_eval_decide
     tele = Telescope()
     holes = tuple(Hole(m, tele, s) for m, s in (metas or {}).items())
     goal = Goal("h", tele, parse_term(text, tele, PROP, metas=metas))
@@ -148,7 +148,8 @@ def _open_goal_certs():
 
 def test_open_goal_certificates_rejected_by_each_revalidator():
     from holebox.kernel import CertificateError
-    from holebox.tactics import revalidate_eval_decide, revalidate_rw_search
+    from holebox.tactics.decide import revalidate_eval_decide
+    from holebox.tactics.rewrite import revalidate_rw_search
     certs = _open_goal_certs()
     checks = (revalidate_eval_decide, revalidate_eval_decide,
               revalidate_rw_search, revalidate_eval_decide,

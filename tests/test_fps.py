@@ -11,7 +11,7 @@ from holebox.fps import (
     CertifyFailed, DependsOnNonV, NotFinished, certify, dfps_init,
     extract_answer, forward_finished, fps_init, fps_to_dfps, session_init,
 )
-from holebox import kernel, tactics
+from holebox import kernel
 from holebox.kernel import CertificateError, is_terminal, run_script
 from holebox.syntax import (
     DfpsShapeError, parse_problem, parse_script, print_term,
@@ -195,8 +195,8 @@ def test_certify_replays_a_searching_step_from_its_certificate(monkeypatch):
     runs, checks = [], []
     monkeypatch.setitem(kernel.TACTICS, "auto",
                         _counting(runs, kernel.TACTICS["auto"]))
-    monkeypatch.setitem(tactics._REVALIDATORS, "auto",
-                        _counting(checks, tactics._REVALIDATORS["auto"]))
+    monkeypatch.setitem(kernel.CHECKS, "auto",
+                        _counting(checks, kernel.CHECKS["auto"]))
     cert = certify(sess)
     assert cert.forward and cert.backward
     assert len(runs) == 0
@@ -232,9 +232,9 @@ def test_certify_checks_a_line_against_its_certificate():
                   _with_line(by_eval, 1, "")]
     for sess in mismatched:
         step = sess.state.trace[1]
-        tactics.revalidate(step.cert)
+        kernel.revalidate(step.cert)
         with pytest.raises(CertificateError, match="differs"):
-            tactics.revalidate_step(step)
+            kernel.replay_step(sess.state, step)
         with pytest.raises(CertifyFailed,
                            match="differs from its certificate"):
             certify(sess)

@@ -14,8 +14,8 @@ from holebox.expr import (
 from holebox.kernel import (
     TACTICS, Certificate, CertificateError, EngineError, Goal, KernelError,
     OutOfContextError, SolutionState, TacticFailed, TacticResult, TraceStep,
-    apply_tactic, assign_metavar, close_with, is_terminal, recheck,
-    render_state, run_script,
+    apply_tactic, assign_metavar, is_terminal, recheck, render_state,
+    replay_step, revalidate, run_script,
 )
 from holebox.fps import init_prove, replay_check, session_init
 from holebox.syntax import parse_problem, parse_script, parse_term, print_term
@@ -311,15 +311,32 @@ def test_holes_are_filled_from_the_certificate_alone():
     assert out.trace == (TraceStep("h", "linear_arith", "", cert),)
 
 
-def test_close_with_commits_a_certificate_of_the_goal_as_it_stands():
+def test_a_certificate_of_an_unknown_kind_is_rejected():
+    # the kernel checks a certificate only with a check registered for
+    # its kind, and a recheck of a trace holding any other rejects it
+    state = session_init(prob(NICKELS)).state
+    ran = apply_tactic(state, "h", "linear_arith")
+    step = ran.trace[-1]
+    forged = replace(step, cert=replace(step.cert, tactic="linarith"))
+    with pytest.raises(CertificateError, match="no revalidator for "
+                       "certificate kind 'linarith'"):
+        revalidate(forged.cert)
+    with pytest.raises(CertificateError, match="no revalidator"):
+        recheck(replace(ran, trace=(forged,)))
+
+
+def test_replay_step_commits_a_certificate_of_the_goal_as_it_stands(
+        monkeypatch):
     # a recorded closing step, committed without running its tactic,
     # reaches the state the tactic reached, hole fills included
     state = session_init(prob(NICKELS)).state
     ran = apply_tactic(state, "h", "linear_arith")
     step = ran.trace[-1]
-    assert close_with(state, step) == ran
-    with pytest.raises(CertificateError, match="does not close goal"):
-        close_with(state, replace(step, cert=None))
+    with monkeypatch.context() as m:
+        m.delitem(TACTICS, "linear_arith")
+        assert replay_step(state, step) == ran
+    # a step recorded without a certificate runs its line again
+    assert replay_step(state, replace(step, cert=None)) == ran
     other = apply_tactic(state, "w", "exact", "7")    # `h` now reads `n = 7`
     with pytest.raises(CertificateError, match="does not close goal"):
-        close_with(other, step)
+        replay_step(other, step)

@@ -66,6 +66,26 @@ def test_module_level_statements_count_once_traced_before_import(tmp_path):
     assert sorted(linecov.statements(path) - hits) == [11, 18]
 
 
+def test_an_outer_recorder_records_after_a_nested_one_stops(tmp_path):
+    # a test that runs a recorder of its own must not end the trace of
+    # the run that records the whole suite
+    path = _write(tmp_path, "toy_nested.py", TOY)
+    before = sys.gettrace()
+    outer, inner = linecov.Recorder([path]), linecov.Recorder([path])
+    outer.start()
+    try:
+        toy = _load("toy_nested", path)
+        inner.start()
+        inner.stop()
+        assert sys.gettrace() == outer.trace
+        assert toy.clamp(5) == 3
+    finally:
+        outer.stop()
+    assert sys.gettrace() is before
+    assert 11 in outer.hits[os.path.realpath(path)]
+    assert 11 not in inner.hits[os.path.realpath(path)]
+
+
 def test_the_tool_reports_each_unreached_statement(tmp_path):
     path = _write(tmp_path, "toy_cli.py", TOY)
     _write(tmp_path, "test_toy_cli.py",

@@ -15,11 +15,10 @@ from holebox.expr import (
 from holebox.fps import session_init
 from holebox.kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    apply_tactic,
+    TraceStep, apply_tactic, replay_step, revalidate,
 )
 from holebox.norm import normalize
 from holebox.syntax import ParseError, parse_problem, parse_term, print_term
-from holebox.tactics import revalidate
 from holebox.tactics.auto import _SIMP_ROUNDS, _simp
 from holebox.tactics.decide import DEFAULT_BUDGET
 from holebox.tactics import rewrite
@@ -455,6 +454,28 @@ def test_rw_search_certificate_checks_its_assignment():
                                          "closer": ("rfl", {})})):
         with pytest.raises(CertificateError):
             revalidate_rw_search(forged)
+
+
+@pytest.mark.parametrize("tamper, match", [
+    ("hole-goal", "rw_search on a hole goal"),
+    ("occurrence", "step 'add_zero' fails to replay"),
+], ids=["hole-goal", "occurrence"])
+def test_replaying_a_tampered_rw_search_step_is_rejected(tamper, match):
+    # the replay checks the recorded certificate, not the search: a goal
+    # that is a hole's, or a step at an occurrence the rule does not
+    # have, is rejected though the line agrees with the certificate
+    from dataclasses import replace
+    st_ = setup_state("x + 0 = x", [], (LocalDecl("x", INT),))
+    cert = apply_tactic(st_, "h", "rw_search", "").trace[-1].cert
+    [[rule, back, occ]] = cert.detail["path"]
+    replay_step(st_, TraceStep("h", "rw_search", "", cert))
+    if tamper == "hole-goal":
+        forged = replace(cert, goal=Goal("h", cert.goal.ctx, INT))
+    else:
+        forged = replace(cert, detail={**cert.detail,
+                                       "path": [[rule, back, occ + 1]]})
+    with pytest.raises(CertificateError, match=match):
+        replay_step(st_, TraceStep("h", "rw_search", "", forged))
 
 
 @pytest.mark.parametrize("tactic", ["ring_nf", "auto"])

@@ -115,7 +115,7 @@ def test_nat_truncated_subtraction_not_a_ring():
 
 def test_oversized_coefficient_fails_cleanly():
     from holebox.kernel import Certificate
-    from holebox.tactics import revalidate_ring_nf
+    from holebox.tactics.ring import revalidate_ring_nf
     tele = Telescope((LocalDecl("x", INT),))
     goal = Goal("h", tele, parse_term("(10^3000 + x)^2 = x^2", tele, PROP))
     with pytest.raises(TacticFailed, match="coefficient of more than"):
@@ -133,7 +133,7 @@ def test_oversized_coefficient_fails_cleanly():
 def test_ring_certificate_needs_a_ring_sort():
     # ring_nf refuses an equation over sets, and so does its revalidator
     from holebox.kernel import Certificate, CertificateError
-    from holebox.tactics import revalidate_ring_nf
+    from holebox.tactics.ring import revalidate_ring_nf
     tele = Telescope((LocalDecl("A", set_of(INT)),))
     goal = Goal("h", tele, parse_term("A = A", tele, PROP))
     with pytest.raises(TacticFailed, match="ring_nf over"):

@@ -164,13 +164,18 @@ def _stages_run(monkeypatch, p, a, b):
     """`rpe_check`'s verdict on the texts `a` and `b`, and the stages it
     ran, in order."""
     ran = []
-    apply = rpe_mod.apply_tactic
+    apply, ring_closes = rpe_mod.apply_tactic, rpe_mod.ring_closes
 
     def recording(state, case, stage, arg):
         ran.append(stage)
         return apply(state, case, stage, arg)
 
+    def ring_stage(concl):
+        ran.append("ring_nf")
+        return ring_closes(concl)
+
     monkeypatch.setattr(rpe_mod, "apply_tactic", recording)
+    monkeypatch.setattr(rpe_mod, "ring_closes", ring_stage)
     tele, qs = p.telescope(), p.queriable[1]
     v = rpe_check(p, parse_term(a, tele, qs), parse_term(b, tele, qs))
     monkeypatch.undo()

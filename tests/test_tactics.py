@@ -293,7 +293,7 @@ def test_exact_certificate_terms_must_fit_their_goal():
     from dataclasses import replace
     from holebox.expr import NAT, mk_lit, mk_meta, mk_var
     from holebox.kernel import CertificateError, Hole
-    from holebox.tactics import revalidate_exact
+    from holebox.tactics.structural import revalidate_exact
     x = LocalDecl("x", INT)
     tele = Telescope((x,))
     hole = SolutionState(goals=(Goal("w", tele, INT),),
@@ -331,13 +331,61 @@ def test_exact_certificate_terms_must_fit_their_goal():
             revalidate_exact(forged)
 
 
+@pytest.mark.parametrize("tamper, match", [
+    ("context", "cited hypothesis is gone"),
+    ("args", "over-instantiated hypothesis"),
+    ("goal", "instance no longer matches the goal"),
+], ids=["hypothesis-gone", "over-instantiated", "goal-changed"])
+def test_a_tampered_citation_is_rejected(tamper, match):
+    # `exact hp` closes `x = 1` from `hp : x = 1`; its check rejects a
+    # context without `hp`, an argument `hp` has no binder for, and a
+    # goal the cited instance no longer matches
+    from dataclasses import replace
+    from holebox.expr import mk_lit
+    from holebox.kernel import CertificateError, revalidate
+    x = LocalDecl("x", INT)
+    tele = Telescope((x,))
+    hp = LocalDecl("hp", PROP, prop=parse_term("x = 1", tele, PROP))
+    cert = _exact_cert(goal_state("x = 1", (x, hp)), "h", "hp")
+    revalidate(cert)
+    forged = {
+        "context": replace(cert, goal=Goal("h", tele, cert.goal.concl)),
+        "args": replace(cert, detail={**cert.detail,
+                                      "args": (mk_lit(1, INT),)}),
+        "goal": replace(cert, goal=Goal("h", cert.goal.ctx, parse_term(
+            "x = 2", tele, PROP))),
+    }[tamper]
+    with pytest.raises(CertificateError, match=match):
+        revalidate(forged)
+
+
+@pytest.mark.parametrize("prop, match", [
+    (None, "false hypothesis is gone"),
+    ("1 = 1", "hypothesis is not False"),
+], ids=["hypothesis-gone", "not-false"])
+def test_a_tampered_false_hypothesis_is_rejected(prop, match):
+    # `cases hf` closes a goal from `hf : False`; its check rejects a
+    # context without `hf` and one where `hf` states something else
+    from dataclasses import replace
+    from holebox.kernel import CertificateError, revalidate
+    hf = LocalDecl("hf", PROP, prop=parse_term("False", Telescope(), PROP))
+    cert = apply_tactic(goal_state("1 = 2", (hf,)), "h", "cases",
+                        "hf").trace[-1].cert
+    revalidate(cert)
+    decls = () if prop is None else (LocalDecl(
+        "hf", PROP, prop=parse_term(prop, Telescope(), PROP)),)
+    forged = replace(cert, goal=Goal("h", Telescope(decls), cert.goal.concl))
+    with pytest.raises(CertificateError, match=match):
+        revalidate(forged)
+
+
 def test_normal_form_certificates_hold_no_normal_form():
     # rfl's and ring_nf's checks compare the normal forms of the goal's
     # two sides, so neither certificate holds one, and each check fails
     # on a goal whose sides differ
     from dataclasses import replace
     from holebox.kernel import CertificateError
-    from holebox.tactics import revalidate
+    from holebox.kernel import revalidate
     x = LocalDecl("x", INT)
     unequal = parse_term("x + 1 = x + 2", Telescope((x,)), PROP)
     for concl, tactic in (("x + 1 = x + 1", "rfl"),
@@ -408,8 +456,9 @@ def test_a_missing_or_mistyped_detail_key_is_a_certificate_error():
     # every check reads a detail through one checked accessor, so a key
     # dropped or of the wrong type fails the check, never with KeyError
     from dataclasses import replace
-    from holebox.kernel import CertificateError, TraceStep
-    from holebox.tactics import _LINE_CHECKS, revalidate, revalidate_step
+    from holebox.kernel import (
+        REPLAY_LINES, CertificateError, TraceStep, replay_step, revalidate,
+    )
     certs = _certificates_with_details()
     assert {c.tactic for c in certs} == {
         "exact", "rfl", "cases", "eval_decide", "ring_nf", "linear_arith",
@@ -440,6 +489,7 @@ def test_a_missing_or_mistyped_detail_key_is_a_certificate_error():
     for cert in bad:
         with pytest.raises(CertificateError):
             revalidate(cert)
-        if cert.tactic in _LINE_CHECKS:
+        if cert.tactic in REPLAY_LINES:
             with pytest.raises(CertificateError):
-                revalidate_step(TraceStep("h", cert.tactic, "", cert))
+                replay_step(SolutionState(),
+                            TraceStep("h", cert.tactic, "", cert))

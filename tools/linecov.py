@@ -63,6 +63,7 @@ class Recorder:
         self.hits: dict[str, set[int]] = {
             os.path.realpath(p): set() for p in paths}
         self._by_name: dict[str, object] = {}
+        self._outer: tuple = (None, None)
 
     def _tracer_for(self, filename: str):
         """The local trace function for frames of `filename`, or None
@@ -86,12 +87,16 @@ class Recorder:
             return local
 
     def start(self) -> None:
+        """Trace from here on; a trace already set (say, an outer
+        recorder's) is put back by `stop`."""
+        self._outer = (sys.gettrace(), threading.gettrace())
         threading.settrace(self.trace)
         sys.settrace(self.trace)
 
     def stop(self) -> None:
-        sys.settrace(None)
-        threading.settrace(None)
+        outer, outer_threads = self._outer
+        sys.settrace(outer)
+        threading.settrace(outer_threads)
 
 
 def report(recorder: Recorder, paths: list[str]) -> str:
