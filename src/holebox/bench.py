@@ -64,7 +64,8 @@ def load_benchmark(path: str) -> list[BenchmarkEntry]:
             continue
         try:
             entries.append(_parse_entry(line))
-        except (SchemaError, ParseError, ValueError, KeyError) as e:
+        except (SchemaError, ParseError, ExprError, ValueError,
+                KeyError) as e:
             errors.append((lineno, str(e)))
     if errors:
         raise BenchmarkLoadError(errors)

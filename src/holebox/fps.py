@@ -216,9 +216,9 @@ def extract_answer(sess: Session) -> Term:
         raise NotFinished("forward phase is not finished"
                           if sess.framework == "dfps"
                           else "session is not terminal")
+    # ready means terminal, every hole assigned, or forward finished,
+    # which holds only once the answer hole is assigned
     raw = sess.state.assigned_value(ANSWER_HOLE)
-    if raw is None:
-        raise NotFinished("answer hole is unassigned")
     answer = instantiate_metas(raw, sess.state.asg_map())
     if metavars_of(answer):
         raise NotFinished("answer still contains metavariables")

@@ -199,8 +199,8 @@ class SolutionState:
         return replace(self, goals=tuple(out), trace=self.trace + (step,))
 
     def with_new_hole(self, hole: Hole) -> "SolutionState":
-        if any(h.mid == hole.mid for h in self.holes):
-            raise KernelError(f"duplicate hole ?{hole.mid}")
+        """`self` with `hole` added; its id comes from `fresh_meta_id`,
+        so it names no hole yet."""
         return replace(self, holes=self.holes + (hole,))
 
     def fresh_meta_id(self, base: str) -> str:
@@ -296,6 +296,12 @@ def int_arg(argtext: str, default: int) -> int:
         raise TacticFailed(f"expected an integer argument, got {argtext!r}")
 
 
+def no_arg(tactic: str, argtext: str) -> None:
+    """Refuse argument text given to a tactic that takes none."""
+    if argtext.strip():
+        raise TacticFailed(f"{tactic} takes no argument, got {argtext!r}")
+
+
 def apply_tactic(s: SolutionState, case: Optional[str], tactic: str,
                  argtext: str = "") -> SolutionState:
     """Apply one named tactic; returns a fresh state or raises TacticFailed."""
@@ -357,7 +363,7 @@ def register_check(kind: str, line: Optional[LineFn] = None):
 
 def reads_no_argument(detail: dict, argtext: str) -> bool:
     """The replay rule of a closing line that takes no argument."""
-    return True
+    return not argtext.strip()
 
 
 def revalidate(cert: Certificate) -> None:

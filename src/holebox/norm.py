@@ -54,7 +54,8 @@ def arith(op: str, vals: list[Fraction], sort: Sort) -> Fraction:
     Nat subtraction truncates at zero; Int/Nat `/` and `%` are floor
     division and floor modulus; every `/` is total with `a / 0 = 0` and
     `%` with `a % 0 = a`.  `pow` takes a natural exponent; callers apply
-    their own size guards first.
+    their own size guards first, and pass only an op of `ARITH_OPS`
+    (`fold_arith` checks it; `eval_decide` names each op).
     """
     if op == "add":
         return vals[0] + vals[1]
@@ -77,9 +78,7 @@ def arith(op: str, vals: list[Fraction], sort: Sort) -> Fraction:
         if not vals[1]:
             return vals[0]
         return Fraction(vals[0].numerator % vals[1].numerator)
-    if op == "pow":
-        return vals[0] ** int(vals[1])
-    raise ValueError(f"not an arithmetic operator: {op!r}")
+    return vals[0] ** int(vals[1])      # pow, the last of ARITH_OPS
 
 
 def fold_arith(op: str, args: tuple[Term, ...], sort) -> Term | None:

@@ -98,6 +98,10 @@ class EvaluatesFalse(TacticFailed):
 
 FinSet = frozenset  # of Fraction
 
+# The value of a term of a numeric sort is a Fraction, of a proposition
+# a bool and of a set a FinSet, since `mk_*` build only well-sorted
+# terms.  `_as_num` refuses what else can reach arithmetic: the element
+# of a membership, whose sort may be a set's (`{1} in S`).
 Value = Union[Fraction, bool, FinSet]
 
 
@@ -221,14 +225,9 @@ def _eval_app(t: App, budget: Budget, env: Env) -> Value:
     if op in ("union", "inter"):
         a = eval_term(t.args[0], budget, env)
         b = eval_term(t.args[1], budget, env)
-        if not isinstance(a, frozenset) or not isinstance(b, frozenset):
-            raise EvalNotClosed("set operation on non-finite sets")
         return a | b if op == "union" else a & b
     if op == "card":
-        s = eval_term(t.args[0], budget, env)
-        if not isinstance(s, frozenset):
-            raise EvalNotClosed("cardinality of a non-enumerable set")
-        return Fraction(len(s))
+        return Fraction(len(eval_term(t.args[0], budget, env)))
     if op == "sum":
         return _eval_sum(t, budget, env)
     raise EvalNotClosed(f"operator {op!r} is not evaluable")
@@ -292,15 +291,10 @@ def _eval_atom(t: Atom, budget: Budget, env: Env) -> bool:
     rel = t.rel
     if rel == "mem":
         x = _as_num(eval_term(t.args[0], budget, env))
-        s = eval_term(t.args[1], budget, env)
-        if not isinstance(s, frozenset):
-            raise EvalNotClosed("membership in a non-enumerable set")
-        return x in s
+        return x in eval_term(t.args[1], budget, env)
     if rel in ("eq", "ne"):
         a = eval_term(t.args[0], budget, env)
         b = eval_term(t.args[1], budget, env)
-        if isinstance(a, frozenset) != isinstance(b, frozenset):
-            raise EvalNotClosed("heterogeneous equality")
         return (a == b) if rel == "eq" else (a != b)
     a = _as_num(eval_term(t.args[0], budget, env))
     if rel == "lt":
@@ -315,9 +309,7 @@ def _eval_atom(t: Atom, budget: Budget, env: Env) -> bool:
         return int(a) % 2 == 0
     if rel == "odd":
         return int(a) % 2 == 1
-    if rel == "prime":
-        return is_prime(int(a), budget)
-    raise EvalNotClosed(f"relation {rel!r} is not evaluable")
+    return is_prime(int(a), budget)     # prime, the last of mk_atom's
 
 
 def _eval_conn(t: Conn, budget: Budget, env: Env) -> bool:
@@ -327,9 +319,9 @@ def _eval_conn(t: Conn, budget: Budget, env: Env) -> bool:
     if op == "false":
         return False
     if op == "not":
-        return not _as_bool(eval_term(t.args[0], budget, env))
-    a = _as_bool(eval_term(t.args[0], budget, env))
-    b = _as_bool(eval_term(t.args[1], budget, env))
+        return not eval_term(t.args[0], budget, env)
+    a = eval_term(t.args[0], budget, env)
+    b = eval_term(t.args[1], budget, env)
     if op == "and":
         return a and b
     if op == "or":
@@ -339,12 +331,6 @@ def _eval_conn(t: Conn, budget: Budget, env: Env) -> bool:
     if op == "iff":
         return a == b
     raise AssertionError(op)
-
-
-def _as_bool(v: Value) -> bool:
-    if not isinstance(v, bool):
-        raise EvalNotClosed("expected a truth value")
-    return v
 
 
 # -- bounded enumeration ------------------------------------------------------
@@ -463,7 +449,7 @@ def _eval_quant(t: Binder, budget: Budget, env: Env) -> bool:
         raise EvalNotClosed("quantifier without derivable literal bounds")
     for k in rng:
         budget.charge()
-        v = _as_bool(eval_term(t.body, budget, (Fraction(k),) + env))
+        v = eval_term(t.body, budget, (Fraction(k),) + env)
         if t.kind == "exists" and v:
             return True
         if t.kind == "forall" and not v:
@@ -481,15 +467,13 @@ def _eval_setb(t: Binder, budget: Budget, env: Env) -> FinSet:
     for k in rng:
         budget.charge()
         v = Fraction(k)
-        if _as_bool(eval_term(t.body, budget, (v,) + env)):
+        if eval_term(t.body, budget, (v,) + env):
             out.add(v)
     return frozenset(out)
 
 
 def _eval_sum(t: App, budget: Budget, env: Env) -> Fraction:
     s = eval_term(t.args[0], budget, env)
-    if not isinstance(s, frozenset):
-        raise EvalNotClosed("sum over a non-enumerable set")
     lam = t.args[1]
     if not isinstance(lam, Binder) or lam.kind != "lam":
         raise EvalNotClosed("sum body is not a function literal")
@@ -506,7 +490,7 @@ def _eval_sum(t: App, budget: Budget, env: Env) -> Fraction:
 def decide_prop(prop: Term, budget_n: int = DEFAULT_BUDGET) -> tuple[bool, int]:
     """Evaluate one closed proposition; returns (verdict, budget used)."""
     budget = Budget(budget_n)
-    v = _as_bool(eval_term(normalize(prop), budget))
+    v = eval_term(normalize(prop), budget)
     return v, budget_n - budget.remaining
 
 
@@ -561,7 +545,7 @@ def eval_fills(concl: Term, pending: Collection[str], budget_n: int
         return ((me.mid, value),)
     if metavars_of(normalized):
         raise EvalNotClosed("conclusion still contains metavariables")
-    if not _as_bool(eval_term(normalized, Budget(budget_n))):
+    if not eval_term(normalized, Budget(budget_n)):
         raise EvaluatesFalse(normalized)
     return ()
 

@@ -110,7 +110,7 @@ from ..expr import (
 from ..norm import fold_literals, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, detail_value, reads_no_argument, register_check,
+    TacticResult, detail_value, no_arg, reads_no_argument, register_check,
     register_tactic,
 )
 from .decide import _assign_split, _value_term
@@ -905,6 +905,7 @@ def _named(cols: dict, point) -> dict:
 @register_tactic("linear_arith")
 def linear_arith(state: SolutionState, goal: Goal, argtext: str
                  ) -> TacticResult:
+    no_arg("linear_arith", argtext)
     if goal.is_hole_goal():
         raise TacticFailed("linear_arith does not apply to a hole goal")
     concl = goal.concl

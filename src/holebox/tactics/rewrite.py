@@ -126,10 +126,9 @@ def match(pat: Term, t: Term, sub: dict[str, Term]) -> bool:
         return pat.op == t.op and _match_all(pat.args, t.args, sub)
     if isinstance(pat, Atom):
         return pat.rel == t.rel and _match_all(pat.args, t.args, sub)
-    if isinstance(pat, Binder):
-        return (pat.kind == t.kind and pat.vsort == t.vsort
-                and match(pat.body, t.body, sub))
-    return False
+    # a Binder, the last kind of term
+    return (pat.kind == t.kind and pat.vsort == t.vsort
+            and match(pat.body, t.body, sub))
 
 
 def _match_all(ps: tuple[Term, ...], ts: tuple[Term, ...],

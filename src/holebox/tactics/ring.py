@@ -21,7 +21,8 @@ from ..expr import (
 from ..norm import fold_literals
 from ..kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
-    TacticResult, reads_no_argument, register_check, register_tactic,
+    TacticResult, no_arg, reads_no_argument, register_check,
+    register_tactic,
 )
 
 MAX_RING_EXP = 64
@@ -186,6 +187,7 @@ def ring_sides(concl: Term) -> tuple[Poly, Poly, AtomTable, Sort]:
 
 @register_tactic("ring_nf")
 def ring_nf(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
+    no_arg("ring_nf", argtext)
     if goal.is_hole_goal():
         raise NotRingExpr("ring_nf does not apply to a hole goal")
     concl = goal.concl

@@ -18,7 +18,7 @@ from ..expr import (
 from ..norm import definitional_eq, fold_literals, normalize
 from ..kernel import (
     Certificate, CertificateError, Goal, Hole, SolutionState, TacticFailed,
-    TacticResult, detail_value, reads_no_argument, register_check,
+    TacticResult, detail_value, no_arg, reads_no_argument, register_check,
     register_tactic,
 )
 from ..syntax import (
@@ -76,6 +76,7 @@ def exists_intro(state: SolutionState, goal: Goal, argtext: str
 
 @register_tactic("iff_split")
 def iff_split(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
+    no_arg("iff_split", argtext)
     concl = _need_prop_goal(goal, "iff_split")
     if not (isinstance(concl, Conn) and concl.op == "iff"):
         raise TacticFailed("iff_split needs an iff goal")
@@ -88,6 +89,7 @@ def iff_split(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 
 @register_tactic("and_split")
 def and_split(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
+    no_arg("and_split", argtext)
     concl = _need_prop_goal(goal, "and_split")
     if not (isinstance(concl, Conn) and concl.op == "and"):
         raise TacticFailed("and_split needs a conjunction goal")
@@ -173,6 +175,7 @@ def rfl_check(concl: Term) -> None:
 
 @register_tactic("rfl")
 def rfl(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
+    no_arg("rfl", argtext)
     rfl_check(_need_prop_goal(goal, "rfl"))
     return TacticResult(cert=Certificate("rfl", goal, {}))
 
@@ -240,12 +243,11 @@ def subst_goal(goal: Goal, var: str, value: Term, case: str,
     hypothesis `drop`, when given) is removed, and every hypothesis and
     the conclusion get the value substituted and their literals folded.
 
-    `value` must not mention `var`: then a hypothesis left as it was
-    does not mention `var` either, and only the restated ones are
-    checked.  (A hypothesis name is never a term, so none mentions
-    `drop`.)"""
-    if var in free_vars(value):
-        raise ExprError(f"substituting for {var!r} a value that mentions it")
+    `value` does not mention `var` (`int_cases` substitutes a literal,
+    `auto` a side its variable does not occur in): then a hypothesis
+    left as it was does not mention `var` either, and only the restated
+    ones are checked.  (A hypothesis name is never a term, so none
+    mentions `drop`.)"""
     decls = []
     for d in goal.ctx.decls:
         if d.name == var or d.name == drop:

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from holebox.expr import (
-    INT, LocalDecl, NAT, PROP, REAL, Telescope, eq_sides, metavars_of,
+    INT, LocalDecl, NAT, PROP, REAL, Telescope, eq_sides, fn, metavars_of,
 )
 from holebox.kernel import (
     Certificate, CertificateError, Goal, SolutionState, TacticFailed,
     apply_tactic,
 )
 from holebox.norm import normalize
-from holebox.syntax import parse_term
+from holebox.syntax import parse_term, print_term
 from holebox.tactics import auto as auto_mod, linarith
 from holebox.tactics.auto import (
     AUTO_BUDGET, AUTO_RW_DEPTH, BudgetExhausted, _Counter, _simp,
@@ -290,6 +290,33 @@ def test_a_real_countermodel_is_checked_as_rat():
     assert refuted_at(goal, Point({"r": Fraction(1, 2)}))
     assert not refuted_at(goal, Point({"r": 1}))
     assert not refuted_at(goal, Point({"r": Fraction(1, 4)}))
+
+
+def test_a_hypothesis_not_evaluable_at_a_point_refuses_it():
+    # `f x` has no value at a point, so x = 1 is no countermodel, and
+    # each branch of the disjunction reaches the closers and fails there
+    tele = _tele(LocalDecl("x", INT), LocalDecl("f", fn(INT, INT)),
+                 hyps=["f x = 2"])
+    assert not auto_mod._countermodel(tele, Point({"x": 1}))
+    with pytest.raises(TacticFailed, match="could not close"):
+        apply_tactic(SolutionState(goals=(Goal(
+            "h", tele, parse_term("x = 1 \\/ x = 2", tele, PROP)),)),
+            "h", "auto", "")
+
+
+@pytest.mark.parametrize("text", ["True", "forall (y : Int), y = y"])
+def test_auto_closes_true_and_introduces_a_binder(text):
+    assert closes(text)
+
+
+def test_simp_stops_after_its_round_limit():
+    # each `even` atom takes one round of `even_iff_mod`; the last ones
+    # are left as they are
+    n = auto_mod._SIMP_ROUNDS + 2
+    tele = Telescope(tuple(LocalDecl(f"x{i}", INT) for i in range(n)))
+    term = parse_term(" /\\ ".join(f"even x{i}" for i in range(n)), tele,
+                      PROP)
+    assert print_term(_simp(term)).count("even") == 2
 
 
 def test_each_search_starts_with_an_empty_table(monkeypatch):

@@ -1,6 +1,7 @@
 """Benchmark loading, outcomes, aggregation, and report determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from holebox.bench import (
     BenchmarkLoadError, aggregate_metrics, evaluate_entry, load_benchmark,
     report_json, run_benchmark,
 )
+from holebox.expr import RAT, mk_lit
 
 
 def test_bundled_corpus_loads(corpus):
@@ -33,6 +35,49 @@ def test_missing_field_reports_line(tmp_path):
     with pytest.raises(BenchmarkLoadError) as exc:
         load_benchmark(str(path))
     assert exc.value.errors[0][0] == 2
+
+
+GOOD_ENTRY = {"id": "g", "informalProblem": "p", "informalAnswer": "1",
+              "formalProblem": {
+                  "format_version": "1", "framework": "fps", "vars": [],
+                  "queriable": ["a", "Int"], "hypotheses": [],
+                  "conclusions": ["a = 1"]},
+              "formalAnswer": "1"}
+
+
+def test_every_bad_line_is_reported(tmp_path):
+    # an ill-sorted answer and a repeated declaration name are errors of
+    # their lines, like invalid JSON or an unknown marker; a blank line
+    # is skipped
+    repeated = json.loads(json.dumps(GOOD_ENTRY))
+    repeated["formalProblem"]["hypotheses"] = [["h", "1 = 1"],
+                                               ["h", "2 = 2"]]
+    lines = [json.dumps(dict(GOOD_ENTRY, formalAnswer="1 = 1")),
+             json.dumps(repeated), "{", "",
+             json.dumps(dict(GOOD_ENTRY, expected="maybe")),
+             json.dumps(GOOD_ENTRY)]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BenchmarkLoadError) as exc:
+        load_benchmark(str(path))
+    assert [(n, m.split(":")[0]) for n, m in exc.value.errors] == [
+        (1, "comparison where Int expected"),
+        (2, "duplicate declaration 'h'"),
+        (3, "invalid JSON"),
+        (5, "unknown expected marker 'maybe'")]
+
+
+def test_an_entry_without_a_script_is_unsolved(tmp_path):
+    # built in code, an entry's answer need not fit the problem: it is
+    # then not proven, not an error
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(GOOD_ENTRY) + "\n")
+    entry = replace(load_benchmark(str(path))[0],
+                    formal_answer=mk_lit(1, RAT))
+    rec = evaluate_entry(entry, solver="script")
+    assert rec["outcome"] == "unsolved"
+    assert rec["stats"] == {"error": "no reference script"}
+    assert rec["proven"] is False
 
 
 def test_empty_file_is_empty_list(tmp_path):

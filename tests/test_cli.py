@@ -3,18 +3,21 @@
 import contextlib
 import io
 import json
+import runpy
+import sys
 from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from holebox.bench import BenchmarkEntry, evaluate_entry
-from holebox.cli import cli_main, repl_session
+from holebox.cli import cli_main, main, repl_session
 from holebox.fps import replay_check
 from holebox.syntax import (
     MAX_DEPTH, parse_problem, parse_script, parse_term,
 )
 from test_parser_reference import operator_texts, token_texts
+from test_search import ECHO_POLICY
 
 
 def data_path(name):
@@ -252,6 +255,60 @@ def test_missing_file_exits_two(capsys):
     assert cli_main(["solve", "/nonexistent/p.json"]) == 2
 
 
+def test_solve_with_an_external_policy(capsys):
+    code = cli_main(["solve", problem_path("nickels.json"), "--policy", "ext",
+                     "--k", "50", "--s", "4",
+                     "--cmd", sys.executable, "-c", ECHO_POLICY])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["status"] == "solved" and out["answer"] == "7"
+
+
+def test_prove_by_search_of_a_wrong_answer_exits_one(capsys):
+    code = cli_main(["prove", problem_path("rationals.json"), "--answer", "1",
+                     "--k", "5"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["status"] == "not proven"
+
+
+def test_repl_command_reads_standard_input(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("@goal w exact 7\nquit\n"))
+    assert cli_main(["repl", problem_path("nickels.json")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("> ") == 2 and "?w := 7" in out
+
+
+@pytest.mark.parametrize("text", [None, "no colon here\n",
+                                  "format_version: 2\n"],
+                         ids=["missing", "malformed", "version"])
+def test_a_bad_lemma_file_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "lemmas.txt"
+    if text is not None:
+        path.write_text(text)
+    code = cli_main(["rpe-check", problem_path("rationals.json"),
+                     "--a", "1", "--b", "1", "--lemmas", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_main_exits_with_the_commands_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [
+        "holebox", "rpe-check", problem_path("rationals.json"),
+        "--a", "11/12", "--b", "3/4 + 1/6"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    # `python -m holebox.cli` runs the same; runpy warns that the module
+    # is imported already
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+            pytest.raises(SystemExit) as exc:
+        runpy.run_module("holebox.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.count('"equivalent": true') == 2
+
+
 def test_bench_run(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = cli_main(["bench", "run", data_path("corpus.jsonl"),
@@ -392,8 +449,9 @@ def test_answer_at_the_depth_bound_proves_and_replays(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "rewrite ((", "rewrite h2 $", "exact h2 (",
-    "rewrite h2 (" + "+".join(["1"] * 400) + ")",
-], ids=["open-brackets", "bad-character", "open-argument", "deep-argument"])
+    "rewrite h2 (" + "+".join(["1"] * 400) + ")", "exact 5",
+], ids=["open-brackets", "bad-character", "open-argument", "deep-argument",
+        "numeral"])
 def test_malformed_citation_rejected(tmp_path, capsys, line):
     script = tmp_path / "s.txt"
     script.write_text(f"format_version: 1\n{line}\n")
@@ -403,6 +461,34 @@ def test_malformed_citation_rejected(tmp_path, capsys, line):
     assert code == 1
     assert len(out) == 1 and out[0].startswith("rejected at line 2")
     assert "cannot cite" in out[0]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("exact", "exact needs an argument"),
+    ("exact h2 7", "more arguments than leading quantifiers"),
+    ("have 1x : True", "bad hypothesis name '1x'"),
+    ("have hx : y = 1", "have: unknown identifier 'y'"),
+    ("and_split", "and_split needs a conjunction goal"),
+    ("int_cases h2", "no variable named 'h2'"),
+    ("int_cases n", "cannot split while an unfilled hole depends on 'n'"),
+    ("rewrite h2 @", "`@` needs an occurrence number"),
+    ("@goal w rewrite h2", "rewrite does not apply to a hole goal"),
+    ("@goal w rw_search", "rw_search does not apply to a hole goal"),
+    ("@goal w auto", "auto does not apply to a hole goal"),
+    ("@goal w ring_nf", "ring_nf does not apply to a hole goal"),
+    ("rfl junk", "rfl takes no argument, got 'junk'"),
+    ("linear_arith 3", "linear_arith takes no argument, got '3'"),
+])
+def test_a_line_the_tactic_refuses_rejects_the_script(tmp_path, capsys, line,
+                                                      message):
+    script = tmp_path / "s.txt"
+    script.write_text(f"format_version: 1\n{line}\n")
+    code = cli_main(["solve", problem_path("nickels.json"),
+                     "--script", str(script)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(out) == 1 and out[0].startswith("rejected at line 2: ")
+    assert message in out[0]
 
 
 @pytest.mark.parametrize("term", ["2^4096^4096", "10^3000 * 10^3000"])

@@ -10,7 +10,7 @@ from conftest import bind
 from holebox.expr import (
     INT, NAT, PROP, RAT, REAL, App, BVar, Binder, Lit, LocalDecl, Telescope,
     Var, fn, instantiate_bvar, mk_app, mk_atom, mk_conn, mk_lit, mk_var,
-    subterms,
+    set_of, subterms,
 )
 from holebox.kernel import Goal, SolutionState, TacticFailed, apply_tactic
 from holebox.norm import normalize
@@ -65,6 +65,28 @@ def test_evaluates_false_is_distinct():
     with pytest.raises(EvalNotClosed):
         apply_tactic(SolutionState(goals=(open_goal,)), "h",
                      "eval_decide", "")
+
+
+def test_set_union_and_intersection_evaluate():
+    assert decide("True /\\ card (union (Icc (1 : Int) 3) (Icc 2 5)) = 5")
+    assert decide("card (inter (Icc (1 : Int) 3) (Icc 2 5)) = 2")
+
+
+@pytest.mark.parametrize("text, holes, message", [
+    ("?w = 3", {"w": REAL}, "symbolic Real literal"),
+    ("?w = Icc 1 2", {"w": set_of(INT)},
+     "cannot reify a set value into an answer term"),
+    ("{1} in union {{1}} {{2}}", {}, "expected a numeric value"),
+    # eta leaves the sum's body `f`, no function literal
+    ("(sum x in Icc 1 2, f x) = 3", {}, "sum body is not a function literal"),
+    ("forall (y : Rat), y = y", {}, "quantifier over Rat"),
+], ids=["real-fill", "set-fill", "set-element", "eta-sum-body",
+        "rat-quantifier"])
+def test_evaluation_refuses(text, holes, message):
+    tele = Telescope((LocalDecl("f", fn(INT, INT)),))
+    prop = parse_term(text, tele, PROP, metas=holes)
+    with pytest.raises(EvalNotClosed, match=message):
+        eval_fills(prop, set(holes), DEFAULT_BUDGET)
 
 
 def test_budget_exceeded():
@@ -229,7 +251,7 @@ def _subst_quant(t, budget, env):
     for k in rng:
         budget.charge()
         inst = normalize(instantiate_bvar(t.body, mk_lit(k, t.vsort)))
-        v = decide_mod._as_bool(decide_mod.eval_term(inst, budget))
+        v = decide_mod.eval_term(inst, budget)
         if t.kind == "exists" and v:
             return True
         if t.kind == "forall" and not v:
@@ -249,7 +271,7 @@ def _subst_setb(t, budget, env):
     for k in rng:
         budget.charge()
         inst = normalize(instantiate_bvar(t.body, mk_lit(k, t.vsort)))
-        if decide_mod._as_bool(decide_mod.eval_term(inst, budget)):
+        if decide_mod.eval_term(inst, budget):
             out.add(Fraction(k))
     return frozenset(out)
 

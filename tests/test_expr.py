@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import abstract_var
 from holebox.expr import (
     App, Atom, BVar, Binder, Conn, ExprError, INT, Lit, LocalDecl, Meta, NAT,
-    OccursCheckError, PROP, RAT, REAL, Sort, SubstitutionSortError, Telescope,
-    Var, _INTERNED, _rebuild, alpha_eq, children, fn,
+    OccursCheckError, PROP, RAT, REAL, Sort, SortError, SubstitutionSortError,
+    Telescope, Var, _INTERNED, _rebuild, alpha_eq, children, fn,
     free_vars, has_loose_bvars, instantiate_bvar, instantiate_metas,
     metavars_of, mk_app, mk_atom, mk_binder, mk_conn, mk_lit, mk_meta, mk_var,
     set_of, shift, substitute, subterms, syntactic_eq,
@@ -496,3 +496,59 @@ def test_size_alpha_eq_and_replace_all_match_their_references(p, q):
         new = mk_meta("replaced", old.sort)
         for t in (p, q):
             assert replace_all(t, old, new) is ref_replace_all(t, old, new)
+
+
+# -- the constructors' sort checks --------------------------------------------
+
+_I, _Q, _R = mk_var("i", INT), mk_var("q", RAT), mk_var("r", REAL)
+_N = mk_var("n", NAT)
+_S = mk_var("s", set_of(INT))
+_TRUE = mk_conn("true", ())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: mk_lit(-1, NAT), "is not a Nat"),
+    (lambda: mk_lit(Fraction(1, 2), INT), "is not an Int"),
+    (lambda: mk_lit(1, PROP), "literal of non-numeric sort"),
+    (lambda: mk_app("neg", (_N,)), "neg is not defined on Nat"),
+    (lambda: mk_app("mod", (_Q, _Q)), "mod requires Nat or Int"),
+    (lambda: mk_app("pow", (_R, _N)), "Real pow requires a Real exponent"),
+    (lambda: mk_app("pow", (_I, _I)), "pow of Int by Int"),
+    (lambda: mk_app("sqrt", (_Q,)), "sqrt requires a Real argument"),
+    (lambda: mk_app("rat", (_Q,)), "rat coerces Nat/Int only"),
+    (lambda: mk_app("setlit", ()), "empty set literal"),
+    (lambda: mk_app("setlit", (_I, _Q)), "must share one sort"),
+    (lambda: mk_app("range", (_Q, _Q)), "range requires Nat or Int"),
+    (lambda: mk_app("divisors", (_I,)), "divisors requires a Nat"),
+    (lambda: mk_app("card", (_I,)), "card requires a set"),
+    (lambda: mk_app("sum", (_S, mk_var("f", fn(RAT, INT)))),
+     "sum requires a set and a function on its elements"),
+    (lambda: mk_app("sum", (_S, mk_var("p", fn(INT, PROP)))),
+     "sum body must be numeric"),
+    (lambda: mk_app("@", (mk_var("f", fn(INT, INT)), _Q)),
+     "cannot apply Int -> Int to Rat"),
+    (lambda: mk_app("frob", ()), "unknown operator 'frob'"),
+    (lambda: mk_app("pi", (_I,)), "pi expects 0 argument(s), got 1"),
+    (lambda: mk_conn("xor", ()), "unknown connective 'xor'"),
+    (lambda: mk_conn("not", (_I,)), "not requires Prop arguments"),
+    (lambda: mk_atom("eq", (_I, _Q)), "eq on Int vs Rat"),
+    (lambda: mk_atom("eq", (_TRUE, _TRUE)), "use iff"),
+    (lambda: mk_atom("mem", (_Q, _S)), "mem of Rat in Set Int"),
+    (lambda: mk_atom("frob", ()), "unknown relation 'frob'"),
+    (lambda: mk_binder("forall", "x", INT, _I), "forall body must be Prop"),
+    (lambda: mk_binder("sigma", "x", INT, _TRUE), "unknown binder 'sigma'"),
+    (lambda: instantiate_metas(mk_meta("a", INT), {"a": mk_lit(1, RAT)}),
+     "assignment for ?a has sort Rat, expected Int"),
+    (lambda: LocalDecl("h", INT, prop=_TRUE), "h must have sort Prop"),
+])
+def test_constructors_reject_ill_sorted_arguments(build, message):
+    with pytest.raises(SortError) as err:
+        build()
+    assert message in str(err.value)
+
+
+def test_terms_print_their_fields():
+    # what an assertion shows when two terms differ
+    assert repr(mk_app("neg", (mk_var("x", INT),))) == (
+        "App(sort=Sort(kind='Int', args=()), op='neg', "
+        "args=(Var(sort=Sort(kind='Int', args=()), name='x'),))")

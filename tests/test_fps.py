@@ -6,10 +6,11 @@ from importlib import resources
 
 import pytest
 
-from holebox.expr import PROP, set_of, INT, mk_lit
+from holebox.expr import PROP, SortError, set_of, INT, mk_lit
 from holebox.fps import (
-    CertifyFailed, DependsOnNonV, NotFinished, certify, dfps_init,
-    extract_answer, forward_finished, fps_init, fps_to_dfps, session_init,
+    CertifyFailed, DependsOnNonV, InitError, NotFinished, SessionError,
+    certify, dfps_init, extract_answer, forward_finished, fps_init,
+    fps_to_dfps, init_prove, session_init, solve_certified,
 )
 from holebox import kernel
 from holebox.kernel import CertificateError, is_terminal, run_script
@@ -85,6 +86,47 @@ def test_forward_finished_flow():
     sess = sess.apply("h.mpr", "linear_arith", "")
     cert = certify(sess)
     assert cert.backward and not cert.early_exit
+
+
+def test_fps_init_rejects_a_problem_it_cannot_open():
+    with pytest.raises(InitError, match="needs a problem in the fps"):
+        fps_init(NICKELS_D)
+    with pytest.raises(InitError, match="no conclusions"):
+        fps_init(replace(EQ_ONE, concls=()))
+    with pytest.raises(SessionError, match="applies to dfps sessions"):
+        forward_finished(fps_init(EQ_ONE))
+
+
+def test_init_prove_rejects_an_answer_of_another_sort():
+    with pytest.raises(SortError, match="answer sort Int, expected Real"):
+        init_prove(EQ_ONE, mk_lit(1, INT))
+
+
+def test_a_forward_answer_holding_an_open_hole_is_not_extracted():
+    # the forward case closes on a hypothesis that names the hole ?k,
+    # still open: the answer `?k = 1` is no answer yet
+    script = parse_script([
+        "@goal h.mp have e : exists (k : Int), k = 1",
+        "@goal h.mp.e exists_intro",
+        "@goal h.mp have hk : ?k = 1",
+        "@goal h.mp exact hk",
+    ])
+    with pytest.raises(NotFinished, match="still contains metavariables"):
+        solve_certified(NICKELS_D, script)
+
+
+def test_the_statement_recheck_rejects_a_line_it_cannot_replay():
+    # before the fill, `rewrite hx` turns `x = ?w` into `1 = ?w`; with the
+    # answer `x` in from the start it rewrites both sides, so the second
+    # `rewrite hx` of the re-proof finds no `x`
+    prob_x = prob({"format_version": "1", "framework": "fps",
+                   "vars": [["x", "Int"]], "queriable": ["a", "Int"],
+                   "hypotheses": [["hx", "x = 1"]], "conclusions": ["x = a"]})
+    script = parse_script(["rewrite hx", "@goal w exact x", "rewrite hx",
+                           "rfl"])
+    with pytest.raises(CertifyFailed,
+                       match="statement recheck failed at line 3: rewrite"):
+        solve_certified(prob_x, script)
 
 
 def test_extract_unfinished_raises():
@@ -238,6 +280,29 @@ def test_certify_checks_a_line_against_its_certificate():
         with pytest.raises(CertifyFailed,
                            match="differs from its certificate"):
             certify(sess)
+
+
+TWO_CONCLUSIONS = prob({
+    "format_version": "1", "framework": "fps", "vars": [],
+    "queriable": ["a", "Int"], "hypotheses": [],
+    "conclusions": ["a * a = 49", "a + a = 14"]})
+
+
+@pytest.mark.parametrize("problem, lines", [
+    (SQUARE, ["rfl"]),
+    (SQUARE, ["ring_nf"]),
+    (SQUARE, ["linear_arith"]),
+    (TWO_CONCLUSIONS, ["and_split", "@goal h.l rfl", "@goal h.r rfl"]),
+], ids=["rfl", "ring_nf", "linear_arith", "and_split"])
+def test_certify_rejects_text_on_a_line_that_takes_no_argument(problem,
+                                                               lines):
+    # the line after the fill is given text it does not take
+    sess = fps_init(problem)
+    for line in parse_script(["@goal w exact 7", *lines]).lines:
+        sess = sess.apply(line.goal, line.tactic, line.argtext)
+    assert certify(sess).backward
+    with pytest.raises(CertifyFailed):
+        certify(_with_line(sess, 1, "junk"))
 
 
 def test_certify_rejects_swapped_certificates():

@@ -104,6 +104,32 @@ def test_assign_twice_rejected():
         assign_metavar(out, "w", mk_lit(6, NAT))
 
 
+def test_assign_unknown_hole_rejected():
+    state = session_init(prob(FERMAT)).state
+    with pytest.raises(KernelError, match=r"no hole \?v"):
+        assign_metavar(state, "v", mk_lit(5, NAT))
+
+
+def test_new_goal_named_like_an_open_goal_rejected():
+    # `have l` leaves the goal `h.l` open; splitting `h` would open a
+    # second `h.l`
+    doc = dict(NICKELS, conclusions=["n = a", "d = 4"])
+    state = apply_tactic(session_init(prob(doc)).state, "h", "have",
+                         "l : n = 7")
+    with pytest.raises(KernelError, match="duplicate goal name 'h.l'"):
+        apply_tactic(state, "h", "and_split", "")
+
+
+def test_a_new_hole_is_numbered_past_the_names_taken():
+    doc = dict(NICKELS, conclusions=["exists (w : Int), w = a"])
+    state = apply_tactic(session_init(prob(doc)).state, "h", "exists_intro",
+                         "")
+    assert [h.mid for h in state.holes] == ["w", "w1"]
+    state = apply_tactic(state, "h", "have", "e : exists (w : Int), w = 1")
+    state = apply_tactic(state, "h.e", "exists_intro", "")
+    assert [h.mid for h in state.holes] == ["w", "w1", "w2"]
+
+
 def test_tactic_immutability():
     state = session_init(prob(NICKELS)).state
     before = render_state(state)

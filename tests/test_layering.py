@@ -3,10 +3,14 @@
 import ast
 import importlib
 import importlib.util
+import inspect
+import textwrap
 from pathlib import Path
 
 import holebox
+import holebox.tactics  # noqa: F401  (registers every tactic)
 from holebox.expr import Term
+from holebox.kernel import TACTICS
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -312,6 +316,40 @@ def test_only_fps_runs_scripts_and_rechecks():
              or " import " in hit
              and hit.split(":", 1)[0] in PROVER_CLIENTS]
     assert not stray, stray
+
+
+# -- tactic arguments ------------------------------------------------------
+
+# Every tactic reads its argument text, if only to refuse it
+# (`kernel.no_arg`), so that text a tactic ignores is never recorded in
+# a trace as if it had been read.
+
+
+def ignores_its_argument(fn):
+    """Whether the tactic `fn` never reads its third parameter, the
+    argument text."""
+    func = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+    name = func.args.args[2].arg
+    return not any(isinstance(node, ast.Name) and node.id == name
+                   and isinstance(node.ctx, ast.Load)
+                   for node in ast.walk(func))
+
+
+def test_argument_check_catches_a_tactic_that_ignores_its_text():
+    def ignores(state, goal, argtext):
+        return goal
+
+    def reads(state, goal, text):
+        return goal if text else state
+
+    assert ignores_its_argument(ignores)
+    assert not ignores_its_argument(reads)
+
+
+def test_every_tactic_reads_its_argument():
+    ignoring = sorted(name for name, fn in TACTICS.items()
+                      if ignores_its_argument(fn))
+    assert len(TACTICS) == 15 and not ignoring, ignoring
 
 
 # -- the memo slots ---------------------------------------------------------

@@ -96,8 +96,25 @@ def test_the_tool_reports_each_unreached_statement(tmp_path):
          "--", "-q", "-p", "no:cacheprovider", str(tmp_path)],
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.splitlines()[-4:] == [
+    assert out.stdout.splitlines()[-5:] == [
         f"{path}: 9 statements, 3 unreached",
         f"{path}:12: while False:",
         f"{path}:14: return max(x, -LIMIT)",
-        f"{path}:18: return math.pi"]
+        f"{path}:18: return math.pi",
+        "total: 9 statements, 3 unreached"]
+
+
+def test_the_total_line_sums_every_file(tmp_path):
+    # two files given: the last line adds up both counts
+    first = _write(tmp_path, "toy_a.py", TOY)
+    second = _write(tmp_path, "toy_b.py", TOY)
+    recorder = linecov.Recorder([first, second])
+    recorder.start()
+    try:
+        _load("toy_a", first).clamp(5)
+    finally:
+        recorder.stop()
+    lines = linecov.report(recorder, [first, second]).splitlines()
+    assert lines[0] == f"{first}: 9 statements, 3 unreached"
+    assert f"{second}: 9 statements, 9 unreached" in lines
+    assert lines[-1] == "total: 18 statements, 12 unreached"

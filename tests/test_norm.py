@@ -53,6 +53,17 @@ def test_eta_contraction():
     assert print_term(normalize(lam)) == "f"
 
 
+def test_eta_keeps_a_head_that_mentions_the_bound_variable():
+    # neither is an eta redex: the head `f y`, or `g (fun z => z + y)`
+    # under a binder of its own, mentions y
+    tele = Telescope((LocalDecl("f", fn(INT, fn(INT, INT))),
+                      LocalDecl("g", fn(fn(INT, INT), fn(INT, INT)))))
+    for text in ("fun (y : Int) => f y y",
+                 "fun (y : Int) => g (fun (z : Int) => z + y) y"):
+        lam = parse_term(text, tele)
+        assert normalize(lam) is lam, text
+
+
 def test_beta_reduction():
     applied = t("(fun (y : Int) => y) 7", expected=INT)
     assert print_term(normalize(applied)) == "7"
@@ -76,6 +87,15 @@ def test_interval_unfolds_to_set_builder():
     iio = parse_term("Iio ((-4/3 : Real))")
     sb = parse_term("{y : Real | y < -4/3}")
     assert definitional_eq(iio, sb)
+
+
+@pytest.mark.parametrize("text, unfolded", [
+    ("x in Ico 1 5", "1 <= x /\\ x < 5"),
+    ("x in Ioc 1 5", "1 < x /\\ x <= 5"),
+])
+def test_half_open_intervals_unfold(text, unfolded):
+    tele = Telescope((LocalDecl("x", INT),))
+    assert print_term(normalize(parse_term(text, tele))) == unfolded
 
 
 def test_finite_set_literal_membership():

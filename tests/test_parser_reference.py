@@ -583,6 +583,12 @@ def test_printed_terms_parse_alike(seed, depth):
     assert _outcome(_New, _term, text)[0] == "ok"
 
 
+def test_raw_trees_print_their_fields():
+    # what `_same` shows when the two parsers disagree
+    raw = _New("x + -1").term()
+    assert repr(raw) == "RBin('add', RName('x'), RNeg(RNum(Fraction(1, 1))))"
+
+
 def test_bundled_texts_parse_alike():
     from importlib import resources
     import json

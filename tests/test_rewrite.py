@@ -145,6 +145,63 @@ def test_lemma_library_loads_and_versions():
         load_lemma_library("add_zero : ?x + 0 <-> ?x\n")   # no version line
 
 
+@pytest.mark.parametrize("line, message", [
+    ("no colon here", "malformed lemma line"),
+    ("bare : ?x + 0", "lemma 'bare' has no rewrite arrow"),
+    ("bad : ?x + True <-> ?x", "lemma 'bad' does not elaborate at any sort"),
+    ("format_version: 2", "unsupported lemma library version '2'"),
+], ids=["no-colon", "no-arrow", "ill-sorted", "version"])
+def test_malformed_lemma_library_rejected(line, message):
+    with pytest.raises(ParseError, match=message):
+        load_lemma_library(f"format_version: 1\n{line}\n")
+
+
+def test_a_ground_lemma_has_one_instance_and_sides_are_read():
+    assert len(parse_lemma_line("two : 1 + 1 <-> 2")) == 1
+    (div_self, *_) = parse_lemma_line("div_self : ?x / ?x <-> 1 if ?x != 0")
+    assert [print_term(s) for s in div_self.sides] == ["?x != 0"]
+
+
+@pytest.mark.parametrize("lemma", [
+    "pad : ?x <-> ?x + ?y",                      # ?y unbound in the target
+    "guarded : ?x / ?x <-> 1 if ?y != 0",        # and in the guard
+    "div_self : ?x / ?x <-> 1 if ?x != 0",       # the guard holds ?w
+])
+def test_a_rule_that_cannot_fill_a_guard_or_its_target_does_not_rewrite(
+        lemma):
+    lib = load_lemma_library(f"format_version: 1\n{lemma}\n")
+    bundled = default_library()
+    tele = Telescope((LocalDecl("x", INT),))
+    st = SolutionState(goals=(Goal("h", tele, parse_term(
+        "x = ?w / ?w", tele, PROP, metas={"w": INT})),))
+    try:
+        set_default_library(lib)
+        with pytest.raises(NoMatch, match="does not match"):
+            apply_tactic(st, "h", "rewrite", lemma.split()[0])
+    finally:
+        set_default_library(bundled)
+
+
+def test_rw_search_closes_no_rewrite_that_is_no_equation():
+    # `even_iff_mod` backward turns `x % 2 = 0` into `even x`, which no
+    # closer takes
+    st = setup_state("x % 2 = 0", [], (LocalDecl("x", INT),))
+    with pytest.raises(SearchExhausted):
+        apply_tactic(st, "h", "rw_search", "1")
+
+
+def test_rewrite_matches_under_a_binder_and_set_literals_by_length():
+    n, x = LocalDecl("n", INT), LocalDecl("x", INT)
+    st = setup_state("(sum k in Icc 1 n, k) = n /\\ "
+                     "card {x, n, 1} = card {x, n}",
+                     [("hs", "(sum k in Icc 1 n, k) = 2 * n"),
+                      ("hc", "card {x, n} = 2")], (n, x))
+    out = apply_tactic(apply_tactic(st, "h", "rewrite", "hs"), "h",
+                       "rewrite", "hc")
+    assert print_term(out.goals[0].concl) == \
+        "2 * n = n /\\ card {x, n, 1} = 2"
+
+
 def test_lemma_line_sort_instances():
     lemmas = parse_lemma_line("add_zero : ?x + 0 <-> ?x")
     sorts = {l.lhs.sort.kind for l in lemmas}

@@ -64,6 +64,15 @@ def test_normalization_mode_transforms():
     assert print_term(out.goals[0].concl) == "x + 1 = x + 2"
 
 
+def test_negation_and_a_product_of_atoms_in_normal_form():
+    assert closes("-(m * n) + m * n = 0", MN)
+    tele = Telescope(MN)
+    st = SolutionState(goals=(Goal("h", tele, parse_term(
+        "-(n * m) = m", tele, PROP)),))
+    out = apply_tactic(st, "h", "ring_nf", "")
+    assert print_term(out.goals[0].concl) == "-1 * (n * m) = m"
+
+
 def test_canonicality_random_evaluation(rng, fuzzer):
     """p and q have one polynomial iff p - q vanishes at random
     rational points (10 points per identity, degree-bounded fragment)."""

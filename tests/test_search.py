@@ -2,15 +2,18 @@
 
 import json
 import math
+import signal
 import sys
 import textwrap
 
 import pytest
 
 from holebox.fps import session_init
+from holebox.kernel import SolutionState, is_terminal
 from holebox.search import (
-    ExternalPolicy, PolicyError, PolicySuggestion, SearchConfig, SearchNode,
-    allocate, best_first_search, builtin_policy, expand, node_value,
+    MAX_SEARCH_DEPTH, ExternalPolicy, PolicyError, PolicySuggestion,
+    SearchConfig, SearchNode, allocate, best_first_search, builtin_policy,
+    expand, node_value, search_states,
 )
 from holebox.syntax import parse_problem, print_term
 
@@ -109,23 +112,52 @@ def test_unsolvable_goal_exhausts_with_stats():
     assert r.stats["frontier"] == 0 and r.stats["popped"] >= 1
 
 
+SQRT = prob({"format_version": "1", "framework": "fps",
+             "vars": [["x", "Real"]], "queriable": ["a", "Real"],
+             "hypotheses": [], "conclusions": ["a = sqrt x"]})
+
+
+def busywork(state, goal, k):
+    """A policy that keeps adding trivia and never reaches terminal."""
+    if goal.is_hole_goal():
+        return []
+    name = goal.ctx.fresh("pad")
+    return [PolicySuggestion(goal.case, "have", f"{name} : 1 = 1",
+                             math.log(0.5), 10)]
+
+
 def test_budget_spent_when_progress_never_closes():
-    # a policy that keeps adding trivia never reaches terminal, so the
-    # search pops exactly K nodes before giving up
-    p = prob({"format_version": "1", "framework": "fps",
-              "vars": [["x", "Real"]], "queriable": ["a", "Real"],
-              "hypotheses": [], "conclusions": ["a = sqrt x"]})
-
-    def busywork(state, goal, k):
-        if goal.is_hole_goal():
-            return []
-        name = goal.ctx.fresh("pad")
-        return [PolicySuggestion(goal.case, "have", f"{name} : 1 = 1",
-                                 math.log(0.5), 10)]
-
-    r = best_first_search(p, busywork, SearchConfig(4, 20))
+    # the search pops exactly K nodes before giving up
+    r = best_first_search(SQRT, busywork, SearchConfig(4, 20))
     assert r.status == "exhausted"
     assert r.stats["popped"] == 20
+
+
+def test_a_path_ends_at_the_depth_cap():
+    # one suggestion per node: a single path, which ends at the node
+    # MAX_SEARCH_DEPTH steps deep, however large the budget
+    r = best_first_search(SQRT, busywork, SearchConfig(1, 100))
+    assert r.status == "exhausted"
+    assert r.stats["popped"] == MAX_SEARCH_DEPTH + 1
+    assert r.stats["frontier"] == 0
+
+
+def test_search_config_rejects_a_bad_width_or_budget():
+    for width, budget in ((0, 10), (1, -1)):
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            SearchConfig(width, budget)
+
+
+def test_a_terminal_state_is_found_at_the_root_and_never_expanded():
+    def unasked(state, goal, k):
+        raise AssertionError("a terminal state has no goal to ask about")
+
+    done = SolutionState()
+    node, stats = search_states(done, unasked, SearchConfig(4, 10),
+                                is_terminal)
+    assert node.state is done and node.depth == 0
+    assert (stats["popped"], stats["generated"]) == (1, 0)
+    assert expand(SearchNode(done, 0.0, 0), unasked, 4) == []
 
 
 def test_solved_search_certifies():
@@ -157,6 +189,32 @@ BROKEN_POLICY = textwrap.dedent("""
         print("not json", flush=True)
 """)
 
+WRONG_ID_POLICY = textwrap.dedent("""
+    import json, sys
+    for line in sys.stdin:
+        print(json.dumps({"id": -1, "suggestions": []}), flush=True)
+""")
+
+NO_LOGPROB_POLICY = textwrap.dedent("""
+    import json, sys
+    for line in sys.stdin:
+        req = json.loads(line)
+        print(json.dumps({"id": req["id"],
+                          "suggestions": [{"tactic": "rfl"}]}), flush=True)
+""")
+
+QUITTING_POLICY = textwrap.dedent("""
+    import sys
+    sys.stdin.readline()
+""")
+
+STUBBORN_POLICY = textwrap.dedent("""
+    import signal, sys, time
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    print("ready", flush=True)
+    time.sleep(30)
+""")
+
 SLEEPY_POLICY = textwrap.dedent("""
     import sys, time
     for line in sys.stdin:
@@ -186,6 +244,28 @@ def test_external_policy_protocol_error():
             policy(sess.state, sess.state.goal("h"), 2)
     finally:
         policy.close()
+
+
+@pytest.mark.parametrize("source, message", [
+    (WRONG_ID_POLICY, "response id mismatch"),
+    (NO_LOGPROB_POLICY, "bad suggestion"),
+    (QUITTING_POLICY, "policy process closed its stream"),
+], ids=["wrong-id", "no-logprob", "quits"])
+def test_each_protocol_fault_is_named(source, message):
+    policy = ExternalPolicy([sys.executable, "-c", source])
+    try:
+        sess = session_init(NICKELS)
+        with pytest.raises(PolicyError, match=message):
+            policy(sess.state, sess.state.goal("h"), 2)
+    finally:
+        policy.close()
+
+
+def test_a_policy_that_ignores_terminate_is_killed():
+    policy = ExternalPolicy([sys.executable, "-c", STUBBORN_POLICY])
+    assert policy.proc.stdout.readline() == "ready\n"
+    policy.close()
+    assert policy.proc.wait(timeout=5) == -signal.SIGKILL
 
 
 def test_external_policy_timeout_returns_empty(capsys):

@@ -6,8 +6,9 @@ from dataclasses import replace
 import pytest
 
 from holebox.expr import (
-    INT, LocalDecl, NAT, PROP, RAT, REAL, Telescope, alpha_eq, children, fn,
-    mk_app, mk_atom, mk_conn, set_of, substitute, syntactic_eq,
+    INT, LocalDecl, NAT, PROP, RAT, REAL, SortError, Telescope, alpha_eq,
+    children, fn, mk_app, mk_atom, mk_conn, mk_lit, mk_var, set_of,
+    substitute, syntactic_eq,
 )
 from holebox.kernel import Goal, SolutionState, apply_tactic, recheck
 from holebox.norm import normalize
@@ -128,6 +129,47 @@ def test_cardinality_anchors_a_comparison_at_nat(text):
     assert print_term(term) == text
 
 
+ELAB_TELE = Telescope((
+    LocalDecl("x", INT), LocalDecl("s", set_of(INT)),
+    LocalDecl("h", PROP, prop=mk_atom("eq", (mk_var("x", INT),
+                                              mk_lit(1, INT))))))
+
+
+@pytest.mark.parametrize("text, expected, message", [
+    ("h + 1", INT, "'h' names a hypothesis, not a term"),
+    ("abs", INT, "'abs' expects arguments"),
+    ("sum k in x, k", INT, "sum ranges over a set"),
+    ("-x", PROP, "numeric expression where Prop expected"),
+    ("x = 1", INT, "comparison where Int expected"),
+    ("x in s", INT, "membership where Int expected"),
+    ("1 in x", PROP, "membership in Int"),
+    ("2 dvd x", INT, "divisibility where Int expected"),
+    ("forall (y : Int), y = y", INT, "quantifier where Int expected"),
+    ("abs x x", INT, "abs expects 1 argument(s), got 2"),
+    ("frob x", INT, "unknown identifier 'frob'"),
+    ("x 1", INT, "cannot apply a value of sort Int"),
+])
+def test_ill_sorted_terms_rejected(text, expected, message):
+    with pytest.raises(SortError) as err:
+        parse_term(text, ELAB_TELE, expected)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("text, expected, printed", [
+    # a numeral with nothing to anchor it is an Int
+    ("-3", None, "-3"),
+    # propositions compared with `=` or `!=` are an iff
+    ("prime 7 = True", PROP, "prime 7 <-> True"),
+    ("(1 = 1) != False", PROP, "not (1 = 1 <-> False)"),
+    ("rat 2 = 2", PROP, "rat 2 = 2"),
+    ("card (union s {1}) = 2", PROP, "card (s \\/ {1}) = 2"),
+    ("card (inter s {1}) = 1", PROP, "card (s /\\ {1}) = 1"),
+    ("pi < 4", PROP, "pi < 4"),
+])
+def test_builtins_and_anchors_elaborate_and_print(text, expected, printed):
+    assert print_term(parse_term(text, ELAB_TELE, expected)) == printed
+
+
 def test_cardinality_of_an_interval_decides():
     assert decide_prop(parse_term("card (Icc 1 5) = 5", Telescope(),
                                   PROP))[0] is True
@@ -188,6 +230,46 @@ def test_dfps_shape_validation():
                 conclusions=["x = 1 <-> A = 1"])
     with pytest.raises(DfpsShapeError):
         parse_problem(json.dumps(bad2))
+
+
+def test_conclusions_are_one_conjunction():
+    doc = dict(FIND_ALL_DOC, conclusions=["x in a", "x <= 2", "0 <= x"])
+    p = parse_problem(json.dumps(doc))
+    assert print_term(p.conclusion()) == "x in a /\\ x <= 2 /\\ 0 <= x"
+
+
+DFPS_DOC = {"format_version": "1", "framework": "dfps",
+            "vars": [["x", "Int"]], "queriable": ["A", "Prop"],
+            "hypotheses": [], "conclusions": ["x = 1 <-> A"]}
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    ("{", SchemaError, "invalid JSON"),
+    ("[1]", SchemaError, "problem document must be a JSON object"),
+    (dict(FIND_ALL_DOC, framework="lean"), SchemaError,
+     "framework must be 'fps' or 'dfps', got 'lean'"),
+    (dict(FIND_ALL_DOC, vars=[["x"]]), SchemaError,
+     "malformed vars/queriable"),
+    (dict(FIND_ALL_DOC, queriable=["a", "Set Int Int"]), SchemaError,
+     "trailing input in sort 'Set Int Int'"),
+    (dict(FIND_ALL_DOC, hypotheses=[["h"]]), SchemaError,
+     "malformed hypothesis entry ['h']"),
+    (dict(FIND_ALL_DOC, conclusions=["x in"]), SchemaError, "conclusion: "),
+    (dict(FIND_ALL_DOC, answer="{-1,"), SchemaError, "answer: "),
+    (dict(DFPS_DOC, conclusions=["x = 1 <-> A", "x = 1"]), DfpsShapeError,
+     "dfps requires exactly one conclusion"),
+    (dict(DFPS_DOC, conclusions=["A <-> x = 1"]), DfpsShapeError,
+     "the queriable on the right"),
+    (dict(DFPS_DOC, conclusions=["(x = 1 /\\ A) <-> A"]), DfpsShapeError,
+     "queriable occurs inside the dfps body"),
+], ids=["json", "not-an-object", "framework", "vars", "sort", "hypothesis",
+        "conclusion", "answer", "dfps-conclusions", "dfps-right",
+        "dfps-inside"])
+def test_malformed_problem_rejected(doc, error, message):
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    with pytest.raises(error) as err:
+        parse_problem(text)
+    assert message in str(err.value)
 
 
 def test_problem_requires_conclusions():

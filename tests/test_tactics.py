@@ -2,7 +2,7 @@
 
 import pytest
 
-from holebox.expr import INT, LocalDecl, PROP, REAL, Telescope
+from holebox.expr import INT, LocalDecl, NAT, PROP, REAL, Telescope
 from holebox.kernel import (
     Goal, SolutionState, TacticFailed, apply_tactic,
 )
@@ -182,6 +182,47 @@ def test_int_cases_on_an_empty_range_fails():
         apply_tactic(st, "h", "int_cases", "x")
     out = apply_tactic(st, "h", "linear_arith", "")
     assert not out.goals and out.trace[-1].cert is not None
+
+
+def test_int_cases_starts_a_nat_at_zero():
+    n = LocalDecl("n", NAT)
+    tele = Telescope((n,))
+    ub = LocalDecl("ub", PROP, prop=parse_term("n <= 2", tele, PROP))
+    other = LocalDecl("other", PROP, prop=parse_term("1 <= 2", tele, PROP))
+    out = apply_tactic(goal_state("n * n <= 4", (n, ub, other)), "h",
+                       "int_cases", "n")
+    assert [print_term(g.concl) for g in out.goals] == \
+        ["0 <= 4", "1 <= 4", "4 <= 4"]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("r", "int_cases needs an Int or Nat variable"),
+    ("ub", "no variable named 'ub'"),
+    ("x", "case split of width 201 refused"),
+])
+def test_int_cases_refuses(name, message):
+    x, r = LocalDecl("x", INT), LocalDecl("r", REAL)
+    tele = Telescope((x, r))
+    lb = LocalDecl("lb", PROP, prop=parse_term("-100 <= x", tele, PROP))
+    ub = LocalDecl("ub", PROP, prop=parse_term("x <= 100", tele, PROP))
+    with pytest.raises(TacticFailed, match=message):
+        apply_tactic(goal_state("x = x", (x, r, lb, ub)), "h", "int_cases",
+                     name)
+
+
+@pytest.mark.parametrize("tactic, goal", [
+    ("rfl", "1 + 1 = 2"),
+    ("ring_nf", "x * 1 = x"),
+    ("linear_arith", "x <= x + 1"),
+    ("iff_split", "x = 1 <-> 1 = x"),
+    ("and_split", "x = x /\\ 1 = 1"),
+])
+def test_a_tactic_that_takes_no_argument_refuses_one(tactic, goal):
+    st = goal_state(goal, (LocalDecl("x", INT),))
+    assert apply_tactic(st, "h", tactic, " ").trace
+    with pytest.raises(TacticFailed,
+                       match=f"{tactic} takes no argument, got 'junk words'"):
+        apply_tactic(st, "h", tactic, "junk words")
 
 
 # -- provability preservation of the safe tactics -----------------------------

@@ -12,7 +12,8 @@ test are imported, and module-level statements count as reached when
 their import runs them.
 
 Prints, per file, its statement count, how many were not reached, and
-each of those as `path:line: text`.  Exits with pytest's status.  The
+each of those as `path:line: text`; then one line with the totals over
+all the files.  Exits with pytest's status.  The
 trace slows the run several times over.
 """
 
@@ -101,15 +102,19 @@ class Recorder:
 
 def report(recorder: Recorder, paths: list[str]) -> str:
     out = []
+    total = unreached = 0
     for path in paths:
         lines = statements(path)
         missed = sorted(lines - recorder.hits[os.path.realpath(path)])
+        total += len(lines)
+        unreached += len(missed)
         with open(path, encoding="utf-8") as f:
             text = f.read().split("\n")
         out.append(f"{path}: {len(lines)} statements, "
                    f"{len(missed)} unreached")
         out.extend(f"{path}:{line}: {text[line - 1].strip()}"
                    for line in missed)
+    out.append(f"total: {total} statements, {unreached} unreached")
     return "\n".join(out)
 
 
