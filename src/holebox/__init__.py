@@ -20,12 +20,12 @@ from .syntax import (  # noqa: F401
     parse_script, parse_term, print_term,
 )
 from .kernel import (  # noqa: F401
-    Goal, Hole, SolutionState, TacticFailed, apply_tactic, assign_metavar,
+    Goal, SolutionState, TacticFailed, apply_tactic, assign_metavar,
     is_terminal,
 )
 from .fps import (  # noqa: F401
-    Session, certify, dfps_init, extract_answer, forward_finished, fps_init,
-    fps_to_dfps, init_prove, prove_by_script, replay_check, session_init,
+    Session, certify, extract_answer, forward_finished, fps_to_dfps,
+    init_prove, prove_by_script, replay_check, session_init,
 )
 from .rpe import RpeVerdict, build_rpe_goal, rpe_check  # noqa: F401
 from .search import (  # noqa: F401

@@ -34,6 +34,16 @@ def _load_problem(path: str):
         return parse_problem(fh.read())
 
 
+def _int_at_least(least: int):
+    """The `type=` of an integer option whose range starts at `least`."""
+    def parse(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}")
+        return int(text)
+    parse.__name__ = "int"      # argparse names it in "invalid int value"
+    return parse
+
+
 def _search_cfg(args) -> SearchConfig:
     return SearchConfig(width=args.s, budget=args.k)
 
@@ -205,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_search_flags(p) -> None:
-        p.add_argument("--k", type=int, default=200,
+        p.add_argument("--k", type=_int_at_least(0), default=200,
                        help="search budget (nodes popped)")
-        p.add_argument("--s", type=int, default=8,
+        p.add_argument("--s", type=_int_at_least(1), default=8,
                        help="suggestions per expansion")
 
     p = sub.add_parser("solve", help="solve a problem file")

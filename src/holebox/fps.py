@@ -1,12 +1,14 @@
 """Session orchestration for constructive problem-solving.
 
-Two session protocols over the kernel:
+Two session protocols over the kernel, both opened by `session_init`.
+A state is its goals, its assignment and its trace, and the answer hole
+`?w` is the goal `w`, at the queriable's sort, until a step fills it:
 
 * standard sessions start from one main goal `h` whose conclusion has
-  the queriable replaced by the answer hole `?w`, plus the hole case
-  `w`; finishing means reaching the terminal state, and the certificate
-  re-proves the instantiated statement from scratch (soundness as an
-  executable check);
+  the queriable replaced by the answer hole `?w`, plus the hole goal
+  `w`; finishing means closing every goal, and the certificate re-proves
+  the instantiated statement from scratch (soundness as an executable
+  check);
 
 * deductive sessions split the main goal into a forward case `h.mp`
   (derive the answer proposition from the body) and a backward case
@@ -43,14 +45,11 @@ from .expr import (
     instantiate_metas, metavars_of, mk_atom, mk_conn, substitute,
 )
 from .kernel import (
-    CertificateError, Goal, Hole, KernelError, ReplayReport, SolutionState,
+    CertificateError, Goal, KernelError, ReplayReport, SolutionState,
     apply_tactic, is_terminal, replay_step, run_script, recheck,
     script_of_trace,
 )
-from .syntax import (
-    DfpsShapeError, Problem, ProofScript, ScriptLine, _check_dfps_shape,
-    print_term,
-)
+from .syntax import Problem, ProofScript, ScriptLine, print_term
 
 ANSWER_HOLE = "w"
 FORWARD_HYP = "h_p_1"
@@ -58,10 +57,6 @@ BACKWARD_HYP = "h_a"
 
 
 class SessionError(KernelError):
-    pass
-
-
-class InitError(SessionError):
     pass
 
 
@@ -100,54 +95,28 @@ class Session:
         return replace(self, state=apply_tactic(self.state, case, tactic,
                                                 argtext))
 
-    def phase(self) -> str:
-        if self.framework != "dfps":
-            return "done" if is_terminal(self.state) else "solving"
-        if is_terminal(self.state):
-            return "done"
-        return "backward" if forward_finished(self) else "forward"
-
     def answer_ready(self) -> bool:
         """An answer can be extracted: terminal, or dfps forward finished."""
-        return self.phase() in ("done", "backward")
-
-
-def fps_init(p: Problem) -> Session:
-    if p.framework != "fps":
-        raise InitError("fps_init needs a problem in the fps framework")
-    if not p.concls:
-        raise InitError("problem has no conclusions")
-    tele = p.telescope()
-    qname, qsort = p.queriable
-    concl = substitute(p.conclusion(), qname, Meta(qsort, ANSWER_HOLE))
-    state = SolutionState(
-        goals=(Goal("h", tele, concl), Goal(ANSWER_HOLE, tele, qsort)),
-        holes=(Hole(ANSWER_HOLE, tele, qsort),),
-    )
-    return Session(p, state)
-
-
-def dfps_init(p: Problem) -> Session:
-    if p.framework != "dfps":
-        raise DfpsShapeError("dfps_init needs a problem in the dfps framework")
-    _check_dfps_shape(p)
-    tele = p.telescope()
-    qname, qsort = p.queriable
-    psi = p.concls[0].args[0]     # conclusion is (psi <-> A) by shape check
-    meta = Meta(PROP, ANSWER_HOLE)
-    fwd_ctx = tele.extended(LocalDecl(FORWARD_HYP, PROP, prop=psi))
-    bwd_ctx = tele.extended(LocalDecl(BACKWARD_HYP, PROP, prop=meta))
-    state = SolutionState(
-        goals=(Goal("h.mp", fwd_ctx, meta),
-               Goal("h.mpr", bwd_ctx, psi),
-               Goal(ANSWER_HOLE, tele, PROP)),
-        holes=(Hole(ANSWER_HOLE, tele, PROP),),
-    )
-    return Session(p, state)
+        return not self.state.goals or (self.framework == "dfps"
+                                        and forward_finished(self))
 
 
 def session_init(p: Problem) -> Session:
-    return fps_init(p) if p.framework == "fps" else dfps_init(p)
+    """The one session initializer: the main goal `h` (fps), or its
+    forward and backward cases `h.mp` and `h.mpr` (dfps), with `?w` for
+    the queriable, then the hole goal `w`."""
+    tele = p.telescope()
+    qname, qsort = p.queriable
+    meta = Meta(qsort, ANSWER_HOLE)
+    if p.framework == "fps":
+        goals = (Goal("h", tele, substitute(p.conclusion(), qname, meta)),)
+    else:
+        psi = p.concls[0].args[0]   # (psi <-> A), by parse_problem's check
+        goals = (Goal("h.mp", tele.extended(
+                     LocalDecl(FORWARD_HYP, PROP, prop=psi)), meta),
+                 Goal("h.mpr", tele.extended(
+                     LocalDecl(BACKWARD_HYP, PROP, prop=meta)), psi))
+    return Session(p, SolutionState(goals + (Goal(ANSWER_HOLE, tele, qsort),)))
 
 
 def init_prove(p: Problem, answer: Term) -> SolutionState:
@@ -160,7 +129,6 @@ def init_prove(p: Problem, answer: Term) -> SolutionState:
         raise SortError(f"answer sort {answer.sort}, expected {qsort}")
     concl = substitute(p.conclusion(), qname, answer)
     return SolutionState(goals=(Goal("h", tele, concl),),
-                         holes=(Hole(ANSWER_HOLE, tele, qsort),),
                          assignment=((ANSWER_HOLE, answer),))
 
 
@@ -203,12 +171,11 @@ def replay_check(p: Problem, script: ProofScript) -> ReplayReport:
 
 
 def forward_finished(sess: Session) -> bool:
-    """Answer hole assigned and the forward case closed (dfps only)."""
+    """Answer hole filled and the forward case closed (dfps only): the
+    goals of neither is open."""
     if sess.framework != "dfps":
         raise SessionError("forward_finished applies to dfps sessions")
-    if sess.state.assigned_value(ANSWER_HOLE) is None:
-        return False
-    return all(g.case != "h.mp" for g in sess.state.goals)
+    return all(g.case not in ("h.mp", ANSWER_HOLE) for g in sess.state.goals)
 
 
 def extract_answer(sess: Session) -> Term:
@@ -216,8 +183,8 @@ def extract_answer(sess: Session) -> Term:
         raise NotFinished("forward phase is not finished"
                           if sess.framework == "dfps"
                           else "session is not terminal")
-    # ready means terminal, every hole assigned, or forward finished,
-    # which holds only once the answer hole is assigned
+    # ready means no goal open, so no hole either, or forward
+    # finished, which holds only once the answer hole is assigned
     raw = sess.state.assigned_value(ANSWER_HOLE)
     answer = instantiate_metas(raw, sess.state.asg_map())
     if metavars_of(answer):
@@ -289,7 +256,7 @@ def run_trace(state: SolutionState, recorded: SolutionState) -> SolutionState:
     own parameters, every other line runs again and its certificate is
     revalidated at once.  The
     replay must reproduce the recorded state term for term: its goals,
-    holes and assignment, and its trace, certificates included."""
+    assignment and trace, certificates included."""
     steps = recorded.trace
     report = run_script(
         state, script_of_trace(recorded), done=lambda s: s == recorded,

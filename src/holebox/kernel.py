@@ -1,4 +1,9 @@
-"""The trusted core: goals, holes, solution states, and script replay.
+"""The trusted core: goals, solution states, and script replay.
+
+A state is its goals, its assignment and its trace.  A goal whose target
+is a Sort is the one record of a hole, the metavariable its case names,
+whose value may use the goal's context; filling the hole closes it, and
+a step that closes it otherwise is an `EngineError`.
 
 States are immutable snapshots.  A tactic application never mutates its
 input; it either returns a fresh state or raises TacticFailed, in which
@@ -69,8 +74,9 @@ class CertificateError(KernelError):
 
 
 class EngineError(Exception):
-    """A tactic closed its goal without a certificate, or brought one and
-    opened goals: a bug, not a failed line, so nothing catches it."""
+    """A tactic closed its goal without a certificate, brought one and
+    opened goals, or closed a hole goal without filling its hole: a bug,
+    not a failed line, so nothing catches it."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +86,10 @@ class EngineError(Exception):
 class Goal:
     case: str
     ctx: Telescope
-    concl: Union[Term, Sort]    # a Sort target marks the goal of a hole
+    concl: Union[Term, Sort]    # a Sort target: the goal is the hole ?case
 
     def is_hole_goal(self) -> bool:
         return isinstance(self.concl, Sort)
-
-
-@dataclass(frozen=True)
-class Hole:
-    mid: str
-    ctx: Telescope
-    target: Sort
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,6 @@ class TraceStep:
 @dataclass(frozen=True)
 class SolutionState:
     goals: tuple[Goal, ...] = ()
-    holes: tuple[Hole, ...] = ()
     assignment: tuple[tuple[str, Term], ...] = ()
     trace: tuple[TraceStep, ...] = ()
 
@@ -151,27 +149,20 @@ class SolutionState:
                 return g
         raise TacticFailed(f"no goal named {case!r}")
 
-    def hole(self, mid: str) -> Hole:
-        for h in self.holes:
-            if h.mid == mid:
-                return h
-        raise KernelError(f"no hole ?{mid}")
-
     def asg_map(self) -> dict[str, Term]:
         return dict(self.assignment)
 
     def assigned_value(self, mid: str) -> Optional[Term]:
-        for k, v in self.assignment:
-            if k == mid:
-                return v
-        return None
+        return self.asg_map().get(mid)
 
-    def unassigned_holes(self) -> tuple[Hole, ...]:
-        done = {k for k, _ in self.assignment}
-        return tuple(h for h in self.holes if h.mid not in done)
+    def pending_holes(self) -> frozenset[str]:
+        """The ids of the open holes: the cases of the hole goals."""
+        return frozenset(g.case for g in self.goals if g.is_hole_goal())
 
     def meta_sorts(self) -> dict[str, Sort]:
-        return {h.mid: h.target for h in self.holes}
+        sorts = {g.case: g.concl for g in self.goals if g.is_hole_goal()}
+        sorts.update((mid, v.sort) for mid, v in self.assignment)
+        return sorts
 
     def instantiated(self, t: Term) -> Term:
         """`t`, read from text that may name any hole, with the assigned
@@ -198,13 +189,8 @@ class SolutionState:
         out.extend(ng for ng in new_goals if ng.is_hole_goal())
         return replace(self, goals=tuple(out), trace=self.trace + (step,))
 
-    def with_new_hole(self, hole: Hole) -> "SolutionState":
-        """`self` with `hole` added; its id comes from `fresh_meta_id`,
-        so it names no hole yet."""
-        return replace(self, holes=self.holes + (hole,))
-
     def fresh_meta_id(self, base: str) -> str:
-        taken = {h.mid for h in self.holes} | {g.case for g in self.goals}
+        taken = {g.case for g in self.goals} | {k for k, _ in self.assignment}
         if base not in taken:
             return base
         i = 1
@@ -214,7 +200,7 @@ class SolutionState:
 
 
 def is_terminal(s: SolutionState) -> bool:
-    return not s.goals and not s.unassigned_holes()
+    return not s.goals
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +208,15 @@ def is_terminal(s: SolutionState) -> bool:
 
 
 def assign_metavar(s: SolutionState, mid: str, value: Term) -> SolutionState:
-    hole = s.hole(mid)
-    if s.assigned_value(mid) is not None:
-        raise KernelError(f"?{mid} is already assigned")
-    if value.sort != hole.target:
+    """`s` with the hole `?mid` filled by `value`: its goal closed, and
+    the other goals instantiated."""
+    if mid not in s.pending_holes():
+        raise KernelError(f"?{mid} is already assigned" if s.assigned_value(
+            mid) is not None else f"no hole ?{mid}")
+    hole = s.goal(mid)
+    if value.sort != hole.concl:
         raise SortError(
-            f"?{mid} expects {hole.target}, got {value.sort}")
+            f"?{mid} expects {hole.concl}, got {value.sort}")
     allowed = set(hole.ctx.names())
     stray = free_vars(value) - allowed
     if stray:
@@ -270,7 +259,6 @@ def _instantiate_goal(g: Goal, asg: dict[str, Term]) -> Goal:
 class TacticResult:
     """Outcome of applying one tactic to one goal."""
     new_goals: tuple[Goal, ...] = ()
-    new_holes: tuple[Hole, ...] = ()
     cert: Optional[Certificate] = None
 
 
@@ -310,29 +298,29 @@ def apply_tactic(s: SolutionState, case: Optional[str], tactic: str,
     if fn is None:
         raise TacticFailed(f"unknown tactic {tactic!r}")
     res = fn(s, g, argtext)
-    if (res.cert is None) != bool(res.new_goals):
+    fills = dict(res.cert.assigns) if res.cert is not None else {}
+    # a hole goal is its hole's one record: closed unfilled, it is lost
+    if (res.cert is None) != bool(res.new_goals) \
+            or g.is_hole_goal() and g.case not in fills:
         raise EngineError(f"{tactic} broke the certificate protocol")
     return _commit(s, g, TraceStep(g.case, tactic, argtext, res.cert),
-                   res.new_goals, res.new_holes)
+                   res.new_goals)
 
 
 def _commit(s: SolutionState, g: Goal, step: TraceStep,
-            new_goals: tuple[Goal, ...] = (),
-            new_holes: tuple[Hole, ...] = ()) -> SolutionState:
-    """The one transition of a step on goal `g`: its new holes and
-    goals in, `g` out, and the holes its certificate fills assigned."""
+            new_goals: tuple[Goal, ...] = ()) -> SolutionState:
+    """The one transition of a step on goal `g`: the holes its
+    certificate fills assigned, then `g` out and its new goals, new
+    hole goals included, in."""
     if s.assignment:
         # a new goal may name a hole assigned earlier (`have` parses
         # against every hole): no goal holds an assigned hole
         asg = s.asg_map()
         new_goals = tuple(_instantiate_goal(ng, asg) for ng in new_goals)
-    out = s
-    for h in new_holes:
-        out = out.with_new_hole(h)
-    out = out.with_goal_replaced(g.case, new_goals, step)
+    out = s     # fills first: a step on `w` fills `?w` through `w`'s goal
     for mid, val in step.cert.assigns if step.cert is not None else ():
         out = assign_metavar(out, mid, val)
-    return out
+    return out.with_goal_replaced(g.case, new_goals, step)
 
 
 # ---------------------------------------------------------------------------

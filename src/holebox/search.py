@@ -99,7 +99,7 @@ def builtin_policy(state: SolutionState, goal: Goal, k: int
     Menu items whose conclusion shape rules them out are skipped, and k
     counts menu items, so small allocations still reach the closers;
     `exact` expands to one suggestion per hypothesis inside its single
-    menu slot.  Hole goals take no menu suggestions: answer holes are
+    menu slot.  A hole goal takes no menu suggestions: answer holes are
     filled by the decision procedures' assignment modes.
     """
     if goal.is_hole_goal():

@@ -556,10 +556,9 @@ def eval_decide(state: SolutionState, goal: Goal, argtext: str
     if goal.is_hole_goal():
         raise TacticFailed("eval_decide does not apply to a hole goal")
     budget_n = int_arg(argtext, DEFAULT_BUDGET)
-    pending = {h.mid for h in state.unassigned_holes()}
     return TacticResult(cert=Certificate(
         "eval_decide", goal, {"budget": budget_n},
-        eval_fills(goal.concl, pending, budget_n)))
+        eval_fills(goal.concl, state.pending_holes(), budget_n)))
 
 
 def _eval_decide_line(detail: dict, argtext: str) -> bool:

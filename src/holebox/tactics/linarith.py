@@ -909,7 +909,7 @@ def linear_arith(state: SolutionState, goal: Goal, argtext: str
     if goal.is_hole_goal():
         raise TacticFailed("linear_arith does not apply to a hole goal")
     concl = goal.concl
-    synth = _synth_split(concl, {h.mid for h in state.unassigned_holes()})
+    synth = _synth_split(concl, state.pending_holes())
     if synth is not None:
         meta, expr = synth
         answer = _value_term(_synthesize(goal, expr), meta.sort)

@@ -617,8 +617,7 @@ def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     concl = goal.concl
     if eq_sides(concl) is None:
         raise TacticFailed("rw_search needs an equality or iff goal")
-    pending = frozenset(h.mid for h in state.unassigned_holes())
-    hit = rw_search_term(concl, goal, pending, max_depth)
+    hit = rw_search_term(concl, goal, state.pending_holes(), max_depth)
     if hit is None:
         raise SearchExhausted(f"no rewrite proof within depth {max_depth}")
     path, closer, fills = hit

@@ -17,7 +17,7 @@ from ..expr import (
 )
 from ..norm import definitional_eq, fold_literals, normalize
 from ..kernel import (
-    Certificate, CertificateError, Goal, Hole, SolutionState, TacticFailed,
+    Certificate, CertificateError, Goal, SolutionState, TacticFailed,
     TacticResult, detail_value, no_arg, reads_no_argument, register_check,
     register_tactic,
 )
@@ -65,13 +65,9 @@ def exists_intro(state: SolutionState, goal: Goal, argtext: str
     if not (isinstance(concl, Binder) and concl.kind == "exists"):
         raise TacticFailed("exists_intro needs an existential goal")
     mid = state.fresh_meta_id(argtext.strip() or concl.var)
-    hole = Hole(mid, goal.ctx, concl.vsort)
     body = instantiate_bvar(concl.body, Meta(concl.vsort, mid))
-    return TacticResult(
-        new_goals=(Goal(goal.case, goal.ctx, body),
-                   Goal(mid, goal.ctx, concl.vsort)),
-        new_holes=(hole,),
-    )
+    return TacticResult(new_goals=(Goal(goal.case, goal.ctx, body),
+                                   Goal(mid, goal.ctx, concl.vsort)))
 
 
 @register_tactic("iff_split")
@@ -271,8 +267,8 @@ def int_cases(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
         raise TacticFailed(f"no variable named {name!r}")
     if decl.sort not in (INT, NAT):
         raise TacticFailed("int_cases needs an Int or Nat variable")
-    for h in state.unassigned_holes():
-        if h.ctx.lookup(name) is not None:
+    for mid in state.pending_holes():
+        if state.goal(mid).ctx.lookup(name) is not None:
             raise TacticFailed(
                 "int_cases cannot split while an unfilled hole depends on "
                 f"{name!r}")

@@ -246,6 +246,23 @@ def test_usage_error_is_one_line(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", problem_path("nickels.json")],
+    ["prove", problem_path("nickels.json"), "--answer", "7"],
+    ["bench", "run", data_path("corpus.jsonl")],
+], ids=["solve", "prove", "bench-run"])
+@pytest.mark.parametrize("option", [["--s", "0"], ["--s", "-3"],
+                                    ["--k", "-1"]],
+                         ids=["s-zero", "s-negative", "k-negative"])
+def test_a_search_option_out_of_range_is_a_usage_error(capsys, command,
+                                                       option):
+    # the width must be at least 1 and the budget at least 0
+    assert cli_main(command + option) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: argument " + option[0])
+    assert len(err.splitlines()) == 1
+
+
 def test_help_still_prints_usage(capsys):
     assert cli_main(["solve", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: holebox solve")

@@ -132,12 +132,12 @@ def test_oracle_agreement_closed_props(fuzzer, rng):
 
 def _eval_cert(text, metas=None):
     """The certificate eval_decide records for the goal `text`, checked."""
-    from holebox.kernel import Goal, Hole, SolutionState, apply_tactic
+    from holebox.kernel import Goal, SolutionState, apply_tactic
     from holebox.tactics.decide import revalidate_eval_decide
     tele = Telescope()
-    holes = tuple(Hole(m, tele, s) for m, s in (metas or {}).items())
+    holes = tuple(Goal(m, tele, s) for m, s in (metas or {}).items())
     goal = Goal("h", tele, parse_term(text, tele, PROP, metas=metas))
-    state = SolutionState(goals=(goal,), holes=holes)
+    state = SolutionState(goals=(goal,) + holes)
     cert = apply_tactic(state, "h", "eval_decide", "").trace[-1].cert
     revalidate_eval_decide(cert)
     return cert

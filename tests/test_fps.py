@@ -8,15 +8,13 @@ import pytest
 
 from holebox.expr import PROP, SortError, set_of, INT, mk_lit
 from holebox.fps import (
-    CertifyFailed, DependsOnNonV, InitError, NotFinished, SessionError,
-    certify, dfps_init, extract_answer, forward_finished, fps_init,
-    fps_to_dfps, init_prove, session_init, solve_certified,
+    CertifyFailed, DependsOnNonV, NotFinished, SessionError, certify,
+    extract_answer, forward_finished, fps_to_dfps, init_prove, session_init,
+    solve_certified,
 )
 from holebox import kernel
 from holebox.kernel import CertificateError, is_terminal, run_script
-from holebox.syntax import (
-    DfpsShapeError, parse_problem, parse_script, print_term,
-)
+from holebox.syntax import parse_problem, parse_script, print_term
 from dataclasses import replace
 
 
@@ -46,14 +44,14 @@ DFPS_SCRIPT = parse_script([
 
 
 def test_fps_init_shape():
-    sess = fps_init(EQ_ONE)
+    sess = session_init(EQ_ONE)
     assert [g.case for g in sess.state.goals] == ["h", "w"]
     assert print_term(sess.state.goal("h").concl) == "?w ^ 2 - 1 = 0"
     assert sess.state.goal("w").concl == EQ_ONE.queriable[1]
 
 
 def test_dfps_init_shape():
-    sess = dfps_init(NICKELS_D)
+    sess = session_init(NICKELS_D)
     cases = [g.case for g in sess.state.goals]
     assert cases == ["h.mp", "h.mpr", "w"]
     mp = sess.state.goal("h.mp")
@@ -63,16 +61,11 @@ def test_dfps_init_shape():
     mpr = sess.state.goal("h.mpr")
     assert print_term(mpr.ctx.lookup("h_a").prop) == "?w"
     assert print_term(mpr.concl) == "t = n"
-    assert sess.state.hole("w").target == PROP
-
-
-def test_dfps_init_rejects_fps_problem():
-    with pytest.raises(DfpsShapeError):
-        dfps_init(EQ_ONE)
+    assert sess.state.goal("w").concl == PROP
 
 
 def test_forward_finished_flow():
-    sess = dfps_init(NICKELS_D)
+    sess = session_init(NICKELS_D)
     assert not forward_finished(sess)
     sess = sess.apply("h.mp", "have", "hans : t = 7")
     sess = sess.apply("h.mp.hans", "linear_arith", "")
@@ -89,12 +82,8 @@ def test_forward_finished_flow():
 
 
 def test_fps_init_rejects_a_problem_it_cannot_open():
-    with pytest.raises(InitError, match="needs a problem in the fps"):
-        fps_init(NICKELS_D)
-    with pytest.raises(InitError, match="no conclusions"):
-        fps_init(replace(EQ_ONE, concls=()))
     with pytest.raises(SessionError, match="applies to dfps sessions"):
-        forward_finished(fps_init(EQ_ONE))
+        forward_finished(session_init(EQ_ONE))
 
 
 def test_init_prove_rejects_an_answer_of_another_sort():
@@ -131,7 +120,7 @@ def test_the_statement_recheck_rejects_a_line_it_cannot_replay():
 
 def test_extract_unfinished_raises():
     with pytest.raises(NotFinished):
-        extract_answer(fps_init(EQ_ONE))
+        extract_answer(session_init(EQ_ONE))
 
 
 def test_extract_rejects_out_of_scope_vars():
@@ -148,7 +137,7 @@ def test_extract_rejects_out_of_scope_vars():
 
 
 def test_certify_fps_and_statement_recheck():
-    sess = fps_init(EQ_ONE)
+    sess = session_init(EQ_ONE)
     sess = sess.apply("w", "exact", "1")
     sess = sess.apply("h", "ring_nf", "")
     cert = certify(sess)
@@ -157,7 +146,7 @@ def test_certify_fps_and_statement_recheck():
 
 
 def test_certify_rejects_tampered_trace():
-    sess = fps_init(EQ_ONE)
+    sess = session_init(EQ_ONE)
     sess = sess.apply("w", "exact", "1")
     sess = sess.apply("h", "ring_nf", "")
     step = sess.state.trace[0]
@@ -184,7 +173,7 @@ def test_certify_rejects_an_altered_recorded_certificate():
     solved = session_init(nickels).apply("w", "exact", "7") \
         .apply("h", "linear_arith", "")
     assert solved.state.trace[1].cert.detail["branches"] == [{}]
-    by_auto = fps_init(EQ_ONE).apply("w", "exact", "1").apply("h", "auto", "")
+    by_auto = session_init(EQ_ONE).apply("w", "exact", "1").apply("h", "auto", "")
     for sess in (solved, by_auto):
         assert certify(sess).backward
     auto_detail = by_auto.state.trace[1].cert.detail
@@ -204,7 +193,7 @@ def test_certify_rejects_an_altered_recorded_certificate():
 def test_certify_rejects_a_certificate_that_lacks_a_detail_key():
     # the line check reads the budget through the checked accessor, so
     # the session fails certification rather than raise KeyError
-    by_auto = fps_init(EQ_ONE).apply("w", "exact", "1").apply("h", "auto", "")
+    by_auto = session_init(EQ_ONE).apply("w", "exact", "1").apply("h", "auto", "")
     lacking = _altered(by_auto, 1, detail={})
     with pytest.raises(CertifyFailed, match="has no 'budget'"):
         certify(lacking)
@@ -225,7 +214,7 @@ def _counting(calls, fn):
 
 
 def _by_auto_both_ways():
-    sess = dfps_init(NICKELS_D).apply("h.mp", "have", "hans : t = 7") \
+    sess = session_init(NICKELS_D).apply("h.mp", "have", "hans : t = 7") \
         .apply("h.mp.hans", "auto", "").apply("h.mp", "exact", "hans")
     return sess.apply("h.mpr", "auto", "")
 
@@ -262,10 +251,10 @@ SQUARE = prob({
 def test_certify_checks_a_line_against_its_certificate():
     # the certificate alone would validate, but the line asks for
     # another budget or depth than the certificate records
-    by_600 = fps_init(EQ_ONE).apply("w", "exact", "1").apply("h", "auto", "600")
+    by_600 = session_init(EQ_ONE).apply("w", "exact", "1").apply("h", "auto", "600")
     by_rw = session_init(TRANSITIVE).apply("w", "exact", "0") \
         .apply("h", "rw_search", "")
-    by_eval = fps_init(SQUARE).apply("w", "exact", "7") \
+    by_eval = session_init(SQUARE).apply("w", "exact", "7") \
         .apply("h", "eval_decide", "5000")
     assert len(by_rw.state.trace[1].cert.detail["path"]) == 2
     for sess in (by_600, by_rw, by_eval):
@@ -297,7 +286,7 @@ TWO_CONCLUSIONS = prob({
 def test_certify_rejects_text_on_a_line_that_takes_no_argument(problem,
                                                                lines):
     # the line after the fill is given text it does not take
-    sess = fps_init(problem)
+    sess = session_init(problem)
     for line in parse_script(["@goal w exact 7", *lines]).lines:
         sess = sess.apply(line.goal, line.tactic, line.argtext)
     assert certify(sess).backward

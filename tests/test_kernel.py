@@ -47,8 +47,7 @@ def test_init_generic_shape():
     goal = state.goal("h")
     assert print_term(goal.concl) == "n = ?w"
     assert goal.ctx.names() == ("d", "n", "h0", "h1", "h2", "h3")
-    hole = state.hole("w")
-    assert hole.target == INT
+    assert state.goal("w").concl == INT
     assert not is_terminal(state)
 
 
@@ -57,7 +56,7 @@ def test_init_no_hypotheses():
     assert state.goal("h").ctx.names() == ()
     assert print_term(state.goal("h").concl) == \
         "not prime (2 ^ 2 ^ ?w + 1)"
-    assert state.hole("w").target == NAT
+    assert state.goal("w").concl == NAT
 
 
 def test_assign_metavar_rewrites_goals():
@@ -120,14 +119,18 @@ def test_new_goal_named_like_an_open_goal_rejected():
         apply_tactic(state, "h", "and_split", "")
 
 
+def _hole_goals(state):
+    return [g.case for g in state.goals if g.is_hole_goal()]
+
+
 def test_a_new_hole_is_numbered_past_the_names_taken():
     doc = dict(NICKELS, conclusions=["exists (w : Int), w = a"])
     state = apply_tactic(session_init(prob(doc)).state, "h", "exists_intro",
                          "")
-    assert [h.mid for h in state.holes] == ["w", "w1"]
+    assert _hole_goals(state) == ["w", "w1"]
     state = apply_tactic(state, "h", "have", "e : exists (w : Int), w = 1")
     state = apply_tactic(state, "h.e", "exists_intro", "")
-    assert [h.mid for h in state.holes] == ["w", "w1", "w2"]
+    assert _hole_goals(state) == ["w", "w1", "w2"]
 
 
 def test_tactic_immutability():
@@ -188,7 +191,8 @@ def test_replay_deterministic():
 
 
 def test_terminal_requires_assignment():
-    # goals empty but hole unassigned is not terminal
+    # terminal means no goal open: the answer hole of init_prove is
+    # assigned from the start, and a filled hole leaves `h` open
     p = prob(FERMAT)
     state = init_prove(p, parse_term("5", expected=NAT))
     closed = apply_tactic(state, "h", "eval_decide", "")
@@ -226,7 +230,8 @@ def test_concurrent_tactics_on_shared_state():
 # -- no goal holds an assigned hole ------------------------------------------
 
 # Blocks of lines for random scripts on NICKELS that name the answer
-# hole before and after `@goal w exact c` fills it, and the closers.
+# hole before and after `@goal w exact c` fills it, and the closers; one
+# opens a second hole and a closer fills it.
 HOLE_BLOCKS = [
     ("have hr : forall (k : Int), k = k", "intro k", "rfl"),
     ("have hr : forall (k : Int), k = k", "intro k", "rfl",
@@ -238,15 +243,15 @@ HOLE_BLOCKS = [
     ("exact hx",), ("rewrite hs ?w",), ("rewrite hy",), ("rfl",),
     ("linear_arith",), ("auto",), ("eval_decide",), ("ring_nf",),
     ("rw_search 2",),
+    ("have he : exists (k : Int), k = n", "exists_intro", "linear_arith"),
 ]
 
 
-def _assigned_holes_in_goals(state):
-    assigned = {mid for mid, _ in state.assignment}
+def _holes_in_goals(state):
     terms = [g.concl for g in state.goals if not g.is_hole_goal()]
     terms += [d.prop for g in state.goals for d in g.ctx.decls
               if d.prop is not None]
-    return {m for t in terms for m in metavars_of(t)} & assigned
+    return {m for t in terms for m in metavars_of(t)}
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -264,7 +269,11 @@ def test_no_goal_holds_an_assigned_hole(blocks, at, value):
         except (KernelError, ExprError):
             continue
         kept.append(text)
-        assert not _assigned_holes_in_goals(state), (kept, render_state(state))
+        holes = _holes_in_goals(state)
+        assigned = {mid for mid, _ in state.assignment}
+        assert not holes & assigned, (kept, render_state(state))
+        # every hole an open goal names is open: it has its hole goal
+        assert holes <= state.pending_holes(), (kept, render_state(state))
     # the lines that applied make a script, accepted or not, and every
     # certificate it records rechecks
     report = run_script(start, parse_script(kept))
@@ -327,6 +336,16 @@ def test_a_tactic_breaking_the_protocol_is_an_engine_bug(monkeypatch, broken):
     with pytest.raises(EngineError):
         expand(root, lambda s, goal, k: [
             PolicySuggestion(goal.case, "rfl", "", -1.0, 3)], 1)
+
+
+def test_a_hole_goal_closed_without_its_fill_is_an_engine_bug(monkeypatch):
+    # the hole goal is the hole's one record: a step that closes `w`
+    # with a certificate that fills nothing would lose the hole
+    monkeypatch.setitem(TACTICS, "exact", lambda state, goal, argtext:
+                        TacticResult(cert=Certificate("exact", goal, {})))
+    state = session_init(prob(NICKELS)).state
+    with pytest.raises(EngineError):
+        apply_tactic(state, "w", "exact", "7")
 
 
 def test_holes_are_filled_from_the_certificate_alone():

@@ -486,7 +486,6 @@ def test_rw_search_certificate_checks_its_assignment():
     # an assigning rw_search certificate holds only when the replayed
     # conclusion is `?hole = t` and t evaluates to the stored value
     from dataclasses import replace
-    from holebox.kernel import Hole
     tele = Telescope((LocalDecl("x", INT),))
     open_goal = Goal("h", tele, parse_term("x = 1", tele, PROP))
     eval_closer = ("eval_decide", {"budget": DEFAULT_BUDGET})
@@ -496,8 +495,7 @@ def test_rw_search_certificate_checks_its_assignment():
         revalidate_rw_search(forged)
     hole_goal = Goal("h", Telescope(), parse_term(
         "?w = 2 + 3", Telescope(), PROP, metas={"w": INT}))
-    state = SolutionState(goals=(hole_goal,),
-                          holes=(Hole("w", Telescope(), INT),))
+    state = SolutionState(goals=(hole_goal, Goal("w", Telescope(), INT)))
     cert = apply_tactic(state, "h", "rw_search", "").trace[-1].cert
     assert cert.detail["closer"] == eval_closer
     assert cert.assigns == (("w", mk_lit(5)),)
@@ -558,11 +556,10 @@ def test_rw_search_rejects_a_tampered_closer_detail(concl, key, forged):
     # the eval_decide closer fills the step's holes and evaluates under
     # the budget its detail names
     from dataclasses import replace
-    from holebox.kernel import Hole
     tele = Telescope((LocalDecl("n", REAL),))
     goal = Goal("h", tele, parse_term(concl, tele, PROP, metas={"w": INT}))
-    holes = (Hole("w", tele, INT),) if "?w" in concl else ()
-    state = SolutionState(goals=(goal,), holes=holes)
+    holes = (Goal("w", tele, INT),) if "?w" in concl else ()
+    state = SolutionState(goals=(goal,) + holes)
     cert = apply_tactic(state, "h", "rw_search", "").trace[-1].cert
     kind, detail = cert.detail["closer"]
     assert kind == "eval_decide"

@@ -46,7 +46,7 @@ def test_exists_intro_creates_coupled_hole():
     out = apply_tactic(st, "h", "exists_intro", "")
     assert [g.case for g in out.goals] == ["h", "a"]
     assert print_term(the_goal(out).concl) == "?a ^ 2 - 1 = 0"
-    assert out.hole("a").target == REAL
+    assert out.goal("a").concl == REAL
 
 
 def test_exists_intro_fails_on_forall():
@@ -306,7 +306,6 @@ def test_non_engine_parse_exception_is_not_a_tactic_failure(
         monkeypatch, tactic, argtext, hole):
     # only parse and expression errors mean "the tactic does not apply";
     # anything else is a bug and must surface as one
-    from holebox.kernel import Hole
     from holebox.tactics import structural
 
     def broken(*args, **kwargs):
@@ -314,8 +313,7 @@ def test_non_engine_parse_exception_is_not_a_tactic_failure(
 
     monkeypatch.setattr(structural, "parse_term", broken)
     if hole:
-        st = SolutionState(goals=(Goal("w", Telescope(), INT),),
-                           holes=(Hole("w", Telescope(), INT),))
+        st = SolutionState(goals=(Goal("w", Telescope(), INT),))
         case = "w"
     else:
         st, case = goal_state("1 = 1"), "h"
@@ -333,12 +331,11 @@ def test_exact_certificate_terms_must_fit_their_goal():
     # stored assignment must equal the re-instantiated citation
     from dataclasses import replace
     from holebox.expr import NAT, mk_lit, mk_meta, mk_var
-    from holebox.kernel import CertificateError, Hole
+    from holebox.kernel import CertificateError
     from holebox.tactics.structural import revalidate_exact
     x = LocalDecl("x", INT)
     tele = Telescope((x,))
-    hole = SolutionState(goals=(Goal("w", tele, INT),),
-                         holes=(Hole("w", tele, INT),))
+    hole = SolutionState(goals=(Goal("w", tele, INT),))
     filled = _exact_cert(hole, "w", "x + 1")
     h0 = LocalDecl("h0", PROP, prop=parse_term(
         "forall (m : Int), m + 0 = m", tele, PROP))
@@ -358,8 +355,8 @@ def test_exact_certificate_terms_must_fit_their_goal():
                 cited, detail={**cited.detail, "args": (arg,)}))
     hp = LocalDecl("hp", PROP, prop=parse_term("x = 1", tele, PROP))
     bare = SolutionState(
-        goals=(Goal("h", Telescope((x, hp)), mk_meta("w", PROP)),),
-        holes=(Hole("w", tele, PROP),))
+        goals=(Goal("h", Telescope((x, hp)), mk_meta("w", PROP)),
+               Goal("w", tele, PROP)))
     fill = _exact_cert(bare, "h", "hp")
     revalidate_exact(fill)
     other = parse_term("x = 2", tele, PROP)
@@ -442,7 +439,6 @@ def test_normal_form_certificates_hold_no_normal_form():
 def _certificates_with_details():
     """A certificate of each kind, and of each shape of detail."""
     from holebox.expr import mk_meta
-    from holebox.kernel import Hole
 
     def cert(state, tactic, argtext=""):
         return apply_tactic(state, "h", tactic, argtext).trace[-1].cert
@@ -454,14 +450,13 @@ def _certificates_with_details():
     hp = LocalDecl("hp", PROP, prop=parse_term("x = 1", tele, PROP))
     hf = LocalDecl("hf", PROP, prop=parse_term("False", Telescope(), PROP))
     bare = SolutionState(
-        goals=(Goal("h", Telescope((x, hp)), mk_meta("w", PROP)),),
-        holes=(Hole("w", tele, PROP),))
+        goals=(Goal("h", Telescope((x, hp)), mk_meta("w", PROP)),
+               Goal("w", tele, PROP)))
     pinned = SolutionState(
         goals=(Goal("h", Telescope(), parse_term(
-            "?w = 2 + 2", Telescope(), PROP, metas={"w": INT})),),
-        holes=(Hole("w", Telescope(), INT),))
-    hole = SolutionState(goals=(Goal("h", tele, INT),),
-                         holes=(Hole("h", tele, INT),))
+            "?w = 2 + 2", Telescope(), PROP, metas={"w": INT})),
+               Goal("w", Telescope(), INT)))
+    hole = SolutionState(goals=(Goal("h", tele, INT),))
     return [
         cert(goal_state("x + 0 = x", (x, h0)), "exact", "h0 x"),
         cert(bare, "exact", "hp"),
