@@ -2,8 +2,10 @@
 
 A state is its goals, its assignment and its trace.  A goal whose target
 is a Sort is the one record of a hole, the metavariable its case names,
-whose value may use the goal's context; filling the hole closes it, and
-a step that closes it otherwise is an `EngineError`.
+whose value may use the goal's context.  Only `exact <term>` (`FILLER`)
+acts on a hole goal, filling its hole and so closing it: any other
+tactic fails there, a certificate of any other kind there is rejected,
+and a step that closes the goal otherwise is an `EngineError`.
 
 States are immutable snapshots.  A tactic application never mutates its
 input; it either returns a fresh state or raises TacticFailed, in which
@@ -266,6 +268,9 @@ TacticFn = Callable[[SolutionState, Goal, str], TacticResult]
 
 TACTICS: dict[str, TacticFn] = {}
 
+# The one tactic, and certificate kind, that acts on a hole goal.
+FILLER = "exact"
+
 
 def register_tactic(name: str):
     def deco(fn: TacticFn) -> TacticFn:
@@ -297,6 +302,8 @@ def apply_tactic(s: SolutionState, case: Optional[str], tactic: str,
     fn = TACTICS.get(tactic)
     if fn is None:
         raise TacticFailed(f"unknown tactic {tactic!r}")
+    if g.is_hole_goal() and tactic != FILLER:
+        raise TacticFailed(f"{tactic} does not apply to a hole goal")
     res = fn(s, g, argtext)
     fills = dict(res.cert.assigns) if res.cert is not None else {}
     # a hole goal is its hole's one record: closed unfilled, it is lost
@@ -360,6 +367,8 @@ def revalidate(cert: Certificate) -> None:
     if fn is None:
         raise CertificateError(
             f"no revalidator for certificate kind {cert.tactic!r}")
+    if cert.goal.is_hole_goal() and cert.tactic != FILLER:
+        raise CertificateError(f"{cert.tactic} on a hole goal")
     fn(cert)
 
 

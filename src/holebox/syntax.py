@@ -600,6 +600,7 @@ _BUILTIN_FNS = {
 }
 
 _PRED_ATOMS = {"even", "odd", "prime"}
+_INTERVALS = ("Iio", "Ioi", "Icc", "Ico", "Ioc", "range")
 
 
 @dataclass
@@ -735,7 +736,7 @@ def _anchor_sort(raws: list[Raw], env: _Env) -> Sort:
         env.probing = saved
     if env.probing:
         raise _Ambiguous()
-    return RAT if any(_numeral_fallback(r) == RAT for r in raws) else INT
+    return _numeral_fallback(*raws)
 
 
 def _elab_numeric(raw: Raw, expected: Optional[Sort], env: _Env) -> Term:
@@ -839,9 +840,20 @@ def _elab_pair(lraw: Raw, rraw: Raw, expected: Optional[Sort],
         return _elab(lraw, rhs.sort, env), rhs
     if env.probing:
         raise _Ambiguous()
-    want = RAT if (_numeral_fallback(lraw) == RAT
-                   or _numeral_fallback(rraw) == RAT) else INT
+    want = _numeral_fallback(lraw, rraw)
+    if _set_shaped(lraw) or _set_shaped(rraw):
+        want = set_of(want)
     return _elab(lraw, want, env), _elab(rraw, want, env)
+
+
+def _set_shaped(raw: Raw) -> bool:
+    """A set literal or interval, or a union or intersection of one."""
+    head = raw.head.name if isinstance(raw, RAppl) \
+        and isinstance(raw.head, RName) else None
+    if head in ("union", "inter") or isinstance(raw, RBin) \
+            and raw.op in ("and", "or"):
+        return any(map(_set_shaped, _raw_kids(raw)[1]))
+    return isinstance(raw, RSetLit) or head in _INTERVALS
 
 
 def _elab_binder(raw: RBinderRaw, expected: Optional[Sort],
@@ -929,7 +941,7 @@ def _elab_builtin(name: str, args: list[Raw], expected: Optional[Sort],
         return _chk(mk_app("card", (coll,)), expected)
     if name == "divisors":
         return _chk(mk_app("divisors", (_elab(args[0], NAT, env),)), expected)
-    if name in ("Iio", "Ioi", "Icc", "Ico", "Ioc", "range"):
+    if name in _INTERVALS:
         elem: Optional[Sort] = None
         if expected is not None and expected.kind == "Set":
             elem = expected.args[0]
@@ -960,9 +972,9 @@ def parse_term(text: str, ctx: Telescope = Telescope(),
     return _elab(p.bounded(raw), expected, env)
 
 
-def _numeral_fallback(raw: Raw) -> Sort:
-    """Rat if `raw` holds a fractional numeral or a division, else Int."""
-    stack = [raw]
+def _numeral_fallback(*raws: Raw) -> Sort:
+    """Rat if `raws` hold a fractional numeral or a division, else Int."""
+    stack = list(raws)
     while stack:
         r = stack.pop()
         if (isinstance(r, RNum) and r.val.denominator != 1) \

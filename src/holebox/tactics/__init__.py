@@ -4,7 +4,8 @@ Importing this package registers every tactic with the kernel, and the
 check of each certificate kind beside it (`kernel.register_check`);
 `kernel.revalidate` re-checks a recorded closure certificate with the
 check of its kind, and replay uses it to confirm that each goal the
-trace closed really was closed for the reason stated.
+trace closed really was closed for the reason stated.  No tactic or
+check guards holes: the kernel lets only `exact` act on a hole goal.
 
 A certificate's detail holds only evidence that its check reads, or the
 line's own parameter, never a value its goal determines:

@@ -299,8 +299,6 @@ def _false_at(concl: Term, point: Point) -> bool:
 
 @register_tactic("auto")
 def auto(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
-    if goal.is_hole_goal():
-        raise TacticFailed("auto does not apply to a hole goal")
     budget_n = int_arg(argtext, AUTO_BUDGET)
     budget = _Counter(budget_n)
     proved = _prove(goal, budget, frozenset(), {})

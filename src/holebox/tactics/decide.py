@@ -553,8 +553,6 @@ def eval_fills(concl: Term, pending: Collection[str], budget_n: int
 @register_tactic("eval_decide")
 def eval_decide(state: SolutionState, goal: Goal, argtext: str
                 ) -> TacticResult:
-    if goal.is_hole_goal():
-        raise TacticFailed("eval_decide does not apply to a hole goal")
     budget_n = int_arg(argtext, DEFAULT_BUDGET)
     return TacticResult(cert=Certificate(
         "eval_decide", goal, {"budget": budget_n},

@@ -906,8 +906,6 @@ def _named(cols: dict, point) -> dict:
 def linear_arith(state: SolutionState, goal: Goal, argtext: str
                  ) -> TacticResult:
     no_arg("linear_arith", argtext)
-    if goal.is_hole_goal():
-        raise TacticFailed("linear_arith does not apply to a hole goal")
     concl = goal.concl
     synth = _synth_split(concl, state.pending_holes())
     if synth is not None:

@@ -455,8 +455,6 @@ def _hyp_rules(goal: Goal) -> list[RewriteLemma]:
 
 @register_tactic("rewrite")
 def rewrite(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
-    if goal.is_hole_goal():
-        raise TacticFailed("rewrite does not apply to a hole goal")
     back = False
     text = argtext.strip()
     if text.startswith("<-"):
@@ -611,8 +609,6 @@ def _bfs(concl: Term, library: LemmaLibrary,
 
 @register_tactic("rw_search")
 def rw_search(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
-    if goal.is_hole_goal():
-        raise TacticFailed("rw_search does not apply to a hole goal")
     max_depth = int_arg(argtext, RW_SEARCH_DEPTH)
     concl = goal.concl
     if eq_sides(concl) is None:
@@ -640,8 +636,6 @@ def revalidate_rw_search(cert: Certificate) -> None:
     step's holes."""
     goal = cert.goal
     term = goal.concl
-    if not isinstance(term, Term):
-        raise CertificateError("rw_search on a hole goal")
     lemmas = default_library().lemmas
     for step in detail_value("rw_search", cert.detail, "path", list):
         if not (isinstance(step, list) and len(step) == 3 and all(

@@ -188,8 +188,6 @@ def ring_sides(concl: Term) -> tuple[Poly, Poly, AtomTable, Sort]:
 @register_tactic("ring_nf")
 def ring_nf(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     no_arg("ring_nf", argtext)
-    if goal.is_hole_goal():
-        raise NotRingExpr("ring_nf does not apply to a hole goal")
     concl = goal.concl
     pl, pr, atoms, sort = ring_sides(concl)
     if pl == pr:

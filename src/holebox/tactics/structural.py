@@ -30,15 +30,9 @@ from .decide import Budget, DEFAULT_BUDGET, _PROBE, _probe_bounds, _conjuncts
 MAX_CASE_SPLIT = 64
 
 
-def _need_prop_goal(goal: Goal, tactic: str) -> Term:
-    if goal.is_hole_goal():
-        raise TacticFailed(f"{tactic} does not apply to a hole goal")
-    return goal.concl
-
-
 @register_tactic("intro")
 def intro(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
-    concl = _need_prop_goal(goal, "intro")
+    concl = goal.concl
     names = argtext.split()
     ctx = goal.ctx
     count = max(1, len(names))
@@ -61,7 +55,7 @@ def intro(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 @register_tactic("exists_intro")
 def exists_intro(state: SolutionState, goal: Goal, argtext: str
                  ) -> TacticResult:
-    concl = _need_prop_goal(goal, "exists_intro")
+    concl = goal.concl
     if not (isinstance(concl, Binder) and concl.kind == "exists"):
         raise TacticFailed("exists_intro needs an existential goal")
     mid = state.fresh_meta_id(argtext.strip() or concl.var)
@@ -73,7 +67,7 @@ def exists_intro(state: SolutionState, goal: Goal, argtext: str
 @register_tactic("iff_split")
 def iff_split(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     no_arg("iff_split", argtext)
-    concl = _need_prop_goal(goal, "iff_split")
+    concl = goal.concl
     if not (isinstance(concl, Conn) and concl.op == "iff"):
         raise TacticFailed("iff_split needs an iff goal")
     a, b = concl.args
@@ -86,7 +80,7 @@ def iff_split(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 @register_tactic("and_split")
 def and_split(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     no_arg("and_split", argtext)
-    concl = _need_prop_goal(goal, "and_split")
+    concl = goal.concl
     if not (isinstance(concl, Conn) and concl.op == "and"):
         raise TacticFailed("and_split needs a conjunction goal")
     a, b = concl.args
@@ -172,13 +166,12 @@ def rfl_check(concl: Term) -> None:
 @register_tactic("rfl")
 def rfl(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     no_arg("rfl", argtext)
-    rfl_check(_need_prop_goal(goal, "rfl"))
+    rfl_check(goal.concl)
     return TacticResult(cert=Certificate("rfl", goal, {}))
 
 
 @register_tactic("have")
 def have(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
-    _need_prop_goal(goal, "have")
     if ":" not in argtext:
         raise TacticFailed("usage: have <name> : <proposition>")
     name, prop_text = argtext.split(":", 1)
@@ -200,7 +193,6 @@ def have(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
 
 @register_tactic("cases")
 def cases(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
-    _need_prop_goal(goal, "cases")
     name = argtext.strip()
     decl = goal.ctx.lookup(name)
     if decl is None or decl.prop is None:
@@ -260,7 +252,6 @@ def subst_goal(goal: Goal, var: str, value: Term, case: str,
 @register_tactic("int_cases")
 def int_cases(state: SolutionState, goal: Goal, argtext: str) -> TacticResult:
     """Bounded case split on an integer variable with literal bounds."""
-    _need_prop_goal(goal, "int_cases")
     name = argtext.strip()
     decl = goal.ctx.lookup(name)
     if decl is None or decl.prop is not None:

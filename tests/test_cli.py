@@ -1,5 +1,6 @@
 """Command-line surface and the interactive session loop."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from holebox.bench import BenchmarkEntry, evaluate_entry
-from holebox.cli import cli_main, main, repl_session
+from holebox.cli import build_parser, cli_main, main, repl_session
 from holebox.fps import replay_check
 from holebox.syntax import (
     MAX_DEPTH, parse_problem, parse_script, parse_term,
 )
+from holebox.tactics.rewrite import default_library, set_default_library
 from test_parser_reference import operator_texts, token_texts
 from test_search import ECHO_POLICY
 
@@ -685,3 +687,121 @@ def test_repl_session_ends_without_an_error(lines):
     text = "".join(line + "\n" for line in lines)
     assert repl_session(NICKELS, io.StringIO(text), out) == 0
     assert out.getvalue().endswith("> ")
+
+
+# -- argv drawn from the parser's own spec ----------------------------------
+
+
+def _commands(parser, prefix=()):
+    """(argv prefix, parser) for every subcommand that takes no further
+    subcommand."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(prefix, parser)]
+    return [leaf for name, sub in subs[0].choices.items()
+            for leaf in _commands(sub, prefix + (name,))]
+
+
+COMMANDS = _commands(build_parser())
+# `--policy ext` starts the `--cmd` process, which
+# `test_solve_with_an_external_policy` covers
+NOT_DRAWN = {"help", "cmd"}
+NOT_DRAWN_CHOICES = {"ext"}
+PATH_DESTS = {"problem", "corpus", "script", "lemmas"}
+# files the test makes; `--out` names only paths under its directory
+FILES = ["<missing>", "<empty>", "<nickels>", "<corpus>"]
+OUTS = ["<dir>/report.json", "<dir>", ""]
+JUNK = ["0", "-5", str(10 ** 40), ""]
+
+
+def _typed(action):
+    """A value of the option's own kind: its choices, its type, a file,
+    or, for `--out`, a path under the test's directory."""
+    if action.dest == "out":
+        return st.sampled_from(OUTS)
+    if action.dest in PATH_DESTS:
+        return st.sampled_from(FILES)
+    if action.choices:
+        return st.sampled_from(sorted(set(action.choices)
+                                      - NOT_DRAWN_CHOICES))
+    if action.type is float:
+        return st.floats().map(str)
+    if getattr(action.type, "__name__", None) == "int":
+        return st.integers(-3, 10 ** 6).map(str)
+    return st.sampled_from(["7", "n", "1/2", "x + 1", "("])
+
+
+def _odds(draw, tenths):
+    """True `tenths` times in ten."""
+    return draw(st.integers(0, 9)) < tenths
+
+
+@st.composite
+def _argv(draw):
+    prefix, parser = draw(st.sampled_from(COMMANDS))
+    parts = []
+    for action in parser._actions:
+        if action.dest in NOT_DRAWN \
+                or not _odds(draw, 9 if action.required else 3):
+            continue
+        pick = draw(st.integers(0, 9))
+        if pick == 0:
+            value = None        # the value is missing
+        elif pick < 3 and action.dest != "out":
+            value = draw(st.sampled_from(JUNK))
+        else:
+            value = draw(_typed(action))
+        flag = [draw(st.sampled_from(action.option_strings))] \
+            if action.option_strings else []
+        parts.append(flag + ([] if value is None else [value]))
+    if _odds(draw, 1):
+        parts.append(["--bogus"])
+    return list(prefix) + [x for part in draw(st.permutations(parts))
+                           for x in part]
+
+
+def _files(base):
+    """What each file name the strategy draws stands for, under `base`."""
+    (base / "empty.txt").write_text("")
+    corpus = (resources.files("holebox.data") / "corpus.jsonl").read_text()
+    (base / "one.jsonl").write_text(corpus.splitlines()[0] + "\n")
+    return {"<missing>": str(base / "missing.json"),
+            "<empty>": str(base / "empty.txt"),
+            "<nickels>": problem_path("nickels.json"),
+            "<corpus>": str(base / "one.jsonl"), "<dir>": str(base)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(["bench", "run", "<corpus>", "--solver", "search", "--k",
+          str(10 ** 40), "--s", str(10 ** 40), "--out", "<dir>/report.json"])
+@example(["prove", "<nickels>", "--answer", "7", "--k", "0"])
+@example(["rpe-check", "<nickels>", "--a", "7", "--b", "x + 1"])
+@example(["solve", "<nickels>", "--script", "<empty>", "--policy-timeout",
+          "nan"])
+@example(["repl", "<nickels>"])
+@given(_argv())
+def test_argv_drawn_from_the_parser_ends_in_a_verdict(tmp_path_factory,
+                                                      argv):
+    # any argv the parser's own actions describe, with values of each
+    # option's kind or not, ends in a verdict or one error line, never
+    # a traceback
+    base = tmp_path_factory.getbasetemp() / "fuzz-argv"
+    base.mkdir(exist_ok=True)
+    files = _files(base)
+    argv = [files.get(x, x).replace("<dir>", str(base)) for x in argv]
+    library, stdin = default_library(), sys.stdin
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        sys.stdin = io.StringIO("")     # `repl` reads its lines there
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    finally:
+        sys.stdin = stdin
+        set_default_library(library)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1

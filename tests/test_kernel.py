@@ -3,6 +3,7 @@
 import gc
 import json
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,9 @@ from holebox.expr import (
     Telescope, instantiate_metas, metavars_of, mk_app, mk_lit, mk_var,
 )
 from holebox.kernel import (
-    TACTICS, Certificate, CertificateError, EngineError, Goal, KernelError,
-    OutOfContextError, SolutionState, TacticFailed, TacticResult, TraceStep,
+    CHECKS, TACTICS, Certificate, CertificateError, EngineError, Goal,
+    KernelError, OutOfContextError, SolutionState, TacticFailed,
+    TacticResult, TraceStep,
     apply_tactic, assign_metavar, is_terminal, recheck, render_state,
     replay_step, revalidate, run_script,
 )
@@ -346,6 +348,40 @@ def test_a_hole_goal_closed_without_its_fill_is_an_engine_bug(monkeypatch):
     state = session_init(prob(NICKELS)).state
     with pytest.raises(EngineError):
         apply_tactic(state, "w", "exact", "7")
+
+
+@pytest.mark.parametrize("tactic", sorted(TACTICS))
+def test_only_exact_acts_on_a_hole_goal(tactic):
+    # the kernel's one rule: `exact <term>` fills a hole goal, and every
+    # other tactic fails on one, whatever its argument text
+    text = (resources.files("holebox.data") / "problems" / "nickels.json")
+    state = session_init(parse_problem(text.read_text())).state
+    if tactic == "exact":
+        out = apply_tactic(state, "w", "exact", "7")
+        assert out.assignment == (("w", mk_lit(7, INT)),)
+        assert out.pending_holes() == frozenset()
+        return
+    for argtext in ("", "junk ?w 3"):
+        with pytest.raises(TacticFailed,
+                           match=f"^{tactic} does not apply to a hole goal$"):
+            apply_tactic(state, "w", tactic, argtext)
+
+
+@pytest.mark.parametrize("kind", sorted(set(CHECKS) - {"exact"}))
+def test_a_certificate_on_a_hole_goal_is_rejected(kind):
+    # only `exact` fills a hole, so the kernel rejects a certificate of
+    # any other kind on a hole goal before its check reads the detail,
+    # which holds what each check would read: a `cases` certificate
+    # citing a false hypothesis would otherwise close `w` unfilled
+    ctx = Telescope((LocalDecl("h", PROP, prop=parse_term("False")),))
+    detail = {"budget": 500, "false_hyp": "h", "branches": [{}],
+              "path": [], "closer": ("rfl", {})}
+    cert = Certificate(kind, Goal("w", ctx, INT), detail)
+    with pytest.raises(CertificateError, match=f"^{kind} on a hole goal$"):
+        revalidate(cert)
+    trace = (TraceStep("w", kind, "", cert),)
+    with pytest.raises(CertificateError, match=f"^{kind} on a hole goal$"):
+        recheck(SolutionState(trace=trace))
 
 
 def test_holes_are_filled_from_the_certificate_alone():

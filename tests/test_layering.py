@@ -266,6 +266,54 @@ def test_only_the_kernel_assigns_holes():
         == {"kernel.py"}, found
 
 
+# -- hole goals --------------------------------------------------------------
+
+# Only `exact <term>` acts on a hole goal, a rule the kernel states once
+# on each path (`apply_tactic`, `revalidate`).  Outside the kernel only
+# `exact` and its check, which fill a hole, and the builtin policy, which
+# offers no menu on one, ask whether a goal is a hole's.
+HOLE_GOAL_ASKERS = {"search.py: builtin_policy",
+                    "tactics/structural.py: exact",
+                    "tactics/structural.py: revalidate_exact"}
+
+
+def hole_goal_calls(source, filename="<source>"):
+    """Calls of `is_hole_goal` in `source`, as `file: function`, the
+    outermost function around the call, or `file: <module>`."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in ast.walk(tree):     # breadth first: outer functions first
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner.setdefault(node, fn.name)
+    return sorted(f"{filename}: {owner.get(node, '<module>')}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and _name_of(node) == "is_hole_goal")
+
+
+def test_hole_goal_check_catches_planted_calls():
+    planted = ("def ring_nf(state, goal, argtext):\n"
+               "    def guard():\n"
+               "        return goal.is_hole_goal()\n"
+               "    if guard():\n"
+               "        raise TacticFailed('no')\n")
+    assert hole_goal_calls(planted, "tactics/ring.py") \
+        == ["tactics/ring.py: ring_nf"]
+    assert hole_goal_calls("hole = g.is_hole_goal()\n") \
+        == ["<source>: <module>"]
+    assert not hole_goal_calls("def is_hole_goal(self):\n    return 1\n")
+    assert not hole_goal_calls("holes = state.pending_holes()\n")
+
+
+def test_only_the_kernel_exact_and_the_builtin_policy_ask_for_hole_goals():
+    found = {hit for path in sorted(PACKAGE.rglob("*.py"))
+             for hit in hole_goal_calls(path.read_text(encoding="utf-8"),
+                                        path.relative_to(PACKAGE).as_posix())}
+    outside = found - {hit for hit in found if hit.startswith("kernel.py:")}
+    assert outside == HOLE_GOAL_ASKERS and found != outside, found
+
+
 # -- one statement prover ----------------------------------------------------
 
 # Above the kernel only `fps` runs scripts and rechecks certificates.

@@ -170,6 +170,21 @@ def test_builtins_and_anchors_elaborate_and_print(text, expected, printed):
     assert print_term(parse_term(text, ELAB_TELE, expected)) == printed
 
 
+@pytest.mark.parametrize("text, elem", [
+    ("card (union {1, 2} {2, 3}) = 3", INT),
+    ("card ({1, 2} \\/ {2, 3}) = 3", INT),
+    ("card ({1, 2} /\\ (Icc 2 5 \\/ {7})) = 1", INT),
+    ("card (inter {1/2, 2} {2}) = 1", RAT),
+])
+def test_unanchored_set_operands_fall_back_to_a_set_of_numerals(text, elem):
+    # two sets of bare numerals have no anchor: they are sets of Int, or
+    # of Rat when an element is fractional, and print back as they read
+    term = parse_term(text, Telescope(), PROP)
+    [setop] = term.args[0].args
+    assert setop.sort == setop.args[0].sort == set_of(elem)
+    assert parse_term(print_term(term), Telescope(), PROP) == term
+
+
 def test_cardinality_of_an_interval_decides():
     assert decide_prop(parse_term("card (Icc 1 5) = 5", Telescope(),
                                   PROP))[0] is True
