@@ -18,16 +18,17 @@ A state is its goals, its assignment and its trace, and the answer hole
   tactic citing a hypothesis against the bare `?w` target performs the
   simultaneous fill-and-close.
 
-Certification (`certify`) replays a finished session from a fresh state
-and checks each recorded certificate once, in the replay, one
-`kernel.replay_step` per recorded step: a searching line (`auto`,
-`rw_search`, ...) replays from its certificate under its own parameters
-instead of searching again, and every other line runs again.
-`check_session` checks a final state where it stands.
+Each certificate is checked once, as its step commits
+(`kernel.replay_step`): a script's as it runs; a session the search
+found, or one handed in, by `certify`'s replay from a fresh state,
+where a searching line (`auto`, `rw_search`, ...) replays from its
+certificate under its own parameters instead of searching again and
+every other line runs again.  A theorem-mode state the search found is
+checked where it stands (`rechecked`).
 
 P(answer) has one prover: `prove_by_script` runs a script from
-`init_prove` and rechecks it (`search.prove_by_search` searches).  The
-statement recheck, the proven flag and `holebox prove` all use it.
+`init_prove` (`search.prove_by_search` searches).  The statement
+recheck, the proven flag and `holebox prove` all use it.
 
 `fps_to_dfps` is the find-all injection: the queriable becomes an extra
 universally quantified variable and the new answer is the proposition
@@ -145,29 +146,29 @@ def rechecked(report: ReplayReport) -> ReplayReport:
 
 def prove_by_script(p: Problem, answer: Term,
                     script: ProofScript) -> ReplayReport:
-    """Prove P(answer) with a proving script and recheck its
-    certificates."""
-    return rechecked(run_script(init_prove(p, answer), script))
+    """Prove P(answer) with a proving script, each line checked as it
+    runs."""
+    return run_script(init_prove(p, answer), script)
 
 
 def solve_certified(p: Problem, script: ProofScript
                     ) -> tuple[Term, SessionCertificate, SolutionState]:
-    """Run a solving script once, then extract and certify its answer;
-    the answer, the certificate and the final state.  The script is
-    accepted once an answer can be extracted.  Raises ScriptRejected
-    when it is not, and any error of `check_session`."""
+    """Run a solving script, each line checked as it runs, until an
+    answer can be extracted; the answer, its certificate from
+    `_framework_check`, whose errors it raises, and the final state.
+    Raises ScriptRejected when no answer can be extracted."""
     report = run_script(session_init(p).state, script,
                         done=lambda s: Session(p, s).answer_ready())
     if not report.accepted:
         raise ScriptRejected(report.failed_line, report.reason)
     sess = Session(p, report.final)
-    return extract_answer(sess), check_session(sess), sess.state
+    return extract_answer(sess), _framework_check(sess), sess.state
 
 
 def replay_check(p: Problem, script: ProofScript) -> ReplayReport:
     """Replay a script from the session's initial state to the terminal
-    state and recheck every closure certificate."""
-    return rechecked(run_script(session_init(p).state, script))
+    state, each line checked as it runs."""
+    return run_script(session_init(p).state, script)
 
 
 def forward_finished(sess: Session) -> bool:
@@ -228,14 +229,6 @@ def certify(sess: Session) -> SessionCertificate:
     return _framework_check(sess)
 
 
-def check_session(sess: Session) -> SessionCertificate:
-    """Check a session's final state where it stands, without a replay:
-    recheck its certificates, then re-prove what the framework promises
-    of it."""
-    recheck(sess.state)
-    return _framework_check(sess)
-
-
 def _framework_check(sess: Session) -> SessionCertificate:
     """Extract the answer, and re-prove the instantiated statement (fps)
     or read off whether the backward case is closed too (dfps)."""
@@ -271,7 +264,7 @@ def run_trace(state: SolutionState, recorded: SolutionState) -> SolutionState:
 
 def _recheck_statement(p: Problem, answer: Term, script: ProofScript) -> None:
     """Re-prove the instantiated statement with the script's closing
-    suffix, and recheck the re-proof's certificates."""
+    suffix, each line checked as it runs."""
     report = prove_by_script(p, answer, prove_script(script))
     if not report.accepted:
         at = "" if report.failed_line is None \

@@ -17,12 +17,12 @@ The kernel holds every check.  Each tactic module registers the check
 of its certificate kind beside its tactic (`register_check`, into
 `CHECKS`); a closing line that takes no argument or only an optional
 number registers its replay rule in the same call (into
-`REPLAY_LINES`).  `revalidate` checks one certificate.  Certification
-checks each certificate of the trace it is handed once, in its replay,
-one `replay_step` per step: a line with a replay rule replays from its
-certificate under its own parameters and is committed without running
-the tactic, through the same step as `apply_tactic`; any other line
-runs again.
+`REPLAY_LINES`).  `revalidate` checks one certificate.  A script line
+and a recorded step commit through `replay_step`, which checks its
+certificate before the next line runs: a recorded line with a replay
+rule replays from its certificate under its own parameters without
+running the tactic; any other line runs.  `apply_tactic` is the
+unchecked commit of exploration (search, the RPE stages, the REPL).
 Certificates never leave the process, so they hold the engine's own
 values and every check compares values with `==`: neither the parser
 nor the printer is on the path a proof is checked on.  A detail holds
@@ -44,7 +44,7 @@ hole is instantiated where it is read (`SolutionState.instantiated`),
 so a term a tactic elaborates holds no assigned hole either.
 
 The kernel knows states, not problems: `fps` builds every initial
-state and is the one module above that runs scripts and rechecks them.
+state and is the one module above that runs and checks scripts.
 """
 
 from __future__ import annotations
@@ -373,14 +373,15 @@ def revalidate(cert: Certificate) -> None:
 
 
 def replay_step(s: SolutionState, step: TraceStep) -> SolutionState:
-    """`s` after the recorded `step`, whose certificate is checked.
+    """`s` after `step`, a script line or a recorded step, whose
+    certificate is checked before the next line runs.
 
-    A closing line with a replay rule does not run: its certificate must
-    be of the line's tactic, agree with the line, revalidate, and close
-    the goal as it stands in `s`, and it is committed through the same
-    step as `apply_tactic`.  Any other line runs again, and its
-    certificate is revalidated at once.  Raises CertificateError when a
-    check fails."""
+    A recorded closing line with a replay rule does not run: its
+    certificate must be of the line's tactic, agree with the line,
+    revalidate, and close the goal as it stands in `s`, and it is
+    committed through the same step as `apply_tactic`, the unchecked
+    commit of exploration.  Any other line runs, and its certificate is
+    revalidated at once.  Raises CertificateError when a check fails."""
     cert = step.cert
     line = REPLAY_LINES.get(step.tactic)
     if cert is None or line is None:
@@ -419,15 +420,15 @@ def run_script(state: SolutionState, script: ProofScript,
                ) -> ReplayReport:
     """Apply the script's lines in order; the only script runner.
 
-    Each line runs its tactic through `apply_tactic`, or goes through
-    `step` when one is given.  Stops at the first line that fails.  A
-    script that runs through is accepted when `done` holds of the final
-    state.
+    Each line commits through `replay_step`, its certificate checked
+    before the next line runs, or through `step` when one is given.
+    Stops at the first line that fails or is rejected.  A script that
+    runs through is accepted when `done` holds of the final state.
     """
     for ln in script.lines:
         try:
-            state = apply_tactic(state, ln.goal, ln.tactic, ln.argtext) \
-                if step is None else step(state, ln)
+            state = step(state, ln) if step is not None else replay_step(
+                state, TraceStep(ln.goal, ln.tactic, ln.argtext))
         except (KernelError, ExprError) as e:
             return ReplayReport(False, state, ln.lineno,
                                 f"{ln.tactic}: {e}")

@@ -22,8 +22,7 @@ from typing import Callable, Optional
 
 from .expr import Binder, Conn, ExprError, Term
 from .fps import (
-    Session, check_session, extract_answer, init_prove, rechecked,
-    session_init,
+    Session, certify, extract_answer, init_prove, rechecked, session_init,
 )
 from .kernel import (
     Goal, KernelError, ReplayReport, SolutionState, apply_tactic,
@@ -250,7 +249,7 @@ def prove_by_search(problem: Problem, answer: Term, cfg: SearchConfig
 def _finish(problem: Problem, node: SearchNode, stats: dict) -> SearchResult:
     sess = Session(problem, node.state)
     answer = extract_answer(sess)
-    cert = check_session(sess)
+    cert = certify(sess)
     stats = dict(stats)
     stats["depth"] = node.depth
     return SearchResult(

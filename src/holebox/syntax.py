@@ -736,7 +736,7 @@ def _anchor_sort(raws: list[Raw], env: _Env) -> Sort:
         env.probing = saved
     if env.probing:
         raise _Ambiguous()
-    return _numeral_fallback(*raws)
+    return _fallback_sort(*raws)
 
 
 def _elab_numeric(raw: Raw, expected: Optional[Sort], env: _Env) -> Term:
@@ -840,10 +840,15 @@ def _elab_pair(lraw: Raw, rraw: Raw, expected: Optional[Sort],
         return _elab(lraw, rhs.sort, env), rhs
     if env.probing:
         raise _Ambiguous()
-    want = _numeral_fallback(lraw, rraw)
-    if _set_shaped(lraw) or _set_shaped(rraw):
-        want = set_of(want)
+    want = _fallback_sort(lraw, rraw)
     return _elab(lraw, want, env), _elab(rraw, want, env)
+
+
+def _fallback_sort(*raws: Raw) -> Sort:
+    """The sort unanchored `raws` fall back to: the numerals' own
+    sort, or the set of it when one of them is set-shaped."""
+    want = _numeral_fallback(*raws)
+    return set_of(want) if any(map(_set_shaped, raws)) else want
 
 
 def _set_shaped(raw: Raw) -> bool:
@@ -1165,29 +1170,32 @@ def parse_problem(doc: bytes | str | dict) -> Problem:
     try:
         vars_ = [(str(n), _parse_sort_text(s)) for n, s in obj.get("vars", [])]
         qname, qsort_text = obj["queriable"]
-        qsort = _parse_sort_text(qsort_text)
+        qname, qsort = str(qname), _parse_sort_text(qsort_text)
     except (KeyError, ValueError, TypeError) as e:
         raise SchemaError(f"malformed vars/queriable: {e}") from None
     if any(n == qname for n, _ in vars_):
         raise SchemaError(f"queriable {qname!r} clashes with a variable")
     tele = _var_telescope(vars_)
     hyps: list[tuple[str, Term]] = []
-    for item in obj.get("hypotheses", []):
+    for item in _entries(obj, "hypotheses"):
         try:
             hname, htext = item
         except (ValueError, TypeError):
             raise SchemaError(f"malformed hypothesis entry {item!r}") from None
+        hname = str(hname)
+        what = f"hypothesis {hname!r}"
         try:
-            prop = parse_term(htext, tele, PROP)
+            prop = parse_term(_text(htext, what), tele, PROP)
         except (ParseError, SortError) as e:
-            raise SchemaError(f"hypothesis {hname}: {e}") from None
+            raise SchemaError(f"{what}: {e}") from None
         hyps.append((hname, prop))
         tele = tele.extended(LocalDecl(hname, PROP, prop=prop))
     concl_tele = tele.extended(LocalDecl(qname, qsort))
     concls: list[Term] = []
-    for ctext in obj.get("conclusions", []):
+    for ctext in _entries(obj, "conclusions"):
         try:
-            concls.append(parse_term(ctext, concl_tele, PROP))
+            concls.append(parse_term(_text(ctext, "conclusion"), concl_tele,
+                                     PROP))
         except (ParseError, SortError) as e:
             raise SchemaError(f"conclusion: {e}") from None
     if not concls:
@@ -1195,7 +1203,7 @@ def parse_problem(doc: bytes | str | dict) -> Problem:
     answer = None
     if obj.get("answer") is not None:
         try:
-            answer = parse_term(obj["answer"], tele, qsort)
+            answer = parse_term(_text(obj["answer"], "answer"), tele, qsort)
         except (ParseError, SortError) as e:
             raise SchemaError(f"answer: {e}") from None
     prob = Problem(framework, tuple(vars_), (qname, qsort), tuple(hyps),
@@ -1223,8 +1231,25 @@ def _check_dfps_shape(p: Problem) -> None:
         raise DfpsShapeError("queriable occurs inside the dfps body")
 
 
+def _entries(obj: dict, key: str):
+    """The entries of the document's `key`, none when it is absent;
+    null, a number or a boolean there is a SchemaError."""
+    value = obj.get(key, [])
+    if value is None or isinstance(value, (int, float)):
+        raise SchemaError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _text(value: object, what: str) -> str:
+    """`value`, the document's text of `what`; any other JSON value
+    there is a SchemaError."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{what}: expected a string, got {value!r}")
+    return value
+
+
 def _parse_sort_text(text: str) -> Sort:
-    p = _P(text)
+    p = _P(_text(text, "sort"))
     s = p.sort()
     if not p.at("eof"):
         raise SchemaError(f"trailing input in sort {text!r}")

@@ -16,7 +16,8 @@ def _load():
 
 
 bench_pair = _load()
-METRICS = [("latency_p50_ms", "lower"), ("throughput_ops_s", "higher")]
+METRICS = [("latency_p50_ms", "lower", 0.25),
+           ("throughput_ops_s", "higher", 0.25)]
 
 
 def _pairs(base_p50, change_p50, base_ops, change_ops):
@@ -41,11 +42,29 @@ def test_summary_medians_quartiles_and_the_base_spread():
     s = bench_pair.summarize(pairs, METRICS)["latency_p50_ms"]
     assert s["base"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
     assert s["change"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
-    # 2.5 between the medians against a base spread of 2.0
-    assert s["beyond_base_iqr"]
-    near = _pairs([1.0, 2.0, 3.0, 4.0, 5.0], [2.5] * 5, [1] * 5, [1] * 5)
-    assert not bench_pair.summarize(near, METRICS)[
-        "latency_p50_ms"]["beyond_base_iqr"]
+    # far better than the base, beyond its spread: not a regression
+    assert not s["beyond_bound"]
+
+
+def test_summary_flags_a_median_worse_than_its_bound():
+    # a bound of 0.25 of the base median 4.0: a change worse by more
+    # than 1.0 in its metric's direction is flagged, and only then
+    def flags(change):
+        s = bench_pair.summarize(_pairs([4.0] * 3, [change] * 3,
+                                        [4.0] * 3, [change] * 3), METRICS)
+        return s["latency_p50_ms"]["beyond_bound"], \
+            s["throughput_ops_s"]["beyond_bound"]
+
+    assert flags(5.1) == (True, False)      # slower, more ops
+    assert flags(5.0) == (False, False)     # at the bound
+    assert flags(3.0) == (False, False)     # fewer ops, at the bound
+    assert flags(2.9) == (False, True)      # faster, fewer ops
+    assert flags(4.0) == (False, False)
+    rows = bench_pair.report(bench_pair.summarize(
+        _pairs([4.0] * 2, [5.1] * 2, [4.0] * 2, [5.1] * 2),
+        METRICS)).splitlines()
+    assert rows[1].endswith("worse beyond bound")
+    assert not rows[2].endswith("worse beyond bound")
 
 
 def test_summary_of_one_pair_and_ties():

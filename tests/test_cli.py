@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 import runpy
@@ -568,7 +569,7 @@ def certificates_rejected(monkeypatch):
 
 @pytest.mark.parametrize("command, prefix", [
     (["solve"], "rejected: "),
-    (["solve", "--script"], "rejected: "),
+    (["solve", "--script"], "rejected at line 2: "),
     (["prove", "--answer", "7"], "not proven: "),
     (["prove", "--answer", "7", "--script"], "not proven: "),
 ], ids=["solve-search", "solve-script", "prove-search", "prove-script"])
@@ -805,3 +806,111 @@ def test_argv_drawn_from_the_parser_ends_in_a_verdict(tmp_path_factory,
     if code == 2:
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1
+
+
+# -- problem files mutated field by field ------------------------------------
+
+PROBLEMS = resources.files("holebox.data") / "problems"
+PROBLEM_DOCS = [json.loads(p.read_text()) for p in
+                sorted(PROBLEMS.iterdir(), key=lambda p: p.name)
+                if p.name.endswith(".json")]
+OTHER_TYPES = [None, 0, -1, 2.5, True, "", [], {}, [[]], ["x"],
+               [["x", "Int", "Int"]], {"x": "Int"}]
+LONG_TEXTS = ["x" * 5000, "(" * 3000 + "x" + ")" * 3000,
+              " + ".join(["x"] * 2000), "{" * 500, "Set " * 500 + "Int"]
+NAME_SLOTS = [("vars", 0, 0), ("vars", 1, 0), ("queriable", 0),
+              ("hypotheses", 0, 0), ("hypotheses", 1, 0)]
+
+
+def _paths(value, path=()):
+    """The path of `value` and of every value inside it."""
+    yield path
+    items = value.items() if isinstance(value, dict) \
+        else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _paths(inner, path + (key,))
+
+
+def _at(doc, path):
+    """The value at `path` in `doc`, or None when there is none."""
+    for key in path:
+        try:
+            doc = doc[key] if isinstance(doc, (dict, list)) else None
+        except (KeyError, IndexError, TypeError):
+            return None
+    return doc
+
+
+def _put(doc, path, value):
+    """`doc` with the value at the non-empty `path` replaced, or dropped
+    when `value` is `_put`."""
+    parent = _at(doc, path[:-1])
+    if value is _put:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def _mutated_problem(draw):
+    """A bundled problem document with one to three of its fields
+    dropped, retyped, given an empty, very long or token-drawn text, a
+    name repeated, or the other framework."""
+    doc = copy.deepcopy(draw(st.sampled_from(PROBLEM_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "text", "repeat",
+                                     "framework"]))
+        if not isinstance(doc, dict):
+            break
+        paths = list(_paths(doc))
+        if kind == "framework":
+            doc["framework"] = "fps" \
+                if doc.get("framework") == "dfps" else "dfps"
+        elif kind == "repeat":
+            names = [_at(doc, s) for s in NAME_SLOTS
+                     if isinstance(_at(doc, s), str)]
+            slots = [s for s in NAME_SLOTS if _at(doc, s) is not None]
+            if names and slots:
+                _put(doc, draw(st.sampled_from(slots)),
+                     draw(st.sampled_from(names)))
+        elif kind == "drop":
+            if len(paths) > 1:
+                _put(doc, draw(st.sampled_from(paths[1:])), _put)
+        else:
+            value = copy.deepcopy(draw(st.sampled_from(OTHER_TYPES))) \
+                if kind == "retype" else draw(st.one_of(
+                    st.sampled_from(LONG_TEXTS), token_texts(),
+                    operator_texts(2)))
+            path = draw(st.sampled_from(paths))
+            doc = _put(doc, path, value) if path else value
+    return doc
+
+
+NICKELS_DOC = json.loads((PROBLEMS / "nickels.json").read_text())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(dict(NICKELS_DOC, hypotheses=None))
+@example(dict(NICKELS_DOC, hypotheses=[[[], "d >= 0"]]))
+@example(dict(NICKELS_DOC, queriable=[{}, "Int"], answer=7))
+@example(dict(NICKELS_DOC, vars=[["d", 0]], conclusions=[True]))
+@example(dict(NICKELS_DOC, hypotheses=[["h\n0", "z >= 0"]]))
+@given(_mutated_problem())
+def test_mutated_problem_files_end_in_a_verdict(tmp_path_factory, doc):
+    # every entry point that reads a problem file ends a mutated one in
+    # a verdict or one error line, never a traceback
+    problem = tmp_path_factory.getbasetemp() / "fuzz-problem.json"
+    problem.write_text(json.dumps(doc))
+    for argv in (["solve", str(problem), "--k", "0"],
+                 ["prove", str(problem), "--answer", "0", "--k", "0"],
+                 ["rpe-check", str(problem), "--a", "0", "--b", "0"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1

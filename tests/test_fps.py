@@ -8,9 +8,9 @@ import pytest
 
 from holebox.expr import PROP, SortError, set_of, INT, mk_lit
 from holebox.fps import (
-    CertifyFailed, DependsOnNonV, NotFinished, SessionError, certify,
-    extract_answer, forward_finished, fps_to_dfps, init_prove, session_init,
-    solve_certified,
+    CertifyFailed, DependsOnNonV, NotFinished, ScriptRejected, SessionError,
+    certify, extract_answer, forward_finished, fps_to_dfps, init_prove,
+    prove_by_script, replay_check, session_init, solve_certified,
 )
 from holebox import kernel
 from holebox.kernel import CertificateError, is_terminal, run_script
@@ -116,6 +116,40 @@ def test_the_statement_recheck_rejects_a_line_it_cannot_replay():
     with pytest.raises(CertifyFailed,
                        match="statement recheck failed at line 3: rewrite"):
         solve_certified(prob_x, script)
+
+
+NICKELS = parse_problem((resources.files("holebox.data") / "problems"
+                         / "nickels.json").read_bytes())
+CHECKED_LINES = ["have k : d + n = 11", "@goal h.k linear_arith",
+                 "@goal w exact 7", "linear_arith"]
+
+
+def test_a_rejected_certificate_stops_the_run_at_its_line(monkeypatch):
+    # a script line's certificate is checked before the next line runs:
+    # the rejected `linear_arith` of line 2 ends every script path
+    # there, and the `exact` of line 3 never runs
+    def reject(cert):
+        raise CertificateError("linear_arith certificate rejected")
+
+    ran = []
+    exact = kernel.TACTICS["exact"]
+
+    def spy(state, goal, argtext):
+        ran.append(argtext)
+        return exact(state, goal, argtext)
+
+    monkeypatch.setitem(kernel.CHECKS, "linear_arith", reject)
+    monkeypatch.setitem(kernel.TACTICS, "exact", spy)
+    report = replay_check(NICKELS, parse_script(CHECKED_LINES))
+    assert not report.accepted and report.failed_line == 2
+    assert report.reason == "linear_arith: linear_arith certificate rejected"
+    with pytest.raises(ScriptRejected) as e:
+        solve_certified(NICKELS, parse_script(CHECKED_LINES))
+    assert e.value.line == 2
+    proving = [ln for ln in CHECKED_LINES if not ln.startswith("@goal w")]
+    report = prove_by_script(NICKELS, mk_lit(7, INT), parse_script(proving))
+    assert not report.accepted and report.failed_line == 2
+    assert ran == []
 
 
 def test_extract_unfinished_raises():

@@ -185,6 +185,17 @@ def test_unanchored_set_operands_fall_back_to_a_set_of_numerals(text, elem):
     assert parse_term(print_term(term), Telescope(), PROP) == term
 
 
+@pytest.mark.parametrize("text", ["card {{1, 2}, {3}} = 2",
+                                  "card {{1} \\/ {2}, {3}} = 2"])
+def test_a_set_literal_of_numeral_sets_falls_back_to_sets_of_numerals(text):
+    # the elements are sets of bare numerals, a literal or a union: each
+    # is a `Set Int`, and the whole prints back as it reads
+    term = parse_term(text, Telescope(), PROP)
+    outer = term.args[0].args[0]
+    assert [e.sort for e in outer.args] == [set_of(INT), set_of(INT)]
+    assert print_term(term) == text
+
+
 def test_cardinality_of_an_interval_decides():
     assert decide_prop(parse_term("card (Icc 1 5) = 5", Telescope(),
                                   PROP))[0] is True

@@ -10,14 +10,16 @@ sides run from trees placed alike and an uncommitted edit is measured.
 It then runs `perfbench/run.py --trace 0` of each tree one at a time,
 N pairs, with the side that goes first alternating from pair to pair.
 It prints, per end-to-end metric of BENCHMARK.json, each side's median
-and quartiles and how many pairs the change won, and writes the per-run
-values and whether the digests matched to FILE under `workloads.W`;
-the other workloads already in FILE are kept, so one file holds a
-change's runs on every workload.  Beside the metric rows it prints each
-side's median ops attempted: a side that completes more ops keeps more
-per-op records, which `peak_rss_mb` counts.  The temporary trees are
-removed at the end, and every run has finished before the next one
-starts.
+and quartiles, how many pairs the change won, and whether the change's
+median is worse than the base's by more than the metric's `bound`, a
+share of the base median: the rule a change is refused by.  It writes
+the per-run values and whether the digests matched to FILE under
+`workloads.W`; the other workloads already in FILE are kept, so one
+file holds a change's runs on every workload.  Beside the metric rows
+it prints each side's median ops attempted: a side that completes more
+ops keeps more per-op records, which `peak_rss_mb` counts.  The
+temporary trees are removed at the end, and every run has finished
+before the next one starts.
 """
 
 from __future__ import annotations
@@ -100,14 +102,14 @@ def _spread(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[tuple[dict, dict]],
-              metrics: list[tuple[str, str]]) -> dict:
-    """Per metric `(name, "higher" or "lower")`: each side's median and
-    quartiles over `pairs` of (base values, change values), the pairs
-    the change won (strictly better in its metric's direction), and
-    whether the medians differ by more than the base's quartile
-    spread."""
+              metrics: list[tuple[str, str, float]]) -> dict:
+    """Per metric `(name, "higher" or "lower", bound)`: each side's
+    median and quartiles over `pairs` of (base values, change values),
+    the pairs the change won (strictly better in its metric's
+    direction), and whether the change's median is worse than the
+    base's by more than `bound` times the base median."""
     out = {}
-    for name, better in metrics:
+    for name, better, bound in metrics:
         base = [b[name] for b, _ in pairs]
         change = [c[name] for _, c in pairs]
         sign = 1 if better == "higher" else -1
@@ -116,8 +118,8 @@ def summarize(pairs: list[tuple[dict, dict]],
         out[name] = {
             "better": better, "base": b, "change": c, "wins": wins,
             "pairs": len(pairs),
-            "beyond_base_iqr": abs(c["median"] - b["median"])
-            > b["q3"] - b["q1"],
+            "beyond_bound": sign * (c["median"] - b["median"])
+            < -bound * abs(b["median"]),
         }
     return out
 
@@ -145,7 +147,7 @@ def report(summary: dict, ops: Optional[dict] = None) -> str:
         rows.append(
             _row(name, s["base"], s["change"])
             + f"{'':>3} {s['wins']}/{s['pairs']}"
-            + ("  beyond base IQR" if s["beyond_base_iqr"] else ""))
+            + ("  worse beyond bound" if s["beyond_bound"] else ""))
     if ops is not None:
         rows.append(_row("ops attempted", ops["base"], ops["change"],
                          ".0f"))
@@ -162,7 +164,7 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = [(m["name"], m["better"])
+        metrics = [(m["name"], m["better"], m["bound"])
                    for m in json.load(fh)["end_to_end"]]
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
