@@ -20,11 +20,11 @@ A state is its goals, its assignment and its trace, and the answer hole
 
 Each certificate is checked once, as its step commits
 (`kernel.replay_step`): a script's as it runs; a session the search
-found, or one handed in, by `certify`'s replay from a fresh state,
-where a searching line (`auto`, `rw_search`, ...) replays from its
-certificate under its own parameters instead of searching again and
-every other line runs again.  A theorem-mode state the search found is
-checked where it stands (`rechecked`).
+found, or one handed in, by `certify`'s replay from `session_init`,
+and a proof the search found by the same replay (`run_trace`) from
+`init_prove`.  On the replay a searching line (`auto`, `rw_search`,
+...) replays from its certificate under its own parameters instead of
+searching again and every other line runs again.
 
 P(answer) has one prover: `prove_by_script` runs a script from
 `init_prove` (`search.prove_by_search` searches).  The statement
@@ -45,10 +45,10 @@ from .expr import (
     LocalDecl, Meta, PROP, SortError, Term, Var, free_vars,
     instantiate_metas, metavars_of, mk_atom, mk_conn, substitute,
 )
+# `recheck` is unused here: the perfbench tracer wraps `fps.recheck`
 from .kernel import (
-    CertificateError, Goal, KernelError, ReplayReport, SolutionState,
-    apply_tactic, is_terminal, replay_step, run_script, recheck,
-    script_of_trace,
+    Goal, KernelError, ReplayReport, SolutionState, apply_tactic,
+    is_terminal, replay_step, run_script, recheck, script_of_trace,
 )
 from .syntax import Problem, ProofScript, ScriptLine, print_term
 
@@ -133,17 +133,6 @@ def init_prove(p: Problem, answer: Term) -> SolutionState:
                          assignment=((ANSWER_HOLE, answer),))
 
 
-def rechecked(report: ReplayReport) -> ReplayReport:
-    """`report`, rejected when it was accepted but a closure certificate
-    of its final state no longer validates."""
-    if report.accepted:
-        try:
-            recheck(report.final)
-        except CertificateError as e:
-            return ReplayReport(False, report.final, None, str(e))
-    return report
-
-
 def prove_by_script(p: Problem, answer: Term,
                     script: ProofScript) -> ReplayReport:
     """Prove P(answer) with a proving script, each line checked as it
@@ -161,8 +150,8 @@ def solve_certified(p: Problem, script: ProofScript
                         done=lambda s: Session(p, s).answer_ready())
     if not report.accepted:
         raise ScriptRejected(report.failed_line, report.reason)
-    sess = Session(p, report.final)
-    return extract_answer(sess), _framework_check(sess), sess.state
+    answer, cert = _framework_check(Session(p, report.final))
+    return answer, cert, report.final
 
 
 def replay_check(p: Problem, script: ProofScript) -> ReplayReport:
@@ -225,41 +214,46 @@ def certify(sess: Session) -> SessionCertificate:
     """Replay a session handed in from a fresh state, checking each
     recorded certificate once on the way (`run_trace`), then re-prove
     what the framework promises of it."""
-    run_trace(session_init(sess.problem).state, sess.state)
-    return _framework_check(sess)
+    report = run_trace(session_init(sess.problem).state, sess.state)
+    if report.failed_line is not None:
+        raise CertifyFailed(f"trace replay failed at step "
+                            f"{report.failed_line}: {report.reason}")
+    if not report.accepted:
+        raise CertifyFailed(report.reason)
+    return _framework_check(sess)[1]
 
 
-def _framework_check(sess: Session) -> SessionCertificate:
+def _framework_check(sess: Session) -> tuple[Term, SessionCertificate]:
     """Extract the answer, and re-prove the instantiated statement (fps)
-    or read off whether the backward case is closed too (dfps)."""
+    or read off whether the backward case is closed too (dfps); the
+    answer and its certificate."""
     answer = extract_answer(sess)
     script = script_of_trace(sess.state)
     if sess.framework == "fps":
         _recheck_statement(sess.problem, answer, script)
     backward = is_terminal(sess.state)      # always, for fps
-    return SessionCertificate(sess.framework, print_term(answer), True,
-                              backward, _script_hash(script),
-                              early_exit=not backward)
+    return answer, SessionCertificate(
+        sess.framework, print_term(answer), True, backward,
+        _script_hash(script), early_exit=not backward)
 
 
-def run_trace(state: SolutionState, recorded: SolutionState) -> SolutionState:
+def run_trace(state: SolutionState, recorded: SolutionState
+              ) -> ReplayReport:
     """Replay a recorded trace from a fresh state and check it step by
     step (`kernel.replay_step`): a closing line that only searches
     (`auto`, `rw_search`, ...) replays from its certificate under its
     own parameters, every other line runs again and its certificate is
-    revalidated at once.  The
-    replay must reproduce the recorded state term for term: its goals,
-    assignment and trace, certificates included."""
+    revalidated at once.  The replay must reproduce the recorded state
+    term for term: its goals, assignment and trace, certificates
+    included.  The run's report, whose failed line is the trace step."""
     steps = recorded.trace
     report = run_script(
         state, script_of_trace(recorded), done=lambda s: s == recorded,
         step=lambda s, ln: replay_step(s, steps[ln.lineno - 1]))
-    if report.failed_line is not None:
-        raise CertifyFailed(f"trace replay failed at step "
-                            f"{report.failed_line}: {report.reason}")
-    if not report.accepted:
-        raise CertifyFailed("replayed state differs from the recorded state")
-    return report.final
+    if report.accepted or report.failed_line is not None:
+        return report
+    return replace(report,
+                   reason="replayed state differs from the recorded state")
 
 
 def _recheck_statement(p: Problem, answer: Term, script: ProofScript) -> None:

@@ -11,8 +11,10 @@ States are immutable snapshots.  A tactic application never mutates its
 input; it either returns a fresh state or raises TacticFailed, in which
 case the caller keeps the old state.  A closing step is its certificate:
 the goal it closed, as the term the engine built, the evidence why, and
-the holes it fills, the kernel's only source of assignments.  `recheck`
-re-validates them all, which substitutes for a typechecking kernel.
+the holes it fills, the kernel's only source of assignments.  The
+replay, each step's certificate checked as the step commits, stands in
+for a typechecking kernel; `recheck`, which re-validates a finished
+trace's certificates one by one, is on no engine path.
 The kernel holds every check.  Each tactic module registers the check
 of its certificate kind beside its tactic (`register_check`, into
 `CHECKS`); a closing line that takes no argument or only an optional
@@ -22,7 +24,9 @@ and a recorded step commit through `replay_step`, which checks its
 certificate before the next line runs: a recorded line with a replay
 rule replays from its certificate under its own parameters without
 running the tactic; any other line runs.  `apply_tactic` is the
-unchecked commit of exploration (search, the RPE stages, the REPL).
+unchecked commit of exploration (search, the RPE stages, the REPL): it
+checks only the protocol, that a closing step brings a certificate of
+its own tactic and goal.
 Certificates never leave the process, so they hold the engine's own
 values and every check compares values with `==`: neither the parser
 nor the printer is on the path a proof is checked on.  A detail holds
@@ -77,8 +81,9 @@ class CertificateError(KernelError):
 
 class EngineError(Exception):
     """A tactic closed its goal without a certificate, brought one and
-    opened goals, or closed a hole goal without filling its hole: a bug,
-    not a failed line, so nothing catches it."""
+    opened goals, brought one of another kind or goal, or closed a hole
+    goal without filling its hole: a bug, not a failed line, so nothing
+    catches it."""
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +310,15 @@ def apply_tactic(s: SolutionState, case: Optional[str], tactic: str,
     if g.is_hole_goal() and tactic != FILLER:
         raise TacticFailed(f"{tactic} does not apply to a hole goal")
     res = fn(s, g, argtext)
-    fills = dict(res.cert.assigns) if res.cert is not None else {}
-    # a hole goal is its hole's one record: closed unfilled, it is lost
-    if (res.cert is None) != bool(res.new_goals) \
+    cert = res.cert
+    fills = dict(cert.assigns) if cert is not None else {}
+    # a certificate is of the step's tactic and goal; a hole goal is its
+    # hole's one record: closed unfilled, it is lost
+    if (cert is None) != bool(res.new_goals) \
+            or cert is not None and (cert.tactic != tactic or cert.goal != g) \
             or g.is_hole_goal() and g.case not in fills:
         raise EngineError(f"{tactic} broke the certificate protocol")
-    return _commit(s, g, TraceStep(g.case, tactic, argtext, res.cert),
+    return _commit(s, g, TraceStep(g.case, tactic, argtext, cert),
                    res.new_goals)
 
 

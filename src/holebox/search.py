@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from .expr import Binder, Conn, ExprError, Term
 from .fps import (
-    Session, certify, extract_answer, init_prove, rechecked, session_init,
+    Session, certify, extract_answer, init_prove, run_trace, session_init,
 )
 from .kernel import (
     Goal, KernelError, ReplayReport, SolutionState, apply_tactic,
@@ -237,13 +237,14 @@ def best_first_search(problem: Problem, policy: Policy,
 def prove_by_search(problem: Problem, answer: Term, cfg: SearchConfig
                     ) -> tuple[Optional[ReplayReport], dict]:
     """Search for a proof of P(answer) with the builtin policy and
-    recheck its certificates; the report, or None when the budget runs
+    replay it from `init_prove`, as `certify` replays a found session
+    (`fps.run_trace`); the replay's report, or None when the budget runs
     out, and the search stats."""
-    node, stats = search_states(init_prove(problem, answer), builtin_policy,
-                                cfg, is_terminal)
+    start = init_prove(problem, answer)
+    node, stats = search_states(start, builtin_policy, cfg, is_terminal)
     if node is None:
         return None, stats
-    return rechecked(ReplayReport(True, node.state)), stats
+    return run_trace(start, node.state), stats
 
 
 def _finish(problem: Problem, node: SearchNode, stats: dict) -> SearchResult:

@@ -846,19 +846,25 @@ def _elab_pair(lraw: Raw, rraw: Raw, expected: Optional[Sort],
 
 def _fallback_sort(*raws: Raw) -> Sort:
     """The sort unanchored `raws` fall back to: the numerals' own
-    sort, or the set of it when one of them is set-shaped."""
+    sort, under one `Set` per level of the deepest set among them."""
     want = _numeral_fallback(*raws)
-    return set_of(want) if any(map(_set_shaped, raws)) else want
+    for _ in range(max(map(_set_depth, raws))):
+        want = set_of(want)
+    return want
 
 
-def _set_shaped(raw: Raw) -> bool:
-    """A set literal or interval, or a union or intersection of one."""
+def _set_depth(raw: Raw) -> int:
+    """How many sets deep `raw` holds its numerals: a set literal one
+    level below its deepest element, an interval one, a union or
+    intersection as deep as its deepest operand, anything else none."""
     head = raw.head.name if isinstance(raw, RAppl) \
         and isinstance(raw.head, RName) else None
     if head in ("union", "inter") or isinstance(raw, RBin) \
             and raw.op in ("and", "or"):
-        return any(map(_set_shaped, _raw_kids(raw)[1]))
-    return isinstance(raw, RSetLit) or head in _INTERVALS
+        return max(map(_set_depth, _raw_kids(raw)[1]))
+    if isinstance(raw, RSetLit):
+        return 1 + max(map(_set_depth, raw.elems), default=0)
+    return 1 if head in _INTERVALS else 0
 
 
 def _elab_binder(raw: RBinderRaw, expected: Optional[Sort],
@@ -1168,8 +1174,9 @@ def parse_problem(doc: bytes | str | dict) -> Problem:
     if framework not in ("fps", "dfps"):
         raise SchemaError(f"framework must be 'fps' or 'dfps', got {framework!r}")
     try:
-        vars_ = [(str(n), _parse_sort_text(s)) for n, s in obj.get("vars", [])]
-        qname, qsort_text = obj["queriable"]
+        vars_ = [(str(n), _parse_sort_text(s))
+                 for n, s in map(_pair, _entries(obj, "vars"))]
+        qname, qsort_text = _pair(obj["queriable"])
         qname, qsort = str(qname), _parse_sort_text(qsort_text)
     except (KeyError, ValueError, TypeError) as e:
         raise SchemaError(f"malformed vars/queriable: {e}") from None
@@ -1179,8 +1186,8 @@ def parse_problem(doc: bytes | str | dict) -> Problem:
     hyps: list[tuple[str, Term]] = []
     for item in _entries(obj, "hypotheses"):
         try:
-            hname, htext = item
-        except (ValueError, TypeError):
+            hname, htext = _pair(item)
+        except TypeError:
             raise SchemaError(f"malformed hypothesis entry {item!r}") from None
         hname = str(hname)
         what = f"hypothesis {hname!r}"
@@ -1231,12 +1238,19 @@ def _check_dfps_shape(p: Problem) -> None:
         raise DfpsShapeError("queriable occurs inside the dfps body")
 
 
-def _entries(obj: dict, key: str):
-    """The entries of the document's `key`, none when it is absent;
-    null, a number or a boolean there is a SchemaError."""
+def _entries(obj: dict, key: str) -> list:
+    """The entries of the document's `key`, a JSON list, none when it is
+    absent; any other JSON value there is a SchemaError."""
     value = obj.get(key, [])
-    if value is None or isinstance(value, (int, float)):
+    if not isinstance(value, list):
         raise SchemaError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _pair(value: object) -> list:
+    """`value`, a JSON list of two; any other JSON value is a TypeError."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise TypeError(f"expected a list of two, got {value!r}")
     return value
 
 

@@ -21,6 +21,7 @@ from holebox.syntax import (
 from holebox.tactics.rewrite import default_library, set_default_library
 from test_parser_reference import operator_texts, token_texts
 from test_search import ECHO_POLICY
+from test_syntax import UNLISTED_DOCS
 
 
 def data_path(name):
@@ -273,6 +274,17 @@ def test_help_still_prints_usage(capsys):
 
 def test_missing_file_exits_two(capsys):
     assert cli_main(["solve", "/nonexistent/p.json"]) == 2
+
+
+@pytest.mark.parametrize("doc", UNLISTED_DOCS,
+                         ids=["hypothesis", "conclusions", "vars"])
+def test_a_list_field_given_as_text_exits_two(tmp_path, capsys, doc):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(doc))
+    assert cli_main(["solve", str(problem), "--k", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ")
 
 
 def test_solve_with_an_external_policy(capsys):

@@ -184,10 +184,11 @@ def test_open_goal_certificates_rejected_by_each_revalidator():
 
 def test_replay_check_rejects_open_goal_eval_certificate(monkeypatch):
     # a broken eval_decide that closes any goal with a certificate for
-    # the open goal x = 1: replay accepts the script, recheck rejects it
+    # the open goal x = 1 brings a certificate of another goal: the
+    # kernel refuses the commit as an engine bug, not a failed line
     import json
     from holebox.fps import replay_check
-    from holebox.kernel import TACTICS, TacticResult
+    from holebox.kernel import TACTICS, EngineError, TacticResult
     from holebox.syntax import parse_problem, parse_script
     certs = _open_goal_certs()
     monkeypatch.setitem(TACTICS, "eval_decide",
@@ -197,10 +198,9 @@ def test_replay_check_rejects_open_goal_eval_certificate(monkeypatch):
         "format_version": "1", "framework": "fps", "vars": [],
         "queriable": ["a", "Int"], "hypotheses": [],
         "conclusions": ["a = 1"]}))
-    report = replay_check(problem,
-                          parse_script(["@goal w exact 1", "eval_decide"]))
-    assert not report.accepted
-    assert "eval_decide" in report.reason
+    with pytest.raises(EngineError, match="^eval_decide broke"):
+        replay_check(problem,
+                     parse_script(["@goal w exact 1", "eval_decide"]))
 
 
 def test_oversized_products_still_decide():

@@ -350,6 +350,27 @@ def test_a_hole_goal_closed_without_its_fill_is_an_engine_bug(monkeypatch):
         apply_tactic(state, "w", "exact", "7")
 
 
+@pytest.mark.parametrize("forge", [
+    lambda goal: Certificate("rfl", replace(goal, concl=parse_term(
+        "x = x", goal.ctx, PROP)), {}),
+    lambda goal: Certificate("ring_nf", goal, {}),
+], ids=["of-another-goal", "of-another-kind"])
+def test_a_certificate_not_of_its_step_is_an_engine_bug(monkeypatch, forge):
+    # `rfl` fails on `x + x = 2 * x`; a broken `rfl` that closes it with
+    # a valid certificate of an easier goal, or of another kind, is a
+    # bug the kernel refuses to commit, not a failed line
+    ctx = Telescope((LocalDecl("x", INT),))
+    goal = Goal("h", ctx, parse_term("x + x = 2 * x", ctx, PROP))
+    revalidate(forge(goal))
+    monkeypatch.setitem(TACTICS, "rfl", lambda state, goal, argtext:
+                        TacticResult(cert=forge(goal)))
+    state = SolutionState(goals=(goal,))
+    with pytest.raises(EngineError):
+        apply_tactic(state, "h", "rfl")
+    with pytest.raises(EngineError):
+        run_script(state, parse_script(["rfl"]))
+
+
 @pytest.mark.parametrize("tactic", sorted(TACTICS))
 def test_only_exact_acts_on_a_hole_goal(tactic):
     # the kernel's one rule: `exact <term>` fills a hole goal, and every

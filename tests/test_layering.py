@@ -316,7 +316,8 @@ def test_only_the_kernel_exact_and_the_builtin_policy_ask_for_hole_goals():
 
 # -- one statement prover ----------------------------------------------------
 
-# Above the kernel only `fps` runs scripts and rechecks certificates.
+# Above the kernel only `fps` runs scripts, and no module calls
+# `recheck`: every proof is checked by the one replay.
 # The benchmark's proven flag and `holebox prove` prove through
 # `fps.prove_by_script` and `search.prove_by_search`, on the path that
 # certification re-proves a statement on, so neither builds a proving
@@ -364,6 +365,8 @@ def test_only_fps_runs_scripts_and_rechecks():
              or " import " in hit
              and hit.split(":", 1)[0] in PROVER_CLIENTS]
     assert not stray, stray
+    rechecks = [hit for hit in found if hit.endswith(" call recheck")]
+    assert not rechecks, rechecks
 
 
 # -- tactic arguments ------------------------------------------------------

@@ -1,5 +1,6 @@
 """Best-first search: value function, allocation, determinism, policies."""
 
+import itertools
 import json
 import math
 import signal
@@ -9,11 +10,11 @@ import textwrap
 import pytest
 
 from holebox.fps import session_init
-from holebox.kernel import SolutionState, is_terminal
+from holebox.kernel import TACTICS, SolutionState, is_terminal
 from holebox.search import (
     MAX_SEARCH_DEPTH, ExternalPolicy, PolicyError, PolicySuggestion,
     SearchConfig, SearchNode, allocate, best_first_search, builtin_policy,
-    expand, node_value, search_states,
+    expand, node_value, prove_by_search, search_states,
 )
 from holebox.syntax import parse_problem, print_term
 
@@ -167,6 +168,32 @@ def test_solved_search_certifies():
     assert r.certificate["forward"] and r.certificate["backward"]
     from holebox.fps import replay_check
     assert replay_check(UNITS, r.script).accepted
+
+
+# theorem mode: the search proves P(10) by `intro` then `rw_search`
+RECURSIVE = prob({
+    "format_version": "1", "framework": "fps",
+    "vars": [["f", "Nat -> Rat"]], "queriable": ["a", "Rat"],
+    "hypotheses": [
+        ["h0", "f 1 = 2"],
+        ["h1", "forall (m : Nat), 1 < m /\\ even m -> f m = f (m - 1) + 1"],
+        ["h2", "forall (m : Nat), 1 < m /\\ odd m -> f m = f (m - 2) + 2"]],
+    "conclusions": ["f 0 = 0 -> a = f 9"], "answer": "10"})
+
+
+def test_a_search_proof_that_does_not_reproduce_is_not_proven(monkeypatch):
+    report, _ = prove_by_search(RECURSIVE, RECURSIVE.answer, SearchConfig())
+    assert report.accepted
+    assert [st.tactic for st in report.final.trace] == ["intro", "rw_search"]
+    # an `intro` that names its hypothesis afresh on every call: each
+    # certificate the search recorded still checks against its own goal,
+    # but the replay reaches another goal, so the proof is not proven
+    intro, fresh = TACTICS["intro"], itertools.count()
+    monkeypatch.setitem(TACTICS, "intro", lambda state, goal, argtext:
+                        intro(state, goal, argtext or f"hyp{next(fresh)}"))
+    report, _ = prove_by_search(RECURSIVE, RECURSIVE.answer, SearchConfig())
+    assert not report.accepted
+    assert report.failed_line == 2 and "does not close goal" in report.reason
 
 
 # -- external policy ----------------------------------------------------------

@@ -185,14 +185,25 @@ def test_unanchored_set_operands_fall_back_to_a_set_of_numerals(text, elem):
     assert parse_term(print_term(term), Telescope(), PROP) == term
 
 
-@pytest.mark.parametrize("text", ["card {{1, 2}, {3}} = 2",
-                                  "card {{1} \\/ {2}, {3}} = 2"])
+# the sort of each element of the set (or operand of the union) that
+# `card` counts, one `Set` per level of nesting
+NUMERAL_SET_SORTS = {
+    "card {{1, 2}, {3}} = 2": set_of(INT),
+    "card {{1} \\/ {2}, {3}} = 2": set_of(INT),
+    "card {{{1}}, {{2}}} = 2": set_of(set_of(INT)),
+    "card {{{1/2}}} = 1": set_of(set_of(RAT)),
+    "card ({{1}} \\/ {{2}}) = 2": set_of(set_of(INT)),
+    "card {{{1}} \\/ {{2}}} = 1": set_of(set_of(INT)),
+}
+
+
+@pytest.mark.parametrize("text", list(NUMERAL_SET_SORTS))
 def test_a_set_literal_of_numeral_sets_falls_back_to_sets_of_numerals(text):
-    # the elements are sets of bare numerals, a literal or a union: each
-    # is a `Set Int`, and the whole prints back as it reads
+    # the elements are sets of bare numerals, literals or unions, nested
+    # to any depth, and the whole prints back as it reads
     term = parse_term(text, Telescope(), PROP)
     outer = term.args[0].args[0]
-    assert [e.sort for e in outer.args] == [set_of(INT), set_of(INT)]
+    assert {e.sort for e in outer.args} == {NUMERAL_SET_SORTS[text]}
     assert print_term(term) == text
 
 
@@ -296,6 +307,26 @@ def test_malformed_problem_rejected(doc, error, message):
     with pytest.raises(error) as err:
         parse_problem(text)
     assert message in str(err.value)
+
+
+PROP_DOC = {"format_version": "1", "framework": "fps",
+            "vars": [["p", "Prop"]], "queriable": ["a", "Prop"],
+            "hypotheses": [], "conclusions": ["a"]}
+
+# a string where a list belongs, read character by character, would be
+# the hypothesis `h : p`, the conclusion `a`, the variable `x : y`
+UNLISTED_DOCS = [dict(PROP_DOC, hypotheses=["hp"]),
+                 dict(PROP_DOC, conclusions="a"),
+                 dict(PROP_DOC, vars=["xy"])]
+
+
+@pytest.mark.parametrize("doc", UNLISTED_DOCS,
+                         ids=["hypothesis", "conclusions", "vars"])
+def test_a_list_field_is_read_only_as_a_list(doc):
+    with pytest.raises(SchemaError, match="^(malformed vars/queriable: |"
+                       "malformed hypothesis entry |conclusions must be a "
+                       "list, got )"):
+        parse_problem(json.dumps(doc))
 
 
 def test_problem_requires_conclusions():
